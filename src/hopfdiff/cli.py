@@ -33,6 +33,11 @@ class InputError(Exception):
     pass
 
 
+# what the formats parsers raise on a malformed file; "1/0" raises
+# ZeroDivisionError from Fraction
+_PARSE_ERRORS = (ValueError, KeyError, TypeError, ZeroDivisionError)
+
+
 def _resolve_algebra(spec: str) -> FinDimHopf:
     """A catalog name or a path to an algebra JSON file."""
     if spec is None:
@@ -41,7 +46,7 @@ def _resolve_algebra(spec: str) -> FinDimHopf:
         with open(spec, "r", encoding="utf-8") as fh:
             try:
                 return formats.algebra_from_dict(json.load(fh))
-            except (ValueError, KeyError, TypeError) as exc:
+            except _PARSE_ERRORS as exc:
                 raise InputError(f"bad algebra file {spec}: {exc}")
     try:
         obj = catalog.build(spec)
@@ -68,7 +73,7 @@ def _load_operator(path: str, fallback_algebra=None) -> LinMap:
     data = _load_json(path, "operator")
     try:
         return formats.operator_from_dict(data, _resolve_algebra)
-    except ValueError as exc:
+    except _PARSE_ERRORS as exc:
         raise InputError(f"bad operator file {path}: {exc}")
 
 
@@ -76,7 +81,7 @@ def _load_action(path: str):
     data = _load_json(path, "action")
     try:
         return formats.action_from_dict(data, _resolve_algebra)
-    except ValueError as exc:
+    except _PARSE_ERRORS as exc:
         raise InputError(f"bad action file {path}: {exc}")
 
 
@@ -211,7 +216,7 @@ def _resolve_plan(args):
         data = _load_json(args.plan, "plan")
         try:
             return formats.plan_from_dict(data, _resolve_algebra)
-        except ValueError as exc:
+        except _PARSE_ERRORS as exc:
             raise InputError(f"bad plan file: {exc}")
     try:
         obj = catalog.build(args.plan)
@@ -259,7 +264,11 @@ def cmd_classify_diffops(args) -> int:
     }
     exit_code = 0 if result.certificate == "complete" else 1
     if args.expected:
-        expected = formats.expected_from_dict(_load_json(args.expected, "expected"))
+        data = _load_json(args.expected, "expected")
+        try:
+            expected = formats.expected_from_dict(data)
+        except _PARSE_ERRORS as exc:
+            raise InputError(f"bad expected file {args.expected}: {exc}")
         diff = verify_against_published(result, expected)
         report["expected_comparison"] = {
             "equal": diff.equal,
@@ -434,6 +443,15 @@ def _parse_word(word: str, generators: int):
 
 
 def cmd_free_lie(args) -> int:
+    from .freelie import BudgetCapError
+
+    try:
+        return _free_lie_task(args)
+    except BudgetCapError as exc:
+        raise InputError(str(exc))
+
+
+def _free_lie_task(args) -> int:
     from .freelie import (DEFAULT_BUDGET, TruncatedTensor,
                           adjoint_derivation_action, ckmm_truncated_instance,
                           diffop_from_hom, lyndon_dims, mm_instance_check)

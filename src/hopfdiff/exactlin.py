@@ -2,15 +2,19 @@
 
 Everything is computed over the rationals with no rounding; scalars are
 ``fractions.Fraction`` values (always in lowest terms, positive
-denominator).  Matrices are small and dense; elimination picks the first
-nonzero pivot in row-major order so that identical inputs always produce
-identical outputs.
+denominator).  Matrices are small and dense.  Elimination scales each row
+to integers and runs fraction-free on sparse integer rows; ``Fraction``
+values are built only for the results.  Its results are reduced echelon
+forms, which are unique, so equal inputs always produce identical outputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress, count, repeat
+from math import gcd, lcm
+from operator import is_not
 
 Rat = Fraction
 
@@ -138,8 +142,8 @@ class AffineSolutionSpace:
     """Full solution set of A v = b: particular + span(kernel_basis).
 
     ``particular`` is None when the system is inconsistent.  The kernel
-    basis is in reduced echelon form with respect to the deterministic
-    pivot order, so equal systems yield identical bases.
+    basis is read off the unique reduced echelon form of [A | b], one
+    vector per free column, so equal systems yield identical bases.
     """
 
     particular: list[Rat] | None
@@ -157,34 +161,111 @@ class AffineSolutionSpace:
         return len(self.kernel_basis)
 
 
-def _row_reduce(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _int_row(row: list[Rat], unit: int | None = None) -> dict[int, int]:
+    """The row's nonzero entries as {column: int}, scaled by the lcm of
+    their denominators and divided by the gcd of the numerators.  With
+    ``unit``, the row is first extended by a 1 in that column."""
+    # the identity test against the shared ZERO runs in C and skips most
+    # zeros; as_integer_ratio reads a Fraction in one call
+    out = {}
+    dens = None
+    for c in compress(count(), map(is_not, row, repeat(ZERO))):
+        p, q = row[c].as_integer_ratio()
+        if p:
+            out[c] = p
+            if q != 1:
+                if dens is None:
+                    dens = {}
+                dens[c] = q
+    den = 1
+    if dens:
+        den = lcm(*dens.values())
+        out = {c: p * (den // dens.get(c, 1)) for c, p in out.items()}
+    if unit is not None:
+        out[unit] = den
+    g = gcd(*out.values())
+    if g > 1:
+        out = {c: v // g for c, v in out.items()}
+    return out
+
+
+def _eliminate(row: dict[int, int], prow: dict[int, int], a: int, b: int) -> dict[int, int]:
+    """The primitive multiple of a*row - b*prow, where a = prow[c] and
+    b = row[c] for the column c being cleared."""
+    g = gcd(a, b)
+    if g > 1:
+        a //= g
+        b //= g
+    out = dict(row) if a == 1 else {k: a * v for k, v in row.items()}
+    for k, v in prow.items():
+        x = out.get(k, 0) - b * v
+        if x:
+            out[k] = x
+        else:
+            del out[k]
+    g = gcd(*out.values())
+    if g > 1:
+        out = {k: v // g for k, v in out.items()}
+    return out
+
+
+def _rat_row(row: dict[int, int], lead: int, ncols: int) -> list[Rat]:
+    """Dense Fraction row of row / lead; zero entries share ZERO."""
+    out = [ZERO] * ncols
+    for k, x in row.items():
+        out[k] = ONE if x == lead else Fraction(x, lead)
+    return out
+
+
+def _echelon(rows, ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form of sparse integer rows, zero rows dropped:
+    (rows, pivot columns), each row a multiple of its reduced form.
+
+    Elimination is fraction-free.  Rows wait in buckets keyed by their
+    leading column; the sparsest row of a bucket becomes the pivot row, and
+    clearing its column from the others moves them to later buckets.  Back
+    substitution then clears each pivot column above its pivot.  The
+    reduced echelon form is unique, so the choice of pivot rows never shows
+    in the result.
+    """
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for row in rows:
+        if row:
+            buckets.setdefault(min(row), []).append(row)
+    echelon: list[dict[int, int]] = []
     pivots: list[int] = []
-    r = 0
     for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if not buckets:
             break
-    return rows, pivots
+        hits = buckets.pop(c, None)
+        if hits is None:
+            continue
+        prow = min(hits, key=len)
+        a = prow[c]
+        for row in hits:
+            if row is not prow:
+                row = _eliminate(row, prow, a, row[c])
+                if row:
+                    buckets.setdefault(min(row), []).append(row)
+        echelon.append(prow)
+        pivots.append(c)
+    where = {c: i for i, c in enumerate(pivots)}
+    for i in range(len(echelon) - 2, -1, -1):
+        row = echelon[i]
+        # rows below are already reduced, so each is zero in every other
+        # pivot column and clearing one column leaves the others alone
+        for c in [c for c in row if c in where and c != pivots[i]]:
+            prow = echelon[where[c]]
+            row = _eliminate(row, prow, prow[c], row[c])
+        echelon[i] = row
+    return echelon, pivots
+
+
+def _row_reduce(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
+    """Reduced row echelon form without its zero rows: (rows, pivot columns)."""
+    ncols = len(rows[0]) if rows else 0
+    echelon, pivots = _echelon(map(_int_row, rows), ncols)
+    return [_rat_row(row, row[c], ncols) for row, c in zip(echelon, pivots)], pivots
 
 
 def solve_affine(a: Mat, b: list[Rat]) -> AffineSolutionSpace:
@@ -199,18 +280,21 @@ def solve_affine(a: Mat, b: list[Rat]) -> AffineSolutionSpace:
     particular = [ZERO] * n
     for r, c in enumerate(pivots):
         particular[c] = aug[r][-1]
-    kernel = _kernel_from_echelon([row[:-1] for row in aug[: len(pivots)]], pivots, n)
-    return AffineSolutionSpace(particular, kernel)
+    return AffineSolutionSpace(particular, _kernel_from_echelon(aug, pivots, n))
 
 
 def _kernel_from_echelon(rows: list[list[Rat]], pivots: list[int], n: int) -> list[list[Rat]]:
-    free = [c for c in range(n) if c not in pivots]
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
+    for fc in range(n):
+        if fc in pivot_set:
+            continue
         v = [ZERO] * n
         v[fc] = ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            x = row[fc]
+            if x is not ZERO:
+                v[pc] = -x
         basis.append(v)
     return basis
 
@@ -218,14 +302,12 @@ def _kernel_from_echelon(rows: list[list[Rat]], pivots: list[int], n: int) -> li
 def kernel(a: Mat) -> list[list[Rat]]:
     """Reduced-echelon basis of the null space, one vector per free column."""
     rows, pivots = _row_reduce(a.to_rows())
-    return _kernel_from_echelon(rows[: len(pivots)], pivots, a.cols)
+    return _kernel_from_echelon(rows, pivots, a.cols)
 
 
 def row_space_basis(vectors: list[list[Rat]]) -> list[list[Rat]]:
     """Reduced-echelon basis of the span of the given vectors."""
-    rows = [list(v) for v in vectors if any(v)]
-    rows, pivots = _row_reduce(rows)
-    return rows[: len(pivots)]
+    return _row_reduce(vectors)[0]
 
 
 def in_span(basis_echelon: list[list[Rat]], v: list[Rat]) -> bool:
@@ -244,8 +326,10 @@ def invert(a: Mat) -> Mat | None:
     if a.rows != a.cols:
         raise ValueError("only square matrices can be inverted")
     n = a.rows
-    aug = [a.row(i) + [ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    aug, pivots = _row_reduce(aug)
-    if len(pivots) != n or pivots != list(range(n)):
+    # the reduced echelon form of [A | I] is [I | A^-1] exactly when A is
+    # invertible; the identity block goes straight into the integer rows
+    echelon, pivots = _echelon([_int_row(a.row(i), n + i) for i in range(n)], 2 * n)
+    if pivots != list(range(n)):
         return None
-    return Mat.from_rows([row[n:] for row in aug])
+    return Mat(n, n, [x for row, c in zip(echelon, pivots)
+                      for x in _rat_row(row, row[c], 2 * n)[n:]])

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .exactlin import Mat, ONE, ZERO, rat, row_space_basis, solve_affine
+from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis, solve_affine
 from .hopf import (
     CarrierOps,
     OutOfBudgetError,
@@ -123,13 +123,18 @@ def bracket_expansion(w) -> dict:
 # ---------------------------------------------------------------------------
 # the truncated tensor Hopf algebra
 
+class BudgetCapError(ValueError):
+    """A truncated tensor algebra was asked for beyond MAX_BUDGET or
+    MAX_GENERATORS."""
+
+
 class TruncatedTensor(CarrierOps):
     """T(V) truncated in degree, with concatenation product and the
     coshuffle coproduct (letters primitive)."""
 
     def __init__(self, generators: int, budget: int):
         if budget > MAX_BUDGET or generators > MAX_GENERATORS:
-            raise ValueError(
+            raise BudgetCapError(
                 f"budget capped at {MAX_BUDGET} with at most {MAX_GENERATORS} generators")
         self.generators = generators
         self.budget = budget
@@ -529,8 +534,6 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> TruncReport:
     skipped silently.
     """
     prim = row_space_basis(truncated_primitives(tv))
-    from .exactlin import in_span
-
     for v in phi:
         if not in_span(prim, v):
             raise ValueError("letter images must be primitive (free Lie elements)")
@@ -1113,10 +1116,8 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     report["graded_dims_match"] = u_sd.graded_dims() == _smash_graded_dims(smash)
     report["dims"] = u_sd.graded_dims()
     mat = Mat.from_cols([c for c in cols if c is not None])
-    from .exactlin import invert as _invert
-
     report["bijective"] = (len([c for c in cols if c is not None]) == smash.dim
-                           and _invert(mat) is not None)
+                           and invert(mat) is not None)
     # multiplicativity on in-budget pairs
     fails = 0
     checked = 0

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactlin import Mat, ONE, ZERO, invert, rat, row_space_basis, solve_affine
+from .exactlin import Mat, ONE, ZERO, invert, kernel, rat, row_space_basis, solve_affine
 from .hopf import FinDimHopf, basis_vec, sweedler_expand
 from .groups import FinGroup, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
@@ -717,8 +717,6 @@ class _Engine:
         r0 = self._residue(p_const(ONE), monos, midx, echelon, pivots)
         keys = sorted(set(r2) | set(r1) | set(r0), key=repr)
         rows = [[r.get(k, ZERO) for r in (r2, r1, r0)] for k in keys]
-        from .exactlin import kernel
-
         null = kernel(Mat.from_rows(rows))
         roots = None
         for vec in null:

@@ -6,6 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from hopfdiff import catalog
+from hopfdiff.solver import classify_diffops
 
 
 @pytest.fixture(scope="session")
@@ -41,3 +42,10 @@ def ks3():
 @pytest.fixture(scope="session")
 def inversion_action():
     return catalog.build("action:inv:kC2:kC4")
+
+
+@pytest.fixture(scope="session")
+def h8_classification():
+    """The full (not bijective-only) classification of plan:H8, shared by
+    every test that reads it."""
+    return classify_diffops(catalog.build("plan:H8"))

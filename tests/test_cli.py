@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from hopfdiff.cli import run
 
 
@@ -176,6 +178,37 @@ def test_missing_file_exits_two(capsys):
 def test_unknown_catalog_name_exits_two(capsys):
     code, payload, _ = invoke(capsys, "validate", "--algebra", "H16")
     assert code == 2
+
+
+@pytest.mark.parametrize("entry, argv, corrupt", [
+    ("kC2", ["validate", "--algebra"], lambda d: d["counit"].__setitem__(0, "1/0")),
+    ("op:id:kC2", ["check-diffop", "--operator"],
+     lambda d: d["matrix"][0].__setitem__(0, "1/0")),
+    ("action:inv:kC2:kC4", ["smash", "--action"],
+     lambda d: d["tensor"][0][0].__setitem__(0, "1/0")),
+    ("plan:H4", ["classify-diffops", "--plan"], lambda d: d["generators"][0].pop("cosets")),
+    ("expected:H4", ["classify-diffops", "--plan", "plan:H4", "--expected"],
+     lambda d: d["operators"][0]["images"][0].__setitem__(0, "1/0")),
+], ids=["algebra", "operator", "action", "plan", "expected"])
+def test_malformed_file_exits_two(capsys, tmp_path, entry, argv, corrupt):
+    path = tmp_path / "bad.json"
+    code, payload, _ = invoke(capsys, "catalog", entry)
+    corrupt(payload["payload"])
+    path.write_text(json.dumps(payload["payload"]))
+    code, payload, err = invoke(capsys, *argv, str(path))
+    assert code == 2
+    assert payload["ok"] is False and "error" in payload
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("task, options", [
+    ("lyndon-dims", ["--budget", "8"]),
+    ("mm-check", ["--generators", "4"]),
+])
+def test_free_lie_beyond_caps_exits_two(capsys, task, options):
+    code, payload, _ = invoke(capsys, "free-lie", task, *options)
+    assert code == 2
+    assert payload["ok"] is False and "budget capped" in payload["error"]
 
 
 def test_out_flag_writes_identical_report(capsys, tmp_path):

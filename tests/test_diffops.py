@@ -292,14 +292,12 @@ def test_restriction_to_grouplikes_is_group_diffop(ks3, h8):
     assert ok
 
 
-def test_every_verified_diffop_restricts_to_group_diffop(ks3, kc2xc2, h8):
-    from hopfdiff.solver import classify_diffops
-
+def test_every_verified_diffop_restricts_to_group_diffop(ks3, kc2xc2, h8, h8_classification):
     for h in (ks3, kc2xc2):
         for op in all_diffops_on_group_algebra(h):
             _, gmap, ok = restricts_to_group_diffop(h, op.map)
             assert ok
-    for op in classify_diffops(catalog.build("plan:H8")).operators:
+    for op in h8_classification.operators:
         _, gmap, ok = restricts_to_group_diffop(h8, op.map)
         assert ok
 

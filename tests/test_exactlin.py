@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfdiff.exactlin import (
     Mat,
+    _row_reduce,
     in_span,
     invert,
     kernel,
@@ -15,6 +16,7 @@ from hopfdiff.exactlin import (
 )
 
 F = Fraction
+ONE = F(1)
 
 
 def test_rat_parsing_and_serialization():
@@ -131,3 +133,134 @@ def test_determinism(data):
     second = solve_affine(Mat(a.rows, a.cols, list(a.entries)), list(b))
     assert first.particular == second.particular
     assert first.kernel_basis == second.kernel_basis
+
+
+# ---------------------------------------------------------------------------
+# differential oracle: the Fraction Gauss-Jordan elimination that the
+# integer elimination replaced, kept verbatim as an independent reference
+
+
+def reference_row_reduce(rows):
+    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    if not rows:
+        return rows, []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = ONE / rows[r][c]
+        if inv != 1:
+            rows[r] = [x * inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return rows, pivots
+
+
+def reference_kernel(rows, pivots, n):
+    """Null-space basis read off a reduced echelon form, one vector per
+    free column."""
+    basis = []
+    for fc in range(n):
+        if fc in pivots:
+            continue
+        v = [F(0)] * n
+        v[fc] = F(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
+sparse_nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
+
+
+@st.composite
+def sparse_rows(draw, max_rows=12, max_cols=12, square=False):
+    """Mostly-zero rational rows, with zero rows and duplicated (possibly
+    rescaled) rows mixed in; zeros are fresh Fraction objects, not the
+    module's shared ZERO."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    density = draw(st.sampled_from([0.1, 0.25, 0.5, 1.0]))
+    cells = draw(st.sets(st.integers(0, nrows * ncols - 1),
+                         max_size=max(1, int(density * nrows * ncols))))
+    values = draw(st.lists(sparse_nonzero, min_size=len(cells), max_size=len(cells)))
+    rows = [[F(0) for _ in range(ncols)] for _ in range(nrows)]
+    for cell, x in zip(sorted(cells), values):
+        rows[cell // ncols][cell % ncols] = x
+    if not square:
+        for i in draw(st.lists(st.integers(0, nrows - 1), max_size=3)):
+            scale = draw(sparse_nonzero)
+            rows.append([scale * x for x in rows[i]])
+        rows.extend([F(0)] * ncols for _ in range(draw(st.integers(0, 2))))
+        rows = draw(st.permutations(rows))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_rows())
+def test_row_reduce_matches_fraction_reference(rows):
+    ref_rows, ref_pivots = reference_row_reduce([list(r) for r in rows])
+    got_rows, got_pivots = _row_reduce([list(r) for r in rows])
+    assert got_pivots == ref_pivots
+    assert got_rows == ref_rows[: len(ref_pivots)]
+    assert not any(any(r) for r in ref_rows[len(ref_pivots):])
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(), st.data())
+def test_entry_points_match_fraction_reference(rows, data):
+    ncols = len(rows[0])
+    a = Mat.from_rows(rows)
+    ref_rows, ref_pivots = reference_row_reduce([list(r) for r in rows])
+    ref_rows = ref_rows[: len(ref_pivots)]
+    assert row_space_basis(rows) == ref_rows
+    assert kernel(a) == reference_kernel(ref_rows, ref_pivots, ncols)
+
+    b = data.draw(st.lists(st.one_of(st.just(F(0)), sparse_nonzero),
+                           min_size=len(rows), max_size=len(rows)))
+    aug, aug_pivots = reference_row_reduce([list(r) + [x] for r, x in zip(rows, b)])
+    aug = aug[: len(aug_pivots)]
+    sol = solve_affine(a, b)
+    if ncols in aug_pivots:
+        assert sol.inconsistent
+    else:
+        particular = [F(0)] * ncols
+        for row, c in zip(aug, aug_pivots):
+            particular[c] = row[-1]
+        assert sol.particular == particular
+        assert sol.kernel_basis == reference_kernel([r[:-1] for r in aug], aug_pivots, ncols)
+
+    v = data.draw(st.lists(st.one_of(st.just(F(0)), sparse_nonzero),
+                           min_size=ncols, max_size=ncols))
+    _, with_v = reference_row_reduce([list(r) for r in rows] + [list(v)])
+    assert in_span(row_space_basis(rows), v) == (len(with_v) == len(ref_pivots))
+    for r in rows:
+        assert in_span(row_space_basis(rows), r)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_rows(max_rows=8, square=True))
+def test_invert_matches_fraction_reference(rows):
+    n = len(rows)
+    aug = [list(r) + [F(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    ref, pivots = reference_row_reduce(aug)
+    inv = invert(Mat.from_rows(rows))
+    if pivots != list(range(n)):
+        assert inv is None
+    else:
+        assert inv == Mat.from_rows([r[n:] for r in ref])

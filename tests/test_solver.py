@@ -112,11 +112,6 @@ def test_classify_brute_force_completeness_kc2xc2(kc2xc2):
     assert len(found) == 16
 
 
-@pytest.fixture(scope="module")
-def h8_classification():
-    return classify_diffops(catalog.build("plan:H8"))
-
-
 def test_classify_h8_complete_with_six_operators(h8_classification, h8):
     result = h8_classification
     assert result.certificate == "complete"
@@ -187,7 +182,7 @@ def test_plan_validation_requires_cover(h4):
         plan.validate()
 
 
-def test_h8_collapse_operator_is_genuine(h8):
+def test_h8_collapse_operator_is_genuine(h8, h8_classification):
     """The full classification finds a non-bijective operator collapsing
     the simple subcoalgebra onto xy.  Frozen hand oracle for the pair
     (z, z): both sides equal 1 because (xy)t2(xy)S(t3) telescopes to
@@ -196,6 +191,5 @@ def test_h8_collapse_operator_is_genuine(h8):
     cols = [basis_vec(8, 0)] * 4 + [basis_vec(8, 3)] * 4
     res = check_diffop(h8, Mat.from_cols(cols))
     assert isinstance(res, DiffOp) and not res.bijective
-    result = classify_diffops(catalog.build("plan:H8"))
     assert any(op.map.matrix.entries == Mat.from_cols(cols).entries
-               for op in result.operators)
+               for op in h8_classification.operators)
