@@ -33,21 +33,47 @@ class InputError(Exception):
     pass
 
 
+class InvalidAlgebraError(Exception):
+    """An algebra file that parses but fails a Hopf axiom (exit 1)."""
+
+    def __init__(self, spec: str, algebra: FinDimHopf, report):
+        self.algebra = algebra
+        self.axiom, self.witness = report.failures()[0]
+        super().__init__(f"algebra file {spec} fails the {self.axiom} axiom "
+                         f"at {self.witness}")
+
+
 # what the formats parsers raise on a malformed file; "1/0" raises
 # ZeroDivisionError from Fraction
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, ZeroDivisionError)
 
+# validate_hopf reports of the algebras the current command has read, by
+# algebra_sha256; run() empties it before each command
+_AXIOM_REPORTS: dict = {}
+
+
+def _axiom_report(h: FinDimHopf):
+    key = formats.algebra_hash(h)
+    if key not in _AXIOM_REPORTS:
+        _AXIOM_REPORTS[key] = validate_hopf(h)
+    return _AXIOM_REPORTS[key]
+
 
 def _resolve_algebra(spec: str) -> FinDimHopf:
-    """A catalog name or a path to an algebra JSON file."""
+    """A catalog name or a path to an algebra JSON file; a file algebra
+    that fails a Hopf axiom raises InvalidAlgebraError."""
     if spec is None:
         raise InputError("--algebra is required for this command")
     if os.path.exists(spec):
         with open(spec, "r", encoding="utf-8") as fh:
             try:
-                return formats.algebra_from_dict(json.load(fh))
+                h = formats.algebra_from_dict(json.load(fh))
             except _PARSE_ERRORS as exc:
                 raise InputError(f"bad algebra file {spec}: {exc}")
+        report = _axiom_report(h)
+        if not report.ok:
+            raise InvalidAlgebraError(spec, h, report)
+        return h
     try:
         obj = catalog.build(spec)
     except KeyError as exc:
@@ -107,8 +133,11 @@ def _summary(line: str) -> None:
 # -- command implementations ----------------------------------------------------
 
 def cmd_validate(args) -> int:
-    h = _resolve_algebra(args.algebra)
-    rep = validate_hopf(h)
+    try:
+        h = _resolve_algebra(args.algebra)
+    except InvalidAlgebraError as exc:
+        h = exc.algebra
+    rep = _axiom_report(h)
     report = {"schema_version": SCHEMA_VERSION, "command": "validate",
               "algebra": h.name, "ok": rep.ok, "axioms": rep.as_dict()["checks"]}
     _emit(report, args)
@@ -457,8 +486,8 @@ def _free_lie_task(args) -> int:
                           diffop_from_hom, lyndon_dims, mm_instance_check)
     from .hopf import zero_vec
 
-    budget = args.budget or DEFAULT_BUDGET
-    generators = args.generators or 2
+    budget = DEFAULT_BUDGET if args.budget is None else args.budget
+    generators = 2 if args.generators is None else args.generators
     task = args.task
     if task == "lyndon-dims":
         dims = lyndon_dims(generators, budget)
@@ -683,6 +712,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on unknown flags or bad usage
         return int(exc.code) if exc.code else 0
+    _AXIOM_REPORTS.clear()
     try:
         return _HANDLERS[args.command](args)
     except InputError as exc:
@@ -691,6 +721,14 @@ def run(argv=None) -> int:
             {"schema_version": SCHEMA_VERSION, "command": args.command,
              "ok": False, "error": str(exc)}, sort_keys=True, indent=1) + "\n")
         return 2
+    except InvalidAlgebraError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        sys.stdout.write(json.dumps(
+            {"schema_version": SCHEMA_VERSION, "command": args.command,
+             "algebra": exc.algebra.name, "ok": False, "error": "not a Hopf algebra",
+             "axiom": exc.axiom, "witness": list(exc.witness)},
+            sort_keys=True, indent=1) + "\n")
+        return 1
 
 
 def main() -> None:

@@ -9,19 +9,29 @@ operators, and extends compatible pairs to smash products.
 The checking entry points also accept the degree-truncated carriers
 from :mod:`hopfdiff.freelie`; pairs whose evaluation would leave the
 degree budget are reported as skipped, never silently passed.
+
+The exhaustive coalgebra-map and difference-identity checks run on
+integer numerators: the carrier's integer structure table
+(:func:`hopfdiff.hopf.int_structure`) and the candidate's integer
+columns, compared cross-multiplied by their known denominators.  No
+``Fraction`` is built inside their loops, and every report is identical
+to the one rational arithmetic gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exactlin import Mat, ONE, ZERO, invert
+from .exactlin import Mat, ONE, invert
 from .hopf import (
     FinDimHopf,
     LinMap,
     OutOfBudgetError,
     basis_vec,
+    coalgebra_map_failures,
     convolve,
+    int_columns,
+    int_structure,
     is_cocommutative,
     is_hopf_automorphism,
     sweedler_expand,
@@ -57,49 +67,51 @@ class DiffOp:
 
 def coalgebra_hom_report(h, matrix: Mat) -> CheckReport:
     """Coalgebra-homomorphism check through the basis-indexed interface."""
-    failures = []
-    for k in range(h.dim):
-        img = matrix.col(k)
-        lhs = h.comult_vec(img)
-        rhs: dict = {}
-        for (i, j, c) in h.comult_triples(k):
-            fi = matrix.col(i)
-            fj = matrix.col(j)
-            for a, x in enumerate(fi):
-                if not x:
-                    continue
-                for b, y in enumerate(fj):
-                    if y:
-                        key = (a, b)
-                        rhs[key] = rhs.get(key, ZERO) + c * x * y
-        rhs = {kk: v for kk, v in rhs.items() if v}
-        if lhs != rhs or h.counit_vec(img) != h.counit_coeff(k):
-            failures.append(("coalgebra", k))
+    failures = [("coalgebra", k) for k in coalgebra_map_failures(h, h, matrix)]
     return CheckReport(not failures, failures, [], h.dim)
 
 
 def diff_identity_report(h, matrix: Mat) -> CheckReport:
-    """D(xy) = D(x1) x2 D(y) S(x3) on all basis pairs, skip-aware."""
+    """D(xy) = D(x1) x2 D(y) S(x3) on all basis pairs, skip-aware.
+
+    Each pair's products are taken in the order the rational evaluation
+    takes them: D(xy), then per term D(x1) x2, times D(y), times S(x3).
+    The first one that leaves a truncated carrier's budget skips the pair
+    with that product's OutOfBudgetError message.
+    """
+    t = int_structure(h)
+    cols, den = int_columns(matrix)
+    n = h.dim
+    # lhs carries den * mult_den, rhs den^2 * mult_den^3 * antipode_den * sweedler_den
+    lhs_scale = den * t.mult_den ** 2 * t.antipode_den * t.sweedler_den
     failures = []
     skipped = []
     checked = 0
-    n = h.dim
-    sweedler3 = [sweedler_expand(h, basis_vec(n, i), 2) for i in range(n)]
     for i in range(n):
+        # D(t1) t2 does not depend on y; a budget error is kept and raised
+        # again by mul only when the pair loop reaches that term
+        terms = []
+        for (t1, t2, t3, w) in t.sweedler3[i]:
+            try:
+                left = t.mul(cols[t1], ((t2, 1),))
+            except OutOfBudgetError as exc:
+                left = exc
+            terms.append((left, t.antipode[t3], w))
         for j in range(n):
             try:
-                lhs = matrix.apply(h.mult_basis(i, j))
-                rhs = zero_vec(n)
-                for (t1, t2, t3), c in sweedler3[i].items():
-                    term = h.mult_vec(matrix.col(t1), basis_vec(n, t2))
-                    term = h.mult_vec(term, matrix.col(j))
-                    term = h.mult_vec(term, h.antipode_basis(t3))
-                    rhs = vec_add(rhs, vec_scale(c, term))
+                lhs = [0] * n
+                for k, m in t.mul(((i, 1),), ((j, 1),)):
+                    for r, x in cols[k]:
+                        lhs[r] += m * x
+                rhs = [0] * n
+                for left, s, w in terms:
+                    for r, x in t.mul(t.mul(left, cols[j]), s):
+                        rhs[r] += w * x
             except OutOfBudgetError as exc:
                 skipped.append((i, j, str(exc)))
                 continue
             checked += 1
-            if lhs != rhs:
+            if [x * lhs_scale for x in lhs] != rhs:
                 failures.append((i, j))
     return CheckReport(not failures, failures, skipped, checked)
 
@@ -108,13 +120,15 @@ def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
     """Verify a candidate difference operator.
 
     Returns a DiffOp on success and the failing CheckReport otherwise;
-    failures are data, not exceptions.
+    failures are data, not exceptions.  The candidate is scaled to
+    integer columns once, for both exhaustive checks.
     """
     matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
-    co = coalgebra_hom_report(h, matrix)
+    scaled = int_columns(matrix)
+    co = coalgebra_hom_report(h, scaled)
     if not co.ok:
         return co
-    ident = diff_identity_report(h, matrix)
+    ident = diff_identity_report(h, scaled)
     if not ident.ok or ident.skipped:
         # failures, or honest partial coverage on a truncated carrier
         return ident

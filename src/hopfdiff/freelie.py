@@ -124,8 +124,8 @@ def bracket_expansion(w) -> dict:
 # the truncated tensor Hopf algebra
 
 class BudgetCapError(ValueError):
-    """A truncated tensor algebra was asked for beyond MAX_BUDGET or
-    MAX_GENERATORS."""
+    """A truncated carrier was asked for with a budget or generator count
+    below 1, or beyond MAX_BUDGET or MAX_GENERATORS."""
 
 
 class TruncatedTensor(CarrierOps):
@@ -133,6 +133,8 @@ class TruncatedTensor(CarrierOps):
     coshuffle coproduct (letters primitive)."""
 
     def __init__(self, generators: int, budget: int):
+        if budget < 1 or generators < 1:
+            raise BudgetCapError("budget and generators must be at least 1")
         if budget > MAX_BUDGET or generators > MAX_GENERATORS:
             raise BudgetCapError(
                 f"budget capped at {MAX_BUDGET} with at most {MAX_GENERATORS} generators")
@@ -294,6 +296,8 @@ class TruncatedEnveloping(CarrierOps):
     """
 
     def __init__(self, lie, budget: int):
+        if budget < 1:
+            raise BudgetCapError("budget must be at least 1")
         self.lie = lie
         self.budget = budget
         self.monomials = []

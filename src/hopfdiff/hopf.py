@@ -6,6 +6,14 @@ rationals, together with an optional declared group-algebra coradical.
 All axioms can be verified exhaustively on basis tuples; every verdict
 is exact.
 
+Convolution and the coalgebra-map check run on integer numerators: a
+carrier's structure constants are scaled once to integers over one shared
+denominator per table (:func:`int_structure`, memoized on the carrier),
+and a map's matrix to integer columns over the lcm of its denominators
+(:func:`int_columns`).  Comparisons are cross-multiplied by the known
+denominators, and ``Fraction`` values are built only for returned
+matrices, so every result is identical to rational arithmetic.
+
 The same basis-indexed interface (``mult_basis``, ``comult_triples``,
 ``counit_coeff``, ``antipode_basis``) is implemented by the
 degree-truncated carriers in :mod:`hopfdiff.freelie`; truncated
@@ -16,6 +24,9 @@ checks translate into an explicit skip entry rather than a silent pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
+from typing import NamedTuple
 
 from .exactlin import Mat, ONE, Rat, ZERO, invert, rat, rat_str, solve_affine
 
@@ -179,6 +190,8 @@ class FinDimHopf(CarrierOps):
             [[(k, c) for k, c in enumerate(cell) if c] for cell in row]
             for row in self.mult
         ]
+        # integer tables for the exhaustive checks, built by int_structure
+        self._int_structure = None
 
     # -- basis-indexed interface shared with truncated carriers ----------
 
@@ -300,14 +313,20 @@ def convolve(f: LinMap, g: LinMap) -> LinMap:
     if f.domain is not g.domain or f.codomain is not g.codomain:
         raise ValueError("convolution needs equal domains and codomains")
     dom, cod = f.domain, f.codomain
+    co = int_structure(dom)
+    prod = int_structure(cod)
+    fcols, fden = int_columns(f.matrix)
+    gcols, gden = int_columns(g.matrix)
+    den = co.comult_den * prod.mult_den * fden * gden
     cols = []
     for k in range(dom.dim):
-        acc = zero_vec(cod.dim)
-        for (i, j, c) in dom.comult_triples(k):
-            prod = cod.mult_vec(f.image_of_basis(i), g.image_of_basis(j))
-            acc = vec_add(acc, vec_scale(c, prod))
+        acc = [0] * cod.dim
+        for (i, j, c) in co.comult[k]:
+            for p, x in prod.mul(fcols[i], gcols[j]):
+                acc[p] += c * x
         cols.append(acc)
-    return LinMap(dom, cod, Mat.from_cols(cols))
+    entries = [Fraction(x, den) if x else ZERO for row in zip(*cols) for x in row]
+    return LinMap(dom, cod, Mat(cod.dim, dom.dim, entries))
 
 
 def sweedler_expand(h, x_coords: Vec, n: int) -> dict:
@@ -335,6 +354,153 @@ def sweedler_expand(h, x_coords: Vec, n: int) -> dict:
                     del nxt[k]
         current = nxt
     return current
+
+
+# -- integer structure tables --------------------------------------------------
+
+def _num(c: Rat, den: int) -> int:
+    """The numerator of c over den, a multiple of its denominator."""
+    return c.numerator * (den // c.denominator)
+
+
+def _sparse_ints(vectors: list) -> tuple[int, list]:
+    """Rational vectors as sparse integer tuples ((k, m), ...) over their
+    common denominator; a stored OutOfBudgetError is kept as it is."""
+    den = lcm(1, *(c.denominator for v in vectors if not isinstance(v, OutOfBudgetError)
+                   for c in v if c))
+    return den, [v if isinstance(v, OutOfBudgetError)
+                 else tuple((k, _num(c, den)) for k, c in enumerate(v) if c)
+                 for v in vectors]
+
+
+def _copy(exc: OutOfBudgetError) -> OutOfBudgetError:
+    """A fresh copy of a stored error, so raising it never grows the
+    stored traceback."""
+    return OutOfBudgetError(str(exc), exc.degrees)
+
+
+def _attempt(fn, *args):
+    """fn(*args), or the OutOfBudgetError it raised."""
+    try:
+        return fn(*args)
+    except OutOfBudgetError as exc:
+        return exc
+
+
+class IntStructure:
+    """A carrier's structure constants as integers over one shared
+    denominator per table.
+
+    mult[i][j]   -- sparse row of mult_den * (basis i)(basis j), or the
+                    OutOfBudgetError a truncated carrier raised for it
+    antipode[j]  -- sparse column of antipode_den * S(basis j), or the error
+    comult[k]    -- triples (i, j, c) of comult_den * D(basis k)
+    counit[i]    -- counit_den * eps(basis i)
+    sweedler3[i] -- terms (t1, t2, t3, w) of sweedler_den * D^2(basis i),
+                    in sweedler_expand order
+    """
+
+    def __init__(self, h):
+        n = self.dim = h.dim
+        self.mult_den, flat = _sparse_ints(
+            [_attempt(h.mult_basis, i, j) for i in range(n) for j in range(n)])
+        self.mult = [flat[i * n:(i + 1) * n] for i in range(n)]
+        self.antipode_den, self.antipode = _sparse_ints(
+            [_attempt(h.antipode_basis, j) for j in range(n)])
+        comult = [h.comult_triples(k) for k in range(n)]
+        self.comult_den = lcm(1, *(c.denominator for t in comult for (_, _, c) in t))
+        self.comult = [tuple((i, j, _num(c, self.comult_den)) for (i, j, c) in t)
+                       for t in comult]
+        counit = [h.counit_coeff(i) for i in range(n)]
+        self.counit_den = lcm(1, *(c.denominator for c in counit))
+        self.counit = [_num(c, self.counit_den) for c in counit]
+        sweedler = [sweedler_expand(h, basis_vec(n, i), 2) for i in range(n)]
+        self.sweedler_den = lcm(1, *(w.denominator for s in sweedler for w in s.values()))
+        self.sweedler3 = [tuple((*t, _num(w, self.sweedler_den)) for t, w in s.items())
+                          for s in sweedler]
+
+    def mul(self, u, v) -> list:
+        """mult_den * u v for sparse integer vectors, as a sparse list.
+
+        Basis products are taken in the order CarrierOps.mult_vec takes
+        them, so a product that leaves the budget raises the same
+        OutOfBudgetError as the rational product would.  A stored
+        OutOfBudgetError passed as u or v (an antipode column, or an
+        earlier product kept by the caller) is raised again first.
+        """
+        for arg in (u, v):
+            if arg.__class__ is OutOfBudgetError:
+                raise _copy(arg)
+        out = [0] * self.dim
+        mult = self.mult
+        for a, x in u:
+            row = mult[a]
+            for b, y in v:
+                cell = row[b]
+                if cell.__class__ is OutOfBudgetError:
+                    raise _copy(cell)
+                c = x * y
+                for k, m in cell:
+                    out[k] += c * m
+        return [(k, c) for k, c in enumerate(out) if c]
+
+
+def int_structure(h) -> IntStructure:
+    """The integer structure table of a carrier, built on first use and
+    memoized on the carrier."""
+    table = getattr(h, "_int_structure", None)
+    if table is None:
+        table = h._int_structure = IntStructure(h)
+    return table
+
+
+class IntColumns(NamedTuple):
+    """A matrix as sparse integer columns over one denominator."""
+
+    cols: list
+    den: int
+
+
+def int_columns(matrix) -> IntColumns:
+    """The columns of a Mat as sparse integer tuples over the lcm of its
+    denominators; an IntColumns is returned as it is."""
+    if isinstance(matrix, IntColumns):
+        return matrix
+    ratios = [c.as_integer_ratio() for c in matrix.entries]
+    den = lcm(*{d for _, d in ratios})
+    width = matrix.cols
+    cols = [tuple((r, p * (den // d)) for r, (p, d) in enumerate(ratios[j::width]) if p)
+            for j in range(width)]
+    return IntColumns(cols, den)
+
+
+def coalgebra_map_failures(dom, cod, matrix):
+    """Basis indices k of dom, in order, at which the map with this matrix
+    fails D(f(x)) = f(x1) (x) f(x2) or eps(f(x)) = eps(x)."""
+    src = int_structure(dom)
+    dst = int_structure(cod)
+    cols, den = int_columns(matrix)
+    # lhs carries den * dst.comult_den, rhs den^2 * src.comult_den
+    lhs_scale = den * src.comult_den
+    rhs_scale = dst.comult_den
+    for k in range(dom.dim):
+        img = cols[k]
+        lhs: dict = {}
+        for a, x in img:
+            for (p, q, c) in dst.comult[a]:
+                lhs[(p, q)] = lhs.get((p, q), 0) + x * c
+        rhs: dict = {}
+        for (i, j, c) in src.comult[k]:
+            for p, x in cols[i]:
+                cx = c * x
+                for q, y in cols[j]:
+                    rhs[(p, q)] = rhs.get((p, q), 0) + cx * y
+        lhs = {key: v * lhs_scale for key, v in lhs.items() if v}
+        rhs = {key: v * rhs_scale for key, v in rhs.items() if v}
+        counit = sum(x * dst.counit[a] for a, x in img)
+        if (lhs != rhs or counit * src.counit_den
+                != src.counit[k] * den * dst.counit_den):
+            yield k
 
 
 # -- axiom validation --------------------------------------------------------
@@ -579,27 +745,7 @@ def primitives(h: FinDimHopf) -> list[Vec]:
 # -- homomorphism tests -------------------------------------------------------
 
 def is_coalgebra_hom(f: LinMap) -> bool:
-    dom, cod = f.domain, f.codomain
-    for k in range(dom.dim):
-        img = f.image_of_basis(k)
-        lhs = cod.comult_vec(img)
-        rhs: dict = {}
-        for (i, j, c) in dom.comult_triples(k):
-            fi = f.image_of_basis(i)
-            fj = f.image_of_basis(j)
-            for a, x in enumerate(fi):
-                if not x:
-                    continue
-                for b, y in enumerate(fj):
-                    if y:
-                        key = (a, b)
-                        rhs[key] = rhs.get(key, ZERO) + c * x * y
-        rhs = {k2: v for k2, v in rhs.items() if v}
-        if lhs != rhs:
-            return False
-        if cod.counit_vec(img) != dom.counit_coeff(k):
-            return False
-    return True
+    return next(coalgebra_map_failures(f.domain, f.codomain, f.matrix), None) is None
 
 
 def is_algebra_hom(f: LinMap) -> bool:

@@ -211,6 +211,20 @@ def test_free_lie_beyond_caps_exits_two(capsys, task, options):
     assert payload["ok"] is False and "budget capped" in payload["error"]
 
 
+@pytest.mark.parametrize("task, options", [
+    ("lyndon-dims", ["--budget", "-1"]),
+    ("lyndon-dims", ["--budget", "0"]),
+    ("mm-check", ["--budget", "-1"]),
+    ("lyndon-dims", ["--generators", "0"]),
+    ("ckmm-mixed", ["--budget", "-1"]),
+])
+def test_free_lie_below_range_exits_two(capsys, task, options):
+    code, payload, err = invoke(capsys, "free-lie", task, *options)
+    assert code == 2
+    assert payload["ok"] is False and "at least 1" in payload["error"]
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_identical_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, _, _ = invoke(capsys, "validate", "--algebra", "H4", "--out", str(out))
@@ -239,3 +253,21 @@ def test_classify_accepts_catalog_algebra_shorthand(capsys, tmp_path):
 def test_seed_is_recorded(capsys):
     code, payload, _ = invoke(capsys, "validate", "--algebra", "H4", "--seed", "7")
     assert code == 0 and payload["seed"] == 7
+
+
+@pytest.mark.parametrize("command", ["grouplikes", "monoid-table"])
+def test_non_hopf_algebra_file_gives_structured_report(capsys, tmp_path, command):
+    code, payload, _ = invoke(capsys, "catalog", "kC2")
+    payload["payload"]["counit"] = ["1", "0"]
+    path = tmp_path / "bad_counit.json"
+    path.write_text(json.dumps(payload["payload"]))
+    code, payload, err = invoke(capsys, command, "--algebra", str(path))
+    assert code == 1
+    assert payload["ok"] is False and payload["command"] == command
+    assert payload["axiom"] == "counit" and payload["witness"] == [1]
+    assert "Traceback" not in err
+    # validate still reports every axiom
+    code, payload, _ = invoke(capsys, "validate", "--algebra", str(path))
+    assert code == 1
+    assert [c["axiom"] for c in payload["axioms"] if not c["ok"]] == [
+        "counit", "bialgebra", "antipode"]

@@ -329,3 +329,27 @@ def test_ckmm_rejects_non_pointed_input(h8):
     d1 = check_diffop(h8, Mat.from_cols(table["images"]))
     with pytest.raises(ValueError, match="cocommutative"):
         ckmm_instance_check(h8, d1)
+
+
+@pytest.mark.parametrize("make_map, failures", [
+    (unit_counit_map, []),
+    (identity_map, [(1, 2), (2, 1)]),
+])
+def test_truncated_carrier_skip_accounting(make_map, failures):
+    """On T(V) with two letters at budget 2, every pair whose product
+    leaves the budget is skipped with its degree, in pair order, and the
+    partial verdict is returned as a report, never as a DiffOp."""
+    from hopfdiff.freelie import TruncatedTensor
+
+    tv = TruncatedTensor(2, 2)
+    res = check_diffop(tv, make_map(tv))
+    assert isinstance(res, CheckReport)
+    expected_skips = [(i, j, f"degree {tv.degree(i) + tv.degree(j)} exceeds budget 2")
+                      for i in range(tv.dim) for j in range(tv.dim)
+                      if tv.degree(i) + tv.degree(j) > 2]
+    assert res.checked == 17
+    assert len(res.skipped) == 32
+    assert res.skipped[0] == (1, 3, "degree 3 exceeds budget 2")
+    assert res.skipped == expected_skips
+    assert res.failures == failures
+    assert res.ok is (not failures)

@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from hopfdiff import freelie
 from hopfdiff.exactlin import Mat, row_space_basis
 from hopfdiff.freelie import (
+    BudgetCapError,
     LyndonBasis,
     TruncatedEnveloping,
     TruncatedTensor,
@@ -105,6 +107,18 @@ def test_budget_caps_enforced():
         TruncatedTensor(2, 7)
     with pytest.raises(ValueError):
         TruncatedTensor(4, 3)
+
+
+@pytest.mark.parametrize("generators, budget", [(-2, 3), (0, 3), (2, 0), (2, -1)])
+def test_below_range_rejected_before_enumerating_words(monkeypatch, generators, budget):
+    # words_up_to never terminates for a negative letter count; failing it
+    # here turns a missing range check into a failure instead of a hang
+    def unreachable(*args):
+        raise AssertionError("words enumerated for an out-of-range carrier")
+
+    monkeypatch.setattr(freelie, "words_up_to", unreachable)
+    with pytest.raises(BudgetCapError, match="at least 1"):
+        TruncatedTensor(generators, budget)
 
 
 def test_lyndon_dims_cross_check():
