@@ -218,6 +218,26 @@ def test_mm_instance_check_passes_and_detects_perturbation():
     assert bad.failures
 
 
+def test_mm_instance_check_skip_accounting_at_budget_four():
+    """The counts of `free-lie mm-check --generators 2 --budget 4`: every
+    tuple is either checked or skipped for an out-of-budget product."""
+    tv = TruncatedTensor(2, 4)
+    adj = adjoint_derivation_action(tv)
+    neg = [[-c for c in tv.generator_vec(g)] for g in range(2)]
+    rep = mm_instance_check(tv, adj, neg)
+    assert rep.ok and not rep.failures
+    assert rep.checked == 129
+    assert len(rep.skipped) == 59830
+    club = rep.details["action"]
+    assert club.ok
+    assert club.checked == 1545
+    assert len(club.skipped) == 58998
+    kinds = {}
+    for entry in club.skipped:
+        kinds[entry[0]] = kinds.get(entry[0], 0) + 1
+    assert kinds == {"module": 28996, "module-algebra": 29222, "bialgebra": 780}
+
+
 def test_mm_instance_pi_zero():
     tv = TruncatedTensor(2, 3)
     adj = adjoint_derivation_action(tv)
