@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .exactlin import Mat, ONE, ZERO, rat
-from .hopf import FinDimHopf, LinMap, basis_vec, validate_hopf, zero_vec
+from .hopf import FinDimHopf, LinMap, axiom_report, basis_vec, zero_vec
 from .groups import FinGroup, group_algebra
 
 HALF = Fraction(1, 2)
@@ -174,7 +174,7 @@ def build_H8_swap_automorphism(h8: FinDimHopf | None = None) -> LinMap:
 
 
 def _require_valid(h: FinDimHopf):
-    report = validate_hopf(h)
+    report = axiom_report(h)
     if not report.ok:
         raise AssertionError(f"catalog algebra {h.name} failed axioms: {report.failures()}")
 

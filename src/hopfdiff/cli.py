@@ -18,12 +18,13 @@ from .exactlin import rat, rat_str
 from .hopf import (
     FinDimHopf,
     LinMap,
+    axiom_report,
     basis_vec,
     grouplikes,
     is_grouplike,
     primitives,
     skew_primitives,
-    validate_hopf,
+    zero_vec,
 )
 
 SCHEMA_VERSION = 1
@@ -48,14 +49,15 @@ class InvalidAlgebraError(Exception):
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, ZeroDivisionError)
 
 # validate_hopf reports of the algebras the current command has read, by
-# algebra_sha256; run() empties it before each command
+# algebra_sha256, so two parses of one file are checked once; run() empties
+# it before each command
 _AXIOM_REPORTS: dict = {}
 
 
 def _axiom_report(h: FinDimHopf):
     key = formats.algebra_hash(h)
     if key not in _AXIOM_REPORTS:
-        _AXIOM_REPORTS[key] = validate_hopf(h)
+        _AXIOM_REPORTS[key] = axiom_report(h)
     return _AXIOM_REPORTS[key]
 
 
@@ -471,6 +473,32 @@ def _parse_word(word: str, generators: int):
     return tuple(out)
 
 
+def _load_phi(path: str, tv) -> list:
+    """The letter images of a phi file, {"images": [{word: coefficient},
+    ...]} with one table per generator, as vectors of the carrier tv."""
+    data = _load_json(path, "phi")
+    images = data.get("images") if isinstance(data, dict) else None
+    if not isinstance(images, list) or len(images) != tv.generators:
+        raise InputError("phi file must map every letter")
+    if set(data) != {"images"}:
+        raise InputError(f"unknown keys in phi file: {sorted(set(data) - {'images'})}")
+    out = []
+    for table in images:
+        if not isinstance(table, dict):
+            raise InputError("phi file images must map words to coefficients")
+        vec = zero_vec(tv.dim)
+        for word, coeff in table.items():
+            i = tv.index.get(_parse_word(word, tv.generators))
+            if i is None:
+                raise InputError(f"word {word!r} in phi file exceeds budget {tv.budget}")
+            try:
+                vec[i] += rat(coeff)
+            except _PARSE_ERRORS as exc:
+                raise InputError(f"bad coefficient in phi file {path}: {exc}")
+        out.append(vec)
+    return out
+
+
 def cmd_free_lie(args) -> int:
     from .freelie import BudgetCapError
 
@@ -484,7 +512,6 @@ def _free_lie_task(args) -> int:
     from .freelie import (DEFAULT_BUDGET, TruncatedTensor,
                           adjoint_derivation_action, ckmm_truncated_instance,
                           diffop_from_hom, lyndon_dims, mm_instance_check)
-    from .hopf import zero_vec
 
     budget = DEFAULT_BUDGET if args.budget is None else args.budget
     generators = 2 if args.generators is None else args.generators
@@ -502,17 +529,10 @@ def _free_lie_task(args) -> int:
         return 0 if dims["agree"] else 1
     if task == "diffop-from-hom":
         tv = TruncatedTensor(generators, budget)
-        phi = [zero_vec(tv.dim) for _ in range(generators)]
         if args.phi:
-            data = _load_json(args.phi, "phi")
-            images = data.get("images")
-            if images is None or len(images) != generators:
-                raise InputError("phi file must map every letter")
-            for g, table in enumerate(images):
-                vec = zero_vec(tv.dim)
-                for word, coeff in table.items():
-                    vec[tv.index[_parse_word(word, generators)]] += rat(coeff)
-                phi[g] = vec
+            phi = _load_phi(args.phi, tv)
+        else:
+            phi = [zero_vec(tv.dim) for _ in range(generators)]
         try:
             rep = diffop_from_hom(tv, phi)
         except ValueError as exc:
@@ -532,14 +552,7 @@ def _free_lie_task(args) -> int:
         tv = TruncatedTensor(generators, budget)
         action = adjoint_derivation_action(tv)
         if args.phi:
-            data = _load_json(args.phi, "phi")
-            images = data.get("images")
-            pi = []
-            for table in images:
-                vec = zero_vec(tv.dim)
-                for word, coeff in table.items():
-                    vec[tv.index[_parse_word(word, generators)]] += rat(coeff)
-                pi.append(vec)
+            pi = _load_phi(args.phi, tv)
         else:
             pi = [[-c for c in tv.generator_vec(g)] for g in range(generators)]
         rep = mm_instance_check(tv, action, pi)

@@ -21,6 +21,8 @@ from .hopf import (
     CarrierOps,
     OutOfBudgetError,
     Vec,
+    _attempt,
+    _copy,
     basis_vec,
     vec_add,
     vec_scale,
@@ -237,27 +239,36 @@ class LyndonBasis:
 
 def truncated_primitives(carrier) -> list[Vec]:
     """Reduced-echelon basis of the primitives of a truncated carrier,
-    by exact linear algebra on the total comultiplication."""
+    by exact linear algebra on the total comultiplication.
+
+    Row (a, b) of the system is the coefficient of e_a (x) e_b in
+    Delta(u) - u (x) 1 - 1 (x) u, one column per coordinate of u.  One
+    pass over comult_triples(m) for every basis element m fills all rows
+    at once, the unit terms are subtracted after it, and the nonzero rows
+    are solved in ascending (a, b) order.
+    """
     n = carrier.dim
-    unit = carrier.unit_vec()
-    rows = []
-    for a in range(n):
-        for b in range(n):
+    rows: dict = {}
+    for m in range(n):
+        for (a, b, c) in carrier.comult_triples(m):
+            row = rows.setdefault((a, b), {})
+            row[m] = row.get(m, ZERO) + c
+    for m, c in enumerate(carrier.unit_vec()):
+        if c:
+            # c (x) 1 and 1 (x) c
+            for a in range(n):
+                row = rows.setdefault((a, m), {})
+                row[a] = row.get(a, ZERO) - c
+                row = rows.setdefault((m, a), {})
+                row[a] = row.get(a, ZERO) - c
+    dense = []
+    for key in sorted(rows):
+        if any(rows[key].values()):
             row = [ZERO] * n
-            for m in range(n):
-                for (i, j, c) in carrier.comult_triples(m):
-                    if i == a and j == b:
-                        row[m] += c
-            for m, c in enumerate(unit):
-                if c:
-                    # c (x) 1 and 1 (x) c
-                    if b == m:
-                        row[a] -= c
-                    if a == m:
-                        row[b] -= c
-            if any(row):
-                rows.append(row)
-    sol = solve_affine(Mat.from_rows(rows), [ZERO] * len(rows))
+            for m, c in rows[key].items():
+                row[m] = c
+            dense.append(row)
+    sol = solve_affine(Mat.from_rows(dense), [ZERO] * len(dense))
     return sol.kernel_basis
 
 
@@ -425,32 +436,67 @@ def _exponents(width: int, total: int):
 # ---------------------------------------------------------------------------
 # module actions on truncated carriers
 
+def _stored(value):
+    """A tabulated value, or a fresh copy of the OutOfBudgetError stored
+    in its place, raised."""
+    if value.__class__ is OutOfBudgetError:
+        raise _copy(value)
+    return value
+
+
+def _add_scaled(out: Vec, c, v: Vec) -> None:
+    """out += c v in place, over the nonzero entries of v."""
+    for k, x in enumerate(v):
+        if x:
+            out[k] += c * x
+
+
 class DerivationAction:
     """Action of the generators of one carrier on another by derivations,
     extended to monomials by composition (the enveloping-algebra module
     structure).  gen_images[x][y] is the image of target generator y
-    under the derivation attached to acting generator x."""
+    under the derivation attached to acting generator x.
+
+    The derivation of acting generator x on target basis monomial i is
+    tabulated on first use, as a sparse column or as the
+    OutOfBudgetError that expanding it by the Leibniz rule raised.  A
+    derivation of a vector sums its coordinates times these columns in
+    ascending basis order and raises a fresh copy of the first stored
+    error it meets, just where a monomial-by-monomial expansion raises.
+    """
 
     def __init__(self, acting, target, gen_images):
         self.acting = acting
         self.target = target
         self.gen_images = gen_images
+        self._columns: dict = {}
+
+    def _leibniz(self, x: int, i: int):
+        """The derivation of x on basis monomial i, as sparse (k, c) pairs."""
+        t = self.target
+        factors = t.monomial_factors(i)
+        out = zero_vec(t.dim)
+        for pos in range(len(factors)):
+            pieces = [t.generator_vec(g) for g in factors]
+            pieces[pos] = self.gen_images[x][factors[pos]]
+            term = t.unit_vec()
+            for piece in pieces:
+                term = t.mult_vec(term, piece)
+            out = vec_add(out, term)
+        return [(k, c) for k, c in enumerate(out) if c]
 
     def derivation(self, x: int, u: Vec) -> Vec:
         """Apply the derivation of acting generator x to u."""
-        t = self.target
-        out = zero_vec(t.dim)
+        columns = self._columns
+        out = zero_vec(self.target.dim)
         for i, c in enumerate(u):
             if not c:
                 continue
-            factors = t.monomial_factors(i)
-            for pos in range(len(factors)):
-                pieces = [t.generator_vec(g) for g in factors]
-                pieces[pos] = self.gen_images[x][factors[pos]]
-                term = t.unit_vec()
-                for piece in pieces:
-                    term = t.mult_vec(term, piece)
-                out = vec_add(out, vec_scale(c, term))
+            col = columns.get((x, i))
+            if col is None:
+                col = columns[(x, i)] = _attempt(self._leibniz, x, i)
+            for k, v in _stored(col):
+                out[k] += c * v
         return out
 
     def act_basis(self, a: int, u: Vec) -> Vec:
@@ -465,7 +511,7 @@ class DerivationAction:
         out = zero_vec(self.target.dim)
         for a, c in enumerate(a_vec):
             if c:
-                out = vec_add(out, vec_scale(c, self.act_basis(a, u)))
+                _add_scaled(out, c, self.act_basis(a, u))
         return out
 
 
@@ -903,8 +949,23 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
 
 def extended_action_bialgebra_check(carrier, action: DerivationAction) -> TruncReport:
     """Module-bialgebra axioms of the derivation-extended action on all
-    in-budget basis tuples."""
+    in-budget basis tuples.
+
+    The action of every basis monomial on every basis element is computed
+    once, as a vector or as the OutOfBudgetError it raised; a tuple is
+    skipped exactly when one of the values it needs, or one of its
+    products, leaves the budget."""
     n = carrier.dim
+    products = [[_attempt(carrier.mult_basis, a, b) for b in range(n)] for a in range(n)]
+    actions = [[_attempt(action.act_basis, a, basis_vec(n, x)) for x in range(n)]
+               for a in range(n)]
+
+    def product(a: int, b: int) -> Vec:
+        return _stored(products[a][b])
+
+    def acted(a: int, x: int) -> Vec:
+        return _stored(actions[a][x])
+
     failures = []
     skipped = []
     checked = 0
@@ -913,9 +974,11 @@ def extended_action_bialgebra_check(carrier, action: DerivationAction) -> TruncR
         for b in range(n):
             for x in range(n):
                 try:
-                    ab = carrier.mult_basis(a, b)
-                    lhs = action.act(ab, basis_vec(n, x))
-                    rhs = action.act_basis(a, action.act_basis(b, basis_vec(n, x)))
+                    lhs = zero_vec(n)
+                    for m, c in enumerate(product(a, b)):
+                        if c:
+                            _add_scaled(lhs, c, acted(m, x))
+                    rhs = action.act_basis(a, acted(b, x))
                 except OutOfBudgetError:
                     skipped.append(("module", a, b, x))
                     continue
@@ -927,13 +990,10 @@ def extended_action_bialgebra_check(carrier, action: DerivationAction) -> TruncR
         for x in range(n):
             for y in range(n):
                 try:
-                    xy = carrier.mult_basis(x, y)
-                    lhs = action.act_basis(a, xy)
+                    lhs = action.act_basis(a, product(x, y))
                     rhs = zero_vec(n)
                     for (a1, a2, c) in carrier.comult_triples(a):
-                        rhs = vec_add(rhs, vec_scale(c, carrier.mult_vec(
-                            action.act_basis(a1, basis_vec(n, x)),
-                            action.act_basis(a2, basis_vec(n, y)))))
+                        _add_scaled(rhs, c, carrier.mult_vec(acted(a1, x), acted(a2, y)))
                 except OutOfBudgetError:
                     skipped.append(("module-algebra", a, x, y))
                     continue
@@ -944,13 +1004,13 @@ def extended_action_bialgebra_check(carrier, action: DerivationAction) -> TruncR
     for a in range(n):
         for x in range(n):
             try:
-                acted = action.act_basis(a, basis_vec(n, x))
-                lhs = carrier.comult_vec(acted)
+                value = acted(a, x)
+                lhs = carrier.comult_vec(value)
                 rhs: dict = {}
                 for (a1, a2, c) in carrier.comult_triples(a):
                     for (x1, x2, e) in carrier.comult_triples(x):
-                        left = action.act_basis(a1, basis_vec(n, x1))
-                        right = action.act_basis(a2, basis_vec(n, x2))
+                        left = acted(a1, x1)
+                        right = acted(a2, x2)
                         for p, lv in enumerate(left):
                             if not lv:
                                 continue
@@ -962,7 +1022,7 @@ def extended_action_bialgebra_check(carrier, action: DerivationAction) -> TruncR
                 skipped.append(("bialgebra", a, x))
                 continue
             checked += 1
-            if carrier.counit_vec(acted) != carrier.counit_coeff(a) * carrier.counit_coeff(x):
+            if carrier.counit_vec(value) != carrier.counit_coeff(a) * carrier.counit_coeff(x):
                 failures.append(("counit", a, x))
                 continue
             rhs = {k: v for k, v in rhs.items() if v}

@@ -192,6 +192,8 @@ class FinDimHopf(CarrierOps):
         ]
         # integer tables for the exhaustive checks, built by int_structure
         self._int_structure = None
+        # the validate_hopf report, computed by axiom_report
+        self._axiom_report = None
 
     # -- basis-indexed interface shared with truncated carriers ----------
 
@@ -616,6 +618,13 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
     report.record("antipode", not fails, _first_witness(fails))
 
     return report
+
+
+def axiom_report(h: FinDimHopf) -> AxiomReport:
+    """validate_hopf(h), computed on first use and memoized on h."""
+    if h._axiom_report is None:
+        h._axiom_report = validate_hopf(h)
+    return h._axiom_report
 
 
 def _tensor_of(u: Vec, v: Vec) -> dict:

@@ -152,6 +152,42 @@ def test_free_lie_diffop_from_hom_with_phi_file(capsys, tmp_path):
     assert payload["diffop_images"]["ab"] == "2*ab - ba"
 
 
+@pytest.mark.parametrize("task", ["mm-check", "diffop-from-hom"])
+@pytest.mark.parametrize("content, message", [
+    ({}, "must map every letter"),
+    ({"images": [{"a": "-1"}]}, "must map every letter"),
+    ({"images": [{"a": "-1"}, {"b": "-1"}, {"c": "1"}]}, "must map every letter"),
+    ([{"a": "-1"}, {"b": "-1"}], "must map every letter"),
+    ({"images": [3, {"b": "-1"}]}, "words to coefficients"),
+    ({"images": [{"aaaa": "1"}, {"b": "-1"}]}, "exceeds budget 3"),
+    ({"images": [{"a": "1/0"}, {"b": "-1"}]}, "bad coefficient"),
+    ({"images": [{"a": [1]}, {"b": "-1"}]}, "bad coefficient"),
+    ({"images": [{"x": "1"}, {"b": "-1"}]}, "bad letter"),
+    ({"images": [{"a": "-1"}, {"b": "-1"}], "pi": []}, "unknown keys"),
+], ids=["no-images", "too-few", "too-many", "not-an-object", "image-not-a-table",
+        "word-beyond-budget", "division-by-zero", "coefficient-not-a-number", "bad-letter",
+        "unknown-key"])
+def test_free_lie_malformed_phi_file_exits_two(capsys, tmp_path, task, content, message):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(content))
+    code, payload, err = invoke(capsys, "free-lie", task, "--generators", "2",
+                                "--budget", "3", "--phi", str(phi))
+    assert code == 2
+    assert payload["ok"] is False and message in payload["error"]
+    assert "Traceback" not in err
+
+
+def test_free_lie_mm_check_with_phi_file(capsys, tmp_path):
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"images": [{"a": "-1"}, {"b": "-1"}]}))
+    code, payload, _ = invoke(capsys, "free-lie", "mm-check", "--generators", "2",
+                              "--budget", "3", "--phi", str(phi))
+    assert code == 0 and payload["ok"] and payload["uniqueness"]
+    code, default, _ = invoke(capsys, "free-lie", "mm-check", "--generators", "2",
+                              "--budget", "3")
+    assert payload == default
+
+
 def test_ckmm_check(capsys, tmp_path):
     op = export_entry(capsys, tmp_path, "op:inv:kS3", "inv.json")
     code, payload, _ = invoke(capsys, "ckmm-check", "--operator", op)

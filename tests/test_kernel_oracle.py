@@ -1,5 +1,6 @@
 """Differential oracle for the integer kernel behind the exhaustive
-verifiers and convolution.
+verifiers and convolution, and for the tabulated derivation actions and
+primitive equations of the truncated carriers.
 
 The references below are the rational-arithmetic versions of
 ``coalgebra_hom_report``, ``diff_identity_report``, ``convolve`` and
@@ -8,6 +9,12 @@ coefficients from the sampling pool {0, +-1, +-1/2, 2}, both arbitrary
 ones and perturbations of genuine coalgebra maps and difference
 operators, and every report (failure order, ``checked``, ``skipped``) and
 every convolution matrix must be exactly equal.
+
+The monomial-by-monomial derivation loop, ``truncated_primitives`` and
+``extended_action_bialgebra_check`` as they were before their tables are
+kept verbatim too.  Derivation actions with generator images from the
+same pool must give the same values, or raise the same out-of-budget
+message with the same degrees.
 """
 
 import random
@@ -26,13 +33,19 @@ from hopfdiff.diffops import (
     coalgebra_hom_report,
     diff_identity_report,
 )
-from hopfdiff.exactlin import ZERO, Mat, invert
+from hopfdiff.exactlin import ZERO, Mat, invert, solve_affine
 from hopfdiff.lie import FinLie
 from hopfdiff.freelie import (
+    DerivationAction,
+    TruncReport,
     TruncatedEnveloping,
     TruncatedSmash,
     TruncatedTensor,
+    _generator_count,
+    adjoint_derivation_action,
+    extended_action_bialgebra_check,
     sign_action_on_enveloping,
+    truncated_primitives,
 )
 from hopfdiff.hopf import (
     LinMap,
@@ -47,6 +60,7 @@ from hopfdiff.hopf import (
     unit_counit_map,
     vec_add,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 from sampling import COEFF_POOL, coalgebra_maps_for
@@ -166,6 +180,15 @@ def carrier(name):
         return TruncatedTensor(2, 2)
     if name == "T(2,3)":
         return TruncatedTensor(2, 3)
+    if name == "T(3,2)":
+        return TruncatedTensor(3, 2)
+    if name == "T(2,5)":
+        return TruncatedTensor(2, 5)
+    if name == "U(sl2,2)":
+        sl2 = FinLie.from_pairs(
+            ["e", "f", "h"], {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0], (1, 2): [0, 2, 0]},
+            "sl2")
+        return TruncatedEnveloping(sl2, 2)
     if name == "U(e)#kC2":
         u_env = TruncatedEnveloping(FinLie.from_pairs(["e"], {}, "abelian1"), 2)
         kc2 = catalog.build("kC2")
@@ -270,3 +293,225 @@ def test_maps_between_algebras_match_reference(data):
     f, g = LinMap(k, h, m), LinMap(k, h, data.draw(matrices("kC2xC2", h.dim, k.dim)))
     assert convolve(f, g) == reference_convolve(f, g)
     assert is_coalgebra_hom(f) == reference_is_coalgebra_hom(f)
+
+
+# -- derivation actions and primitive equations, kept verbatim -------------------
+
+def reference_derivation(action, x: int, u):
+    """Apply the derivation of acting generator x to u."""
+    t = action.target
+    out = zero_vec(t.dim)
+    for i, c in enumerate(u):
+        if not c:
+            continue
+        factors = t.monomial_factors(i)
+        for pos in range(len(factors)):
+            pieces = [t.generator_vec(g) for g in factors]
+            pieces[pos] = action.gen_images[x][factors[pos]]
+            term = t.unit_vec()
+            for piece in pieces:
+                term = t.mult_vec(term, piece)
+            out = vec_add(out, vec_scale(c, term))
+    return out
+
+
+def reference_act_basis(action, a: int, u):
+    """Module action of an acting basis monomial, by composing the
+    derivations of its factors."""
+    out = list(u)
+    for x in reversed(action.acting.monomial_factors(a)):
+        out = reference_derivation(action, x, out)
+    return out
+
+
+def reference_act(action, a_vec, u):
+    out = zero_vec(action.target.dim)
+    for a, c in enumerate(a_vec):
+        if c:
+            out = vec_add(out, vec_scale(c, reference_act_basis(action, a, u)))
+    return out
+
+
+def reference_truncated_primitives(carrier):
+    """Reduced-echelon basis of the primitives of a truncated carrier,
+    by exact linear algebra on the total comultiplication."""
+    n = carrier.dim
+    unit = carrier.unit_vec()
+    rows = []
+    for a in range(n):
+        for b in range(n):
+            row = [ZERO] * n
+            for m in range(n):
+                for (i, j, c) in carrier.comult_triples(m):
+                    if i == a and j == b:
+                        row[m] += c
+            for m, c in enumerate(unit):
+                if c:
+                    # c (x) 1 and 1 (x) c
+                    if b == m:
+                        row[a] -= c
+                    if a == m:
+                        row[b] -= c
+            if any(row):
+                rows.append(row)
+    sol = solve_affine(Mat.from_rows(rows), [ZERO] * len(rows))
+    return sol.kernel_basis
+
+
+def reference_extended_action_bialgebra_check(carrier, action) -> TruncReport:
+    """Module-bialgebra axioms of the derivation-extended action on all
+    in-budget basis tuples."""
+    n = carrier.dim
+    failures = []
+    skipped = []
+    checked = 0
+    # module associativity: (m1 m2) . x = m1 . (m2 . x)
+    for a in range(n):
+        for b in range(n):
+            for x in range(n):
+                try:
+                    ab = carrier.mult_basis(a, b)
+                    lhs = reference_act(action, ab, basis_vec(n, x))
+                    rhs = reference_act_basis(action, a, reference_act_basis(
+                        action, b, basis_vec(n, x)))
+                except OutOfBudgetError:
+                    skipped.append(("module", a, b, x))
+                    continue
+                checked += 1
+                if lhs != rhs:
+                    failures.append(("module", a, b, x))
+    # module algebra: a . (xy) = (a1 . x)(a2 . y)
+    for a in range(n):
+        for x in range(n):
+            for y in range(n):
+                try:
+                    xy = carrier.mult_basis(x, y)
+                    lhs = reference_act_basis(action, a, xy)
+                    rhs = zero_vec(n)
+                    for (a1, a2, c) in carrier.comult_triples(a):
+                        rhs = vec_add(rhs, vec_scale(c, carrier.mult_vec(
+                            reference_act_basis(action, a1, basis_vec(n, x)),
+                            reference_act_basis(action, a2, basis_vec(n, y)))))
+                except OutOfBudgetError:
+                    skipped.append(("module-algebra", a, x, y))
+                    continue
+                checked += 1
+                if lhs != rhs:
+                    failures.append(("module-algebra", a, x, y))
+    # module bialgebra: counit and comultiplication compatibility
+    for a in range(n):
+        for x in range(n):
+            try:
+                acted = reference_act_basis(action, a, basis_vec(n, x))
+                lhs = carrier.comult_vec(acted)
+                rhs: dict = {}
+                for (a1, a2, c) in carrier.comult_triples(a):
+                    for (x1, x2, e) in carrier.comult_triples(x):
+                        left = reference_act_basis(action, a1, basis_vec(n, x1))
+                        right = reference_act_basis(action, a2, basis_vec(n, x2))
+                        for p, lv in enumerate(left):
+                            if not lv:
+                                continue
+                            for q, rv in enumerate(right):
+                                if rv:
+                                    key = (p, q)
+                                    rhs[key] = rhs.get(key, ZERO) + c * e * lv * rv
+            except OutOfBudgetError:
+                skipped.append(("bialgebra", a, x))
+                continue
+            checked += 1
+            if carrier.counit_vec(acted) != carrier.counit_coeff(a) * carrier.counit_coeff(x):
+                failures.append(("counit", a, x))
+                continue
+            rhs = {k: v for k, v in rhs.items() if v}
+            if lhs != rhs:
+                failures.append(("comult", a, x))
+    return TruncReport(not failures, failures, skipped, checked)
+
+
+# -- derivation actions drawn from the pool --------------------------------------
+
+ACTION_CARRIERS = ["T(2,3)", "T(3,2)", "U(sl2,2)"]
+nonzero = st.sampled_from([c for c in COEFF_POOL if c])
+
+
+@st.composite
+def vectors(draw, h):
+    """Zero; a sparse combination of basis elements, of degree at most one
+    or of any degree (top-degree ones leave the budget once multiplied); or
+    a multiple of a commutator of generators, whose terms cancel under
+    further derivations."""
+    kind = draw(st.sampled_from(["zero", "low", "low", "any", "commutator"]))
+    if kind == "zero":
+        return zero_vec(h.dim)
+    if kind == "commutator":
+        k = _generator_count(h)
+        xv, yv = (h.generator_vec(draw(st.integers(0, k - 1))) for _ in range(2))
+        return vec_scale(draw(nonzero), vec_sub(h.mult_vec(xv, yv), h.mult_vec(yv, xv)))
+    top = _generator_count(h) if kind == "low" else h.dim - 1
+    out = zero_vec(h.dim)
+    for i in draw(st.lists(st.integers(0, top), min_size=1, max_size=4)):
+        out[i] += draw(nonzero)
+    return out
+
+
+@st.composite
+def derivation_actions(draw, name):
+    """A derivation action of a carrier on itself.  Two generator images
+    may be opposite, so that a sum of their Leibniz terms cancels."""
+    h = carrier(name)
+    k = _generator_count(h)
+    images = [[draw(vectors(h)) for _ in range(k)] for _ in range(k)]
+    if draw(st.booleans()):
+        x, y, z = (draw(st.integers(0, k - 1)) for _ in range(3))
+        images[x][y] = vec_scale(-1, images[z][y] if x != z else images[x][(y + 1) % k])
+    return DerivationAction(h, h, images)
+
+
+def budget_outcome(fn, *args):
+    """The value, or the message and degrees of the OutOfBudgetError."""
+    try:
+        return fn(*args)
+    except OutOfBudgetError as exc:
+        return ("out of budget", str(exc), exc.degrees)
+
+
+@pytest.mark.parametrize("name", ACTION_CARRIERS)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_derivation_action_matches_reference(name, data):
+    """Every value, or the same error, on a shared action: later calls read
+    columns and stored errors that earlier calls tabulated."""
+    h = carrier(name)
+    action = data.draw(derivation_actions(name))
+    for _ in range(3):
+        u = data.draw(vectors(h))
+        for x in range(_generator_count(h)):
+            assert (budget_outcome(action.derivation, x, u)
+                    == budget_outcome(reference_derivation, action, x, u))
+        a = data.draw(st.integers(0, h.dim - 1))
+        assert (budget_outcome(action.act_basis, a, u)
+                == budget_outcome(reference_act_basis, action, a, u))
+        a_vec = data.draw(vectors(h))
+        assert (budget_outcome(action.act, a_vec, u)
+                == budget_outcome(reference_act, action, a_vec, u))
+
+
+@pytest.mark.parametrize("name", ["T(2,2)", "T(3,2)", "U(sl2,2)"])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_action_bialgebra_check_matches_reference(name, data):
+    """Whole reports, skip lists in order included."""
+    h = carrier(name)
+    if data.draw(st.booleans()):
+        action = adjoint_derivation_action(h)
+    else:
+        action = data.draw(derivation_actions(name))
+    assert (extended_action_bialgebra_check(h, action)
+            == reference_extended_action_bialgebra_check(h, action))
+
+
+@pytest.mark.parametrize("name", ACTION_CARRIERS + ["T(2,5)", "U(e)#kC2"])
+def test_truncated_primitives_match_reference(name):
+    h = carrier(name)
+    assert truncated_primitives(h) == reference_truncated_primitives(h)
