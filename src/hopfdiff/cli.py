@@ -213,14 +213,21 @@ def cmd_check_diffop(args) -> int:
     return 1
 
 
+def _crossed_hom_candidate(action, op) -> LinMap:
+    """The operator's matrix as a map from the acting algebra to the target."""
+    if op.domain is not action.acting and op.domain.name != action.acting.name:
+        raise InputError("operator domain does not match the acting algebra")
+    try:
+        return LinMap(action.acting, action.target, op.matrix)
+    except ValueError as exc:
+        raise InputError(str(exc))
+
+
 def cmd_check_crossed_hom(args) -> int:
     from .actions import check_crossed_hom
 
     action = _load_action(args.action)
-    op = _load_operator(args.operator)
-    if op.domain is not action.acting and op.domain.name != action.acting.name:
-        raise InputError("operator domain does not match the acting algebra")
-    pi = LinMap(action.acting, action.target, op.matrix)
+    pi = _crossed_hom_candidate(action, _load_operator(args.operator))
     try:
         ok = check_crossed_hom(pi, action)
     except ValueError as exc:
@@ -344,8 +351,7 @@ def cmd_graph(args) -> int:
     from .actions import check_crossed_hom, graph_of
 
     action = _load_action(args.action)
-    op = _load_operator(args.operator)
-    pi = LinMap(action.acting, action.target, op.matrix)
+    pi = _crossed_hom_candidate(action, _load_operator(args.operator))
     try:
         result = graph_of(pi, action)
         direct = check_crossed_hom(pi, action)

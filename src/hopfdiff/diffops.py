@@ -20,13 +20,17 @@ to the one rational arithmetic gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .exactlin import Mat, ONE, invert
 from .hopf import (
+    CheckReport,
     FinDimHopf,
     LinMap,
     OutOfBudgetError,
+    _add_scaled,
+    _copy,
+    apply_cols,
     basis_vec,
     coalgebra_map_failures,
     convolve,
@@ -42,20 +46,6 @@ from .hopf import (
 
 
 @dataclass
-class CheckReport:
-    """Exhaustive-verification outcome with explicit skip accounting."""
-
-    ok: bool
-    failures: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    checked: int = 0
-
-    @property
-    def witness(self):
-        return self.failures[0] if self.failures else None
-
-
-@dataclass
 class DiffOp:
     """A verified difference operator."""
 
@@ -67,7 +57,8 @@ class DiffOp:
 
 def coalgebra_hom_report(h, matrix: Mat) -> CheckReport:
     """Coalgebra-homomorphism check through the basis-indexed interface."""
-    failures = [("coalgebra", k) for k in coalgebra_map_failures(h, h, matrix)]
+    failing = dict.fromkeys(k for k, _ in coalgebra_map_failures(h, h, matrix))
+    failures = [("coalgebra", k) for k in failing]
     return CheckReport(not failures, failures, [], h.dim)
 
 
@@ -76,8 +67,9 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
 
     Each pair's products are taken in the order the rational evaluation
     takes them: D(xy), then per term D(x1) x2, times D(y), times S(x3).
-    The first one that leaves a truncated carrier's budget skips the pair
-    with that product's OutOfBudgetError message.
+    The first one that leaves a truncated carrier's budget, or needs an
+    unknown column of a column table (see int_columns), skips the pair
+    with that OutOfBudgetError message.
     """
     t = int_structure(h)
     cols, den = int_columns(matrix)
@@ -101,7 +93,10 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
             try:
                 lhs = [0] * n
                 for k, m in t.mul(((i, 1),), ((j, 1),)):
-                    for r, x in cols[k]:
+                    col = cols[k]
+                    if col.__class__ is OutOfBudgetError:
+                        raise _copy(col)
+                    for r, x in col:
                         lhs[r] += m * x
                 rhs = [0] * n
                 for left, s, w in terms:
@@ -250,6 +245,33 @@ class DiffModuleBialgebra:
     verified: bool = False
 
 
+def compatibility_failures(h, d_h, k, d_k, act) -> list:
+    """Label pairs (a, x) of a basis element of K and one of H at which
+    D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 fails.
+
+    d_h and d_k are column tables; act(a, u) is basis a of K acting on
+    the H-vector u.
+    """
+    from .actions import act_vec
+
+    failures = []
+    for a in range(k.dim):
+        for x in range(h.dim):
+            lhs = zero_vec(h.dim)
+            rhs = zero_vec(h.dim)
+            for (a1, a2, c) in k.comult_triples(a):
+                acting = k.mult_vec(d_k[a1], basis_vec(k.dim, a2))
+                for (x1, x2, e) in h.comult_triples(x):
+                    term = h.mult_vec(apply_cols(d_h, act(a1, basis_vec(h.dim, x1)), h.dim),
+                                      act(a2, basis_vec(h.dim, x2)))
+                    _add_scaled(lhs, c * e, term)
+                    moved = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
+                    _add_scaled(rhs, c * e, act_vec(act, acting, moved))
+            if lhs != rhs:
+                failures.append((k.label(a), h.label(x)))
+    return failures
+
+
 def check_diff_module_bialgebra(h: FinDimHopf, d_h: LinMap, k: FinDimHopf,
                                 d_k: LinMap, action) -> DiffModuleBialgebra | CheckReport:
     """D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 on all basis pairs."""
@@ -261,86 +283,61 @@ def check_diff_module_bialgebra(h: FinDimHopf, d_h: LinMap, k: FinDimHopf,
     if not rep.ok:
         raise ValueError(f"action is not a module bialgebra: {rep.failures()}")
     for name, hh, dd in (("H", h, d_h), ("K", k, d_k)):
+        if dd.matrix.rows != hh.dim or dd.matrix.cols != hh.dim:
+            raise ValueError(f"D_{name} is not an operator on {hh.name}")
         res = check_diffop(hh, dd)
         if not isinstance(res, DiffOp):
             raise ValueError(f"D_{name} is not a difference operator: {res.witness}")
 
-    failures = []
-    for a in range(k.dim):
-        for x in range(h.dim):
-            lhs = zero_vec(h.dim)
-            for (a1, a2, c) in k.comult_triples(a):
-                for (x1, x2, e) in h.comult_triples(x):
-                    term = h.mult_vec(d_h.apply(action.act_basis(a1, x1)),
-                                      action.act_basis(a2, x2))
-                    lhs = vec_add(lhs, vec_scale(c * e, term))
-            rhs = zero_vec(h.dim)
-            for (a1, a2, c) in k.comult_triples(a):
-                acting = k.mult_vec(d_k.image_of_basis(a1), basis_vec(k.dim, a2))
-                for (x1, x2, e) in h.comult_triples(x):
-                    moved = h.mult_vec(d_h.image_of_basis(x1), basis_vec(h.dim, x2))
-                    rhs = vec_add(rhs, vec_scale(c * e, action.act(acting, moved)))
-            if lhs != rhs:
-                failures.append((k.label(a), h.label(x)))
+    failures = compatibility_failures(h, d_h.columns(), k, d_k.columns(), action.act_on)
     if failures:
         return CheckReport(False, failures, [], k.dim * h.dim)
     return DiffModuleBialgebra(h, d_h, k, d_k, action, verified=True)
+
+
+def smash_extension_columns(h, d_h, k, d_k, act, smash) -> list:
+    """The columns of D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2),
+    one per pair (x, a) of the smash builder's index, in its order.
+
+    d_h and d_k are column tables; act(a, u) is basis a of K acting on
+    the H-vector u.
+    """
+    from .actions import act_vec, smash_vec
+
+    sweedler = [sweedler_expand(h, basis_vec(h.dim, x), 2) for x in range(h.dim)]
+    cols = []
+    for (x, a) in smash.index:
+        col = zero_vec(smash.dim)
+        for (x1, x2, x3), c in sweedler[x].items():
+            base = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
+            for (a1, a2, e) in k.comult_triples(a):
+                hpart = h.mult_vec(base, act_vec(act, d_k[a1], h.antipode_basis(x3)))
+                smash_vec(smash, hpart, d_k[a2], col, c * e)
+        cols.append(col)
+    return cols
 
 
 def extend_diff_smash(m: DiffModuleBialgebra, smash: FinDimHopf | None = None
                       ) -> tuple[FinDimHopf, DiffOp]:
     """The unique difference operator on H # K restricting to D_H and D_K:
     D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2)."""
-    from .actions import smash_product
+    from .actions import smash_embed_h, smash_embed_k, smash_product
 
     if not m.verified:
         raise ValueError("the pair must be verified as a difference module bialgebra")
     h, k, action = m.h, m.k, m.action
     smash = smash or smash_product(action)
-    nh, nk = h.dim, k.dim
-
-    def enc(x, a):
-        return x * nk + a
-
-    cols = []
-    for x in range(nh):
-        sw = sweedler_expand(h, basis_vec(nh, x), 2)
-        for a in range(nk):
-            col = zero_vec(smash.dim)
-            for (x1, x2, x3), c in sw.items():
-                hpart_base = h.mult_vec(m.d_h.image_of_basis(x1), basis_vec(nh, x2))
-                for (a1, a2, e) in k.comult_triples(a):
-                    acted = action.act(m.d_k.image_of_basis(a1),
-                                       h.antipode_basis(x3))
-                    hpart = h.mult_vec(hpart_base, acted)
-                    kpart = m.d_k.image_of_basis(a2)
-                    for p, hv in enumerate(hpart):
-                        if not hv:
-                            continue
-                        for q, kv in enumerate(kpart):
-                            if kv:
-                                col[enc(p, q)] += c * e * hv * kv
-            cols.append(col)
-    mat = Mat.from_cols(cols)
+    mat = Mat.from_cols(smash_extension_columns(
+        h, m.d_h.columns(), k, m.d_k.columns(), action.act_on, smash))
     result = check_diffop(smash, mat)
     if not isinstance(result, DiffOp):
         raise AssertionError(f"smash extension failed verification: {result.witness}")
 
     # restrictions to H # 1 and 1 # K must reproduce the inputs
-    for x in range(nh):
-        expected = zero_vec(smash.dim)
-        for p, hv in enumerate(m.d_h.image_of_basis(x)):
-            if hv:
-                expected[enc(p, 0)] = hv
-        if mat.col(enc(x, 0)) != expected:
-            raise AssertionError("extension does not restrict to D_H")
-    for a in range(nk):
-        expected = zero_vec(smash.dim)
-        for q, kv in enumerate(m.d_k.image_of_basis(a)):
-            if kv:
-                expected[enc(0, q)] = kv
-        if mat.col(enc(0, a)) != expected:
-            raise AssertionError("extension does not restrict to D_K")
+    for name, embed, d in (("D_H", smash_embed_h(h, k, smash), m.d_h),
+                           ("D_K", smash_embed_k(h, k, smash), m.d_k)):
+        if mat.mul(embed.matrix) != embed.matrix.mul(d.matrix):
+            raise AssertionError(f"extension does not restrict to {name}")
     return smash, result
 
 

@@ -1,12 +1,15 @@
 """Degree-truncated free constructions: the tensor Hopf algebra with the
 coshuffle coproduct, Lyndon bases of free Lie algebras, truncated
-universal enveloping algebras, smash products of truncated carriers, and
-the instance checks that relate them.
+universal enveloping algebras, and the instance checks that relate them
+and their smash products.
 
 Truncation is honest: a product whose total degree exceeds the budget
 raises OutOfBudgetError, and every exhaustive check reports exactly
 which tuples it had to skip.  Comultiplication, counit and antipode
-always stay inside the budget and are total.
+always stay inside the budget and are total.  The checks themselves are
+the shared ones of :mod:`hopfdiff.hopf`, :mod:`hopfdiff.diffops` and
+:mod:`hopfdiff.actions`, which also builds the smash products; this
+module labels their entries with basis words.
 """
 
 from __future__ import annotations
@@ -16,14 +19,21 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from .actions import TruncatedSmash, act_vec, crossed_hom_report, graph_vector, smash_vec
+from .diffops import compatibility_failures, diff_identity_report, smash_extension_columns
 from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis, solve_affine
 from .hopf import (
     CarrierOps,
+    CheckReport,
     OutOfBudgetError,
     Vec,
+    _add_scaled,
     _attempt,
     _copy,
+    apply_cols,
     basis_vec,
+    coalgebra_map_failures,
+    int_columns,
     vec_add,
     vec_scale,
     vec_sub,
@@ -444,13 +454,6 @@ def _stored(value):
     return value
 
 
-def _add_scaled(out: Vec, c, v: Vec) -> None:
-    """out += c v in place, over the nonzero entries of v."""
-    for k, x in enumerate(v):
-        if x:
-            out[k] += c * x
-
-
 class DerivationAction:
     """Action of the generators of one carrier on another by derivations,
     extended to monomials by composition (the enveloping-algebra module
@@ -508,11 +511,7 @@ class DerivationAction:
         return out
 
     def act(self, a_vec: Vec, u: Vec) -> Vec:
-        out = zero_vec(self.target.dim)
-        for a, c in enumerate(a_vec):
-            if c:
-                _add_scaled(out, c, self.act_basis(a, u))
-        return out
+        return act_vec(self.act_basis, a_vec, u)
 
 
 def adjoint_derivation_action(carrier) -> DerivationAction:
@@ -548,17 +547,6 @@ def _generator_count(carrier) -> int:
 # ---------------------------------------------------------------------------
 # difference operators on the truncated tensor algebra
 
-@dataclass
-class TruncReport:
-    """Verification outcome over a truncated carrier."""
-
-    ok: bool
-    failures: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    checked: int = 0
-    details: dict = field(default_factory=dict)
-
-
 def algebra_endo_from_letters(tv: TruncatedTensor, letter_images: list[Vec]):
     """The algebra endomorphism with the given letter images; columns for
     words whose image would leave the budget are marked None."""
@@ -575,7 +563,7 @@ def algebra_endo_from_letters(tv: TruncatedTensor, letter_images: list[Vec]):
     return cols
 
 
-def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> TruncReport:
+def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
     """Build D = F * S from the algebra endomorphism F extending
     v -> v + phi(v), then verify the difference identity in budget.
 
@@ -611,75 +599,37 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> TruncReport:
     return report
 
 
-def verify_trunc_diffop(tv, d_cols) -> TruncReport:
+def verify_trunc_diffop(tv, d_cols) -> CheckReport:
     """Coalgebra-homomorphism and difference-identity checks for a
-    partially defined operator on a truncated carrier."""
-    n = tv.dim
+    partially defined operator on a truncated carrier; a None column is
+    an unknown image, and what needs it is skipped and recorded."""
+    cols = int_columns(d_cols)
+    failures, skipped = _coalgebra_entries(tv, cols, None)
+    return _pair_report(tv, failures, skipped, diff_identity_report(tv, cols))
+
+
+def _coalgebra_entries(carrier, cols, unknown_tag):
+    """The labelled failures and skips of the coalgebra-map check of a
+    column table; an unknown column is recorded under unknown_tag, or not
+    at all when that is None."""
     failures = []
     skipped = []
-    checked = 0
-    for i in range(n):
-        if d_cols[i] is None:
-            continue
-        if tv.counit_vec(d_cols[i]) != tv.counit_coeff(i):
-            failures.append(("counit", tv.label(i)))
-        lhs = tv.comult_vec(d_cols[i])
-        rhs: dict = {}
-        partial = False
-        for (a, b, c) in tv.comult_triples(i):
-            if d_cols[a] is None or d_cols[b] is None:
-                partial = True
-                break
-            for p, x in enumerate(d_cols[a]):
-                if not x:
-                    continue
-                for q, y in enumerate(d_cols[b]):
-                    if y:
-                        key = (p, q)
-                        rhs[key] = rhs.get(key, ZERO) + c * x * y
-        if partial:
-            skipped.append(("coalgebra", tv.label(i)))
+    for k, kind in coalgebra_map_failures(carrier, carrier, cols):
+        if kind == "unknown":
+            if unknown_tag is not None:
+                skipped.append((unknown_tag, carrier.label(k)))
+        elif kind == "skipped":
+            skipped.append(("coalgebra", carrier.label(k)))
         else:
-            rhs = {k: v for k, v in rhs.items() if v}
-            if lhs != rhs:
-                failures.append(("coalgebra", tv.label(i)))
-    sweedler3: dict = {}
-    for i in range(n):
-        acc: dict = {}
-        for (a, b, c) in tv.comult_triples(i):
-            for (a1, a2, c2) in tv.comult_triples(a):
-                key = (a1, a2, b)
-                acc[key] = acc.get(key, ZERO) + c * c2
-        sweedler3[i] = {k: v for k, v in acc.items() if v}
-    for i in range(n):
-        for j in range(n):
-            try:
-                prod = tv.mult_basis(i, j)
-            except OutOfBudgetError:
-                skipped.append(("pair", tv.label(i), tv.label(j)))
-                continue
-            try:
-                lhs = zero_vec(n)
-                for k, c in enumerate(prod):
-                    if c:
-                        if d_cols[k] is None:
-                            raise OutOfBudgetError("image unknown")
-                        lhs = vec_add(lhs, vec_scale(c, d_cols[k]))
-                rhs = zero_vec(n)
-                for (t1, t2, t3), c in sweedler3[i].items():
-                    if d_cols[t1] is None or d_cols[j] is None:
-                        raise OutOfBudgetError("image unknown")
-                    term = tv.mult_vec(d_cols[t1], basis_vec(n, t2))
-                    term = tv.mult_vec(term, d_cols[j])
-                    term = tv.mult_vec(term, tv.antipode_basis(t3))
-                    rhs = vec_add(rhs, vec_scale(c, term))
-            except OutOfBudgetError:
-                skipped.append(("pair", tv.label(i), tv.label(j)))
-                continue
-            checked += 1
-            if lhs != rhs:
-                failures.append(("pair", tv.label(i), tv.label(j)))
-    return TruncReport(not failures, failures, skipped, checked)
+            failures.append((kind, carrier.label(k)))
+    return failures, skipped
+
+
+def _pair_report(carrier, failures, skipped, pairs: CheckReport) -> CheckReport:
+    """The coalgebra entries followed by a pair check's, with basis labels."""
+    failures += [("pair", carrier.label(i), carrier.label(j)) for i, j in pairs.failures]
+    skipped += [("pair", carrier.label(i), carrier.label(j)) for i, j, _ in pairs.skipped]
+    return CheckReport(not failures, failures, skipped, pairs.checked)
 
 
 # ---------------------------------------------------------------------------
@@ -726,7 +676,7 @@ def free_crossed_hom_values(carrier, action: DerivationAction, gen_images: list[
 
 
 def extend_crossed_hom_trunc(carrier, action: DerivationAction,
-                             pi_gen_images: list[Vec]) -> TruncReport:
+                             pi_gen_images: list[Vec]) -> CheckReport:
     """The enveloping-level extension of a Lie crossed homomorphism:
     pi_bar(x1...xn) = (pi(x1) + phi(x1)) ... (pi(xn) + phi(xn))(1) on the
     monomial basis, verified as a coalgebra map satisfying the
@@ -738,7 +688,7 @@ def extend_crossed_hom_trunc(carrier, action: DerivationAction,
     # restriction to primitive degree one must match the generator images
     k = _generator_count(carrier)
     for g in range(k):
-        if cols_at(cols, carrier, carrier.generator_vec(g)) != pi_gen_images[g]:
+        if apply_cols(cols, carrier.generator_vec(g), carrier.dim) != pi_gen_images[g]:
             report.ok = False
             report.failures.append(("degree-one restriction", g))
     return report
@@ -761,74 +711,17 @@ def pibar_columns(carrier, action: DerivationAction, pi_gen_images: list[Vec]):
     return cols
 
 
-def cols_at(cols, carrier, u: Vec):
-    """Apply a partially defined column table to a vector."""
-    out = zero_vec(carrier.dim)
-    for i, c in enumerate(u):
-        if not c:
-            continue
-        if cols[i] is None:
-            raise OutOfBudgetError("image column unknown")
-        out = vec_add(out, vec_scale(c, cols[i]))
-    return out
-
-
-def verify_crossed_hom_trunc(carrier, action: DerivationAction, cols) -> TruncReport:
+def verify_crossed_hom_trunc(carrier, action: DerivationAction, cols) -> CheckReport:
     """Coalgebra-map and crossed-homomorphism checks for a partially
     defined map on a truncated carrier, with skip accounting."""
-    n = carrier.dim
-    failures = []
-    skipped = []
-    checked = 0
-    for i in range(n):
-        if cols[i] is None:
-            skipped.append(("column", carrier.label(i)))
-            continue
-        if carrier.counit_vec(cols[i]) != carrier.counit_coeff(i):
-            failures.append(("counit", carrier.label(i)))
-        lhs = carrier.comult_vec(cols[i])
-        rhs: dict = {}
-        partial = False
-        for (a, b, c) in carrier.comult_triples(i):
-            if cols[a] is None or cols[b] is None:
-                partial = True
-                break
-            for p, x in enumerate(cols[a]):
-                if not x:
-                    continue
-                for q, y in enumerate(cols[b]):
-                    if y:
-                        key = (p, q)
-                        rhs[key] = rhs.get(key, ZERO) + c * x * y
-        if partial:
-            skipped.append(("coalgebra", carrier.label(i)))
-            continue
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
-            failures.append(("coalgebra", carrier.label(i)))
-    for i in range(n):
-        for j in range(n):
-            try:
-                prod = carrier.mult_basis(i, j)
-                lhs = cols_at(cols, carrier, prod)
-                rhs = zero_vec(n)
-                for (a1, a2, c) in carrier.comult_triples(i):
-                    if cols[a1] is None or cols[j] is None:
-                        raise OutOfBudgetError("image unknown")
-                    acted = action.act_basis(a2, cols[j])
-                    rhs = vec_add(rhs, vec_scale(c, carrier.mult_vec(cols[a1], acted)))
-            except OutOfBudgetError:
-                skipped.append(("pair", carrier.label(i), carrier.label(j)))
-                continue
-            checked += 1
-            if lhs != rhs:
-                failures.append(("pair", carrier.label(i), carrier.label(j)))
-    return TruncReport(not failures, failures, skipped, checked)
+    failures, skipped = _coalgebra_entries(carrier, int_columns(cols), "column")
+    pairs = crossed_hom_report(carrier, carrier, cols, action.act_basis)
+    return _pair_report(carrier, failures, skipped, pairs)
 
 
 def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
                       pi_gen_images: list[Vec],
-                      candidate_cols=None) -> TruncReport:
+                      candidate_cols=None) -> CheckReport:
     """Instance check of the enveloping-extension compatibility:
 
     (i) the product-formula extension restricts on primitives to the free
@@ -853,7 +746,7 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
             report.skipped.append(("lie-restriction", "".join(map(str, w))))
             continue
         try:
-            got = cols_at(cols, tv, tv.from_word_coeffs(bracket_expansion(w)))
+            got = apply_cols(cols, tv.from_word_coeffs(bracket_expansion(w)), tv.dim)
         except OutOfBudgetError:
             report.skipped.append(("lie-restriction", "".join(map(str, w))))
             continue
@@ -947,7 +840,7 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
     return {"unique": True, "matches": matches, "witness": witness}
 
 
-def extended_action_bialgebra_check(carrier, action: DerivationAction) -> TruncReport:
+def extended_action_bialgebra_check(carrier, action: DerivationAction) -> CheckReport:
     """Module-bialgebra axioms of the derivation-extended action on all
     in-budget basis tuples.
 
@@ -1028,116 +921,11 @@ def extended_action_bialgebra_check(carrier, action: DerivationAction) -> TruncR
             rhs = {k: v for k, v in rhs.items() if v}
             if lhs != rhs:
                 failures.append(("comult", a, x))
-    return TruncReport(not failures, failures, skipped, checked)
+    return CheckReport(not failures, failures, skipped, checked)
 
 
 # ---------------------------------------------------------------------------
 # truncated smash products
-
-class TruncatedSmash(CarrierOps):
-    """H # K for truncated or finite-dimensional carriers.
-
-    act_basis(a, vec) must implement the module-algebra action of the
-    K-basis element a on H; the constructors below build it for
-    derivation actions (primitives) and sign actions (group-likes).
-    """
-
-    def __init__(self, h, k, act_basis, budget: int, name: str = "smash"):
-        self.h = h
-        self.k = k
-        self.act_basis_fn = act_basis
-        self.budget = budget
-        self.name = name
-        hdeg = getattr(h, "degree", None) or (lambda i: 0)
-        kdeg = getattr(k, "degree", None) or (lambda i: 0)
-        self.pairs = [(x, a) for x in range(h.dim) for a in range(k.dim)
-                      if hdeg(x) + kdeg(a) <= budget]
-        self.index = {p: i for i, p in enumerate(self.pairs)}
-        self.dim = len(self.pairs)
-        self._hdeg = hdeg
-        self._kdeg = kdeg
-
-    def degree(self, i: int) -> int:
-        x, a = self.pairs[i]
-        return self._hdeg(x) + self._kdeg(a)
-
-    def label(self, i: int) -> str:
-        x, a = self.pairs[i]
-        return f"{self.h.label(x)}#{self.k.label(a)}"
-
-    def unit_vec(self) -> Vec:
-        out = zero_vec(self.dim)
-        for x, hv in enumerate(self.h.unit_vec()):
-            if not hv:
-                continue
-            for a, kv in enumerate(self.k.unit_vec()):
-                if kv:
-                    out[self.index[(x, a)]] = hv * kv
-        return out
-
-    def _embed(self, hvec: Vec, kvec: Vec, out: Vec, scale):
-        for x, hv in enumerate(hvec):
-            if not hv:
-                continue
-            for a, kv in enumerate(kvec):
-                if kv:
-                    idx = self.index.get((x, a))
-                    if idx is None:
-                        raise OutOfBudgetError("smash component out of budget")
-                    out[idx] += scale * hv * kv
-
-    def mult_basis(self, i: int, j: int) -> Vec:
-        x, a = self.pairs[i]
-        y, b = self.pairs[j]
-        if self.degree(i) + self.degree(j) > self.budget:
-            raise OutOfBudgetError("smash product exceeds budget",
-                                   degrees=(self.degree(i), self.degree(j)))
-        out = zero_vec(self.dim)
-        for (a1, a2, c) in self.k.comult_triples(a):
-            acted = self.act_basis_fn(a1, basis_vec(self.h.dim, y))
-            hpart = self.h.mult_vec(basis_vec(self.h.dim, x), acted)
-            kpart = self.k.mult_basis(a2, b)
-            self._embed(hpart, kpart, out, c)
-        return out
-
-    def comult_triples(self, i: int):
-        x, a = self.pairs[i]
-        triples = []
-        for (x1, x2, c) in self.h.comult_triples(x):
-            for (a1, a2, d) in self.k.comult_triples(a):
-                triples.append((self.index[(x1, a1)], self.index[(x2, a2)], c * d))
-        return triples
-
-    def counit_coeff(self, i: int):
-        x, a = self.pairs[i]
-        return self.h.counit_coeff(x) * self.k.counit_coeff(a)
-
-    def antipode_basis(self, i: int) -> Vec:
-        x, a = self.pairs[i]
-        out = zero_vec(self.dim)
-        sx = self.h.antipode_basis(x)
-        for (a1, a2, c) in self.k.comult_triples(a):
-            acted = zero_vec(self.h.dim)
-            for g, kv in enumerate(self.k.antipode_basis(a1)):
-                if kv:
-                    acted = vec_add(acted, vec_scale(kv, self.act_basis_fn(g, sx)))
-            kpart = self.k.antipode_basis(a2)
-            self._embed(acted, kpart, out, c)
-        return out
-
-    def embed_h(self, hvec: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        self._embed(hvec, self.k.unit_vec(), out, ONE)
-        return out
-
-    def embed_k(self, kvec: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        self._embed(self.h.unit_vec(), kvec, out, ONE)
-        return out
-
-    def __repr__(self):
-        return f"TruncatedSmash({self.name}, dim={self.dim})"
-
 
 def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     """Instance check that U(h x| g) and U(h) # U(g) agree up to the
@@ -1162,9 +950,9 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     gen_cols = []
     for i in range(sd.dim):
         if i < h.dim:
-            gen_cols.append(smash.embed_h(uh.generator_vec(i)))
+            gen_cols.append(smash_vec(smash, uh.generator_vec(i), ug.unit_vec()))
         else:
-            gen_cols.append(smash.embed_k(ug.generator_vec(i - h.dim)))
+            gen_cols.append(smash_vec(smash, uh.unit_vec(), ug.generator_vec(i - h.dim)))
     cols = []
     skipped = []
     for i in range(u_sd.dim):
@@ -1190,7 +978,7 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
             if cols[i] is None or cols[j] is None:
                 continue
             try:
-                lhs = cols_at(cols, u_sd, u_sd.mult_basis(i, j))
+                lhs = apply_cols(cols, u_sd.mult_basis(i, j), smash.dim)
                 rhs = smash.mult_vec(cols[i], cols[j])
             except OutOfBudgetError:
                 continue
@@ -1200,31 +988,10 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     report["multiplicative_pairs_checked"] = checked
     report["multiplicative"] = fails == 0
     # coalgebra compatibility on basis columns
-    co_ok = True
-    for i in range(u_sd.dim):
-        if cols[i] is None:
-            continue
-        lhs = smash.comult_vec(cols[i])
-        rhs: dict = {}
-        partial = False
-        for (a, b, c) in u_sd.comult_triples(i):
-            if cols[a] is None or cols[b] is None:
-                partial = True
-                break
-            for p, x in enumerate(cols[a]):
-                if not x:
-                    continue
-                for q, y in enumerate(cols[b]):
-                    if y:
-                        rhs[(p, q)] = rhs.get((p, q), ZERO) + c * x * y
-        if partial:
-            continue
-        rhs = {k: v for k, v in rhs.items() if v}
-        if lhs != rhs:
-            co_ok = False
-    report["coalgebra_compatible"] = co_ok
+    report["coalgebra_compatible"] = not any(
+        kind in ("counit", "coalgebra") for _, kind in coalgebra_map_failures(u_sd, smash, cols))
     report["ok"] = (report["graded_dims_match"] and report["bijective"]
-                    and report["multiplicative"] and co_ok)
+                    and report["multiplicative"] and report["coalgebra_compatible"])
     report["_smash"] = smash
     report["_u_semidirect"] = u_sd
     report["_columns"] = cols
@@ -1268,24 +1035,11 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
     cols = pibar_columns(ug, action, pi_images)
     vectors_by_degree: dict = {}
     for i in range(ug.dim):
-        if cols[i] is None:
+        try:
+            vec = graph_vector(ug, cols, i, smash)
+        except OutOfBudgetError:
             continue
-        vec = zero_vec(smash.dim)
-        for (a1, a2, c) in ug.comult_triples(i):
-            if cols[a1] is None:
-                vec = None
-                break
-            for p, hv in enumerate(cols[a1]):
-                if hv:
-                    idx = smash.index.get((p, a2))
-                    if idx is None:
-                        vec = None
-                        break
-                    vec[idx] += c * hv
-            if vec is None:
-                break
-        if vec is not None:
-            vectors_by_degree.setdefault(ug.degree(i), []).append(vec)
+        vectors_by_degree.setdefault(ug.degree(i), []).append(vec)
     dims = []
     pool: list = []
     for d in range(budget + 1):
@@ -1335,100 +1089,32 @@ def ckmm_truncated_instance(budget: int) -> dict:
 
     d_h = [basis_vec(n_u, i) for i in range(n_u)]          # id on U
     d_k = [basis_vec(n_k, 0), basis_vec(n_k, 0)]           # u o eps on kC2
+    d_k_bad = [basis_vec(n_k, 0), basis_vec(n_k, 1)]       # id on kC2
 
     report: dict = {"budget": budget}
 
     # compatibility: D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2
-    fails = []
-    for a in range(n_k):
-        for x in range(n_u):
-            lhs = zero_vec(n_u)
-            for (a1, a2, c) in kc2.comult_triples(a):
-                for (x1, x2, e) in u_env.comult_triples(x):
-                    term = u_env.mult_vec(_apply_cols(d_h, act(a1, basis_vec(n_u, x1))),
-                                          act(a2, basis_vec(n_u, x2)))
-                    lhs = vec_add(lhs, vec_scale(c * e, term))
-            rhs = zero_vec(n_u)
-            for (a1, a2, c) in kc2.comult_triples(a):
-                acting = kc2.mult_vec(d_k[a1], basis_vec(n_k, a2))
-                for (x1, x2, e) in u_env.comult_triples(x):
-                    moved = u_env.mult_vec(d_h[x1], basis_vec(n_u, x2))
-                    acted = zero_vec(n_u)
-                    for gk, kv in enumerate(acting):
-                        if kv:
-                            acted = vec_add(acted, vec_scale(kv, act(gk, moved)))
-                    rhs = vec_add(rhs, vec_scale(c * e, acted))
-            if lhs != rhs:
-                fails.append((kc2.label(a), u_env.label(x)))
+    fails = compatibility_failures(u_env, d_h, kc2, d_k, act)
     report["compatible"] = not fails
     report["compatibility_witness"] = fails[0] if fails else None
 
     # the incompatible pair (id on U, id on kC2) must be rejected
-    d_k_bad = [basis_vec(n_k, 0), basis_vec(n_k, 1)]
-    bad_witness = None
-    for a in range(n_k):
-        for x in range(n_u):
-            lhs = zero_vec(n_u)
-            for (a1, a2, c) in kc2.comult_triples(a):
-                for (x1, x2, e) in u_env.comult_triples(x):
-                    term = u_env.mult_vec(_apply_cols(d_h, act(a1, basis_vec(n_u, x1))),
-                                          act(a2, basis_vec(n_u, x2)))
-                    lhs = vec_add(lhs, vec_scale(c * e, term))
-            rhs = zero_vec(n_u)
-            for (a1, a2, c) in kc2.comult_triples(a):
-                acting = kc2.mult_vec(d_k_bad[a1], basis_vec(n_k, a2))
-                for (x1, x2, e) in u_env.comult_triples(x):
-                    moved = u_env.mult_vec(d_h[x1], basis_vec(n_u, x2))
-                    acted = zero_vec(n_u)
-                    for gk, kv in enumerate(acting):
-                        if kv:
-                            acted = vec_add(acted, vec_scale(kv, act(gk, moved)))
-                    rhs = vec_add(rhs, vec_scale(c * e, acted))
-            if lhs != rhs and bad_witness is None:
-                bad_witness = (kc2.label(a), u_env.label(x))
-    report["incompatible_pair_rejected"] = bad_witness is not None
-    report["incompatible_witness"] = bad_witness
+    bad = compatibility_failures(u_env, d_h, kc2, d_k_bad, act)
+    report["incompatible_pair_rejected"] = bool(bad)
+    report["incompatible_witness"] = bad[0] if bad else None
 
     # the smash extension D(x#a) = D_H(x1) x2 (D_K(a1) . S(x3)) # D_K(a2)
-    cols = []
-    for i in range(smash.dim):
-        x, a = smash.pairs[i]
-        sw: dict = {}
-        for (x1, x2, c) in u_env.comult_triples(x):
-            for (x11, x12, c2) in u_env.comult_triples(x1):
-                key = (x11, x12, x2)
-                sw[key] = sw.get(key, ZERO) + c * c2
-        col = zero_vec(smash.dim)
-        for (t1, t2, t3), c in sw.items():
-            if not c:
-                continue
-            base = u_env.mult_vec(d_h[t1], basis_vec(n_u, t2))
-            for (a1, a2, e) in kc2.comult_triples(a):
-                acted = zero_vec(n_u)
-                for gk, kv in enumerate(d_k[a1]):
-                    if kv:
-                        acted = vec_add(acted, vec_scale(kv, act(gk, u_env.antipode_basis(t3))))
-                hpart = u_env.mult_vec(base, acted)
-                kpart = d_k[a2]
-                for p, hv in enumerate(hpart):
-                    if not hv:
-                        continue
-                    for q, kv2 in enumerate(kpart):
-                        if kv2:
-                            col[smash.index[(p, q)]] += c * e * hv * kv2
-        cols.append(col)
+    cols = smash_extension_columns(u_env, d_h, kc2, d_k, act, smash)
     diff_rep = verify_trunc_diffop(smash, cols)
     report["extension_is_diffop"] = diff_rep.ok
     report["extension_pairs_checked"] = diff_rep.checked
     report["extension_pairs_skipped"] = len(diff_rep.skipped)
 
     # restrictions
-    ok_h = all(cols[smash.index[(x, 0)]] == _embed_pair(smash, d_h[x], 0)
-               for x in range(n_u))
-    ok_k = all(cols[smash.index[(0, a)]] == _embed_pair(smash, d_k[a], 0, k_side=True)
-               for a in range(n_k))
-    report["restricts_to_dh"] = ok_h
-    report["restricts_to_dk"] = ok_k
+    report["restricts_to_dh"] = all(
+        cols[smash.index[(x, 0)]] == smash_vec(smash, d_h[x], kc2.unit_vec()) for x in range(n_u))
+    report["restricts_to_dk"] = all(
+        cols[smash.index[(0, a)]] == smash_vec(smash, u_env.unit_vec(), d_k[a]) for a in range(n_k))
 
     # group-likes and primitives of the smash
     prim = truncated_primitives(smash)
@@ -1449,20 +1135,3 @@ def ckmm_truncated_instance(budget: int) -> dict:
         "restricts_to_dh", "restricts_to_dk", "primitive_is_e",
         "restriction_on_primitive_is_id", "restriction_on_grouplike_is_trivial"))
     return report
-
-
-def _apply_cols(cols, vec: Vec) -> Vec:
-    out = zero_vec(len(cols[0]))
-    for i, c in enumerate(vec):
-        if c:
-            out = vec_add(out, vec_scale(c, cols[i]))
-    return out
-
-
-def _embed_pair(smash: TruncatedSmash, vec: Vec, other: int, k_side: bool = False) -> Vec:
-    out = zero_vec(smash.dim)
-    for i, c in enumerate(vec):
-        if c:
-            key = (other, i) if k_side else (i, other)
-            out[smash.index[key]] = c
-    return out

@@ -16,9 +16,12 @@ matrices, so every result is identical to rational arithmetic.
 
 The same basis-indexed interface (``mult_basis``, ``comult_triples``,
 ``counit_coeff``, ``antipode_basis``) is implemented by the
-degree-truncated carriers in :mod:`hopfdiff.freelie`; truncated
-multiplication may raise :class:`OutOfBudgetError`, which exhaustive
-checks translate into an explicit skip entry rather than a silent pass.
+degree-truncated carriers in :mod:`hopfdiff.freelie` and by the smash
+builder in :mod:`hopfdiff.actions`; truncated multiplication may raise
+:class:`OutOfBudgetError`, which exhaustive checks translate into an
+explicit skip entry rather than a silent pass.  A map given by a column
+table may leave columns unknown (None); checks skip and record what needs
+them.  Every checker returns a :class:`CheckReport`.
 """
 
 from __future__ import annotations
@@ -64,6 +67,13 @@ def vec_scale(c: Rat, v: Vec) -> Vec:
     if not c:
         return [ZERO] * len(v)
     return [c * a for a in v]
+
+
+def _add_scaled(out: Vec, c: Rat, v: Vec) -> None:
+    """out += c v in place, over the nonzero entries of v."""
+    for k, x in enumerate(v):
+        if x:
+            out[k] += c * x
 
 
 def vec_is_zero(v: Vec) -> bool:
@@ -232,9 +242,6 @@ class FinDimHopf(CarrierOps):
                     out[k] += c * m
         return out
 
-    def mult_sparse(self, i: int, j: int):
-        return self._mult_sparse[i][j]
-
     def element_str(self, u: Vec) -> str:
         return vec_str(u, self.basis)
 
@@ -276,6 +283,10 @@ class LinMap:
     def image_of_basis(self, j: int) -> Vec:
         return self.matrix.col(j)
 
+    def columns(self) -> list:
+        """The column table: the image of every basis element."""
+        return [self.matrix.col(j) for j in range(self.matrix.cols)]
+
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
         if other.codomain is not self.domain:
@@ -304,10 +315,6 @@ def unit_counit_map(k: FinDimHopf, h: FinDimHopf | None = None) -> LinMap:
 
 def antipode_map(h: FinDimHopf) -> LinMap:
     return LinMap(h, h, h.antipode)
-
-
-def map_from_images(domain: FinDimHopf, codomain: FinDimHopf, images: list[Vec]) -> LinMap:
-    return LinMap(domain, codomain, Mat.from_cols(images))
 
 
 def convolve(f: LinMap, g: LinMap) -> LinMap:
@@ -465,9 +472,19 @@ class IntColumns(NamedTuple):
 
 def int_columns(matrix) -> IntColumns:
     """The columns of a Mat as sparse integer tuples over the lcm of its
-    denominators; an IntColumns is returned as it is."""
+    denominators; an IntColumns is returned as it is.
+
+    A column table (a list of coordinate vectors) may hold None for an
+    image that is unknown.  Each such column is stored once as an
+    OutOfBudgetError, which IntStructure.mul raises again for every
+    product that needs it, so the checks skip exactly what needs it.
+    """
     if isinstance(matrix, IntColumns):
         return matrix
+    if not isinstance(matrix, Mat):
+        den, cols = _sparse_ints([OutOfBudgetError("image column unknown") if c is None
+                                  else c for c in matrix])
+        return IntColumns(cols, den)
     ratios = [c.as_integer_ratio() for c in matrix.entries]
     den = lcm(*{d for _, d in ratios})
     width = matrix.cols
@@ -477,16 +494,32 @@ def int_columns(matrix) -> IntColumns:
 
 
 def coalgebra_map_failures(dom, cod, matrix):
-    """Basis indices k of dom, in order, at which the map with this matrix
-    fails D(f(x)) = f(x1) (x) f(x2) or eps(f(x)) = eps(x)."""
+    """(k, kind) for the basis indices k of dom, in order, at which the map
+    with this matrix or column table is not a checked coalgebra map.
+
+    kind is "counit" where eps(f(x)) != eps(x) and "coalgebra" where
+    D(f(x)) != f(x1) (x) f(x2).  An unknown column k gives (k, "unknown")
+    alone; where f(x1) (x) f(x2) needs an unknown column, (k, "skipped")
+    stands in for the comultiplication check.
+    """
     src = int_structure(dom)
     dst = int_structure(cod)
     cols, den = int_columns(matrix)
+    unknown = {k for k, col in enumerate(cols) if col.__class__ is OutOfBudgetError}
     # lhs carries den * dst.comult_den, rhs den^2 * src.comult_den
     lhs_scale = den * src.comult_den
     rhs_scale = dst.comult_den
     for k in range(dom.dim):
+        if k in unknown:
+            yield k, "unknown"
+            continue
         img = cols[k]
+        counit = sum(x * dst.counit[a] for a, x in img)
+        if counit * src.counit_den != src.counit[k] * den * dst.counit_den:
+            yield k, "counit"
+        if unknown and any(i in unknown or j in unknown for (i, j, _) in src.comult[k]):
+            yield k, "skipped"
+            continue
         lhs: dict = {}
         for a, x in img:
             for (p, q, c) in dst.comult[a]:
@@ -499,10 +532,36 @@ def coalgebra_map_failures(dom, cod, matrix):
                     rhs[(p, q)] = rhs.get((p, q), 0) + cx * y
         lhs = {key: v * lhs_scale for key, v in lhs.items() if v}
         rhs = {key: v * rhs_scale for key, v in rhs.items() if v}
-        counit = sum(x * dst.counit[a] for a, x in img)
-        if (lhs != rhs or counit * src.counit_den
-                != src.counit[k] * den * dst.counit_den):
-            yield k
+        if lhs != rhs:
+            yield k, "coalgebra"
+
+
+def apply_cols(cols, u: Vec, dim: int) -> Vec:
+    """sum u_i cols[i] for a column table of dim-vectors; a None column
+    that u needs is an unknown image and raises OutOfBudgetError."""
+    out = zero_vec(dim)
+    for i, c in enumerate(u):
+        if not c:
+            continue
+        if cols[i] is None:
+            raise OutOfBudgetError("image column unknown")
+        _add_scaled(out, c, cols[i])
+    return out
+
+
+@dataclass
+class CheckReport:
+    """Exhaustive-verification outcome with explicit skip accounting."""
+
+    ok: bool
+    failures: list = field(default_factory=list)
+    skipped: list = field(default_factory=list)
+    checked: int = 0
+    details: dict = field(default_factory=dict)
+
+    @property
+    def witness(self):
+        return self.failures[0] if self.failures else None
 
 
 # -- axiom validation --------------------------------------------------------

@@ -324,10 +324,6 @@ class ClassificationResult:
     branches: list = field(default_factory=list)
     bijective_only: bool = False
 
-    def operator_images(self):
-        return [[op.map.matrix.col(j) for j in range(op.map.matrix.cols)]
-                for op in self.operators]
-
 
 # ---------------------------------------------------------------------------
 # the per-branch polynomial search

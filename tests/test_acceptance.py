@@ -21,7 +21,7 @@ from hopfdiff.actions import (
     graph_hopf_iso,
     graph_of,
     smash_product,
-    smash_product_algebra_only,
+    smash_builder,
     trivial_action,
 )
 from hopfdiff.diffops import (
@@ -187,7 +187,7 @@ def test_criterion_5_graph_and_module_equivalences(sampled_suite):
     for name in SUITE_ALGEBRAS:
         h, maps = sampled_suite[name]
         adj = adjoint_action(h)
-        smash_alg = smash_product_algebra_only(adj)
+        smash_alg = smash_builder(adj)
         cocomm = is_cocommutative(h)
         smash_full = smash_product(adj) if cocomm else None
         for m in maps:

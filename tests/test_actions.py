@@ -16,7 +16,7 @@ from hopfdiff.actions import (
     graph_hopf_iso,
     graph_of,
     smash_product,
-    smash_product_algebra_only,
+    smash_builder,
     trivial_action,
     validate_action,
 )
@@ -161,7 +161,7 @@ def test_graph_of_ueps_is_acting_factor(h8):
 
 def test_graph_verdict_matches_direct_check(h4):
     adj = adjoint_action(h4)
-    smash = smash_product_algebra_only(adj)
+    smash = smash_builder(adj)
     rng = random.Random(3)
     pool = [F(0), F(1), F(-1), F(1, 2), F(2)]
     grouplike = [basis_vec(4, 0), basis_vec(4, 1)]

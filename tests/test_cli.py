@@ -130,6 +130,30 @@ def test_extend_smash_diff(capsys, tmp_path):
     assert payload["witness"] == ["s", "r"]
 
 
+@pytest.mark.parametrize("operator, message", [
+    ("op:id:kC4", "acting algebra"),        # domain is the target, not the acting algebra
+    ("op:id:kC2", "matrix shape"),          # right domain, but its images lie in kC2
+])
+def test_graph_with_operator_on_wrong_algebra_exits_two(capsys, tmp_path, operator, message):
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    op = export_entry(capsys, tmp_path, operator, "op.json")
+    code, payload, err = invoke(capsys, "graph", "--action", action, "--operator", op)
+    assert code == 2
+    assert payload["ok"] is False and message in payload["error"]
+    assert "Traceback" not in err
+
+
+def test_extend_smash_diff_with_swapped_operators_exits_two(capsys, tmp_path):
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    dh = export_entry(capsys, tmp_path, "op:id:kC2", "dh.json")
+    dk = export_entry(capsys, tmp_path, "op:id:kC4", "dk.json")
+    code, payload, err = invoke(capsys, "extend-smash-diff", "--action", action,
+                                "--operator", dh, "--operator-k", dk)
+    assert code == 2
+    assert payload["ok"] is False and "not an operator on" in payload["error"]
+    assert "Traceback" not in err
+
+
 def test_free_lie_tasks(capsys):
     code, payload, _ = invoke(capsys, "free-lie", "lyndon-dims",
                               "--generators", "2", "--budget", "4")

@@ -291,6 +291,26 @@ def test_smash_vs_semidirect_adjoint_aff1():
     assert rep["ok"]
 
 
+def test_truncated_smash_antipode_axiom_over_an_enveloping_factor():
+    """S(t1) t2 = t1 S(t2) = eps(t) 1 on every basis element of
+    U(aff1) # U(aff1) within the budget.  The acting factor has
+    primitives, so the two legs of its coproduct differ, as they never do
+    in a group algebra."""
+    aff1 = FinLie.from_pairs(["a", "b"], {(0, 1): [0, 1]}, "aff1")
+    from hopfdiff.hopf import basis_vec, vec_add, vec_scale
+    from hopfdiff.lie import adjoint_lie_action
+
+    smash = smash_vs_semidirect_trunc(adjoint_lie_action(aff1), 3)["_smash"]
+    n = smash.dim
+    for i in range(n):
+        left = right = zero_vec(n)
+        for (p, q, c) in smash.comult_triples(i):
+            sp, sq = smash.antipode_basis(p), smash.antipode_basis(q)
+            left = vec_add(left, vec_scale(c, smash.mult_vec(sp, basis_vec(n, q))))
+            right = vec_add(right, vec_scale(c, smash.mult_vec(basis_vec(n, p), sq)))
+        assert left == right == vec_scale(smash.counit_coeff(i), smash.unit_vec())
+
+
 def test_graph_dims_instance():
     g1 = FinLie.from_pairs(["x"], {}, "g")
     h1 = FinLie.from_pairs(["u"], {}, "h")

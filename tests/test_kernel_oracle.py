@@ -15,6 +15,14 @@ The monomial-by-monomial derivation loop, ``truncated_primitives`` and
 kept verbatim too.  Derivation actions with generator images from the
 same pool must give the same values, or raise the same out-of-budget
 message with the same degrees.
+
+The rational truncated checkers ``verify_trunc_diffop`` and
+``verify_crossed_hom_trunc``, and the two smash builders
+``smash_product`` and ``smash_product_algebra_only``, are kept verbatim as
+they were before the shared checkers and the one smash builder replaced
+them.  Partial column tables (perturbed, with random unknown columns)
+must give equal reports, skip lists in order included, and the smash
+products equal exports.
 """
 
 import random
@@ -24,8 +32,15 @@ from functools import cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfdiff import catalog
-from hopfdiff.actions import smash_product
+from hopfdiff import catalog, formats
+from hopfdiff.actions import (
+    ActionData,
+    TruncatedSmash,
+    adjoint_action,
+    smash_builder,
+    smash_product,
+    validate_action,
+)
 from hopfdiff.diffops import (
     CheckReport,
     DiffOp,
@@ -33,31 +48,37 @@ from hopfdiff.diffops import (
     coalgebra_hom_report,
     diff_identity_report,
 )
-from hopfdiff.exactlin import ZERO, Mat, invert, solve_affine
+from hopfdiff.exactlin import ONE, ZERO, Mat, invert, solve_affine
 from hopfdiff.lie import FinLie
 from hopfdiff.freelie import (
     DerivationAction,
-    TruncReport,
     TruncatedEnveloping,
-    TruncatedSmash,
     TruncatedTensor,
     _generator_count,
     adjoint_derivation_action,
+    diffop_from_hom,
+    extend_crossed_hom_trunc,
     extended_action_bialgebra_check,
     sign_action_on_enveloping,
     truncated_primitives,
+    verify_crossed_hom_trunc,
+    verify_trunc_diffop,
 )
 from hopfdiff.hopf import (
+    FinDimHopf,
     LinMap,
     OutOfBudgetError,
+    Vec,
     basis_vec,
     convolve,
     identity_map,
     int_columns,
     int_structure,
     is_coalgebra_hom,
+    is_cocommutative,
     sweedler_expand,
     unit_counit_map,
+    validate_hopf,
     vec_add,
     vec_scale,
     vec_sub,
@@ -358,7 +379,7 @@ def reference_truncated_primitives(carrier):
     return sol.kernel_basis
 
 
-def reference_extended_action_bialgebra_check(carrier, action) -> TruncReport:
+def reference_extended_action_bialgebra_check(carrier, action) -> CheckReport:
     """Module-bialgebra axioms of the derivation-extended action on all
     in-budget basis tuples."""
     n = carrier.dim
@@ -426,7 +447,7 @@ def reference_extended_action_bialgebra_check(carrier, action) -> TruncReport:
             rhs = {k: v for k, v in rhs.items() if v}
             if lhs != rhs:
                 failures.append(("comult", a, x))
-    return TruncReport(not failures, failures, skipped, checked)
+    return CheckReport(not failures, failures, skipped, checked)
 
 
 # -- derivation actions drawn from the pool --------------------------------------
@@ -515,3 +536,382 @@ def test_action_bialgebra_check_matches_reference(name, data):
 def test_truncated_primitives_match_reference(name):
     h = carrier(name)
     assert truncated_primitives(h) == reference_truncated_primitives(h)
+
+
+# -- truncated checkers and smash builders, kept verbatim ------------------------
+
+def reference_verify_trunc_diffop(tv, d_cols) -> CheckReport:
+    """Coalgebra-homomorphism and difference-identity checks for a
+    partially defined operator on a truncated carrier."""
+    n = tv.dim
+    failures = []
+    skipped = []
+    checked = 0
+    for i in range(n):
+        if d_cols[i] is None:
+            continue
+        if tv.counit_vec(d_cols[i]) != tv.counit_coeff(i):
+            failures.append(("counit", tv.label(i)))
+        lhs = tv.comult_vec(d_cols[i])
+        rhs: dict = {}
+        partial = False
+        for (a, b, c) in tv.comult_triples(i):
+            if d_cols[a] is None or d_cols[b] is None:
+                partial = True
+                break
+            for p, x in enumerate(d_cols[a]):
+                if not x:
+                    continue
+                for q, y in enumerate(d_cols[b]):
+                    if y:
+                        key = (p, q)
+                        rhs[key] = rhs.get(key, ZERO) + c * x * y
+        if partial:
+            skipped.append(("coalgebra", tv.label(i)))
+        else:
+            rhs = {k: v for k, v in rhs.items() if v}
+            if lhs != rhs:
+                failures.append(("coalgebra", tv.label(i)))
+    sweedler3: dict = {}
+    for i in range(n):
+        acc: dict = {}
+        for (a, b, c) in tv.comult_triples(i):
+            for (a1, a2, c2) in tv.comult_triples(a):
+                key = (a1, a2, b)
+                acc[key] = acc.get(key, ZERO) + c * c2
+        sweedler3[i] = {k: v for k, v in acc.items() if v}
+    for i in range(n):
+        for j in range(n):
+            try:
+                prod = tv.mult_basis(i, j)
+            except OutOfBudgetError:
+                skipped.append(("pair", tv.label(i), tv.label(j)))
+                continue
+            try:
+                lhs = zero_vec(n)
+                for k, c in enumerate(prod):
+                    if c:
+                        if d_cols[k] is None:
+                            raise OutOfBudgetError("image unknown")
+                        lhs = vec_add(lhs, vec_scale(c, d_cols[k]))
+                rhs = zero_vec(n)
+                for (t1, t2, t3), c in sweedler3[i].items():
+                    if d_cols[t1] is None or d_cols[j] is None:
+                        raise OutOfBudgetError("image unknown")
+                    term = tv.mult_vec(d_cols[t1], basis_vec(n, t2))
+                    term = tv.mult_vec(term, d_cols[j])
+                    term = tv.mult_vec(term, tv.antipode_basis(t3))
+                    rhs = vec_add(rhs, vec_scale(c, term))
+            except OutOfBudgetError:
+                skipped.append(("pair", tv.label(i), tv.label(j)))
+                continue
+            checked += 1
+            if lhs != rhs:
+                failures.append(("pair", tv.label(i), tv.label(j)))
+    return CheckReport(not failures, failures, skipped, checked)
+
+
+
+def reference_cols_at(cols, carrier, u: Vec):
+    """Apply a partially defined column table to a vector."""
+    out = zero_vec(carrier.dim)
+    for i, c in enumerate(u):
+        if not c:
+            continue
+        if cols[i] is None:
+            raise OutOfBudgetError("image column unknown")
+        out = vec_add(out, vec_scale(c, cols[i]))
+    return out
+
+
+def reference_verify_crossed_hom_trunc(carrier, action: DerivationAction, cols) -> CheckReport:
+    """Coalgebra-map and crossed-homomorphism checks for a partially
+    defined map on a truncated carrier, with skip accounting."""
+    n = carrier.dim
+    failures = []
+    skipped = []
+    checked = 0
+    for i in range(n):
+        if cols[i] is None:
+            skipped.append(("column", carrier.label(i)))
+            continue
+        if carrier.counit_vec(cols[i]) != carrier.counit_coeff(i):
+            failures.append(("counit", carrier.label(i)))
+        lhs = carrier.comult_vec(cols[i])
+        rhs: dict = {}
+        partial = False
+        for (a, b, c) in carrier.comult_triples(i):
+            if cols[a] is None or cols[b] is None:
+                partial = True
+                break
+            for p, x in enumerate(cols[a]):
+                if not x:
+                    continue
+                for q, y in enumerate(cols[b]):
+                    if y:
+                        key = (p, q)
+                        rhs[key] = rhs.get(key, ZERO) + c * x * y
+        if partial:
+            skipped.append(("coalgebra", carrier.label(i)))
+            continue
+        rhs = {k: v for k, v in rhs.items() if v}
+        if lhs != rhs:
+            failures.append(("coalgebra", carrier.label(i)))
+    for i in range(n):
+        for j in range(n):
+            try:
+                prod = carrier.mult_basis(i, j)
+                lhs = reference_cols_at(cols, carrier, prod)
+                rhs = zero_vec(n)
+                for (a1, a2, c) in carrier.comult_triples(i):
+                    if cols[a1] is None or cols[j] is None:
+                        raise OutOfBudgetError("image unknown")
+                    acted = action.act_basis(a2, cols[j])
+                    rhs = vec_add(rhs, vec_scale(c, carrier.mult_vec(cols[a1], acted)))
+            except OutOfBudgetError:
+                skipped.append(("pair", carrier.label(i), carrier.label(j)))
+                continue
+            checked += 1
+            if lhs != rhs:
+                failures.append(("pair", carrier.label(i), carrier.label(j)))
+    return CheckReport(not failures, failures, skipped, checked)
+
+
+def reference_smash_product(action: ActionData, name: str | None = None) -> FinDimHopf:
+    """H # K for a module-bialgebra action of a cocommutative K.
+
+    Basis pairs (x, a) in row-major order; multiplication
+    (x # a)(y # b) = x(a1 . y) # a2 b and antipode
+    S(x # a) = (S(a1) . S(x)) # S(a2).
+    """
+    k, h = action.acting, action.target
+    if not is_cocommutative(k):
+        raise ValueError("the acting Hopf algebra must be cocommutative")
+    rep = validate_action(action, require_bialgebra=True)
+    if not rep.ok:
+        raise ValueError(f"action is not a module bialgebra: {rep.failures()}")
+
+    nh, nk = h.dim, k.dim
+    n = nh * nk
+
+    def enc(x, a):
+        return x * nk + a
+
+    labels = [f"{h.label(x)}#{k.label(a)}" for x in range(nh) for a in range(nk)]
+
+    mult = [[None] * n for _ in range(n)]
+    for x in range(nh):
+        for a in range(nk):
+            for y in range(nh):
+                for b in range(nk):
+                    cell = zero_vec(n)
+                    for (a1, a2, c) in k.comult_triples(a):
+                        hpart = h.mult_vec(basis_vec(nh, x), action.act_basis(a1, y))
+                        kpart = k.mult_basis(a2, b)
+                        for p, hv in enumerate(hpart):
+                            if not hv:
+                                continue
+                            for q, kv in enumerate(kpart):
+                                if kv:
+                                    cell[enc(p, q)] += c * hv * kv
+                    mult[enc(x, a)][enc(y, b)] = cell
+
+    unit = zero_vec(n)
+    for p, hv in enumerate(h.unit_vec()):
+        for q, kv in enumerate(k.unit_vec()):
+            if hv and kv:
+                unit[enc(p, q)] = hv * kv
+
+    comult = []
+    for x in range(nh):
+        for a in range(nk):
+            triples = []
+            for (x1, x2, c) in h.comult_triples(x):
+                for (a1, a2, d) in k.comult_triples(a):
+                    triples.append((enc(x1, a1), enc(x2, a2), c * d))
+            comult.append(triples)
+
+    counit = [h.counit_coeff(x) * k.counit_coeff(a) for x in range(nh) for a in range(nk)]
+
+    cols = []
+    for x in range(nh):
+        for a in range(nk):
+            col = zero_vec(n)
+            sx = h.antipode_basis(x)
+            for (a1, a2, c) in k.comult_triples(a):
+                hpart = action.act(k.antipode_basis(a1), sx)
+                kpart = k.antipode_basis(a2)
+                for p, hv in enumerate(hpart):
+                    if not hv:
+                        continue
+                    for q, kv in enumerate(kpart):
+                        if kv:
+                            col[enc(p, q)] += c * hv * kv
+            cols.append(col)
+    antipode = Mat.from_cols(cols)
+
+    corad = None
+    if h.coradical_group_basis is not None and k.coradical_group_basis is not None:
+        if set(h.coradical_group_basis) == set(range(nh)) and \
+           set(k.coradical_group_basis) == set(range(nk)):
+            corad = list(range(n))
+
+    smash = FinDimHopf(name or f"{h.name}#{k.name}", labels, mult, unit, comult,
+                       counit, antipode, coradical_group_basis=corad)
+    rep = validate_hopf(smash)
+    if not rep.ok:
+        raise AssertionError(f"smash product failed Hopf axioms: {rep.failures()}")
+    return smash
+
+
+def reference_smash_product_algebra_only(action: ActionData) -> FinDimHopf:
+    """The smash multiplication on H (x) K without the Hopf-side
+    preconditions; only the algebra structure is trustworthy.  Used for
+    graph closure tests, which need nothing else."""
+    k, h = action.acting, action.target
+    nh, nk = h.dim, k.dim
+    n = nh * nk
+
+    def enc(x, a):
+        return x * nk + a
+
+    labels = [f"{h.label(x)}#{k.label(a)}" for x in range(nh) for a in range(nk)]
+    mult = [[None] * n for _ in range(n)]
+    for x in range(nh):
+        for a in range(nk):
+            for y in range(nh):
+                for b in range(nk):
+                    cell = zero_vec(n)
+                    for (a1, a2, c) in k.comult_triples(a):
+                        hpart = h.mult_vec(basis_vec(nh, x), action.act_basis(a1, y))
+                        kpart = k.mult_basis(a2, b)
+                        for p, hv in enumerate(hpart):
+                            if not hv:
+                                continue
+                            for q, kv in enumerate(kpart):
+                                if kv:
+                                    cell[enc(p, q)] += c * hv * kv
+                    mult[enc(x, a)][enc(y, b)] = cell
+    unit = zero_vec(n)
+    unit[enc(0, 0)] = ONE
+    for p, hv in enumerate(h.unit_vec()):
+        for q, kv in enumerate(k.unit_vec()):
+            unit[enc(p, q)] = hv * kv
+    comult = []
+    for x in range(nh):
+        for a in range(nk):
+            comult.append([
+                (enc(x1, a1), enc(x2, a2), c * d)
+                for (x1, x2, c) in h.comult_triples(x)
+                for (a1, a2, d) in k.comult_triples(a)
+            ])
+    counit = [h.counit_coeff(x) * k.counit_coeff(a) for x in range(nh) for a in range(nk)]
+    antipode = Mat.identity(n)  # placeholder: not part of the algebra-only contract
+    return FinDimHopf(f"{h.name}#{k.name}(alg)", labels, mult, unit, comult,
+                      counit, antipode)
+
+
+# -- partial column tables and smash products --------------------------------------
+
+class AdjointAction:
+    """a . u = a1 u S(a2) on a carrier, through its own products; a product
+    that leaves the budget raises, so the pairs that need it are skipped."""
+
+    def __init__(self, h):
+        self.h = h
+
+    def act_basis(self, a, u):
+        h = self.h
+        out = zero_vec(h.dim)
+        for (a1, a2, c) in h.comult_triples(a):
+            left = h.mult_vec(basis_vec(h.dim, a1), u)
+            out = vec_add(out, vec_scale(c, h.mult_vec(left, h.antipode_basis(a2))))
+        return out
+
+
+PARTIAL_CARRIERS = ["T(2,2)", "T(2,3)", "U(e)#kC2"]
+
+
+@cache
+def column_seeds(name):
+    """Column tables to perturb: the identity and u o eps, and on the tensor
+    algebras the doubling difference operator and the crossed-hom extension
+    of minus the letters."""
+    h = carrier(name)
+    tables = [[m.col(j) for j in range(h.dim)]
+              for m in (identity_map(h).matrix, unit_counit_map(h).matrix)]
+    if isinstance(h, TruncatedTensor):
+        letters = [list(h.generator_vec(g)) for g in range(h.generators)]
+        tables.append(diffop_from_hom(h, letters).details["D"])
+        neg = [[-c for c in v] for v in letters]
+        tables.append(extend_crossed_hom_trunc(
+            h, adjoint_derivation_action(h), neg).details["pibar"])
+    return tables
+
+
+@st.composite
+def partial_tables(draw, name):
+    """A seed table with up to two entries redrawn and up to three columns
+    made unknown."""
+    h = carrier(name)
+    cols = [None if c is None else list(c) for c in draw(st.sampled_from(column_seeds(name)))]
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, h.dim - 1))
+        if cols[j] is not None:
+            cols[j][draw(st.integers(0, h.dim - 1))] = draw(coefficients)
+    for j in draw(st.lists(st.integers(0, h.dim - 1), max_size=3)):
+        cols[j] = None
+    return cols
+
+
+@pytest.mark.parametrize("name", PARTIAL_CARRIERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_truncated_diffop_check_matches_reference(name, data):
+    h = carrier(name)
+    cols = data.draw(partial_tables(name))
+    assert verify_trunc_diffop(h, cols) == reference_verify_trunc_diffop(h, cols)
+
+
+@pytest.mark.parametrize("name", PARTIAL_CARRIERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_truncated_crossed_hom_check_matches_reference(name, data):
+    h = carrier(name)
+    cols = data.draw(partial_tables(name))
+    if isinstance(h, TruncatedTensor) and data.draw(st.booleans()):
+        action = adjoint_derivation_action(h)
+    else:
+        action = AdjointAction(h)
+    assert (verify_crossed_hom_trunc(h, action, cols)
+            == reference_verify_crossed_hom_trunc(h, action, cols))
+
+
+SMASH_ACTIONS = ["action:inv:kC2:kC4", "kC2", "kC2xC2", "kS3", "kC4"]
+
+
+def smash_action(name):
+    """A catalog action, or the adjoint action of a catalog algebra."""
+    built = catalog.build(name)
+    return built if isinstance(built, ActionData) else adjoint_action(built)
+
+
+@pytest.mark.parametrize("name", SMASH_ACTIONS)
+def test_smash_export_matches_reference(name):
+    action = smash_action(name)
+    assert (formats.algebra_to_dict(smash_product(action))
+            == formats.algebra_to_dict(reference_smash_product(action)))
+
+
+def test_smash_builder_matches_algebra_only_reference_on_h8():
+    """H8 is not cocommutative, so smash_product refuses its adjoint action;
+    the builder's algebra and coalgebra data must still be the reference's."""
+    adj = adjoint_action(catalog.build("H8"))
+    b = smash_builder(adj)
+    ref = reference_smash_product_algebra_only(adj)
+    n = ref.dim
+    assert b.dim == n and [b.label(i) for i in range(n)] == ref.basis
+    assert all(b.mult_basis(i, j) == ref.mult[i][j] for i in range(n) for j in range(n))
+    assert b.unit_vec() == ref.unit
+    assert [b.counit_coeff(i) for i in range(n)] == ref.counit
+    assert [sorted(t for t in b.comult_triples(i) if t[2]) for i in range(n)] == ref.comult
