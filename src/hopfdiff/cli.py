@@ -253,7 +253,7 @@ def _resolve_plan(args):
     if os.path.exists(args.plan):
         data = _load_json(args.plan, "plan")
         try:
-            return formats.plan_from_dict(data, _resolve_algebra)
+            return formats.plan_from_dict(data, _resolve_algebra).validate()
         except _PARSE_ERRORS as exc:
             raise InputError(f"bad plan file: {exc}")
     try:

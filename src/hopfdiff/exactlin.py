@@ -261,6 +261,14 @@ def _echelon(rows, ncols: int) -> tuple[list[dict[int, int]], list[int]]:
     return echelon, pivots
 
 
+def int_echelon(rows, ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form of sparse integer rows {column: int}, zero
+    rows dropped: (rows, pivot columns in increasing order).  Each returned
+    row is a nonzero integer multiple of its reduced form; divide it by its
+    pivot entry to read the reduced row.  The input rows are not changed."""
+    return _echelon(rows, ncols)
+
+
 def _row_reduce(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
     """Reduced row echelon form without its zero rows: (rows, pivot columns)."""
     ncols = len(rows[0]) if rows else 0

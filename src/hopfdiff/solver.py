@@ -19,6 +19,20 @@ The search runs in four phases:
 
 No step ever samples or rounds; a complete certificate means the listed
 operators are provably all of them.
+
+The polynomial layer runs on integers.  Every image coordinate is an
+affine form in the branch parameters with integer coefficients, over one
+denominator shared by all images of a branch.  Every constraint has degree
+at most two and reads "= 0", so it is stored as a primitive integer
+polynomial with its first coefficient positive, which is also its key for
+deduplication.  Substituting the solution space of the linear constraints
+is one change of variables T applied to each equation's coefficient
+matrix Q (T^t Q T), and the linear solves and the span reducer eliminate
+sparse integer rows (:func:`hopfdiff.exactlin.int_echelon`).  The
+constraints are built from the integer structure table
+(:func:`hopfdiff.hopf.int_structure`), and what does not depend on the
+branch is built once per plan.  ``Fraction`` values appear only in roots,
+in the recorded candidate sets and in the frozen operators.
 """
 
 from __future__ import annotations
@@ -27,93 +41,101 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
+from typing import NamedTuple
 
-from .exactlin import Mat, ONE, ZERO, invert, kernel, rat, row_space_basis, solve_affine
-from .hopf import FinDimHopf, basis_vec, sweedler_expand
+from .exactlin import Mat, ONE, ZERO, int_echelon, invert, kernel, rat
+from .hopf import FinDimHopf, basis_vec, int_structure
 from .groups import FinGroup, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
 
 # ---------------------------------------------------------------------------
-# sparse exact polynomials in the branch parameters
-# monomial = sorted tuple of variable indices (with repetition); () = 1
-
-Poly = dict
-
-
-def p_const(c) -> Poly:
-    c = rat(c)
-    return {(): c} if c else {}
-
-
-def p_var(i: int) -> Poly:
-    return {(i,): ONE}
+# integer polynomials of degree at most two in the branch parameters
+#
+# Index 0 stands for the constant 1 and index k + 1 for the parameter u_k.
+# An affine form is a dict {index: int}, read over a denominator kept beside
+# it.  An equation is a dict {(a, b): int} with a <= b, the coefficients of
+# the monomials x_a x_b with x_0 = 1 and x_(k+1) = u_k, so (0, 0) is the
+# constant and (0, k + 1) the linear term of u_k; sorted keys list the
+# constant, then the linear and then the quadratic terms.  Every equation
+# reads "= 0", so it is stored primitive with its first coefficient
+# positive: two equations are multiples of one another exactly when they
+# are equal.
 
 
-def p_add(a: Poly, b: Poly) -> Poly:
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, ZERO) + c
-        if v:
-            out[m] = v
-        elif m in out:
-            del out[m]
-    return out
+def _acc(acc: dict, c: int, form: dict) -> None:
+    """acc += c * form, in place; zeros are cleaned later."""
+    for k, v in form.items():
+        acc[k] = acc.get(k, 0) + c * v
 
 
-def p_scale(c, a: Poly) -> Poly:
-    c = rat(c)
-    if not c:
-        return {}
-    return {m: c * v for m, v in a.items()}
+def _acc_product(acc: dict, c: int, v: dict, w: dict) -> None:
+    """acc += c * v * w for affine forms v and w, in place."""
+    for x, a in v.items():
+        ca = c * a
+        for y, b in w.items():
+            key = (x, y) if x <= y else (y, x)
+            acc[key] = acc.get(key, 0) + ca * b
 
 
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return p_add(a, p_scale(-1, b))
+def _primitive(eq: dict) -> dict:
+    """The equation divided by the gcd of its coefficients, signed so that
+    its first coefficient is positive; zeros are dropped."""
+    eq = {m: c for m, c in eq.items() if c}
+    if eq:
+        g = gcd(*eq.values())
+        if eq[min(eq)] < 0:
+            g = -g
+        if g != 1:
+            eq = {m: c // g for m, c in eq.items()}
+    return eq
 
 
-def p_mul(a: Poly, b: Poly) -> Poly:
-    out: Poly = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(sorted(m1 + m2))
-            v = out.get(m, ZERO) + c1 * c2
-            if v:
-                out[m] = v
-            elif m in out:
-                del out[m]
-    return out
+def _equation(lhs: dict, scale: int, rhs: dict) -> dict:
+    """The equation scale * lhs = rhs for an affine form lhs and a
+    quadratic form rhs."""
+    eq = {(0, k): scale * c for k, c in lhs.items()}
+    for m, c in rhs.items():
+        eq[m] = eq.get(m, 0) - c
+    return _primitive(eq)
 
 
-def p_degree(a: Poly) -> int:
-    return max((len(m) for m in a), default=0)
+def _pin(form: dict, den: int, value: Fraction) -> dict:
+    """The equation form / den = value."""
+    return _equation(form, value.denominator, {(0, 0): den * value.numerator})
 
 
-def p_eval_const(a: Poly):
-    """The constant value if the poly has no variables, else None."""
-    if not a:
-        return ZERO
-    if len(a) == 1 and () in a:
-        return a[()]
-    return None
+def _is_const(form: dict) -> bool:
+    return form.keys() <= {0}
 
 
-def p_subst(a: Poly, table: list[Poly]) -> Poly:
-    """Substitute old variable i -> affine poly table[i] (in new variables)."""
-    out: Poly = {}
-    for m, c in a.items():
-        term = p_const(c)
-        for i in m:
-            term = p_mul(term, table[i])
-        out = p_add(out, term)
-    return out
+def _is_linear(eq: dict) -> bool:
+    # the largest key has the largest first index
+    return not eq or max(eq)[0] == 0
 
 
-def p_canonical(a: Poly):
-    items = tuple(sorted(a.items(), key=lambda kv: (len(kv[0]), kv[0])))
-    if not items:
-        return items
-    lead = items[0][1]
-    return tuple((m, c / lead) for m, c in items)
+def _subst_form(form: dict, table: list) -> dict:
+    """An affine form after the change of variables x_old = table x_new."""
+    out: dict = {}
+    for k, c in form.items():
+        _acc(out, c, table[k])
+    return {k: c for k, c in out.items() if c}
+
+
+def _subst(eq: dict, table: list) -> dict:
+    """An equation after the change of variables x_old = table x_new, up to
+    scale: the coefficient matrix Q becomes T^t Q T, one row of Q T at a
+    time."""
+    rows: dict = {}
+    for (a, b), c in eq.items():
+        _acc(rows.setdefault(a, {}), c, table[b])
+    out: dict = {}
+    for a, row in rows.items():
+        for x, t in table[a].items():
+            for y, v in row.items():
+                key = (x, y) if x <= y else (y, x)
+                out[key] = out.get(key, 0) + t * v
+    return _primitive(out)
 
 
 # ---------------------------------------------------------------------------
@@ -272,6 +294,15 @@ class SearchPlan:
     def validate(self):
         h = self.target
         n = h.dim
+        indices = set(self.grouplike_indices)
+        for block in self.blocks:
+            indices.add(block.generator)
+            for b, (g, c) in block.cosets.items():
+                indices.update((b, g, c))
+        out_of_range = sorted(i for i in indices if not 0 <= i < n)
+        if out_of_range:
+            raise ValueError(f"plan indices {out_of_range} are not basis indices of "
+                             f"{h.name} (dimension {n})")
         gset = set(self.grouplike_indices)
         covered = set(gset)
         for block in self.blocks:
@@ -328,74 +359,41 @@ class ClassificationResult:
 # ---------------------------------------------------------------------------
 # the per-branch polynomial search
 
-def _acc_scaled(acc: Poly, c, poly: Poly):
-    """acc += c * poly, in place; zeros are cleaned later."""
-    if not c or not poly:
-        return
-    for m, v in poly.items():
-        acc[m] = acc.get(m, ZERO) + c * v
+class _Images(NamedTuple):
+    """The image of every basis element: cols[b][k] is an affine form in
+    the parameters, and the image coordinate is cols[b][k] / den."""
+
+    cols: list
+    den: int
 
 
-def _clean(poly: Poly) -> Poly:
-    return {m: c for m, c in poly.items() if c}
+class _PlanTables:
+    """The parts of the search that do not depend on the branch, built once
+    per classification from the plan's integer structure table."""
 
-
-class _Branch:
-    def __init__(self, h: FinDimHopf, plan: SearchPlan, group: FinGroup,
-                 pos_of_grouplike: dict, d_on_group: dict, sweedler3=None):
+    def __init__(self, plan: SearchPlan, pos_of_grouplike: dict):
+        h = plan.target
         self.h = h
         self.plan = plan
-        self.group = group
         self.pos = pos_of_grouplike
-        self.nvars = sum(h.dim for _ in plan.blocks)
-        self.record: list | None = None
-        self.sweedler3 = sweedler3 or [
-            sweedler_expand(h, basis_vec(h.dim, i), 2) for i in range(h.dim)]
-        self._left_cache: dict = {}
-        # affine image polynomials per basis element
-        n = h.dim
-        images: list[list[Poly]] = [None] * n
-        for b, target in d_on_group.items():
-            images[b] = [p_const(ONE if t == target else ZERO) for t in range(n)]
-        var0 = 0
-        for block in plan.blocks:
-            gen_vec = [p_var(var0 + k) for k in range(n)]
-            var0 += n
-            for b, (g, _) in sorted(block.cosets.items()):
-                if b == block.generator:
-                    images[b] = gen_vec
-                    continue
-                # D(g c) = D(g) g U S(g), affine in the unknown U
-                dg = d_on_group[g]
-                prefix = h.mult_basis(dg, g)
-                sg = h.antipode_basis(g)
-                images[b] = self._sandwich(prefix, gen_vec, sg)
-        self.images = images
+        self.t = t = int_structure(h)
+        self.nvars = h.dim * len(plan.blocks)
+        self._sandwiches: dict = {}
+        self._sweedler: dict = {}
+        # the denominator of a coset image D(g c) = D(g) g U S(g), and so of
+        # every image of a branch
+        self.den = t.mult_den ** 3 * t.antipode_den
 
-    def _sandwich(self, left_vec, mid_polys, right_vec):
-        h = self.h
-        n = h.dim
-        # left_vec and right_vec are constant coordinate vectors
-        out = [dict() for _ in range(n)]
-        for i, a in enumerate(left_vec):
-            if not a:
-                continue
-            for j, pj in enumerate(mid_polys):
-                if not pj:
-                    continue
-                part = h.mult_basis(i, j)
-                for k, c in enumerate(part):
-                    if not c:
-                        continue
-                    for l, b in enumerate(right_vec):
-                        if not b:
-                            continue
-                        for m, d in enumerate(h.mult_basis(k, l)):
-                            if d:
-                                out[m] = p_add(out[m], p_scale(a * c * b * d, pj))
-        return out
-
-    # -- equation generation ------------------------------------------------
+    def sandwich(self, dg: int, g: int) -> list:
+        """Row j: the sparse vector den * (dg g) e_j S(g)."""
+        key = (dg, g)
+        rows = self._sandwiches.get(key)
+        if rows is None:
+            t = self.t
+            prefix = t.mult[dg][g]
+            rows = self._sandwiches[key] = [
+                t.mul(t.mul(prefix, ((j, 1),)), t.antipode[g]) for j in range(t.dim)]
+        return rows
 
     def diff_pairs(self):
         """Basis pairs used for the phase-3 difference-identity
@@ -410,128 +408,152 @@ class _Branch:
         return [(i, j) for i in range(n) for j in range(n)
                 if i in gset or j in gset or i in gens or j in gens]
 
-    def equations(self, include_diff_identity: bool) -> list[Poly]:
-        """Constraint polynomials for this branch.
+    def sweedler_rows(self, i: int) -> list:
+        """The third Sweedler power of basis element i grouped by its first
+        two legs: (t1, t2, rows) with rows[k] the sparse vector of
+        e_k sum_t3 w S(t3), over sweedler_den * mult_den * antipode_den."""
+        out = self._sweedler.get(i)
+        if out is None:
+            t = self.t
+            sigma: dict = {}
+            for t1, t2, t3, w in t.sweedler3[i]:
+                acc = sigma.setdefault((t1, t2), {})
+                for k, s in t.antipode[t3]:
+                    acc[k] = acc.get(k, 0) + w * s
+            out = []
+            for (t1, t2), acc in sigma.items():
+                vec = tuple((k, c) for k, c in sorted(acc.items()) if c)
+                if vec:
+                    out.append((t1, t2, [t.mul(((k, 1),), vec) for k in range(t.dim)]))
+            self._sweedler[i] = out
+        return out
+
+
+class _Branch:
+    def __init__(self, tables: _PlanTables, d_on_group: dict):
+        self.tables = tables
+        self.h = tables.h
+        self.plan = tables.plan
+        self.pos = tables.pos
+        self.nvars = tables.nvars
+        self.record: list | None = None
+        self._left_cache: dict = {}
+        n = self.h.dim
+        den = tables.den
+        cols: list = [None] * n
+        for b, target in d_on_group.items():
+            cols[b] = [{0: den} if k == target else {} for k in range(n)]
+        var0 = 1
+        for block in self.plan.blocks:
+            cols[block.generator] = [{var0 + k: den} for k in range(n)]
+            for b, (g, _) in block.cosets.items():
+                if b == block.generator:
+                    continue
+                # D(g c) = D(g) g U S(g), affine in the unknown U
+                out = [{} for _ in range(n)]
+                for j, row in enumerate(tables.sandwich(d_on_group[g], g)):
+                    for m, c in row:
+                        out[m][var0 + j] = c
+                cols[b] = out
+            var0 += n
+        self.images = _Images(cols, den)
+
+    # -- equation generation ------------------------------------------------
+
+    def equations(self, include_diff_identity: bool) -> list[dict]:
+        """Constraint equations for this branch.
 
         The counit and comultiplication constraints alone usually pin the
         candidate set; the symbolic difference-identity constraints are
         generated only when a first pass stays underdetermined, since
         every candidate is re-verified exhaustively afterwards either way.
         """
-        h = self.h
-        n = h.dim
-        eqs: list[Poly] = []
+        t = self.tables.t
+        n = self.h.dim
+        cols, den = self.images
+        eqs: list[dict] = []
         gset = set(self.plan.grouplike_indices)
         # counit constraints for the scheduled generators
         for block in self.plan.blocks:
-            acc: Poly = {}
-            for k in range(n):
-                _acc_scaled(acc, h.counit_coeff(k), self.images[block.generator][k])
-            eqs.append(p_sub(_clean(acc), p_const(h.counit_coeff(block.generator))))
-        # comultiplication constraints for every non-coradical basis element
+            acc: dict = {}
+            for k, form in enumerate(cols[block.generator]):
+                _acc(acc, t.counit[k], form)
+            eqs.append(_equation(acc, 1, {(0, 0): den * t.counit[block.generator]}))
+        # comultiplication constraints for every non-coradical basis
+        # element, times comult_den * den^2
         for b in range(n):
             if b in gset:
                 continue
             lhs: dict = {}
-            for k in range(n):
-                pk = self.images[b][k]
-                if not pk:
+            for k, form in enumerate(cols[b]):
+                if not form:
                     continue
-                for (i, j, c) in h.comult_triples(k):
-                    _acc_scaled(lhs.setdefault((i, j), {}), c, pk)
+                for (i, j, c) in t.comult[k]:
+                    _acc(lhs.setdefault((i, j), {}), c, form)
             rhs: dict = {}
-            for (i, j, c) in h.comult_triples(b):
-                di, dj = self.images[i], self.images[j]
-                for a, pa in enumerate(di):
-                    if not pa:
+            for (i, j, c) in t.comult[b]:
+                di, dj = cols[i], cols[j]
+                for a, fa in enumerate(di):
+                    if not fa:
                         continue
-                    for bb, pb in enumerate(dj):
-                        if not pb:
-                            continue
-                        _acc_scaled(rhs.setdefault((a, bb), {}), c, p_mul(pa, pb))
+                    for bb, fb in enumerate(dj):
+                        if fb:
+                            _acc_product(rhs.setdefault((a, bb), {}), c, fa, fb)
             for key in set(lhs) | set(rhs):
-                eqs.append(p_sub(_clean(lhs.get(key, {})), _clean(rhs.get(key, {}))))
+                eqs.append(_equation(lhs.get(key, {}), den, rhs.get(key, {})))
         if not include_diff_identity:
             return _dedupe(eqs)
-        # the difference identity on the phase-3 pair set
-        for i, j in self.diff_pairs():
-            lhs_vec = [dict() for _ in range(n)]
-            prod = h.mult_basis(i, j)
-            for k, c in enumerate(prod):
-                if not c:
-                    continue
-                for m, pm in enumerate(self.images[k]):
-                    if pm:
-                        _acc_scaled(lhs_vec[m], c, pm)
-            rhs_vec = [dict() for _ in range(n)]
-            dj = self.images[j]
-            for (left, t3, c) in self._left_parts(i):
-                # (D(t1) t2) D(j) S(t3)
-                mid = self._poly_mult_vec(left, dj)
-                term = self._translate_right_const(mid, h.antipode_basis(t3))
-                for m in range(n):
-                    if term[m]:
-                        _acc_scaled(rhs_vec[m], c, term[m])
+        # the difference identity on the phase-3 pair set; the right side
+        # carries den^2 sweedler_den mult_den^3 antipode_den, the left side
+        # den mult_den
+        scale = den * t.sweedler_den * t.mult_den ** 2 * t.antipode_den
+        for i, j in self.tables.diff_pairs():
+            lhs_vec = [{} for _ in range(n)]
+            for k, c in t.mult[i][j]:
+                for m, form in enumerate(cols[k]):
+                    if form:
+                        _acc(lhs_vec[m], c, form)
+            rhs_vec = [{} for _ in range(n)]
+            dj = cols[j]
+            for t1, t2, right in self.tables.sweedler_rows(i):
+                # (D(t1) t2) D(j) sum_t3 w S(t3)
+                for k, mid in enumerate(self._poly_mult_vec(self._left_part(t1, t2), dj)):
+                    if mid:
+                        for m, c in right[k]:
+                            _acc(rhs_vec[m], c, mid)
             for m in range(n):
-                eqs.append(p_sub(_clean(lhs_vec[m]), _clean(rhs_vec[m])))
+                eqs.append(_equation(lhs_vec[m], scale, rhs_vec[m]))
         return _dedupe(eqs)
 
-    def _left_parts(self, i):
-        """Precomputed (D(t1) t2, t3, coeff) rows of the third Sweedler
-        power of basis element i; shared across right-hand factors."""
-        cached = self._left_cache.get(i)
+    def _left_part(self, t1: int, t2: int) -> list:
+        """D(t1) t2 as affine forms over den * mult_den; shared across
+        right-hand factors."""
+        key = (t1, t2)
+        cached = self._left_cache.get(key)
         if cached is None:
-            cached = [
-                (self._translate_right(self.images[t1], t2), t3, c)
-                for (t1, t2, t3), c in self.sweedler3[i].items()
-            ]
-            self._left_cache[i] = cached
+            mult = self.tables.t.mult
+            cached = [{} for _ in range(self.h.dim)]
+            for k, form in enumerate(self.images.cols[t1]):
+                if form:
+                    for m, c in mult[k][t2]:
+                        _acc(cached[m], c, form)
+            self._left_cache[key] = cached
         return cached
 
-    def _translate_right(self, polys, basis_idx):
-        h = self.h
-        n = h.dim
-        out = [dict() for _ in range(n)]
-        for k, pk in enumerate(polys):
-            if not pk:
-                continue
-            for m, c in enumerate(h.mult_basis(k, basis_idx)):
-                if c:
-                    _acc_scaled(out[m], c, pk)
-        return [_clean(p) for p in out]
-
-    def _translate_right_const(self, polys, vec):
-        h = self.h
-        n = h.dim
-        out = [dict() for _ in range(n)]
-        for k, pk in enumerate(polys):
-            if not pk:
-                continue
-            for l, b in enumerate(vec):
-                if not b:
-                    continue
-                for m, c in enumerate(h.mult_basis(k, l)):
-                    if c:
-                        _acc_scaled(out[m], b * c, pk)
-        return [_clean(p) for p in out]
-
-    def _poly_mult_vec(self, u, v):
-        h = self.h
-        n = h.dim
-        out = [dict() for _ in range(n)]
+    def _poly_mult_vec(self, u: list, v: list) -> list:
+        """The product in H of two vectors of affine forms, as quadratic
+        forms over mult_den times their denominators."""
+        mult = self.tables.t.mult
+        out = [{} for _ in range(self.h.dim)]
         for i, pi in enumerate(u):
             if not pi:
                 continue
+            row = mult[i]
             for j, pj in enumerate(v):
-                if not pj:
-                    continue
-                prod = p_mul(pi, pj)
-                if not prod:
-                    continue
-                for m, c in enumerate(h.mult_basis(i, j)):
-                    if c:
-                        _acc_scaled(out[m], c, prod)
-        return [_clean(p) for p in out]
+                if pj:
+                    for m, c in row[j]:
+                        _acc_product(out[m], c, pi, pj)
+        return out
 
 
 class _Engine:
@@ -539,7 +561,7 @@ class _Engine:
 
     def __init__(self, branch: _Branch, chars, char_group: FinGroup):
         self.branch = branch
-        self.chars = chars
+        self.signs = [[int(x) for x in chi] for chi in chars]
         self.char_group = char_group
         self.partial_reason: str | None = None
 
@@ -559,11 +581,9 @@ class _Engine:
         eqs, images, nvars, consistent = self._linear_phase(eqs, images, nvars)
         if not consistent:
             return []
-        eqs = [e for e in eqs if e]
         if nvars == 0:
-            # with no parameters left every equation is a constant
-            if any(p_eval_const(e) for e in eqs):
-                return []
+            # every equation left would be a constant, and the linear phase
+            # has solved those
             return [self._freeze(images)]
         if not eqs:
             self.partial_reason = f"{nvars} parameters remain unconstrained"
@@ -577,17 +597,15 @@ class _Engine:
                 return dispatched
         # single-form branching
         reducer = self._span_reducer(eqs)
-        forms = self._candidate_forms(images, nvars)
-        for form in forms:
-            if not _has_linear_part(form):
+        for form, den in self._candidate_forms(images, nvars):
+            if _is_const(form):
                 continue
-            roots = self._root_set(form, reducer)
+            roots = self._root_set(form, den, reducer)
             if roots is None:
                 continue
             out = []
             for root in roots:
-                pin = p_sub(form, p_const(root))
-                sub = self._solve(eqs + [pin], images, nvars, dispatch_done)
+                sub = self._solve(eqs + [_pin(form, den, root)], images, nvars, dispatch_done)
                 if sub is None:
                     return None
                 out.extend(sub)
@@ -597,122 +615,135 @@ class _Engine:
             "the group-algebra quadratic pattern")
         return None
 
-    def _freeze(self, images):
-        n = self.branch.h.dim
-        cols = []
-        for b in range(n):
-            col = []
-            for k in range(n):
-                c = p_eval_const(images[b][k])
-                assert c is not None
-                col.append(c)
-            cols.append(col)
-        return cols
-
-    def _linear_phase(self, eqs, images, nvars):
-        while True:
-            linear = [e for e in eqs if e and p_degree(e) <= 1]
-            if not linear:
-                return eqs, images, nvars, True
-            rows = []
-            rhs = []
-            for e in linear:
-                row = [ZERO] * nvars
-                for m, c in e.items():
-                    if m:
-                        row[m[0]] += c
-                rows.append(row)
-                rhs.append(-e.get((), ZERO))
-            sol = solve_affine(Mat.from_rows(rows), rhs)
-            if sol.inconsistent:
-                return eqs, images, nvars, False
-            k = len(sol.kernel_basis)
-            table = []
-            for i in range(nvars):
-                poly = p_const(sol.particular[i])
-                for j, kv in enumerate(sol.kernel_basis):
-                    if kv[i]:
-                        poly = p_add(poly, {(j,): kv[i]})
-                table.append(poly)
-            eqs = _dedupe([p_subst(e, table) for e in eqs if p_degree(e) > 1])
-            images = [[p_subst(p, table) for p in vec] for vec in images]
-            nvars = k
-            if not any(e and p_degree(e) <= 1 for e in eqs):
-                return eqs, images, nvars, True
-
-    def _candidate_forms(self, images, nvars):
-        """Deterministic form order: coradical-part characters of each
-        generator image, then coset-part characters, then raw parameters."""
-        h = self.branch.h
-        forms = []
-        for block in self.branch.plan.blocks:
-            u = images[block.generator]
-            corad = self.branch.plan.grouplike_indices
-            coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
-            for chi in self.chars:
-                f: Poly = {}
-                for g in corad:
-                    f = p_add(f, p_scale(chi[self.branch.pos[g]], u[g]))
-                forms.append(f)
-            for chi in self.chars:
-                f = {}
-                for g in corad:
-                    b = coset_by_g[g]
-                    f = p_add(f, p_scale(chi[self.branch.pos[g]], u[b]))
-                forms.append(f)
-        for i in range(nvars):
-            forms.append(p_var(i))
-        return forms
-
-    def _span_reducer(self, eqs):
-        """Row-echelon view of the equation span over the monomial basis;
-        shared by every root-set query at one search node."""
-        monos = set()
-        for e in eqs:
-            monos.update(e)
-        monos = sorted(monos, key=lambda m: (len(m), m))
-        midx = {m: i for i, m in enumerate(monos)}
-        rows = []
-        for e in eqs:
-            row = [ZERO] * len(monos)
-            for m, c in e.items():
-                row[midx[m]] = c
-            rows.append(row)
-        echelon = row_space_basis(rows)
-        pivots = [next(i for i, x in enumerate(row) if x) for row in echelon]
-        return monos, midx, echelon, pivots
+    @staticmethod
+    def _freeze(images):
+        cols, den = images
+        assert all(_is_const(form) for col in cols for form in col)
+        return [[Fraction(form.get(0, 0), den) for form in col] for col in cols]
 
     @staticmethod
-    def _residue(poly, monos, midx, echelon, pivots):
-        """Reduce against the span; coordinates come back as a dict keyed
-        by monomial so that monomials outside the span basis (which no
-        equation can ever cancel) stay distinguishable."""
-        vec = [ZERO] * len(monos)
+    def _linear_phase(eqs, images, nvars):
+        """Solve the linear equations exactly and substitute their solution
+        space into the rest, until no linear equation is left."""
+        while True:
+            linear = [e for e in eqs if _is_linear(e)]
+            if not linear:
+                return eqs, images, nvars, True
+            # rows of [A | b] for A u = b
+            rows = []
+            for e in linear:
+                row = {b - 1: c for (_, b), c in e.items() if b}
+                if (0, 0) in e:
+                    row[nvars] = -e[(0, 0)]
+                rows.append(row)
+            echelon, pivots = int_echelon(rows, nvars + 1)
+            if pivots[-1] == nvars:
+                return eqs, images, nvars, False
+            # u_p = (b - sum_f row[f] u_f) / row[p] for each pivot p, the free
+            # parameters u_f renumbered in order; every entry over tden
+            pivot_set = set(pivots)
+            free = [c for c in range(nvars) if c not in pivot_set]
+            new = {c: j + 1 for j, c in enumerate(free)}
+            tden = lcm(*(row[p] for row, p in zip(echelon, pivots)))
+            table = [None] * (nvars + 1)
+            table[0] = {0: tden}
+            for c, j in new.items():
+                table[c + 1] = {j: tden}
+            for row, p in zip(echelon, pivots):
+                m = tden // row[p]
+                entry = {new[c]: -m * x for c, x in row.items() if c in new}
+                if nvars in row:
+                    entry[0] = m * row[nvars]
+                table[p + 1] = entry
+            eqs = _dedupe([_subst(e, table) for e in eqs if not _is_linear(e)])
+            cols = [[_subst_form(form, table) for form in col] for col in images.cols]
+            den = images.den * tden
+            g = gcd(den, *(c for col in cols for form in col for c in form.values()))
+            if g > 1:
+                den //= g
+                cols = [[{k: c // g for k, c in form.items()} for form in col]
+                        for col in cols]
+            images = _Images(cols, den)
+            nvars = len(new)
+
+    def _character_forms(self, col, indices):
+        """sum_g chi(g) col[b] over the coradical g and the matching
+        entries b of indices, one affine form per character."""
+        corad = self.branch.plan.grouplike_indices
+        pos = self.branch.pos
+        for chi in self.signs:
+            f: dict = {}
+            for g, b in zip(corad, indices):
+                _acc(f, chi[pos[g]], col[b])
+            yield {k: c for k, c in f.items() if c}
+
+    def _candidate_forms(self, images, nvars):
+        """Deterministic form order, each form with its denominator:
+        coradical-part characters of each generator image, then coset-part
+        characters, then raw parameters."""
+        corad = self.branch.plan.grouplike_indices
+        for block in self.branch.plan.blocks:
+            u = images.cols[block.generator]
+            coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
+            for f in self._character_forms(u, corad):
+                yield f, images.den
+            for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
+                yield f, images.den
+        for i in range(nvars):
+            yield {i + 1: 1}, 1
+
+    @staticmethod
+    def _span_reducer(eqs):
+        """Row-echelon view of the equation span over the monomial basis;
+        shared by every root-set query at one search node."""
+        monos = sorted(set().union(*eqs))
+        midx = {m: i for i, m in enumerate(monos)}
+        rows = [{midx[m]: c for m, c in e.items()} for e in eqs]
+        echelon, pivots = int_echelon(rows, len(monos))
+        return midx, echelon, pivots
+
+    @staticmethod
+    def _residue(eq, midx, echelon, pivots):
+        """Reduce against the span: (coordinates, den) with the residue
+        equal to coordinates / den.  Coordinates are keyed by column index,
+        and monomials outside the span basis (which no equation can ever
+        cancel) by themselves."""
+        vec = {}
         outside = {}
-        for m, c in poly.items():
+        for m, c in eq.items():
             i = midx.get(m)
             if i is None:
-                outside[m] = outside.get(m, ZERO) + c
+                outside[m] = c
             else:
                 vec[i] = c
-        for row, p in zip(echelon, pivots):
-            if vec[p]:
-                f = vec[p]
-                vec = [x - f * y for x, y in zip(vec, row)]
-        out = {("in", i): c for i, c in enumerate(vec) if c}
-        out.update({("out", m): c for m, c in outside.items() if c})
-        return out
+        # the rows are reduced, so each is zero at every other pivot and the
+        # multiples to subtract are read off the unreduced vector
+        hits = [(row, p) for row, p in zip(echelon, pivots) if p in vec]
+        den = lcm(*(row[p] for row, p in hits))
+        out = {i: den * c for i, c in vec.items()}
+        for row, p in hits:
+            f = den // row[p] * vec[p]
+            for i, x in row.items():
+                out[i] = out.get(i, 0) - f * x
+        res = {i: c for i, c in out.items() if c}
+        res.update((m, den * c) for m, c in outside.items())
+        return res, den
 
-    def _root_set(self, form, reducer):
-        """Rational roots forced on an affine form by the equation span,
-        or None when the span contains no univariate consequence."""
-        monos, midx, echelon, pivots = reducer
-        f2 = p_mul(form, form)
-        r2 = self._residue(f2, monos, midx, echelon, pivots)
-        r1 = self._residue(form, monos, midx, echelon, pivots)
-        r0 = self._residue(p_const(ONE), monos, midx, echelon, pivots)
-        keys = sorted(set(r2) | set(r1) | set(r0), key=repr)
-        rows = [[r.get(k, ZERO) for r in (r2, r1, r0)] for k in keys]
+    def _root_set(self, form, den, reducer):
+        """Rational roots forced on the affine form / den by the equation
+        span, or None when the span contains no univariate consequence."""
+        square: dict = {}
+        _acc_product(square, 1, form, form)
+        linear = {(0, k): c for k, c in form.items()}
+        # residues of (form / den)^2, form / den and 1
+        (r2, d2), (r1, d1), (r0, d0) = (
+            self._residue(eq, *reducer) for eq in (square, linear, {(0, 0): 1}))
+        d2 *= den * den
+        d1 *= den
+        common = lcm(d2, d1, d0)
+        keys = set(r2) | set(r1) | set(r0)
+        rows = [[r.get(k, 0) * (common // d) for r, d in ((r2, d2), (r1, d1), (r0, d0))]
+                for k in keys]
         null = kernel(Mat.from_rows(rows))
         roots = None
         for vec in null:
@@ -736,28 +767,23 @@ class _Engine:
         if not plan.blocks or not self.char_group.has_exponent_two():
             return None
         block = plan.blocks[0]
-        u = images[block.generator]
+        cols, den = images
+        u = cols[block.generator]
         corad = plan.grouplike_indices
         # coradical part of the image must already be pinned
-        if any(p_eval_const(u[g]) is None for g in corad):
+        if not all(_is_const(u[g]) for g in corad):
             return None
         coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
-        p_forms = []
-        for g in corad:
-            p_forms.append(u[coset_by_g[g]])
-        if all(p_eval_const(f) is not None for f in p_forms):
+        if all(_is_const(u[coset_by_g[g]]) for g in corad):
             return None  # nothing left to solve here
         rhat = []
         reducer = self._span_reducer(eqs)
-        for chi in self.chars:
-            f: Poly = {}
-            for g in corad:
-                f = p_add(f, p_scale(chi[self.branch.pos[g]], u[coset_by_g[g]]))
-            const = p_eval_const(f)
-            if const is not None:
+        for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
+            if _is_const(f):
+                const = Fraction(f.get(0, 0), den)
                 rhat.append(const * const)
                 continue
-            roots = self._root_set(f, reducer)
+            roots = self._root_set(f, den, reducer)
             if roots is None:
                 return None
             if not roots:
@@ -770,26 +796,19 @@ class _Engine:
                 return None
         n_g = self.char_group.order
         inv = Fraction(1, n_g)
-        r_vec = [inv * sum(self.chars[c][g] * rhat[c] for c in range(len(self.chars)))
+        r_vec = [inv * sum(chi[g] * r for chi, r in zip(self.signs, rhat))
                  for g in range(n_g)]
         candidates = solve_quadratic_in_group_algebra(self.char_group, [0, 0, 1], r_vec)
         if self.branch.record is None:
             self.branch.record = candidates
         out = []
         for cand in candidates:
-            pins = []
-            for g in corad:
-                pos = self.branch.pos[g]
-                pins.append(p_sub(u[coset_by_g[g]], p_const(cand[pos])))
+            pins = [_pin(u[coset_by_g[g]], den, cand[self.branch.pos[g]]) for g in corad]
             sub = self._solve(eqs + pins, images, nvars, dispatch_done=True)
             if sub is None:
                 return None
             out.extend(sub)
         return out
-
-
-def _has_linear_part(form: Poly) -> bool:
-    return any(len(m) == 1 for m in form)
 
 
 def _dedupe(eqs):
@@ -798,7 +817,7 @@ def _dedupe(eqs):
     for e in eqs:
         if not e:
             continue
-        key = p_canonical(e)
+        key = frozenset(e.items())
         if key not in seen:
             seen.add(key)
             out.append(e)
@@ -840,7 +859,7 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
     operators = []
     certificate = "complete"
     endos = enumerate_endos(group)
-    sweedler3 = [sweedler_expand(h, basis_vec(h.dim, i), 2) for i in range(h.dim)]
+    tables = _PlanTables(plan, pos)
     for bi, endo in enumerate(endos):
         d_group = diffop_from_endo(endo)
         d_on_group = {idxs[g]: idxs[d_group(g)] for g in range(group.order)}
@@ -851,7 +870,7 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
             record = None
             partial = None
         else:
-            branch = _Branch(h, plan, group, pos, d_on_group, sweedler3)
+            branch = _Branch(tables, d_on_group)
             engine = _Engine(branch, chars or [], group)
             if chars is None:
                 ops = None

@@ -249,7 +249,13 @@ def test_unknown_catalog_name_exits_two(capsys):
     ("plan:H4", ["classify-diffops", "--plan"], lambda d: d["generators"][0].pop("cosets")),
     ("expected:H4", ["classify-diffops", "--plan", "plan:H4", "--expected"],
      lambda d: d["operators"][0]["images"][0].__setitem__(0, "1/0")),
-], ids=["algebra", "operator", "action", "plan", "expected"])
+    # plan files that parse but are not valid plans
+    ("plan:H4", ["classify-diffops", "--plan"], lambda d: d.__setitem__("generators", [])),
+    ("plan:H4", ["classify-diffops", "--plan"], lambda d: d.__setitem__("grouplikes", [0, 9])),
+    ("plan:H4", ["classify-diffops", "--plan"],
+     lambda d: d["generators"][0]["cosets"].__setitem__("7", [0, 2])),
+], ids=["algebra", "operator", "action", "plan", "expected", "plan-uncovered",
+        "plan-grouplike-range", "plan-coset-range"])
 def test_malformed_file_exits_two(capsys, tmp_path, entry, argv, corrupt):
     path = tmp_path / "bad.json"
     code, payload, _ = invoke(capsys, "catalog", entry)
