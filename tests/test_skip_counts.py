@@ -3,7 +3,8 @@
 Every in-budget pair is checked, every other pair is skipped, and an
 unknown image column is recorded once.  The counts below are those of
 `free-lie diffop-from-hom`, `free-lie ckmm-mixed` and the crossed-hom
-extension behind `free-lie mm-check`, at two generators.
+extension behind `free-lie mm-check`, at two generators, and the
+multiplicativity pairs of `smash_vs_semidirect_trunc`.
 """
 
 import pytest
@@ -14,8 +15,11 @@ from hopfdiff.freelie import (
     ckmm_truncated_instance,
     diffop_from_hom,
     extend_crossed_hom_trunc,
+    smash_vs_semidirect_trunc,
 )
+from hopfdiff.exactlin import Mat
 from hopfdiff.hopf import vec_sub, zero_vec
+from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 
 
 @pytest.mark.parametrize("budget, checked, skipped", [(3, 49, 176), (4, 129, 832)])
@@ -71,3 +75,23 @@ def test_unknown_crossed_hom_columns_are_recorded_once():
     assert len(unknown) == 5
     assert _column_entries(rep.skipped) == unknown
     assert (rep.checked, len(rep.skipped)) == (28, 203)
+
+
+def _lie_action(kind):
+    """A one-dimensional Lie algebra acting on another by 1 or by 0, or the
+    adjoint action of the two-dimensional non-abelian one."""
+    if kind == "aff1":
+        return adjoint_lie_action(FinLie.from_pairs(["a", "b"], {(0, 1): [0, 1]}, "aff1"))
+    g1 = FinLie.from_pairs(["x"], {}, "g")
+    h1 = FinLie.from_pairs(["u"], {}, "h")
+    return LieAction(g1, h1, [Mat.from_cols([[1]]) if kind == "one" else Mat.zero(1, 1)])
+
+
+@pytest.mark.parametrize("kind, budget, checked", [
+    ("one", 3, 35), ("one", 4, 70), ("zero", 3, 35), ("zero", 4, 70),
+    ("aff1", 3, 165), ("aff1", 4, 495)])
+def test_smash_vs_semidirect_multiplicative_pairs(kind, budget, checked):
+    rep = smash_vs_semidirect_trunc(_lie_action(kind), budget)
+    assert rep["ok"] and rep["multiplicative"]
+    assert rep["skipped"] == []
+    assert rep["multiplicative_pairs_checked"] == checked
