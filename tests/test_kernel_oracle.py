@@ -42,8 +42,10 @@ from hopfdiff.actions import (
     ActionData,
     TruncatedSmash,
     adjoint_action,
+    derived_module_structure,
     smash_builder,
     smash_product,
+    trivial_action,
     validate_action,
 )
 from hopfdiff.diffops import (
@@ -53,14 +55,16 @@ from hopfdiff.diffops import (
     coalgebra_hom_report,
     diff_identity_report,
 )
-from hopfdiff.exactlin import ONE, ZERO, Mat, invert, solve_affine
+from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, row_space_basis, solve_affine
 from hopfdiff.lie import FinLie
 from hopfdiff.freelie import (
     DerivationAction,
+    LyndonBasis,
     TruncatedEnveloping,
     TruncatedTensor,
     _generator_count,
     adjoint_derivation_action,
+    algebra_endo_from_letters,
     diffop_from_hom,
     extend_crossed_hom_trunc,
     extended_action_bialgebra_check,
@@ -75,11 +79,13 @@ from hopfdiff.hopf import (
     LinMap,
     OutOfBudgetError,
     Vec,
+    apply_cols,
     basis_vec,
     convolve,
     identity_map,
     int_columns,
     int_structure,
+    is_algebra_hom,
     is_coalgebra_hom,
     is_cocommutative,
     sweedler_expand,
@@ -207,6 +213,8 @@ def carrier(name):
         return TruncatedTensor(2, 2)
     if name == "T(2,3)":
         return TruncatedTensor(2, 3)
+    if name == "T(2,4)":
+        return TruncatedTensor(2, 4)
     if name == "T(3,2)":
         return TruncatedTensor(3, 2)
     if name == "T(2,5)":
@@ -1107,3 +1115,261 @@ def perturbed_algebras(draw):
 @given(h=perturbed_algebras())
 def test_validate_hopf_matches_reference_on_perturbed_algebras(h):
     assert validate_hopf(h).checks == reference_validate_hopf(h).checks
+
+
+# -- module-action axioms, algebra maps and the truncated convolution, kept verbatim --
+
+def reference_associativity_failures(a: ActionData) -> list:
+    """Basis triples (i, j, x) at which (ij) . x = i . (j . x) fails."""
+    k, h = a.acting, a.target
+    return [(i, j, x) for i in range(k.dim) for j in range(k.dim) for x in range(h.dim)
+            if a.act(k.mult_basis(i, j), basis_vec(h.dim, x))
+            != a.act_on(i, a.act_basis(j, x))]
+
+
+def reference_validate_action(a: ActionData, require_bialgebra: bool = False) -> AxiomReport:
+    """Exhaustive module-algebra (and optionally module-bialgebra) axioms."""
+    k, h = a.acting, a.target
+    report = AxiomReport()
+
+    fails = [(x,) for x in range(h.dim)
+             if a.act(k.unit_vec(), basis_vec(h.dim, x)) != basis_vec(h.dim, x)]
+    report.record("module-unit-of-K", not fails, fails[0] if fails else None)
+
+    fails = reference_associativity_failures(a)
+    report.record("module-associativity", not fails, fails[0] if fails else None)
+
+    fails = [(i,) for i in range(k.dim)
+             if a.act_on(i, h.unit_vec()) != vec_scale(k.counit_coeff(i), h.unit_vec())]
+    report.record("acts-on-unit", not fails, fails[0] if fails else None)
+
+    fails = []
+    for i in range(k.dim):
+        for x in range(h.dim):
+            for y in range(h.dim):
+                lhs = a.act(basis_vec(k.dim, i), h.mult_basis(x, y))
+                rhs = zero_vec(h.dim)
+                for (a1, a2, c) in k.comult_triples(i):
+                    rhs = vec_add(rhs, vec_scale(c, h.mult_vec(
+                        a.act_basis(a1, x), a.act_basis(a2, y))))
+                if lhs != rhs:
+                    fails.append((i, x, y))
+    report.record("module-algebra", not fails, fails[0] if fails else None)
+
+    if require_bialgebra:
+        fails = []
+        for i in range(k.dim):
+            for x in range(h.dim):
+                v = a.act_basis(i, x)
+                if h.counit_vec(v) != k.counit_coeff(i) * h.counit_coeff(x):
+                    fails.append((i, x))
+                    continue
+                lhs = h.comult_vec(v)
+                rhs: dict = {}
+                for (a1, a2, c) in k.comult_triples(i):
+                    for (x1, x2, d) in h.comult_triples(x):
+                        left = a.act_basis(a1, x1)
+                        right = a.act_basis(a2, x2)
+                        cd = c * d
+                        for p, lv in enumerate(left):
+                            if not lv:
+                                continue
+                            for q, rv in enumerate(right):
+                                if rv:
+                                    key = (p, q)
+                                    rhs[key] = rhs.get(key, ZERO) + cd * lv * rv
+                rhs = {kk: v2 for kk, v2 in rhs.items() if v2}
+                if lhs != rhs:
+                    fails.append((i, x))
+        report.record("module-bialgebra", not fails, fails[0] if fails else None)
+
+    return report
+
+
+def reference_derived_module_structure(pi: LinMap, action: ActionData) -> AxiomReport:
+    """Associativity of a ._pi x = pi(a1)(a2 . x); the verdict matches the
+    crossed-homomorphism identity (module characterization)."""
+    k, h = action.acting, action.target
+    tensor = []
+    for a in range(k.dim):
+        row = []
+        for x in range(h.dim):
+            acc = zero_vec(h.dim)
+            for (a1, a2, c) in k.comult_triples(a):
+                acc = vec_add(acc, vec_scale(c, h.mult_vec(
+                    pi.image_of_basis(a1), action.act_basis(a2, x))))
+            row.append(acc)
+        tensor.append(row)
+    fails = reference_associativity_failures(ActionData(k, h, tensor))
+    report = AxiomReport()
+    report.record("derived-module-associativity", not fails, fails[0] if fails else None)
+    return report
+
+
+def reference_is_algebra_hom(f: LinMap) -> bool:
+    dom, cod = f.domain, f.codomain
+    if f.apply(dom.unit_vec()) != cod.unit_vec():
+        return False
+    for i in range(dom.dim):
+        for j in range(dom.dim):
+            lhs = f.apply(dom.mult_basis(i, j))
+            rhs = cod.mult_vec(f.image_of_basis(i), f.image_of_basis(j))
+            if lhs != rhs:
+                return False
+    return True
+
+
+def reference_multiplicative_pairs(u_sd, smash, cols) -> tuple[int, int]:
+    """The multiplicativity block of ``smash_vs_semidirect_trunc``: the
+    checked in-budget pairs and the failing ones."""
+    # multiplicativity on in-budget pairs
+    fails = 0
+    checked = 0
+    for i in range(u_sd.dim):
+        for j in range(u_sd.dim):
+            if cols[i] is None or cols[j] is None:
+                continue
+            try:
+                lhs = apply_cols(cols, u_sd.mult_basis(i, j), smash.dim)
+                rhs = smash.mult_vec(cols[i], cols[j])
+            except OutOfBudgetError:
+                continue
+            checked += 1
+            if lhs != rhs:
+                fails += 1
+    return checked, fails
+
+
+def reference_diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
+    """Build D = F * S from the algebra endomorphism F extending
+    v -> v + phi(v), then verify the difference identity in budget."""
+    prim = row_space_basis(truncated_primitives(tv))
+    for v in phi:
+        if not in_span(prim, v):
+            raise ValueError("letter images must be primitive (free Lie elements)")
+    letter_images = [vec_add(tv.generator_vec(x), phi[x]) for x in range(tv.generators)]
+    f_cols = algebra_endo_from_letters(tv, letter_images)
+    skipped = [("F", tv.label(i)) for i, c in enumerate(f_cols) if c is None]
+    # D(w) = sum F(w1) S(w2)
+    d_cols: list = []
+    for i in range(tv.dim):
+        try:
+            acc = zero_vec(tv.dim)
+            for (a, b, c) in tv.comult_triples(i):
+                fa = f_cols[a]
+                if fa is None:
+                    raise OutOfBudgetError("F image out of budget")
+                acc = vec_add(acc, vec_scale(c, tv.mult_vec(fa, tv.antipode_basis(b))))
+            d_cols.append(acc)
+        except OutOfBudgetError:
+            d_cols.append(None)
+            skipped.append(("D", tv.label(i)))
+    report = verify_trunc_diffop(tv, d_cols)
+    report.skipped = skipped + report.skipped
+    report.details["F"] = f_cols
+    report.details["D"] = d_cols
+    return report
+
+
+def module_action(name):
+    """A catalog action, or the trivial or adjoint action named name."""
+    kind, _, alg = name.partition(":")
+    if kind == "trivial":
+        h = catalog.build(alg)
+        return trivial_action(h, h)
+    if kind == "adjoint":
+        return adjoint_action(catalog.build(alg))
+    return catalog.build(name)
+
+
+def check_perturbed_action(name, data):
+    """validate_action on the action, or on a copy with one tensor entry
+    replaced by a pool coefficient, must give the reference's whole axiom
+    reports, witnesses included."""
+    action = module_action(name)
+    k, h = action.acting, action.target
+    tensor = [[list(cell) for cell in row] for row in action.tensor]
+    if data.draw(st.booleans()):
+        cell = tensor[data.draw(st.integers(0, k.dim - 1))][data.draw(st.integers(0, h.dim - 1))]
+        cell[data.draw(st.integers(0, h.dim - 1))] = data.draw(coefficients)
+    action = ActionData(k, h, tensor)
+    for require_bialgebra in (False, True):
+        assert (validate_action(action, require_bialgebra).checks
+                == reference_validate_action(action, require_bialgebra).checks)
+
+
+@pytest.mark.parametrize("name", ["action:inv:kC2:kC4", "trivial:H4", "adjoint:kC2xC2",
+                                  "adjoint:kS3"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_validate_action_matches_reference(name, data):
+    check_perturbed_action(name, data)
+
+
+@pytest.mark.parametrize("name", ["trivial:H8", "adjoint:H8"])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_validate_action_matches_reference_on_h8(name, data):
+    """The adjoint action of H8 is a module algebra but not a module
+    bialgebra."""
+    check_perturbed_action(name, data)
+
+
+def test_adjoint_action_of_h8_is_not_a_module_bialgebra():
+    action = module_action("adjoint:H8")
+    assert validate_action(action).ok
+    assert not validate_action(action, require_bialgebra=True).ok
+
+
+@pytest.mark.parametrize("name", ["kS3", "H4", "H8"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_derived_module_structure_matches_reference(name, data):
+    h = carrier(name)
+    pi = LinMap(h, h, data.draw(matrices(name)))
+    action = adjoint_action(h)
+    assert (derived_module_structure(pi, action).checks
+            == reference_derived_module_structure(pi, action).checks)
+
+
+@pytest.mark.parametrize("name", FINITE + ["smash:inv:kC2:kC4"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_algebra_hom_matches_reference(name, data):
+    """Sampled maps, and their convolution with the identity, which is an
+    algebra map exactly for the difference operators among the seeds."""
+    h = carrier(name)
+    f = LinMap(h, h, data.draw(matrices(name)))
+    if data.draw(st.booleans()):
+        f = convolve(f, identity_map(h))
+    assert is_algebra_hom(f) == reference_is_algebra_hom(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_algebra_map_between_algebras_matches_reference(data):
+    k, h = carrier("kC2xC2"), catalog.build("kC4")
+    f = LinMap(k, h, data.draw(matrices("kC2xC2", rows=h.dim, cols=k.dim)))
+    assert is_algebra_hom(f) == reference_is_algebra_hom(f)
+
+
+@cache
+def lyndon_vectors(name):
+    return [v for _, v in LyndonBasis(carrier(name)).vectors]
+
+
+@pytest.mark.parametrize("name", ["T(2,3)", "T(2,4)"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_diffop_from_hom_matches_reference(name, data):
+    """Whole reports, the D table and the skip list in order included, for
+    letter images drawn as pool combinations of bracketed Lyndon words."""
+    tv = carrier(name)
+    basis = lyndon_vectors(name)
+    phi = []
+    for _ in range(tv.generators):
+        v = zero_vec(tv.dim)
+        for w in data.draw(st.lists(st.integers(0, len(basis) - 1), max_size=3)):
+            v = vec_add(v, vec_scale(data.draw(nonzero), basis[w]))
+        phi.append(v)
+    assert diffop_from_hom(tv, phi) == reference_diffop_from_hom(tv, phi)
