@@ -1,10 +1,12 @@
 """Module-algebra and module-bialgebra actions, smash products, graphs of
 crossed homomorphisms, and the derived structures they induce.
 
-The crossed-homomorphism identity has one checker,
+The module(-bi)algebra axioms have one checker,
+:func:`module_axiom_report`, the crossed-homomorphism identity one,
 :func:`crossed_hom_report`, and the smash product one builder,
-:class:`TruncatedSmash`; both work over the basis-indexed carrier
-interface, so finite-dimensional and degree-truncated algebras share
+:class:`TruncatedSmash`.  All three work over the basis-indexed carrier
+interface and an ``act(a, u)`` callable (basis a of K acting on an
+H-vector u), so finite-dimensional and degree-truncated algebras share
 them.  A finite carrier is a smash factor with an infinite budget.
 """
 
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 from .exactlin import Mat, ONE, ZERO, in_span, rat, row_space_basis
 from .hopf import (
@@ -19,10 +22,16 @@ from .hopf import (
     CarrierOps,
     CheckReport,
     FinDimHopf,
+    InvalidAlgebraError,
     LinMap,
     OutOfBudgetError,
     Vec,
     _add_scaled,
+    _attempt,
+    _first_witness,
+    _nonzero,
+    _stored,
+    _tensor_of,
     apply_cols,
     basis_vec,
     convolve,
@@ -83,6 +92,15 @@ def act_vec(act, a: Vec, u: Vec) -> Vec:
     return out
 
 
+def _coproduct_sum(k, a: int, dim: int, term) -> Vec:
+    """sum c term(a1, a2) over D(a) = sum c a1 (x) a2, for basis a of K and
+    a term giving dim-vectors."""
+    out = zero_vec(dim)
+    for (a1, a2, c) in k.comult_triples(a):
+        _add_scaled(out, c, term(a1, a2))
+    return out
+
+
 def trivial_action(k: FinDimHopf, h: FinDimHopf) -> ActionData:
     """a . x = eps(a) x."""
     tensor = [[vec_scale(k.counit_coeff(a), basis_vec(h.dim, x)) for x in range(h.dim)]
@@ -92,98 +110,135 @@ def trivial_action(k: FinDimHopf, h: FinDimHopf) -> ActionData:
 
 def adjoint_action(h: FinDimHopf) -> ActionData:
     """a . x = a1 x S(a2)."""
-    tensor = []
-    for a in range(h.dim):
-        row = []
-        for x in range(h.dim):
-            acc = zero_vec(h.dim)
-            for (i, j, c) in h.comult_triples(a):
-                prod = h.mult_vec(h.mult_basis(i, x), h.antipode_basis(j))
-                acc = vec_add(acc, vec_scale(c, prod))
-            row.append(acc)
-        tensor.append(row)
-    return ActionData(h, h, tensor)
+    def value(a, x):
+        return _coproduct_sum(h, a, h.dim, lambda i, j: h.mult_vec(h.mult_basis(i, x),
+                                                                   h.antipode_basis(j)))
+
+    return ActionData(h, h, [[value(a, x) for x in range(h.dim)] for a in range(h.dim)])
 
 
-def _associativity_failures(a: ActionData) -> list:
-    """Basis triples (i, j, x) at which (ij) . x = i . (j . x) fails."""
-    k, h = a.acting, a.target
-    return [(i, j, x) for i in range(k.dim) for j in range(k.dim) for x in range(h.dim)
-            if a.act(k.mult_basis(i, j), basis_vec(h.dim, x))
-            != a.act_on(i, a.act_basis(j, x))]
+MODULE_AXIOMS = ("module", "module-algebra", "bialgebra")
+
+
+def module_axiom_report(k, h, act, axioms=MODULE_AXIOMS) -> CheckReport:
+    """The module axioms of an action of K on H on every basis tuple,
+    skip-aware; act(a, u) is basis a of K acting on the H-vector u.
+
+    axioms names the loops to run: "module", (ab) . x = a . (b . x) at
+    (a, b, x); "module-algebra", a . (xy) = (a1 . x)(a2 . y) at (a, x, y);
+    "bialgebra", eps(a . x) = eps(a) eps(x) and then D(a . x) =
+    (a1 . x1) (x) (a2 . x2) at (a, x), failing as "counit" or "comult".
+    Each value a . e_x and basis product is computed once, or the
+    OutOfBudgetError it raised is stored; a tuple that needs one is
+    skipped as (loop name, *tuple).
+    """
+    nk, nh = k.dim, h.dim
+    values = [[_attempt(act, a, basis_vec(nh, x)) for x in range(nh)] for a in range(nk)]
+
+    def products(c) -> list:
+        return [[_attempt(c.mult_basis, i, j) for j in range(c.dim)] for i in range(c.dim)]
+
+    hprod = products(h)
+    # K's products as sparse (m, c) pairs, for the left side of (ab) . x
+    kprod = [[p if p.__class__ is OutOfBudgetError else [(m, c) for m, c in enumerate(p) if c]
+              for p in row] for row in (hprod if h is k else products(k))]
+
+    def acted(a: int, x: int) -> Vec:
+        return _stored(values[a][x])
+
+    def module(a, b, x):
+        lhs = zero_vec(nh)
+        for m, c in _stored(kprod[a][b]):
+            _add_scaled(lhs, c, acted(m, x))
+        return None if lhs == act(a, acted(b, x)) else "module"
+
+    def module_algebra(a, x, y):
+        lhs = act(a, _stored(hprod[x][y]))
+        rhs = zero_vec(nh)
+        for (a1, a2, c) in k.comult_triples(a):
+            _add_scaled(rhs, c, h.mult_vec(acted(a1, x), acted(a2, y)))
+        return None if lhs == rhs else "module-algebra"
+
+    def bialgebra(a, x):
+        value = acted(a, x)
+        rhs: dict = {}
+        for (a1, a2, c) in k.comult_triples(a):
+            for (x1, x2, e) in h.comult_triples(x):
+                for key, v in _tensor_of(acted(a1, x1), acted(a2, x2)).items():
+                    rhs[key] = rhs.get(key, ZERO) + c * e * v
+        if h.counit_vec(value) != k.counit_coeff(a) * h.counit_coeff(x):
+            return "counit"
+        return None if h.comult_vec(value) == _nonzero(rhs) else "comult"
+
+    loops = {"module": (module, product(range(nk), range(nk), range(nh))),
+             "module-algebra": (module_algebra, product(range(nk), range(nh), range(nh))),
+             "bialgebra": (bialgebra, product(range(nk), range(nh)))}
+    failures = []
+    skipped = []
+    checked = 0
+    for label in axioms:
+        check, tuples = loops[label]
+        for t in tuples:
+            try:
+                failed = check(*t)
+            except OutOfBudgetError:
+                skipped.append((label, *t))
+                continue
+            checked += 1
+            if failed:
+                failures.append((failed, *t))
+    return CheckReport(not failures, failures, skipped, checked)
+
+
+# the AxiomReport names of validate_action, in order, and the one each
+# failure label of module_axiom_report counts against
+_ACTION_AXIOMS = ("module-unit-of-K", "module-associativity", "acts-on-unit",
+                  "module-algebra", "module-bialgebra")
+_AXIOM_NAMES = {"module": "module-associativity", "module-algebra": "module-algebra",
+                "counit": "module-bialgebra", "comult": "module-bialgebra"}
 
 
 def validate_action(a: ActionData, require_bialgebra: bool = False) -> AxiomReport:
-    """Exhaustive module-algebra (and optionally module-bialgebra) axioms."""
+    """Exhaustive module-algebra (and optionally module-bialgebra) axioms:
+    the two unit axioms, then module_axiom_report's, each with its first
+    witness."""
     k, h = a.acting, a.target
+    one = h.unit_vec()
+    fails = {
+        "module-unit-of-K": [(x,) for x in range(h.dim)
+                             if a.act(k.unit_vec(), basis_vec(h.dim, x)) != basis_vec(h.dim, x)],
+        "acts-on-unit": [(i,) for i in range(k.dim)
+                         if a.act_on(i, one) != vec_scale(k.counit_coeff(i), one)]}
+    axioms = MODULE_AXIOMS if require_bialgebra else MODULE_AXIOMS[:2]
+    for label, *witness in module_axiom_report(k, h, a.act_on, axioms).failures:
+        fails.setdefault(_AXIOM_NAMES[label], []).append(tuple(witness))
     report = AxiomReport()
-
-    fails = [(x,) for x in range(h.dim)
-             if a.act(k.unit_vec(), basis_vec(h.dim, x)) != basis_vec(h.dim, x)]
-    report.record("module-unit-of-K", not fails, fails[0] if fails else None)
-
-    fails = _associativity_failures(a)
-    report.record("module-associativity", not fails, fails[0] if fails else None)
-
-    fails = [(i,) for i in range(k.dim)
-             if a.act_on(i, h.unit_vec()) != vec_scale(k.counit_coeff(i), h.unit_vec())]
-    report.record("acts-on-unit", not fails, fails[0] if fails else None)
-
-    fails = []
-    for i in range(k.dim):
-        for x in range(h.dim):
-            for y in range(h.dim):
-                lhs = a.act(basis_vec(k.dim, i), h.mult_basis(x, y))
-                rhs = zero_vec(h.dim)
-                for (a1, a2, c) in k.comult_triples(i):
-                    rhs = vec_add(rhs, vec_scale(c, h.mult_vec(
-                        a.act_basis(a1, x), a.act_basis(a2, y))))
-                if lhs != rhs:
-                    fails.append((i, x, y))
-    report.record("module-algebra", not fails, fails[0] if fails else None)
-
-    if require_bialgebra:
-        fails = []
-        for i in range(k.dim):
-            for x in range(h.dim):
-                v = a.act_basis(i, x)
-                if h.counit_vec(v) != k.counit_coeff(i) * h.counit_coeff(x):
-                    fails.append((i, x))
-                    continue
-                lhs = h.comult_vec(v)
-                rhs: dict = {}
-                for (a1, a2, c) in k.comult_triples(i):
-                    for (x1, x2, d) in h.comult_triples(x):
-                        left = a.act_basis(a1, x1)
-                        right = a.act_basis(a2, x2)
-                        cd = c * d
-                        for p, lv in enumerate(left):
-                            if not lv:
-                                continue
-                            for q, rv in enumerate(right):
-                                if rv:
-                                    key = (p, q)
-                                    rhs[key] = rhs.get(key, ZERO) + cd * lv * rv
-                rhs = {kk: v2 for kk, v2 in rhs.items() if v2}
-                if lhs != rhs:
-                    fails.append((i, x))
-        report.record("module-bialgebra", not fails, fails[0] if fails else None)
-
+    for axiom in _ACTION_AXIOMS[:4 + require_bialgebra]:
+        report.record(axiom, not fails.get(axiom), _first_witness(fails.get(axiom)))
     return report
 
 
-def check_crossed_hom(pi: LinMap, action: ActionData,
-                      assume_valid_action: bool = False) -> bool:
+def _require_action(a: ActionData, require_bialgebra: bool) -> None:
+    """Raise InvalidAlgebraError unless the action passes validate_action."""
+    rep = validate_action(a, require_bialgebra)
+    if not rep.ok:
+        k, h = a.acting, a.target
+        raise InvalidAlgebraError(
+            f"action of {k.name} on {h.name}",
+            "not a module bialgebra" if require_bialgebra else "not a module algebra",
+            {"acting": k.name, "target": h.name}, rep)
+
+
+def check_crossed_hom(pi: LinMap, action: ActionData) -> bool:
     """pi(ab) = pi(a1)(a2 . pi(b)) on all basis pairs.
 
-    Raises with distinct messages when the action or the coalgebra
-    precondition fails.
+    Raises InvalidAlgebraError when the action fails the module-algebra
+    axioms, and ValueError when pi is not a coalgebra map.
     """
     k, h = action.acting, action.target
     if pi.domain is not k or pi.codomain is not h:
         raise ValueError("map endpoints must match the action")
-    if not assume_valid_action and not validate_action(action).ok:
-        raise ValueError("action fails the module-algebra axioms")
+    _require_action(action, False)
     if not is_coalgebra_hom(pi):
         raise ValueError("map is not a coalgebra homomorphism")
     return crossed_hom_identity_holds(pi, action)
@@ -251,27 +306,12 @@ def crossed_hom_properties(ch: CrossedHom) -> AxiomReport:
     report.record("preserves-unit", pi.apply(k.unit_vec()) == h.unit_vec())
 
     s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))
-    fails = []
-    for a in range(k.dim):
-        lhs = s_pi.image_of_basis(a)
-        rhs = zero_vec(h.dim)
-        for (a1, a2, c) in k.comult_triples(a):
-            rhs = vec_add(rhs, vec_scale(c, action.act(
-                basis_vec(k.dim, a1), pi.apply(k.antipode_basis(a2)))))
-        if lhs != rhs:
-            fails.append((a,))
-    report.record("S.pi = a1 . pi(S a2)", not fails, fails[0] if fails else None)
-
-    fails = []
-    for a in range(k.dim):
-        lhs = pi.apply(k.antipode_basis(a))
-        rhs = zero_vec(h.dim)
-        for (a1, a2, c) in k.comult_triples(a):
-            rhs = vec_add(rhs, vec_scale(c, action.act(
-                k.antipode_basis(a1), s_pi.image_of_basis(a2))))
-        if lhs != rhs:
-            fails.append((a,))
-    report.record("pi.S = S(a1) . S pi(a2)", not fails, fails[0] if fails else None)
+    fails = [(a,) for a in range(k.dim) if s_pi.image_of_basis(a) != _coproduct_sum(
+        k, a, h.dim, lambda a1, a2: action.act_on(a1, pi.apply(k.antipode_basis(a2))))]
+    report.record("S.pi = a1 . pi(S a2)", not fails, _first_witness(fails))
+    fails = [(a,) for a in range(k.dim) if pi.apply(k.antipode_basis(a)) != _coproduct_sum(
+        k, a, h.dim, lambda a1, a2: action.act(k.antipode_basis(a1), s_pi.image_of_basis(a2)))]
+    report.record("pi.S = S(a1) . S pi(a2)", not fails, _first_witness(fails))
 
     unit = unit_counit_map(k, h)
     left = convolve(pi, s_pi)
@@ -395,9 +435,7 @@ def smash_product(action: ActionData, name: str | None = None) -> FinDimHopf:
     k, h = action.acting, action.target
     if not is_cocommutative(k):
         raise ValueError("the acting Hopf algebra must be cocommutative")
-    rep = validate_action(action, require_bialgebra=True)
-    if not rep.ok:
-        raise ValueError(f"action is not a module bialgebra: {rep.failures()}")
+    _require_action(action, True)
 
     b = smash_builder(action, name)
     n = b.dim
@@ -520,19 +558,12 @@ def derived_module_structure(pi: LinMap, action: ActionData) -> AxiomReport:
     """Associativity of a ._pi x = pi(a1)(a2 . x); the verdict matches the
     crossed-homomorphism identity (module characterization)."""
     k, h = action.acting, action.target
-    tensor = []
-    for a in range(k.dim):
-        row = []
-        for x in range(h.dim):
-            acc = zero_vec(h.dim)
-            for (a1, a2, c) in k.comult_triples(a):
-                acc = vec_add(acc, vec_scale(c, h.mult_vec(
-                    pi.image_of_basis(a1), action.act_basis(a2, x))))
-            row.append(acc)
-        tensor.append(row)
-    fails = _associativity_failures(ActionData(k, h, tensor))
+    tensor = [[_coproduct_sum(k, a, h.dim, lambda a1, a2: h.mult_vec(
+        pi.image_of_basis(a1), action.act_basis(a2, x))) for x in range(h.dim)]
+        for a in range(k.dim)]
+    fails = module_axiom_report(k, h, ActionData(k, h, tensor).act_on, ("module",)).failures
     report = AxiomReport()
-    report.record("derived-module-associativity", not fails, fails[0] if fails else None)
+    report.record("derived-module-associativity", not fails, fails[0][1:] if fails else None)
     return report
 
 
@@ -548,21 +579,14 @@ def derived_action(ch: CrossedHom) -> tuple[ActionData, CrossedHom, AxiomReport]
     if not ch.verified:
         raise ValueError("verify the crossed homomorphism first")
 
-    tensor = []
-    for a in range(k.dim):
-        row = []
-        for x in range(h.dim):
-            acc = zero_vec(h.dim)
-            # a1 (x) a2 (x) a3, then pi(a1) (a3 . x) S(pi(a2))
-            for (a1, a2, c) in k.comult_triples(a):
-                for (a11, a12, d) in k.comult_triples(a1):
-                    inner = h.mult_vec(pi.image_of_basis(a11),
-                                       action.act_basis(a2, x))
-                    acc = vec_add(acc, vec_scale(c * d, h.mult_vec(
-                        inner, h.antipode_vec(pi.image_of_basis(a12)))))
-            row.append(acc)
-        tensor.append(row)
-    derived = ActionData(k, h, tensor)
+    def term(x):
+        # a1 (x) a2 (x) a3, then pi(a1) (a3 . x) S(pi(a2))
+        return lambda a12, a3: _coproduct_sum(k, a12, h.dim, lambda a1, a2: h.mult_vec(
+            h.mult_vec(pi.image_of_basis(a1), action.act_basis(a3, x)),
+            h.antipode_vec(pi.image_of_basis(a2))))
+
+    derived = ActionData(k, h, [[_coproduct_sum(k, a, h.dim, term(x)) for x in range(h.dim)]
+                                for a in range(k.dim)])
 
     report = validate_action(derived, require_bialgebra=True)
     s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))

@@ -17,6 +17,7 @@ from . import catalog, formats
 from .exactlin import rat, rat_str
 from .hopf import (
     FinDimHopf,
+    InvalidAlgebraError,
     LinMap,
     axiom_report,
     basis_vec,
@@ -34,14 +35,11 @@ class InputError(Exception):
     pass
 
 
-class InvalidAlgebraError(Exception):
-    """An algebra file that parses but fails a Hopf axiom (exit 1)."""
-
-    def __init__(self, spec: str, algebra: FinDimHopf, report):
-        self.algebra = algebra
-        self.axiom, self.witness = report.failures()[0]
-        super().__init__(f"algebra file {spec} fails the {self.axiom} axiom "
-                         f"at {self.witness}")
+def _input_error(exc: ValueError) -> Exception:
+    """What a command raises for a ValueError from the library: a structure
+    that fails a named axiom stays an InvalidAlgebraError (exit 1), and
+    anything else is an input error (exit 2)."""
+    return exc if isinstance(exc, InvalidAlgebraError) else InputError(str(exc))
 
 
 # what the formats parsers raise on a malformed file; "1/0" raises
@@ -74,7 +72,8 @@ def _resolve_algebra(spec: str) -> FinDimHopf:
                 raise InputError(f"bad algebra file {spec}: {exc}")
         report = _axiom_report(h)
         if not report.ok:
-            raise InvalidAlgebraError(spec, h, report)
+            raise InvalidAlgebraError(f"algebra file {spec}", "not a Hopf algebra",
+                                      {"algebra": h.name}, report)
         return h
     try:
         obj = catalog.build(spec)
@@ -137,13 +136,13 @@ def _summary(line: str) -> None:
 def cmd_validate(args) -> int:
     try:
         h = _resolve_algebra(args.algebra)
+        name, rep = h.name, _axiom_report(h)
     except InvalidAlgebraError as exc:
-        h = exc.algebra
-    rep = _axiom_report(h)
+        name, rep = exc.names["algebra"], exc.report
     report = {"schema_version": SCHEMA_VERSION, "command": "validate",
-              "algebra": h.name, "ok": rep.ok, "axioms": rep.as_dict()["checks"]}
+              "algebra": name, "ok": rep.ok, "axioms": rep.as_dict()["checks"]}
     _emit(report, args)
-    _summary(f"validate {h.name}: {'all axioms pass' if rep.ok else 'FAILED'}")
+    _summary(f"validate {name}: {'all axioms pass' if rep.ok else 'FAILED'}")
     return 0 if rep.ok else 1
 
 
@@ -231,7 +230,7 @@ def cmd_check_crossed_hom(args) -> int:
     try:
         ok = check_crossed_hom(pi, action)
     except ValueError as exc:
-        raise InputError(str(exc))
+        raise _input_error(exc)
     report = {"schema_version": SCHEMA_VERSION, "command": "check-crossed-hom",
               "acting": action.acting.name, "target": action.target.name, "ok": ok}
     _emit(report, args)
@@ -336,7 +335,7 @@ def cmd_smash(args) -> int:
     try:
         smash = smash_product(action)
     except ValueError as exc:
-        raise InputError(str(exc))
+        raise _input_error(exc)
     gl = _grouplikes(smash)
     report = {"schema_version": SCHEMA_VERSION, "command": "smash", "ok": True,
               "name": smash.name, "dimension": smash.dim,
@@ -356,7 +355,7 @@ def cmd_graph(args) -> int:
         result = graph_of(pi, action)
         direct = check_crossed_hom(pi, action)
     except ValueError as exc:
-        raise InputError(str(exc))
+        raise _input_error(exc)
     agree = result.closed == direct
     report = {"schema_version": SCHEMA_VERSION, "command": "graph",
               "ok": agree, "graph_dimension": len(result.basis),
@@ -448,7 +447,7 @@ def cmd_extend_smash_diff(args) -> int:
         result = check_diff_module_bialgebra(action.target, d_h, action.acting,
                                              d_k, action)
     except ValueError as exc:
-        raise InputError(str(exc))
+        raise _input_error(exc)
     if not isinstance(result, DiffModuleBialgebra):
         report = {"schema_version": SCHEMA_VERSION, "command": "extend-smash-diff",
                   "ok": False, "compatible": False,
@@ -743,9 +742,9 @@ def run(argv=None) -> int:
     except InvalidAlgebraError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stdout.write(json.dumps(
-            {"schema_version": SCHEMA_VERSION, "command": args.command,
-             "algebra": exc.algebra.name, "ok": False, "error": "not a Hopf algebra",
-             "axiom": exc.axiom, "witness": list(exc.witness)},
+            {"schema_version": SCHEMA_VERSION, "command": args.command, **exc.names,
+             "ok": False, "error": exc.error, "axiom": exc.axiom,
+             "witness": list(exc.witness)},
             sort_keys=True, indent=1) + "\n")
         return 1
 

@@ -275,13 +275,11 @@ def compatibility_failures(h, d_h, k, d_k, act) -> list:
 def check_diff_module_bialgebra(h: FinDimHopf, d_h: LinMap, k: FinDimHopf,
                                 d_k: LinMap, action) -> DiffModuleBialgebra | CheckReport:
     """D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 on all basis pairs."""
-    from .actions import validate_action
+    from .actions import _require_action
 
     if not is_cocommutative(h) or not is_cocommutative(k):
         raise ValueError("both Hopf algebras must be cocommutative")
-    rep = validate_action(action, require_bialgebra=True)
-    if not rep.ok:
-        raise ValueError(f"action is not a module bialgebra: {rep.failures()}")
+    _require_action(action, True)
     for name, hh, dd in (("H", h, d_h), ("K", k, d_k)):
         if dd.matrix.rows != hh.dim or dd.matrix.cols != hh.dim:
             raise ValueError(f"D_{name} is not an operator on {hh.name}")

@@ -6,11 +6,11 @@ rationals, together with an optional declared group-algebra coradical.
 All axioms can be verified exhaustively on basis tuples; every verdict
 is exact.
 
-Convolution and the coalgebra-map check run on integer numerators: a
-carrier's structure constants are scaled once to integers over one shared
-denominator per table (:func:`int_structure`, memoized on the carrier),
-and a map's matrix to integer columns over the lcm of its denominators
-(:func:`int_columns`).  Comparisons are cross-multiplied by the known
+Convolution and the algebra-map and coalgebra-map checks run on integer
+numerators: a carrier's structure constants are scaled once to integers
+over one shared denominator per table (:func:`int_structure`, memoized
+on the carrier), and a map's matrix to integer columns over the lcm of
+its denominators (:func:`int_columns`).  Comparisons are cross-multiplied by the known
 denominators, and ``Fraction`` values are built only for returned
 matrices, so every result is identical to rational arithmetic.
 
@@ -322,19 +322,9 @@ def convolve(f: LinMap, g: LinMap) -> LinMap:
     if f.domain is not g.domain or f.codomain is not g.codomain:
         raise ValueError("convolution needs equal domains and codomains")
     dom, cod = f.domain, f.codomain
-    co = int_structure(dom)
-    prod = int_structure(cod)
-    fcols, fden = int_columns(f.matrix)
-    gcols, gden = int_columns(g.matrix)
-    den = co.comult_den * prod.mult_den * fden * gden
-    cols = []
-    for k in range(dom.dim):
-        acc = [0] * cod.dim
-        for (i, j, c) in co.comult[k]:
-            for p, x in prod.mul(fcols[i], gcols[j]):
-                acc[p] += c * x
-        cols.append(acc)
-    entries = [Fraction(x, den) if x else ZERO for row in zip(*cols) for x in row]
+    cols, den = convolve_columns(dom, cod, f.matrix, g.matrix)
+    entries = [Fraction(x, den) if x else ZERO
+               for row in zip(*map(_stored, cols)) for x in row]
     return LinMap(dom, cod, Mat(cod.dim, dom.dim, entries))
 
 
@@ -396,6 +386,14 @@ def _attempt(fn, *args):
         return exc
 
 
+def _stored(value):
+    """A tabulated value, or a fresh copy of the OutOfBudgetError stored
+    in its place, raised."""
+    if value.__class__ is OutOfBudgetError:
+        raise _copy(value)
+    return value
+
+
 class IntStructure:
     """A carrier's structure constants as integers over one shared
     denominator per table.
@@ -437,9 +435,7 @@ class IntStructure:
         OutOfBudgetError passed as u or v (an antipode column, or an
         earlier product kept by the caller) is raised again first.
         """
-        for arg in (u, v):
-            if arg.__class__ is OutOfBudgetError:
-                raise _copy(arg)
+        u, v = _stored(u), _stored(v)
         out = [0] * self.dim
         mult = self.mult
         for a, x in u:
@@ -491,6 +487,63 @@ def int_columns(matrix) -> IntColumns:
     cols = [tuple((r, p * (den // d)) for r, (p, d) in enumerate(ratios[j::width]) if p)
             for j in range(width)]
     return IntColumns(cols, den)
+
+
+def convolve_columns(dom, cod, f, g) -> tuple[list, int]:
+    """The columns of x -> f(x1) g(x2), for maps from dom to cod given as
+    matrices, column tables or IntColumns, as dense integer lists over
+    the returned denominator.
+
+    A column that needs an unknown image of f or g, or a product that
+    leaves a truncated cod's budget, is the OutOfBudgetError that
+    computing it raised.
+    """
+    co = int_structure(dom)
+    prod = int_structure(cod)
+    fcols, fden = int_columns(f)
+    gcols, gden = int_columns(g)
+    cols = []
+    for k in range(dom.dim):
+        acc = [0] * cod.dim
+        try:
+            for (i, j, c) in co.comult[k]:
+                for p, x in prod.mul(fcols[i], gcols[j]):
+                    acc[p] += c * x
+        except OutOfBudgetError as exc:
+            acc = exc
+        cols.append(acc)
+    return cols, co.comult_den * prod.mult_den * fden * gden
+
+
+def algebra_map_failures(dom, cod, matrix):
+    """(i, j, kind) for the basis pairs of dom, in order, at which the map
+    f with this matrix or column table is not a checked algebra map.
+
+    kind is "algebra" where f(e_i e_j) != f(e_i) f(e_j), and "skipped"
+    where either side needs an unknown column or a product that leaves a
+    truncated carrier's budget.  The unit is not checked here.
+    """
+    src = int_structure(dom)
+    dst = int_structure(cod)
+    cols, den = int_columns(matrix)
+    # lhs carries den * src.mult_den, rhs den^2 * dst.mult_den
+    lhs_scale = den * dst.mult_den
+    rhs_scale = src.mult_den
+    for i in range(dom.dim):
+        row = src.mult[i]
+        for j in range(dom.dim):
+            try:
+                lhs = [0] * cod.dim
+                for k, x in _stored(row[j]):
+                    for p, y in _stored(cols[k]):
+                        lhs[p] += x * y
+                rhs = dst.mul(cols[i], cols[j])
+            except OutOfBudgetError:
+                yield i, j, "skipped"
+                continue
+            if [(p, x * lhs_scale) for p, x in enumerate(lhs) if x] != \
+                    [(p, x * rhs_scale) for p, x in rhs]:
+                yield i, j, "algebra"
 
 
 def coalgebra_map_failures(dom, cod, matrix):
@@ -590,6 +643,18 @@ class AxiomReport:
                 for a, ok, w in self.checks
             ],
         }
+
+
+class InvalidAlgebraError(ValueError):
+    """An algebra or an action that fails a named axiom of report; error
+    says what it fails to be and names identify it ({"algebra": name})."""
+
+    def __init__(self, subject: str, error: str, names: dict, report: AxiomReport):
+        self.error = error
+        self.names = names
+        self.report = report
+        self.axiom, self.witness = report.failures()[0]
+        super().__init__(f"{subject} fails the {self.axiom} axiom at {self.witness}")
 
 
 def _first_witness(fails):
@@ -835,16 +900,11 @@ def is_coalgebra_hom(f: LinMap) -> bool:
 
 
 def is_algebra_hom(f: LinMap) -> bool:
+    """f(1) = 1 and f(xy) = f(x) f(y), stopping at the first failure."""
     dom, cod = f.domain, f.codomain
     if f.apply(dom.unit_vec()) != cod.unit_vec():
         return False
-    for i in range(dom.dim):
-        for j in range(dom.dim):
-            lhs = f.apply(dom.mult_basis(i, j))
-            rhs = cod.mult_vec(f.image_of_basis(i), f.image_of_basis(j))
-            if lhs != rhs:
-                return False
-    return True
+    return next(algebra_map_failures(dom, cod, f.matrix), None) is None
 
 
 def is_hopf_automorphism(f: LinMap) -> bool:

@@ -154,6 +154,35 @@ def test_extend_smash_diff_with_swapped_operators_exits_two(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, operators, error", [
+    ("smash", [], "not a module bialgebra"),
+    ("check-crossed-hom", ["--operator", "op:crossed:kC2:kC4"], "not a module algebra"),
+    ("graph", ["--operator", "op:crossed:kC2:kC4"], "not a module algebra"),
+    ("extend-smash-diff", ["--operator", "op:id:kC4", "--operator-k", "op:id:kC2"],
+     "not a module bialgebra"),
+], ids=["smash", "check-crossed-hom", "graph", "extend-smash-diff"])
+def test_action_failing_module_axioms_gives_structured_report(capsys, tmp_path, command,
+                                                              operators, error):
+    """kC2 acting on kC4 with s acting by the rotation x -> x+1: s.(s.1) is
+    r^2, not 1, so module associativity fails first, at (s, s, 1)."""
+    code, payload, _ = invoke(capsys, "catalog", "action:inv:kC2:kC4")
+    action = payload["payload"]
+    action["tensor"][1] = [["1" if p == (x + 1) % 4 else "0" for p in range(4)]
+                           for x in range(4)]
+    path = tmp_path / "rotation.json"
+    path.write_text(json.dumps(action))
+    argv = [command, "--action", str(path)]
+    for flag, entry in zip(operators[::2], operators[1::2]):
+        argv += [flag, export_entry(capsys, tmp_path, entry, f"{flag[2:]}.json")]
+    code, payload, err = invoke(capsys, *argv)
+    assert code == 1
+    assert payload["ok"] is False and payload["command"] == command
+    assert (payload["acting"], payload["target"]) == ("kC2", "kC4")
+    assert payload["error"] == error
+    assert payload["axiom"] == "module-associativity" and payload["witness"] == [1, 1, 0]
+    assert "Traceback" not in err
+
+
 def test_free_lie_tasks(capsys):
     code, payload, _ = invoke(capsys, "free-lie", "lyndon-dims",
                               "--generators", "2", "--budget", "4")

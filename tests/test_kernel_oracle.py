@@ -28,6 +28,17 @@ products equal exports.
 kept verbatim too.  Every catalog algebra, and copies with one structure
 constant replaced by a pool coefficient, must give equal axiom reports,
 witnesses included.
+
+``validate_action`` with its ``_associativity_failures``,
+``derived_module_structure``, ``is_algebra_hom``, the multiplicativity
+loop of ``smash_vs_semidirect_trunc`` and ``diffop_from_hom`` with its
+``Fraction`` loop for D = F * S are kept verbatim as they were before the
+one module-axiom checker, ``algebra_map_failures`` and
+``convolve_columns`` replaced them.  Actions with one tensor entry
+replaced by a pool coefficient must give equal axiom reports; sampled maps
+equal algebra-map verdicts; perturbed partial column tables equal counts
+of checked and failing pairs; and sampled primitive letter images equal
+reports, the D table and the skip list in order included.
 """
 
 import random
@@ -56,7 +67,7 @@ from hopfdiff.diffops import (
     diff_identity_report,
 )
 from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, row_space_basis, solve_affine
-from hopfdiff.lie import FinLie
+from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 from hopfdiff.freelie import (
     DerivationAction,
     LyndonBasis,
@@ -69,6 +80,7 @@ from hopfdiff.freelie import (
     extend_crossed_hom_trunc,
     extended_action_bialgebra_check,
     sign_action_on_enveloping,
+    smash_vs_semidirect_trunc,
     truncated_primitives,
     verify_crossed_hom_trunc,
     verify_trunc_diffop,
@@ -79,6 +91,7 @@ from hopfdiff.hopf import (
     LinMap,
     OutOfBudgetError,
     Vec,
+    algebra_map_failures,
     apply_cols,
     basis_vec,
     convolve,
@@ -1373,3 +1386,34 @@ def test_diffop_from_hom_matches_reference(name, data):
             v = vec_add(v, vec_scale(data.draw(nonzero), basis[w]))
         phi.append(v)
     assert diffop_from_hom(tv, phi) == reference_diffop_from_hom(tv, phi)
+
+
+@cache
+def semidirect_map(kind):
+    """U(h x| g), U(h) # U(g) and the column table of the comparison map at
+    budget 3, for the adjoint action of aff1 or a one-dimensional action by 1."""
+    if kind == "aff1":
+        action = adjoint_lie_action(FinLie.from_pairs(["a", "b"], {(0, 1): [0, 1]}, "aff1"))
+    else:
+        action = LieAction(FinLie.from_pairs(["x"], {}, "g"), FinLie.from_pairs(["u"], {}, "h"),
+                           [Mat.from_cols([[1]])])
+    rep = smash_vs_semidirect_trunc(action, 3)
+    return rep["_u_semidirect"], rep["_smash"], rep["_columns"]
+
+
+@pytest.mark.parametrize("kind", ["aff1", "one"])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_multiplicative_pairs_match_reference(kind, data):
+    """The checked and failing pairs of the comparison map, with up to two
+    entries redrawn and up to three columns made unknown."""
+    u_sd, smash, seed = semidirect_map(kind)
+    cols = [list(c) for c in seed]
+    for _ in range(data.draw(st.integers(0, 2))):
+        cols[data.draw(st.integers(0, u_sd.dim - 1))][
+            data.draw(st.integers(0, smash.dim - 1))] = data.draw(coefficients)
+    for j in data.draw(st.lists(st.integers(0, u_sd.dim - 1), max_size=3)):
+        cols[j] = None
+    kinds = [kind for _, _, kind in algebra_map_failures(u_sd, smash, cols)]
+    assert ((u_sd.dim ** 2 - kinds.count("skipped"), kinds.count("algebra"))
+            == reference_multiplicative_pairs(u_sd, smash, cols))
