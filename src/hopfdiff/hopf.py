@@ -435,7 +435,9 @@ class IntStructure:
         OutOfBudgetError passed as u or v (an antipode column, or an
         earlier product kept by the caller) is raised again first.
         """
-        u, v = _stored(u), _stored(v)
+        for arg in (u, v):
+            if arg.__class__ is OutOfBudgetError:
+                raise _copy(arg)
         out = [0] * self.dim
         mult = self.mult
         for a, x in u:
