@@ -35,11 +35,11 @@ class InputError(Exception):
     pass
 
 
-def _input_error(exc: ValueError) -> Exception:
-    """What a command raises for a ValueError from the library: a structure
-    that fails a named axiom stays an InvalidAlgebraError (exit 1), and
-    anything else is an input error (exit 2)."""
-    return exc if isinstance(exc, InvalidAlgebraError) else InputError(str(exc))
+def _input_error(exc: Exception, context: str = "") -> Exception:
+    """What a command raises for an error from the library or a parser: a
+    structure that fails a named axiom stays an InvalidAlgebraError (exit
+    1), and anything else is an input error (exit 2) after context."""
+    return exc if isinstance(exc, InvalidAlgebraError) else InputError(context + str(exc))
 
 
 # what the formats parsers raise on a malformed file; "1/0" raises
@@ -101,7 +101,7 @@ def _load_operator(path: str, fallback_algebra=None) -> LinMap:
     try:
         return formats.operator_from_dict(data, _resolve_algebra)
     except _PARSE_ERRORS as exc:
-        raise InputError(f"bad operator file {path}: {exc}")
+        raise _input_error(exc, f"bad operator file {path}: ")
 
 
 def _load_action(path: str):
@@ -109,7 +109,7 @@ def _load_action(path: str):
     try:
         return formats.action_from_dict(data, _resolve_algebra)
     except _PARSE_ERRORS as exc:
-        raise InputError(f"bad action file {path}: {exc}")
+        raise _input_error(exc, f"bad action file {path}: ")
 
 
 def _vec_strs(h, vectors) -> list:
@@ -254,7 +254,7 @@ def _resolve_plan(args):
         try:
             return formats.plan_from_dict(data, _resolve_algebra).validate()
         except _PARSE_ERRORS as exc:
-            raise InputError(f"bad plan file: {exc}")
+            raise _input_error(exc, "bad plan file: ")
     try:
         obj = catalog.build(args.plan)
     except KeyError as exc:

@@ -366,3 +366,29 @@ def test_non_hopf_algebra_file_gives_structured_report(capsys, tmp_path, command
     assert code == 1
     assert [c["axiom"] for c in payload["axioms"] if not c["ok"]] == [
         "counit", "bialgebra", "antipode"]
+
+
+@pytest.mark.parametrize("entry, field, argv", [
+    ("op:id:kC2", "algebra", ["check-diffop", "--operator"]),
+    ("action:inv:kC2:kC4", "target", ["smash", "--action"]),
+    ("plan:kC2", "algebra", ["classify-diffops", "--plan"]),
+], ids=["operator", "action", "plan"])
+def test_file_naming_non_hopf_algebra_file_gives_structured_report(capsys, tmp_path,
+                                                                   entry, field, argv):
+    """An operator, action or plan file whose algebra field is the path of
+    an algebra file failing a Hopf axiom gets that algebra's report (exit 1),
+    not the file's parse error (exit 2)."""
+    code, payload, _ = invoke(capsys, "catalog", "kC2")
+    payload["payload"]["counit"] = ["1", "0"]
+    algebra = tmp_path / "bad_counit.json"
+    algebra.write_text(json.dumps(payload["payload"]))
+    code, payload, _ = invoke(capsys, "catalog", entry)
+    payload["payload"][field] = str(algebra)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload["payload"]))
+    code, payload, err = invoke(capsys, *argv, str(path))
+    assert code == 1
+    assert payload["ok"] is False and payload["error"] == "not a Hopf algebra"
+    assert payload["algebra"] == "kC2"
+    assert payload["axiom"] == "counit" and payload["witness"] == [1]
+    assert "Traceback" not in err

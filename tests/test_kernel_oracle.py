@@ -1284,14 +1284,39 @@ def reference_diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckRepor
     return report
 
 
+def dual_hopf(h: FinDimHopf) -> FinDimHopf:
+    """H* on the dual basis f_0, ..., f_{n-1}, from H's transposed structure
+    constants: f_i f_j = sum c f_k over the triples (i, j, c) of D(e_k),
+    D(f_k) = sum (e_i e_j)_k f_i (x) f_j, 1 = eps, eps(f_k) = 1_k, S = S^T."""
+    n = h.dim
+    mult = [[[sum((c for (a, b, c) in h.comult[k] if (a, b) == (i, j)), ZERO)
+              for k in range(n)] for j in range(n)] for i in range(n)]
+    comult = [[(i, j, h.mult[i][j][k]) for i in range(n) for j in range(n)]
+              for k in range(n)]
+    antipode = Mat.from_rows([h.antipode.col(i) for i in range(n)])
+    return FinDimHopf(f"{h.name}*", [f"f{i}" for i in range(n)], mult, list(h.counit),
+                      comult, list(h.unit), antipode)
+
+
+def coregular_action(h: FinDimHopf) -> ActionData:
+    """The left coregular action of H on H*, (a . f)(b) = f(ba): e_a . f_x
+    = sum_b (e_b e_a)_x f_b."""
+    n = h.dim
+    return ActionData(h, dual_hopf(h), [[[h.mult[b][a][x] for b in range(n)]
+                                         for x in range(n)] for a in range(n)])
+
+
 def module_action(name):
-    """A catalog action, or the trivial or adjoint action named name."""
+    """A catalog action, or the trivial, adjoint or coregular action named
+    name."""
     kind, _, alg = name.partition(":")
     if kind == "trivial":
         h = catalog.build(alg)
         return trivial_action(h, h)
     if kind == "adjoint":
         return adjoint_action(catalog.build(alg))
+    if kind == "coregular":
+        return coregular_action(catalog.build(alg))
     return catalog.build(name)
 
 
@@ -1312,7 +1337,7 @@ def check_perturbed_action(name, data):
 
 
 @pytest.mark.parametrize("name", ["action:inv:kC2:kC4", "trivial:H4", "adjoint:kC2xC2",
-                                  "adjoint:kS3"])
+                                  "adjoint:kS3", "coregular:H4"])
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
 def test_validate_action_matches_reference(name, data):
@@ -1326,6 +1351,22 @@ def test_validate_action_matches_reference_on_h8(name, data):
     """The adjoint action of H8 is a module algebra but not a module
     bialgebra."""
     check_perturbed_action(name, data)
+
+
+def test_coregular_action_of_h4_is_a_module_algebra_in_one_leg_order_only():
+    """H4 is not cocommutative and H4* is not commutative, so only the
+    order a . (fg) = (a1 . f)(a2 . g) holds, not (a2 . f)(a1 . g)."""
+    action = module_action("coregular:H4")
+    k, h = action.acting, action.target
+    assert validate_hopf(h).ok
+    assert not is_cocommutative(k)
+    assert any(h.mult_basis(x, y) != h.mult_basis(y, x) for x in range(4) for y in range(4))
+    assert validate_action(action).ok
+    swapped = [(a, x, y) for a in range(4) for x in range(4) for y in range(4)
+               if action.act(basis_vec(4, a), h.mult_basis(x, y)) != sum(
+                   (vec_scale(c, h.mult_vec(action.act_basis(a2, x), action.act_basis(a1, y)))
+                    for (a1, a2, c) in k.comult_triples(a)), start=zero_vec(4))]
+    assert swapped
 
 
 def test_adjoint_action_of_h8_is_not_a_module_bialgebra():
