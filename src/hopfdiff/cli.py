@@ -148,7 +148,10 @@ def cmd_validate(args) -> int:
 
 def cmd_grouplikes(args) -> int:
     h = _resolve_algebra(args.algebra)
-    res = grouplikes(h)
+    try:
+        res = grouplikes(h)
+    except ValueError as exc:
+        raise InputError(str(exc))
     report = {"schema_version": SCHEMA_VERSION, "command": "grouplikes",
               "algebra": h.name, "ok": True,
               "elements": _vec_strs(h, res.elements), "complete": res.complete}

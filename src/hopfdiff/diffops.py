@@ -344,23 +344,9 @@ def extend_diff_smash(m: DiffModuleBialgebra, smash: FinDimHopf | None = None
 def restricts_to_group_diffop(h: FinDimHopf, d: LinMap):
     """The restriction of a difference operator to the declared group-like
     basis, as a group difference operator on G(H)."""
-    from .groups import FinGroup, GroupMap, check_group_diffop
+    from .groups import GroupMap, check_group_diffop, coradical_group
 
-    if h.coradical_group_basis is None:
-        raise ValueError("no declared group-algebra coradical")
-    idxs = h.coradical_group_basis
-    pos = {b: i for i, b in enumerate(idxs)}
-    table = []
-    for a in idxs:
-        row = []
-        for b in idxs:
-            prod = h.mult_basis(a, b)
-            hits = [i for i, c in enumerate(prod) if c]
-            if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] not in pos:
-                raise ValueError("declared coradical is not a group basis")
-            row.append(pos[hits[0]])
-        table.append(row)
-    group = FinGroup([h.label(b) for b in idxs], table, name=f"G({h.name})")
+    group, idxs, pos = coradical_group(h)
     images = []
     for a in idxs:
         img = d.image_of_basis(a)
@@ -381,27 +367,26 @@ def ckmm_instance_check(h: FinDimHopf, d: DiffOp) -> dict:
     from that restriction reproduces D exactly.  Truncated mixed
     instances are handled in :mod:`hopfdiff.freelie`.
     """
+    from .groups import coradical_group
     from .hopf import primitives
 
+    group, idxs, pos = coradical_group(h)
     if not is_cocommutative(h):
         raise ValueError("H must be cocommutative")
-    if h.coradical_group_basis is None:
-        raise ValueError("H must be pointed with a declared group-algebra coradical")
     report: dict = {"algebra": h.name}
     prim = primitives(h)
     report["primitive_dimension"] = len(prim)
     report["primitives_trivial"] = not prim
-    if len(h.coradical_group_basis) != h.dim:
+    if group.order != h.dim:
         report["pointed_group_algebra"] = False
         report["ok"] = False
         return report
     report["pointed_group_algebra"] = True
-    group, gmap, is_group_diff = restricts_to_group_diffop(h, d.map)
+    _, gmap, is_group_diff = restricts_to_group_diffop(h, d.map)
     report["group_restriction_is_diffop"] = is_group_diff
     # smash reconstruction with trivial primitive part: the linear lift
     # of the group restriction must be D itself
-    lift = Mat.from_cols([basis_vec(h.dim, h.coradical_group_basis[gmap(i)])
-                          for i in range(group.order)])
+    lift = Mat.from_cols([basis_vec(h.dim, idxs[gmap(pos[b])]) for b in range(h.dim)])
     report["reconstruction_identity"] = lift == d.map.matrix
     report["ok"] = (report["primitives_trivial"] and is_group_diff
                     and report["reconstruction_identity"])
@@ -411,14 +396,16 @@ def ckmm_instance_check(h: FinDimHopf, d: DiffOp) -> dict:
 def all_diffops_on_group_algebra(h: FinDimHopf) -> list[DiffOp]:
     """Every difference operator on a group algebra, through the group
     bijection with endomorphisms; each lift is re-verified."""
-    from .groups import diffop_from_endo, enumerate_endos
+    from .groups import coradical_group, diffop_from_endo, enumerate_endos
 
-    group, _, _ = restricts_to_group_diffop(
-        h, LinMap(h, h, Mat.identity(h.dim)))
+    group, idxs, pos = coradical_group(h)
+    if group.order != h.dim:
+        raise ValueError(f"{h.name} is not a group algebra: its declared group-likes "
+                         f"span {group.order} of {h.dim} dimensions")
     ops = []
     for f in enumerate_endos(group):
         d = diffop_from_endo(f)
-        mat = Mat.from_cols([basis_vec(h.dim, d(a)) for a in range(group.order)])
+        mat = Mat.from_cols([basis_vec(h.dim, idxs[d(pos[b])]) for b in range(h.dim)])
         res = check_diffop(h, mat)
         if not isinstance(res, DiffOp):
             raise AssertionError("group difference operator lift failed the Hopf check")

@@ -22,7 +22,7 @@ from math import comb
 from .actions import (TruncatedSmash, act_vec, crossed_hom_report, graph_vector,
                       module_axiom_report, smash_vec)
 from .diffops import compatibility_failures, diff_identity_report, smash_extension_columns
-from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis, solve_affine
+from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis
 from .hopf import (
     CarrierOps,
     CheckReport,
@@ -38,6 +38,7 @@ from .hopf import (
     convolve_columns,
     int_columns,
     int_structure,
+    primitives,
     vec_add,
     vec_scale,
     vec_sub,
@@ -251,41 +252,6 @@ class LyndonBasis:
         return [len(self.by_degree[n]) for n in range(1, self.tensor.budget + 1)]
 
 
-def truncated_primitives(carrier) -> list[Vec]:
-    """Reduced-echelon basis of the primitives of a truncated carrier,
-    by exact linear algebra on the total comultiplication.
-
-    Row (a, b) of the system is the coefficient of e_a (x) e_b in
-    Delta(u) - u (x) 1 - 1 (x) u, one column per coordinate of u.  One
-    pass over comult_triples(m) for every basis element m fills all rows
-    at once, the unit terms are subtracted after it, and the nonzero rows
-    are solved in ascending (a, b) order.
-    """
-    n = carrier.dim
-    rows: dict = {}
-    for m in range(n):
-        for (a, b, c) in carrier.comult_triples(m):
-            row = rows.setdefault((a, b), {})
-            row[m] = row.get(m, ZERO) + c
-    for m, c in enumerate(carrier.unit_vec()):
-        if c:
-            # c (x) 1 and 1 (x) c
-            for a in range(n):
-                row = rows.setdefault((a, m), {})
-                row[a] = row.get(a, ZERO) - c
-                row = rows.setdefault((m, a), {})
-                row[a] = row.get(a, ZERO) - c
-    dense = []
-    for key in sorted(rows):
-        if any(rows[key].values()):
-            row = [ZERO] * n
-            for m, c in rows[key].items():
-                row[m] = c
-            dense.append(row)
-    sol = solve_affine(Mat.from_rows(dense), [ZERO] * len(dense))
-    return sol.kernel_basis
-
-
 def lyndon_dims(generators: int, budget: int) -> dict:
     """Lyndon counts per degree, cross-checked three ways: Duval
     enumeration, the necklace-count formula, and the graded dimensions of
@@ -294,7 +260,7 @@ def lyndon_dims(generators: int, budget: int) -> dict:
     basis = LyndonBasis(tensor)
     duval = basis.dims()
     witt = [witt_dimension(generators, n) for n in range(1, budget + 1)]
-    prim = truncated_primitives(tensor)
+    prim = primitives(tensor)
     graded = [0] * budget
     for v in prim:
         degs = {tensor.degree(i) for i, c in enumerate(v) if c}
@@ -573,7 +539,7 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
     carrier (a primitive vector); budget overruns are reported, never
     skipped silently.
     """
-    prim = row_space_basis(truncated_primitives(tv))
+    prim = row_space_basis(primitives(tv))
     for v in phi:
         if not in_span(prim, v):
             raise ValueError("letter images must be primitive (free Lie elements)")
@@ -769,7 +735,15 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
     """Solve for the extension degree by degree: at each degree the
     coalgebra and crossed-homomorphism constraints are affine in the
     unknown images given the lower degrees.  The solution must be unique
-    and equal to the supplied columns."""
+    and equal to the supplied columns.
+
+    At degree d, with m basis words of that degree, the unknown images are
+    the rows of an m x n matrix X, and an equation sum_i coeff_i value(i)
+    = const is one row [coefficients | const] of A X = B.  One reduction
+    of [A | B] decides the degree: a pivot in the B block means there is
+    no solution, rank A < m leaves n (m - rank A) free coordinates, and
+    otherwise the reduced rows hold X.
+    """
     n = tv.dim
     known: list = [None] * n
     known[0] = tv.unit_vec()
@@ -780,17 +754,6 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
         pos = {i: p for p, i in enumerate(idxs)}
         m = len(idxs)
         rows = []
-        rhs = []
-
-        def add_equation(coeff_map: dict, const: Vec):
-            # sum_i coeff * value(i) = const, one scalar row per coordinate
-            for coord in range(n):
-                row = [ZERO] * (m * n)
-                for i, c in coeff_map.items():
-                    row[pos[i] * n + coord] = c
-                rows.append(row)
-                rhs.append(const[coord])
-
         # crossed-homomorphism equations for products landing in degree d
         for i in range(n):
             di = tv.degree(i)
@@ -810,18 +773,20 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
                         rhs_vec = vec_add(rhs_vec, vec_scale(c, tv.mult_vec(known[a1], acted)))
                 except OutOfBudgetError:
                     continue
-                coeff_map = {k: c for k, c in
-                             ((k, prod[k]) for k in idxs) if c}
-                if coeff_map:
-                    add_equation(coeff_map, rhs_vec)
+                row = [prod[k] for k in idxs]
+                if any(row):
+                    rows.append(row + rhs_vec)
         if not rows:
             return {"unique": False, "matches": False, "witness": f"degree {d} unconstrained"}
-        sol = solve_affine(Mat.from_rows(rows), rhs)
-        if sol.inconsistent or sol.kernel_basis:
+        reduced = row_space_basis(rows)
+        # the last reduced row has the largest pivot
+        consistent = any(reduced[-1][:m])
+        if not consistent or len(reduced) < m:
+            free = n * (m - len(reduced)) if consistent else 0
             return {"unique": False, "matches": False,
-                    "witness": f"degree {d} solution space dim {len(sol.kernel_basis)}"}
+                    "witness": f"degree {d} solution space dim {free}"}
         for i in idxs:
-            known[i] = sol.particular[pos[i] * n:(pos[i] + 1) * n]
+            known[i] = reduced[pos[i]][m:]
     matches = True
     witness = None
     for i in range(n):
@@ -1011,7 +976,7 @@ def ckmm_truncated_instance(budget: int) -> dict:
         cols[smash.index[(0, a)]] == smash_vec(smash, u_env.unit_vec(), d_k[a]) for a in range(n_k))
 
     # group-likes and primitives of the smash
-    prim = truncated_primitives(smash)
+    prim = primitives(smash)
     e_vec = zero_vec(smash.dim)
     e_vec[smash.index[(u_env.index[(1,)], 0)]] = ONE
     report["primitive_dim"] = len(prim)

@@ -7,7 +7,7 @@ import itertools
 from dataclasses import dataclass
 
 from .exactlin import Mat, ONE, ZERO
-from .hopf import FinDimHopf, LinMap, basis_vec
+from .hopf import FinDimHopf, LinMap, basis_vec, is_grouplike
 
 ENDO_ORDER_BOUND = 24
 
@@ -295,6 +295,40 @@ def group_algebra(g: FinGroup, name: str | None = None) -> FinDimHopf:
         g.labels, mult, unit, comult, counit, antipode,
         coradical_group_basis=list(range(n)),
     )
+
+
+def coradical_group(h: FinDimHopf):
+    """G(H): the declared group-like basis of H as a FinGroup, with the
+    declared indices and their positions, (group, idxs, pos); the inverse
+    of :func:`group_algebra`.
+
+    A missing declaration, one that does not list distinct basis indices,
+    a declared element that is not group-like and a product that leaves
+    the declared basis raise ValueError; the last two name the element or
+    the pair.
+    """
+    if h.coradical_group_basis is None:
+        raise ValueError("no declared group-algebra coradical")
+    idxs = h.coradical_group_basis
+    pos = {b: i for i, b in enumerate(idxs)}
+    if len(pos) != len(idxs) or not all(isinstance(b, int) and 0 <= b < h.dim
+                                        for b in idxs):
+        raise ValueError("declared coradical must list distinct basis indices")
+    for b in idxs:
+        if not is_grouplike(h, basis_vec(h.dim, b)):
+            raise ValueError(f"declared coradical element {h.label(b)} is not group-like")
+    table = []
+    for a in idxs:
+        row = []
+        for b in idxs:
+            prod = h.mult_basis(a, b)
+            hits = [i for i, c in enumerate(prod) if c]
+            if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] not in pos:
+                raise ValueError(f"declared coradical not closed under multiplication "
+                                 f"at ({h.label(a)}, {h.label(b)})")
+            row.append(pos[hits[0]])
+        table.append(row)
+    return FinGroup([h.label(b) for b in idxs], table, name=f"G({h.name})"), idxs, pos
 
 
 def lift_map(f: GroupMap, kg_source: FinDimHopf, kg_target: FinDimHopf) -> LinMap:

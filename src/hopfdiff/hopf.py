@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, Rat, ZERO, invert, rat, rat_str, solve_affine
+from .exactlin import Mat, ONE, Rat, ZERO, invert, kernel, rat, rat_str
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -826,72 +826,63 @@ def grouplikes(h: FinDimHopf) -> GrouplikeResult:
     """Group-like elements of H.
 
     With a declared group-algebra coradical the declared basis elements
-    are verified (group-like, closed under product and inverse) and
-    returned as the complete list; otherwise only basis elements are
-    scanned and the result is flagged possibly incomplete.
+    are verified as a group (:func:`hopfdiff.groups.coradical_group`, which
+    raises ValueError naming the first fault) and returned as the complete
+    list; otherwise only basis elements are scanned and the result is
+    flagged possibly incomplete.
     """
     n = h.dim
     if h.coradical_group_basis is not None:
-        decl = h.coradical_group_basis
-        elements = []
-        for idx in decl:
-            v = basis_vec(n, idx)
-            if not is_grouplike(h, v):
-                raise ValueError(f"declared coradical element {h.label(idx)} is not group-like")
-            elements.append(v)
-        decl_set = set(decl)
-        for a in decl:
-            inverse_found = False
-            for b in decl:
-                prod = h.mult_basis(a, b)
-                hits = [k for k, x in enumerate(prod) if x]
-                if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] not in decl_set:
-                    raise ValueError(
-                        f"declared coradical not closed under multiplication at "
-                        f"({h.label(a)}, {h.label(b)})"
-                    )
-                if prod == h.unit_vec():
-                    inverse_found = True
-            if not inverse_found:
-                raise ValueError(f"declared coradical element {h.label(a)} has no inverse")
-        return GrouplikeResult(elements, True)
+        from .groups import coradical_group
+
+        _, idxs, _ = coradical_group(h)
+        return GrouplikeResult([basis_vec(n, i) for i in idxs], True)
     elements = [basis_vec(n, i) for i in range(n) if is_grouplike(h, basis_vec(n, i))]
     return GrouplikeResult(elements, False)
 
 
-def skew_primitives(h: FinDimHopf, g: Vec, k: Vec) -> list[Vec]:
-    """Reduced-echelon basis of {c : D(c) = c (x) g + k (x) c}.
+def skew_primitives(h, g: Vec, k: Vec) -> list[Vec]:
+    """Reduced-echelon basis of {c : D(c) = c (x) g + k (x) c} on any
+    carrier, finite or truncated; g and k must be group-like.
 
-    g and k must be group-like.
+    Row (a, b) of the system is the coefficient of e_a (x) e_b in
+    D(c) - c (x) g - k (x) c, one column per coordinate of c.  One pass
+    over comult_triples(m) for every basis element m fills all rows at
+    once, the group-like terms are subtracted after it, and the nonzero
+    rows are solved in ascending (a, b) order.
     """
     if not is_grouplike(h, g) or not is_grouplike(h, k):
         raise ValueError("skew-primitive reference elements must be group-like")
     n = h.dim
-    rows = []
-    rhs_zero_rows = []
-    # unknown c: D(c) - c(x)g - k(x)c = 0, a linear system over n unknowns
-    for a in range(n):
-        for b in range(n):
+    rows: dict = {}
+    for m in range(n):
+        for (a, b, c) in h.comult_triples(m):
+            row = rows.setdefault((a, b), {})
+            row[m] = row.get(m, ZERO) + c
+    # c (x) g puts c_a g_b at (a, b), and k (x) c puts k_a c_b there
+    for b, c in enumerate(g):
+        if c:
+            for a in range(n):
+                row = rows.setdefault((a, b), {})
+                row[a] = row.get(a, ZERO) - c
+    for a, c in enumerate(k):
+        if c:
+            for b in range(n):
+                row = rows.setdefault((a, b), {})
+                row[b] = row.get(b, ZERO) - c
+    entries = []
+    for key in sorted(rows):
+        if any(rows[key].values()):
             row = [ZERO] * n
-            for m in range(n):
-                for (i, j, coeff) in h.comult_triples(m):
-                    if i == a and j == b:
-                        row[m] += coeff
-            # c (x) g contributes c_a * g_b at position (a, b)
-            row[a] -= g[b]
-            # k (x) c contributes k_a * c_b
-            row[b] -= k[a]
-            if any(row):
-                rows.append(row)
-                rhs_zero_rows.append(ZERO)
-    if not rows:
-        return [basis_vec(n, i) for i in range(n)]
-    sol = solve_affine(Mat.from_rows(rows), rhs_zero_rows)
-    return sol.kernel_basis
+            for m, c in rows[key].items():
+                row[m] = c
+            entries += row
+    return kernel(Mat(len(entries) // n, n, entries))
 
 
-def primitives(h: FinDimHopf) -> list[Vec]:
-    """Reduced-echelon basis of {c : D(c) = c (x) 1 + 1 (x) c}."""
+def primitives(h) -> list[Vec]:
+    """Reduced-echelon basis of {c : D(c) = c (x) 1 + 1 (x) c} on any
+    carrier, finite or truncated."""
     return skew_primitives(h, h.unit_vec(), h.unit_vec())
 
 

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 from .exactlin import Mat, ONE, ZERO, int_echelon, invert, kernel, rat
 from .hopf import FinDimHopf, basis_vec, int_structure
-from .groups import FinGroup, enumerate_endos, diffop_from_endo
+from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
 
 # ---------------------------------------------------------------------------
@@ -294,6 +294,7 @@ class SearchPlan:
     def validate(self):
         h = self.target
         n = h.dim
+        coradical_group(h)  # a missing or malformed declaration raises here
         indices = set(self.grouplike_indices)
         for block in self.blocks:
             indices.add(block.generator)
@@ -826,26 +827,6 @@ def _dedupe(eqs):
 
 # ---------------------------------------------------------------------------
 # the public entry points
-
-def coradical_group(h: FinDimHopf):
-    """The declared group-like basis as a FinGroup, plus index maps."""
-    if h.coradical_group_basis is None:
-        raise ValueError("no declared group-algebra coradical")
-    idxs = h.coradical_group_basis
-    pos = {b: i for i, b in enumerate(idxs)}
-    table = []
-    for a in idxs:
-        row = []
-        for b in idxs:
-            prod = h.mult_basis(a, b)
-            hits = [i for i, c in enumerate(prod) if c]
-            if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] not in pos:
-                raise ValueError("declared coradical is not closed under multiplication")
-            row.append(pos[hits[0]])
-        table.append(row)
-    group = FinGroup([h.label(b) for b in idxs], table, name=f"G({h.name})")
-    return group, idxs, pos
-
 
 def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> ClassificationResult:
     plan.validate()

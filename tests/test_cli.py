@@ -392,3 +392,62 @@ def test_file_naming_non_hopf_algebra_file_gives_structured_report(capsys, tmp_p
     assert payload["algebra"] == "kC2"
     assert payload["axiom"] == "counit" and payload["witness"] == [1]
     assert "Traceback" not in err
+
+
+# faults of the declared coradical of an H4 file, and the message each gets
+CORADICAL_FAULTS = {
+    "not-closed": ([1], "declared coradical not closed under multiplication at (g, g)"),
+    "not-grouplike": ([0, 2], "declared coradical element x is not group-like"),
+    "undeclared": (None, "no declared group-algebra coradical"),
+    "not-basis-indices": ([0, 9], "declared coradical must list distinct basis indices"),
+}
+
+
+@pytest.mark.parametrize("fault", list(CORADICAL_FAULTS))
+def test_bad_coradical_declaration_exits_two_with_one_message(capsys, tmp_path, fault):
+    """Every command that reads G(H) exits 2 with the same message for the
+    same fault; the plan file's message has the plan context in front.
+    With no declaration grouplikes scans the basis instead, and commands
+    that do not read G(H) still succeed."""
+    declared, message = CORADICAL_FAULTS[fault]
+    code, payload, _ = invoke(capsys, "catalog", "H4")
+    algebra = payload["payload"]
+    if declared is None:
+        del algebra["coradical_group_basis"]
+    else:
+        algebra["coradical_group_basis"] = declared
+    path = tmp_path / "h4.json"
+    path.write_text(json.dumps(algebra))
+    files = {}
+    for entry in ("plan:H4", "op:ueps:H4"):
+        code, payload, _ = invoke(capsys, "catalog", entry)
+        data = payload["payload"]
+        data["algebra"] = str(path)
+        del data["algebra_sha256"]
+        files[entry] = tmp_path / f"{entry.replace(':', '_')}.json"
+        files[entry].write_text(json.dumps(data))
+    commands = [("monoid-table", "--algebra", path),
+                ("classify-diffops", "--plan", files["plan:H4"]),
+                ("ckmm-check", "--operator", files["op:ueps:H4"])]
+    if declared is not None:
+        commands.append(("grouplikes", "--algebra", path))
+    for command, flag, arg in commands:
+        code, payload, err = invoke(capsys, command, flag, str(arg))
+        assert code == 2
+        assert payload["ok"] is False and payload["command"] == command
+        context = "bad plan file: " if command == "classify-diffops" else ""
+        assert payload["error"] == context + message
+        assert "Traceback" not in err
+    for command in ("validate", "primitives") + (("grouplikes",) if declared is None else ()):
+        code, payload, _ = invoke(capsys, command, "--algebra", str(path))
+        assert code == 0 and payload["ok"] is True
+        if command == "grouplikes":
+            assert payload["complete"] is False and payload["elements"] == ["1", "g"]
+
+
+def test_monoid_table_on_a_non_group_algebra_exits_two(capsys):
+    code, payload, err = invoke(capsys, "monoid-table", "--algebra", "H4")
+    assert code == 2
+    assert payload["error"] == ("H4 is not a group algebra: its declared group-likes "
+                                "span 2 of 4 dimensions")
+    assert "Traceback" not in err

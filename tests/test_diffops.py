@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfdiff import catalog
+from hopfdiff import catalog, formats
 from hopfdiff.actions import trivial_action
 from hopfdiff.diffops import (
     CheckReport,
@@ -307,6 +307,19 @@ def test_ckmm_on_ks3_all_operators(ks3):
         rep = ckmm_instance_check(ks3, op)
         assert rep["ok"], rep
         assert rep["primitives_trivial"] and rep["reconstruction_identity"]
+
+
+def test_group_algebra_lifts_follow_a_permuted_declaration(ks3):
+    """The lifted operators and the reconstruction read the declared order
+    of the group-like basis, not the basis order."""
+    data = formats.algebra_to_dict(ks3)
+    data["coradical_group_basis"] = [1, 0, 2, 3, 4, 5]
+    permuted = formats.algebra_from_dict(data)
+    ops = all_diffops_on_group_algebra(permuted)
+    assert (sorted(op.map.matrix.entries for op in ops)
+            == sorted(op.map.matrix.entries for op in all_diffops_on_group_algebra(ks3)))
+    for op in ops:
+        assert ckmm_instance_check(permuted, op)["ok"]
 
 
 def test_ckmm_on_smash_product_with_id_ueps(kc2):

@@ -21,11 +21,10 @@ from hopfdiff.freelie import (
     mm_instance_check,
     smash_vs_semidirect_trunc,
     trivial_derivation_action,
-    truncated_primitives,
     witt_dimension,
     words_up_to,
 )
-from hopfdiff.hopf import OutOfBudgetError, is_cocommutative, zero_vec
+from hopfdiff.hopf import OutOfBudgetError, is_cocommutative, primitives, zero_vec
 from hopfdiff.lie import FinLie, LieAction
 
 F = Fraction
@@ -131,7 +130,7 @@ def test_lyndon_dims_cross_check():
 
 def test_primitives_of_degree_two_truncation():
     tv = TruncatedTensor(2, 2)
-    prim = truncated_primitives(tv)
+    prim = primitives(tv)
     assert len(prim) == 3  # a, b and ab - ba
 
 
@@ -262,7 +261,7 @@ def test_truncated_enveloping_primitives_are_the_lie_algebra():
         ["e", "f", "h"], {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0], (1, 2): [0, 2, 0]},
         "sl2")
     u = TruncatedEnveloping(sl2, 3)
-    prim = truncated_primitives(u)
+    prim = primitives(u)
     gens = [list(u.generator_vec(g)) for g in range(3)]
     assert row_space_basis(prim) == row_space_basis(gens)
 

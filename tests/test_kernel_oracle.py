@@ -39,6 +39,16 @@ replaced by a pool coefficient must give equal axiom reports; sampled maps
 equal algebra-map verdicts; perturbed partial column tables equal counts
 of checked and failing pairs; and sampled primitive letter images equal
 reports, the D table and the skip list in order included.
+
+``solver.coradical_group``, ``hopf.skew_primitives`` and
+``freelie._uniqueness_by_degree`` are kept verbatim as they were before
+``groups.coradical_group``, the one-pass primitive-space solver and the
+A X = B form of the degree systems replaced them.  Every catalog algebra
+with a declared coradical must give the same group and index maps, every
+ordered pair of group-likes the same skew-primitive basis, and the
+mm-check degree systems (two letter-image pairs at budgets 3 and 4,
+perturbed column tables, and stub actions for each witness) the same
+result.
 """
 
 import random
@@ -67,6 +77,7 @@ from hopfdiff.diffops import (
     diff_identity_report,
 )
 from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, row_space_basis, solve_affine
+from hopfdiff.groups import FinGroup, coradical_group
 from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 from hopfdiff.freelie import (
     DerivationAction,
@@ -74,6 +85,7 @@ from hopfdiff.freelie import (
     TruncatedEnveloping,
     TruncatedTensor,
     _generator_count,
+    _uniqueness_by_degree,
     adjoint_derivation_action,
     algebra_endo_from_letters,
     diffop_from_hom,
@@ -81,7 +93,6 @@ from hopfdiff.freelie import (
     extended_action_bialgebra_check,
     sign_action_on_enveloping,
     smash_vs_semidirect_trunc,
-    truncated_primitives,
     verify_crossed_hom_trunc,
     verify_trunc_diffop,
 )
@@ -101,6 +112,9 @@ from hopfdiff.hopf import (
     is_algebra_hom,
     is_coalgebra_hom,
     is_cocommutative,
+    is_grouplike,
+    primitives,
+    skew_primitives,
     sweedler_expand,
     unit_counit_map,
     validate_hopf,
@@ -562,7 +576,7 @@ def test_action_bialgebra_check_matches_reference(name, data):
 @pytest.mark.parametrize("name", ACTION_CARRIERS + ["T(2,5)", "U(e)#kC2"])
 def test_truncated_primitives_match_reference(name):
     h = carrier(name)
-    assert truncated_primitives(h) == reference_truncated_primitives(h)
+    assert primitives(h) == reference_truncated_primitives(h)
 
 
 # -- truncated checkers and smash builders, kept verbatim ------------------------
@@ -1256,7 +1270,7 @@ def reference_multiplicative_pairs(u_sd, smash, cols) -> tuple[int, int]:
 def reference_diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
     """Build D = F * S from the algebra endomorphism F extending
     v -> v + phi(v), then verify the difference identity in budget."""
-    prim = row_space_basis(truncated_primitives(tv))
+    prim = row_space_basis(primitives(tv))
     for v in phi:
         if not in_span(prim, v):
             raise ValueError("letter images must be primitive (free Lie elements)")
@@ -1458,3 +1472,222 @@ def test_multiplicative_pairs_match_reference(kind, data):
     kinds = [kind for _, _, kind in algebra_map_failures(u_sd, smash, cols)]
     assert ((u_sd.dim ** 2 - kinds.count("skipped"), kinds.count("algebra"))
             == reference_multiplicative_pairs(u_sd, smash, cols))
+
+
+# -- G(H) and P(H), and the degree systems of mm-check, kept verbatim ------------
+
+def reference_coradical_group(h: FinDimHopf):
+    """The declared group-like basis as a FinGroup, plus index maps."""
+    if h.coradical_group_basis is None:
+        raise ValueError("no declared group-algebra coradical")
+    idxs = h.coradical_group_basis
+    pos = {b: i for i, b in enumerate(idxs)}
+    table = []
+    for a in idxs:
+        row = []
+        for b in idxs:
+            prod = h.mult_basis(a, b)
+            hits = [i for i, c in enumerate(prod) if c]
+            if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] not in pos:
+                raise ValueError("declared coradical is not closed under multiplication")
+            row.append(pos[hits[0]])
+        table.append(row)
+    group = FinGroup([h.label(b) for b in idxs], table, name=f"G({h.name})")
+    return group, idxs, pos
+
+
+def reference_skew_primitives(h: FinDimHopf, g: Vec, k: Vec) -> list[Vec]:
+    """Reduced-echelon basis of {c : D(c) = c (x) g + k (x) c}.
+
+    g and k must be group-like.
+    """
+    if not is_grouplike(h, g) or not is_grouplike(h, k):
+        raise ValueError("skew-primitive reference elements must be group-like")
+    n = h.dim
+    rows = []
+    rhs_zero_rows = []
+    # unknown c: D(c) - c(x)g - k(x)c = 0, a linear system over n unknowns
+    for a in range(n):
+        for b in range(n):
+            row = [ZERO] * n
+            for m in range(n):
+                for (i, j, coeff) in h.comult_triples(m):
+                    if i == a and j == b:
+                        row[m] += coeff
+            # c (x) g contributes c_a * g_b at position (a, b)
+            row[a] -= g[b]
+            # k (x) c contributes k_a * c_b
+            row[b] -= k[a]
+            if any(row):
+                rows.append(row)
+                rhs_zero_rows.append(ZERO)
+    if not rows:
+        return [basis_vec(n, i) for i in range(n)]
+    sol = solve_affine(Mat.from_rows(rows), rhs_zero_rows)
+    return sol.kernel_basis
+
+
+def reference_uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
+    """Solve for the extension degree by degree: at each degree the
+    coalgebra and crossed-homomorphism constraints are affine in the
+    unknown images given the lower degrees.  The solution must be unique
+    and equal to the supplied columns."""
+    n = tv.dim
+    known: list = [None] * n
+    known[0] = tv.unit_vec()
+    for g in range(tv.generators):
+        known[tv.index[(g,)]] = pi_gen_images[g]
+    for d in range(2, tv.budget + 1):
+        idxs = [i for i in range(n) if tv.degree(i) == d]
+        pos = {i: p for p, i in enumerate(idxs)}
+        m = len(idxs)
+        rows = []
+        rhs = []
+
+        def add_equation(coeff_map: dict, const: Vec):
+            # sum_i coeff * value(i) = const, one scalar row per coordinate
+            for coord in range(n):
+                row = [ZERO] * (m * n)
+                for i, c in coeff_map.items():
+                    row[pos[i] * n + coord] = c
+                rows.append(row)
+                rhs.append(const[coord])
+
+        # crossed-homomorphism equations for products landing in degree d
+        for i in range(n):
+            di = tv.degree(i)
+            if di == 0 or known[i] is None:
+                continue
+            for j in range(n):
+                dj = tv.degree(j)
+                if dj == 0 or known[j] is None or di + dj != d:
+                    continue
+                try:
+                    prod = tv.mult_basis(i, j)
+                    rhs_vec = zero_vec(n)
+                    for (a1, a2, c) in tv.comult_triples(i):
+                        if known[a1] is None:
+                            raise OutOfBudgetError("lower value unknown")
+                        acted = action.act_basis(a2, known[j])
+                        rhs_vec = vec_add(rhs_vec, vec_scale(c, tv.mult_vec(known[a1], acted)))
+                except OutOfBudgetError:
+                    continue
+                coeff_map = {k: c for k, c in
+                             ((k, prod[k]) for k in idxs) if c}
+                if coeff_map:
+                    add_equation(coeff_map, rhs_vec)
+        if not rows:
+            return {"unique": False, "matches": False, "witness": f"degree {d} unconstrained"}
+        sol = solve_affine(Mat.from_rows(rows), rhs)
+        if sol.inconsistent or sol.kernel_basis:
+            return {"unique": False, "matches": False,
+                    "witness": f"degree {d} solution space dim {len(sol.kernel_basis)}"}
+        for i in idxs:
+            known[i] = sol.particular[pos[i] * n:(pos[i] + 1) * n]
+    matches = True
+    witness = None
+    for i in range(n):
+        if cols[i] is None or known[i] is None:
+            continue
+        if list(cols[i]) != list(known[i]):
+            matches = False
+            witness = tv.label(i)
+            break
+    return {"unique": True, "matches": matches, "witness": witness}
+
+
+def test_coradical_group_matches_reference():
+    """Labels, table, indices and positions on every catalog algebra with a
+    declared coradical, and on a smash product of two group algebras."""
+    algebras = [catalog.build(name) for name in catalog.names()]
+    algebras = [h for h in algebras if isinstance(h, FinDimHopf)] + [
+        carrier("smash:inv:kC2:kC4")]
+    declared = [h for h in algebras if h.coradical_group_basis is not None]
+    assert len(declared) >= 8
+    for h in declared:
+        group, idxs, pos = coradical_group(h)
+        want, want_idxs, want_pos = reference_coradical_group(h)
+        assert (group.labels, group.table, group.name) == (want.labels, want.table, want.name)
+        assert (idxs, pos) == (want_idxs, want_pos)
+
+
+@pytest.mark.parametrize("name", ["H4", "H8", "kC2xC2", "kS3", "kD4", "U(e)#kC2"])
+def test_skew_primitives_match_reference(name):
+    """Every ordered pair of group-like basis elements: the declared ones on
+    the finite algebras, 1 and s on the truncated smash product."""
+    h = carrier(name)
+    basis = [basis_vec(h.dim, i) for i in range(h.dim)]
+    group_likes = [v for v in basis if is_grouplike(h, v)]
+    assert len(group_likes) >= 2
+    for g in group_likes:
+        for k in group_likes:
+            assert skew_primitives(h, g, k) == reference_skew_primitives(h, g, k)
+
+
+class TableAction:
+    """An act_basis callable that is not a derivation action, so that the
+    degree systems can be inconsistent or leave unknowns free."""
+
+    def __init__(self, fn):
+        self.act_basis = fn
+
+
+def mm_systems(budget):
+    """(carrier, action, letter images, columns) of mm-check at two
+    generators, for three pairs of letter images: the default -a, -b; a
+    degree-one pair; and -a + [a, b], -b, whose bracket term leaves the
+    budget in some equations.  Each comes with its extension and two
+    perturbations of it."""
+    tv = carrier(f"T(2,{budget})")
+    action = adjoint_derivation_action(tv)
+    a, b = tv.generator_vec(0), tv.generator_vec(1)
+    bracket = lyndon_vectors(f"T(2,{budget})")[2]
+    for pi in ([vec_scale(-1, a), vec_scale(-1, b)],
+               [vec_add(a, vec_scale(2, b)), vec_scale(Fraction(-1, 2), a)],
+               [vec_sub(bracket, a), vec_scale(-1, b)]):
+        cols = extend_crossed_hom_trunc(tv, action, pi).details["pibar"]
+        yield tv, action, pi, cols
+        changed = list(cols)
+        changed[tv.index[(0, 1)]] = vec_add(cols[tv.index[(0, 1)]],
+                                            basis_vec(tv.dim, tv.dim - 1))
+        yield tv, action, pi, changed
+        unknown = list(cols)
+        unknown[tv.index[(1, 0)]] = None
+        unknown[tv.index[(0, 1)]] = vec_scale(2, cols[tv.index[(0, 1)]])
+        yield tv, action, pi, unknown
+
+
+@pytest.mark.parametrize("budget", [3, 4])
+def test_uniqueness_by_degree_matches_reference(budget):
+    results = []
+    for tv, action, pi, cols in mm_systems(budget):
+        got = _uniqueness_by_degree(tv, action, pi, cols)
+        assert got == reference_uniqueness_by_degree(tv, action, pi, cols)
+        results.append((got["unique"], got["matches"]))
+    assert results[:6] == [(True, True), (True, False), (True, False)] * 2
+    assert results[6:] == [(False, False)] * 3
+
+
+def test_uniqueness_by_degree_witnesses_match_reference():
+    """Inconsistent, underdetermined and unconstrained degree systems."""
+    tv = carrier("T(2,3)")
+    b = tv.index[(1,)]
+    pi = [vec_scale(-1, tv.generator_vec(g)) for g in range(2)]
+    cols = [None] * tv.dim
+
+    def raise_on(letters):
+        def act(a, u):
+            if a in letters:
+                raise OutOfBudgetError("stub")
+            return u
+        return act
+
+    witnesses = []
+    for act in (lambda a, u: vec_scale(a + 1, u), raise_on({b}),
+                raise_on(set(range(1, tv.dim)))):
+        action = TableAction(act)
+        got = _uniqueness_by_degree(tv, action, pi, cols)
+        assert got == reference_uniqueness_by_degree(tv, action, pi, cols)
+        witnesses.append(got["witness"])
+    assert witnesses == ["degree 3 solution space dim 0", "degree 2 solution space dim 30",
+                         "degree 2 unconstrained"]

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from hopfdiff import catalog
 from hopfdiff.exactlin import Mat, ONE, ZERO, kernel, rat, row_space_basis, solve_affine
-from hopfdiff.groups import FinGroup, diffop_from_endo, enumerate_endos
+from hopfdiff.groups import FinGroup, coradical_group, diffop_from_endo, enumerate_endos
 from hopfdiff.hopf import FinDimHopf, basis_vec, sweedler_expand
 from hopfdiff.solver import (
     NotFiniteError,
@@ -36,7 +36,6 @@ from hopfdiff.solver import (
     _subst,
     _subst_form,
     classify_diffops,
-    coradical_group,
     f2_characters,
     rational_roots,
     solve_quadratic_in_group_algebra,
