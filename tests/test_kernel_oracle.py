@@ -54,6 +54,7 @@ result.
 import random
 from fractions import Fraction
 from functools import cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -1624,14 +1625,6 @@ def test_skew_primitives_match_reference(name):
             assert skew_primitives(h, g, k) == reference_skew_primitives(h, g, k)
 
 
-class TableAction:
-    """An act_basis callable that is not a derivation action, so that the
-    degree systems can be inconsistent or leave unknowns free."""
-
-    def __init__(self, fn):
-        self.act_basis = fn
-
-
 def mm_systems(budget):
     """(carrier, action, letter images, columns) of mm-check at two
     generators, for three pairs of letter images: the default -a, -b; a
@@ -1669,7 +1662,8 @@ def test_uniqueness_by_degree_matches_reference(budget):
 
 
 def test_uniqueness_by_degree_witnesses_match_reference():
-    """Inconsistent, underdetermined and unconstrained degree systems."""
+    """Inconsistent, underdetermined and unconstrained degree systems, from
+    actions that are not derivation actions."""
     tv = carrier("T(2,3)")
     b = tv.index[(1,)]
     pi = [vec_scale(-1, tv.generator_vec(g)) for g in range(2)]
@@ -1685,7 +1679,7 @@ def test_uniqueness_by_degree_witnesses_match_reference():
     witnesses = []
     for act in (lambda a, u: vec_scale(a + 1, u), raise_on({b}),
                 raise_on(set(range(1, tv.dim)))):
-        action = TableAction(act)
+        action = SimpleNamespace(act_basis=act)
         got = _uniqueness_by_degree(tv, action, pi, cols)
         assert got == reference_uniqueness_by_degree(tv, action, pi, cols)
         witnesses.append(got["witness"])
