@@ -370,36 +370,17 @@ def cmd_graph(args) -> int:
 
 
 def cmd_monoid_table(args) -> int:
-    from .diffops import all_diffops_on_group_algebra, diff_to_endo, star
+    from .diffops import all_diffops_on_group_algebra, monoid_table
 
     h = _resolve_algebra(args.algebra)
     try:
         ops = all_diffops_on_group_algebra(h)
     except ValueError as exc:
         raise InputError(str(exc))
-    table = []
-    associative = True
-    for i, a in enumerate(ops):
-        row = []
-        for j, b in enumerate(ops):
-            prod = star(h, a.map, b.map)
-            match = next((k for k, c in enumerate(ops)
-                          if c.map.matrix == prod.map.matrix), None)
-            if match is None:
-                raise InputError("star product left the enumerated set")
-            row.append(match)
-        table.append(row)
-    for i in range(len(ops)):
-        for j in range(len(ops)):
-            for k in range(len(ops)):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    associative = False
-    endos = [diff_to_endo(h, op.map) for op in ops]
-    transport_ok = True
-    for i in range(len(ops)):
-        for j in range(len(ops)):
-            if endos[i].compose(endos[j]).matrix != endos[table[i][j]].matrix:
-                transport_ok = False
+    try:
+        table, associative, transport_ok = monoid_table(h, ops)
+    except LookupError as exc:
+        raise InputError(str(exc))
     ok = associative and transport_ok
     report = {"schema_version": SCHEMA_VERSION, "command": "monoid-table",
               "algebra": h.name, "ok": ok, "size": len(ops),

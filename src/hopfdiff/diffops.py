@@ -21,11 +21,14 @@ to the one rational arithmetic gives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd
 
-from .exactlin import Mat, ONE, invert
+from .exactlin import Mat, ONE, ZERO, invert
 from .hopf import (
     CheckReport,
     FinDimHopf,
+    IntColumns,
     LinMap,
     OutOfBudgetError,
     _add_scaled,
@@ -34,6 +37,7 @@ from .hopf import (
     basis_vec,
     coalgebra_map_failures,
     convolve,
+    convolve_columns,
     int_columns,
     int_structure,
     is_cocommutative,
@@ -162,26 +166,111 @@ def endo_to_diff(h: FinDimHopf, f: LinMap) -> LinMap:
     return convolve(f, LinMap(h, h, h.antipode))
 
 
+# -- the monoid on integer operator forms ----------------------------------------
+
+def _reduced(cols, den: int) -> IntColumns:
+    """Dense or sparse integer columns over den as a canonical key: sparse
+    tuples over the smallest denominator, which is int_columns of the
+    rational matrix they stand for."""
+    # tuples are built from lists, not generators: a tuple grown from a
+    # generator bypasses the interpreter's tuple free lists but is freed
+    # into them, so thousands of products would fill them
+    sparse = tuple([tuple([(r, x) for r, x in enumerate(c) if x]) if isinstance(c, list)
+                    else c for c in cols])
+    g = gcd(den, *[x for c in sparse for _, x in c])
+    if g > 1:
+        sparse = tuple([tuple([(r, x // g) for r, x in c]) for c in sparse])
+    return IntColumns(sparse, den // g)
+
+
+def _compose(a: IntColumns, b: IntColumns, n: int) -> IntColumns:
+    """a after b, for n x n maps given as integer operator forms."""
+    cols = []
+    for col in b.cols:
+        acc = [0] * n
+        for r, x in col:
+            for p, y in a.cols[r]:
+                acc[p] += x * y
+        cols.append(acc)
+    return _reduced(cols, a.den * b.den)
+
+
+def _operator_form(h, matrix: Mat) -> tuple[IntColumns, IntColumns]:
+    """(D, F) for an operator D with this matrix and F = D * id, both as
+    canonical integer keys."""
+    d = _reduced(*int_columns(matrix))
+    ident = IntColumns(tuple(((j, 1),) for j in range(h.dim)), 1)
+    return d, _reduced(*convolve_columns(h, h, d, ident))
+
+
+def _star_form(h, a: tuple, b: tuple) -> IntColumns:
+    """The canonical key of D * D' for operator forms a = (D, D*id) and
+    b = (D', D'*id): ((D*id) o D') * D and (D o (D'*id)) * D' are both
+    formed and must agree."""
+    (d, f), (dprime, fprime) = a, b
+    n = h.dim
+    first = _reduced(*convolve_columns(h, h, _compose(f, dprime, n), d))
+    second = _reduced(*convolve_columns(h, h, _compose(d, fprime, n), dprime))
+    if first != second:
+        raise ValueError("the two defining formulas disagree; is H cocommutative?")
+    return first
+
+
 def star(h: FinDimHopf, d: LinMap, dprime: LinMap) -> DiffOp:
     """The monoid product D * D' on difference operators of a
     cocommutative Hopf algebra.
 
     Both defining expressions ((D*id) o D') * D and (D o (D'*id)) * D'
-    are computed and must agree; the result is re-verified.
+    are computed on integer operator forms and must agree; the result is
+    re-verified.
     """
     if not is_cocommutative(h):
         raise ValueError("the star product needs a cocommutative Hopf algebra")
-    ident = LinMap(h, h, Mat.identity(h.dim))
-    f = convolve(d, ident)
-    fprime = convolve(dprime, ident)
-    first = convolve(f.compose(dprime), d)
-    second = convolve(d.compose(fprime), dprime)
-    if first.matrix != second.matrix:
-        raise ValueError("the two defining formulas disagree; is H cocommutative?")
-    result = check_diffop(h, first)
+    cols, den = _star_form(h, _operator_form(h, d.matrix), _operator_form(h, dprime.matrix))
+    entries = [ZERO] * (h.dim * h.dim)
+    for j, col in enumerate(cols):
+        for r, x in col:
+            entries[r * h.dim + j] = Fraction(x, den)
+    result = check_diffop(h, Mat(h.dim, h.dim, entries))
     if not isinstance(result, DiffOp):
         raise ValueError(f"star product failed verification: {result.witness}")
     return result
+
+
+def monoid_table(h: FinDimHopf, ops: list[DiffOp]) -> tuple[list, bool, bool]:
+    """(table, associative, transport_is_monoid_map) for the star product
+    on a list of verified difference operators of a cocommutative h.
+
+    table[i][j] is the first k with ops[k] = ops[i] * ops[j].  Each
+    operator gets its integer form and F = D * id once; each product is
+    formed as star forms it and looked up by its canonical key among the
+    operators', so a product in the list is a difference operator by that
+    operator's exhaustive check.  A product outside the list raises
+    LookupError.  The transport D -> D * id is checked as
+    F(D * D') = F(D) o F(D') on the integer forms.
+    """
+    if not is_cocommutative(h):
+        raise ValueError("the star product needs a cocommutative Hopf algebra")
+    forms = [_operator_form(h, op.map.matrix) for op in ops]
+    index: dict = {}
+    for k, (d, _) in enumerate(forms):
+        index.setdefault(d, k)
+    table = []
+    for a in forms:
+        row = []
+        for b in forms:
+            match = index.get(_star_form(h, a, b))
+            if match is None:
+                raise LookupError("star product left the enumerated set")
+            row.append(match)
+        table.append(row)
+    size = range(len(ops))
+    associative = all(table[table[i][j]][k] == table[i][table[j][k]]
+                      for i in size for j in size for k in size)
+    endos = [f for _, f in forms]
+    transport_ok = all(_compose(endos[i], endos[j], h.dim) == endos[table[i][j]]
+                       for i in size for j in size)
+    return table, associative, transport_ok
 
 
 def conjugate(h: FinDimHopf, sigma: LinMap, d: LinMap) -> DiffOp:

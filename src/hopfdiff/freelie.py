@@ -717,7 +717,9 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
     # (ii) degree-by-degree uniqueness of the in-budget extension
     uniq = _uniqueness_by_degree(tv, action, pi_gen_images, cols)
     report.details["uniqueness"] = uniq
-    if not uniq["unique"] or not uniq["matches"]:
+    if uniq["unique"] is None:
+        report.skipped.append(("uniqueness", uniq["witness"]))
+    elif not uniq["unique"] or not uniq["matches"]:
         report.ok = False
         report.failures.append(("uniqueness", uniq.get("witness")))
 
@@ -743,6 +745,10 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
     of [A | B] decides the degree: a pivot in the B block means there is
     no solution, rank A < m leaves n (m - rank A) free coordinates, and
     otherwise the reduced rows hold X.
+
+    An equation whose right side leaves the budget is skipped, not
+    dropped: a degree whose system is short of rank after such a skip is
+    undecided, and the result is unique None with witness "degree d".
     """
     n = tv.dim
     known: list = [None] * n
@@ -754,6 +760,7 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
         pos = {i: p for p, i in enumerate(idxs)}
         m = len(idxs)
         rows = []
+        skipped = False
         # crossed-homomorphism equations for products landing in degree d
         for i in range(n):
             di = tv.degree(i)
@@ -772,15 +779,18 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
                         acted = action.act_basis(a2, known[j])
                         rhs_vec = vec_add(rhs_vec, vec_scale(c, tv.mult_vec(known[a1], acted)))
                 except OutOfBudgetError:
+                    skipped = True
                     continue
                 row = [prod[k] for k in idxs]
                 if any(row):
                     rows.append(row + rhs_vec)
+        reduced = row_space_basis(rows) if rows else []
+        # the last reduced row has the largest pivot
+        consistent = not reduced or any(reduced[-1][:m])
+        if consistent and len(reduced) < m and skipped:
+            return {"unique": None, "matches": None, "witness": f"degree {d}"}
         if not rows:
             return {"unique": False, "matches": False, "witness": f"degree {d} unconstrained"}
-        reduced = row_space_basis(rows)
-        # the last reduced row has the largest pivot
-        consistent = any(reduced[-1][:m])
         if not consistent or len(reduced) < m:
             free = n * (m - len(reduced)) if consistent else 0
             return {"unique": False, "matches": False,

@@ -241,6 +241,19 @@ def test_free_lie_mm_check_with_phi_file(capsys, tmp_path):
     assert payload == default
 
 
+def test_free_lie_mm_check_budget_skip_is_not_a_failure(capsys, tmp_path):
+    """pi(a) = -a + [a, b], pi(b) = -b: pi(a) pi(a) leaves budget 3, so
+    degree 2 of the uniqueness check is undecided.  That is a skip, and
+    uniqueness is null, not false."""
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"images": [{"a": "-1", "ab": "1", "ba": "-1"},
+                                          {"b": "-1"}]}))
+    code, payload, _ = invoke(capsys, "free-lie", "mm-check", "--generators", "2",
+                              "--budget", "3", "--phi", str(phi))
+    assert code == 0 and payload["ok"] is True
+    assert payload["uniqueness"] is None
+
+
 def test_ckmm_check(capsys, tmp_path):
     op = export_entry(capsys, tmp_path, "op:inv:kS3", "inv.json")
     code, payload, _ = invoke(capsys, "ckmm-check", "--operator", op)

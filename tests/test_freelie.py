@@ -217,6 +217,22 @@ def test_mm_instance_check_passes_and_detects_perturbation():
     assert bad.failures
 
 
+def test_mm_instance_check_budget_skip_leaves_uniqueness_undecided():
+    """pi(a) = -a + [a, b], pi(b) = -b at budget 3: the degree-2 equation
+    for aa needs pi(a) pi(a), which leaves the budget, so degree 2 is short
+    of rank.  That is recorded as a skip, not as a failure."""
+    tv = TruncatedTensor(2, 3)
+    adj = adjoint_derivation_action(tv)
+    a, b = tv.generator_vec(0), tv.generator_vec(1)
+    bracket = tv.from_word_coeffs(bracket_expansion((0, 1)))
+    pi = [[x - y for x, y in zip(bracket, a)], [-c for c in b]]
+    rep = mm_instance_check(tv, adj, pi)
+    assert rep.ok and not rep.failures
+    assert rep.details["uniqueness"] == {"unique": None, "matches": None,
+                                         "witness": "degree 2"}
+    assert ("uniqueness", "degree 2") in rep.skipped
+
+
 def test_mm_instance_check_skip_accounting_at_budget_four():
     """The counts of `free-lie mm-check --generators 2 --budget 4`: every
     tuple is either checked or skipped for an out-of-budget product."""
