@@ -33,6 +33,7 @@ from .hopf import (
     _tensor_of,
     apply_cols,
     basis_vec,
+    coalgebra_map_report,
     convolve,
     grouplike_inverse,
     grouplikes,
@@ -262,24 +263,22 @@ def check_crossed_hom(pi: LinMap, action: ActionData) -> bool:
     _require_action(action, False)
     if not is_coalgebra_hom(pi):
         raise ValueError("map is not a coalgebra homomorphism")
-    return crossed_hom_identity_holds(pi, action)
-
-
-def crossed_hom_identity_holds(pi: LinMap, action: ActionData) -> bool:
-    """The defining identity alone, with no precondition checks."""
-    return crossed_hom_report(action.acting, action.target, pi.columns(), action.act_on).ok
+    return crossed_hom_report(k, h, pi.columns(), action.act_on).ok
 
 
 def crossed_hom_report(k, h, cols, act) -> CheckReport:
-    """pi(ab) = pi(a1)(a2 . pi(b)) on all basis pairs (a, b) of K, skip-aware.
+    """The crossed-homomorphism verdict, skip-aware, with no precondition
+    checks: the coalgebra_map_report entries of pi, then
+    pi(ab) = pi(a1)(a2 . pi(b)) on all basis pairs (a, b) of K.
 
     cols[a] is pi(basis a) in H, or None where that image is unknown;
     act(a, u) is basis a of K acting on the H-vector u.  A pair whose
     evaluation needs an unknown column or leaves a truncated carrier's
-    budget is skipped as (a, b, message).
+    budget is skipped as (a, b, message); checked counts the pairs.
     """
-    failures = []
-    skipped = []
+    co = coalgebra_map_report(k, h, cols)
+    failures = co.failures
+    skipped = co.skipped
     checked = 0
     for a in range(k.dim):
         for b in range(k.dim):
@@ -641,7 +640,7 @@ def derived_action(ch: CrossedHom) -> tuple[ActionData, CrossedHom, AxiomReport]
     report = validate_action(derived, require_bialgebra=True)
     s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))
     report.record("derived-crossed-hom",
-                  is_coalgebra_hom(s_pi) and crossed_hom_identity_holds(s_pi, derived))
+                  crossed_hom_report(k, h, s_pi.columns(), derived.act_on).ok)
 
     # Restriction formulas on group-likes and primitives
     fails = []

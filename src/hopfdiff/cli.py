@@ -96,7 +96,7 @@ def _load_json(path: str, kind: str) -> dict:
             raise InputError(f"bad JSON in {path}: {exc}")
 
 
-def _load_operator(path: str, fallback_algebra=None) -> LinMap:
+def _load_operator(path: str) -> LinMap:
     data = _load_json(path, "operator")
     try:
         return formats.operator_from_dict(data, _resolve_algebra)

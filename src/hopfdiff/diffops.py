@@ -6,9 +6,11 @@ them to algebra endomorphisms through convolution, builds the monoid on
 the verified set, conjugates by automorphisms, inverts to Rota-Baxter
 operators, and extends compatible pairs to smash products.
 
-The checking entry points also accept the degree-truncated carriers
-from :mod:`hopfdiff.freelie`; pairs whose evaluation would leave the
-degree budget are reported as skipped, never silently passed.
+:func:`check_diffop` is the one difference-operator verdict, for finite
+and degree-truncated carriers (:mod:`hopfdiff.freelie`) alike, and it
+also takes a column table with unknown images; pairs whose evaluation
+would leave the degree budget are reported as skipped, never silently
+passed.
 
 The exhaustive coalgebra-map and difference-identity checks run on
 integer numerators: the carrier's integer structure table
@@ -35,7 +37,7 @@ from .hopf import (
     _copy,
     apply_cols,
     basis_vec,
-    coalgebra_map_failures,
+    coalgebra_map_report,
     convolve,
     convolve_columns,
     int_columns,
@@ -57,13 +59,6 @@ class DiffOp:
     verified: bool
     bijective: bool
     inverse: Mat | None = None
-
-
-def coalgebra_hom_report(h, matrix: Mat) -> CheckReport:
-    """Coalgebra-homomorphism check through the basis-indexed interface."""
-    failing = dict.fromkeys(k for k, _ in coalgebra_map_failures(h, h, matrix))
-    failures = [("coalgebra", k) for k in failing]
-    return CheckReport(not failures, failures, [], h.dim)
 
 
 def diff_identity_report(h, matrix: Mat) -> CheckReport:
@@ -116,21 +111,23 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
 
 
 def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
-    """Verify a candidate difference operator.
+    """The difference-operator verdict on a carrier, finite or truncated.
 
-    Returns a DiffOp on success and the failing CheckReport otherwise;
-    failures are data, not exceptions.  The candidate is scaled to
-    integer columns once, for both exhaustive checks.
+    The candidate is a Mat, a LinMap, or a column table with None for an
+    unknown image; it is scaled to integer columns once, for both
+    exhaustive checks.  A matrix checked on every basis pair and passing
+    both comes back as a DiffOp.  Otherwise the report comes back, with
+    the coalgebra_map_report entries and then diff_identity_report's:
+    failures or honest partial coverage are data, not exceptions.
     """
     matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
     scaled = int_columns(matrix)
-    co = coalgebra_hom_report(h, scaled)
-    if not co.ok:
-        return co
+    co = coalgebra_map_report(h, h, scaled)
     ident = diff_identity_report(h, scaled)
-    if not ident.ok or ident.skipped:
-        # failures, or honest partial coverage on a truncated carrier
-        return ident
+    failures = co.failures + ident.failures
+    skipped = co.skipped + ident.skipped
+    if failures or skipped or not isinstance(matrix, Mat):
+        return CheckReport(not failures, failures, skipped, ident.checked)
     inv = invert(matrix)
     return DiffOp(LinMap(h, h, matrix), verified=True,
                   bijective=inv is not None, inverse=inv)
@@ -139,7 +136,7 @@ def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
 def check_diffop_prime(h, matrix_or_map) -> bool:
     """The equivalent one-sided identity D(x1 y) x2 = D(x1) x2 D(y)."""
     matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
-    if not coalgebra_hom_report(h, matrix).ok:
+    if not coalgebra_map_report(h, h, matrix).ok:
         return False
     n = h.dim
     for i in range(n):

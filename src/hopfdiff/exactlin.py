@@ -319,14 +319,11 @@ def row_space_basis(vectors: list[list[Rat]]) -> list[list[Rat]]:
 
 
 def in_span(basis_echelon: list[list[Rat]], v: list[Rat]) -> bool:
-    """Membership test against a reduced-echelon basis."""
-    v = list(v)
-    for row in basis_echelon:
-        p = next(i for i, x in enumerate(row) if x)
-        if v[p]:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return not any(v)
+    """Membership test against a reduced-echelon basis: v lies in its span
+    exactly when adding v leaves the rank of the integer rows unchanged."""
+    rows = [_int_row(row) for row in basis_echelon]
+    rows.append(_int_row(v))
+    return len(_echelon(rows, len(v))[1]) < len(rows)
 
 
 def invert(a: Mat) -> Mat | None:

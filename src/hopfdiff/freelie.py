@@ -6,10 +6,10 @@ and their smash products.
 Truncation is honest: a product whose total degree exceeds the budget
 raises OutOfBudgetError, and every exhaustive check reports exactly
 which tuples it had to skip.  Comultiplication, counit and antipode
-always stay inside the budget and are total.  The checks themselves are
-the shared ones of :mod:`hopfdiff.hopf`, :mod:`hopfdiff.diffops` and
-:mod:`hopfdiff.actions`, which also builds the smash products; this
-module labels their entries with basis words.
+always stay inside the budget and are total.  The verdicts themselves
+are the shared ones of :mod:`hopfdiff.hopf`, :mod:`hopfdiff.diffops` and
+:mod:`hopfdiff.actions`, which also builds the smash products; their
+entries stay keyed by basis index, as on finite carriers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from math import comb
 
 from .actions import (TruncatedSmash, act_vec, crossed_hom_report, graph_vector,
                       module_axiom_report, smash_vec)
-from .diffops import compatibility_failures, diff_identity_report, smash_extension_columns
+from .diffops import check_diffop, compatibility_failures, smash_extension_columns
 from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis
 from .hopf import (
     CarrierOps,
@@ -34,9 +34,8 @@ from .hopf import (
     algebra_map_failures,
     apply_cols,
     basis_vec,
-    coalgebra_map_failures,
+    coalgebra_map_report,
     convolve_columns,
-    int_columns,
     int_structure,
     primitives,
     vec_add,
@@ -219,9 +218,6 @@ class TruncatedTensor(CarrierOps):
     def generator_vec(self, g: int) -> Vec:
         return basis_vec(self.dim, self.index[(g,)])
 
-    def top_degree(self, u: Vec) -> int:
-        return max((self.degree(i) for i, c in enumerate(u) if c), default=0)
-
     def __repr__(self):
         return f"TruncatedTensor({self.generators} letters, budget {self.budget})"
 
@@ -391,9 +387,6 @@ class TruncatedEnveloping(CarrierOps):
         mono[g] = 1
         return basis_vec(self.dim, self.index[tuple(mono)])
 
-    def top_degree(self, u: Vec) -> int:
-        return max((self.degree(i) for i, c in enumerate(u) if c), default=0)
-
     def graded_dims(self) -> list[int]:
         out = [0] * (self.budget + 1)
         for m in self.monomials:
@@ -537,7 +530,9 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
 
     phi maps each letter to an element of the free Lie algebra inside the
     carrier (a primitive vector); budget overruns are reported, never
-    skipped silently.
+    skipped silently.  A word whose F image leaves the budget is skipped
+    as ("F", i), ahead of check_diffop's entries, where each D column it
+    makes unknown is ("column", k).
     """
     prim = row_space_basis(primitives(tv))
     for v in phi:
@@ -545,51 +540,16 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
             raise ValueError("letter images must be primitive (free Lie elements)")
     letter_images = [vec_add(tv.generator_vec(x), phi[x]) for x in range(tv.generators)]
     f_cols = algebra_endo_from_letters(tv, letter_images)
-    skipped = [("F", tv.label(i)) for i, c in enumerate(f_cols) if c is None]
     # D(w) = sum F(w1) S(w2)
     t = int_structure(tv)
     cols, den = convolve_columns(tv, tv, f_cols, IntColumns(t.antipode, t.antipode_den))
     d_cols = [None if isinstance(c, OutOfBudgetError)
               else [Fraction(x, den) if x else ZERO for x in c] for c in cols]
-    skipped += [("D", tv.label(i)) for i, c in enumerate(d_cols) if c is None]
-    report = verify_trunc_diffop(tv, d_cols)
-    report.skipped = skipped + report.skipped
+    report = check_diffop(tv, d_cols)
+    report.skipped = [("F", i) for i, c in enumerate(f_cols) if c is None] + report.skipped
     report.details["F"] = f_cols
     report.details["D"] = d_cols
     return report
-
-
-def verify_trunc_diffop(tv, d_cols) -> CheckReport:
-    """Coalgebra-homomorphism and difference-identity checks for a
-    partially defined operator on a truncated carrier; a None column is
-    an unknown image, and what needs it is skipped and recorded."""
-    cols = int_columns(d_cols)
-    failures, skipped = _coalgebra_entries(tv, cols, None)
-    return _pair_report(tv, failures, skipped, diff_identity_report(tv, cols))
-
-
-def _coalgebra_entries(carrier, cols, unknown_tag):
-    """The labelled failures and skips of the coalgebra-map check of a
-    column table; an unknown column is recorded under unknown_tag, or not
-    at all when that is None."""
-    failures = []
-    skipped = []
-    for k, kind in coalgebra_map_failures(carrier, carrier, cols):
-        if kind == "unknown":
-            if unknown_tag is not None:
-                skipped.append((unknown_tag, carrier.label(k)))
-        elif kind == "skipped":
-            skipped.append(("coalgebra", carrier.label(k)))
-        else:
-            failures.append((kind, carrier.label(k)))
-    return failures, skipped
-
-
-def _pair_report(carrier, failures, skipped, pairs: CheckReport) -> CheckReport:
-    """The coalgebra entries followed by a pair check's, with basis labels."""
-    failures += [("pair", carrier.label(i), carrier.label(j)) for i, j in pairs.failures]
-    skipped += [("pair", carrier.label(i), carrier.label(j)) for i, j, _ in pairs.skipped]
-    return CheckReport(not failures, failures, skipped, pairs.checked)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +603,7 @@ def extend_crossed_hom_trunc(carrier, action: DerivationAction,
     Hopf crossed-homomorphism identity on all in-budget pairs.
     """
     cols = pibar_columns(carrier, action, pi_gen_images)
-    report = verify_crossed_hom_trunc(carrier, action, cols)
+    report = crossed_hom_report(carrier, carrier, cols, action.act_basis)
     report.details["pibar"] = cols
     # restriction to primitive degree one must match the generator images
     k = _generator_count(carrier)
@@ -671,14 +631,6 @@ def pibar_columns(carrier, action: DerivationAction, pi_gen_images: list[Vec]):
     return cols
 
 
-def verify_crossed_hom_trunc(carrier, action: DerivationAction, cols) -> CheckReport:
-    """Coalgebra-map and crossed-homomorphism checks for a partially
-    defined map on a truncated carrier, with skip accounting."""
-    failures, skipped = _coalgebra_entries(carrier, int_columns(cols), "column")
-    pairs = crossed_hom_report(carrier, carrier, cols, action.act_basis)
-    return _pair_report(carrier, failures, skipped, pairs)
-
-
 def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
                       pi_gen_images: list[Vec],
                       candidate_cols=None) -> CheckReport:
@@ -695,7 +647,7 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
     report = extend_crossed_hom_trunc(tv, action, pi_gen_images)
     cols = report.details["pibar"] if candidate_cols is None else candidate_cols
     if candidate_cols is not None:
-        sub = verify_crossed_hom_trunc(tv, action, cols)
+        sub = crossed_hom_report(tv, tv, cols, action.act_basis)
         report.ok = report.ok and sub.ok
         report.failures.extend(sub.failures)
 
@@ -857,8 +809,7 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     report["multiplicative_pairs_checked"] = u_sd.dim ** 2 - kinds.count("skipped")
     report["multiplicative"] = "algebra" not in kinds
     # coalgebra compatibility on basis columns
-    report["coalgebra_compatible"] = not any(
-        kind in ("counit", "coalgebra") for _, kind in coalgebra_map_failures(u_sd, smash, cols))
+    report["coalgebra_compatible"] = coalgebra_map_report(u_sd, smash, cols).ok
     report["ok"] = (report["graded_dims_match"] and report["bijective"]
                     and report["multiplicative"] and report["coalgebra_compatible"])
     report["_smash"] = smash
@@ -974,7 +925,7 @@ def ckmm_truncated_instance(budget: int) -> dict:
 
     # the smash extension D(x#a) = D_H(x1) x2 (D_K(a1) . S(x3)) # D_K(a2)
     cols = smash_extension_columns(u_env, d_h, kc2, d_k, act, smash)
-    diff_rep = verify_trunc_diffop(smash, cols)
+    diff_rep = check_diffop(smash, cols)
     report["extension_is_diffop"] = diff_rep.ok
     report["extension_pairs_checked"] = diff_rep.checked
     report["extension_pairs_skipped"] = len(diff_rep.skipped)

@@ -165,16 +165,11 @@ def enumerate_endos(g: FinGroup) -> list[GroupMap]:
 
 
 def check_group_diffop(d: GroupMap) -> bool:
-    """D(gh) = D(g) g D(h) g^-1 on all pairs."""
+    """D(gh) = D(g) g D(h) g^-1 on all pairs: D is a crossed homomorphism
+    of the adjoint action."""
     if d.source is not d.target:
         raise ValueError("a group difference operator must map a group to itself")
-    g = d.source
-    for a in range(g.order):
-        for b in range(g.order):
-            rhs = g.mul(g.mul(g.mul(d(a), a), d(b)), g.inv(a))
-            if d(g.mul(a, b)) != rhs:
-                return False
-    return True
+    return check_group_crossed_hom(d, adjoint_action(d.source))
 
 
 def diffop_from_endo(f: GroupMap) -> GroupMap:

@@ -76,10 +76,6 @@ def _add_scaled(out: Vec, c: Rat, v: Vec) -> None:
             out[k] += c * x
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return not any(v)
-
-
 def vec_str(v: Vec, labels: list[str]) -> str:
     """Signed rational-coefficient combination of basis labels, basis order."""
     parts = []
@@ -368,7 +364,7 @@ def _sparse_ints(vectors: list) -> tuple[int, list]:
     den = lcm(1, *(c.denominator for v in vectors if not isinstance(v, OutOfBudgetError)
                    for c in v if c))
     return den, [v if isinstance(v, OutOfBudgetError)
-                 else tuple((k, _num(c, den)) for k, c in enumerate(v) if c)
+                 else tuple([(k, _num(c, den)) for k, c in enumerate(v) if c])
                  for v in vectors]
 
 
@@ -486,7 +482,8 @@ def int_columns(matrix) -> IntColumns:
     ratios = [c.as_integer_ratio() for c in matrix.entries]
     den = lcm(*{d for _, d in ratios})
     width = matrix.cols
-    cols = [tuple((r, p * (den // d)) for r, (p, d) in enumerate(ratios[j::width]) if p)
+    # tuples from lists, not generators, as in diffops._reduced
+    cols = [tuple([(r, p * (den // d)) for r, (p, d) in enumerate(ratios[j::width]) if p])
             for j in range(width)]
     return IntColumns(cols, den)
 
@@ -589,6 +586,27 @@ def coalgebra_map_failures(dom, cod, matrix):
         rhs = {key: v * rhs_scale for key, v in rhs.items() if v}
         if lhs != rhs:
             yield k, "coalgebra"
+
+
+def coalgebra_map_report(dom, cod, matrix) -> CheckReport:
+    """The coalgebra-map check of a matrix or column table from dom to cod
+    as a report over coalgebra_map_failures.
+
+    A basis index k failing the counit or the comultiplication check is
+    one ("coalgebra", k) failure.  An unknown column k is skipped as
+    ("column", k), and a comultiplication check that needs an unknown
+    column as ("coalgebra", k); checked counts the other indices.
+    """
+    failures = []
+    skipped = []
+    for k, kind in coalgebra_map_failures(dom, cod, matrix):
+        if kind == "unknown":
+            skipped.append(("column", k))
+        elif kind == "skipped":
+            skipped.append(("coalgebra", k))
+        elif ("coalgebra", k) not in failures[-1:]:
+            failures.append(("coalgebra", k))
+    return CheckReport(not failures, failures, skipped, dom.dim - len(skipped))
 
 
 def apply_cols(cols, u: Vec, dim: int) -> Vec:

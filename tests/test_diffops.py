@@ -366,3 +366,17 @@ def test_truncated_carrier_skip_accounting(make_map, failures):
     assert res.skipped == expected_skips
     assert res.failures == failures
     assert res.ok is (not failures)
+
+
+@pytest.mark.parametrize("make_map, failures", [
+    (unit_counit_map, []),
+    (identity_map, [(1, 2), (1, 3), (2, 1), (3, 1)]),
+])
+def test_column_table_verdict_is_a_report(h4, make_map, failures):
+    """A column table is checked like its matrix, on every pair, but the
+    verdict is always the report: only a matrix comes back as a DiffOp."""
+    m = make_map(h4).matrix
+    res = check_diffop(h4, [m.col(j) for j in range(h4.dim)])
+    assert isinstance(res, CheckReport)
+    assert (res.ok, res.failures, res.skipped, res.checked) == (not failures, failures, [], 16)
+    assert isinstance(check_diffop(h4, m), DiffOp) is (not failures)

@@ -21,8 +21,12 @@ The rational truncated checkers ``verify_trunc_diffop`` and
 ``smash_product`` and ``smash_product_algebra_only``, are kept verbatim as
 they were before the shared checkers and the one smash builder replaced
 them.  Partial column tables (perturbed, with random unknown columns)
-must give equal reports, skip lists in order included, and the smash
-products equal exports.
+must give equal verdicts from ``check_diffop`` and ``crossed_hom_report``,
+skip lists in order included, once ``assert_same_verdict`` has labelled
+their index-keyed entries; ``coalgebra_map_failures`` must give the
+references' counit and comultiplication entries apart.  The smash
+products must give equal exports.  ``check_group_diffop``'s own pair loop
+is kept too and must agree on every self-map of C2, C4 and C2xC2.
 
 ``validate_hopf`` as it was before it read the integer structure table is
 kept verbatim too.  Every catalog algebra, and copies with one structure
@@ -62,6 +66,7 @@ Three verdicts on sampled maps must agree: ``check_diffop``,
 an algebra map for a coalgebra map D.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -76,6 +81,7 @@ from hopfdiff.actions import (
     ActionData,
     TruncatedSmash,
     adjoint_action,
+    crossed_hom_report,
     derived_module_structure,
     smash_builder,
     smash_product,
@@ -89,14 +95,13 @@ from hopfdiff.diffops import (
     all_diffops_on_group_algebra,
     check_diffop,
     check_diffop_prime,
-    coalgebra_hom_report,
     diff_identity_report,
     diff_to_endo,
     monoid_table,
     star,
 )
 from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, row_space_basis, solve_affine
-from hopfdiff.groups import FinGroup, coradical_group
+from hopfdiff.groups import FinGroup, GroupMap, check_group_diffop, coradical_group
 from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 from hopfdiff.freelie import (
     DerivationAction,
@@ -112,8 +117,6 @@ from hopfdiff.freelie import (
     extended_action_bialgebra_check,
     sign_action_on_enveloping,
     smash_vs_semidirect_trunc,
-    verify_crossed_hom_trunc,
-    verify_trunc_diffop,
 )
 from hopfdiff.hopf import (
     AxiomReport,
@@ -124,6 +127,8 @@ from hopfdiff.hopf import (
     algebra_map_failures,
     apply_cols,
     basis_vec,
+    coalgebra_map_failures,
+    coalgebra_map_report,
     convolve,
     identity_map,
     int_columns,
@@ -236,13 +241,15 @@ def reference_is_coalgebra_hom(f: LinMap) -> bool:
 
 
 def reference_check_diffop(h, matrix: Mat):
+    """The verdict check_diffop gives, from the two references: the
+    coalgebra entries, then the pair entries, unless both pass on every
+    pair."""
     co = reference_coalgebra_hom_report(h, matrix)
-    if not co.ok:
-        return co
     ident = reference_diff_identity_report(h, matrix)
-    if not ident.ok or ident.skipped:
-        return ident
-    return matrix
+    if co.ok and ident.ok and not ident.skipped:
+        return matrix
+    failures = co.failures + ident.failures
+    return CheckReport(not failures, failures, ident.skipped, ident.checked)
 
 
 # -- carriers and maps ------------------------------------------------------------
@@ -320,7 +327,7 @@ def outcome(fn, *args):
 def test_reports_match_reference(name, data):
     h = carrier(name)
     m = data.draw(matrices(name))
-    assert coalgebra_hom_report(h, m) == reference_coalgebra_hom_report(h, m)
+    assert coalgebra_map_report(h, h, m) == reference_coalgebra_hom_report(h, m)
     assert diff_identity_report(h, m) == reference_diff_identity_report(h, m)
     assert is_coalgebra_hom(LinMap(h, h, m)) == reference_is_coalgebra_hom(LinMap(h, h, m))
     got = check_diffop(h, m)
@@ -924,13 +931,68 @@ def partial_tables(draw, name):
     return cols
 
 
+def assert_same_verdict(h, got: CheckReport, want: CheckReport, column_tag=None):
+    """got, an index-keyed report of a surviving entry point, against want,
+    a report of a rational reference above, labelled with basis words.
+
+    got's entries are relabelled: (tag, k) as (tag, label k), and a pair
+    failure (i, j) or skip (i, j, message) as ("pair", label i, label j).
+    An unknown column's ("column", k) becomes (column_tag, label k), or is
+    dropped where column_tag is None, as that reference does not record
+    unknown columns.  The reference's ("counit", w) and ("coalgebra", w)
+    failures at one word fold into one ("coalgebra", w), as
+    coalgebra_map_report folds them (coalgebra_kinds keeps them apart).
+    """
+    def labelled(entries):
+        out = []
+        for tag, *rest in entries:
+            if isinstance(tag, int):
+                out.append(("pair", h.label(tag), h.label(rest[0])))
+            elif tag != "column":
+                out.append((tag, h.label(rest[0])))
+            elif column_tag is not None:
+                out.append((column_tag, h.label(rest[0])))
+        return out
+
+    folded = []
+    for tag, *rest in want.failures:
+        entry = ("coalgebra" if tag == "counit" else tag, *rest)
+        if entry not in folded[-1:]:
+            folded.append(entry)
+    assert labelled(got.failures) == folded
+    assert labelled(got.skipped) == want.skipped
+    assert (got.ok, got.checked) == (want.ok, want.checked)
+
+
+def coalgebra_kinds(h, cols):
+    """coalgebra_map_failures of a column table in the references' labelled
+    form: (failures, skipped), the failures ("counit", w) and
+    ("coalgebra", w), the skips ("column", w) and ("coalgebra", w)."""
+    failures = []
+    skipped = []
+    for k, kind in coalgebra_map_failures(h, h, cols):
+        if kind in ("counit", "coalgebra"):
+            failures.append((kind, h.label(k)))
+        else:
+            skipped.append(("column" if kind == "unknown" else "coalgebra", h.label(k)))
+    return failures, skipped
+
+
 @pytest.mark.parametrize("name", PARTIAL_CARRIERS)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_truncated_diffop_check_matches_reference(name, data):
     h = carrier(name)
     cols = data.draw(partial_tables(name))
-    assert verify_trunc_diffop(h, cols) == reference_verify_trunc_diffop(h, cols)
+    got = check_diffop(h, cols)
+    want = reference_verify_trunc_diffop(h, cols)
+    assert_same_verdict(h, got, want)
+    assert [e[1] for e in got.skipped if e[0] == "column"] == \
+        [k for k, c in enumerate(cols) if c is None]
+    failures, skipped = coalgebra_kinds(h, cols)
+    assert failures == [e for e in want.failures if e[0] != "pair"]
+    assert [e for e in skipped if e[0] != "column"] == \
+        [e for e in want.skipped if e[0] != "pair"]
 
 
 @pytest.mark.parametrize("name", PARTIAL_CARRIERS)
@@ -943,8 +1005,47 @@ def test_truncated_crossed_hom_check_matches_reference(name, data):
         action = adjoint_derivation_action(h)
     else:
         action = AdjointAction(h)
-    assert (verify_crossed_hom_trunc(h, action, cols)
-            == reference_verify_crossed_hom_trunc(h, action, cols))
+    want = reference_verify_crossed_hom_trunc(h, action, cols)
+    assert_same_verdict(h, crossed_hom_report(h, h, cols, action.act_basis), want, "column")
+    failures, skipped = coalgebra_kinds(h, cols)
+    assert failures == [e for e in want.failures if e[0] != "pair"]
+    assert skipped == [e for e in want.skipped if e[0] != "pair"]
+
+
+def test_crossed_hom_report_rejects_a_map_that_is_not_a_coalgebra_map():
+    """The zero map on kC2 satisfies pi(ab) = pi(a1)(a2 . pi(b)) for the
+    adjoint action on every pair, both sides being zero, but it is not a
+    coalgebra map; the full verdict must say so at both basis elements."""
+    kc2 = catalog.build("kC2")
+    rep = crossed_hom_report(kc2, kc2, [zero_vec(2), zero_vec(2)],
+                             adjoint_action(kc2).act_on)
+    assert not rep.ok
+    assert rep.failures == [("coalgebra", 0), ("coalgebra", 1)]
+    assert (rep.skipped, rep.checked) == ([], 4)
+
+
+def reference_check_group_diffop(d: GroupMap) -> bool:
+    """D(gh) = D(g) g D(h) g^-1 on all pairs."""
+    if d.source is not d.target:
+        raise ValueError("a group difference operator must map a group to itself")
+    g = d.source
+    for a in range(g.order):
+        for b in range(g.order):
+            rhs = g.mul(g.mul(g.mul(d(a), a), d(b)), g.inv(a))
+            if d(g.mul(a, b)) != rhs:
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name", ["C2", "C4", "C2xC2"])
+def test_check_group_diffop_matches_reference_on_every_self_map(name):
+    g = catalog.build(name)
+    verdicts = []
+    for images in itertools.product(range(g.order), repeat=g.order):
+        d = GroupMap(g, g, images)
+        verdicts.append(check_group_diffop(d))
+        assert verdicts[-1] == reference_check_group_diffop(d), images
+    assert any(verdicts) and not all(verdicts)
 
 
 SMASH_ACTIONS = ["action:inv:kC2:kC4", "kC2", "kC2xC2", "kS3", "kC4"]
@@ -1310,7 +1411,7 @@ def reference_diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckRepor
         except OutOfBudgetError:
             d_cols.append(None)
             skipped.append(("D", tv.label(i)))
-    report = verify_trunc_diffop(tv, d_cols)
+    report = reference_verify_trunc_diffop(tv, d_cols)
     report.skipped = skipped + report.skipped
     report.details["F"] = f_cols
     report.details["D"] = d_cols
@@ -1449,8 +1550,9 @@ def lyndon_vectors(name):
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_diffop_from_hom_matches_reference(name, data):
-    """Whole reports, the D table and the skip list in order included, for
-    letter images drawn as pool combinations of bracketed Lyndon words."""
+    """Whole verdicts, the F and D tables and the skip list in order
+    included, for letter images drawn as pool combinations of bracketed
+    Lyndon words; an unknown D column is the reference's ("D", word)."""
     tv = carrier(name)
     basis = lyndon_vectors(name)
     phi = []
@@ -1459,7 +1561,10 @@ def test_diffop_from_hom_matches_reference(name, data):
         for w in data.draw(st.lists(st.integers(0, len(basis) - 1), max_size=3)):
             v = vec_add(v, vec_scale(data.draw(nonzero), basis[w]))
         phi.append(v)
-    assert diffop_from_hom(tv, phi) == reference_diffop_from_hom(tv, phi)
+    got = diffop_from_hom(tv, phi)
+    want = reference_diffop_from_hom(tv, phi)
+    assert_same_verdict(tv, got, want, "D")
+    assert got.details == want.details
 
 
 @cache

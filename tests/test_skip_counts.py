@@ -53,15 +53,15 @@ def _bracket_phi(tv):
 
 
 def _column_entries(skipped):
-    """The labels of the skip entries that name an unknown image column."""
-    return [entry[1] for entry in skipped if entry[0] in ("D", "column")]
+    """The basis indices of the skip entries that name an unknown image column."""
+    return [entry[1] for entry in skipped if entry[0] == "column"]
 
 
 def test_unknown_diffop_columns_are_recorded_once():
     tv = TruncatedTensor(2, 3)
     rep = diffop_from_hom(tv, _bracket_phi(tv))
     assert rep.ok
-    unknown = [tv.label(i) for i, col in enumerate(rep.details["D"]) if col is None]
+    unknown = [i for i, col in enumerate(rep.details["D"]) if col is None]
     assert len(unknown) == 8
     assert _column_entries(rep.skipped) == unknown
     assert (rep.checked, len(rep.skipped)) == (18, 223)
@@ -71,7 +71,7 @@ def test_unknown_crossed_hom_columns_are_recorded_once():
     tv = TruncatedTensor(2, 3)
     rep = extend_crossed_hom_trunc(tv, adjoint_derivation_action(tv), _bracket_phi(tv))
     assert rep.ok
-    unknown = [tv.label(i) for i, col in enumerate(rep.details["pibar"]) if col is None]
+    unknown = [i for i, col in enumerate(rep.details["pibar"]) if col is None]
     assert len(unknown) == 5
     assert _column_entries(rep.skipped) == unknown
     assert (rep.checked, len(rep.skipped)) == (28, 203)
