@@ -13,7 +13,7 @@ import json
 import os
 import sys
 
-from . import catalog, formats
+from . import catalog
 from .exactlin import rat, rat_str
 from .hopf import (
     FinDimHopf,
@@ -46,17 +46,11 @@ def _input_error(exc: Exception, context: str = "") -> Exception:
 # ZeroDivisionError from Fraction
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, ZeroDivisionError)
 
-# validate_hopf reports of the algebras the current command has read, by
-# algebra_sha256, so two parses of one file are checked once; run() empties
-# it before each command
+# validate_hopf reports of the algebra files the current command has read,
+# by algebra_sha256, so two parses of one file are checked once; run()
+# empties it before each command.  A catalog algebra is checked when it is
+# built, and axiom_report memoizes that report on the algebra.
 _AXIOM_REPORTS: dict = {}
-
-
-def _axiom_report(h: FinDimHopf):
-    key = formats.algebra_hash(h)
-    if key not in _AXIOM_REPORTS:
-        _AXIOM_REPORTS[key] = axiom_report(h)
-    return _AXIOM_REPORTS[key]
 
 
 def _resolve_algebra(spec: str) -> FinDimHopf:
@@ -65,12 +59,17 @@ def _resolve_algebra(spec: str) -> FinDimHopf:
     if spec is None:
         raise InputError("--algebra is required for this command")
     if os.path.exists(spec):
+        from . import formats
+
         with open(spec, "r", encoding="utf-8") as fh:
             try:
                 h = formats.algebra_from_dict(json.load(fh))
             except _PARSE_ERRORS as exc:
                 raise InputError(f"bad algebra file {spec}: {exc}")
-        report = _axiom_report(h)
+        key = formats.algebra_hash(h)
+        if key not in _AXIOM_REPORTS:
+            _AXIOM_REPORTS[key] = axiom_report(h)
+        report = _AXIOM_REPORTS[key]
         if not report.ok:
             raise InvalidAlgebraError(f"algebra file {spec}", "not a Hopf algebra",
                                       {"algebra": h.name}, report)
@@ -97,6 +96,8 @@ def _load_json(path: str, kind: str) -> dict:
 
 
 def _load_operator(path: str) -> LinMap:
+    from . import formats
+
     data = _load_json(path, "operator")
     try:
         return formats.operator_from_dict(data, _resolve_algebra)
@@ -105,6 +106,8 @@ def _load_operator(path: str) -> LinMap:
 
 
 def _load_action(path: str):
+    from . import formats
+
     data = _load_json(path, "action")
     try:
         return formats.action_from_dict(data, _resolve_algebra)
@@ -136,7 +139,7 @@ def _summary(line: str) -> None:
 def cmd_validate(args) -> int:
     try:
         h = _resolve_algebra(args.algebra)
-        name, rep = h.name, _axiom_report(h)
+        name, rep = h.name, axiom_report(h)
     except InvalidAlgebraError as exc:
         name, rep = exc.names["algebra"], exc.report
     report = {"schema_version": SCHEMA_VERSION, "command": "validate",
@@ -253,6 +256,8 @@ def _resolve_plan(args):
     if args.plan is None:
         raise InputError("--plan is required (a file or a catalog plan name)")
     if os.path.exists(args.plan):
+        from . import formats
+
         data = _load_json(args.plan, "plan")
         try:
             return formats.plan_from_dict(data, _resolve_algebra).validate()
@@ -304,6 +309,8 @@ def cmd_classify_diffops(args) -> int:
     }
     exit_code = 0 if result.certificate == "complete" else 1
     if args.expected:
+        from . import formats
+
         data = _load_json(args.expected, "expected")
         try:
             expected = formats.expected_from_dict(data)
@@ -331,6 +338,7 @@ def cmd_classify_diffops(args) -> int:
 
 
 def cmd_smash(args) -> int:
+    from . import formats
     from .actions import smash_product
     from .hopf import grouplikes as _grouplikes
 
@@ -588,11 +596,15 @@ def cmd_ckmm_check(args) -> int:
     return 0 if rep["ok"] else 1
 
 
-def cmd_catalog(args) -> int:
-    from .actions import ActionData
-    from .groups import FinGroup as _FinGroup
-    from .solver import SearchPlan
+def _loaded_class(module: str, name: str):
+    """The class, or () when its module is not loaded: an object cannot be
+    an instance of a class whose module was never imported, so an export
+    dispatches on it without importing the module."""
+    mod = sys.modules.get(f"{__package__}.{module}")
+    return () if mod is None else getattr(mod, name)
 
+
+def cmd_catalog(args) -> int:
     if args.name is None:
         report = {"schema_version": SCHEMA_VERSION, "command": "catalog",
                   "ok": True, "entries": catalog.names()}
@@ -603,16 +615,19 @@ def cmd_catalog(args) -> int:
         obj = catalog.build(args.name)
     except KeyError as exc:
         raise InputError(str(exc))
+    from . import formats
+    from .groups import FinGroup
+
     if isinstance(obj, FinDimHopf):
         payload = formats.algebra_to_dict(obj)
         kind = "algebra"
-    elif isinstance(obj, _FinGroup):
+    elif isinstance(obj, FinGroup):
         payload = formats.group_to_dict(obj)
         kind = "group"
-    elif isinstance(obj, ActionData):
+    elif isinstance(obj, _loaded_class("actions", "ActionData")):
         payload = formats.action_to_dict(obj)
         kind = "action"
-    elif isinstance(obj, SearchPlan):
+    elif isinstance(obj, _loaded_class("solver", "SearchPlan")):
         payload = formats.plan_to_dict(obj)
         kind = "plan"
     elif isinstance(obj, LinMap):

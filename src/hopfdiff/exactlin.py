@@ -10,7 +10,6 @@ forms, which are unique, so equal inputs always produce identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import gcd, lcm
@@ -20,6 +19,46 @@ Rat = Fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class Record:
+    """Base of the package's small record classes: value equality and a
+    repr over the attributes named in ``_fields``, and no hash.  It stands
+    in for ``dataclasses``, whose import (with ``inspect``) would cost
+    every process that loads these layers a few milliseconds."""
+
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record that hashes by value and rejects assignment; __init__
+    sets its fields through :meth:`_set`."""
+
+    def _set(self, **values):
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __hash__(self):
+        return hash(self._values())
 
 
 def rat(value, den=None) -> Rat:
@@ -137,8 +176,7 @@ class Mat:
         return out
 
 
-@dataclass
-class AffineSolutionSpace:
+class AffineSolutionSpace(Record):
     """Full solution set of A v = b: particular + span(kernel_basis).
 
     ``particular`` is None when the system is inconsistent.  The kernel
@@ -146,8 +184,11 @@ class AffineSolutionSpace:
     vector per free column, so equal systems yield identical bases.
     """
 
-    particular: list[Rat] | None
-    kernel_basis: list[list[Rat]]
+    _fields = ("particular", "kernel_basis")
+
+    def __init__(self, particular: list[Rat] | None, kernel_basis: list[list[Rat]]):
+        self.particular = particular
+        self.kernel_basis = kernel_basis
 
     @property
     def inconsistent(self) -> bool:

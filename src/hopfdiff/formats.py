@@ -15,7 +15,6 @@ import json
 from .exactlin import Mat, rat, rat_str
 from .hopf import FinDimHopf, LinMap
 from .groups import FinGroup
-from .lie import FinLie
 
 
 def canonical_json(obj) -> str:
@@ -88,7 +87,7 @@ def group_from_dict(data: dict) -> FinGroup:
     return FinGroup(data["labels"], data["table"], name=data.get("name", ""))
 
 
-def lie_to_dict(l: FinLie) -> dict:
+def lie_to_dict(l: "FinLie") -> dict:
     brackets = {}
     for i in range(l.dim):
         for j in range(i + 1, l.dim):
@@ -98,7 +97,9 @@ def lie_to_dict(l: FinLie) -> dict:
     return {"name": l.name, "labels": list(l.labels), "brackets": brackets}
 
 
-def lie_from_dict(data: dict) -> FinLie:
+def lie_from_dict(data: dict) -> "FinLie":
+    from .lie import FinLie
+
     _reject_unknown(data, {"name", "labels", "brackets"}, "lie algebra")
     _require(data, {"labels", "brackets"}, "lie algebra")
     pairs = {}

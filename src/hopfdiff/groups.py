@@ -4,9 +4,8 @@ difference operators at the group level, and the group-algebra functor."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
-from .exactlin import Mat, ONE, ZERO
+from .exactlin import FrozenRecord, Mat, ONE, ZERO
 from .hopf import FinDimHopf, LinMap, basis_vec, is_grouplike
 
 ENDO_ORDER_BOUND = 24
@@ -105,17 +104,15 @@ class FinGroup:
         return f"FinGroup({self.name or self.labels}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(FrozenRecord):
     """Set map between groups, stored as target indices per source element."""
 
-    source: FinGroup
-    target: FinGroup
-    images: tuple
+    _fields = ("source", "target", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.source.order:
+    def __init__(self, source: FinGroup, target: FinGroup, images: tuple):
+        if len(images) != source.order:
             raise ValueError("image vector length must equal source order")
+        self._set(source=source, target=target, images=images)
 
     def __call__(self, a: int) -> int:
         return self.images[a]
@@ -169,7 +166,7 @@ def check_group_diffop(d: GroupMap) -> bool:
     of the adjoint action."""
     if d.source is not d.target:
         raise ValueError("a group difference operator must map a group to itself")
-    return check_group_crossed_hom(d, adjoint_action(d.source))
+    return _crossed_hom_holds(d, adjoint_action(d.source))
 
 
 def diffop_from_endo(f: GroupMap) -> GroupMap:
@@ -203,13 +200,14 @@ def endo_diffop_bijection(g: FinGroup):
     return pairs
 
 
-@dataclass(frozen=True)
-class GroupAction:
+class GroupAction(FrozenRecord):
     """Action of G on H by automorphisms: one permutation of H per g."""
 
-    acting: FinGroup
-    target: FinGroup
-    maps: tuple  # maps[g] is a tuple of images of H under Phi(g)
+    _fields = ("acting", "target", "maps")
+
+    def __init__(self, acting: FinGroup, target: FinGroup, maps: tuple):
+        # maps[g] is a tuple of images of H under Phi(g)
+        self._set(acting=acting, target=target, maps=maps)
 
     def __call__(self, g: int, h: int) -> int:
         return self.maps[g][h]
@@ -247,9 +245,15 @@ def adjoint_action(g: FinGroup) -> GroupAction:
 def check_group_crossed_hom(d: GroupMap, action: GroupAction) -> bool:
     """D(gh) = D(g) Phi(g)(D(h)) on all pairs."""
     action.validate()
-    gg, hh = action.acting, action.target
-    if d.source is not gg or d.target is not hh:
+    if d.source is not action.acting or d.target is not action.target:
         raise ValueError("map endpoints must match the action")
+    return _crossed_hom_holds(d, action)
+
+
+def _crossed_hom_holds(d: GroupMap, action: GroupAction) -> bool:
+    """The pair loop of check_group_crossed_hom, for a validated action
+    whose endpoints are those of d."""
+    gg, hh = action.acting, action.target
     for a in range(gg.order):
         for b in range(gg.order):
             if d(gg.mul(a, b)) != hh.mul(d(a), action(a, d(b))):

@@ -26,12 +26,11 @@ them.  Every checker returns a :class:`CheckReport`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, Rat, ZERO, invert, kernel, rat, rat_str
+from .exactlin import Mat, ONE, Rat, Record, ZERO, invert, kernel, rat, rat_str
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -245,33 +244,32 @@ class FinDimHopf(CarrierOps):
         return f"FinDimHopf({self.name!r}, dim={self.dim})"
 
 
-@dataclass
-class Element:
+class Element(Record):
     """An element of a fixed algebra, held as exact coordinates."""
 
-    algebra: FinDimHopf
-    coords: Vec
+    _fields = ("algebra", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.algebra.dim:
+    def __init__(self, algebra: FinDimHopf, coords: Vec):
+        if len(coords) != algebra.dim:
             raise ValueError("coordinate length does not match basis size")
-        self.coords = [rat(c) for c in self.coords]
+        self.algebra = algebra
+        self.coords = [rat(c) for c in coords]
 
     def __str__(self):
         return self.algebra.element_str(self.coords)
 
 
-@dataclass
-class LinMap:
+class LinMap(Record):
     """Linear map between algebras; column j is the image of basis j."""
 
-    domain: FinDimHopf
-    codomain: FinDimHopf
-    matrix: Mat
+    _fields = ("domain", "codomain", "matrix")
 
-    def __post_init__(self):
-        if self.matrix.rows != self.codomain.dim or self.matrix.cols != self.domain.dim:
+    def __init__(self, domain: FinDimHopf, codomain: FinDimHopf, matrix: Mat):
+        if matrix.rows != codomain.dim or matrix.cols != domain.dim:
             raise ValueError("matrix shape does not match domain/codomain bases")
+        self.domain = domain
+        self.codomain = codomain
+        self.matrix = matrix
 
     def apply(self, u: Vec) -> Vec:
         return self.matrix.apply(u)
@@ -622,15 +620,19 @@ def apply_cols(cols, u: Vec, dim: int) -> Vec:
     return out
 
 
-@dataclass
-class CheckReport:
+class CheckReport(Record):
     """Exhaustive-verification outcome with explicit skip accounting."""
 
-    ok: bool
-    failures: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    checked: int = 0
-    details: dict = field(default_factory=dict)
+    _fields = ("ok", "failures", "skipped", "checked", "details")
+
+    def __init__(self, ok: bool, failures: list | None = None,
+                 skipped: list | None = None, checked: int = 0,
+                 details: dict | None = None):
+        self.ok = ok
+        self.failures = [] if failures is None else failures
+        self.skipped = [] if skipped is None else skipped
+        self.checked = checked
+        self.details = {} if details is None else details
 
     @property
     def witness(self):
@@ -639,11 +641,13 @@ class CheckReport:
 
 # -- axiom validation --------------------------------------------------------
 
-@dataclass
-class AxiomReport:
+class AxiomReport(Record):
     """Outcome of an exhaustive axiom suite; failures carry a witness."""
 
-    checks: list = field(default_factory=list)  # (axiom, ok, witness)
+    _fields = ("checks",)
+
+    def __init__(self, checks: list | None = None):
+        self.checks = [] if checks is None else checks  # (axiom, ok, witness)
 
     def record(self, axiom: str, ok: bool, witness=None):
         self.checks.append((axiom, ok, witness))
@@ -834,10 +838,12 @@ def is_grouplike(h: FinDimHopf, c: Vec) -> bool:
     return h.comult_vec(c) == _tensor_of(c, c)
 
 
-@dataclass
-class GrouplikeResult:
-    elements: list[Vec]
-    complete: bool
+class GrouplikeResult(Record):
+    _fields = ("elements", "complete")
+
+    def __init__(self, elements: list[Vec], complete: bool):
+        self.elements = elements
+        self.complete = complete
 
 
 def grouplikes(h: FinDimHopf) -> GrouplikeResult:

@@ -261,10 +261,25 @@ def test_ckmm_check(capsys, tmp_path):
 
 
 def test_catalog_list_and_export(capsys):
+    from hopfdiff import catalog
+    from hopfdiff.actions import ActionData
+    from hopfdiff.groups import FinGroup
+    from hopfdiff.hopf import FinDimHopf, LinMap
+    from hopfdiff.solver import SearchPlan
+
+    kinds = [(FinDimHopf, "algebra"), (FinGroup, "group"), (ActionData, "action"),
+             (SearchPlan, "plan"), (LinMap, "operator"), (list, "expected-tables")]
     code, payload, _ = invoke(capsys, "catalog")
-    assert code == 0 and "H8" in payload["entries"]
-    code, payload, _ = invoke(capsys, "catalog", "H4")
-    assert code == 0 and payload["kind"] == "algebra"
+    assert code == 0 and payload["entries"] == catalog.names()
+    assert "H8" in payload["entries"]
+    seen = set()
+    for name in catalog.names():
+        built = catalog.build(name)
+        expected = [kind for cls, kind in kinds if isinstance(built, cls)]
+        code, payload, _ = invoke(capsys, "catalog", name)
+        assert code == 0 and [payload["kind"]] == expected, name
+        seen.add(payload["kind"])
+    assert seen == {kind for _, kind in kinds}
 
 
 def test_unknown_flag_exits_two():

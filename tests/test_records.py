@@ -1,0 +1,104 @@
+"""The record classes of exactlin, hopf and groups are plain classes on
+``exactlin.Record``; they keep the dataclass semantics they had: the
+constructor signature, fresh mutable defaults, value equality, the shape
+checks, unhashable mutable records, and hashable immutable group maps and
+actions."""
+
+import inspect
+from fractions import Fraction
+
+import pytest
+
+from hopfdiff import catalog
+from hopfdiff.exactlin import AffineSolutionSpace, Mat
+from hopfdiff.groups import GroupAction, GroupMap, adjoint_action
+from hopfdiff.hopf import (AxiomReport, CheckReport, Element, GrouplikeResult,
+                           LinMap, identity_map)
+
+SIGNATURES = {
+    AffineSolutionSpace: ["particular", "kernel_basis"],
+    Element: ["algebra", "coords"],
+    LinMap: ["domain", "codomain", "matrix"],
+    CheckReport: ["ok", "failures", "skipped", "checked", "details"],
+    AxiomReport: ["checks"],
+    GrouplikeResult: ["elements", "complete"],
+    GroupMap: ["source", "target", "images"],
+    GroupAction: ["acting", "target", "maps"],
+}
+
+
+@pytest.mark.parametrize("cls", list(SIGNATURES), ids=lambda c: c.__name__)
+def test_constructor_signature(cls):
+    assert list(inspect.signature(cls).parameters) == SIGNATURES[cls]
+
+
+def test_mutable_defaults_are_fresh_per_instance():
+    a, b = CheckReport(True), CheckReport(True)
+    assert (a.failures, a.skipped, a.checked, a.details) == ([], [], 0, {})
+    a.failures.append(("x",))
+    a.skipped.append(("y",))
+    a.details["k"] = 1
+    assert (b.failures, b.skipped, b.details) == ([], [], {})
+    r, s = AxiomReport(), AxiomReport()
+    r.record("unit", False, (0,))
+    assert s.checks == [] and not r.ok and s.ok
+
+
+def test_equal_fields_compare_equal_and_mutable_records_are_unhashable(h4):
+    pairs = [
+        (CheckReport(True, [], [], 3), CheckReport(ok=True, checked=3),
+         CheckReport(True, checked=4)),
+        (AxiomReport([("unit", True, None)]), AxiomReport([("unit", True, None)]),
+         AxiomReport()),
+        (AffineSolutionSpace([Fraction(1)], []), AffineSolutionSpace([Fraction(1)], []),
+         AffineSolutionSpace(None, [])),
+        (GrouplikeResult([[1, 0]], True), GrouplikeResult([[1, 0]], True),
+         GrouplikeResult([[1, 0]], False)),
+        (Element(h4, [1, 0, 0, 0]), Element(h4, [Fraction(1), 0, 0, 0]),
+         Element(h4, [0, 1, 0, 0])),
+        (identity_map(h4), identity_map(h4), LinMap(h4, h4, Mat.zero(4, 4))),
+    ]
+    for x, y, z in pairs:
+        assert x == y and not x != y
+        assert x != z
+        assert x != object()
+        with pytest.raises(TypeError):
+            hash(x)
+
+
+def test_linmap_equality_needs_the_same_algebras(h4):
+    other = catalog.build("H4")
+    assert identity_map(h4) != LinMap(other, other, Mat.identity(4))
+
+
+def test_group_maps_and_actions_are_hashable_and_immutable():
+    s3 = catalog.build("S3")
+    f = GroupMap(s3, s3, tuple(range(6)))
+    g = GroupMap(s3, s3, tuple(range(6)))
+    assert f == g and hash(f) == hash(g) and len({f, g}) == 1
+    assert f != GroupMap(s3, s3, (0,) * 6)
+    a, b = adjoint_action(s3), adjoint_action(s3)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    for obj, name in ((f, "images"), (a, "maps")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, ())
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    assert f.images == tuple(range(6))
+
+
+def test_shape_errors_still_raise(h4):
+    with pytest.raises(ValueError):
+        LinMap(h4, h4, Mat.identity(3))
+    with pytest.raises(ValueError):
+        Element(h4, [1, 2])
+    with pytest.raises(ValueError):
+        GroupMap(catalog.build("C2"), catalog.build("C2"), (0,))
+
+
+def test_element_coerces_coordinates(h4):
+    e = Element(h4, [1, "1/2", 0, 0])
+    assert e.coords == [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0)]
+    assert all(isinstance(c, Fraction) for c in e.coords)
