@@ -8,13 +8,24 @@ The module(-bi)algebra axioms have one checker,
 interface and an ``act(a, u)`` callable (basis a of K acting on an
 H-vector u), so finite-dimensional and degree-truncated algebras share
 them.  A finite carrier is a smash factor with an infinite budget.
+
+The action layer runs on integer tables.  The two checkers read both
+carriers from :func:`hopfdiff.hopf.int_structure` and the action from
+its integer engine, an :class:`IntAction`: sparse integer vectors over
+one denominator, compared cross-multiplied by the known denominators.
+:class:`ActionData` and :class:`hopfdiff.freelie.DerivationAction` are
+such engines, so no ``Fraction`` is built inside the checkers' loops for
+them, and their rational entry points (``act_on``, ``act_basis``,
+``derivation``, ``act``) are adapters over the engine; any other
+``act(a, u)`` callable is adapted once where a checker receives it.
+Every report is identical to the one rational arithmetic gives.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
+from fractions import Fraction
 
 from .exactlin import Mat, ONE, ZERO, in_span, rat, row_space_basis
 from .hopf import (
@@ -30,13 +41,16 @@ from .hopf import (
     _attempt,
     _first_witness,
     _nonzero,
-    _tensor_of,
-    apply_cols,
+    _num,
+    _sparse_ints,
+    _stored,
     basis_vec,
     coalgebra_map_report,
     convolve,
     grouplike_inverse,
     grouplikes,
+    int_columns,
+    int_structure,
     is_algebra_hom,
     is_coalgebra_hom,
     is_cocommutative,
@@ -50,11 +64,52 @@ from .hopf import (
 )
 
 
-class ActionData:
+def _rational(ints, den: int, n: int) -> Vec:
+    """The rational n-vector of sparse integer pairs over den."""
+    out = [ZERO] * n
+    for k, m in ints:
+        out[k] = Fraction(m, den)
+    return out
+
+
+class IntAction:
+    """An action of K on H in integer arithmetic, the one engine behind the
+    rational entry points and the exhaustive checkers.
+
+    act_int(a, u) is den * (basis a of K) . u for a sparse integer vector
+    u = ((k, m), ...) of H, as sparse (k, m) pairs in ascending k, which
+    the checkers compare as they are; den is one denominator
+    for every a, and act_int raises OutOfBudgetError wherever the rational
+    action of u raises.  entry names the rational entry point act(a, u)
+    that the checkers recognize as this engine's (see _int_action).
+    """
+
+    entry = "act_rational"
+
+    def act_int(self, a: int, u) -> list:
+        raise NotImplementedError
+
+    def act_rational(self, a: int, u: Vec) -> Vec:
+        """Basis a of K acting on the rational H-vector u, through act_int."""
+        den, (ints,) = _sparse_ints([u])
+        return _rational(self.act_int(a, ints), den * self.den, len(u))
+
+    def basis_values(self, nk: int, nh: int) -> list:
+        """values[a][x], act_int of basis a on e_x, or the OutOfBudgetError
+        it raised."""
+        return [[_attempt(self.act_int, a, ((x, 1),)) for x in range(nh)]
+                for a in range(nk)]
+
+
+class ActionData(IntAction):
     """A left action of K on H, stored as one H-vector per basis pair.
 
-    tensor[a][x] is the coordinate vector of (basis a of K) . (basis x of H).
+    tensor[a][x] is the coordinate vector of (basis a of K) . (basis x of H);
+    the integer engine reads the same tensor as sparse integer columns over
+    one denominator.
     """
+
+    entry = "act_on"
 
     def __init__(self, acting: FinDimHopf, target: FinDimHopf, tensor):
         self.acting = acting
@@ -66,20 +121,64 @@ class ActionData:
             for cell in row:
                 if len(cell) != target.dim:
                     raise ValueError("action entries must be H-coordinate vectors")
+        n = target.dim
+        self.den, flat = _sparse_ints([cell for row in self.tensor for cell in row])
+        self._columns = [flat[a * n:(a + 1) * n] for a in range(acting.dim)]
 
     def act_basis(self, a: int, x: int) -> Vec:
         return self.tensor[a][x]
 
+    def act_int(self, a: int, u) -> list:
+        columns = self._columns[a]
+        out = [0] * self.target.dim
+        for x, c in u:
+            for k, m in columns[x]:
+                out[k] += c * m
+        return [(k, m) for k, m in enumerate(out) if m]
+
     def act_on(self, a: int, u: Vec) -> Vec:
         """Basis a of K acting on the H-vector u."""
-        out = zero_vec(self.target.dim)
-        for x, c in enumerate(u):
-            if c:
-                _add_scaled(out, c, self.tensor[a][x])
-        return out
+        return self.act_rational(a, u)
 
     def act(self, a: Vec, x: Vec) -> Vec:
         return act_vec(self.act_on, a, x)
+
+
+class _CallableAction(IntAction):
+    """A plain act(a, u) callable as an integer engine: its basis values
+    are tabulated once, and den is their common denominator, which is one
+    for act(a, u) on every integer vector u when act is linear."""
+
+    def __init__(self, act, nk: int, nh: int):
+        self.act = act
+        self.nh = nh
+        self.den, flat = _sparse_ints([_attempt(act, a, basis_vec(nh, x))
+                                       for a in range(nk) for x in range(nh)])
+        self.values = [flat[a * nh:(a + 1) * nh] for a in range(nk)]
+
+    def act_int(self, a: int, u) -> list:
+        vec = zero_vec(self.nh)
+        for k, m in u:
+            vec[k] = Fraction(m)
+        out = []
+        for k, c in enumerate(self.act(a, vec)):
+            if c:
+                if self.den % c.denominator:
+                    raise ValueError("the action is not linear over its basis values")
+                out.append((k, _num(c, self.den)))
+        return out
+
+    def basis_values(self, nk: int, nh: int) -> list:
+        return self.values
+
+
+def _int_action(act, nk: int, nh: int) -> IntAction:
+    """The integer engine behind act(a, u): the action itself when act is
+    its rational entry point, else act adapted once."""
+    owner = getattr(act, "__self__", None)
+    if isinstance(owner, IntAction) and act == getattr(owner, owner.entry):
+        return owner
+    return _CallableAction(act, nk, nh)
 
 
 def act_vec(act, a: Vec, u: Vec) -> Vec:
@@ -117,16 +216,6 @@ def adjoint_action(h: FinDimHopf) -> ActionData:
 MODULE_AXIOMS = ("module", "module-algebra", "bialgebra")
 
 
-# what a module_axiom_report loop returns for a tuple that needs a stored
-# OutOfBudgetError
-_SKIP = object()
-
-
-def _missing(*entries) -> bool:
-    """Whether any tabulated entry is a stored OutOfBudgetError."""
-    return any(e.__class__ is OutOfBudgetError for e in entries)
-
-
 def module_axiom_report(k, h, act, axioms=MODULE_AXIOMS) -> CheckReport:
     """The module axioms of an action of K on H on every basis tuple,
     skip-aware; act(a, u) is basis a of K acting on the H-vector u.
@@ -135,80 +224,131 @@ def module_axiom_report(k, h, act, axioms=MODULE_AXIOMS) -> CheckReport:
     (a, b, x); "module-algebra", a . (xy) = (a1 . x)(a2 . y) at (a, x, y);
     "bialgebra", eps(a . x) = eps(a) eps(x) and then D(a . x) =
     (a1 . x1) (x) (a2 . x2) at (a, x), failing as "counit" or "comult".
-    Each value a . e_x and basis product is computed once, or the
-    OutOfBudgetError it raised is stored; a tuple that needs one is
-    skipped as (loop name, *tuple).  That is read from the stored
-    entries' class before the tuple is evaluated, so no error is raised
-    for it; an error raised while evaluating (act on a vector, or a
-    product of two values) skips the tuple too.
+
+    Both carriers are read from their integer structure tables and the
+    action from its integer engine (see _int_action), whose values
+    a . e_x are tabulated once, each as sparse integers or as the
+    OutOfBudgetError it raised; each side of an identity is compared
+    after cross-multiplying by the denominators the other side carries.
+    A tuple that needs a stored error or a basis product that leaves a
+    truncated carrier's budget is skipped as (loop name, *tuple), decided
+    from the stored entries once per table row; an error raised while
+    evaluating (act on a vector, or a product of two values) skips the
+    tuple too.
     """
     nk, nh = k.dim, h.dim
-    values = [[_attempt(act, a, basis_vec(nh, x)) for x in range(nh)] for a in range(nk)]
-
-    def products(c) -> list:
-        return [[_attempt(c.mult_basis, i, j) for j in range(c.dim)] for i in range(c.dim)]
-
-    hprod = products(h)
-    # K's products as sparse (m, c) pairs, for the left side of (ab) . x
-    kprod = [[p if p.__class__ is OutOfBudgetError else [(m, c) for m, c in enumerate(p) if c]
-              for p in row] for row in (hprod if h is k else products(k))]
-
-    def module(a, b, x):
-        prod = kprod[a][b]
-        if _missing(prod, values[b][x]) or _missing(*(values[m][x] for m, _ in prod)):
-            return _SKIP
-        lhs = zero_vec(nh)
-        for m, c in prod:
-            _add_scaled(lhs, c, values[m][x])
-        return None if lhs == act(a, values[b][x]) else "module"
-
-    def module_algebra(a, x, y):
-        prod = hprod[x][y]
-        terms = k.comult_triples(a)
-        if _missing(prod, *(values[a1][x] for a1, _, _ in terms),
-                    *(values[a2][y] for _, a2, _ in terms)):
-            return _SKIP
-        lhs = act(a, prod)
-        rhs = zero_vec(nh)
-        for (a1, a2, c) in terms:
-            _add_scaled(rhs, c, h.mult_vec(values[a1][x], values[a2][y]))
-        return None if lhs == rhs else "module-algebra"
-
-    def bialgebra(a, x):
-        value = values[a][x]
-        aterms = k.comult_triples(a)
-        xterms = h.comult_triples(x)
-        if _missing(value, *(values[a1][x1] for a1, _, _ in aterms for x1, _, _ in xterms),
-                    *(values[a2][x2] for _, a2, _ in aterms for _, x2, _ in xterms)):
-            return _SKIP
-        rhs: dict = {}
-        for (a1, a2, c) in aterms:
-            for (x1, x2, e) in xterms:
-                for key, v in _tensor_of(values[a1][x1], values[a2][x2]).items():
-                    rhs[key] = rhs.get(key, ZERO) + c * e * v
-        if h.counit_vec(value) != k.counit_coeff(a) * h.counit_coeff(x):
-            return "counit"
-        return None if h.comult_vec(value) == _nonzero(rhs) else "comult"
-
-    loops = {"module": (module, product(range(nk), range(nk), range(nh))),
-             "module-algebra": (module_algebra, product(range(nk), range(nh), range(nh))),
-             "bialgebra": (bialgebra, product(range(nk), range(nh)))}
+    engine = _int_action(act, nk, nh)
+    act_int, den = engine.act_int, engine.den
+    tk, th = int_structure(k), int_structure(h)
+    values = engine.basis_values(nk, nh)
+    # missing[a] holds the x whose value a . e_x is a stored error, and
+    # left[a] and right[a] those that some a1 . x or a2 . x needs
+    missing = [{x for x, v in enumerate(row) if v.__class__ is OutOfBudgetError}
+               for row in values]
+    left = [set().union(*(missing[a1] for a1, _, _ in terms)) for terms in tk.comult]
+    right = [set().union(*(missing[a2] for _, a2, _ in terms)) for terms in tk.comult]
     failures = []
     skipped = []
-    checked = 0
-    for label in axioms:
-        check, tuples = loops[label]
-        for t in tuples:
-            try:
-                failed = check(*t)
-            except OutOfBudgetError:
-                failed = _SKIP
-            if failed is _SKIP:
-                skipped.append((label, *t))
-                continue
-            checked += 1
-            if failed:
-                failures.append((failed, *t))
+
+    def module() -> int:
+        # (ab) . x carries den * K's mult_den, a . (b . x) den^2
+        checked = 0
+        for a in range(nk):
+            for b in range(nk):
+                prod = tk.mult[a][b]
+                if prod.__class__ is OutOfBudgetError:
+                    skipped.extend(("module", a, b, x) for x in range(nh))
+                    continue
+                blocked = missing[b].union(*(missing[m] for m, _ in prod))
+                for x in range(nh):
+                    if x in blocked:
+                        skipped.append(("module", a, b, x))
+                        continue
+                    try:
+                        rhs = act_int(a, values[b][x])
+                    except OutOfBudgetError:
+                        skipped.append(("module", a, b, x))
+                        continue
+                    checked += 1
+                    lhs = [0] * nh
+                    for m, c in prod:
+                        for p, v in values[m][x]:
+                            lhs[p] += c * v
+                    if [(p, v * den) for p, v in enumerate(lhs) if v] != \
+                            [(p, v * tk.mult_den) for p, v in rhs]:
+                        failures.append(("module", a, b, x))
+        return checked
+
+    def module_algebra() -> int:
+        # a . (xy) carries den * H's mult_den, (a1 . x)(a2 . y) den^2 times
+        # H's mult_den and K's comult_den
+        scale = tk.comult_den * den
+        checked = 0
+        for a in range(nk):
+            terms = tk.comult[a]
+            for x in range(nh):
+                if x in left[a]:
+                    skipped.extend(("module-algebra", a, x, y) for y in range(nh))
+                    continue
+                row = th.mult[x]
+                for y in range(nh):
+                    prod = row[y]
+                    if y in right[a] or prod.__class__ is OutOfBudgetError:
+                        skipped.append(("module-algebra", a, x, y))
+                        continue
+                    try:
+                        lhs = act_int(a, prod)
+                        rhs = [0] * nh
+                        for a1, a2, c in terms:
+                            for p, v in th.mul(values[a1][x], values[a2][y]):
+                                rhs[p] += c * v
+                    except OutOfBudgetError:
+                        skipped.append(("module-algebra", a, x, y))
+                        continue
+                    checked += 1
+                    if [(p, v * scale) for p, v in lhs] != \
+                            [(p, v) for p, v in enumerate(rhs) if v]:
+                        failures.append(("module-algebra", a, x, y))
+        return checked
+
+    def bialgebra() -> int:
+        # eps(a . x) carries den * H's counit_den; D(a . x) den * H's
+        # comult_den, (a1 . x1) (x) (a2 . x2) den^2 and both comult_dens
+        scale = tk.comult_den * den
+        checked = 0
+        for a in range(nk):
+            aterms = tk.comult[a]
+            for x in range(nh):
+                value = values[a][x]
+                xterms = th.comult[x]
+                if value.__class__ is OutOfBudgetError \
+                        or any(x1 in left[a] for x1, _, _ in xterms) \
+                        or any(x2 in right[a] for _, x2, _ in xterms):
+                    skipped.append(("bialgebra", a, x))
+                    continue
+                checked += 1
+                if sum(v * th.counit[p] for p, v in value) * tk.counit_den != \
+                        tk.counit[a] * th.counit[x] * den:
+                    failures.append(("counit", a, x))
+                    continue
+                lhs: dict = {}
+                for p, v in value:
+                    for (i, j, c) in th.comult[p]:
+                        lhs[(i, j)] = lhs.get((i, j), 0) + v * c
+                rhs: dict = {}
+                for a1, a2, c in aterms:
+                    for x1, x2, e in xterms:
+                        ce = c * e
+                        for p, v in values[a1][x1]:
+                            cev = ce * v
+                            for q, w in values[a2][x2]:
+                                rhs[(p, q)] = rhs.get((p, q), 0) + cev * w
+                if {key: v * scale for key, v in lhs.items() if v} != _nonzero(rhs):
+                    failures.append(("comult", a, x))
+        return checked
+
+    loops = {"module": module, "module-algebra": module_algebra, "bialgebra": bialgebra}
+    checked = sum(loops[label]() for label in axioms)
     return CheckReport(not failures, failures, skipped, checked)
 
 
@@ -275,25 +415,47 @@ def crossed_hom_report(k, h, cols, act) -> CheckReport:
     act(a, u) is basis a of K acting on the H-vector u.  A pair whose
     evaluation needs an unknown column or leaves a truncated carrier's
     budget is skipped as (a, b, message); checked counts the pairs.
+
+    The pair loop runs on the carriers' integer structure tables, pi's
+    integer columns and the action's integer engine, in the order of the
+    rational evaluation: pi(ab), then per term pi(a1) times a2 . pi(b),
+    so a skipped pair carries the message of the first error that
+    evaluation raises.
     """
     co = coalgebra_map_report(k, h, cols)
     failures = co.failures
     skipped = co.skipped
+    engine = _int_action(act, k.dim, h.dim)
+    act_int = engine.act_int
+    tk, th = int_structure(k), int_structure(h)
+    icols, cden = int_columns(cols)
+    # pi(ab) carries cden * K's mult_den, the sum over the terms
+    # cden^2 * den times K's comult_den and H's mult_den
+    lhs_scale = cden * tk.comult_den * th.mult_den * engine.den
+    rhs_scale = tk.mult_den
     checked = 0
     for a in range(k.dim):
+        row = tk.mult[a]
+        terms = tk.comult[a]
         for b in range(k.dim):
+            pib = icols[b]
             try:
-                lhs = apply_cols(cols, k.mult_basis(a, b), h.dim)
-                rhs = zero_vec(h.dim)
-                for (a1, a2, c) in k.comult_triples(a):
-                    if cols[a1] is None or cols[b] is None:
+                lhs = [0] * h.dim
+                for m, c in _stored(row[b]):
+                    for p, v in _stored(icols[m]):
+                        lhs[p] += c * v
+                rhs = [0] * h.dim
+                for a1, a2, c in terms:
+                    pia = icols[a1]
+                    if pia.__class__ is OutOfBudgetError or pib.__class__ is OutOfBudgetError:
                         raise OutOfBudgetError("image unknown")
-                    _add_scaled(rhs, c, h.mult_vec(cols[a1], act(a2, cols[b])))
+                    for p, v in th.mul(pia, act_int(a2, pib)):
+                        rhs[p] += c * v
             except OutOfBudgetError as exc:
                 skipped.append((a, b, str(exc)))
                 continue
             checked += 1
-            if lhs != rhs:
+            if [v * lhs_scale for v in lhs] != [v * rhs_scale for v in rhs]:
                 failures.append((a, b))
     return CheckReport(not failures, failures, skipped, checked)
 

@@ -10,6 +10,12 @@ always stay inside the budget and are total.  The verdicts themselves
 are the shared ones of :mod:`hopfdiff.hopf`, :mod:`hopfdiff.diffops` and
 :mod:`hopfdiff.actions`, which also builds the smash products; their
 entries stay keyed by basis index, as on finite carriers.
+
+Derivation actions run on integer tables: :class:`DerivationAction` is an
+integer engine of :mod:`hopfdiff.actions`, its Leibniz columns sparse
+integers over one denominator built through the target's integer
+products, so the module-axiom and crossed-homomorphism checks behind
+``free-lie mm-check`` build no ``Fraction`` in their loops.
 """
 
 from __future__ import annotations
@@ -19,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .actions import (TruncatedSmash, act_vec, crossed_hom_report, graph_vector,
-                      module_axiom_report, smash_vec)
+from .actions import (IntAction, TruncatedSmash, _rational, act_vec,
+                      crossed_hom_report, graph_vector, module_axiom_report, smash_vec)
 from .diffops import check_diffop, compatibility_failures, smash_extension_columns
 from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis
 from .hopf import (
@@ -30,6 +36,7 @@ from .hopf import (
     OutOfBudgetError,
     Vec,
     _attempt,
+    _sparse_ints,
     _stored,
     algebra_map_failures,
     apply_cols,
@@ -409,61 +416,89 @@ def _exponents(width: int, total: int):
 # ---------------------------------------------------------------------------
 # module actions on truncated carriers
 
-class DerivationAction:
+class DerivationAction(IntAction):
     """Action of the generators of one carrier on another by derivations,
     extended to monomials by composition (the enveloping-algebra module
     structure).  gen_images[x][y] is the image of target generator y
     under the derivation attached to acting generator x.
 
-    The derivation of acting generator x on target basis monomial i is
-    tabulated on first use, as a sparse column or as the
-    OutOfBudgetError that expanding it by the Leibniz rule raised.  A
-    derivation of a vector sums its coordinates times these columns in
-    ascending basis order and raises a fresh copy of the first stored
-    error it meets, just where a monomial-by-monomial expansion raises.
+    The action runs on integers.  The derivation of acting generator x on
+    target basis monomial i is tabulated on first use, by the Leibniz rule
+    through the target's integer products, as sparse integer pairs over
+    the one denominator leibniz_den, or as the OutOfBudgetError that a
+    product raised; den = leibniz_den^m, m the most factors of an acting
+    monomial.  A derivation of a vector sums its coordinates times
+    these columns in ascending basis order and raises a fresh copy of the
+    first stored error it meets, just where a monomial-by-monomial
+    rational expansion raises.  act_basis, derivation and act are
+    rational adapters over act_int.
     """
+
+    entry = "act_basis"
 
     def __init__(self, acting, target, gen_images):
         self.acting = acting
         self.target = target
         self.gen_images = gen_images
         self._columns: dict = {}
+        # a Leibniz term with L factors carries md^L * unit_den *
+        # gen_den^(L - 1) * image_den, md the target's mult_den; every
+        # column is scaled to L = depth, the most factors of a target
+        # monomial, and act_int to the most factors of an acting monomial
+        width = len(gen_images[0])
+        unit_den, (self._unit,) = _sparse_ints([target.unit_vec()])
+        gen_den, self._gens = _sparse_ints([target.generator_vec(g) for g in range(width)])
+        image_den, flat = _sparse_ints([v for row in gen_images for v in row])
+        self._images = [flat[x * width:(x + 1) * width] for x in range(len(gen_images))]
+        self._step = int_structure(target).mult_den * gen_den
+        self._depth = max(len(target.monomial_factors(i)) for i in range(target.dim))
+        self.leibniz_den = self._step ** self._depth * unit_den * image_den // gen_den
+        self._acting_depth = max(len(acting.monomial_factors(a)) for a in range(acting.dim))
+        self.den = self.leibniz_den ** self._acting_depth
 
-    def _leibniz(self, x: int, i: int):
-        """The derivation of x on basis monomial i, as sparse (k, c) pairs."""
-        t = self.target
-        factors = t.monomial_factors(i)
-        out = zero_vec(t.dim)
+    def _leibniz(self, x: int, i: int) -> tuple:
+        """leibniz_den times the derivation of x on basis monomial i."""
+        mul = int_structure(self.target).mul
+        factors = self.target.monomial_factors(i)
+        out = [0] * self.target.dim
         for pos in range(len(factors)):
-            pieces = [t.generator_vec(g) for g in factors]
-            pieces[pos] = self.gen_images[x][factors[pos]]
-            term = t.unit_vec()
-            for piece in pieces:
-                term = t.mult_vec(term, piece)
-            out = vec_add(out, term)
-        return [(k, c) for k, c in enumerate(out) if c]
+            term = self._unit
+            for q, g in enumerate(factors):
+                term = mul(term, self._images[x][g] if q == pos else self._gens[g])
+            for k, v in term:
+                out[k] += v
+        scale = self._step ** (self._depth - len(factors))
+        return tuple([(k, v * scale) for k, v in enumerate(out) if v])
 
-    def derivation(self, x: int, u: Vec) -> Vec:
-        """Apply the derivation of acting generator x to u."""
+    def _derive(self, x: int, u) -> list:
+        """leibniz_den times the derivation of x on the sparse integer u."""
         columns = self._columns
-        out = zero_vec(self.target.dim)
-        for i, c in enumerate(u):
-            if not c:
-                continue
+        out = [0] * self.target.dim
+        for i, c in u:
             col = columns.get((x, i))
             if col is None:
                 col = columns[(x, i)] = _attempt(self._leibniz, x, i)
             for k, v in _stored(col):
                 out[k] += c * v
-        return out
+        return [(k, v) for k, v in enumerate(out) if v]
+
+    def act_int(self, a: int, u) -> list:
+        """den times basis monomial a acting on the sparse integer u, by
+        composing the derivations of its factors."""
+        factors = self.acting.monomial_factors(a)
+        for x in reversed(factors):
+            u = self._derive(x, u)
+        scale = self.leibniz_den ** (self._acting_depth - len(factors))
+        return [(k, v * scale) for k, v in u]
+
+    def derivation(self, x: int, u: Vec) -> Vec:
+        """Apply the derivation of acting generator x to u."""
+        den, (ints,) = _sparse_ints([u])
+        return _rational(self._derive(x, ints), den * self.leibniz_den, len(u))
 
     def act_basis(self, a: int, u: Vec) -> Vec:
-        """Module action of an acting basis monomial, by composing the
-        derivations of its factors."""
-        out = list(u)
-        for x in reversed(self.acting.monomial_factors(a)):
-            out = self.derivation(x, out)
-        return out
+        """Module action of an acting basis monomial on the vector u."""
+        return self.act_rational(a, u)
 
     def act(self, a_vec: Vec, u: Vec) -> Vec:
         return act_vec(self.act_basis, a_vec, u)

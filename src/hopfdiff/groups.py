@@ -24,6 +24,8 @@ class FinGroup:
         self.identity = self._find_identity()
         self.inverse = self._find_inverses()
         self._validate()
+        # the validated adjoint action, built by adjoint_action
+        self._adjoint_action = None
 
     def _find_identity(self):
         for e in range(self.order):
@@ -236,10 +238,14 @@ def trivial_action(g: FinGroup, h: FinGroup) -> GroupAction:
 
 
 def adjoint_action(g: FinGroup) -> GroupAction:
-    maps = tuple(
-        tuple(g.conjugate(a, h) for h in range(g.order)) for a in range(g.order)
-    )
-    return GroupAction(g, g, maps).validate()
+    """The action of G on itself by conjugation, validated on first use and
+    memoized on g."""
+    if g._adjoint_action is None:
+        maps = tuple(
+            tuple(g.conjugate(a, h) for h in range(g.order)) for a in range(g.order)
+        )
+        g._adjoint_action = GroupAction(g, g, maps).validate()
+    return g._adjoint_action
 
 
 def check_group_crossed_hom(d: GroupMap, action: GroupAction) -> bool:

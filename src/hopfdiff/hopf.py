@@ -12,7 +12,9 @@ over one shared denominator per table (:func:`int_structure`, memoized
 on the carrier), and a map's matrix to integer columns over the lcm of
 its denominators (:func:`int_columns`).  Comparisons are cross-multiplied by the known
 denominators, and ``Fraction`` values are built only for returned
-matrices, so every result is identical to rational arithmetic.
+matrices, so every result is identical to rational arithmetic.  The
+action layer (:mod:`hopfdiff.actions`, :mod:`hopfdiff.freelie`) runs on
+these integer tables too.
 
 The same basis-indexed interface (``mult_basis``, ``comult_triples``,
 ``counit_coeff``, ``antipode_basis``) is implemented by the
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .exactlin import Mat, ONE, Rat, Record, ZERO, invert, kernel, rat, rat_str
@@ -398,27 +401,47 @@ class IntStructure:
     comult[k]    -- triples (i, j, c) of comult_den * D(basis k)
     counit[i]    -- counit_den * eps(basis i)
     sweedler3[i] -- terms (t1, t2, t3, w) of sweedler_den * D^2(basis i),
-                    in sweedler_expand order
+                    in sweedler_expand order; only the difference-identity
+                    check and the solver read it, so it is built on first
+                    read
     """
 
     def __init__(self, h):
+        self._sweedler = None
         n = self.dim = h.dim
         self.mult_den, flat = _sparse_ints(
             [_attempt(h.mult_basis, i, j) for i in range(n) for j in range(n)])
         self.mult = [flat[i * n:(i + 1) * n] for i in range(n)]
         self.antipode_den, self.antipode = _sparse_ints(
             [_attempt(h.antipode_basis, j) for j in range(n)])
-        comult = [h.comult_triples(k) for k in range(n)]
+        comult = self._comult_triples = [h.comult_triples(k) for k in range(n)]
         self.comult_den = lcm(1, *(c.denominator for t in comult for (_, _, c) in t))
         self.comult = [tuple((i, j, _num(c, self.comult_den)) for (i, j, c) in t)
                        for t in comult]
         counit = [h.counit_coeff(i) for i in range(n)]
         self.counit_den = lcm(1, *(c.denominator for c in counit))
         self.counit = [_num(c, self.counit_den) for c in counit]
-        sweedler = [sweedler_expand(h, basis_vec(n, i), 2) for i in range(n)]
-        self.sweedler_den = lcm(1, *(w.denominator for s in sweedler for w in s.values()))
-        self.sweedler3 = [tuple((*t, _num(w, self.sweedler_den)) for t, w in s.items())
-                          for s in sweedler]
+
+    def _sweedler_table(self) -> tuple[int, list]:
+        if self._sweedler is None:
+            # sweedler_expand reads only comult_triples; the table keeps the
+            # triples, not the carrier that holds the table, so that no
+            # reference cycle keeps a carrier alive after its last use
+            n = self.dim
+            coalgebra = SimpleNamespace(comult_triples=self._comult_triples.__getitem__)
+            sweedler = [sweedler_expand(coalgebra, basis_vec(n, i), 2) for i in range(n)]
+            den = lcm(1, *(w.denominator for s in sweedler for w in s.values()))
+            self._sweedler = den, [tuple((*t, _num(w, den)) for t, w in s.items())
+                                   for s in sweedler]
+        return self._sweedler
+
+    @property
+    def sweedler_den(self) -> int:
+        return self._sweedler_table()[0]
+
+    @property
+    def sweedler3(self) -> list:
+        return self._sweedler_table()[1]
 
     def mul(self, u, v) -> list:
         """mult_den * u v for sparse integer vectors, as a sparse list.

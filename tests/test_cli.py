@@ -194,6 +194,16 @@ def test_free_lie_tasks(capsys):
     assert code == 0 and payload["compatible"]
 
 
+def test_free_lie_mm_check_at_budget_five(capsys):
+    """The pair and skip counts of mm-check at budget 5, pinned: the
+    crossed-homomorphism extension's checked pairs, and every skip of the
+    extension, the restriction and the module-axiom check."""
+    code, payload, _ = invoke(capsys, "free-lie", "mm-check", "--budget", "5")
+    assert code == 0 and payload["ok"] is True
+    assert (payload["pairs_checked"], payload["skipped"]) == (321, 503274)
+    assert payload["uniqueness"] is True
+
+
 def test_free_lie_diffop_from_hom_with_phi_file(capsys, tmp_path):
     phi = tmp_path / "phi.json"
     phi.write_text(json.dumps({"images": [{"a": "1"}, {"b": "1"}]}))

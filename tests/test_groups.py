@@ -103,25 +103,26 @@ def test_crossed_hom_adjoint_matches_diffop():
 
 @pytest.mark.parametrize("name", ["C2", "C4", "C2xC2", "S3"])
 def test_check_group_diffop_validates_the_adjoint_action_once(name, monkeypatch):
-    """One GroupAction.validate per call, the one adjoint_action runs,
-    and on every self-map the verdict of check_group_crossed_hom on the
-    adjoint action, written out here as its pair loop over one validated
-    action."""
+    """At most one GroupAction.validate per group, the one adjoint_action
+    runs when it first builds the action it memoizes on the group, and on
+    every self-map the verdict of check_group_crossed_hom on the adjoint
+    action, written out here as its pair loop over one validated action."""
     g = catalog.build(name)
-    adj = adjoint_action(g)
     calls = []
     validate = GroupAction.validate
     monkeypatch.setattr(GroupAction, "validate",
                         lambda self: calls.append(self) or validate(self))
-    verdicts = []
-    for images in itertools.product(range(g.order), repeat=g.order):
-        d = GroupMap(g, g, images)
-        verdicts.append(check_group_diffop(d))
+    maps = [GroupMap(g, g, images)
+            for images in itertools.product(range(g.order), repeat=g.order)]
+    verdicts = [check_group_diffop(d) for d in maps]
+    adj = adjoint_action(g)
+    assert calls == [adj]
+    assert adjoint_action(g) is adj
+    for d, verdict in zip(maps, verdicts):
         composite = all(d(g.mul(a, b)) == g.mul(d(a), adj(a, d(b)))
                         for a in range(g.order) for b in range(g.order))
-        assert verdicts[-1] == composite, images
-    assert len(calls) == len(verdicts) == g.order ** g.order
-    assert calls[0] == adj
+        assert verdict == composite, d.images
+    assert len(verdicts) == g.order ** g.order
     assert any(verdicts) and not all(verdicts)
 
 

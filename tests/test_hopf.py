@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from hopfdiff import hopf
 from hopfdiff.exactlin import Mat, row_space_basis
 from hopfdiff.hopf import (
     LinMap,
@@ -10,6 +11,7 @@ from hopfdiff.hopf import (
     convolve,
     grouplikes,
     identity_map,
+    int_structure,
     is_algebra_hom,
     is_coalgebra_hom,
     is_cocommutative,
@@ -203,3 +205,22 @@ def test_element_wrapper(h4):
     assert str(e) == "1/2*1 - x"
     with pytest.raises(ValueError):
         Element(h4, [F(1)])
+
+
+def test_sweedler_table_is_built_on_first_read(h8, monkeypatch):
+    """Only the difference-identity check and the solver read D^2, so an
+    integer structure table expands it when sweedler3 or sweedler_den is
+    first read, once per basis element, and never again."""
+    calls = []
+    expand = hopf.sweedler_expand
+    monkeypatch.setattr(hopf, "sweedler_expand",
+                        lambda *args: calls.append(args) or expand(*args))
+    t = hopf.IntStructure(h8)
+    assert calls == []
+    den = t.sweedler_den
+    assert len(calls) == h8.dim
+    for i in range(h8.dim):
+        want = sweedler_expand(h8, basis_vec(h8.dim, i), 2)
+        assert t.sweedler3[i] == tuple((*key, w * den) for key, w in want.items())
+    assert len(calls) == h8.dim
+    assert int_structure(h8).sweedler3 == t.sweedler3

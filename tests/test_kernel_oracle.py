@@ -24,7 +24,14 @@ them.  Partial column tables (perturbed, with random unknown columns)
 must give equal verdicts from ``check_diffop`` and ``crossed_hom_report``,
 skip lists in order included, once ``assert_same_verdict`` has labelled
 their index-keyed entries; ``coalgebra_map_failures`` must give the
-references' counit and comultiplication entries apart.  The smash
+references' counit and comultiplication entries apart.  The rational
+pair loop of ``crossed_hom_report`` is kept too, as it was before the
+check ran on integer tables, and must give the whole report, each skip
+message included, for an adjoint action given as a plain callable, the
+adjoint derivation action and derivation actions drawn from the pool.
+``module_axiom_report`` must equal a loop that evaluates each tuple from
+scratch, on the non-cocommutative H4 with an action that leaves the
+budget on one leg only.  The smash
 products must give equal exports.  ``check_group_diffop``'s own pair loop
 is kept too and must agree on every self-map of C2, C4 and C2xC2.
 
@@ -83,6 +90,7 @@ from hopfdiff.actions import (
     adjoint_action,
     crossed_hom_report,
     derived_module_structure,
+    module_axiom_report,
     smash_builder,
     smash_product,
     trivial_action,
@@ -585,18 +593,94 @@ def test_derivation_action_matches_reference(name, data):
                 == budget_outcome(reference_act, action, a_vec, u))
 
 
-@pytest.mark.parametrize("name", ["T(2,2)", "T(3,2)", "U(sl2,2)"])
+@pytest.mark.parametrize("name", ["T(2,2)", "T(2,3)", "T(3,2)", "U(sl2,2)", "T(2,4)"])
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
 def test_action_bialgebra_check_matches_reference(name, data):
-    """Whole reports, skip lists in order included."""
+    """Whole reports, skip lists in order included.  T(2,4) is the carrier
+    of `free-lie mm-check` at budget 4, with its adjoint action only."""
     h = carrier(name)
-    if data.draw(st.booleans()):
+    if name == "T(2,4)" or data.draw(st.booleans()):
         action = adjoint_derivation_action(h)
     else:
         action = data.draw(derivation_actions(name))
     assert (extended_action_bialgebra_check(h, action)
             == reference_extended_action_bialgebra_check(h, action))
+
+
+def reference_module_axiom_report(k, h, act) -> CheckReport:
+    """The three module-axiom loops with every tuple evaluated from scratch
+    in rational arithmetic; a tuple whose evaluation raises
+    OutOfBudgetError is skipped."""
+    failures = []
+    skipped = []
+    checked = 0
+
+    def e(x):
+        return basis_vec(h.dim, x)
+
+    for a, b, x in itertools.product(range(k.dim), range(k.dim), range(h.dim)):
+        try:
+            lhs = zero_vec(h.dim)
+            for m, c in enumerate(k.mult_basis(a, b)):
+                if c:
+                    lhs = vec_add(lhs, vec_scale(c, act(m, e(x))))
+            rhs = act(a, act(b, e(x)))
+        except OutOfBudgetError:
+            skipped.append(("module", a, b, x))
+            continue
+        checked += 1
+        if lhs != rhs:
+            failures.append(("module", a, b, x))
+    for a, x, y in itertools.product(range(k.dim), range(h.dim), range(h.dim)):
+        try:
+            lhs = act(a, h.mult_basis(x, y))
+            rhs = zero_vec(h.dim)
+            for (a1, a2, c) in k.comult_triples(a):
+                rhs = vec_add(rhs, vec_scale(c, h.mult_vec(act(a1, e(x)), act(a2, e(y)))))
+        except OutOfBudgetError:
+            skipped.append(("module-algebra", a, x, y))
+            continue
+        checked += 1
+        if lhs != rhs:
+            failures.append(("module-algebra", a, x, y))
+    for a, x in itertools.product(range(k.dim), range(h.dim)):
+        try:
+            value = act(a, e(x))
+            rhs: dict = {}
+            for (a1, a2, c) in k.comult_triples(a):
+                for (x1, x2, d) in h.comult_triples(x):
+                    for key, v in reference_tensor_of(act(a1, e(x1)), act(a2, e(x2))).items():
+                        rhs[key] = rhs.get(key, ZERO) + c * d * v
+        except OutOfBudgetError:
+            skipped.append(("bialgebra", a, x))
+            continue
+        checked += 1
+        if h.counit_vec(value) != k.counit_coeff(a) * h.counit_coeff(x):
+            failures.append(("counit", a, x))
+        elif h.comult_vec(value) != {key: v for key, v in rhs.items() if v}:
+            failures.append(("comult", a, x))
+    return CheckReport(not failures, failures, skipped, checked)
+
+
+def test_module_axiom_report_skips_by_the_leg_that_needs_a_value():
+    """H4 is not cocommutative: D(x) = g (x) x + x (x) 1, so the value g . e_y
+    that a module-algebra tuple (x, y', y) of the action of H4 on T(2,2)
+    needs on its first leg is not needed on its second.  Here g . u leaves
+    the budget once u has a term of degree 2, so (x, y, 1) is skipped for
+    a word y of degree 2, and (x, 1, y) is checked."""
+    h4, tv = catalog.build("H4"), carrier("T(2,2)")
+
+    def act(a, u):
+        if a == 1 and any(c for i, c in enumerate(u) if tv.degree(i) == 2):
+            raise OutOfBudgetError("g . u leaves the budget")
+        return vec_scale(-1 if a == 2 else 1, u)
+
+    got = module_axiom_report(h4, tv, act)
+    assert got == reference_module_axiom_report(h4, tv, act)
+    y = tv.index[(0, 1)]
+    assert ("module-algebra", 2, y, 0) in got.skipped
+    assert ("module-algebra", 2, 0, y) not in got.skipped
 
 
 @pytest.mark.parametrize("name", ACTION_CARRIERS + ["T(2,5)", "U(e)#kC2"])
@@ -741,6 +825,33 @@ def reference_verify_crossed_hom_trunc(carrier, action: DerivationAction, cols) 
             checked += 1
             if lhs != rhs:
                 failures.append(("pair", carrier.label(i), carrier.label(j)))
+    return CheckReport(not failures, failures, skipped, checked)
+
+
+def reference_crossed_hom_report(k, h, cols, act) -> CheckReport:
+    """The crossed-homomorphism verdict, skip-aware, with no precondition
+    checks: the coalgebra_map_report entries of pi, then
+    pi(ab) = pi(a1)(a2 . pi(b)) on all basis pairs (a, b) of K, in rational
+    arithmetic; a skipped pair carries the message of the first error."""
+    co = coalgebra_map_report(k, h, cols)
+    failures = co.failures
+    skipped = co.skipped
+    checked = 0
+    for a in range(k.dim):
+        for b in range(k.dim):
+            try:
+                lhs = apply_cols(cols, k.mult_basis(a, b), h.dim)
+                rhs = zero_vec(h.dim)
+                for (a1, a2, c) in k.comult_triples(a):
+                    if cols[a1] is None or cols[b] is None:
+                        raise OutOfBudgetError("image unknown")
+                    rhs = vec_add(rhs, vec_scale(c, h.mult_vec(cols[a1], act(a2, cols[b]))))
+            except OutOfBudgetError as exc:
+                skipped.append((a, b, str(exc)))
+                continue
+            checked += 1
+            if lhs != rhs:
+                failures.append((a, b))
     return CheckReport(not failures, failures, skipped, checked)
 
 
@@ -1001,12 +1112,24 @@ def test_truncated_diffop_check_matches_reference(name, data):
 def test_truncated_crossed_hom_check_matches_reference(name, data):
     h = carrier(name)
     cols = data.draw(partial_tables(name))
-    if isinstance(h, TruncatedTensor) and data.draw(st.booleans()):
+    kind = "callable"
+    if isinstance(h, TruncatedTensor):
+        kind = data.draw(st.sampled_from(["callable", "adjoint", "drawn"]))
+    if kind == "adjoint":
         action = adjoint_derivation_action(h)
+    elif kind == "drawn":
+        # generator images from the pool give the action a denominator
+        action = data.draw(derivation_actions(name))
     else:
         action = AdjointAction(h)
     want = reference_verify_crossed_hom_trunc(h, action, cols)
-    assert_same_verdict(h, crossed_hom_report(h, h, cols, action.act_basis), want, "column")
+    got = crossed_hom_report(h, h, cols, action.act_basis)
+    assert_same_verdict(h, got, want, "column")
+    if kind == "callable":
+        assert got == reference_crossed_hom_report(h, h, cols, action.act_basis)
+    else:
+        assert got == reference_crossed_hom_report(
+            h, h, cols, lambda a, u: reference_act_basis(action, a, u))
     failures, skipped = coalgebra_kinds(h, cols)
     assert failures == [e for e in want.failures if e[0] != "pair"]
     assert skipped == [e for e in want.skipped if e[0] != "pair"]
