@@ -5,20 +5,23 @@ The module(-bi)algebra axioms have one checker,
 :func:`module_axiom_report`, the crossed-homomorphism identity one,
 :func:`crossed_hom_report`, and the smash product one builder,
 :class:`TruncatedSmash`.  All three work over the basis-indexed carrier
-interface and an ``act(a, u)`` callable (basis a of K acting on an
-H-vector u), so finite-dimensional and degree-truncated algebras share
+interface, so finite-dimensional and degree-truncated algebras share
 them.  A finite carrier is a smash factor with an infinite budget.
+
+An action is one object, an :class:`IntAction`: it names its carriers,
+``acting`` (K) and ``target`` (H), and acts in integer arithmetic,
+sparse integer vectors over one denominator.  The checkers, the smash
+builder and the compatibility checks of :mod:`hopfdiff.diffops` take it
+as their one argument.  :class:`ActionData` (a tabulated action) and
+:class:`hopfdiff.freelie.DerivationAction` are its two kinds.
 
 The action layer runs on integer tables.  The two checkers read both
 carriers from :func:`hopfdiff.hopf.int_structure` and the action from
-its integer engine, an :class:`IntAction`: sparse integer vectors over
-one denominator, compared cross-multiplied by the known denominators.
-:class:`ActionData` and :class:`hopfdiff.freelie.DerivationAction` are
-such engines, so no ``Fraction`` is built inside the checkers' loops for
-them, and their rational entry points (``act_on``, ``act_basis``,
-``derivation``, ``act``) are adapters over the engine; any other
-``act(a, u)`` callable is adapted once where a checker receives it.
-Every report is identical to the one rational arithmetic gives.
+its ``act_int``, compared cross-multiplied by the known denominators, so
+no ``Fraction`` is built inside their loops; the rational entry points
+(``act_rational``, ``act`` and the adapters ``act_on``, ``act_basis``
+and ``derivation``) are read off the same engine.  Every report is
+identical to the one rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -41,7 +44,6 @@ from .hopf import (
     _attempt,
     _first_witness,
     _nonzero,
-    _num,
     _sparse_ints,
     _stored,
     basis_vec,
@@ -73,18 +75,17 @@ def _rational(ints, den: int, n: int) -> Vec:
 
 
 class IntAction:
-    """An action of K on H in integer arithmetic, the one engine behind the
-    rational entry points and the exhaustive checkers.
+    """An action of K = acting on H = target in integer arithmetic, the one
+    argument of the checkers, the smash builder and the compatibility
+    checks.
 
     act_int(a, u) is den * (basis a of K) . u for a sparse integer vector
     u = ((k, m), ...) of H, as sparse (k, m) pairs in ascending k, which
     the checkers compare as they are; den is one denominator
     for every a, and act_int raises OutOfBudgetError wherever the rational
-    action of u raises.  entry names the rational entry point act(a, u)
-    that the checkers recognize as this engine's (see _int_action).
+    action of u raises.  act_rational and act are the rational entry
+    points over it.
     """
-
-    entry = "act_rational"
 
     def act_int(self, a: int, u) -> list:
         raise NotImplementedError
@@ -94,24 +95,26 @@ class IntAction:
         den, (ints,) = _sparse_ints([u])
         return _rational(self.act_int(a, ints), den * self.den, len(u))
 
-    def basis_values(self, nk: int, nh: int) -> list:
-        """values[a][x], act_int of basis a on e_x, or the OutOfBudgetError
-        it raised."""
-        return [[_attempt(self.act_int, a, ((x, 1),)) for x in range(nh)]
-                for a in range(nk)]
+    def act(self, a: Vec, u: Vec) -> Vec:
+        """The K-vector a acting on the H-vector u; the result has the
+        length of u."""
+        out = zero_vec(len(u))
+        for i, c in enumerate(a):
+            if c:
+                _add_scaled(out, c, self.act_rational(i, u))
+        return out
 
 
 class ActionData(IntAction):
-    """A left action of K on H, stored as one H-vector per basis pair.
+    """A left action of K on H, stored as one H-vector per basis pair; H may
+    be a truncated carrier that the action keeps in budget.
 
     tensor[a][x] is the coordinate vector of (basis a of K) . (basis x of H);
     the integer engine reads the same tensor as sparse integer columns over
     one denominator.
     """
 
-    entry = "act_on"
-
-    def __init__(self, acting: FinDimHopf, target: FinDimHopf, tensor):
+    def __init__(self, acting, target, tensor):
         self.acting = acting
         self.target = target
         if len(tensor) != acting.dim or any(len(row) != target.dim for row in tensor):
@@ -140,56 +143,6 @@ class ActionData(IntAction):
         """Basis a of K acting on the H-vector u."""
         return self.act_rational(a, u)
 
-    def act(self, a: Vec, x: Vec) -> Vec:
-        return act_vec(self.act_on, a, x)
-
-
-class _CallableAction(IntAction):
-    """A plain act(a, u) callable as an integer engine: its basis values
-    are tabulated once, and den is their common denominator, which is one
-    for act(a, u) on every integer vector u when act is linear."""
-
-    def __init__(self, act, nk: int, nh: int):
-        self.act = act
-        self.nh = nh
-        self.den, flat = _sparse_ints([_attempt(act, a, basis_vec(nh, x))
-                                       for a in range(nk) for x in range(nh)])
-        self.values = [flat[a * nh:(a + 1) * nh] for a in range(nk)]
-
-    def act_int(self, a: int, u) -> list:
-        vec = zero_vec(self.nh)
-        for k, m in u:
-            vec[k] = Fraction(m)
-        out = []
-        for k, c in enumerate(self.act(a, vec)):
-            if c:
-                if self.den % c.denominator:
-                    raise ValueError("the action is not linear over its basis values")
-                out.append((k, _num(c, self.den)))
-        return out
-
-    def basis_values(self, nk: int, nh: int) -> list:
-        return self.values
-
-
-def _int_action(act, nk: int, nh: int) -> IntAction:
-    """The integer engine behind act(a, u): the action itself when act is
-    its rational entry point, else act adapted once."""
-    owner = getattr(act, "__self__", None)
-    if isinstance(owner, IntAction) and act == getattr(owner, owner.entry):
-        return owner
-    return _CallableAction(act, nk, nh)
-
-
-def act_vec(act, a: Vec, u: Vec) -> Vec:
-    """The K-vector a acting on the H-vector u, through act(i, u) for the
-    basis elements i of K; the result has the length of u."""
-    out = zero_vec(len(u))
-    for i, c in enumerate(a):
-        if c:
-            _add_scaled(out, c, act(i, u))
-    return out
-
 
 def trivial_action(k: FinDimHopf, h: FinDimHopf) -> ActionData:
     """a . x = eps(a) x."""
@@ -216,9 +169,9 @@ def adjoint_action(h: FinDimHopf) -> ActionData:
 MODULE_AXIOMS = ("module", "module-algebra", "bialgebra")
 
 
-def module_axiom_report(k, h, act, axioms=MODULE_AXIOMS) -> CheckReport:
+def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
     """The module axioms of an action of K on H on every basis tuple,
-    skip-aware; act(a, u) is basis a of K acting on the H-vector u.
+    skip-aware.
 
     axioms names the loops to run: "module", (ab) . x = a . (b . x) at
     (a, b, x); "module-algebra", a . (xy) = (a1 . x)(a2 . y) at (a, x, y);
@@ -226,21 +179,22 @@ def module_axiom_report(k, h, act, axioms=MODULE_AXIOMS) -> CheckReport:
     (a1 . x1) (x) (a2 . x2) at (a, x), failing as "counit" or "comult".
 
     Both carriers are read from their integer structure tables and the
-    action from its integer engine (see _int_action), whose values
-    a . e_x are tabulated once, each as sparse integers or as the
-    OutOfBudgetError it raised; each side of an identity is compared
-    after cross-multiplying by the denominators the other side carries.
+    action from act_int, whose values a . e_x are tabulated once, each as
+    sparse integers or as the OutOfBudgetError it raised; each side of an
+    identity is compared after cross-multiplying by the denominators the
+    other side carries.
     A tuple that needs a stored error or a basis product that leaves a
     truncated carrier's budget is skipped as (loop name, *tuple), decided
     from the stored entries once per table row; an error raised while
     evaluating (act on a vector, or a product of two values) skips the
     tuple too.
     """
+    k, h = action.acting, action.target
     nk, nh = k.dim, h.dim
-    engine = _int_action(act, nk, nh)
-    act_int, den = engine.act_int, engine.den
+    act_int, den = action.act_int, action.den
     tk, th = int_structure(k), int_structure(h)
-    values = engine.basis_values(nk, nh)
+    # values[a][x] is act_int of basis a on e_x, or the error it raised
+    values = [[_attempt(act_int, a, ((x, 1),)) for x in range(nh)] for a in range(nk)]
     # missing[a] holds the x whose value a . e_x is a stored error, and
     # left[a] and right[a] those that some a1 . x or a2 . x needs
     missing = [{x for x, v in enumerate(row) if v.__class__ is OutOfBudgetError}
@@ -372,7 +326,7 @@ def validate_action(a: ActionData, require_bialgebra: bool = False) -> AxiomRepo
         "acts-on-unit": [(i,) for i in range(k.dim)
                          if a.act_on(i, one) != vec_scale(k.counit_coeff(i), one)]}
     axioms = MODULE_AXIOMS if require_bialgebra else MODULE_AXIOMS[:2]
-    for label, *witness in module_axiom_report(k, h, a.act_on, axioms).failures:
+    for label, *witness in module_axiom_report(a, axioms).failures:
         fails.setdefault(_AXIOM_NAMES[label], []).append(tuple(witness))
     report = AxiomReport()
     for axiom in _ACTION_AXIOMS[:4 + require_bialgebra]:
@@ -403,35 +357,35 @@ def check_crossed_hom(pi: LinMap, action: ActionData) -> bool:
     _require_action(action, False)
     if not is_coalgebra_hom(pi):
         raise ValueError("map is not a coalgebra homomorphism")
-    return crossed_hom_report(k, h, pi.columns(), action.act_on).ok
+    return crossed_hom_report(action, pi.columns()).ok
 
 
-def crossed_hom_report(k, h, cols, act) -> CheckReport:
+def crossed_hom_report(action: IntAction, cols) -> CheckReport:
     """The crossed-homomorphism verdict, skip-aware, with no precondition
     checks: the coalgebra_map_report entries of pi, then
     pi(ab) = pi(a1)(a2 . pi(b)) on all basis pairs (a, b) of K.
 
-    cols[a] is pi(basis a) in H, or None where that image is unknown;
-    act(a, u) is basis a of K acting on the H-vector u.  A pair whose
+    cols[a] is pi(basis a) in H, or None where that image is unknown, for
+    the action of K = action.acting on H = action.target.  A pair whose
     evaluation needs an unknown column or leaves a truncated carrier's
     budget is skipped as (a, b, message); checked counts the pairs.
 
     The pair loop runs on the carriers' integer structure tables, pi's
-    integer columns and the action's integer engine, in the order of the
+    integer columns and the action's act_int, in the order of the
     rational evaluation: pi(ab), then per term pi(a1) times a2 . pi(b),
     so a skipped pair carries the message of the first error that
     evaluation raises.
     """
+    k, h = action.acting, action.target
     co = coalgebra_map_report(k, h, cols)
     failures = co.failures
     skipped = co.skipped
-    engine = _int_action(act, k.dim, h.dim)
-    act_int = engine.act_int
+    act_int = action.act_int
     tk, th = int_structure(k), int_structure(h)
     icols, cden = int_columns(cols)
     # pi(ab) carries cden * K's mult_den, the sum over the terms
     # cden^2 * den times K's comult_den and H's mult_den
-    lhs_scale = cden * tk.comult_den * th.mult_den * engine.den
+    lhs_scale = cden * tk.comult_den * th.mult_den * action.den
     rhs_scale = tk.mult_den
     checked = 0
     for a in range(k.dim):
@@ -527,14 +481,14 @@ class TruncatedSmash(CarrierOps):
     the budget; a carrier without a degree has degree 0, so over finite
     carriers with the default infinite budget every pair is kept.
     Multiplication (x # a)(y # b) = x(a1 . y) # a2 b and antipode
-    S(x # a) = (S(a1) . S(x)) # S(a2).  act(a, vec) must implement the
-    module-algebra action of the K-basis element a on H.
+    S(x # a) = (S(a1) . S(x)) # S(a2), for a module-algebra action of
+    K = action.acting on H = action.target.
     """
 
-    def __init__(self, h, k, act, budget=math.inf, name: str = "smash"):
-        self.h = h
-        self.k = k
-        self.act = act
+    def __init__(self, action: IntAction, budget=math.inf, name: str = "smash"):
+        self.action = action
+        self.h = h = action.target
+        self.k = k = action.acting
         self.budget = budget
         self.name = name
         hdeg = getattr(h, "degree", None) or (lambda i: 0)
@@ -568,7 +522,7 @@ class TruncatedSmash(CarrierOps):
             y, b = self.pairs[j]
             cached = zero_vec(self.dim)
             for (a1, a2, c) in self.k.comult_triples(a):
-                acted = self.act(a1, basis_vec(self.h.dim, y))
+                acted = self.action.act_rational(a1, basis_vec(self.h.dim, y))
                 hpart = self.h.mult_vec(basis_vec(self.h.dim, x), acted)
                 smash_vec(self, hpart, self.k.mult_basis(a2, b), cached, c)
             self._mult_cache[(i, j)] = cached
@@ -589,7 +543,7 @@ class TruncatedSmash(CarrierOps):
         out = zero_vec(self.dim)
         sx = self.h.antipode_basis(x)
         for (a1, a2, c) in self.k.comult_triples(a):
-            acted = act_vec(self.act, self.k.antipode_basis(a1), sx)
+            acted = self.action.act(self.k.antipode_basis(a1), sx)
             smash_vec(self, acted, self.k.antipode_basis(a2), out, c)
         return out
 
@@ -618,8 +572,7 @@ def smash_builder(action: ActionData, name: str | None = None) -> TruncatedSmash
     """The smash builder of an action between finite-dimensional Hopf
     algebras, with no precondition checks; its multiplication is that of
     H # K for any module-algebra action."""
-    k, h = action.acting, action.target
-    return TruncatedSmash(h, k, action.act_on, name=name or f"{h.name}#{k.name}")
+    return TruncatedSmash(action, name=name or f"{action.target.name}#{action.acting.name}")
 
 
 def smash_product(action: ActionData, name: str | None = None) -> FinDimHopf:
@@ -765,7 +718,7 @@ def derived_module_structure(pi: LinMap, action: ActionData) -> AxiomReport:
                     pi.image_of_basis(a1), action.act_basis(a2, x))))
             row.append(acc)
         tensor.append(row)
-    fails = module_axiom_report(k, h, ActionData(k, h, tensor).act_on, ("module",)).failures
+    fails = module_axiom_report(ActionData(k, h, tensor), ("module",)).failures
     report = AxiomReport()
     report.record("derived-module-associativity", not fails, fails[0][1:] if fails else None)
     return report
@@ -802,7 +755,7 @@ def derived_action(ch: CrossedHom) -> tuple[ActionData, CrossedHom, AxiomReport]
     report = validate_action(derived, require_bialgebra=True)
     s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))
     report.record("derived-crossed-hom",
-                  crossed_hom_report(k, h, s_pi.columns(), derived.act_on).ok)
+                  crossed_hom_report(derived, s_pi.columns()).ok)
 
     # Restriction formulas on group-likes and primitives
     fails = []

@@ -340,14 +340,13 @@ def cmd_classify_diffops(args) -> int:
 def cmd_smash(args) -> int:
     from . import formats
     from .actions import smash_product
-    from .hopf import grouplikes as _grouplikes
 
     action = _load_action(args.action)
     try:
         smash = smash_product(action)
     except ValueError as exc:
         raise _input_error(exc)
-    gl = _grouplikes(smash)
+    gl = grouplikes(smash)
     report = {"schema_version": SCHEMA_VERSION, "command": "smash", "ok": True,
               "name": smash.name, "dimension": smash.dim,
               "grouplike_count": len(gl.elements),
@@ -436,8 +435,7 @@ def cmd_extend_smash_diff(args) -> int:
     d_h = _load_operator(args.operator)
     d_k = _load_operator(args.operator_k)
     try:
-        result = check_diff_module_bialgebra(action.target, d_h, action.acting,
-                                             d_k, action)
+        result = check_diff_module_bialgebra(action, d_h, d_k)
     except ValueError as exc:
         raise _input_error(exc)
     if not isinstance(result, DiffModuleBialgebra):

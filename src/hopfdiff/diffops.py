@@ -321,25 +321,24 @@ def rota_baxter_inverse(h: FinDimHopf, d: DiffOp) -> tuple[LinMap, CheckReport]:
 
 @dataclass
 class DiffModuleBialgebra:
-    """A compatible pair of difference Hopf algebras over an action."""
+    """A compatible pair of difference Hopf algebras over an action of
+    K = action.acting on H = action.target."""
 
-    h: FinDimHopf
     d_h: LinMap
-    k: FinDimHopf
     d_k: LinMap
     action: "ActionData"
     verified: bool = False
 
 
-def compatibility_failures(h, d_h, k, d_k, act) -> list:
+def compatibility_failures(action, d_h, d_k) -> list:
     """Label pairs (a, x) of a basis element of K and one of H at which
-    D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 fails.
+    D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 fails, for the action
+    of K = action.acting on H = action.target.
 
-    d_h and d_k are column tables; act(a, u) is basis a of K acting on
-    the H-vector u.
+    d_h and d_k are column tables.
     """
-    from .actions import act_vec
-
+    h, k = action.target, action.acting
+    act = action.act_rational
     failures = []
     for a in range(k.dim):
         for x in range(h.dim):
@@ -352,17 +351,19 @@ def compatibility_failures(h, d_h, k, d_k, act) -> list:
                                       act(a2, basis_vec(h.dim, x2)))
                     _add_scaled(lhs, c * e, term)
                     moved = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
-                    _add_scaled(rhs, c * e, act_vec(act, acting, moved))
+                    _add_scaled(rhs, c * e, action.act(acting, moved))
             if lhs != rhs:
                 failures.append((k.label(a), h.label(x)))
     return failures
 
 
-def check_diff_module_bialgebra(h: FinDimHopf, d_h: LinMap, k: FinDimHopf,
-                                d_k: LinMap, action) -> DiffModuleBialgebra | CheckReport:
-    """D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 on all basis pairs."""
+def check_diff_module_bialgebra(action, d_h: LinMap, d_k: LinMap
+                                ) -> DiffModuleBialgebra | CheckReport:
+    """D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 on all basis pairs,
+    for the action of K = action.acting on H = action.target."""
     from .actions import _require_action
 
+    h, k = action.target, action.acting
     if not is_cocommutative(h) or not is_cocommutative(k):
         raise ValueError("both Hopf algebras must be cocommutative")
     _require_action(action, True)
@@ -373,21 +374,22 @@ def check_diff_module_bialgebra(h: FinDimHopf, d_h: LinMap, k: FinDimHopf,
         if not isinstance(res, DiffOp):
             raise ValueError(f"D_{name} is not a difference operator: {res.witness}")
 
-    failures = compatibility_failures(h, d_h.columns(), k, d_k.columns(), action.act_on)
+    failures = compatibility_failures(action, d_h.columns(), d_k.columns())
     if failures:
         return CheckReport(False, failures, [], k.dim * h.dim)
-    return DiffModuleBialgebra(h, d_h, k, d_k, action, verified=True)
+    return DiffModuleBialgebra(d_h, d_k, action, verified=True)
 
 
-def smash_extension_columns(h, d_h, k, d_k, act, smash) -> list:
+def smash_extension_columns(action, d_h, d_k, smash) -> list:
     """The columns of D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2),
-    one per pair (x, a) of the smash builder's index, in its order.
+    one per pair (x, a) of the smash builder's index, in its order, for
+    the action of K = action.acting on H = action.target.
 
-    d_h and d_k are column tables; act(a, u) is basis a of K acting on
-    the H-vector u.
+    d_h and d_k are column tables.
     """
-    from .actions import act_vec, smash_vec
+    from .actions import smash_vec
 
+    h, k = action.target, action.acting
     sweedler = [sweedler_expand(h, basis_vec(h.dim, x), 2) for x in range(h.dim)]
     cols = []
     for (x, a) in smash.index:
@@ -395,7 +397,7 @@ def smash_extension_columns(h, d_h, k, d_k, act, smash) -> list:
         for (x1, x2, x3), c in sweedler[x].items():
             base = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
             for (a1, a2, e) in k.comult_triples(a):
-                hpart = h.mult_vec(base, act_vec(act, d_k[a1], h.antipode_basis(x3)))
+                hpart = h.mult_vec(base, action.act(d_k[a1], h.antipode_basis(x3)))
                 smash_vec(smash, hpart, d_k[a2], col, c * e)
         cols.append(col)
     return cols
@@ -409,10 +411,11 @@ def extend_diff_smash(m: DiffModuleBialgebra, smash: FinDimHopf | None = None
 
     if not m.verified:
         raise ValueError("the pair must be verified as a difference module bialgebra")
-    h, k, action = m.h, m.k, m.action
+    action = m.action
+    h, k = action.target, action.acting
     smash = smash or smash_product(action)
     mat = Mat.from_cols(smash_extension_columns(
-        h, m.d_h.columns(), k, m.d_k.columns(), action.act_on, smash))
+        action, m.d_h.columns(), m.d_k.columns(), smash))
     result = check_diffop(smash, mat)
     if not isinstance(result, DiffOp):
         raise AssertionError(f"smash extension failed verification: {result.witness}")

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from .actions import (IntAction, TruncatedSmash, _rational, act_vec,
-                      crossed_hom_report, graph_vector, module_axiom_report, smash_vec)
+from .actions import (ActionData, IntAction, TruncatedSmash, _rational, crossed_hom_report,
+                      graph_vector, module_axiom_report, smash_vec)
 from .diffops import check_diffop, compatibility_failures, smash_extension_columns
 from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis
 from .hopf import (
@@ -430,11 +430,9 @@ class DerivationAction(IntAction):
     monomial.  A derivation of a vector sums its coordinates times
     these columns in ascending basis order and raises a fresh copy of the
     first stored error it meets, just where a monomial-by-monomial
-    rational expansion raises.  act_basis, derivation and act are
-    rational adapters over act_int.
+    rational expansion raises.  act_basis and derivation are rational
+    adapters over act_int.
     """
-
-    entry = "act_basis"
 
     def __init__(self, acting, target, gen_images):
         self.acting = acting
@@ -499,9 +497,6 @@ class DerivationAction(IntAction):
     def act_basis(self, a: int, u: Vec) -> Vec:
         """Module action of an acting basis monomial on the vector u."""
         return self.act_rational(a, u)
-
-    def act(self, a_vec: Vec, u: Vec) -> Vec:
-        return act_vec(self.act_basis, a_vec, u)
 
 
 def adjoint_derivation_action(carrier) -> DerivationAction:
@@ -638,7 +633,7 @@ def extend_crossed_hom_trunc(carrier, action: DerivationAction,
     Hopf crossed-homomorphism identity on all in-budget pairs.
     """
     cols = pibar_columns(carrier, action, pi_gen_images)
-    report = crossed_hom_report(carrier, carrier, cols, action.act_basis)
+    report = crossed_hom_report(action, cols)
     report.details["pibar"] = cols
     # restriction to primitive degree one must match the generator images
     k = _generator_count(carrier)
@@ -682,7 +677,7 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
     report = extend_crossed_hom_trunc(tv, action, pi_gen_images)
     cols = report.details["pibar"] if candidate_cols is None else candidate_cols
     if candidate_cols is not None:
-        sub = crossed_hom_report(tv, tv, cols, action.act_basis)
+        sub = crossed_hom_report(action, cols)
         report.ok = report.ok and sub.ok
         report.failures.extend(sub.failures)
 
@@ -800,7 +795,7 @@ def extended_action_bialgebra_check(carrier, action: DerivationAction) -> CheckR
     """Module-bialgebra axioms of the derivation-extended action on all
     in-budget basis tuples: actions.module_axiom_report of the carrier
     acting on itself."""
-    return module_axiom_report(carrier, carrier, action.act_basis)
+    return module_axiom_report(action)
 
 
 # ---------------------------------------------------------------------------
@@ -822,8 +817,7 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
         row = [_embed_degree_one(uh, lie_action.phi[x].col(j)) for j in range(h.dim)]
         images.append(row)
     action = DerivationAction(ug, uh, images)
-    smash = TruncatedSmash(uh, ug, action.act_basis, budget,
-                           name=f"U({h.name})#U({g.name})")
+    smash = TruncatedSmash(action, budget, name=f"U({h.name})#U({g.name})")
 
     # the map on semidirect generators, extended multiplicatively
     gen_cols = []
@@ -874,8 +868,8 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
     graph."""
     rep = smash_vs_semidirect_trunc(lie_action, budget)
     smash: TruncatedSmash = rep["_smash"]
-    uh: TruncatedEnveloping = smash.h
-    ug: TruncatedEnveloping = smash.k
+    action: DerivationAction = smash.action
+    uh, ug = action.target, action.acting
     g = lie_action.acting
     # Lie-level graph dimension equals dim g; enveloping dims are the
     # monomial counts in dim(g) variables
@@ -883,9 +877,6 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
     for total in range(budget + 1):
         expected[total] = comb(total + g.dim - 1, g.dim - 1)
     cum_expected = list(itertools.accumulate(expected))
-    action = DerivationAction(ug, uh, [[
-        _embed_degree_one(uh, lie_action.phi[x].col(j)) for j in range(lie_action.target.dim)]
-        for x in range(g.dim)])
     pi_images = [_embed_degree_one(uh, v) for v in pi_gen_images_lie]
     cols = pibar_columns(ug, action, pi_images)
     vectors_by_degree: dict = {}
@@ -910,16 +901,13 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
 # ---------------------------------------------------------------------------
 # the truncated mixed structure-theorem instance
 
-def sign_action_on_enveloping(u_env: TruncatedEnveloping, kc2) -> "callable":
+def sign_action_on_enveloping(u_env: TruncatedEnveloping, kc2) -> ActionData:
     """kC2 acting on U of a one-dimensional Lie algebra by the sign of the
     degree: the generator of C2 acts as the algebra automorphism e -> -e."""
-
-    def act_basis(a: int, vec: Vec) -> Vec:
-        if a == 0:
-            return list(vec)
-        return [(-c if u_env.degree(i) % 2 else c) for i, c in enumerate(vec)]
-
-    return act_basis
+    n = u_env.dim
+    return ActionData(kc2, u_env, [
+        [basis_vec(n, x) for x in range(n)],
+        [vec_scale(-ONE if u_env.degree(x) % 2 else ONE, basis_vec(n, x)) for x in range(n)]])
 
 
 def ckmm_truncated_instance(budget: int) -> dict:
@@ -938,8 +926,8 @@ def ckmm_truncated_instance(budget: int) -> dict:
     g1 = FinLie.from_pairs(["e"], {}, "abelian1")
     u_env = TruncatedEnveloping(g1, budget)
     kc2 = build_kC2()
-    act = sign_action_on_enveloping(u_env, kc2)
-    smash = TruncatedSmash(u_env, kc2, act, budget, name="U(e)#kC2")
+    action = sign_action_on_enveloping(u_env, kc2)
+    smash = TruncatedSmash(action, budget, name="U(e)#kC2")
     n_u, n_k = u_env.dim, kc2.dim
 
     d_h = [basis_vec(n_u, i) for i in range(n_u)]          # id on U
@@ -949,17 +937,17 @@ def ckmm_truncated_instance(budget: int) -> dict:
     report: dict = {"budget": budget}
 
     # compatibility: D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2
-    fails = compatibility_failures(u_env, d_h, kc2, d_k, act)
+    fails = compatibility_failures(action, d_h, d_k)
     report["compatible"] = not fails
     report["compatibility_witness"] = fails[0] if fails else None
 
     # the incompatible pair (id on U, id on kC2) must be rejected
-    bad = compatibility_failures(u_env, d_h, kc2, d_k_bad, act)
+    bad = compatibility_failures(action, d_h, d_k_bad)
     report["incompatible_pair_rejected"] = bool(bad)
     report["incompatible_witness"] = bad[0] if bad else None
 
     # the smash extension D(x#a) = D_H(x1) x2 (D_K(a1) . S(x3)) # D_K(a2)
-    cols = smash_extension_columns(u_env, d_h, kc2, d_k, act, smash)
+    cols = smash_extension_columns(action, d_h, d_k, smash)
     diff_rep = check_diffop(smash, cols)
     report["extension_is_diffop"] = diff_rep.ok
     report["extension_pairs_checked"] = diff_rep.checked

@@ -192,8 +192,7 @@ class FinDimHopf(CarrierOps):
         self.coradical_group_basis = (
             None if coradical_group_basis is None else list(coradical_group_basis)
         )
-        # dense and sparse caches for hot loops
-        self._mult_cache = self.mult
+        # sparse cache for hot loops
         self._mult_sparse = [
             [[(k, c) for k, c in enumerate(cell) if c] for cell in row]
             for row in self.mult
@@ -206,7 +205,7 @@ class FinDimHopf(CarrierOps):
     # -- basis-indexed interface shared with truncated carriers ----------
 
     def mult_basis(self, i: int, j: int) -> Vec:
-        return self._mult_cache[i][j]
+        return self.mult[i][j]
 
     def comult_triples(self, k: int) -> Triples:
         return self.comult[k]

@@ -183,7 +183,7 @@ def test_graph_verdict_matches_direct_check(h4):
         pi = LinMap(h4, h4, Mat.from_cols(
             [grouplike[f1], grouplike[fg], combo(sx), combo(sgx)]))
         res = graph_of(pi, adj, smash=smash)
-        direct = crossed_hom_report(h4, h4, pi.columns(), adj.act_on).ok
+        direct = crossed_hom_report(adj, pi.columns()).ok
         assert res.closed == direct
         seen[direct] += 1
     assert seen[True] and seen[False]
@@ -273,16 +273,3 @@ def test_smash_factor_embeddings_are_algebra_maps(inversion_action):
     h, k = inversion_action.target, inversion_action.acting
     assert is_algebra_hom(smash_embed_h(h, k, smash))
     assert is_algebra_hom(smash_embed_k(h, k, smash))
-
-
-def test_checkers_reject_an_action_that_is_not_linear():
-    """A plain act(a, u) callable is read over the common denominator of
-    its basis values; a value outside it shows the callable is not linear,
-    and the checker says so rather than scaling it wrongly."""
-    kc2 = catalog.build("kC2")
-
-    def act(a, u):
-        return u if sum(u) <= 1 else [c / 3 for c in u]
-
-    with pytest.raises(ValueError, match="not linear"):
-        crossed_hom_report(kc2, kc2, [[F(1), F(1)], [F(1), F(1)]], act)

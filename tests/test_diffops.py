@@ -227,19 +227,17 @@ def test_diff_module_bialgebra_adjoint_self(ks3):
     from hopfdiff.actions import adjoint_action
 
     d = check_diffop(ks3, unit_counit_map(ks3))
-    res = check_diff_module_bialgebra(ks3, d.map, ks3, d.map, adjoint_action(ks3))
+    res = check_diff_module_bialgebra(adjoint_action(ks3), d.map, d.map)
     assert isinstance(res, DiffModuleBialgebra)
 
 
 def test_diff_module_bialgebra_inversion_pair(kc4, kc2, inversion_action):
-    res = check_diff_module_bialgebra(
-        kc4, identity_map(kc4), kc2, identity_map(kc2), inversion_action)
+    res = check_diff_module_bialgebra(inversion_action, identity_map(kc4), identity_map(kc2))
     assert isinstance(res, DiffModuleBialgebra)
 
 
 def test_diff_module_bialgebra_incompatible_pair(kc4, kc2, inversion_action):
-    res = check_diff_module_bialgebra(
-        kc4, unit_counit_map(kc4), kc2, identity_map(kc2), inversion_action)
+    res = check_diff_module_bialgebra(inversion_action, unit_counit_map(kc4), identity_map(kc2))
     assert isinstance(res, CheckReport)
     assert res.failures[0] == ("s", "r")
 
@@ -247,14 +245,13 @@ def test_diff_module_bialgebra_incompatible_pair(kc4, kc2, inversion_action):
 def test_extend_diff_smash_trivial_collapse(kc2):
     triv = trivial_action(kc2, kc2)
     d = unit_counit_map(kc2)
-    m = check_diff_module_bialgebra(kc2, d, kc2, d, triv)
+    m = check_diff_module_bialgebra(triv, d, d)
     smash, ext = extend_diff_smash(m)
     assert ext.map.matrix == unit_counit_map(smash).matrix
 
 
 def test_extend_diff_smash_inversion_formula(kc4, kc2, inversion_action):
-    m = check_diff_module_bialgebra(
-        kc4, identity_map(kc4), kc2, identity_map(kc2), inversion_action)
+    m = check_diff_module_bialgebra(inversion_action, identity_map(kc4), identity_map(kc2))
     smash, ext = extend_diff_smash(m)
     # D(r^k # s) = r^(3k) # s and D(r^k # 1) = r^k # 1
     for k in range(4):
@@ -270,8 +267,7 @@ def test_extend_diff_smash_inversion_formula(kc4, kc2, inversion_action):
 
 def test_extend_diff_smash_tensor_product_case(kc2, kc4):
     triv = trivial_action(kc2, kc4)
-    m = check_diff_module_bialgebra(
-        kc4, identity_map(kc4), kc2, identity_map(kc2), triv)
+    m = check_diff_module_bialgebra(triv, identity_map(kc4), identity_map(kc2))
     smash, ext = extend_diff_smash(m)
     # with the trivial action the extension is D_H (x) D_K
     for x in range(4):

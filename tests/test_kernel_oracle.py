@@ -27,12 +27,12 @@ their index-keyed entries; ``coalgebra_map_failures`` must give the
 references' counit and comultiplication entries apart.  The rational
 pair loop of ``crossed_hom_report`` is kept too, as it was before the
 check ran on integer tables, and must give the whole report, each skip
-message included, for an adjoint action given as a plain callable, the
-adjoint derivation action and derivation actions drawn from the pool.
-``module_axiom_report`` must equal a loop that evaluates each tuple from
-scratch, on the non-cocommutative H4 with an action that leaves the
-budget on one leg only.  The smash
-products must give equal exports.  ``check_group_diffop``'s own pair loop
+message included, for an adjoint action through the carrier's own
+rational products, the adjoint derivation action and derivation actions
+drawn from the pool.  ``module_axiom_report`` must equal a loop that
+evaluates each tuple from scratch, on the non-cocommutative H4 with an
+action that leaves the budget on one leg only.  The smash products must
+give equal exports.  ``check_group_diffop``'s own pair loop
 is kept too and must agree on every self-map of C2, C4 and C2xC2.
 
 ``validate_hopf`` as it was before it read the integer structure table is
@@ -86,6 +86,7 @@ from hypothesis import given, settings, strategies as st
 from hopfdiff import catalog, formats
 from hopfdiff.actions import (
     ActionData,
+    IntAction,
     TruncatedSmash,
     adjoint_action,
     crossed_hom_report,
@@ -288,7 +289,7 @@ def carrier(name):
     if name == "U(e)#kC2":
         u_env = TruncatedEnveloping(FinLie.from_pairs(["e"], {}, "abelian1"), 2)
         kc2 = catalog.build("kC2")
-        return TruncatedSmash(u_env, kc2, sign_action_on_enveloping(u_env, kc2), 2)
+        return TruncatedSmash(sign_action_on_enveloping(u_env, kc2), 2)
     return catalog.build(name)
 
 
@@ -671,13 +672,20 @@ def test_module_axiom_report_skips_by_the_leg_that_needs_a_value():
     a word y of degree 2, and (x, 1, y) is checked."""
     h4, tv = catalog.build("H4"), carrier("T(2,2)")
 
-    def act(a, u):
-        if a == 1 and any(c for i, c in enumerate(u) if tv.degree(i) == 2):
-            raise OutOfBudgetError("g . u leaves the budget")
-        return vec_scale(-1 if a == 2 else 1, u)
+    class SignAction(IntAction):
+        """x acts by -1 and every other basis element of H4 by 1, and g
+        raises on a vector with a term of degree 2."""
 
-    got = module_axiom_report(h4, tv, act)
-    assert got == reference_module_axiom_report(h4, tv, act)
+        acting, target, den = h4, tv, 1
+
+        def act_int(self, a, u):
+            if a == 1 and any(tv.degree(i) == 2 for i, _ in u):
+                raise OutOfBudgetError("g . u leaves the budget")
+            return [(i, -m if a == 2 else m) for i, m in u]
+
+    action = SignAction()
+    got = module_axiom_report(action)
+    assert got == reference_module_axiom_report(h4, tv, action.act_rational)
     y = tv.index[(0, 1)]
     assert ("module-algebra", 2, y, 0) in got.skipped
     assert ("module-algebra", 2, 0, y) not in got.skipped
@@ -991,12 +999,16 @@ def reference_smash_product_algebra_only(action: ActionData) -> FinDimHopf:
 
 # -- partial column tables and smash products --------------------------------------
 
-class AdjointAction:
-    """a . u = a1 u S(a2) on a carrier, through its own products; a product
-    that leaves the budget raises, so the pairs that need it are skipped."""
+class AdjointAction(IntAction):
+    """a . u = a1 u S(a2) on a carrier, through its own rational products; a
+    product that leaves the budget raises, so the pairs that need it are
+    skipped.  The carriers here have integer structure constants, so the
+    action takes integer vectors to integer vectors and den is 1."""
+
+    den = 1
 
     def __init__(self, h):
-        self.h = h
+        self.acting = self.target = self.h = h
 
     def act_basis(self, a, u):
         h = self.h
@@ -1005,6 +1017,14 @@ class AdjointAction:
             left = h.mult_vec(basis_vec(h.dim, a1), u)
             out = vec_add(out, vec_scale(c, h.mult_vec(left, h.antipode_basis(a2))))
         return out
+
+    def act_int(self, a, u):
+        vec = zero_vec(self.h.dim)
+        for k, m in u:
+            vec[k] = Fraction(m)
+        out = self.act_basis(a, vec)
+        assert all(c.denominator == 1 for c in out)
+        return [(k, c.numerator) for k, c in enumerate(out) if c]
 
 
 PARTIAL_CARRIERS = ["T(2,2)", "T(2,3)", "U(e)#kC2"]
@@ -1112,9 +1132,9 @@ def test_truncated_diffop_check_matches_reference(name, data):
 def test_truncated_crossed_hom_check_matches_reference(name, data):
     h = carrier(name)
     cols = data.draw(partial_tables(name))
-    kind = "callable"
+    kind = "rational"
     if isinstance(h, TruncatedTensor):
-        kind = data.draw(st.sampled_from(["callable", "adjoint", "drawn"]))
+        kind = data.draw(st.sampled_from(["rational", "adjoint", "drawn"]))
     if kind == "adjoint":
         action = adjoint_derivation_action(h)
     elif kind == "drawn":
@@ -1123,9 +1143,9 @@ def test_truncated_crossed_hom_check_matches_reference(name, data):
     else:
         action = AdjointAction(h)
     want = reference_verify_crossed_hom_trunc(h, action, cols)
-    got = crossed_hom_report(h, h, cols, action.act_basis)
+    got = crossed_hom_report(action, cols)
     assert_same_verdict(h, got, want, "column")
-    if kind == "callable":
+    if kind == "rational":
         assert got == reference_crossed_hom_report(h, h, cols, action.act_basis)
     else:
         assert got == reference_crossed_hom_report(
@@ -1140,8 +1160,7 @@ def test_crossed_hom_report_rejects_a_map_that_is_not_a_coalgebra_map():
     adjoint action on every pair, both sides being zero, but it is not a
     coalgebra map; the full verdict must say so at both basis elements."""
     kc2 = catalog.build("kC2")
-    rep = crossed_hom_report(kc2, kc2, [zero_vec(2), zero_vec(2)],
-                             adjoint_action(kc2).act_on)
+    rep = crossed_hom_report(adjoint_action(kc2), [zero_vec(2), zero_vec(2)])
     assert not rep.ok
     assert rep.failures == [("coalgebra", 0), ("coalgebra", 1)]
     assert (rep.skipped, rep.checked) == ([], 4)
