@@ -119,63 +119,43 @@ def _vec_strs(h, vectors) -> list:
     return [h.element_str(v) for v in vectors]
 
 
-def _emit(report: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        report = dict(report)
-        report["seed"] = args.seed
-    text = json.dumps(report, sort_keys=True, indent=1)
-    sys.stdout.write(text + "\n")
-    if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _summary(line: str) -> None:
-    sys.stderr.write(line + "\n")
-
-
 # -- command implementations ----------------------------------------------------
+#
+# Each handler returns its report and a one-line summary; run() puts the
+# schema version, the command and any --seed in front, emits the report and
+# exits 0 when it is ok and 1 when it is not.
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     try:
         h = _resolve_algebra(args.algebra)
         name, rep = h.name, axiom_report(h)
     except InvalidAlgebraError as exc:
         name, rep = exc.names["algebra"], exc.report
-    report = {"schema_version": SCHEMA_VERSION, "command": "validate",
-              "algebra": name, "ok": rep.ok, "axioms": rep.as_dict()["checks"]}
-    _emit(report, args)
-    _summary(f"validate {name}: {'all axioms pass' if rep.ok else 'FAILED'}")
-    return 0 if rep.ok else 1
+    report = {"algebra": name, "ok": rep.ok, "axioms": rep.as_dict()["checks"]}
+    return report, f"validate {name}: {'all axioms pass' if rep.ok else 'FAILED'}"
 
 
-def cmd_grouplikes(args) -> int:
+def cmd_grouplikes(args):
     h = _resolve_algebra(args.algebra)
     try:
         res = grouplikes(h)
     except ValueError as exc:
         raise InputError(str(exc))
-    report = {"schema_version": SCHEMA_VERSION, "command": "grouplikes",
-              "algebra": h.name, "ok": True,
+    report = {"algebra": h.name, "ok": True,
               "elements": _vec_strs(h, res.elements), "complete": res.complete}
-    _emit(report, args)
-    _summary(f"grouplikes {h.name}: {len(res.elements)} "
-             f"({'complete' if res.complete else 'possibly incomplete'})")
-    return 0
+    return report, (f"grouplikes {h.name}: {len(res.elements)} "
+                    f"({'complete' if res.complete else 'possibly incomplete'})")
 
 
-def cmd_primitives(args) -> int:
+def cmd_primitives(args):
     h = _resolve_algebra(args.algebra)
     basis = primitives(h)
-    report = {"schema_version": SCHEMA_VERSION, "command": "primitives",
-              "algebra": h.name, "ok": True, "dimension": len(basis),
+    report = {"algebra": h.name, "ok": True, "dimension": len(basis),
               "basis": _vec_strs(h, basis)}
-    _emit(report, args)
-    _summary(f"primitives {h.name}: dimension {len(basis)}")
-    return 0
+    return report, f"primitives {h.name}: dimension {len(basis)}"
 
 
-def cmd_skew_primitives(args) -> int:
+def cmd_skew_primitives(args):
     h = _resolve_algebra(args.algebra)
     for idx in (args.left_grouplike, args.right_grouplike):
         if idx is None or not (0 <= idx < h.dim):
@@ -185,37 +165,28 @@ def cmd_skew_primitives(args) -> int:
     if not is_grouplike(h, g) or not is_grouplike(h, k):
         raise InputError("both reference basis elements must be group-like")
     basis = skew_primitives(h, g, k)
-    report = {"schema_version": SCHEMA_VERSION, "command": "skew-primitives",
-              "algebra": h.name, "ok": True, "dimension": len(basis),
+    report = {"algebra": h.name, "ok": True, "dimension": len(basis),
               "left": h.label(args.left_grouplike), "right": h.label(args.right_grouplike),
               "basis": _vec_strs(h, basis)}
-    _emit(report, args)
-    _summary(f"skew-primitives {h.name}: dimension {len(basis)}")
-    return 0
+    return report, f"skew-primitives {h.name}: dimension {len(basis)}"
 
 
-def cmd_check_diffop(args) -> int:
+def cmd_check_diffop(args):
     from .diffops import DiffOp, check_diffop
 
     op = _load_operator(args.operator)
     h = op.domain
     result = check_diffop(h, op)
     if isinstance(result, DiffOp):
-        report = {"schema_version": SCHEMA_VERSION, "command": "check-diffop",
-                  "algebra": h.name, "ok": True, "bijective": result.bijective}
-        _emit(report, args)
-        _summary(f"check-diffop {h.name}: verified"
-                 f"{' (bijective)' if result.bijective else ''}")
-        return 0
+        report = {"algebra": h.name, "ok": True, "bijective": result.bijective}
+        return report, (f"check-diffop {h.name}: verified"
+                        f"{' (bijective)' if result.bijective else ''}")
     witness = result.witness
-    report = {"schema_version": SCHEMA_VERSION, "command": "check-diffop",
-              "algebra": h.name, "ok": False,
+    report = {"algebra": h.name, "ok": False,
               "witness": list(witness) if witness else None,
               "witness_labels": ([h.label(i) for i in witness
                                   if isinstance(i, int)] if witness else None)}
-    _emit(report, args)
-    _summary(f"check-diffop {h.name}: FAILED at {witness}")
-    return 1
+    return report, f"check-diffop {h.name}: FAILED at {witness}"
 
 
 def _crossed_hom_candidate(action, op) -> LinMap:
@@ -228,7 +199,7 @@ def _crossed_hom_candidate(action, op) -> LinMap:
         raise InputError(str(exc))
 
 
-def cmd_check_crossed_hom(args) -> int:
+def cmd_check_crossed_hom(args):
     from .actions import check_crossed_hom
 
     action = _load_action(args.action)
@@ -237,11 +208,8 @@ def cmd_check_crossed_hom(args) -> int:
         ok = check_crossed_hom(pi, action)
     except ValueError as exc:
         raise _input_error(exc)
-    report = {"schema_version": SCHEMA_VERSION, "command": "check-crossed-hom",
-              "acting": action.acting.name, "target": action.target.name, "ok": ok}
-    _emit(report, args)
-    _summary(f"check-crossed-hom: {'verified' if ok else 'FAILED'}")
-    return 0 if ok else 1
+    report = {"acting": action.acting.name, "target": action.target.name, "ok": ok}
+    return report, f"check-crossed-hom: {'verified' if ok else 'FAILED'}"
 
 
 def _resolve_plan(args):
@@ -272,7 +240,7 @@ def _resolve_plan(args):
     return obj
 
 
-def cmd_classify_diffops(args) -> int:
+def cmd_classify_diffops(args):
     import time
 
     from .solver import classify_diffops, verify_against_published
@@ -284,8 +252,6 @@ def cmd_classify_diffops(args) -> int:
     result = classify_diffops(plan, bijective_only=args.bijective_only)
     elapsed = time.perf_counter() - started
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "classify-diffops",
         "algebra": result.algebra,
         "bijective_only": result.bijective_only,
         "certificate": result.certificate,
@@ -307,7 +273,6 @@ def cmd_classify_diffops(args) -> int:
         ],
         "ok": result.certificate == "complete",
     }
-    exit_code = 0 if result.certificate == "complete" else 1
     if args.expected:
         from . import formats
 
@@ -327,17 +292,13 @@ def cmd_classify_diffops(args) -> int:
                 for name, positions in diff.entry_mismatches
             ],
         }
-        if not diff.equal:
-            exit_code = 1
         report["ok"] = report["ok"] and diff.equal
-    _emit(report, args)
     # timing stays on stderr so the stdout report is byte-identical across runs
-    _summary(f"classify-diffops {result.algebra}: {len(result.operators)} operators, "
-             f"certificate {result.certificate} ({elapsed:.2f}s)")
-    return exit_code
+    return report, (f"classify-diffops {result.algebra}: {len(result.operators)} operators, "
+                    f"certificate {result.certificate} ({elapsed:.2f}s)")
 
 
-def cmd_smash(args) -> int:
+def cmd_smash(args):
     from . import formats
     from .actions import smash_product
 
@@ -347,16 +308,13 @@ def cmd_smash(args) -> int:
     except ValueError as exc:
         raise _input_error(exc)
     gl = grouplikes(smash)
-    report = {"schema_version": SCHEMA_VERSION, "command": "smash", "ok": True,
-              "name": smash.name, "dimension": smash.dim,
+    report = {"ok": True, "name": smash.name, "dimension": smash.dim,
               "grouplike_count": len(gl.elements),
               "algebra": formats.algebra_to_dict(smash)}
-    _emit(report, args)
-    _summary(f"smash {smash.name}: dimension {smash.dim}, validated")
-    return 0
+    return report, f"smash {smash.name}: dimension {smash.dim}, validated"
 
 
-def cmd_graph(args) -> int:
+def cmd_graph(args):
     from .actions import check_crossed_hom, graph_of
 
     action = _load_action(args.action)
@@ -367,16 +325,13 @@ def cmd_graph(args) -> int:
     except ValueError as exc:
         raise _input_error(exc)
     agree = result.closed == direct
-    report = {"schema_version": SCHEMA_VERSION, "command": "graph",
-              "ok": agree, "graph_dimension": len(result.basis),
+    report = {"ok": agree, "graph_dimension": len(result.basis),
               "closed_under_multiplication": result.closed,
               "crossed_hom_verdict": direct, "verdicts_agree": agree}
-    _emit(report, args)
-    _summary(f"graph: closed={result.closed}, agrees with direct check: {agree}")
-    return 0 if agree else 1
+    return report, f"graph: closed={result.closed}, agrees with direct check: {agree}"
 
 
-def cmd_monoid_table(args) -> int:
+def cmd_monoid_table(args):
     from .diffops import all_diffops_on_group_algebra, monoid_table
 
     h = _resolve_algebra(args.algebra)
@@ -388,46 +343,36 @@ def cmd_monoid_table(args) -> int:
         table, associative, transport_ok = monoid_table(h, ops)
     except LookupError as exc:
         raise InputError(str(exc))
-    ok = associative and transport_ok
-    report = {"schema_version": SCHEMA_VERSION, "command": "monoid-table",
-              "algebra": h.name, "ok": ok, "size": len(ops),
+    report = {"algebra": h.name, "ok": associative and transport_ok, "size": len(ops),
               "table": table, "associative": associative,
               "transport_is_monoid_map": transport_ok}
-    _emit(report, args)
-    _summary(f"monoid-table {h.name}: {len(ops)} operators, "
-             f"{'associative' if associative else 'NOT associative'}")
-    return 0 if ok else 1
+    return report, (f"monoid-table {h.name}: {len(ops)} operators, "
+                    f"{'associative' if associative else 'NOT associative'}")
 
 
-def cmd_rota_baxter(args) -> int:
+def cmd_rota_baxter(args):
     from .diffops import DiffOp, check_diffop, rota_baxter_inverse
 
     op = _load_operator(args.operator)
     h = op.domain
     result = check_diffop(h, op)
     if not isinstance(result, DiffOp):
-        report = {"schema_version": SCHEMA_VERSION, "command": "rota-baxter",
-                  "algebra": h.name, "ok": False,
+        report = {"algebra": h.name, "ok": False,
                   "error": "not a difference operator",
                   "witness": list(result.witness) if result.witness else None}
-        _emit(report, args)
-        _summary("rota-baxter: input is not a difference operator")
-        return 1
+        return report, "rota-baxter: input is not a difference operator"
     try:
         b, rep = rota_baxter_inverse(h, result)
     except ValueError as exc:
         raise InputError(str(exc))
-    report = {"schema_version": SCHEMA_VERSION, "command": "rota-baxter",
-              "algebra": h.name, "ok": rep.ok,
+    report = {"algebra": h.name, "ok": rep.ok,
               "inverse": [[rat_str(b.matrix[(r, c)]) for c in range(h.dim)]
                           for r in range(h.dim)],
               "identity_checked_pairs": rep.checked}
-    _emit(report, args)
-    _summary(f"rota-baxter {h.name}: {'verified' if rep.ok else 'FAILED'}")
-    return 0 if rep.ok else 1
+    return report, f"rota-baxter {h.name}: {'verified' if rep.ok else 'FAILED'}"
 
 
-def cmd_extend_smash_diff(args) -> int:
+def cmd_extend_smash_diff(args):
     from .diffops import (DiffModuleBialgebra, check_diff_module_bialgebra,
                           extend_diff_smash)
 
@@ -439,21 +384,15 @@ def cmd_extend_smash_diff(args) -> int:
     except ValueError as exc:
         raise _input_error(exc)
     if not isinstance(result, DiffModuleBialgebra):
-        report = {"schema_version": SCHEMA_VERSION, "command": "extend-smash-diff",
-                  "ok": False, "compatible": False,
+        report = {"ok": False, "compatible": False,
                   "witness": list(result.witness) if result.witness else None}
-        _emit(report, args)
-        _summary(f"extend-smash-diff: incompatible pair, witness {result.witness}")
-        return 1
+        return report, f"extend-smash-diff: incompatible pair, witness {result.witness}"
     smash, ext = extend_diff_smash(result)
-    report = {"schema_version": SCHEMA_VERSION, "command": "extend-smash-diff",
-              "ok": True, "compatible": True, "smash": smash.name,
+    report = {"ok": True, "compatible": True, "smash": smash.name,
               "bijective": ext.bijective,
               "images": [[rat_str(c) for c in ext.map.matrix.col(j)]
                          for j in range(smash.dim)]}
-    _emit(report, args)
-    _summary(f"extend-smash-diff: extended to {smash.name}, verified")
-    return 0
+    return report, f"extend-smash-diff: extended to {smash.name}, verified"
 
 
 def _parse_word(word: str, generators: int):
@@ -494,7 +433,7 @@ def _load_phi(path: str, tv) -> list:
     return out
 
 
-def cmd_free_lie(args) -> int:
+def cmd_free_lie(args):
     from .freelie import BudgetCapError
 
     try:
@@ -503,7 +442,7 @@ def cmd_free_lie(args) -> int:
         raise InputError(str(exc))
 
 
-def _free_lie_task(args) -> int:
+def _free_lie_task(args):
     from .freelie import (DEFAULT_BUDGET, TruncatedTensor,
                           adjoint_derivation_action, ckmm_truncated_instance,
                           diffop_from_hom, lyndon_dims, mm_instance_check)
@@ -513,15 +452,12 @@ def _free_lie_task(args) -> int:
     task = args.task
     if task == "lyndon-dims":
         dims = lyndon_dims(generators, budget)
-        report = {"schema_version": SCHEMA_VERSION, "command": "free-lie",
-                  "task": task, "generators": generators, "budget": budget,
+        report = {"task": task, "generators": generators, "budget": budget,
                   "ok": dims["agree"],
                   "lyndon": dims["lyndon"], "necklace": dims["necklace"],
                   "primitive_dims": dims["primitive_dims"]}
-        _emit(report, args)
-        _summary(f"free-lie lyndon-dims: {dims['lyndon']} "
-                 f"({'agree' if dims['agree'] else 'MISMATCH'})")
-        return 0 if dims["agree"] else 1
+        return report, (f"free-lie lyndon-dims: {dims['lyndon']} "
+                        f"({'agree' if dims['agree'] else 'MISMATCH'})")
     if task == "diffop-from-hom":
         tv = TruncatedTensor(generators, budget)
         if args.phi:
@@ -532,17 +468,14 @@ def _free_lie_task(args) -> int:
             rep = diffop_from_hom(tv, phi)
         except ValueError as exc:
             raise InputError(str(exc))
-        report = {"schema_version": SCHEMA_VERSION, "command": "free-lie",
-                  "task": task, "generators": generators, "budget": budget,
+        report = {"task": task, "generators": generators, "budget": budget,
                   "ok": rep.ok, "pairs_checked": rep.checked,
                   "skipped": len(rep.skipped),
                   "diffop_images": {
                       tv.label(i): (None if col is None else tv.element_str(col))
                       for i, col in enumerate(rep.details["D"])}}
-        _emit(report, args)
-        _summary(f"free-lie diffop-from-hom: {'verified' if rep.ok else 'FAILED'} "
-                 f"on {rep.checked} in-budget pairs")
-        return 0 if rep.ok else 1
+        return report, (f"free-lie diffop-from-hom: {'verified' if rep.ok else 'FAILED'} "
+                        f"on {rep.checked} in-budget pairs")
     if task == "mm-check":
         tv = TruncatedTensor(generators, budget)
         action = adjoint_derivation_action(tv)
@@ -550,48 +483,33 @@ def _free_lie_task(args) -> int:
             pi = _load_phi(args.phi, tv)
         else:
             pi = [[-c for c in tv.generator_vec(g)] for g in range(generators)]
-        rep = mm_instance_check(tv, action, pi)
-        report = {"schema_version": SCHEMA_VERSION, "command": "free-lie",
-                  "task": task, "generators": generators, "budget": budget,
+        rep = mm_instance_check(action, pi)
+        report = {"task": task, "generators": generators, "budget": budget,
                   "ok": rep.ok, "pairs_checked": rep.checked,
                   "skipped": len(rep.skipped),
                   "uniqueness": rep.details["uniqueness"]["unique"]}
-        _emit(report, args)
-        _summary(f"free-lie mm-check: {'pass' if rep.ok else 'FAIL'}")
-        return 0 if rep.ok else 1
+        return report, f"free-lie mm-check: {'pass' if rep.ok else 'FAIL'}"
     if task == "ckmm-mixed":
         rep = ckmm_truncated_instance(budget)
-        rep_out = {k: v for k, v in rep.items() if not k.startswith("_")}
-        report = {"schema_version": SCHEMA_VERSION, "command": "free-lie",
-                  "task": task, "budget": budget, "ok": rep["ok"], **rep_out}
-        _emit(report, args)
-        _summary(f"free-lie ckmm-mixed: {'pass' if rep['ok'] else 'FAIL'}")
-        return 0 if rep["ok"] else 1
+        report = {"task": task, **{k: v for k, v in rep.items() if not k.startswith("_")}}
+        return report, f"free-lie ckmm-mixed: {'pass' if rep['ok'] else 'FAIL'}"
     raise InputError(f"unknown free-lie task {task!r}")
 
 
-def cmd_ckmm_check(args) -> int:
+def cmd_ckmm_check(args):
     from .diffops import DiffOp, check_diffop, ckmm_instance_check
 
     op = _load_operator(args.operator)
     h = op.domain
     result = check_diffop(h, op)
     if not isinstance(result, DiffOp):
-        report = {"schema_version": SCHEMA_VERSION, "command": "ckmm-check",
-                  "algebra": h.name, "ok": False,
-                  "error": "not a difference operator"}
-        _emit(report, args)
-        _summary("ckmm-check: input is not a difference operator")
-        return 1
+        report = {"algebra": h.name, "ok": False, "error": "not a difference operator"}
+        return report, "ckmm-check: input is not a difference operator"
     try:
         rep = ckmm_instance_check(h, result)
     except ValueError as exc:
         raise InputError(str(exc))
-    report = {"schema_version": SCHEMA_VERSION, "command": "ckmm-check",
-              "algebra": h.name, **rep}
-    _emit(report, args)
-    _summary(f"ckmm-check {h.name}: {'pass' if rep['ok'] else 'FAIL'}")
-    return 0 if rep["ok"] else 1
+    return {"algebra": h.name, **rep}, f"ckmm-check {h.name}: {'pass' if rep['ok'] else 'FAIL'}"
 
 
 def _loaded_class(module: str, name: str):
@@ -602,13 +520,10 @@ def _loaded_class(module: str, name: str):
     return () if mod is None else getattr(mod, name)
 
 
-def cmd_catalog(args) -> int:
+def cmd_catalog(args):
     if args.name is None:
-        report = {"schema_version": SCHEMA_VERSION, "command": "catalog",
-                  "ok": True, "entries": catalog.names()}
-        _emit(report, args)
-        _summary(f"catalog: {len(catalog.names())} entries")
-        return 0
+        report = {"ok": True, "entries": catalog.names()}
+        return report, f"catalog: {len(catalog.names())} entries"
     try:
         obj = catalog.build(args.name)
     except KeyError as exc:
@@ -636,11 +551,8 @@ def cmd_catalog(args) -> int:
         kind = "expected-tables"
     else:
         raise InputError(f"cannot export catalog entry {args.name!r}")
-    report = {"schema_version": SCHEMA_VERSION, "command": "catalog", "ok": True,
-              "name": args.name, "kind": kind, "payload": payload}
-    _emit(report, args)
-    _summary(f"catalog {args.name}: exported ({kind})")
-    return 0
+    report = {"ok": True, "name": args.name, "kind": kind, "payload": payload}
+    return report, f"catalog {args.name}: exported ({kind})"
 
 
 # -- argument parsing ------------------------------------------------------------
@@ -729,7 +641,7 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     _AXIOM_REPORTS.clear()
     try:
-        return _HANDLERS[args.command](args)
+        body, summary = _HANDLERS[args.command](args)
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stdout.write(json.dumps(
@@ -744,6 +656,16 @@ def run(argv=None) -> int:
              "witness": list(exc.witness)},
             sort_keys=True, indent=1) + "\n")
         return 1
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
+    if args.seed is not None:
+        report["seed"] = args.seed
+    text = json.dumps(report, sort_keys=True, indent=1) + "\n"
+    sys.stdout.write(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    sys.stderr.write(summary + "\n")
+    return 0 if report["ok"] else 1
 
 
 def main() -> None:

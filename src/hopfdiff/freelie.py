@@ -293,6 +293,7 @@ class TruncatedEnveloping(CarrierOps):
         if budget < 1:
             raise BudgetCapError("budget must be at least 1")
         self.lie = lie
+        self.generators = lie.dim
         self.budget = budget
         self.monomials = []
         for total in range(budget + 1):
@@ -502,7 +503,7 @@ class DerivationAction(IntAction):
 def adjoint_derivation_action(carrier) -> DerivationAction:
     """The adjoint action of a truncated carrier on itself: generators act
     by commutator brackets."""
-    k = _generator_count(carrier)
+    k = carrier.generators
     images = []
     for x in range(k):
         xv = carrier.generator_vec(x)
@@ -515,28 +516,13 @@ def adjoint_derivation_action(carrier) -> DerivationAction:
 
 
 def trivial_derivation_action(acting, target) -> DerivationAction:
-    k = _generator_count(acting)
-    m = _generator_count(target)
-    images = [[zero_vec(target.dim) for _ in range(m)] for _ in range(k)]
+    images = [[zero_vec(target.dim) for _ in range(target.generators)]
+              for _ in range(acting.generators)]
     return DerivationAction(acting, target, images)
-
-
-def _generator_count(carrier) -> int:
-    if isinstance(carrier, TruncatedTensor):
-        return carrier.generators
-    if isinstance(carrier, TruncatedEnveloping):
-        return carrier.lie.dim
-    raise TypeError("not a truncated carrier")
 
 
 # ---------------------------------------------------------------------------
 # difference operators on the truncated tensor algebra
-
-def algebra_endo_from_letters(tv: TruncatedTensor, letter_images: list[Vec]):
-    """The algebra endomorphism with the given letter images; columns for
-    words whose image would leave the budget are marked None."""
-    return _multiplicative_columns(tv, tv, letter_images)
-
 
 def _multiplicative_columns(src, dst, gen_images: list[Vec]) -> list:
     """The images of src's basis monomials under the algebra map to dst
@@ -569,7 +555,7 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
         if not in_span(prim, v):
             raise ValueError("letter images must be primitive (free Lie elements)")
     letter_images = [vec_add(tv.generator_vec(x), phi[x]) for x in range(tv.generators)]
-    f_cols = algebra_endo_from_letters(tv, letter_images)
+    f_cols = _multiplicative_columns(tv, tv, letter_images)
     # D(w) = sum F(w1) S(w2)
     t = int_structure(tv)
     cols, den = convolve_columns(tv, tv, f_cols, IntColumns(t.antipode, t.antipode_den))
@@ -584,11 +570,15 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
 
 # ---------------------------------------------------------------------------
 # crossed-homomorphism extension to the enveloping level
+#
+# Every function here takes the one DerivationAction of K = action.acting
+# on H = action.target: K's monomials, products and coproducts are read
+# from the first, and the values, units and products from the second.
 
-def free_crossed_hom_values(carrier, action: DerivationAction, gen_images: list[Vec],
-                            lyndon: "LyndonBasis"):
-    """Values of the free crossed homomorphism on the bracketed Lyndon
-    basis, from its generator images.
+def free_crossed_hom_values(action: DerivationAction, gen_images: list[Vec]):
+    """Values in H of the free crossed homomorphism on the bracketed
+    Lyndon basis of K, a truncated tensor algebra, from its generator
+    images.
 
     On a free Lie algebra any generator assignment extends uniquely to a
     crossed homomorphism; the value on [u, v] is
@@ -596,10 +586,11 @@ def free_crossed_hom_values(carrier, action: DerivationAction, gen_images: list[
     standard factorization.  Entries that leave the budget come back as
     None.
     """
+    k, h = action.acting, action.target
     values: dict = {}
 
     def lie_vec(word):
-        return carrier.from_word_coeffs(bracket_expansion(word))
+        return k.from_word_coeffs(bracket_expansion(word))
 
     def value(word):
         if word in values:
@@ -615,45 +606,46 @@ def free_crossed_hom_values(carrier, action: DerivationAction, gen_images: list[
                 try:
                     uu, vv = lie_vec(u), lie_vec(v)
                     out = vec_sub(action.act(uu, dv), action.act(vv, du))
-                    bracket = vec_sub(carrier.mult_vec(du, dv), carrier.mult_vec(dv, du))
+                    bracket = vec_sub(h.mult_vec(du, dv), h.mult_vec(dv, du))
                     out = vec_add(out, bracket)
                 except OutOfBudgetError:
                     out = None
         values[word] = out
         return out
 
-    return [(w, value(w)) for w, _ in lyndon.vectors]
+    return [(w, value(w)) for w, _ in LyndonBasis(k).vectors]
 
 
-def extend_crossed_hom_trunc(carrier, action: DerivationAction,
+def extend_crossed_hom_trunc(action: DerivationAction,
                              pi_gen_images: list[Vec]) -> CheckReport:
     """The enveloping-level extension of a Lie crossed homomorphism:
     pi_bar(x1...xn) = (pi(x1) + phi(x1)) ... (pi(xn) + phi(xn))(1) on the
     monomial basis, verified as a coalgebra map satisfying the
     Hopf crossed-homomorphism identity on all in-budget pairs.
     """
-    cols = pibar_columns(carrier, action, pi_gen_images)
+    k, h = action.acting, action.target
+    cols = pibar_columns(action, pi_gen_images)
     report = crossed_hom_report(action, cols)
     report.details["pibar"] = cols
     # restriction to primitive degree one must match the generator images
-    k = _generator_count(carrier)
-    for g in range(k):
-        if apply_cols(cols, carrier.generator_vec(g), carrier.dim) != pi_gen_images[g]:
+    for g in range(k.generators):
+        if apply_cols(cols, k.generator_vec(g), h.dim) != pi_gen_images[g]:
             report.ok = False
             report.failures.append(("degree-one restriction", g))
     return report
 
 
-def pibar_columns(carrier, action: DerivationAction, pi_gen_images: list[Vec]):
-    """Images of basis monomials under the product-formula extension.
-    Out-of-budget columns are None."""
+def pibar_columns(action: DerivationAction, pi_gen_images: list[Vec]):
+    """Images in H of K's basis monomials under the product-formula
+    extension.  Out-of-budget columns are None."""
+    h = action.target
     cols = []
-    for i in range(carrier.dim):
-        factors = carrier.monomial_factors(i)
-        acc = carrier.unit_vec()
+    for i in range(action.acting.dim):
+        factors = action.acting.monomial_factors(i)
+        acc = h.unit_vec()
         try:
             for g in reversed(factors):
-                left = carrier.mult_vec(pi_gen_images[g], acc)
+                left = h.mult_vec(pi_gen_images[g], acc)
                 acc = vec_add(left, action.derivation(g, acc))
             cols.append(acc)
         except OutOfBudgetError:
@@ -661,10 +653,10 @@ def pibar_columns(carrier, action: DerivationAction, pi_gen_images: list[Vec]):
     return cols
 
 
-def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
-                      pi_gen_images: list[Vec],
+def mm_instance_check(action: DerivationAction, pi_gen_images: list[Vec],
                       candidate_cols=None) -> CheckReport:
-    """Instance check of the enveloping-extension compatibility:
+    """Instance check of the enveloping-extension compatibility, for an
+    action whose acting carrier is a truncated tensor algebra:
 
     (i) the product-formula extension restricts on primitives to the free
     crossed homomorphism it came from; (ii) it is the unique in-budget
@@ -673,8 +665,8 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
     in-budget tuples.  A candidate column table may be supplied to test
     against (the perturbation hook); it defaults to the computed one.
     """
-    lyndon = LyndonBasis(tv)
-    report = extend_crossed_hom_trunc(tv, action, pi_gen_images)
+    k, h = action.acting, action.target
+    report = extend_crossed_hom_trunc(action, pi_gen_images)
     cols = report.details["pibar"] if candidate_cols is None else candidate_cols
     if candidate_cols is not None:
         sub = crossed_hom_report(action, cols)
@@ -682,13 +674,12 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
         report.failures.extend(sub.failures)
 
     # (i) restriction to the Lie subspace
-    lie_values = free_crossed_hom_values(tv, action, pi_gen_images, lyndon)
-    for (w, expected) in lie_values:
+    for (w, expected) in free_crossed_hom_values(action, pi_gen_images):
         if expected is None:
             report.skipped.append(("lie-restriction", "".join(map(str, w))))
             continue
         try:
-            got = apply_cols(cols, tv.from_word_coeffs(bracket_expansion(w)), tv.dim)
+            got = apply_cols(cols, k.from_word_coeffs(bracket_expansion(w)), h.dim)
         except OutOfBudgetError:
             report.skipped.append(("lie-restriction", "".join(map(str, w))))
             continue
@@ -697,7 +688,7 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
             report.failures.append(("lie-restriction", "".join(map(str, w))))
 
     # (ii) degree-by-degree uniqueness of the in-budget extension
-    uniq = _uniqueness_by_degree(tv, action, pi_gen_images, cols)
+    uniq = _uniqueness_by_degree(action, pi_gen_images, cols)
     report.details["uniqueness"] = uniq
     if uniq["unique"] is None:
         report.skipped.append(("uniqueness", uniq["witness"]))
@@ -706,7 +697,7 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
         report.failures.append(("uniqueness", uniq.get("witness")))
 
     # (iii) the extended action is a module bialgebra action in budget
-    club = extended_action_bialgebra_check(tv, action)
+    club = extended_action_bialgebra_check(action)
     report.details["action"] = club
     if not club.ok:
         report.ok = False
@@ -715,55 +706,57 @@ def mm_instance_check(tv: TruncatedTensor, action: DerivationAction,
     return report
 
 
-def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
+def _uniqueness_by_degree(action: DerivationAction, pi_gen_images, cols) -> dict:
     """Solve for the extension degree by degree: at each degree the
     coalgebra and crossed-homomorphism constraints are affine in the
     unknown images given the lower degrees.  The solution must be unique
     and equal to the supplied columns.
 
-    At degree d, with m basis words of that degree, the unknown images are
-    the rows of an m x n matrix X, and an equation sum_i coeff_i value(i)
-    = const is one row [coefficients | const] of A X = B.  One reduction
-    of [A | B] decides the degree: a pivot in the B block means there is
-    no solution, rank A < m leaves n (m - rank A) free coordinates, and
-    otherwise the reduced rows hold X.
+    At degree d, with m basis words of K of that degree, the unknown
+    images are the rows of an m x n_val matrix X, n_val = dim H, and an
+    equation sum_i coeff_i value(i) = const is one row [coefficients |
+    const] of A X = B.  One reduction of [A | B] decides the degree: a
+    pivot in the B block means there is no solution, rank A < m leaves
+    n_val (m - rank A) free coordinates, and otherwise the reduced rows
+    hold X.
 
     An equation whose right side leaves the budget is skipped, not
     dropped: a degree whose system is short of rank after such a skip is
     undecided, and the result is unique None with witness "degree d".
     """
-    n = tv.dim
-    known: list = [None] * n
-    known[0] = tv.unit_vec()
-    for g in range(tv.generators):
-        known[tv.index[(g,)]] = pi_gen_images[g]
-    for d in range(2, tv.budget + 1):
-        idxs = [i for i in range(n) if tv.degree(i) == d]
+    k, h = action.acting, action.target
+    n_dom, n_val = k.dim, h.dim
+    known: list = [None] * n_dom
+    known[0] = h.unit_vec()
+    for g in range(k.generators):
+        known[k.index[(g,)]] = pi_gen_images[g]
+    for d in range(2, k.budget + 1):
+        idxs = [i for i in range(n_dom) if k.degree(i) == d]
         pos = {i: p for p, i in enumerate(idxs)}
         m = len(idxs)
         rows = []
         skipped = False
         # crossed-homomorphism equations for products landing in degree d
-        for i in range(n):
-            di = tv.degree(i)
+        for i in range(n_dom):
+            di = k.degree(i)
             if di == 0 or known[i] is None:
                 continue
-            for j in range(n):
-                dj = tv.degree(j)
+            for j in range(n_dom):
+                dj = k.degree(j)
                 if dj == 0 or known[j] is None or di + dj != d:
                     continue
                 try:
-                    prod = tv.mult_basis(i, j)
-                    rhs_vec = zero_vec(n)
-                    for (a1, a2, c) in tv.comult_triples(i):
+                    prod = k.mult_basis(i, j)
+                    rhs_vec = zero_vec(n_val)
+                    for (a1, a2, c) in k.comult_triples(i):
                         if known[a1] is None:
                             raise OutOfBudgetError("lower value unknown")
                         acted = action.act_basis(a2, known[j])
-                        rhs_vec = vec_add(rhs_vec, vec_scale(c, tv.mult_vec(known[a1], acted)))
+                        rhs_vec = vec_add(rhs_vec, vec_scale(c, h.mult_vec(known[a1], acted)))
                 except OutOfBudgetError:
                     skipped = True
                     continue
-                row = [prod[k] for k in idxs]
+                row = [prod[x] for x in idxs]
                 if any(row):
                     rows.append(row + rhs_vec)
         reduced = row_space_basis(rows) if rows else []
@@ -774,32 +767,42 @@ def _uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
         if not rows:
             return {"unique": False, "matches": False, "witness": f"degree {d} unconstrained"}
         if not consistent or len(reduced) < m:
-            free = n * (m - len(reduced)) if consistent else 0
+            free = n_val * (m - len(reduced)) if consistent else 0
             return {"unique": False, "matches": False,
                     "witness": f"degree {d} solution space dim {free}"}
         for i in idxs:
             known[i] = reduced[pos[i]][m:]
     matches = True
     witness = None
-    for i in range(n):
+    for i in range(n_dom):
         if cols[i] is None or known[i] is None:
             continue
         if list(cols[i]) != list(known[i]):
             matches = False
-            witness = tv.label(i)
+            witness = k.label(i)
             break
     return {"unique": True, "matches": matches, "witness": witness}
 
 
-def extended_action_bialgebra_check(carrier, action: DerivationAction) -> CheckReport:
+def extended_action_bialgebra_check(action: DerivationAction) -> CheckReport:
     """Module-bialgebra axioms of the derivation-extended action on all
-    in-budget basis tuples: actions.module_axiom_report of the carrier
-    acting on itself."""
+    in-budget basis tuples: actions.module_axiom_report of the action."""
     return module_axiom_report(action)
 
 
 # ---------------------------------------------------------------------------
 # truncated smash products
+
+def _enveloping_smash(lie_action, budget: int) -> TruncatedSmash:
+    """U(h) # U(g) for a Lie action of g on h: its action is the
+    DerivationAction of U(g) on U(h) that extends the Lie action."""
+    g, h = lie_action.acting, lie_action.target
+    uh = TruncatedEnveloping(h, budget)
+    images = [[_embed_degree_one(uh, lie_action.phi[x].col(j)) for j in range(h.dim)]
+              for x in range(g.dim)]
+    action = DerivationAction(TruncatedEnveloping(g, budget), uh, images)
+    return TruncatedSmash(action, budget, name=f"U({h.name})#U({g.name})")
+
 
 def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     """Instance check that U(h x| g) and U(h) # U(g) agree up to the
@@ -807,25 +810,18 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     isomorphism, multiplicative on every in-budget pair."""
     from .lie import semidirect
 
-    g, h = lie_action.acting, lie_action.target
     sd = semidirect(lie_action)
     u_sd = TruncatedEnveloping(sd, budget)
-    uh = TruncatedEnveloping(h, budget)
-    ug = TruncatedEnveloping(g, budget)
-    images = []
-    for x in range(g.dim):
-        row = [_embed_degree_one(uh, lie_action.phi[x].col(j)) for j in range(h.dim)]
-        images.append(row)
-    action = DerivationAction(ug, uh, images)
-    smash = TruncatedSmash(action, budget, name=f"U({h.name})#U({g.name})")
+    smash = _enveloping_smash(lie_action, budget)
+    uh, ug = smash.action.target, smash.action.acting
 
     # the map on semidirect generators, extended multiplicatively
     gen_cols = []
     for i in range(sd.dim):
-        if i < h.dim:
+        if i < uh.generators:
             gen_cols.append(smash_vec(smash, uh.generator_vec(i), ug.unit_vec()))
         else:
-            gen_cols.append(smash_vec(smash, uh.unit_vec(), ug.generator_vec(i - h.dim)))
+            gen_cols.append(smash_vec(smash, uh.unit_vec(), ug.generator_vec(i - uh.generators)))
     cols = _multiplicative_columns(u_sd, smash, gen_cols)
     report: dict = {"skipped": [u_sd.label(i) for i, c in enumerate(cols) if c is None]}
     report["graded_dims_match"] = u_sd.graded_dims() == _smash_graded_dims(smash)
@@ -866,9 +862,8 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
     """Instance check that the graph of the extended crossed homomorphism
     has the graded dimensions of the enveloping algebra of the Lie-level
     graph."""
-    rep = smash_vs_semidirect_trunc(lie_action, budget)
-    smash: TruncatedSmash = rep["_smash"]
-    action: DerivationAction = smash.action
+    smash = _enveloping_smash(lie_action, budget)
+    action = smash.action
     uh, ug = action.target, action.acting
     g = lie_action.acting
     # Lie-level graph dimension equals dim g; enveloping dims are the
@@ -878,7 +873,7 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
         expected[total] = comb(total + g.dim - 1, g.dim - 1)
     cum_expected = list(itertools.accumulate(expected))
     pi_images = [_embed_degree_one(uh, v) for v in pi_gen_images_lie]
-    cols = pibar_columns(ug, action, pi_images)
+    cols = pibar_columns(action, pi_images)
     vectors_by_degree: dict = {}
     for i in range(ug.dim):
         try:

@@ -304,11 +304,11 @@ def test_criterion_9_truncated_free_lie():
     tv3 = TruncatedTensor(2, 3)
     adj = adjoint_derivation_action(tv3)
     neg = [[-c for c in tv3.generator_vec(g)] for g in range(2)]
-    mm = mm_instance_check(tv3, adj, neg)
+    mm = mm_instance_check(adj, neg)
     assert mm.ok and mm.details["uniqueness"]["unique"]
     cols = [None if c is None else list(c) for c in mm.details["pibar"]]
     cols[tv3.index[(0, 1)]][tv3.index[(0, 1)]] += F(1)
-    perturbed = mm_instance_check(tv3, adj, neg, candidate_cols=cols)
+    perturbed = mm_instance_check(adj, neg, candidate_cols=cols)
     assert not perturbed.ok and perturbed.failures
 
 

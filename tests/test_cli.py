@@ -492,15 +492,31 @@ def test_monoid_table_on_a_non_group_algebra_exits_two(capsys):
     assert "Traceback" not in err
 
 
-# sha256 of the whole stdout of each report that goes through an action; a
-# refactor of the action layer must leave every byte of them unchanged
+# exit code and sha256 of the whole stdout of one run of every command, the
+# reports that go through an action first; a refactor of the action layer
+# or of the CLI's report plumbing must leave every byte of them unchanged
 REPORT_SHA256 = {
-    "smash": "daebb60c407a6a0c1e32d2b339340498bc0b72ad7ddba4ee60c5748ea7b73afe",
-    "check-crossed-hom": "7b8fadc9bc050b501298b879d9fd27a294934cf50d6a9334a48ba8a1386ad283",
-    "graph": "9173d4d441c09c7d248f2d7de52f7b89b13f06998abd25eb2f7c0cf518be7755",
-    "extend-smash-diff": "3f69dfe5c90dfbaddfa6a4955527b05e72c373be832c0f426bfb0f6286680997",
-    "ckmm-mixed": "7a1abdc81eee8cf1f54300e537fb71efca04ed57c75082cb6264a7de5bb3de88",
-    "mm-check": "f40755adf1ac2c9abe0ba9a5dafba7fb3a0583dec83d59b9c4a3bff25c738bb2",
+    "smash": (0, "daebb60c407a6a0c1e32d2b339340498bc0b72ad7ddba4ee60c5748ea7b73afe"),
+    "check-crossed-hom": (0, "7b8fadc9bc050b501298b879d9fd27a294934cf50d6a9334a48ba8a1386ad283"),
+    "graph": (0, "9173d4d441c09c7d248f2d7de52f7b89b13f06998abd25eb2f7c0cf518be7755"),
+    "extend-smash-diff": (0, "3f69dfe5c90dfbaddfa6a4955527b05e72c373be832c0f426bfb0f6286680997"),
+    "ckmm-mixed": (0, "7a1abdc81eee8cf1f54300e537fb71efca04ed57c75082cb6264a7de5bb3de88"),
+    "mm-check": (0, "f40755adf1ac2c9abe0ba9a5dafba7fb3a0583dec83d59b9c4a3bff25c738bb2"),
+    "validate": (0, "0d7ba8346edd8fc89ee77c460a41a461336150a3a61911c78ccc1a4013fcf8c5"),
+    "grouplikes": (0, "250bd580a3e4c16f9d8cc2b7adb91d842da3aa54efc2b3752b65eaafaa83e59a"),
+    "primitives": (0, "307c69a4a58eccc4c86be88fddab821b6590037486c187f44409661259d810db"),
+    "skew-primitives": (0, "e011a951fc5b14c2213b32e1dc694dc3e210339aa9982fea4e1b76605dfdbaf7"),
+    "check-diffop": (0, "1326c0bb32aaf7e4cd49fdf3bd78ccd021c720c71b032740ed130b63e236484c"),
+    "classify-diffops": (0, "b77f12a7dd9aeabe9d414ca5637fd2b875ec9b0f2f6601dd3f8c7c3a79d3b6f8"),
+    "monoid-table": (0, "986869622fa560c98236502421c42fe24616426d3a274c9d354a51a20f548036"),
+    "rota-baxter": (0, "11cb527e3b51e4318cb75d5d76e1d8f9450b1ce4732221ecaafe9863aeaf24ed"),
+    "ckmm-check": (0, "369a2cde0c29fea72fc21a26662ab6adf3e3fce621fa26dbfd826c8a809d2942"),
+    "catalog": (0, "3deaacffbc886c43201156a67989f992b2b32dfaa3bc909e3a4d737e63a0a95f"),
+    "lyndon-dims": (0, "34945d3f79572d469418c66653570213a5b9f93725979ec63630161b91929f00"),
+    "diffop-from-hom": (0, "4bf8f50dd5c549a129431f1b130f41f4c302f660b4a0e73f49f688251f160fb4"),
+    "exit-1": (1, "dea1983b64f2212c03243efd1056ed7db075777a3e008606325249d8332b9d28"),
+    "exit-2": (2, "ae2f703e08d85c2cc8748ef20d979fbb212214186d5a18947b210de2123cc5fb"),
+    "seed": (0, "eff0acc36aaddd53ee44ec711724a51d4d7d3c000a7e8664eaae08ebfbccb070"),
 }
 
 
@@ -514,16 +530,36 @@ REPORT_SHA256 = {
                            "--operator", "op:id:kC4", "--operator-k", "op:id:kC2"]),
     ("ckmm-mixed", ["free-lie", "ckmm-mixed", "--budget", "4"]),
     ("mm-check", ["free-lie", "mm-check", "--budget", "4"]),
+    ("validate", ["validate", "--algebra", "H8"]),
+    ("grouplikes", ["grouplikes", "--algebra", "kS3"]),
+    ("primitives", ["primitives", "--algebra", "H8"]),
+    ("skew-primitives", ["skew-primitives", "--algebra", "H4",
+                         "--left-grouplike", "0", "--right-grouplike", "1"]),
+    ("check-diffop", ["check-diffop", "--operator", "op:ueps:H4"]),
+    ("classify-diffops", ["classify-diffops", "--plan", "plan:H4",
+                          "--expected", "expected:H4"]),
+    ("monoid-table", ["monoid-table", "--algebra", "kS3"]),
+    ("rota-baxter", ["rota-baxter", "--operator", "op:inv:kS3"]),
+    ("ckmm-check", ["ckmm-check", "--operator", "op:inv:kS3"]),
+    ("catalog", ["catalog", "plan:H4"]),
+    ("lyndon-dims", ["free-lie", "lyndon-dims", "--generators", "3", "--budget", "4"]),
+    ("diffop-from-hom", ["free-lie", "diffop-from-hom", "--budget", "3"]),
+    # a mathematical failure, an input error, and a seed recorded in the report
+    ("exit-1", ["check-diffop", "--operator", "op:id:H4"]),
+    ("exit-2", ["monoid-table", "--algebra", "H4"]),
+    ("seed", ["classify-diffops", "--plan", "plan:kC2", "--seed", "7"]),
 ])
 def test_action_reports_are_byte_identical(capsys, tmp_path, name, argv):
-    """The full stdout of the reports that go through an action, on the
-    catalog action of kC2 on kC4 by inversion, hashed; every catalog name
-    after a flag is exported to a file first."""
+    """The exit code and full stdout of one run of every command, the
+    action reports on the catalog action of kC2 on kC4 by inversion, the
+    stdout hashed; every catalog name after a flag is exported to a file
+    first."""
     args = []
     for i, arg in enumerate(argv):
         if ":" in arg and argv[i - 1].startswith("--"):
             arg = export_entry(capsys, tmp_path, arg, arg.replace(":", "_") + ".json")
         args.append(arg)
-    assert run(args) == 0
+    code, digest = REPORT_SHA256[name]
+    assert run(args) == code
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_SHA256[name]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

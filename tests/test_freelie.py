@@ -6,7 +6,6 @@ from hopfdiff import freelie
 from hopfdiff.exactlin import Mat, row_space_basis
 from hopfdiff.freelie import (
     BudgetCapError,
-    LyndonBasis,
     TruncatedEnveloping,
     TruncatedTensor,
     adjoint_derivation_action,
@@ -175,7 +174,7 @@ def test_diffop_from_hom_rejects_non_primitive_images():
 def test_extend_crossed_hom_pi_zero_trivial_action():
     tv = TruncatedTensor(2, 3)
     triv = trivial_derivation_action(tv, tv)
-    rep = extend_crossed_hom_trunc(tv, triv, [zero_vec(tv.dim), zero_vec(tv.dim)])
+    rep = extend_crossed_hom_trunc(triv, [zero_vec(tv.dim), zero_vec(tv.dim)])
     assert rep.ok
     cols = rep.details["pibar"]
     assert cols[0] == tv.unit_vec()
@@ -187,7 +186,7 @@ def test_extend_crossed_hom_minus_id_adjoint():
     tv = TruncatedTensor(2, 3)
     adj = adjoint_derivation_action(tv)
     neg = [[-c for c in tv.generator_vec(g)] for g in range(2)]
-    rep = extend_crossed_hom_trunc(tv, adj, neg)
+    rep = extend_crossed_hom_trunc(adj, neg)
     assert rep.ok
     assert rep.checked > 0
 
@@ -196,7 +195,7 @@ def test_free_crossed_hom_values_recursion():
     tv = TruncatedTensor(2, 3)
     adj = adjoint_derivation_action(tv)
     neg = [[-c for c in tv.generator_vec(g)] for g in range(2)]
-    values = dict(free_crossed_hom_values(tv, adj, neg, LyndonBasis(tv)))
+    values = dict(free_crossed_hom_values(adj, neg))
     # the unique crossed homomorphism extending -id on letters is -id on
     # the whole free Lie algebra
     bracket_ab = tv.from_word_coeffs(bracket_expansion((0, 1)))
@@ -207,12 +206,12 @@ def test_mm_instance_check_passes_and_detects_perturbation():
     tv = TruncatedTensor(2, 3)
     adj = adjoint_derivation_action(tv)
     neg = [[-c for c in tv.generator_vec(g)] for g in range(2)]
-    rep = mm_instance_check(tv, adj, neg)
+    rep = mm_instance_check(adj, neg)
     assert rep.ok
     assert rep.details["uniqueness"]["unique"]
     cols = [None if c is None else list(c) for c in rep.details["pibar"]]
     cols[tv.index[(0, 1)]][tv.index[(1, 0)]] += F(1)
-    bad = mm_instance_check(tv, adj, neg, candidate_cols=cols)
+    bad = mm_instance_check(adj, neg, candidate_cols=cols)
     assert not bad.ok
     assert bad.failures
 
@@ -226,7 +225,7 @@ def test_mm_instance_check_budget_skip_leaves_uniqueness_undecided():
     a, b = tv.generator_vec(0), tv.generator_vec(1)
     bracket = tv.from_word_coeffs(bracket_expansion((0, 1)))
     pi = [[x - y for x, y in zip(bracket, a)], [-c for c in b]]
-    rep = mm_instance_check(tv, adj, pi)
+    rep = mm_instance_check(adj, pi)
     assert rep.ok and not rep.failures
     assert rep.details["uniqueness"] == {"unique": None, "matches": None,
                                          "witness": "degree 2"}
@@ -239,7 +238,7 @@ def test_mm_instance_check_skip_accounting_at_budget_four():
     tv = TruncatedTensor(2, 4)
     adj = adjoint_derivation_action(tv)
     neg = [[-c for c in tv.generator_vec(g)] for g in range(2)]
-    rep = mm_instance_check(tv, adj, neg)
+    rep = mm_instance_check(adj, neg)
     assert rep.ok and not rep.failures
     assert rep.checked == 129
     assert len(rep.skipped) == 59830
@@ -256,8 +255,24 @@ def test_mm_instance_check_skip_accounting_at_budget_four():
 def test_mm_instance_pi_zero():
     tv = TruncatedTensor(2, 3)
     adj = adjoint_derivation_action(tv)
-    rep = mm_instance_check(tv, adj, [zero_vec(tv.dim), zero_vec(tv.dim)])
+    rep = mm_instance_check(adj, [zero_vec(tv.dim), zero_vec(tv.dim)])
     assert rep.ok
+
+
+def test_mm_instance_check_into_another_carrier():
+    """The trivial action of T(2, 3) on the polynomial algebra U(<u, v>) and
+    pi = (u, v): the extension is the algebra map a -> u, b -> v, read
+    on T(2, 3)'s 15 words with values among U(<u, v>)'s 10 monomials, and
+    it is the unique in-budget solution degree by degree."""
+    tv = TruncatedTensor(2, 3)
+    uh = TruncatedEnveloping(FinLie.from_pairs(["u", "v"], {}, "h"), 3)
+    action = trivial_derivation_action(tv, uh)
+    pi = [uh.generator_vec(0), uh.generator_vec(1)]
+    rep = mm_instance_check(action, pi)
+    assert rep.ok and not rep.failures
+    assert rep.details["uniqueness"] == {"unique": True, "matches": True, "witness": None}
+    cols = rep.details["pibar"]
+    assert cols[tv.index[(0, 1)]] == cols[tv.index[(1, 0)]] == uh.mult_vec(*pi)
 
 
 def test_truncated_enveloping_pbw():
@@ -333,6 +348,20 @@ def test_graph_dims_instance():
     rep = graph_dims_check(action, [[F(1)]], 3)
     assert rep["ok"]
     assert rep["graph_filtration_dims"] == [1, 2, 3, 4]
+
+
+def test_graph_dims_on_a_target_of_another_dimension():
+    """g = <x> acting on the abelian h = <u, v> by diag(1, 2), with pi(x) = u.
+    The extension's columns are indexed by U(g)'s monomials and take their
+    values in U(h), multiplied there and started from U(h)'s unit; the
+    graph then has the graded dimensions of U(g), whatever dim h is."""
+    g1 = FinLie.from_pairs(["x"], {}, "g")
+    h2 = FinLie.from_pairs(["u", "v"], {}, "h")
+    action = LieAction(g1, h2, [Mat.from_cols([[1, 0], [0, 2]])])
+    rep = graph_dims_check(action, [[F(1), F(0)]], 3)
+    assert rep["graph_filtration_dims"] == [1, 2, 3, 4]
+    assert rep["expected_dims"] == [1, 2, 3, 4]
+    assert rep["ok"] is True
 
 
 def test_ckmm_truncated_instance():

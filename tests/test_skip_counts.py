@@ -41,7 +41,7 @@ def test_extend_crossed_hom_counts_at_budget_four():
     tv = TruncatedTensor(2, 4)
     adj = adjoint_derivation_action(tv)
     neg = [[-c for c in tv.generator_vec(g)] for g in range(2)]
-    rep = extend_crossed_hom_trunc(tv, adj, neg)
+    rep = extend_crossed_hom_trunc(adj, neg)
     assert rep.ok
     assert (rep.checked, len(rep.skipped)) == (129, 832)
 
@@ -69,7 +69,7 @@ def test_unknown_diffop_columns_are_recorded_once():
 
 def test_unknown_crossed_hom_columns_are_recorded_once():
     tv = TruncatedTensor(2, 3)
-    rep = extend_crossed_hom_trunc(tv, adjoint_derivation_action(tv), _bracket_phi(tv))
+    rep = extend_crossed_hom_trunc(adjoint_derivation_action(tv), _bracket_phi(tv))
     assert rep.ok
     unknown = [i for i, col in enumerate(rep.details["pibar"]) if col is None]
     assert len(unknown) == 5
