@@ -517,6 +517,10 @@ REPORT_SHA256 = {
     "exit-1": (1, "dea1983b64f2212c03243efd1056ed7db075777a3e008606325249d8332b9d28"),
     "exit-2": (2, "ae2f703e08d85c2cc8748ef20d979fbb212214186d5a18947b210de2123cc5fb"),
     "seed": (0, "eff0acc36aaddd53ee44ec711724a51d4d7d3c000a7e8664eaae08ebfbccb070"),
+    "catalog-plan-H8": (0, "286873584cae10d936a42453f0aa3bddfd67db4211e2d7e0382501fdd66637f4"),
+    "catalog-plan-kC2": (0, "d2503011126204d365c9be23fb89d086282377d62e270b84a440c42b4c1cc0ba"),
+    "catalog-plan-kC2xC2": (0, "0fc3bbfbef3637c3a0814b54178dd56b3c9bd55adb641cef6e89569ae16d5290"),
+    "classify-diffops-H8": (0, "7798a9fa820bbc885aeae1d7582208f377dfec37cbe16b8a30497377fead2911"),
 }
 
 
@@ -548,6 +552,11 @@ REPORT_SHA256 = {
     ("exit-1", ["check-diffop", "--operator", "op:id:H4"]),
     ("exit-2", ["monoid-table", "--algebra", "H4"]),
     ("seed", ["classify-diffops", "--plan", "plan:kC2", "--seed", "7"]),
+    # the exports and one classification of the catalog's search plans
+    ("catalog-plan-H8", ["catalog", "plan:H8"]),
+    ("catalog-plan-kC2", ["catalog", "plan:kC2"]),
+    ("catalog-plan-kC2xC2", ["catalog", "plan:kC2xC2"]),
+    ("classify-diffops-H8", ["classify-diffops", "--plan", "plan:H8"]),
 ])
 def test_action_reports_are_byte_identical(capsys, tmp_path, name, argv):
     """The exit code and full stdout of one run of every command, the
