@@ -220,33 +220,13 @@ def build_kD4() -> FinDimHopf:
 
 # -- search plans and expected tables ------------------------------------------
 
-def build_plan_H4():
-    from .solver import GeneratorBlock, SearchPlan
+def _derived_plan(build_algebra):
+    """A plan builder: solver.derive_plan of the algebra, importing solver when it runs."""
+    def build_plan():
+        from .solver import derive_plan
 
-    h4 = build_H4()
-    block = GeneratorBlock(generator=2, cosets={2: (0, 2), 3: (1, 2)})
-    return SearchPlan(h4, [0, 1], [block], commutation={"xg": "-gx"})
-
-
-def build_plan_H8():
-    from .solver import GeneratorBlock, SearchPlan
-
-    h8 = build_H8()
-    block = GeneratorBlock(generator=4, cosets={4: (0, 4), 5: (1, 4), 6: (2, 4), 7: (3, 4)})
-    return SearchPlan(h8, [0, 1, 2, 3], [block],
-                      commutation={"zx": "yz", "zy": "xz"})
-
-
-def build_plan_kC2():
-    from .solver import SearchPlan
-
-    return SearchPlan(build_kC2(), [0, 1], [], commutation=None)
-
-
-def build_plan_kC2xC2():
-    from .solver import SearchPlan
-
-    return SearchPlan(build_kC2xC2(), [0, 1, 2, 3], [], commutation=None)
+        return derive_plan(build_algebra())
+    return build_plan
 
 
 def expected_H4():
@@ -368,10 +348,10 @@ _BUILDERS = {
     "H8": build_H8,
     "action:inv:kC2:kC4": build_inversion_action,
     "aut:H8:swap": build_H8_swap_automorphism,
-    "plan:H4": build_plan_H4,
-    "plan:H8": build_plan_H8,
-    "plan:kC2": build_plan_kC2,
-    "plan:kC2xC2": build_plan_kC2xC2,
+    "plan:H4": _derived_plan(build_H4),
+    "plan:H8": _derived_plan(build_H8),
+    "plan:kC2": _derived_plan(build_kC2),
+    "plan:kC2xC2": _derived_plan(build_kC2xC2),
     "expected:H4": expected_H4,
     "expected:H8-bijective": expected_H8_bijective,
     "op:ueps:H4": build_op_ueps_H4,

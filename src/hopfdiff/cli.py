@@ -213,16 +213,18 @@ def cmd_check_crossed_hom(args):
 
 
 def _resolve_plan(args):
-    from .solver import SearchPlan
+    """The plan of --plan, or with no --plan the plan that the coset rule
+    derives for --algebra."""
+    from .solver import SearchPlan, derive_plan
 
-    if args.plan is None and args.algebra and not os.path.exists(args.algebra):
-        # convenience: a catalog algebra name implies its catalog plan
-        try:
-            return catalog.build(f"plan:{args.algebra}")
-        except KeyError:
-            pass
     if args.plan is None:
-        raise InputError("--plan is required (a file or a catalog plan name)")
+        if args.algebra is None:
+            raise InputError("--plan or --algebra is required (a plan file or catalog "
+                             "plan name, or an algebra to derive the plan of)")
+        try:
+            return derive_plan(_resolve_algebra(args.algebra))
+        except ValueError as exc:
+            raise InputError(f"no search plan for {args.algebra}: {exc}")
     if os.path.exists(args.plan):
         from . import formats
 
@@ -246,8 +248,20 @@ def cmd_classify_diffops(args):
     from .solver import classify_diffops, verify_against_published
 
     plan = _resolve_plan(args)
-    if args.algebra and _resolve_algebra(args.algebra).name != plan.target.name:
+    if args.plan and args.algebra and _resolve_algebra(args.algebra).name != plan.target.name:
         raise InputError("--algebra does not match the plan's algebra")
+    if args.expected:
+        from . import formats
+
+        data = _load_json(args.expected, "expected")
+        try:
+            expected = formats.expected_from_dict(data)
+        except _PARSE_ERRORS as exc:
+            raise InputError(f"bad expected file {args.expected}: {exc}")
+        n = plan.target.dim
+        if any({len(t["images"]), *map(len, t["images"])} != {n} for t in expected):
+            raise InputError(f"bad expected file {args.expected}: its tables are not "
+                             f"{n} x {n}, the dimension of {plan.target.name}")
     started = time.perf_counter()
     result = classify_diffops(plan, bijective_only=args.bijective_only)
     elapsed = time.perf_counter() - started
@@ -274,13 +288,6 @@ def cmd_classify_diffops(args):
         "ok": result.certificate == "complete",
     }
     if args.expected:
-        from . import formats
-
-        data = _load_json(args.expected, "expected")
-        try:
-            expected = formats.expected_from_dict(data)
-        except _PARSE_ERRORS as exc:
-            raise InputError(f"bad expected file {args.expected}: {exc}")
         diff = verify_against_published(result, expected)
         report["expected_comparison"] = {
             "equal": diff.equal,

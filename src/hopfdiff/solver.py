@@ -292,50 +292,72 @@ class SearchPlan:
     commutation: dict | None = None
 
     def validate(self):
+        """The coset rule on the plan's own generators: the group-likes are
+        the declared coradical and the blocks are disjoint full cosets."""
         h = self.target
-        n = h.dim
-        coradical_group(h)  # a missing or malformed declaration raises here
-        indices = set(self.grouplike_indices)
-        for block in self.blocks:
-            indices.add(block.generator)
-            for b, (g, c) in block.cosets.items():
-                indices.update((b, g, c))
-        out_of_range = sorted(i for i in indices if not 0 <= i < n)
-        if out_of_range:
-            raise ValueError(f"plan indices {out_of_range} are not basis indices of "
-                             f"{h.name} (dimension {n})")
-        gset = set(self.grouplike_indices)
-        covered = set(gset)
-        for block in self.blocks:
-            member_indices = set(block.cosets.keys())
-            if block.generator not in member_indices:
-                raise ValueError("a generator must belong to its own coset block")
-            for b, (g, c) in block.cosets.items():
-                if c != block.generator:
-                    raise ValueError("coset entries must factor through the block generator")
-                if g not in gset:
-                    raise ValueError("coset factor is not a declared group-like")
-                if h.mult_basis(g, c) != basis_vec(n, b):
-                    raise ValueError(
-                        f"coset factorization fails: basis {h.label(b)} != "
-                        f"{h.label(g)} * {h.label(c)}")
-            covered |= member_indices
+        _, idxs, _ = coradical_group(h)  # a missing or malformed declaration raises here
+        if sorted(self.grouplike_indices) != sorted(idxs):
+            raise ValueError(f"plan group-likes {self.grouplike_indices} are not the "
+                             f"declared coradical {list(idxs)} of {h.name}")
+        full = _coset_blocks(h, idxs, [block.generator for block in self.blocks])
+        for block, coset in zip(self.blocks, full):
+            if block.cosets != coset.cosets:
+                raise ValueError(f"the block of {h.label(block.generator)} must cover its "
+                                 f"coset {coset.cosets} exactly, not {block.cosets}")
             # triangularity: the generator's coproduct lives on
             # (coradical + own coset) x (coradical + own coset)
-            allowed = gset | member_indices
+            allowed = set(idxs) | set(coset.cosets)
             for (i, j, _) in h.comult_triples(block.generator):
                 if i not in allowed or j not in allowed:
                     raise ValueError(
                         f"triangularity fails: coproduct of {h.label(block.generator)} "
                         f"meets {h.label(i)} (x) {h.label(j)}")
-        if covered != set(range(n)):
-            missing = sorted(set(range(n)) - covered)
-            raise ValueError(f"plan does not cover basis indices {missing}")
-        if self.commutation:
-            # advisory data; only sanity-checked for type
-            if not isinstance(self.commutation, dict):
-                raise ValueError("commutation data must be a mapping")
+        # advisory data; only sanity-checked for type
+        if self.commutation and not isinstance(self.commutation, dict):
+            raise ValueError("commutation data must be a mapping")
         return self
+
+
+def _coset_blocks(h: FinDimHopf, idxs: list, generators=None) -> list:
+    """The coset rule: each generator c starts the block {g c : g in G(H)},
+    and every g c must be a single basis vector, with coefficient one, that
+    neither the coradical nor an earlier block holds; the blocks must cover
+    the basis.  With no generators given, the basis is walked in order and
+    each element outside the coradical and the earlier blocks is the next
+    generator."""
+    n = h.dim
+    covered = set(idxs)
+    blocks = []
+    for c in range(n) if generators is None else generators:
+        if generators is None and c in covered:
+            continue
+        if not 0 <= c < n:
+            raise ValueError(f"plan generator {c} is not a basis index of {h.name}")
+        cosets = {}
+        for g in idxs:
+            prod = h.mult_basis(g, c)
+            hits = [i for i, v in enumerate(prod) if v]
+            if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] in covered or hits[0] in cosets:
+                raise ValueError(f"{h.label(c)} fits no block: {h.label(g)} * {h.label(c)} = "
+                                 f"{h.element_str(prod)} is not a basis vector outside the "
+                                 f"coradical and the earlier blocks")
+            cosets[hits[0]] = (g, c)
+        covered.update(cosets)
+        blocks.append(GeneratorBlock(c, cosets))
+    if len(covered) != n:
+        raise ValueError(f"plan does not cover basis indices {sorted(set(range(n)) - covered)}")
+    return blocks
+
+
+def derive_plan(h: FinDimHopf) -> SearchPlan:
+    """The search plan of h by the coset rule; its commutation notes are
+    the products c g of each block generator c with each generator g of G(H)."""
+    group, idxs, _ = coradical_group(h)
+    blocks = _coset_blocks(h, idxs)
+    gens = [idxs[g] for g in group.generating_set()]
+    commutation = {h.label(b.generator) + h.label(g): h.element_str(h.mult_basis(b.generator, g))
+                   for b in blocks for g in gens}
+    return SearchPlan(h, list(idxs), blocks, commutation or None).validate()
 
 
 @dataclass

@@ -95,6 +95,47 @@ def test_classify_mismatched_expected_exits_nonzero(capsys, tmp_path):
     assert payload["expected_comparison"]["entry_mismatches"][0]["positions"] == [[2, 3]]
 
 
+@pytest.mark.parametrize("entry, argv, dim", [
+    ("expected:H8-bijective", ["--plan", "plan:H4"], 4),
+    ("expected:H4", ["--algebra", "kS3"], 6),
+], ids=["H8-tables-on-H4", "H4-tables-on-kS3"])
+def test_classify_expected_tables_of_another_size_exit_two(capsys, tmp_path, entry, argv, dim):
+    expected = export_entry(capsys, tmp_path, entry, "expected.json")
+    code, payload, err = invoke(capsys, "classify-diffops", *argv, "--expected", expected)
+    assert code == 2
+    assert payload["ok"] is False
+    assert payload["error"].endswith(f"its tables are not {dim} x {dim}, the dimension of "
+                                     f"{argv[1].removeprefix('plan:')}")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, count, bijective", [
+    ("kS3", 10, 1), ("kC4", 4, 2), ("H8", 6, 4)])
+def test_classify_derives_the_plan_of_an_algebra(capsys, tmp_path, name, count, bijective):
+    """--algebra with no --plan derives the plan, from a catalog name or
+    from an algebra file."""
+    for spec in (name, export_entry(capsys, tmp_path, name, "algebra.json")):
+        code, payload, err = invoke(capsys, "classify-diffops", "--algebra", spec)
+        assert code == 0
+        assert payload["certificate"] == "complete"
+        assert payload["operator_count"] == count
+        assert sum(op["bijective"] for op in payload["operators"]) == bijective
+
+
+def test_classify_with_neither_plan_nor_algebra_exits_two(capsys):
+    code, payload, err = invoke(capsys, "classify-diffops")
+    assert code == 2
+    assert payload["error"] == ("--plan or --algebra is required (a plan file or catalog "
+                                "plan name, or an algebra to derive the plan of)")
+    assert "Traceback" not in err
+
+
+def _set_generators(*blocks):
+    return lambda d: d.__setitem__("generators", [
+        {"generator": c, "cosets": {str(b): list(f) for b, f in cosets.items()}}
+        for c, cosets in blocks])
+
+
 def test_smash_and_graph(capsys, tmp_path):
     action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
     code, payload, _ = invoke(capsys, "smash", "--action", action)
@@ -322,8 +363,18 @@ def test_unknown_catalog_name_exits_two(capsys):
     ("plan:H4", ["classify-diffops", "--plan"], lambda d: d.__setitem__("grouplikes", [0, 9])),
     ("plan:H4", ["classify-diffops", "--plan"],
      lambda d: d["generators"][0]["cosets"].__setitem__("7", [0, 2])),
+    # plans the coset rule rejects: group-likes short of the declared
+    # coradical, overlapping blocks, and a coset split in two
+    ("plan:kC2xC2", ["classify-diffops", "--plan"], lambda d: (
+        d.__setitem__("grouplikes", [0, 1]), _set_generators((2, {2: (0, 2), 3: (1, 2)}))(d))),
+    ("plan:H8", ["classify-diffops", "--plan"], _set_generators(
+        (4, {4: (0, 4), 5: (1, 4), 6: (2, 4), 7: (3, 4)}),
+        (5, {5: (0, 5), 4: (1, 5), 7: (2, 5), 6: (3, 5)}))),
+    ("plan:H4", ["classify-diffops", "--plan"],
+     _set_generators((2, {2: (0, 2)}), (3, {3: (0, 3)}))),
 ], ids=["algebra", "operator", "action", "plan", "expected", "plan-uncovered",
-        "plan-grouplike-range", "plan-coset-range"])
+        "plan-grouplike-range", "plan-coset-range", "plan-partial-coradical",
+        "plan-overlapping-blocks", "plan-split-coset"])
 def test_malformed_file_exits_two(capsys, tmp_path, entry, argv, corrupt):
     path = tmp_path / "bad.json"
     code, payload, _ = invoke(capsys, "catalog", entry)
@@ -445,7 +496,8 @@ CORADICAL_FAULTS = {
 @pytest.mark.parametrize("fault", list(CORADICAL_FAULTS))
 def test_bad_coradical_declaration_exits_two_with_one_message(capsys, tmp_path, fault):
     """Every command that reads G(H) exits 2 with the same message for the
-    same fault; the plan file's message has the plan context in front.
+    same fault; the plan file's message, and the message of a plan derived
+    from the file, has its context in front.
     With no declaration grouplikes scans the basis instead, and commands
     that do not read G(H) still succeed."""
     declared, message = CORADICAL_FAULTS[fault]
@@ -466,6 +518,7 @@ def test_bad_coradical_declaration_exits_two_with_one_message(capsys, tmp_path, 
         files[entry] = tmp_path / f"{entry.replace(':', '_')}.json"
         files[entry].write_text(json.dumps(data))
     commands = [("monoid-table", "--algebra", path),
+                ("classify-diffops", "--algebra", path),
                 ("classify-diffops", "--plan", files["plan:H4"]),
                 ("ckmm-check", "--operator", files["op:ueps:H4"])]
     if declared is not None:
@@ -474,7 +527,8 @@ def test_bad_coradical_declaration_exits_two_with_one_message(capsys, tmp_path, 
         code, payload, err = invoke(capsys, command, flag, str(arg))
         assert code == 2
         assert payload["ok"] is False and payload["command"] == command
-        context = "bad plan file: " if command == "classify-diffops" else ""
+        context = ("" if command != "classify-diffops" else
+                   "bad plan file: " if flag == "--plan" else f"no search plan for {path}: ")
         assert payload["error"] == context + message
         assert "Traceback" not in err
     for command in ("validate", "primitives") + (("grouplikes",) if declared is None else ()):

@@ -1,16 +1,19 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from hopfdiff import catalog
-from hopfdiff.diffops import DiffOp, check_diffop
+from hopfdiff.cli import run
+from hopfdiff.diffops import DiffOp, all_diffops_on_group_algebra, check_diffop
 from hopfdiff.exactlin import Mat
 from hopfdiff.hopf import basis_vec
 from hopfdiff.solver import (
     GeneratorBlock,
     SearchPlan,
     classify_diffops,
+    derive_plan,
     f2_characters,
     rational_roots,
     solve_quadratic_in_group_algebra,
@@ -180,6 +183,101 @@ def test_plan_validation_requires_cover(h4):
     plan = SearchPlan(h4, [0, 1], [GeneratorBlock(generator=2, cosets={2: (0, 2)})])
     with pytest.raises(ValueError, match="cover"):
         plan.validate()
+
+
+@pytest.mark.parametrize("name, grouplikes, blocks, message", [
+    ("kC2xC2", [0, 1], [(2, {2: (0, 2), 3: (1, 2)})],
+     r"plan group-likes \[0, 1\] are not the declared coradical \[0, 1, 2, 3\] of kC2xC2"),
+    ("H8", [0, 1, 2, 3], [(4, {4: (0, 4), 5: (1, 4), 6: (2, 4), 7: (3, 4)}),
+                          (5, {5: (0, 5), 4: (1, 5), 7: (2, 5), 6: (3, 5)})],
+     r"xz fits no block: 1 \* xz = xz is not a basis vector outside the coradical "
+     r"and the earlier blocks"),
+    ("H4", [0, 1], [(2, {2: (0, 2)}), (3, {3: (0, 3)})],
+     r"gx fits no block: 1 \* gx = gx is not a basis vector"),
+], ids=["partial-coradical", "overlapping-blocks", "split-coset"])
+def test_plan_validation_rejects_what_the_engine_cannot_use(name, grouplikes, blocks, message):
+    """The engine branches over the endomorphisms of the whole declared
+    coradical and reads every block as one full coset.  Classified without
+    these checks, 48 of the first plan's 64 branch listings contradict
+    their branch's group images, and the second plan comes back partial
+    with 0 operators, where H8 has 6."""
+    plan = SearchPlan(catalog.build(name), grouplikes,
+                      [GeneratorBlock(c, cosets) for c, cosets in blocks])
+    with pytest.raises(ValueError, match=message):
+        plan.validate()
+
+
+# The four catalog plans as they were typed by hand before the catalog
+# derived them, frozen: grouplikes, (generator, cosets) per block, and
+# the commutation notes.
+FROZEN_PLANS = {
+    "H4": ([0, 1], [(2, {2: (0, 2), 3: (1, 2)})], {"xg": "-gx"}),
+    "H8": ([0, 1, 2, 3], [(4, {4: (0, 4), 5: (1, 4), 6: (2, 4), 7: (3, 4)})],
+           {"zx": "yz", "zy": "xz"}),
+    "kC2": ([0, 1], [], None),
+    "kC2xC2": ([0, 1, 2, 3], [], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_PLANS))
+def test_derived_plan_equals_the_hand_typed_plan(name):
+    grouplikes, blocks, commutation = FROZEN_PLANS[name]
+    for plan in (derive_plan(catalog.build(name)), catalog.build(f"plan:{name}")):
+        assert plan.grouplike_indices == grouplikes
+        assert [(b.generator, b.cosets) for b in plan.blocks] == blocks
+        assert plan.commutation == commutation
+
+
+@pytest.mark.parametrize("name", ["kC2", "kC4", "kC2xC2", "kS3", "kD4"])
+def test_derived_plan_classifies_a_group_algebra_like_enumeration(name):
+    h = catalog.build(name)
+    result = classify_diffops(derive_plan(h))
+    assert result.certificate == "complete"
+    found = [tuple(op.map.matrix.entries) for op in result.operators]
+    enumerated = {tuple(op.map.matrix.entries) for op in all_diffops_on_group_algebra(h)}
+    assert len(found) == len(enumerated) and set(found) == enumerated
+
+
+def _d4_reckoning():
+    """(endomorphisms, bijective difference operators) of D4, counted
+    without hopfdiff.  D4 is the symmetry group of a square, as
+    permutations of its corners, and every element is r^k s^m for the
+    rotation r and a reflection s.  An endomorphism phi is fixed by
+    (phi(r), phi(s)); each of the 64 pairs gives a map r^k s^m ->
+    phi(r)^k phi(s)^m, kept when it is multiplicative on all pairs.  The
+    difference operators are g -> phi(g) g^-1, one per endomorphism."""
+    e = (0, 1, 2, 3)
+
+    def mul(p, q):
+        return tuple(p[i] for i in q)
+
+    def power(p, k):
+        out = e
+        for _ in range(k):
+            out = mul(out, p)
+        return out
+
+    r, s = (1, 2, 3, 0), (0, 3, 2, 1)
+    words = [(k, m) for k in range(4) for m in range(2)]
+    group = [mul(power(r, k), power(s, m)) for k, m in words]
+    assert len(set(group)) == 8
+    inv = {g: next(h for h in group if mul(g, h) == e) for g in group}
+    endos = bijective = 0
+    for a, b in itertools.product(group, repeat=2):
+        phi = {g: mul(power(a, k), power(b, m)) for g, (k, m) in zip(group, words)}
+        if all(phi[mul(g, h)] == mul(phi[g], phi[h]) for g in group for h in group):
+            endos += 1
+            bijective += len({mul(phi[g], inv[g]) for g in group}) == 8
+    return endos, bijective
+
+
+def test_kd4_counts_agree_with_a_reckoning_without_hopfdiff(capsys):
+    assert _d4_reckoning() == (36, 12)
+    assert run(["classify-diffops", "--algebra", "kD4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["certificate"] == "complete"
+    assert report["operator_count"] == 36
+    assert sum(op["bijective"] for op in report["operators"]) == 12
 
 
 def test_h8_collapse_operator_is_genuine(h8, h8_classification):
