@@ -575,6 +575,11 @@ REPORT_SHA256 = {
     "catalog-plan-kC2": (0, "d2503011126204d365c9be23fb89d086282377d62e270b84a440c42b4c1cc0ba"),
     "catalog-plan-kC2xC2": (0, "0fc3bbfbef3637c3a0814b54178dd56b3c9bd55adb641cef6e89569ae16d5290"),
     "classify-diffops-H8": (0, "7798a9fa820bbc885aeae1d7582208f377dfec37cbe16b8a30497377fead2911"),
+    "classify-diffops-kS3": (0, "3b0bbc15b179240a27b4fce4c7e17d79372197779c254b141d8ec879da164ca5"),
+    "classify-diffops-kD4": (0, "d9994bdaf2ac2b526ce9bec400469872090c7832c11dc43aede050caa2155c2f"),
+    "classify-diffops-kC4": (0, "659990f78a20353b84c17b65d2e5ebd2043ae6a3150a42acdeae5a1c90565069"),
+    "classify-diffops-kC2": (0, "6ee36d573c583092cf9d7d808455af24f9dc4947d10d3824b7081b813d2cb334"),
+    "classify-diffops-kC2xC2": (0, "ea0804de46490fe1cdc761e8f6f67241f36ed060d3ca4d49adbd6212ef74d518"),
 }
 
 
@@ -611,6 +616,12 @@ REPORT_SHA256 = {
     ("catalog-plan-kC2", ["catalog", "plan:kC2"]),
     ("catalog-plan-kC2xC2", ["catalog", "plan:kC2xC2"]),
     ("classify-diffops-H8", ["classify-diffops", "--plan", "plan:H8"]),
+    # the group algebras, whose plans have no blocks
+    ("classify-diffops-kS3", ["classify-diffops", "--algebra", "kS3"]),
+    ("classify-diffops-kD4", ["classify-diffops", "--algebra", "kD4"]),
+    ("classify-diffops-kC4", ["classify-diffops", "--algebra", "kC4"]),
+    ("classify-diffops-kC2", ["classify-diffops", "--plan", "plan:kC2"]),
+    ("classify-diffops-kC2xC2", ["classify-diffops", "--plan", "plan:kC2xC2"]),
 ])
 def test_action_reports_are_byte_identical(capsys, tmp_path, name, argv):
     """The exit code and full stdout of one run of every command, the
