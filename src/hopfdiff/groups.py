@@ -308,9 +308,11 @@ def coradical_group(h: FinDimHopf):
     of :func:`group_algebra`.
 
     A missing declaration, one that does not list distinct basis indices,
-    a declared element that is not group-like and a product that leaves
-    the declared basis raise ValueError; the last two name the element or
-    the pair.
+    a declared element that is not group-like, a product that leaves the
+    declared basis and a group-like basis element left out of the
+    declaration raise ValueError; the last three name the element or the
+    pair.  Only basis elements are scanned: a group-like that is not a basis
+    vector goes unnoticed.
     """
     if h.coradical_group_basis is None:
         raise ValueError("no declared group-algebra coradical")
@@ -333,6 +335,10 @@ def coradical_group(h: FinDimHopf):
                                  f"at ({h.label(a)}, {h.label(b)})")
             row.append(pos[hits[0]])
         table.append(row)
+    for b in range(h.dim):
+        if b not in pos and is_grouplike(h, basis_vec(h.dim, b)):
+            raise ValueError(f"basis element {h.label(b)} is group-like but not in the "
+                             f"declared coradical")
     return FinGroup([h.label(b) for b in idxs], table, name=f"G({h.name})"), idxs, pos
 
 

@@ -10,10 +10,12 @@ The search runs in four phases:
    constraint that is affine in them is solved immediately;
 3. the remaining polynomial constraints (the difference identity on all
    basis pairs plus the quadratic comultiplication blocks) are reduced by
-   repeated exact linear elimination; residual quadratic systems are
-   dispatched through the character transform of the coradical group when
-   they take the univariate shape q(p) = r over its group algebra, and
-   any shape beyond that downgrades the certificate to partial;
+   repeated exact linear elimination, then branched on the rational roots
+   that the equations force on one affine form at a time; over an
+   exponent-two coradical, a residual system of the univariate shape
+   q(p) = r over the group algebra is first solved through the character
+   transform.  A branch is partial only when this engine stalls: no form
+   is left whose roots the equations force;
 4. every surviving candidate is re-verified by the full difference
    operator check, and the bijective filter is applied last.
 
@@ -38,14 +40,13 @@ in the recorded candidate sets and in the frozen operators.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, ZERO, int_echelon, invert, kernel, rat
-from .hopf import FinDimHopf, basis_vec, int_structure
+from .exactlin import Mat, ONE, int_echelon, invert, kernel, rat
+from .hopf import FinDimHopf, int_structure
 from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
 
@@ -146,9 +147,11 @@ class NotFiniteError(Exception):
 
 
 def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
-    """All rational roots of sum coeffs[k] t^k, in increasing order.
+    """All rational roots of sum coeffs[k] t^k, in increasing order, for
+    a polynomial of degree at most two.
 
-    Raises NotFiniteError for the zero polynomial.
+    Raises NotFiniteError for the zero polynomial and ValueError above
+    degree two.
     """
     coeffs = [rat(c) for c in coeffs]
     while coeffs and not coeffs[-1]:
@@ -159,49 +162,26 @@ def rational_roots(coeffs: list[Fraction]) -> list[Fraction]:
         return []
     if len(coeffs) == 2:
         return [-coeffs[0] / coeffs[1]]
-    if len(coeffs) == 3:
-        c, b, a = coeffs
-        disc = b * b - 4 * a * c
-        if disc < 0:
-            return []
-        root = _rational_sqrt(disc)
-        if root is None:
-            return []
-        return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
-    # generic rational-root-theorem fallback for higher degree
-    denom = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * denom) for c in coeffs]
-    lead, const = ints[-1], ints[0]
-    if const == 0:
-        shifted = rational_roots([rat(c) for c in coeffs[1:]])
-        return sorted(set(shifted) | {ZERO})
-    roots = set()
-    for p in _divisors(abs(const)):
-        for q in _divisors(abs(lead)):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if not sum(c * cand ** k for k, c in enumerate(coeffs)):
-                    roots.add(cand)
-    return sorted(roots)
+    if len(coeffs) > 3:
+        raise ValueError("only polynomials of degree at most two are solved")
+    c, b, a = coeffs
+    disc = b * b - 4 * a * c
+    if disc < 0:
+        return []
+    root = _rational_sqrt(disc)
+    if root is None:
+        return []
+    return sorted({(-b - root) / (2 * a), (-b + root) / (2 * a)})
 
 
 def _rational_sqrt(x: Fraction):
     if x < 0:
         return None
-    pn = math.isqrt(x.numerator)
-    pd = math.isqrt(x.denominator)
+    pn = isqrt(x.numerator)
+    pd = isqrt(x.denominator)
     if pn * pn == x.numerator and pd * pd == x.denominator:
         return Fraction(pn, pd)
     return None
-
-
-def _divisors(n: int):
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +266,24 @@ class GeneratorBlock:
 
 @dataclass
 class SearchPlan:
+    """The declared coradical G(H) and the blocks of the coset rule.
+
+    The rule is all the engine needs; the shape of the coproducts is not
+    restricted:
+
+    - every basis element is a group-like or g c for one block generator
+      c, and every difference operator has D(g c) = D(g) g D(c) S(g),
+      since the double coproduct of a group-like g is g (x) g (x) g.  So
+      the branch images (:class:`_Branch`) cover every operator;
+    - the counit, comultiplication and difference-identity constraints
+      are necessary conditions whatever the coproducts are, and they stay
+      of degree at most two in the branch parameters;
+    - the character dispatch only narrows the coset part of a generator
+      image to candidates that contain the roots the equations force;
+    - phase 4 checks every candidate with the full difference-operator
+      check.
+    """
+
     target: FinDimHopf
     grouplike_indices: list[int]
     blocks: list[GeneratorBlock]
@@ -304,14 +302,6 @@ class SearchPlan:
             if block.cosets != coset.cosets:
                 raise ValueError(f"the block of {h.label(block.generator)} must cover its "
                                  f"coset {coset.cosets} exactly, not {block.cosets}")
-            # triangularity: the generator's coproduct lives on
-            # (coradical + own coset) x (coradical + own coset)
-            allowed = set(idxs) | set(coset.cosets)
-            for (i, j, _) in h.comult_triples(block.generator):
-                if i not in allowed or j not in allowed:
-                    raise ValueError(
-                        f"triangularity fails: coproduct of {h.label(block.generator)} "
-                        f"meets {h.label(i)} (x) {h.label(j)}")
         # advisory data; only sanity-checked for type
         if self.commutation and not isinstance(self.commutation, dict):
             raise ValueError("commutation data must be a mapping")
@@ -786,9 +776,9 @@ class _Engine:
         """Recognize the q(p) = r shape over the coset block of the first
         scheduled generator and solve it through the character transform,
         recording the intermediate candidate set."""
-        plan = self.branch.plan
-        if not plan.blocks or not self.char_group.has_exponent_two():
+        if not self.signs:
             return None
+        plan = self.branch.plan
         block = plan.blocks[0]
         cols, den = images
         u = cols[block.generator]
@@ -854,10 +844,7 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
     plan.validate()
     h = plan.target
     group, idxs, pos = coradical_group(h)
-    try:
-        chars, _ = f2_characters(group)
-    except ValueError:
-        chars = None
+    chars = f2_characters(group)[0] if group.has_exponent_two() else []
     branches = []
     operators = []
     certificate = "complete"
@@ -867,24 +854,12 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
         d_group = diffop_from_endo(endo)
         d_on_group = {idxs[g]: idxs[d_group(g)] for g in range(group.order)}
         labels = [h.label(d_on_group[b]) for b in idxs]
-        if not plan.blocks:
-            cols = [basis_vec(h.dim, d_on_group.get(b, b)) for b in range(h.dim)]
-            ops = [cols]
-            record = None
-            partial = None
-        else:
-            branch = _Branch(tables, d_on_group)
-            engine = _Engine(branch, chars or [], group)
-            if chars is None:
-                ops = None
-                engine.partial_reason = "coradical group is not elementary abelian of exponent 2"
-            else:
-                ops = engine.run()
-            record = branch.record
-            partial = engine.partial_reason
+        branch = _Branch(tables, d_on_group)
+        engine = _Engine(branch, chars, group)
+        ops = engine.run()
         if ops is None:
             branches.append(BranchReport(bi, labels, "partial", [],
-                                         record, partial))
+                                         branch.record, engine.partial_reason))
             certificate = "partial"
             continue
         # phase 4: the engine only imposes necessary conditions, so the
@@ -898,7 +873,7 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
         branches.append(BranchReport(
             bi, labels, "complete" if verified else "empty",
             [[list(op.map.matrix.col(j)) for j in range(h.dim)] for op in verified],
-            record))
+            branch.record))
         operators.extend(verified)
     if bijective_only:
         operators = [op for op in operators if op.bijective]

@@ -490,6 +490,7 @@ CORADICAL_FAULTS = {
     "not-grouplike": ([0, 2], "declared coradical element x is not group-like"),
     "undeclared": (None, "no declared group-algebra coradical"),
     "not-basis-indices": ([0, 9], "declared coradical must list distinct basis indices"),
+    "missing-grouplike": ([0], "basis element g is group-like but not in the declared coradical"),
 }
 
 
@@ -536,6 +537,24 @@ def test_bad_coradical_declaration_exits_two_with_one_message(capsys, tmp_path, 
         assert code == 0 and payload["ok"] is True
         if command == "grouplikes":
             assert payload["complete"] is False and payload["elements"] == ["1", "g"]
+
+
+def test_a_proper_subgroup_declared_as_the_coradical_exits_two(capsys, tmp_path):
+    """kC2xC2 declared with the coradical {1, x}: the classification would
+    search only the branches of that subgroup (8 operators, where kC2xC2
+    has 16) and still read complete."""
+    path = export_entry(capsys, tmp_path, "kC2xC2", "kc2xc2.json")
+    algebra = json.loads(open(path).read())
+    algebra["coradical_group_basis"] = [0, 1]
+    with open(path, "w") as f:
+        f.write(json.dumps(algebra))
+    message = "basis element y is group-like but not in the declared coradical"
+    for command, context in (("classify-diffops", f"no search plan for {path}: "),
+                             ("grouplikes", "")):
+        code, payload, err = invoke(capsys, command, "--algebra", path)
+        assert code == 2
+        assert payload["error"] == context + message
+        assert "Traceback" not in err
 
 
 def test_monoid_table_on_a_non_group_algebra_exits_two(capsys):
