@@ -19,18 +19,18 @@ The action layer runs on integer tables.  The two checkers read both
 carriers from :func:`hopfdiff.hopf.int_structure` and the action from
 its ``act_int``, compared cross-multiplied by the known denominators, so
 no ``Fraction`` is built inside their loops; the rational entry points
-(``act_rational``, ``act`` and the adapters ``act_on``, ``act_basis``
-and ``derivation``) are read off the same engine.  Every report is
+(``act_rational``, ``act`` and the adapters ``act_on`` and
+``act_basis``) are read off the same engine.  Every report is
 identical to the one rational arithmetic gives.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import filterfalse, repeat
 
-from .exactlin import Mat, ONE, ZERO, in_span, rat, row_space_basis
+from .exactlin import Mat, ONE, ZERO, Record, in_span, rat, row_space_basis
 from .hopf import (
     AxiomReport,
     CarrierOps,
@@ -89,6 +89,13 @@ class IntAction:
 
     def act_int(self, a: int, u) -> list:
         raise NotImplementedError
+
+    def basis_values(self) -> list:
+        """values[a][x] = act_int(a, e_x), or the OutOfBudgetError it
+        raised, for every basis pair."""
+        n = self.target.dim
+        return [[_attempt(self.act_int, a, ((x, 1),)) for x in range(n)]
+                for a in range(self.acting.dim)]
 
     def act_rational(self, a: int, u: Vec) -> Vec:
         """Basis a of K acting on the rational H-vector u, through act_int."""
@@ -183,26 +190,50 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
     sparse integers or as the OutOfBudgetError it raised; each side of an
     identity is compared after cross-multiplying by the denominators the
     other side carries.
-    A tuple that needs a stored error or a basis product that leaves a
-    truncated carrier's budget is skipped as (loop name, *tuple), decided
-    from the stored entries once per table row; an error raised while
-    evaluating (act on a vector, or a product of two values) skips the
-    tuple too.
+
+    A tuple whose evaluation raises OutOfBudgetError is skipped as (loop
+    name, *tuple).  Which tuples these are is read from the stored
+    entries, the value table's errors and the basis products that leave a
+    truncated carrier's budget, so only the tuples they leave checkable
+    are evaluated; this relies on an action raising on a vector only where
+    it raises on one of its terms, as both kinds of action do.  Only an
+    action on a vector of several terms that may cancel before it raises
+    is tried.  Each table row's skip entries are emitted with one extend,
+    in loop order.
     """
     k, h = action.acting, action.target
     nk, nh = k.dim, h.dim
     act_int, den = action.act_int, action.den
     tk, th = int_structure(k), int_structure(h)
     # values[a][x] is act_int of basis a on e_x, or the error it raised
-    values = [[_attempt(act_int, a, ((x, 1),)) for x in range(nh)] for a in range(nk)]
+    values = action.basis_values()
     # missing[a] holds the x whose value a . e_x is a stored error, and
     # left[a] and right[a] those that some a1 . x or a2 . x needs
     missing = [{x for x, v in enumerate(row) if v.__class__ is OutOfBudgetError}
                for row in values]
     left = [set().union(*(missing[a1] for a1, _, _ in terms)) for terms in tk.comult]
     right = [set().union(*(missing[a2] for _, a2, _ in terms)) for terms in tk.comult]
+    everything = range(nh)
     failures = []
     skipped = []
+
+    def acted(a: int, u):
+        """act_int(a, u), or None where it raises: read off the value table
+        where no term of u needs a stored error, and acted out only where
+        several terms do, which may cancel."""
+        row = values[a]
+        if missing[a].isdisjoint([p for p, _ in u]):
+            out = [0] * nh
+            for p, c in u:
+                for q, v in row[p]:
+                    out[q] += c * v
+            return [(q, v) for q, v in enumerate(out) if v]
+        if len(u) == 1:
+            return None
+        try:
+            return act_int(a, u)
+        except OutOfBudgetError:
+            return None
 
     def module() -> int:
         # (ab) . x carries den * K's mult_den, a . (b . x) den^2
@@ -211,17 +242,13 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
             for b in range(nk):
                 prod = tk.mult[a][b]
                 if prod.__class__ is OutOfBudgetError:
-                    skipped.extend(("module", a, b, x) for x in range(nh))
+                    skipped.extend(zip(repeat("module"), repeat(a), repeat(b), everything))
                     continue
                 blocked = missing[b].union(*(missing[m] for m, _ in prod))
-                for x in range(nh):
-                    if x in blocked:
-                        skipped.append(("module", a, b, x))
-                        continue
-                    try:
-                        rhs = act_int(a, values[b][x])
-                    except OutOfBudgetError:
-                        skipped.append(("module", a, b, x))
+                for x in filterfalse(blocked.__contains__, everything):
+                    rhs = acted(a, values[b][x])
+                    if rhs is None:
+                        blocked.add(x)
                         continue
                     checked += 1
                     lhs = [0] * nh
@@ -231,38 +258,57 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                     if [(p, v * den) for p, v in enumerate(lhs) if v] != \
                             [(p, v * tk.mult_den) for p, v in rhs]:
                         failures.append(("module", a, b, x))
+                skipped.extend(zip(repeat("module"), repeat(a), repeat(b), sorted(blocked)))
         return checked
 
     def module_algebra() -> int:
         # a . (xy) carries den * H's mult_den, (a1 . x)(a2 . y) den^2 times
         # H's mult_den and K's comult_den
         scale = tk.comult_den * den
+        # beyond[x] holds the y whose basis product xy leaves H's budget,
+        # and reach[(a1, x)] those that some term of a1 . x meets there
+        beyond = [{y for y, v in enumerate(row) if v.__class__ is OutOfBudgetError}
+                  for row in th.mult]
+        reach: dict = {}
         checked = 0
         for a in range(nk):
             terms = tk.comult[a]
             for x in range(nh):
                 if x in left[a]:
-                    skipped.extend(("module-algebra", a, x, y) for y in range(nh))
+                    skipped.extend(zip(repeat("module-algebra"), repeat(a), repeat(x),
+                                       everything))
                     continue
                 row = th.mult[x]
-                for y in range(nh):
-                    prod = row[y]
-                    if y in right[a] or prod.__class__ is OutOfBudgetError:
-                        skipped.append(("module-algebra", a, x, y))
-                        continue
-                    try:
-                        lhs = act_int(a, prod)
-                        rhs = [0] * nh
-                        for a1, a2, c in terms:
-                            for p, v in th.mul(values[a1][x], values[a2][y]):
-                                rhs[p] += c * v
-                    except OutOfBudgetError:
-                        skipped.append(("module-algebra", a, x, y))
+                legs = []
+                for a1, a2, c in terms:
+                    far = reach.get((a1, x))
+                    if far is None:
+                        far = reach[(a1, x)] = set().union(
+                            *(beyond[p] for p, _ in values[a1][x]))
+                    legs.append((values[a1][x], far, values[a2], c))
+                blocked = right[a] | beyond[x]
+                for y in filterfalse(blocked.__contains__, everything):
+                    lhs = None
+                    if not any(p in far for _, far, second, _ in legs for p, _ in second[y]):
+                        lhs = acted(a, row[y])
+                    if lhs is None:
+                        blocked.add(y)
                         continue
                     checked += 1
+                    # no product leaves the budget here: multiply in place
+                    rhs = [0] * nh
+                    for first, _, second, c in legs:
+                        for p, v in first:
+                            cells = th.mult[p]
+                            for q, w in second[y]:
+                                cvw = c * v * w
+                                for r, z in cells[q]:
+                                    rhs[r] += cvw * z
                     if [(p, v * scale) for p, v in lhs] != \
                             [(p, v) for p, v in enumerate(rhs) if v]:
                         failures.append(("module-algebra", a, x, y))
+                skipped.extend(zip(repeat("module-algebra"), repeat(a), repeat(x),
+                                   sorted(blocked)))
         return checked
 
     def bialgebra() -> int:
@@ -272,13 +318,14 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
         checked = 0
         for a in range(nk):
             aterms = tk.comult[a]
+            blocked = []
             for x in range(nh):
                 value = values[a][x]
                 xterms = th.comult[x]
                 if value.__class__ is OutOfBudgetError \
                         or any(x1 in left[a] for x1, _, _ in xterms) \
                         or any(x2 in right[a] for _, x2, _ in xterms):
-                    skipped.append(("bialgebra", a, x))
+                    blocked.append(x)
                     continue
                 checked += 1
                 if sum(v * th.counit[p] for p, v in value) * tk.counit_den != \
@@ -299,6 +346,7 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                                 rhs[(p, q)] = rhs.get((p, q), 0) + cev * w
                 if {key: v * scale for key, v in lhs.items() if v} != _nonzero(rhs):
                     failures.append(("comult", a, x))
+            skipped.extend(zip(repeat("bialgebra"), repeat(a), blocked))
         return checked
 
     loops = {"module": module, "module-algebra": module_algebra, "bialgebra": bialgebra}
@@ -414,13 +462,15 @@ def crossed_hom_report(action: IntAction, cols) -> CheckReport:
     return CheckReport(not failures, failures, skipped, checked)
 
 
-@dataclass
-class CrossedHom:
+class CrossedHom(Record):
     """A verified crossed homomorphism together with its action."""
 
-    map: LinMap
-    action: ActionData
-    verified: bool = field(default=False)
+    _fields = ("map", "action", "verified")
+
+    def __init__(self, map: LinMap, action: ActionData, verified: bool = False):
+        self.map = map
+        self.action = action
+        self.verified = verified
 
     @classmethod
     def verify(cls, pi: LinMap, action: ActionData) -> "CrossedHom":
@@ -632,11 +682,13 @@ def graph_vector(k, cols, a: int, smash) -> Vec:
     return vec
 
 
-@dataclass
-class GraphResult:
-    basis: list  # reduced-echelon basis of Gr_pi inside H (x) K
-    closed: bool  # closure under the smash multiplication
-    witness: tuple | None
+class GraphResult(Record):
+    _fields = ("basis", "closed", "witness")
+
+    def __init__(self, basis: list, closed: bool, witness: tuple | None):
+        self.basis = basis  # reduced-echelon basis of Gr_pi inside H (x) K
+        self.closed = closed  # closure under the smash multiplication
+        self.witness = witness
 
 
 def graph_of(pi: LinMap, action: ActionData, smash=None) -> GraphResult:

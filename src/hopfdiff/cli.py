@@ -19,6 +19,7 @@ from .hopf import (
     FinDimHopf,
     InvalidAlgebraError,
     LinMap,
+    OutOfBudgetError,
     axiom_report,
     basis_vec,
     grouplikes,
@@ -485,7 +486,11 @@ def _free_lie_task(args):
                         f"on {rep.checked} in-budget pairs")
     if task == "mm-check":
         tv = TruncatedTensor(generators, budget)
-        action = adjoint_derivation_action(tv)
+        try:
+            action = adjoint_derivation_action(tv)
+        except OutOfBudgetError as exc:
+            raise InputError(f"mm-check needs budget 2 or more for the brackets of "
+                             f"the adjoint action: {exc}")
         if args.phi:
             pi = _load_phi(args.phi, tv)
         else:

@@ -22,11 +22,10 @@ to the one rational arithmetic gives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .exactlin import Mat, ONE, ZERO, invert
+from .exactlin import Mat, ONE, ZERO, Record, invert
 from .hopf import (
     CheckReport,
     FinDimHopf,
@@ -51,14 +50,16 @@ from .hopf import (
 )
 
 
-@dataclass
-class DiffOp:
+class DiffOp(Record):
     """A verified difference operator."""
 
-    map: LinMap
-    verified: bool
-    bijective: bool
-    inverse: Mat | None = None
+    _fields = ("map", "verified", "bijective", "inverse")
+
+    def __init__(self, map: LinMap, verified: bool, bijective: bool, inverse: Mat | None = None):
+        self.map = map
+        self.verified = verified
+        self.bijective = bijective
+        self.inverse = inverse
 
 
 def diff_identity_report(h, matrix: Mat) -> CheckReport:
@@ -319,15 +320,17 @@ def rota_baxter_inverse(h: FinDimHopf, d: DiffOp) -> tuple[LinMap, CheckReport]:
 
 # -- difference module bialgebras and smash extensions -------------------------
 
-@dataclass
-class DiffModuleBialgebra:
+class DiffModuleBialgebra(Record):
     """A compatible pair of difference Hopf algebras over an action of
     K = action.acting on H = action.target."""
 
-    d_h: LinMap
-    d_k: LinMap
-    action: "ActionData"
-    verified: bool = False
+    _fields = ("d_h", "d_k", "action", "verified")
+
+    def __init__(self, d_h: LinMap, d_k: LinMap, action: "ActionData", verified: bool = False):
+        self.d_h = d_h
+        self.d_k = d_k
+        self.action = action
+        self.verified = verified
 
 
 def compatibility_failures(action, d_h, d_k) -> list:

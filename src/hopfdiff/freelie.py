@@ -21,14 +21,13 @@ products, so the module-axiom and crossed-homomorphism checks behind
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .actions import (ActionData, IntAction, TruncatedSmash, _rational, crossed_hom_report,
                       graph_vector, module_axiom_report, smash_vec)
 from .diffops import check_diffop, compatibility_failures, smash_extension_columns
-from .exactlin import Mat, ONE, ZERO, in_span, invert, rat, row_space_basis
+from .exactlin import Mat, ONE, ZERO, Record, in_span, int_echelon, invert, rat, row_space_basis
 from .hopf import (
     CarrierOps,
     CheckReport,
@@ -39,10 +38,10 @@ from .hopf import (
     _sparse_ints,
     _stored,
     algebra_map_failures,
-    apply_cols,
     basis_vec,
     coalgebra_map_report,
     convolve_columns,
+    int_columns,
     int_structure,
     primitives,
     vec_add,
@@ -126,9 +125,10 @@ def _is_lyndon(w) -> bool:
 
 
 def bracket_expansion(w) -> dict:
-    """The bracketed Lyndon word as a word-coefficient dictionary."""
+    """The bracketed Lyndon word as a dictionary of integer word
+    coefficients."""
     if len(w) == 1:
-        return {w: ONE}
+        return {w: 1}
     u, v = standard_factorization(w)
     left = bracket_expansion(u)
     right = bracket_expansion(v)
@@ -137,9 +137,9 @@ def bracket_expansion(w) -> dict:
         for wv, cv in right.items():
             c = cu * cv
             key = wu + wv
-            out[key] = out.get(key, ZERO) + c
+            out[key] = out.get(key, 0) + c
             key = wv + wu
-            out[key] = out.get(key, ZERO) - c
+            out[key] = out.get(key, 0) - c
     return {k: c for k, c in out.items() if c}
 
 
@@ -168,6 +168,7 @@ class TruncatedTensor(CarrierOps):
         self.dim = len(self.words)
         self._letters = "abc"
         self._comult_cache: dict = {}
+        self._shuffle_cache: dict = {0: {(0, 0): 1}}
 
     def degree(self, i: int) -> int:
         return len(self.words[i])
@@ -190,24 +191,32 @@ class TruncatedTensor(CarrierOps):
     def comult_triples(self, i: int):
         cached = self._comult_cache.get(i)
         if cached is None:
-            w = self.words[i]
-            counts: dict = {}
-            for mask in range(1 << len(w)):
-                left = tuple(w[p] for p in range(len(w)) if mask >> p & 1)
-                right = tuple(w[p] for p in range(len(w)) if not mask >> p & 1)
-                key = (self.index[left], self.index[right])
-                counts[key] = counts.get(key, 0) + 1
-            cached = sorted((a, b, rat(c)) for (a, b), c in counts.items())
-            self._comult_cache[i] = cached
+            cached = self._comult_cache[i] = sorted(
+                (a, b, rat(c)) for (a, b), c in self._shuffles(i).items())
         return cached
+
+    def _shuffles(self, i: int) -> dict:
+        """{(a, b): c} with D(word i) = sum c a (x) b, by the recursion
+        D(w x) = D(w) (x (x) 1 + 1 (x) x) from the prefix's counts."""
+        counts = self._shuffle_cache.get(i)
+        if counts is None:
+            words, index = self.words, self.index
+            *prefix, x = words[i]
+            counts = {}
+            for (a, b), c in self._shuffles(index[tuple(prefix)]).items():
+                for key in ((index[words[a] + (x,)], b), (a, index[words[b] + (x,)])):
+                    counts[key] = counts.get(key, 0) + c
+            self._shuffle_cache[i] = counts
+        return counts
 
     def counit_coeff(self, i: int) -> Fraction:
         return ONE if i == 0 else ZERO
 
     def antipode_basis(self, i: int) -> Vec:
         w = self.words[i]
-        sign = ONE if len(w) % 2 == 0 else -ONE
-        return vec_scale(sign, basis_vec(self.dim, self.index[w[::-1]]))
+        out = zero_vec(self.dim)
+        out[self.index[w[::-1]]] = ONE if len(w) % 2 == 0 else -ONE
+        return out
 
     def word_vec(self, w) -> Vec:
         return basis_vec(self.dim, self.index[tuple(w)])
@@ -229,16 +238,14 @@ class TruncatedTensor(CarrierOps):
         return f"TruncatedTensor({self.generators} letters, budget {self.budget})"
 
 
-@dataclass
-class LyndonBasis:
+class LyndonBasis(Record):
     """Per-degree Lyndon words with their bracketed expansions in T(V)."""
 
-    tensor: TruncatedTensor
-    by_degree: dict = field(init=False)
-    vectors: list = field(init=False)  # flat list of (word, Vec)
+    _fields = ("tensor", "by_degree", "vectors")
 
-    def __post_init__(self):
-        k, budget = self.tensor.generators, self.tensor.budget
+    def __init__(self, tensor: TruncatedTensor):
+        self.tensor = tensor
+        k, budget = tensor.generators, tensor.budget
         self.by_degree = lyndon_words(k, budget)
         for n in range(1, budget + 1):
             expected = witt_dimension(k, n)
@@ -246,10 +253,10 @@ class LyndonBasis:
                 raise AssertionError(
                     f"Lyndon count at degree {n} is {len(self.by_degree[n])}, "
                     f"necklace count says {expected}")
-        self.vectors = []
+        self.vectors = []  # flat list of (word, Vec)
         for n in range(1, budget + 1):
             for w in self.by_degree[n]:
-                self.vectors.append((w, self.tensor.from_word_coeffs(bracket_expansion(w))))
+                self.vectors.append((w, tensor.from_word_coeffs(bracket_expansion(w))))
 
     def dims(self) -> list[int]:
         return [len(self.by_degree[n]) for n in range(1, self.tensor.budget + 1)]
@@ -431,8 +438,8 @@ class DerivationAction(IntAction):
     monomial.  A derivation of a vector sums its coordinates times
     these columns in ascending basis order and raises a fresh copy of the
     first stored error it meets, just where a monomial-by-monomial
-    rational expansion raises.  act_basis and derivation are rational
-    adapters over act_int.
+    rational expansion raises.  act_basis is the rational adapter over
+    act_int.
     """
 
     def __init__(self, acting, target, gen_images):
@@ -472,14 +479,14 @@ class DerivationAction(IntAction):
     def _derive(self, x: int, u) -> list:
         """leibniz_den times the derivation of x on the sparse integer u."""
         columns = self._columns
-        out = [0] * self.target.dim
+        out: dict = {}
         for i, c in u:
             col = columns.get((x, i))
             if col is None:
                 col = columns[(x, i)] = _attempt(self._leibniz, x, i)
             for k, v in _stored(col):
-                out[k] += c * v
-        return [(k, v) for k, v in enumerate(out) if v]
+                out[k] = out.get(k, 0) + c * v
+        return sorted([(k, v) for k, v in out.items() if v])
 
     def act_int(self, a: int, u) -> list:
         """den times basis monomial a acting on the sparse integer u, by
@@ -490,10 +497,29 @@ class DerivationAction(IntAction):
         scale = self.leibniz_den ** (self._acting_depth - len(factors))
         return [(k, v * scale) for k, v in u]
 
-    def derivation(self, x: int, u: Vec) -> Vec:
-        """Apply the derivation of acting generator x to u."""
-        den, (ints,) = _sparse_ints([u])
-        return _rational(self._derive(x, ints), den * self.leibniz_den, len(u))
+    def basis_values(self) -> list:
+        """act_int(a, e_x), or the error it raised, for every basis pair:
+        the chain of derivations of a monomial is the chain of its tail
+        followed by the derivation of its first factor, so each chain is
+        one derivation of a tabulated one."""
+        chains = {(): [((x, 1),) for x in range(self.target.dim)]}
+
+        def chain(factors: tuple) -> list:
+            row = chains.get(factors)
+            if row is None:
+                x = factors[0]
+                row = chains[factors] = [
+                    u if u.__class__ is OutOfBudgetError else _attempt(self._derive, x, u)
+                    for u in chain(factors[1:])]
+            return row
+
+        values = []
+        for a in range(self.acting.dim):
+            factors = tuple(self.acting.monomial_factors(a))
+            scale = self.leibniz_den ** (self._acting_depth - len(factors))
+            values.append([u if u.__class__ is OutOfBudgetError else [(k, v * scale) for k, v in u]
+                           for u in chain(factors)])
+        return values
 
     def act_basis(self, a: int, u: Vec) -> Vec:
         """Module action of an acting basis monomial on the vector u."""
@@ -574,6 +600,87 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
 # Every function here takes the one DerivationAction of K = action.acting
 # on H = action.target: K's monomials, products and coproducts are read
 # from the first, and the values, units and products from the second.
+# The extension, the free values and the degree systems run on integers:
+# an H-vector is sparse (k, m) pairs in ascending k over a denominator
+# kept beside it, products come from the IntStructure tables and the
+# action from act_int, and Fraction values are built only for what the
+# public functions return.
+
+def _rescaled(u, s: int) -> tuple:
+    return tuple([(k, m * s) for k, m in u])
+
+
+def _apply_int(cols, u, n: int) -> list:
+    """sum c cols[i] over the sparse integer u, for sparse integer
+    columns; an unknown column that u needs raises its stored error."""
+    out = [0] * n
+    for i, c in u:
+        for p, m in _stored(cols[i]):
+            out[p] += c * m
+    return [(p, m) for p, m in enumerate(out) if m]
+
+
+def _lie_ints(k: TruncatedTensor, word) -> list:
+    """The bracketed Lyndon word as sparse integer pairs over K's basis."""
+    return sorted((k.index[w], c) for w, c in bracket_expansion(word).items())
+
+
+def _rational_columns(cols, den: int, n: int) -> list:
+    """The rational n-vectors of sparse integer columns over den, None for
+    a stored error."""
+    return [None if c.__class__ is OutOfBudgetError else _rational(c, den, n) for c in cols]
+
+
+def _free_values_int(action: DerivationAction, gen_images: list[Vec]) -> list:
+    """(word, value) for the bracketed Lyndon basis of K, each value the
+    pair (sparse integers, denominator) in lowest terms, or None where it
+    leaves the budget."""
+    k, h = action.acting, action.target
+    t = int_structure(h)
+    act_int, aden = action.act_int, action.den
+    pden, pis = _sparse_ints(gen_images)
+    values: dict = {}
+
+    def value(word):
+        if word in values:
+            return values[word]
+        if len(word) == 1:
+            out = (pis[word[0]], pden)
+        else:
+            u, v = standard_factorization(word)
+            du, dv = value(u), value(v)
+            out = None
+            if du is not None and dv is not None:
+                (uu, udn), (vv, vdn) = du, dv
+                # u . dv carries aden * vdn, v . du aden * udn and the
+                # bracket H's mult_den * udn * vdn; all over their product
+                acc = [0] * h.dim
+                try:
+                    for terms, s in ((_bracket_terms(act_int, k, u, vv), t.mult_den * udn),
+                                     (_bracket_terms(act_int, k, v, uu), -t.mult_den * vdn),
+                                     (t.mul(uu, vv), aden), (t.mul(vv, uu), -aden)):
+                        for p, m in terms:
+                            acc[p] += s * m
+                    den = aden * t.mult_den * udn * vdn
+                    g = gcd(den, *acc)
+                    out = (tuple([(p, m // g) for p, m in enumerate(acc) if m]), den // g)
+                except OutOfBudgetError:
+                    pass
+        values[word] = out
+        return out
+
+    by_length = lyndon_words(k.generators, k.budget)
+    return [(w, value(w)) for n in range(1, k.budget + 1) for w in by_length[n]]
+
+
+def _bracket_terms(act_int, k: TruncatedTensor, word, u) -> list:
+    """den times the bracketed word acting on the sparse integer u."""
+    out: dict = {}
+    for a, c in _lie_ints(k, word):
+        for p, m in act_int(a, u):
+            out[p] = out.get(p, 0) + c * m
+    return list(out.items())
+
 
 def free_crossed_hom_values(action: DerivationAction, gen_images: list[Vec]):
     """Values in H of the free crossed homomorphism on the bracketed
@@ -586,34 +693,9 @@ def free_crossed_hom_values(action: DerivationAction, gen_images: list[Vec]):
     standard factorization.  Entries that leave the budget come back as
     None.
     """
-    k, h = action.acting, action.target
-    values: dict = {}
-
-    def lie_vec(word):
-        return k.from_word_coeffs(bracket_expansion(word))
-
-    def value(word):
-        if word in values:
-            return values[word]
-        if len(word) == 1:
-            out = gen_images[word[0]]
-        else:
-            u, v = standard_factorization(word)
-            du, dv = value(u), value(v)
-            if du is None or dv is None:
-                out = None
-            else:
-                try:
-                    uu, vv = lie_vec(u), lie_vec(v)
-                    out = vec_sub(action.act(uu, dv), action.act(vv, du))
-                    bracket = vec_sub(h.mult_vec(du, dv), h.mult_vec(dv, du))
-                    out = vec_add(out, bracket)
-                except OutOfBudgetError:
-                    out = None
-        values[word] = out
-        return out
-
-    return [(w, value(w)) for w, _ in LyndonBasis(k).vectors]
+    n = action.target.dim
+    return [(w, None if v is None else _rational(v[0], v[1], n))
+            for w, v in _free_values_int(action, gen_images)]
 
 
 def extend_crossed_hom_trunc(action: DerivationAction,
@@ -624,33 +706,58 @@ def extend_crossed_hom_trunc(action: DerivationAction,
     Hopf crossed-homomorphism identity on all in-budget pairs.
     """
     k, h = action.acting, action.target
-    cols = pibar_columns(action, pi_gen_images)
-    report = crossed_hom_report(action, cols)
-    report.details["pibar"] = cols
+    cols, den = icols = _pibar_int(action, pi_gen_images)
+    report = crossed_hom_report(action, icols)
+    report.details["pibar"] = _rational_columns(cols, den, h.dim)
     # restriction to primitive degree one must match the generator images
+    pden, pis = _sparse_ints(pi_gen_images)
+    gden, gens = _sparse_ints([k.generator_vec(g) for g in range(k.generators)])
     for g in range(k.generators):
-        if apply_cols(cols, k.generator_vec(g), h.dim) != pi_gen_images[g]:
+        got = _apply_int(cols, gens[g], h.dim)
+        if [(p, m * pden) for p, m in got] != [(p, m * den * gden) for p, m in pis[g]]:
             report.ok = False
             report.failures.append(("degree-one restriction", g))
     return report
 
 
+def _pibar_int(action: DerivationAction, pi_gen_images: list[Vec]) -> IntColumns:
+    """The product-formula columns as sparse integers over one
+    denominator; a column whose products leave the budget is stored as
+    the error int_columns stores for an unknown column."""
+    k, h = action.acting, action.target
+    t = int_structure(h)
+    unit_den, (unit,) = _sparse_ints([h.unit_vec()])
+    pden, pis = _sparse_ints(pi_gen_images)
+    # pi(g) acc carries H's mult_den * pden and g . acc leibniz_den, each
+    # times the denominator of acc: a column with L factors carries
+    # unit_den * step^L, and is scaled to L = depth
+    step = lcm(t.mult_den * pden, action.leibniz_den)
+    left, right = step // (t.mult_den * pden), step // action.leibniz_den
+    depth = max(len(k.monomial_factors(i)) for i in range(k.dim))
+    cols = []
+    for i in range(k.dim):
+        factors = k.monomial_factors(i)
+        acc = unit
+        try:
+            for g in reversed(factors):
+                out = [0] * h.dim
+                for p, m in t.mul(pis[g], acc):
+                    out[p] += left * m
+                for p, m in action._derive(g, acc):
+                    out[p] += right * m
+                acc = [(p, m) for p, m in enumerate(out) if m]
+        except OutOfBudgetError:
+            cols.append(OutOfBudgetError("image column unknown"))
+            continue
+        cols.append(_rescaled(acc, step ** (depth - len(factors))))
+    return IntColumns(cols, unit_den * step ** depth)
+
+
 def pibar_columns(action: DerivationAction, pi_gen_images: list[Vec]):
     """Images in H of K's basis monomials under the product-formula
     extension.  Out-of-budget columns are None."""
-    h = action.target
-    cols = []
-    for i in range(action.acting.dim):
-        factors = action.acting.monomial_factors(i)
-        acc = h.unit_vec()
-        try:
-            for g in reversed(factors):
-                left = h.mult_vec(pi_gen_images[g], acc)
-                acc = vec_add(left, action.derivation(g, acc))
-            cols.append(acc)
-        except OutOfBudgetError:
-            cols.append(None)
-    return cols
+    cols, den = _pibar_int(action, pi_gen_images)
+    return _rational_columns(cols, den, action.target.dim)
 
 
 def mm_instance_check(action: DerivationAction, pi_gen_images: list[Vec],
@@ -674,18 +781,20 @@ def mm_instance_check(action: DerivationAction, pi_gen_images: list[Vec],
         report.failures.extend(sub.failures)
 
     # (i) restriction to the Lie subspace
-    for (w, expected) in free_crossed_hom_values(action, pi_gen_images):
-        if expected is None:
-            report.skipped.append(("lie-restriction", "".join(map(str, w))))
-            continue
+    icols, den = int_columns(cols)
+    for w, expected in _free_values_int(action, pi_gen_images):
+        label = "".join(map(str, w))
         try:
-            got = apply_cols(cols, k.from_word_coeffs(bracket_expansion(w)), h.dim)
+            if expected is None:
+                raise OutOfBudgetError("value unknown")
+            got = _apply_int(icols, _lie_ints(k, w), h.dim)
         except OutOfBudgetError:
-            report.skipped.append(("lie-restriction", "".join(map(str, w))))
+            report.skipped.append(("lie-restriction", label))
             continue
-        if got != expected:
+        values, vden = expected
+        if [(p, m * vden) for p, m in got] != [(p, m * den) for p, m in values]:
             report.ok = False
-            report.failures.append(("lie-restriction", "".join(map(str, w))))
+            report.failures.append(("lie-restriction", label))
 
     # (ii) degree-by-degree uniqueness of the in-budget extension
     uniq = _uniqueness_by_degree(action, pi_gen_images, cols)
@@ -720,48 +829,70 @@ def _uniqueness_by_degree(action: DerivationAction, pi_gen_images, cols) -> dict
     n_val (m - rank A) free coordinates, and otherwise the reduced rows
     hold X.
 
+    The systems are integer: the known images are sparse integers over
+    one denominator, each equation is built from K's and H's integer
+    structure tables and the action's act_int and scaled to integers,
+    and each degree is reduced by exactlin.int_echelon.
+
     An equation whose right side leaves the budget is skipped, not
     dropped: a degree whose system is short of rank after such a skip is
     undecided, and the result is unique None with witness "degree d".
     """
     k, h = action.acting, action.target
     n_dom, n_val = k.dim, h.dim
+    tk, th = int_structure(k), int_structure(h)
+    act_int = action.act_int
+    unit_den, (unit,) = _sparse_ints([h.unit_vec()])
+    pden, pis = _sparse_ints(pi_gen_images)
+    # known[i] is den times the image of basis i, None while unknown
+    den = lcm(unit_den, pden)
     known: list = [None] * n_dom
-    known[0] = h.unit_vec()
+    known[0] = _rescaled(unit, den // unit_den)
     for g in range(k.generators):
-        known[k.index[(g,)]] = pi_gen_images[g]
+        known[k.index[(g,)]] = _rescaled(pis[g], den // pden)
+    by_degree: dict = {}
+    for i in range(n_dom):
+        by_degree.setdefault(k.degree(i), []).append(i)
+    acted: dict = {}  # (a2, j) -> act_int(a2, known[j]), or the error it raised
     for d in range(2, k.budget + 1):
-        idxs = [i for i in range(n_dom) if k.degree(i) == d]
+        idxs = by_degree.get(d, [])
         pos = {i: p for p, i in enumerate(idxs)}
         m = len(idxs)
+        # sum_x prod_x value(x) = sum c value(a1) (a2 . value(j)): the left
+        # side carries K's mult_den, the right side K's comult_den, den^2,
+        # the action's den and H's mult_den
+        lscale = tk.comult_den * den * den * action.den * th.mult_den
         rows = []
         skipped = False
         # crossed-homomorphism equations for products landing in degree d
-        for i in range(n_dom):
-            di = k.degree(i)
-            if di == 0 or known[i] is None:
-                continue
-            for j in range(n_dom):
-                dj = k.degree(j)
-                if dj == 0 or known[j] is None or di + dj != d:
+        for di in range(1, d):
+            for i in by_degree.get(di, ()):
+                if known[i] is None:
                     continue
-                try:
-                    prod = k.mult_basis(i, j)
-                    rhs_vec = zero_vec(n_val)
-                    for (a1, a2, c) in k.comult_triples(i):
-                        if known[a1] is None:
-                            raise OutOfBudgetError("lower value unknown")
-                        acted = action.act_basis(a2, known[j])
-                        rhs_vec = vec_add(rhs_vec, vec_scale(c, h.mult_vec(known[a1], acted)))
-                except OutOfBudgetError:
-                    skipped = True
-                    continue
-                row = [prod[x] for x in idxs]
-                if any(row):
-                    rows.append(row + rhs_vec)
-        reduced = row_space_basis(rows) if rows else []
+                for j in by_degree.get(d - di, ()):
+                    if known[j] is None:
+                        continue
+                    try:
+                        prod = _stored(tk.mult[i][j])
+                        rhs = [0] * n_val
+                        for a1, a2, c in tk.comult[i]:
+                            if known[a1] is None:
+                                raise OutOfBudgetError("lower value unknown")
+                            value = acted.get((a2, j))
+                            if value is None:
+                                value = acted[(a2, j)] = _attempt(act_int, a2, known[j])
+                            for p, v in th.mul(known[a1], value):
+                                rhs[p] += c * v
+                    except OutOfBudgetError:
+                        skipped = True
+                        continue
+                    row = {pos[x]: v * lscale for x, v in prod if x in pos}
+                    if row:
+                        row.update((m + p, v * tk.mult_den) for p, v in enumerate(rhs) if v)
+                        rows.append(row)
+        reduced, pivots = int_echelon(rows, m + n_val)
         # the last reduced row has the largest pivot
-        consistent = not reduced or any(reduced[-1][:m])
+        consistent = not pivots or pivots[-1] < m
         if consistent and len(reduced) < m and skipped:
             return {"unique": None, "matches": None, "witness": f"degree {d}"}
         if not rows:
@@ -770,14 +901,29 @@ def _uniqueness_by_degree(action: DerivationAction, pi_gen_images, cols) -> dict
             free = n_val * (m - len(reduced)) if consistent else 0
             return {"unique": False, "matches": False,
                     "witness": f"degree {d} solution space dim {free}"}
-        for i in idxs:
-            known[i] = reduced[pos[i]][m:]
+        # reduced row p is lead (e_p | X_p); X_p goes over den in lowest terms
+        solved = []
+        for p, row in enumerate(reduced):
+            lead = row[p]
+            values = sorted((c - m, v) for c, v in row.items() if c >= m)
+            g = gcd(lead, *(v for _, v in values))
+            g = -g if lead < 0 else g
+            solved.append((lead // g, [(q, v // g) for q, v in values]))
+        new_den = lcm(den, *(lead for lead, _ in solved))
+        if new_den != den:
+            known = [None if u is None else _rescaled(u, new_den // den) for u in known]
+            acted.clear()
+            den = new_den
+        for i, (lead, values) in zip(idxs, solved):
+            known[i] = _rescaled(values, den // lead)
+    icols, cden = int_columns(cols)
     matches = True
     witness = None
     for i in range(n_dom):
-        if cols[i] is None or known[i] is None:
+        col = icols[i]
+        if col.__class__ is OutOfBudgetError or known[i] is None:
             continue
-        if list(cols[i]) != list(known[i]):
+        if [(p, v * den) for p, v in col] != [(p, v * cden) for p, v in known[i]]:
             matches = False
             witness = k.label(i)
             break

@@ -29,7 +29,9 @@ them.  Every checker returns a :class:`CheckReport`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import lcm
+from operator import is_not
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -361,11 +363,16 @@ def _num(c: Rat, den: int) -> int:
 def _sparse_ints(vectors: list) -> tuple[int, list]:
     """Rational vectors as sparse integer tuples ((k, m), ...) over their
     common denominator; a stored OutOfBudgetError is kept as it is."""
-    den = lcm(1, *(c.denominator for v in vectors if not isinstance(v, OutOfBudgetError)
-                   for c in v if c))
+    # the identity test against the shared ZERO runs in C and skips the
+    # zeros of zero_vec and basis_vec without a Fraction.__bool__ call
+    terms = [v if isinstance(v, OutOfBudgetError)
+             else [(k, v[k]) for k in compress(count(), map(is_not, v, repeat(ZERO))) if v[k]]
+             for v in vectors]
+    den = lcm(1, *(c.denominator for v in terms if not isinstance(v, OutOfBudgetError)
+                   for _, c in v))
     return den, [v if isinstance(v, OutOfBudgetError)
-                 else tuple([(k, _num(c, den)) for k, c in enumerate(v) if c])
-                 for v in vectors]
+                 else tuple([(k, _num(c, den)) for k, c in v])
+                 for v in terms]
 
 
 def _copy(exc: OutOfBudgetError) -> OutOfBudgetError:

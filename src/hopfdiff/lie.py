@@ -4,9 +4,7 @@ and the graph characterization, all checked exactly on basis tuples."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exactlin import Mat, ONE, ZERO, in_span, rat, row_space_basis
+from .exactlin import Mat, ONE, ZERO, Record, in_span, rat, row_space_basis
 from .hopf import Vec, basis_vec, vec_add, vec_scale, vec_sub, zero_vec
 
 
@@ -79,20 +77,20 @@ class FinLie:
         return f"FinLie({self.name or self.labels}, dim={self.dim})"
 
 
-@dataclass
-class LieAction:
+class LieAction(Record):
     """phi : g -> Der(h), one matrix per basis element of g.
 
     Validated eagerly: each phi(x) must be a derivation of h and phi must
     be a Lie algebra homomorphism into Der(h).
     """
 
-    acting: FinLie
-    target: FinLie
-    phi: list  # list of Mat, one per basis element of the acting algebra
+    _fields = ("acting", "target", "phi")
 
-    def __post_init__(self):
-        g, h = self.acting, self.target
+    def __init__(self, acting: FinLie, target: FinLie, phi: list):
+        self.acting = acting
+        self.target = target
+        self.phi = phi  # list of Mat, one per basis element of the acting algebra
+        g, h = acting, target
         if len(self.phi) != g.dim:
             raise ValueError("need one matrix per basis element of the acting algebra")
         for m in self.phi:
@@ -273,11 +271,13 @@ def semidirect(action: LieAction, name: str | None = None) -> FinLie:
     return out
 
 
-@dataclass
-class LieGraphResult:
-    basis: list
-    closed: bool
-    agrees_with_direct_check: bool
+class LieGraphResult(Record):
+    _fields = ("basis", "closed", "agrees_with_direct_check")
+
+    def __init__(self, basis: list, closed: bool, agrees_with_direct_check: bool):
+        self.basis = basis
+        self.closed = closed
+        self.agrees_with_direct_check = agrees_with_direct_check
 
 
 def lie_graph_check(d: Mat, action: LieAction) -> LieGraphResult:

@@ -40,12 +40,11 @@ in the recorded candidate sets and in the frozen operators.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, int_echelon, invert, kernel, rat
+from .exactlin import Mat, ONE, Record, int_echelon, invert, kernel, rat
 from .hopf import FinDimHopf, int_structure
 from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
@@ -252,20 +251,21 @@ def solve_quadratic_in_group_algebra(group: FinGroup, q_coeffs, r_vec) -> list[l
 # ---------------------------------------------------------------------------
 # search plans
 
-@dataclass
-class GeneratorBlock:
+class GeneratorBlock(Record):
     """One scheduled generator c and the factorization of its coset.
 
     cosets maps every basis index b in the coset to (g, c) with b = g c
     exactly (coefficient one), g a declared group-like basis index.
     """
 
-    generator: int
-    cosets: dict
+    _fields = ("generator", "cosets")
+
+    def __init__(self, generator: int, cosets: dict):
+        self.generator = generator
+        self.cosets = cosets
 
 
-@dataclass
-class SearchPlan:
+class SearchPlan(Record):
     """The declared coradical G(H) and the blocks of the coset rule.
 
     The rule is all the engine needs; the shape of the coproducts is not
@@ -284,10 +284,14 @@ class SearchPlan:
       check.
     """
 
-    target: FinDimHopf
-    grouplike_indices: list[int]
-    blocks: list[GeneratorBlock]
-    commutation: dict | None = None
+    _fields = ("target", "grouplike_indices", "blocks", "commutation")
+
+    def __init__(self, target: FinDimHopf, grouplike_indices: list[int],
+                 blocks: list[GeneratorBlock], commutation: dict | None = None):
+        self.target = target
+        self.grouplike_indices = grouplike_indices
+        self.blocks = blocks
+        self.commutation = commutation
 
     def validate(self):
         """The coset rule on the plan's own generators: the group-likes are
@@ -350,23 +354,32 @@ def derive_plan(h: FinDimHopf) -> SearchPlan:
     return SearchPlan(h, list(idxs), blocks, commutation or None).validate()
 
 
-@dataclass
-class BranchReport:
-    index: int
-    group_images: list[str]
-    status: str  # complete | empty | partial
-    operators: list = field(default_factory=list)  # image matrices (list of columns)
-    quadratic_candidates: list | None = None
-    residual: str | None = None
+class BranchReport(Record):
+    _fields = ("index", "group_images", "status", "operators", "quadratic_candidates",
+               "residual")
+
+    def __init__(self, index: int, group_images: list[str], status: str,
+                 operators: list | None = None, quadratic_candidates: list | None = None,
+                 residual: str | None = None):
+        self.index = index
+        self.group_images = group_images
+        self.status = status  # complete | empty | partial
+        # image matrices (list of columns)
+        self.operators = [] if operators is None else operators
+        self.quadratic_candidates = quadratic_candidates
+        self.residual = residual
 
 
-@dataclass
-class ClassificationResult:
-    algebra: str
-    operators: list  # list of DiffOp
-    certificate: str  # complete | partial
-    branches: list = field(default_factory=list)
-    bijective_only: bool = False
+class ClassificationResult(Record):
+    _fields = ("algebra", "operators", "certificate", "branches", "bijective_only")
+
+    def __init__(self, algebra: str, operators: list, certificate: str,
+                 branches: list | None = None, bijective_only: bool = False):
+        self.algebra = algebra
+        self.operators = operators  # list of DiffOp
+        self.certificate = certificate  # complete | partial
+        self.branches = [] if branches is None else branches
+        self.bijective_only = bijective_only
 
 
 # ---------------------------------------------------------------------------
@@ -895,12 +908,14 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
     return ClassificationResult(h.name, deduped, certificate, branches, bijective_only)
 
 
-@dataclass
-class PublishedDiff:
-    matched: list
-    missing: list  # expected operators not produced
-    extra: list  # produced operators not expected
-    entry_mismatches: list  # (expected_name, closest_diff_positions)
+class PublishedDiff(Record):
+    _fields = ("matched", "missing", "extra", "entry_mismatches")
+
+    def __init__(self, matched: list, missing: list, extra: list, entry_mismatches: list):
+        self.matched = matched
+        self.missing = missing  # expected operators not produced
+        self.extra = extra  # produced operators not expected
+        self.entry_mismatches = entry_mismatches  # (expected_name, closest_diff_positions)
 
     @property
     def equal(self):

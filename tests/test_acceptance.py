@@ -375,9 +375,9 @@ def test_criterion_10_derived_structures():
             xv = tv.generator_vec(x)
             lhs = vec_add(
                 vec_add(tv.mult_vec(pia, xv), vec_scale(F(-1), tv.mult_vec(xv, pia))),
-                adj.derivation(a, xv))
+                adj.act_basis(tv.index[(a,)], xv))
             rhs = vec_add(vec_sub(tv.mult_vec(pia, xv), tv.mult_vec(xv, pia)),
-                          adj.derivation(a, xv))
+                          adj.act_basis(tv.index[(a,)], xv))
             assert lhs == rhs
 
     # structure-theorem instances on kS3 and on the smash square of kC2

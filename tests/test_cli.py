@@ -410,6 +410,19 @@ def test_free_lie_below_range_exits_two(capsys, task, options):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("generators", ["1", "2", "3"])
+def test_free_lie_mm_check_at_budget_one_exits_two(capsys, generators):
+    """The brackets of the adjoint action have degree 2, so budget 1 is an
+    input error, not a traceback."""
+    code, payload, err = invoke(capsys, "free-lie", "mm-check", "--budget", "1",
+                                "--generators", generators)
+    assert code == 2
+    assert payload["ok"] is False
+    assert payload["error"] == ("mm-check needs budget 2 or more for the brackets of the "
+                                "adjoint action: degree 2 exceeds budget 1")
+    assert "Traceback" not in err
+
+
 def test_out_flag_writes_identical_report(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, _, _ = invoke(capsys, "validate", "--algebra", "H4", "--out", str(out))
@@ -575,6 +588,8 @@ REPORT_SHA256 = {
     "extend-smash-diff": (0, "3f69dfe5c90dfbaddfa6a4955527b05e72c373be832c0f426bfb0f6286680997"),
     "ckmm-mixed": (0, "7a1abdc81eee8cf1f54300e537fb71efca04ed57c75082cb6264a7de5bb3de88"),
     "mm-check": (0, "f40755adf1ac2c9abe0ba9a5dafba7fb3a0583dec83d59b9c4a3bff25c738bb2"),
+    "mm-check-b5": (0, "7f24c92bb0baa0049b8ea14188d226c8b253a3117b8b7e38024363c1be82b67e"),
+    "mm-check-b6": (0, "3e9d765d5b2df23454b73fb311606c684d1d0dea36117017eaa8f9ccd16f7090"),
     "validate": (0, "0d7ba8346edd8fc89ee77c460a41a461336150a3a61911c78ccc1a4013fcf8c5"),
     "grouplikes": (0, "250bd580a3e4c16f9d8cc2b7adb91d842da3aa54efc2b3752b65eaafaa83e59a"),
     "primitives": (0, "307c69a4a58eccc4c86be88fddab821b6590037486c187f44409661259d810db"),
@@ -641,6 +656,10 @@ REPORT_SHA256 = {
     ("classify-diffops-kC4", ["classify-diffops", "--algebra", "kC4"]),
     ("classify-diffops-kC2", ["classify-diffops", "--plan", "plan:kC2"]),
     ("classify-diffops-kC2xC2", ["classify-diffops", "--plan", "plan:kC2xC2"]),
+    # mm-check at the two largest budgets, recorded before its stages ran
+    # on integer tables
+    ("mm-check-b5", ["free-lie", "mm-check", "--budget", "5"]),
+    ("mm-check-b6", ["free-lie", "mm-check", "--budget", "6"]),
 ])
 def test_action_reports_are_byte_identical(capsys, tmp_path, name, argv):
     """The exit code and full stdout of one run of every command, the

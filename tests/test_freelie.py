@@ -393,8 +393,8 @@ def test_derived_action_primitive_formula_on_truncation():
             pia = pi_cols[ai]
             term1 = tv.mult_vec(pia, xv)  # pi(a) x S(pi(1)) = pi(a) x
             term2 = vec_scale(F(-1), tv.mult_vec(xv, pia))  # pi(1) x S(pi(a)) = -x pi(a)
-            term3 = adj.derivation(a, xv)  # pi(1)(a . x)S(pi(1))
+            term3 = adj.act_basis(tv.index[(a,)], xv)  # pi(1)(a . x)S(pi(1))
             lhs = vec_add(vec_add(term1, term2), term3)
             bracket = vec_sub(tv.mult_vec(pia, xv), tv.mult_vec(xv, pia))
-            rhs = vec_add(bracket, adj.derivation(a, xv))
+            rhs = vec_add(bracket, adj.act_basis(tv.index[(a,)], xv))
             assert lhs == rhs

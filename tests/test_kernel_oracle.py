@@ -62,6 +62,16 @@ perturbed column tables, and stub actions for each witness) the same
 result, except that a degree left short of rank by an equation skipped
 for the budget is now undecided rather than failed.
 
+The product-formula extension ``pibar_columns``, the free values
+``free_crossed_hom_values`` and the Lie-restriction loop of
+``mm_instance_check`` are kept as they were in ``Fraction`` arithmetic,
+with the derivations taken by the verbatim rational loops above, and
+must give equal columns, values and restriction entries on the mm-check
+systems at budgets 3 and 4, perturbed and unknown column tables
+included.  The coshuffle coproduct of ``TruncatedTensor`` by 2^|w|
+position masks is kept verbatim too, and must give the sorted triples of
+the shuffle recursion on T(2,4), T(2,6) and T(3,5).
+
 ``star`` on ``Fraction`` matrices through ``convolve`` and
 ``LinMap.compose``, and the monoid-table loop over it with its linear
 ``Mat`` search and its ``diff_to_endo`` transport check, are kept
@@ -78,7 +88,6 @@ import json
 import random
 from fractions import Fraction
 from functools import cache
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,7 +118,8 @@ from hopfdiff.diffops import (
     monoid_table,
     star,
 )
-from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, row_space_basis, solve_affine
+from hopfdiff.exactlin import (ONE, ZERO, Mat, in_span, invert, rat, row_space_basis,
+                               solve_affine)
 from hopfdiff.groups import FinGroup, GroupMap, check_group_diffop, coradical_group
 from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 from hopfdiff.freelie import (
@@ -120,9 +130,14 @@ from hopfdiff.freelie import (
     _multiplicative_columns,
     _uniqueness_by_degree,
     adjoint_derivation_action,
+    bracket_expansion,
     diffop_from_hom,
     extend_crossed_hom_trunc,
     extended_action_bialgebra_check,
+    free_crossed_hom_values,
+    mm_instance_check,
+    pibar_columns,
+    standard_factorization,
     sign_action_on_enveloping,
     smash_vs_semidirect_trunc,
 )
@@ -583,7 +598,9 @@ def test_derivation_action_matches_reference(name, data):
     for _ in range(3):
         u = data.draw(vectors(h))
         for x in range(h.generators):
-            assert (budget_outcome(action.derivation, x, u)
+            # the acting generator x is the basis monomial g of one factor
+            g = h.generator_vec(x).index(1)
+            assert (budget_outcome(action.act_basis, g, u)
                     == budget_outcome(reference_derivation, action, x, u))
         a = data.draw(st.integers(0, h.dim - 1))
         assert (budget_outcome(action.act_basis, a, u)
@@ -1956,10 +1973,20 @@ def test_uniqueness_by_degree_witnesses_match_reference():
             return u
         return act
 
+    class StubAction(IntAction):
+        """act_int over denominator 1, read by the integer systems; the
+        reference reads its rational adapter act_basis."""
+
+        acting, target, den = tv, tv, 1
+        act_basis = IntAction.act_rational
+
+        def __init__(self, act):
+            self.act_int = act
+
     witnesses = []
-    for act in (lambda a, u: vec_scale(a + 1, u), raise_on({b}),
+    for act in (lambda a, u: [(k, (a + 1) * m) for k, m in u], raise_on({b}),
                 raise_on(set(range(1, tv.dim)))):
-        action = SimpleNamespace(acting=tv, target=tv, act_basis=act)
+        action = StubAction(act)
         got = _uniqueness_by_degree(action, pi, cols)
         assert_uniqueness_matches(got, reference_uniqueness_by_degree(tv, action, pi, cols))
         witnesses.append((got["unique"], got["witness"]))
@@ -1968,6 +1995,117 @@ def test_uniqueness_by_degree_witnesses_match_reference():
     # "unconstrained" at degree 2
     assert witnesses == [(False, "degree 3 solution space dim 0"), (None, "degree 2"),
                          (None, "degree 2")]
+
+
+def reference_free_crossed_hom_values(action: DerivationAction, gen_images: list[Vec]):
+    """Values in H of the free crossed homomorphism on the bracketed
+    Lyndon basis of K, a truncated tensor algebra, from its generator
+    images.  Entries that leave the budget come back as None."""
+    k, h = action.acting, action.target
+    values: dict = {}
+
+    def lie_vec(word):
+        return k.from_word_coeffs(bracket_expansion(word))
+
+    def value(word):
+        if word in values:
+            return values[word]
+        if len(word) == 1:
+            out = gen_images[word[0]]
+        else:
+            u, v = standard_factorization(word)
+            du, dv = value(u), value(v)
+            if du is None or dv is None:
+                out = None
+            else:
+                try:
+                    uu, vv = lie_vec(u), lie_vec(v)
+                    out = vec_sub(reference_act(action, uu, dv), reference_act(action, vv, du))
+                    bracket = vec_sub(h.mult_vec(du, dv), h.mult_vec(dv, du))
+                    out = vec_add(out, bracket)
+                except OutOfBudgetError:
+                    out = None
+        values[word] = out
+        return out
+
+    return [(w, value(w)) for w, _ in LyndonBasis(k).vectors]
+
+
+def reference_pibar_columns(action: DerivationAction, pi_gen_images: list[Vec]):
+    """Images in H of K's basis monomials under the product-formula
+    extension.  Out-of-budget columns are None."""
+    h = action.target
+    cols = []
+    for i in range(action.acting.dim):
+        factors = action.acting.monomial_factors(i)
+        acc = h.unit_vec()
+        try:
+            for g in reversed(factors):
+                left = h.mult_vec(pi_gen_images[g], acc)
+                acc = vec_add(left, reference_derivation(action, g, acc))
+            cols.append(acc)
+        except OutOfBudgetError:
+            cols.append(None)
+    return cols
+
+
+def reference_lie_restriction(action: DerivationAction, pi_gen_images, cols) -> tuple:
+    """(failures, skipped) of the restriction of a column table to the
+    Lie subspace, as mm_instance_check's step (i) evaluated them."""
+    k, h = action.acting, action.target
+    failures, skipped = [], []
+    for (w, expected) in reference_free_crossed_hom_values(action, pi_gen_images):
+        if expected is None:
+            skipped.append(("lie-restriction", "".join(map(str, w))))
+            continue
+        try:
+            got = apply_cols(cols, k.from_word_coeffs(bracket_expansion(w)), h.dim)
+        except OutOfBudgetError:
+            skipped.append(("lie-restriction", "".join(map(str, w))))
+            continue
+        if got != expected:
+            failures.append(("lie-restriction", "".join(map(str, w))))
+    return failures, skipped
+
+
+@pytest.mark.parametrize("budget", [3, 4])
+def test_extension_and_restriction_values_match_reference(budget):
+    """The integer extension and free values against the rational ones,
+    and the Lie-restriction entries of mm_instance_check for the computed,
+    perturbed and unknown column tables of every mm-check system."""
+    outcomes = []
+    for tv, action, pi, cols in mm_systems(budget):
+        assert pibar_columns(action, pi) == reference_pibar_columns(action, pi)
+        assert free_crossed_hom_values(action, pi) == \
+            reference_free_crossed_hom_values(action, pi)
+        report = mm_instance_check(action, pi, candidate_cols=cols)
+        got = ([f for f in report.failures if f[0] == "lie-restriction"],
+               [s for s in report.skipped if s[0] == "lie-restriction"])
+        assert got == reference_lie_restriction(action, pi, cols)
+        outcomes.append(tuple(map(len, got)))
+    # the perturbed tables fail on [a, b] and its brackets, the unknown
+    # ones skip them, and the third letter-image pair leaves the budget
+    assert any(failed for failed, _ in outcomes) and any(skipped for _, skipped in outcomes)
+    assert outcomes[0] == (0, 0)
+
+
+def reference_comult_triples(tv: TruncatedTensor, i: int):
+    """The coshuffle coproduct of word i over its 2^|w| position masks."""
+    w = tv.words[i]
+    counts: dict = {}
+    for mask in range(1 << len(w)):
+        left = tuple(w[p] for p in range(len(w)) if mask >> p & 1)
+        right = tuple(w[p] for p in range(len(w)) if not mask >> p & 1)
+        key = (tv.index[left], tv.index[right])
+        counts[key] = counts.get(key, 0) + 1
+    return sorted((a, b, rat(c)) for (a, b), c in counts.items())
+
+
+@pytest.mark.parametrize("generators, budget", [(2, 4), (2, 6), (3, 5)])
+def test_shuffle_coproduct_matches_mask_enumeration(generators, budget):
+    tv = TruncatedTensor(generators, budget)
+    for i in range(tv.dim):
+        assert tv.comult_triples(i) == reference_comult_triples(tv, i)
 
 
 # -- the monoid on difference operators ---------------------------------------------

@@ -1,8 +1,8 @@
-"""The record classes of exactlin, hopf and groups are plain classes on
+"""The record classes of every layer are plain classes on
 ``exactlin.Record``; they keep the dataclass semantics they had: the
 constructor signature, fresh mutable defaults, value equality, the shape
-checks, unhashable mutable records, and hashable immutable group maps and
-actions."""
+and validity checks, unhashable mutable records, and hashable immutable
+group maps and actions."""
 
 import inspect
 from fractions import Fraction
@@ -10,10 +10,16 @@ from fractions import Fraction
 import pytest
 
 from hopfdiff import catalog
+from hopfdiff.actions import CrossedHom, GraphResult
+from hopfdiff.diffops import DiffModuleBialgebra, DiffOp
 from hopfdiff.exactlin import AffineSolutionSpace, Mat
+from hopfdiff.freelie import LyndonBasis, TruncatedTensor
 from hopfdiff.groups import GroupAction, GroupMap, adjoint_action
 from hopfdiff.hopf import (AxiomReport, CheckReport, Element, GrouplikeResult,
                            LinMap, identity_map)
+from hopfdiff.lie import FinLie, LieAction, LieGraphResult
+from hopfdiff.solver import (BranchReport, ClassificationResult, GeneratorBlock,
+                             PublishedDiff, SearchPlan)
 
 SIGNATURES = {
     AffineSolutionSpace: ["particular", "kernel_basis"],
@@ -24,6 +30,20 @@ SIGNATURES = {
     GrouplikeResult: ["elements", "complete"],
     GroupMap: ["source", "target", "images"],
     GroupAction: ["acting", "target", "maps"],
+    GeneratorBlock: ["generator", "cosets"],
+    SearchPlan: ["target", "grouplike_indices", "blocks", "commutation"],
+    BranchReport: ["index", "group_images", "status", "operators", "quadratic_candidates",
+                   "residual"],
+    ClassificationResult: ["algebra", "operators", "certificate", "branches",
+                           "bijective_only"],
+    PublishedDiff: ["matched", "missing", "extra", "entry_mismatches"],
+    DiffOp: ["map", "verified", "bijective", "inverse"],
+    DiffModuleBialgebra: ["d_h", "d_k", "action", "verified"],
+    CrossedHom: ["map", "action", "verified"],
+    GraphResult: ["basis", "closed", "witness"],
+    LieAction: ["acting", "target", "phi"],
+    LieGraphResult: ["basis", "closed", "agrees_with_direct_check"],
+    LyndonBasis: ["tensor"],
 }
 
 
@@ -64,6 +84,41 @@ def test_equal_fields_compare_equal_and_mutable_records_are_unhashable(h4):
         assert x != object()
         with pytest.raises(TypeError):
             hash(x)
+
+
+def test_defaults_of_the_solver_and_action_records(h4):
+    """The dataclass defaults: fresh lists, None and False."""
+    a, b = BranchReport(0, ["1"], "empty"), BranchReport(0, ["1"], "empty")
+    a.operators.append([])
+    assert b.operators == [] and (b.quadratic_candidates, b.residual) == (None, None)
+    r = ClassificationResult("H4", [], "complete")
+    assert (r.branches, r.bijective_only) == ([], False)
+    assert r.branches is not ClassificationResult("H4", [], "complete").branches
+    assert SearchPlan(h4, [0, 1], []).commutation is None
+    ident = identity_map(h4)
+    assert DiffOp(ident, True, True).inverse is None
+    assert not CrossedHom(ident, None).verified
+    assert not DiffModuleBialgebra(ident, ident, None).verified
+    assert DiffOp(ident, True, True) == DiffOp(ident, True, True, None)
+    assert DiffOp(ident, True, True) != DiffOp(ident, True, False)
+    with pytest.raises(TypeError):
+        hash(DiffOp(ident, True, True))
+
+
+def test_lyndon_basis_and_lie_action_keep_their_checks():
+    tensor = TruncatedTensor(2, 4)
+    basis = LyndonBasis(tensor)
+    assert basis.dims() == [2, 1, 2, 3] and basis == LyndonBasis(tensor)
+    assert [w for w, _ in basis.vectors][:3] == [(0,), (1,), (0, 1)]
+    assert repr(basis).startswith("LyndonBasis(tensor=TruncatedTensor(2 letters, budget 4), ")
+    line = FinLie.from_pairs(["e"], {}, "abelian1")
+    with pytest.raises(ValueError, match="one matrix per basis element"):
+        LieAction(line, line, [])
+    with pytest.raises(ValueError, match="dim"):
+        LieAction(line, line, [Mat.identity(2)])
+    act = LieAction(line, line, [Mat.identity(1)])
+    assert act == LieAction(line, line, [Mat.identity(1)])
+    assert repr(act).startswith("LieAction(acting=")
 
 
 def test_linmap_equality_needs_the_same_algebras(h4):

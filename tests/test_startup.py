@@ -3,8 +3,10 @@
 Each case starts a fresh interpreter, notes ``sys.modules``, imports
 ``hopfdiff.cli``, runs one command through ``cli.run`` and reports the
 modules that appeared.  File parsing (``formats``, ``lie``) and the heavy
-layers load only for the commands that use them, and no command on the
-shared path imports ``dataclasses``.
+layers load only for the commands that use them, and no command imports
+``dataclasses`` or ``inspect``: on the shared path, and on the paths of a
+free-lie task, ``classify-diffops`` and ``monoid-table`` through the heavy
+layers.
 """
 
 import json
@@ -30,8 +32,9 @@ print(json.dumps({"code": code, "report": json.loads(out.getvalue()),
                   "loaded": sorted(set(sys.modules) - before)}))
 """
 
+RECORDS = {"dataclasses", "inspect"}
 HEAVY = {f"hopfdiff.{m}" for m in ("formats", "lie", "solver", "diffops", "actions",
-                                   "freelie")} | {"dataclasses"}
+                                   "freelie")} | RECORDS
 
 
 def run_fresh(argv, cwd):
@@ -49,8 +52,11 @@ def run_fresh(argv, cwd):
     (["catalog", "op:id:kC2"], HEAVY - {"hopfdiff.formats"}, "operator"),
     (["catalog", "plan:H4"], {"hopfdiff.actions", "hopfdiff.lie"}, "plan"),
     (["catalog", "action:inv:kC2:kC4"], {"hopfdiff.solver", "hopfdiff.lie"}, "action"),
+    (["free-lie", "mm-check", "--budget", "3"], RECORDS, None),
+    (["classify-diffops", "--plan", "plan:H4"], RECORDS, None),
+    (["monoid-table", "--algebra", "kC2"], RECORDS, None),
 ], ids=["validate-kC2", "grouplikes-H8", "catalog-list", "export-operator", "export-plan",
-        "export-action"])
+        "export-action", "free-lie-mm-check", "classify-H4", "monoid-table-kC2"])
 def test_command_loads_only_its_layers(argv, absent, kind, tmp_path):
     res = run_fresh(argv, tmp_path)
     assert res["code"] == 0 and res["report"]["ok"] is True
