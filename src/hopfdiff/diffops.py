@@ -7,7 +7,7 @@ the verified set, conjugates by automorphisms, inverts to Rota-Baxter
 operators, and extends compatible pairs to smash products.
 
 :func:`check_diffop` is the one difference-operator verdict, for finite
-and degree-truncated carriers (:mod:`hopfdiff.freelie`) alike, and it
+and degree-truncated carriers (:mod:`hopfdiff.truncated`) alike, and it
 also takes a column table with unknown images; pairs whose evaluation
 would leave the degree budget are reported as skipped, never silently
 passed.

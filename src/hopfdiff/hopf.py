@@ -18,7 +18,7 @@ these integer tables too.
 
 The same basis-indexed interface (``mult_basis``, ``comult_triples``,
 ``counit_coeff``, ``antipode_basis``) is implemented by the
-degree-truncated carriers in :mod:`hopfdiff.freelie` and by the smash
+degree-truncated carriers in :mod:`hopfdiff.truncated` and by the smash
 builder in :mod:`hopfdiff.actions`; truncated multiplication may raise
 :class:`OutOfBudgetError`, which exhaustive checks translate into an
 explicit skip entry rather than a silent pass.  A map given by a column
@@ -35,7 +35,7 @@ from operator import is_not
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, Rat, Record, ZERO, invert, kernel, rat, rat_str
+from .exactlin import Mat, ONE, Rat, Record, ZERO, int_echelon, invert, rat, rat_str
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -103,7 +103,9 @@ class CarrierOps:
     """Coordinate-vector arithmetic over the shared basis-indexed
     interface (mult_basis, comult_triples, counit_coeff, antipode_basis,
     unit_vec, label, dim).  Truncated carriers raise OutOfBudgetError
-    from mult_basis; everything here propagates it."""
+    from mult_basis; everything here propagates it, except mult_terms,
+    which returns it, and which a carrier overrides where it has its
+    products sparse or can name the error without raising it."""
 
     def mult_vec(self, u: Vec, v: Vec) -> Vec:
         out = zero_vec(self.dim)
@@ -118,6 +120,13 @@ class CarrierOps:
                     if m:
                         out[k] += c * m
         return out
+
+    def mult_terms(self, i: int, j: int):
+        """The nonzero terms (k, c) of the product of basis elements i and
+        j in ascending k, or the OutOfBudgetError that mult_basis raises
+        for it, returned unraised."""
+        v = _attempt(self.mult_basis, i, j)
+        return v if v.__class__ is OutOfBudgetError else [(k, c) for k, c in enumerate(v) if c]
 
     def comult_vec(self, u: Vec) -> dict:
         out: dict = {}
@@ -208,6 +217,9 @@ class FinDimHopf(CarrierOps):
 
     def mult_basis(self, i: int, j: int) -> Vec:
         return self.mult[i][j]
+
+    def mult_terms(self, i: int, j: int):
+        return self._mult_sparse[i][j]
 
     def comult_triples(self, k: int) -> Triples:
         return self.comult[k]
@@ -365,9 +377,16 @@ def _sparse_ints(vectors: list) -> tuple[int, list]:
     common denominator; a stored OutOfBudgetError is kept as it is."""
     # the identity test against the shared ZERO runs in C and skips the
     # zeros of zero_vec and basis_vec without a Fraction.__bool__ call
-    terms = [v if isinstance(v, OutOfBudgetError)
-             else [(k, v[k]) for k in compress(count(), map(is_not, v, repeat(ZERO))) if v[k]]
-             for v in vectors]
+    return _int_terms([v if isinstance(v, OutOfBudgetError)
+                       else [(k, v[k]) for k in compress(count(), map(is_not, v, repeat(ZERO)))
+                             if v[k]]
+                       for v in vectors])
+
+
+def _int_terms(terms: list) -> tuple[int, list]:
+    """Sparse rational vectors, lists of nonzero terms (k, c) in ascending
+    k, as sparse integer tuples over their common denominator; a stored
+    OutOfBudgetError is kept as it is."""
     den = lcm(1, *(c.denominator for v in terms if not isinstance(v, OutOfBudgetError)
                    for _, c in v))
     return den, [v if isinstance(v, OutOfBudgetError)
@@ -402,7 +421,10 @@ class IntStructure:
     denominator per table.
 
     mult[i][j]   -- sparse row of mult_den * (basis i)(basis j), or the
-                    OutOfBudgetError a truncated carrier raised for it
+                    OutOfBudgetError a truncated carrier raises for it,
+                    read from the carrier's mult_terms; the truncated
+                    carriers return that error unraised, so no error is
+                    raised and caught per product
     antipode[j]  -- sparse column of antipode_den * S(basis j), or the error
     comult[k]    -- triples (i, j, c) of comult_den * D(basis k)
     counit[i]    -- counit_den * eps(basis i)
@@ -415,8 +437,8 @@ class IntStructure:
     def __init__(self, h):
         self._sweedler = None
         n = self.dim = h.dim
-        self.mult_den, flat = _sparse_ints(
-            [_attempt(h.mult_basis, i, j) for i in range(n) for j in range(n)])
+        self.mult_den, flat = _int_terms(
+            [h.mult_terms(i, j) for i in range(n) for j in range(n)])
         self.mult = [flat[i * n:(i + 1) * n] for i in range(n)]
         self.antipode_den, self.antipode = _sparse_ints(
             [_attempt(h.antipode_basis, j) for j in range(n)])
@@ -899,38 +921,52 @@ def skew_primitives(h, g: Vec, k: Vec) -> list[Vec]:
     carrier, finite or truncated; g and k must be group-like.
 
     Row (a, b) of the system is the coefficient of e_a (x) e_b in
-    D(c) - c (x) g - k (x) c, one column per coordinate of c.  One pass
+    D(c) - c (x) g - k (x) c, one column per coordinate of c, as a sparse
+    integer row over the lcm of the coefficients' denominators.  One pass
     over comult_triples(m) for every basis element m fills all rows at
-    once, the group-like terms are subtracted after it, and the nonzero
-    rows are solved in ascending (a, b) order.
+    once, the group-like terms are subtracted after it, and the rows are
+    reduced by exactlin.int_echelon; the kernel is read off the reduced
+    echelon form, which is unique, one vector per free column.
     """
     if not is_grouplike(h, g) or not is_grouplike(h, k):
         raise ValueError("skew-primitive reference elements must be group-like")
     n = h.dim
+    triples = [h.comult_triples(m) for m in range(n)]
+    den = lcm(1, *(c.denominator for t in triples for (_, _, c) in t),
+              *(c.denominator for c in g), *(c.denominator for c in k))
     rows: dict = {}
-    for m in range(n):
-        for (a, b, c) in h.comult_triples(m):
+    for m, t in enumerate(triples):
+        for (a, b, c) in t:
             row = rows.setdefault((a, b), {})
-            row[m] = row.get(m, ZERO) + c
+            row[m] = row.get(m, 0) + _num(c, den)
     # c (x) g puts c_a g_b at (a, b), and k (x) c puts k_a c_b there
     for b, c in enumerate(g):
         if c:
+            x = _num(c, den)
             for a in range(n):
                 row = rows.setdefault((a, b), {})
-                row[a] = row.get(a, ZERO) - c
+                row[a] = row.get(a, 0) - x
     for a, c in enumerate(k):
         if c:
+            x = _num(c, den)
             for b in range(n):
                 row = rows.setdefault((a, b), {})
-                row[b] = row.get(b, ZERO) - c
-    entries = []
-    for key in sorted(rows):
-        if any(rows[key].values()):
-            row = [ZERO] * n
-            for m, c in rows[key].items():
-                row[m] = c
-            entries += row
-    return kernel(Mat(len(entries) // n, n, entries))
+                row[b] = row.get(b, 0) - x
+    echelon, pivots = int_echelon(
+        [{m: x for m, x in row.items() if x} for row in rows.values()], n)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(n):
+        if free in pivot_set:
+            continue
+        v = [ZERO] * n
+        v[free] = ONE
+        for row, p in zip(echelon, pivots):
+            x = row.get(free)
+            if x:
+                v[p] = Fraction(-x, row[p])
+        basis.append(v)
+    return basis
 
 
 def primitives(h) -> list[Vec]:

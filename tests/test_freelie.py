@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hopfdiff import freelie
+from hopfdiff import truncated
 from hopfdiff.exactlin import Mat, row_space_basis
 from hopfdiff.freelie import (
     BudgetCapError,
@@ -114,7 +114,7 @@ def test_below_range_rejected_before_enumerating_words(monkeypatch, generators, 
     def unreachable(*args):
         raise AssertionError("words enumerated for an out-of-range carrier")
 
-    monkeypatch.setattr(freelie, "words_up_to", unreachable)
+    monkeypatch.setattr(truncated, "words_up_to", unreachable)
     with pytest.raises(BudgetCapError, match="at least 1"):
         TruncatedTensor(generators, budget)
 

@@ -7,6 +7,10 @@ layers load only for the commands that use them, and no command imports
 ``dataclasses`` or ``inspect``: on the shared path, and on the paths of a
 free-lie task, ``classify-diffops`` and ``monoid-table`` through the heavy
 layers.
+
+The benchmark's commands have their whole ``hopfdiff`` module set pinned,
+so a new top-level import on any of their paths fails here, not only the
+import of a layer named as absent.
 """
 
 import json
@@ -18,6 +22,7 @@ from pathlib import Path
 import pytest
 
 import hopfdiff
+from hopfdiff import catalog, formats
 
 SRC = str(Path(hopfdiff.__file__).resolve().parents[1])
 
@@ -65,3 +70,33 @@ def test_command_loads_only_its_layers(argv, absent, kind, tmp_path):
     assert res["report"].get("kind") == kind
     assert "hopfdiff.cli" in res["loaded"]
     assert sorted(absent & set(res["loaded"])) == []
+
+
+SHARED = {"cli", "exactlin", "hopf"}
+CATALOG = SHARED | {"catalog", "groups"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    # the four tasks of the freelie-b4 workload; lyndon-dims needs only the
+    # carriers, and mm-check neither diffops nor the catalog
+    (["free-lie", "mm-check", "--generators", "2", "--budget", "4"],
+     SHARED | {"cli_freelie", "truncated", "freelie", "actions"}),
+    (["free-lie", "ckmm-mixed", "--budget", "4"],
+     CATALOG | {"cli_freelie", "truncated", "freelie", "actions", "diffops", "lie"}),
+    (["free-lie", "diffop-from-hom", "--budget", "4"],
+     SHARED | {"cli_freelie", "truncated", "freelie", "actions", "diffops"}),
+    (["free-lie", "lyndon-dims", "--budget", "6"], SHARED | {"cli_freelie", "truncated"}),
+    (["validate", "--algebra", "kC2"], CATALOG | {"cli_algebra"}),
+    (["grouplikes", "--algebra", "H8"], CATALOG | {"cli_algebra"}),
+    (["check-diffop", "--operator", "op.json"], CATALOG | {"cli_diffops", "diffops", "formats"}),
+    (["classify-diffops", "--plan", "plan:H8"], CATALOG | {"cli_solver", "solver", "diffops"}),
+    (["monoid-table", "--algebra", "kD4"], CATALOG | {"cli_diffops", "diffops"}),
+], ids=["mm-check", "ckmm-mixed", "diffop-from-hom", "lyndon-dims", "validate-kC2",
+        "grouplikes-H8", "check-diffop-kS3", "classify-H8", "monoid-table-kD4"])
+def test_command_loads_exactly_its_modules(argv, modules, tmp_path):
+    with open(tmp_path / "op.json", "w", encoding="utf-8") as fh:
+        json.dump(formats.operator_to_dict(catalog.build("op:inv:kS3")), fh)
+    res = run_fresh(argv, tmp_path)
+    assert res["code"] == 0 and res["report"]["ok"] is True
+    loaded = {m for m in res["loaded"] if m.startswith("hopfdiff.")}
+    assert sorted(loaded) == sorted(f"hopfdiff.{m}" for m in modules)
