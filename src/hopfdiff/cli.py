@@ -114,8 +114,9 @@ def _resolve_plan(args):
         if args.algebra is None:
             raise InputError("--plan or --algebra is required (a plan file or catalog "
                              "plan name, or an algebra to derive the plan of)")
+        h = _resolve_algebra(args.algebra)
         try:
-            return derive_plan(_resolve_algebra(args.algebra))
+            return derive_plan(h)
         except ValueError as exc:
             raise InputError(f"no search plan for {args.algebra}: {exc}")
     if os.path.exists(args.plan):

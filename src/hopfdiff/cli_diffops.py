@@ -12,12 +12,33 @@ from .cli import InputError, _input_error, _load_action, _load_operator, _resolv
 from .exactlin import rat_str
 
 
-def cmd_check_diffop(args):
-    from .diffops import DiffOp, check_diffop
+def _load_diffop(path: str):
+    """An operator file read as a difference operator, which maps its
+    algebra to itself: an explicit codomain must be that algebra, with the
+    same name and content hash."""
+    from .formats import algebra_hash
 
-    op = _load_operator(args.operator)
-    h = op.domain
-    result = check_diffop(h, op)
+    op = _load_operator(path)
+    h, k = op.domain, op.codomain
+    if k is not h and (k.name != h.name or algebra_hash(k) != algebra_hash(h)):
+        raise InputError(f"operator file {path} maps {h.name} to {k.name}; a difference "
+                         f"operator maps an algebra to itself")
+    return op
+
+
+def _checked_operator(path: str):
+    """The algebra of a difference-operator file and check_diffop's
+    verdict on the operator."""
+    from .diffops import check_diffop
+
+    op = _load_diffop(path)
+    return op.domain, check_diffop(op.domain, op)
+
+
+def cmd_check_diffop(args):
+    from .diffops import DiffOp
+
+    h, result = _checked_operator(args.operator)
     if isinstance(result, DiffOp):
         report = {"algebra": h.name, "ok": True, "bijective": result.bijective}
         return report, (f"check-diffop {h.name}: verified"
@@ -50,11 +71,9 @@ def cmd_monoid_table(args):
 
 
 def cmd_rota_baxter(args):
-    from .diffops import DiffOp, check_diffop, rota_baxter_inverse
+    from .diffops import DiffOp, rota_baxter_inverse
 
-    op = _load_operator(args.operator)
-    h = op.domain
-    result = check_diffop(h, op)
+    h, result = _checked_operator(args.operator)
     if not isinstance(result, DiffOp):
         report = {"algebra": h.name, "ok": False,
                   "error": "not a difference operator",
@@ -76,8 +95,8 @@ def cmd_extend_smash_diff(args):
                           extend_diff_smash)
 
     action = _load_action(args.action)
-    d_h = _load_operator(args.operator)
-    d_k = _load_operator(args.operator_k)
+    d_h = _load_diffop(args.operator)
+    d_k = _load_diffop(args.operator_k)
     try:
         result = check_diff_module_bialgebra(action, d_h, d_k)
     except ValueError as exc:
@@ -95,11 +114,9 @@ def cmd_extend_smash_diff(args):
 
 
 def cmd_ckmm_check(args):
-    from .diffops import DiffOp, check_diffop, ckmm_instance_check
+    from .diffops import DiffOp, ckmm_instance_check
 
-    op = _load_operator(args.operator)
-    h = op.domain
-    result = check_diffop(h, op)
+    h, result = _checked_operator(args.operator)
     if not isinstance(result, DiffOp):
         report = {"algebra": h.name, "ok": False, "error": "not a difference operator"}
         return report, "ckmm-check: input is not a difference operator"

@@ -119,9 +119,16 @@ def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
     exhaustive checks.  A matrix checked on every basis pair and passing
     both comes back as a DiffOp.  Otherwise the report comes back, with
     the coalgebra_map_report entries and then diff_identity_report's:
-    failures or honest partial coverage are data, not exceptions.
+    failures or honest partial coverage are data, not exceptions.  A
+    candidate that is not h.dim x h.dim raises ValueError.
     """
     matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
+    if isinstance(matrix, Mat):
+        shape = {matrix.rows, matrix.cols}
+    else:
+        shape = {len(matrix)} | {len(c) for c in matrix if c is not None}
+    if shape != {h.dim}:
+        raise ValueError(f"a difference operator on {h.name} is a {h.dim} x {h.dim} matrix")
     scaled = int_columns(matrix)
     co = coalgebra_map_report(h, h, scaled)
     ident = diff_identity_report(h, scaled)

@@ -11,11 +11,11 @@ The search runs in four phases:
 3. the remaining polynomial constraints (the difference identity on all
    basis pairs plus the quadratic comultiplication blocks) are reduced by
    repeated exact linear elimination, then branched on the rational roots
-   that the equations force on one affine form at a time; over an
-   exponent-two coradical, a residual system of the univariate shape
-   q(p) = r over the group algebra is first solved through the character
-   transform.  A branch is partial only when this engine stalls: no form
-   is left whose roots the equations force;
+   that the equations force on one affine form at a time.  Over an
+   exponent-two coradical the characters order those forms, and the
+   solutions of q(p) = r over the group algebra that the character
+   transform gives are recorded, not used to solve.  A branch is partial
+   only when this engine stalls: no form is left whose roots are forced;
 4. every surviving candidate is re-verified by the full difference
    operator check, and the bijective filter is applied last.
 
@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, Record, int_echelon, invert, kernel, rat
+from .exactlin import Mat, ONE, Record, int_echelon, kernel, rat
 from .hopf import FinDimHopf, int_structure
 from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
@@ -278,8 +278,9 @@ class SearchPlan(Record):
     - the counit, comultiplication and difference-identity constraints
       are necessary conditions whatever the coproducts are, and they stay
       of degree at most two in the branch parameters;
-    - the character dispatch only narrows the coset part of a generator
-      image to candidates that contain the roots the equations force;
+    - the engine pins one affine form at a time to the roots the
+      equations force on it, so no root is lost; the q(p) = r candidate
+      set is only recorded;
     - phase 4 checks every candidate with the full difference-operator
       check.
     """
@@ -351,7 +352,7 @@ def derive_plan(h: FinDimHopf) -> SearchPlan:
     gens = [idxs[g] for g in group.generating_set()]
     commutation = {h.label(b.generator) + h.label(g): h.element_str(h.mult_basis(b.generator, g))
                    for b in blocks for g in gens}
-    return SearchPlan(h, list(idxs), blocks, commutation or None).validate()
+    return SearchPlan(h, list(idxs), blocks, commutation or None)
 
 
 class BranchReport(Record):
@@ -594,16 +595,16 @@ class _Engine:
     def run(self):
         images = self.branch.images
         eqs = self.branch.equations(include_diff_identity=False)
-        solutions = self._solve(eqs, images, self.branch.nvars, dispatch_done=False)
+        solutions = self._solve(eqs, images, self.branch.nvars)
         if solutions is None:
             self.partial_reason = None
             self.branch.record = None
             eqs = self.branch.equations(include_diff_identity=True)
-            solutions = self._solve(eqs, images, self.branch.nvars, dispatch_done=False)
+            solutions = self._solve(eqs, images, self.branch.nvars)
         return solutions
 
     # each solution is a full list of constant image vectors
-    def _solve(self, eqs, images, nvars, dispatch_done):
+    def _solve(self, eqs, images, nvars):
         eqs, images, nvars, consistent = self._linear_phase(eqs, images, nvars)
         if not consistent:
             return []
@@ -614,15 +615,12 @@ class _Engine:
         if not eqs:
             self.partial_reason = f"{nvars} parameters remain unconstrained"
             return None
-        # character dispatch over the generator coset block; its
-        # precondition (pinned coradical part) may only hold deeper in the
-        # tree, so keep offering it until it fires once
-        if not dispatch_done:
-            dispatched = self._try_block_dispatch(eqs, images, nvars)
-            if dispatched is not None:
-                return dispatched
-        # single-form branching
         reducer = self._span_reducer(eqs)
+        # the q(p) = r candidate set is recorded at the first node where its
+        # precondition (pinned coradical part) holds; it is not used to solve
+        if self.branch.record is None:
+            self.branch.record = self._quadratic_candidates(images, reducer)
+        # single-form branching
         for form, den in self._candidate_forms(images, nvars):
             if _is_const(form):
                 continue
@@ -631,7 +629,7 @@ class _Engine:
                 continue
             out = []
             for root in roots:
-                sub = self._solve(eqs + [_pin(form, den, root)], images, nvars, dispatch_done)
+                sub = self._solve(eqs + [_pin(form, den, root)], images, nvars)
                 if sub is None:
                     return None
                 out.extend(sub)
@@ -785,10 +783,12 @@ class _Engine:
                 return []
         return None if roots is None else sorted(roots)
 
-    def _try_block_dispatch(self, eqs, images, nvars):
-        """Recognize the q(p) = r shape over the coset block of the first
-        scheduled generator and solve it through the character transform,
-        recording the intermediate candidate set."""
+    def _quadratic_candidates(self, images, reducer):
+        """The solutions p of q(p) = r over the coset block of the first
+        scheduled generator, through the character transform, or None when
+        the shape does not apply: the coradical part of the image is not
+        pinned, the coset part is, or a character form has no root set of
+        the shape p = +-r."""
         if not self.signs:
             return None
         plan = self.branch.plan
@@ -796,45 +796,22 @@ class _Engine:
         cols, den = images
         u = cols[block.generator]
         corad = plan.grouplike_indices
-        # coradical part of the image must already be pinned
         if not all(_is_const(u[g]) for g in corad):
             return None
         coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
         if all(_is_const(u[coset_by_g[g]]) for g in corad):
-            return None  # nothing left to solve here
+            return None
+        # the square of each character form of p, the transform of r
         rhat = []
-        reducer = self._span_reducer(eqs)
         for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
-            if _is_const(f):
-                const = Fraction(f.get(0, 0), den)
-                rhat.append(const * const)
-                continue
-            roots = self._root_set(f, den, reducer)
-            if roots is None:
+            roots = ([Fraction(f.get(0, 0), den)] if _is_const(f)
+                     else self._root_set(f, den, reducer))
+            if not roots or len(roots) == 2 and roots[0] != -roots[1]:
                 return None
-            if not roots:
-                return []
-            if len(roots) == 1:
-                rhat.append(roots[0] * roots[0])
-            elif len(roots) == 2 and roots[0] == -roots[1]:
-                rhat.append(roots[1] * roots[1])
-            else:
-                return None
+            rhat.append(roots[-1] ** 2)
         n_g = self.char_group.order
-        inv = Fraction(1, n_g)
-        r_vec = [inv * sum(chi[g] * r for chi, r in zip(self.signs, rhat))
-                 for g in range(n_g)]
-        candidates = solve_quadratic_in_group_algebra(self.char_group, [0, 0, 1], r_vec)
-        if self.branch.record is None:
-            self.branch.record = candidates
-        out = []
-        for cand in candidates:
-            pins = [_pin(u[coset_by_g[g]], den, cand[self.branch.pos[g]]) for g in corad]
-            sub = self._solve(eqs + pins, images, nvars, dispatch_done=True)
-            if sub is None:
-                return None
-            out.extend(sub)
-        return out
+        r_vec = [sum(chi[g] * r for chi, r in zip(self.signs, rhat)) / n_g for g in range(n_g)]
+        return solve_quadratic_in_group_algebra(self.char_group, [0, 0, 1], r_vec)
 
 
 def _dedupe(eqs):
@@ -879,33 +856,23 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
         # full exhaustive check is the arbiter for every candidate
         verified = []
         for cols in ops:
-            mat = Mat.from_cols(cols)
-            res = check_diffop(h, mat)
+            res = check_diffop(h, Mat.from_cols(cols))
             if isinstance(res, DiffOp):
                 verified.append(res)
+        status = "complete" if verified else "empty"
+        if bijective_only:
+            verified = [op for op in verified if op.bijective]
         branches.append(BranchReport(
-            bi, labels, "complete" if verified else "empty",
+            bi, labels, status,
             [[list(op.map.matrix.col(j)) for j in range(h.dim)] for op in verified],
             branch.record))
         operators.extend(verified)
-    if bijective_only:
-        operators = [op for op in operators if op.bijective]
-        for br in branches:
-            br.operators = [
-                cols for cols in br.operators
-                if invert(Mat.from_cols(cols)) is not None
-            ]
-    # canonical order: by image matrix, lexicographically
+    # canonical order: by image matrix, lexicographically.  No operator is
+    # listed twice: each leaf of a branch's search tree has its own value of
+    # the form it was pinned on, and the branches differ on G(H)
     operators.sort(key=lambda op: tuple(tuple(op.map.matrix.col(j))
                                         for j in range(h.dim)))
-    deduped = []
-    seen = set()
-    for op in operators:
-        key = tuple(op.map.matrix.entries)
-        if key not in seen:
-            seen.add(key)
-            deduped.append(op)
-    return ClassificationResult(h.name, deduped, certificate, branches, bijective_only)
+    return ClassificationResult(h.name, operators, certificate, branches, bijective_only)
 
 
 class PublishedDiff(Record):

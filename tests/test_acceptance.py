@@ -361,25 +361,6 @@ def test_criterion_10_derived_structures():
     derived_act, derived_ch, rep = derived_action(ch4)
     assert rep.ok  # the report includes the restriction-formula checks
 
-    # the primitive-restriction formula with actual primitives, in budget
-    from hopfdiff.freelie import TruncatedTensor, adjoint_derivation_action, diffop_from_hom
-    from hopfdiff.hopf import vec_add, vec_scale, vec_sub
-
-    tv = TruncatedTensor(2, 4)
-    adj = adjoint_derivation_action(tv)
-    pi_cols = diffop_from_hom(
-        tv, [list(tv.generator_vec(0)), list(tv.generator_vec(1))]).details["D"]
-    for a in range(2):
-        pia = pi_cols[tv.index[(a,)]]
-        for x in range(2):
-            xv = tv.generator_vec(x)
-            lhs = vec_add(
-                vec_add(tv.mult_vec(pia, xv), vec_scale(F(-1), tv.mult_vec(xv, pia))),
-                adj.act_basis(tv.index[(a,)], xv))
-            rhs = vec_add(vec_sub(tv.mult_vec(pia, xv), tv.mult_vec(xv, pia)),
-                          adj.act_basis(tv.index[(a,)], xv))
-            assert lhs == rhs
-
     # structure-theorem instances on kS3 and on the smash square of kC2
     for op in all_diffops_on_group_algebra(ks3):
         assert ckmm_instance_check(ks3, op)["ok"]

@@ -453,7 +453,7 @@ def test_seed_is_recorded(capsys):
     assert code == 0 and payload["seed"] == 7
 
 
-@pytest.mark.parametrize("command", ["grouplikes", "monoid-table"])
+@pytest.mark.parametrize("command", ["grouplikes", "monoid-table", "classify-diffops"])
 def test_non_hopf_algebra_file_gives_structured_report(capsys, tmp_path, command):
     code, payload, _ = invoke(capsys, "catalog", "kC2")
     payload["payload"]["counit"] = ["1", "0"]
@@ -495,6 +495,50 @@ def test_file_naming_non_hopf_algebra_file_gives_structured_report(capsys, tmp_p
     assert payload["algebra"] == "kC2"
     assert payload["axiom"] == "counit" and payload["witness"] == [1]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", ["op:id:kC4", "op:crossed:kC2:kC4"])
+@pytest.mark.parametrize("command", ["check-diffop", "rota-baxter", "ckmm-check"])
+def test_operator_into_another_algebra_is_an_input_error(capsys, tmp_path, command, entry):
+    """A difference operator maps its algebra to itself.  An operator file
+    with another algebra as codomain exits 2 with a JSON error naming both:
+    the identity of kC4 declared as a map to H4, a square matrix, as well
+    as the crossed homomorphism kC2 -> kC4."""
+    code, payload, _ = invoke(capsys, "catalog", entry)
+    data = payload["payload"]
+    data.setdefault("codomain", "H4")
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(data))
+    code, payload, err = invoke(capsys, command, "--operator", str(path))
+    assert code == 2
+    assert payload["ok"] is False and payload["command"] == command
+    assert f"maps {data['algebra']} to {data['codomain']}" in payload["error"]
+    assert "Traceback" not in err
+
+
+def test_extend_smash_diff_reads_difference_operators(capsys, tmp_path):
+    code, payload, _ = invoke(capsys, "catalog", "op:id:kC4")
+    data = payload["payload"]
+    data["codomain"] = "H4"
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(data))
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    identity = export_entry(capsys, tmp_path, "op:id:kC2", "id_kC2.json")
+    code, payload, err = invoke(capsys, "extend-smash-diff", "--action", action,
+                                "--operator", str(path), "--operator-k", identity)
+    assert code == 2 and "maps kC4 to H4" in payload["error"]
+    assert "Traceback" not in err
+
+
+def test_operator_with_its_own_algebra_as_codomain_is_accepted(capsys, tmp_path):
+    code, payload, _ = invoke(capsys, "catalog", "op:id:kC4")
+    data = payload["payload"]
+    data["codomain"] = "kC4"
+    path = tmp_path / "operator.json"
+    path.write_text(json.dumps(data))
+    for command in ("check-diffop", "rota-baxter", "ckmm-check"):
+        code, payload, _ = invoke(capsys, command, "--operator", str(path))
+        assert code == 0 and payload["ok"] is True
 
 
 # faults of the declared coradical of an H4 file, and the message each gets

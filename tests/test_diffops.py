@@ -47,6 +47,17 @@ def test_id_on_h4_fails_with_witness(h4):
     assert res.witness == (1, 2)  # the pair (g, x)
 
 
+@pytest.mark.parametrize("candidate", [
+    Mat.from_cols([[1, 0, 0, 0], [0, 1, 0, 0]]),  # the crossed homomorphism kC2 -> kC4
+    Mat.identity(3),
+    [[1, 0], [0, 1], [0, 0]],
+    [None, [1, 0, 0]],
+], ids=["4x2", "3x3", "three-columns", "long-column"])
+def test_check_diffop_rejects_a_candidate_of_another_shape(kc2, candidate):
+    with pytest.raises(ValueError, match="is a 2 x 2 matrix"):
+        check_diffop(kc2, candidate)
+
+
 def test_paper_d1_table_verifies(h8):
     table = catalog.build("expected:H8-bijective")[0]
     res = check_diffop(h8, LinMap(h8, h8, Mat.from_cols(table["images"])))

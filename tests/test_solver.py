@@ -132,8 +132,8 @@ def test_classify_h8_complete_with_six_operators(h8_classification, h8):
 
 
 def test_classify_h8_intermediate_sixteen(h8_classification):
-    # the identity branch dispatches p^2 = 1 and records exactly the
-    # sixteen character-transform solutions
+    # the identity branch records exactly the sixteen character-transform
+    # solutions
     id_branch = next(br for br in h8_classification.branches
                      if br.group_images == ["1", "x", "y", "xy"])
     assert id_branch.quadratic_candidates is not None

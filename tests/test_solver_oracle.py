@@ -7,11 +7,17 @@ the counit, comultiplication and difference-identity constraints as
 substituted the affine solution table with ``p_subst``.  The integer layer
 stores every equation primitive, so equations are compared up to scale.
 
+The reference engine also keeps its character dispatch, which pinned
+every coset coordinate of the first generator at once from the q(p) = r
+candidate set; the engine only records that set and branches on one form
+at a time.
+
 Hypothesis draws polynomials and substitution tables with coefficients
 from the sampling pool {0, +-1, +-1/2, 2}.  On plan:H4, plan:kC2xC2 and
 four plan:H8 branches the per-branch equation sets, the images, and the
 engine's solutions, record and residual must be equal.  A last check
-runs the classification with the character dispatch switched off.
+compares the engine's solutions, record and residual with the reference
+engine's on all 34 branches of plan:H4, plan:kC2xC2 and plan:H8.
 """
 
 import itertools
@@ -35,7 +41,6 @@ from hopfdiff.solver import (
     _primitive,
     _subst,
     _subst_form,
-    classify_diffops,
     f2_characters,
     rational_roots,
     solve_quadratic_in_group_algebra,
@@ -745,13 +750,16 @@ def test_branch_matches_reference(name, index):
     assert got_engine.partial_reason == want_engine.partial_reason
 
 
-@pytest.mark.parametrize("name", ["plan:H4", "plan:kC2xC2"])
-def test_classification_without_dispatch_matches(name, monkeypatch):
-    """The character dispatch is a shortcut: with it switched off, the
-    generic root branching must reach the same operators and certificate."""
-    def key(result):
-        return result.certificate, [op.map.matrix.entries for op in result.operators]
-
-    want = key(classify_diffops(catalog.build(name)))
-    monkeypatch.setattr(_Engine, "_try_block_dispatch", lambda self, *args: None)
-    assert key(classify_diffops(catalog.build(name))) == want
+@pytest.mark.parametrize("name", ["plan:H4", "plan:kC2xC2", "plan:H8"])
+def test_engine_matches_reference_engine(name):
+    """One search path: the engine branches on one form at a time and only
+    records the q(p) = r candidate set, while the reference pins the whole
+    coset block from that set.  On every branch both reach the same
+    solutions, in the same order, the same record and the same residual."""
+    for group, ref, new in branch_pairs(name):
+        chars, _ = f2_characters(group)
+        want_engine = ReferenceEngine(ref, chars, group)
+        got_engine = _Engine(new, chars, group)
+        assert got_engine.run() == want_engine.run()
+        assert new.record == ref.record
+        assert got_engine.partial_reason == want_engine.partial_reason
