@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import filterfalse, repeat
+from itertools import filterfalse
 
 from .exactlin import Mat, ONE, ZERO, Record, in_span, rat, row_space_basis
 from .hopf import (
@@ -173,6 +173,40 @@ def adjoint_action(h: FinDimHopf) -> ActionData:
     return ActionData(h, h, tensor)
 
 
+class SkipRuns:
+    """The skipped tuples of a report as runs, with the length, order,
+    membership and equality of the list of those tuples, which is built
+    only where it is iterated.
+
+    The loose tuples of head come first.  Each run (prefix, n, done) of
+    runs then stands for prefix + (i,) for every i of range(n) outside
+    done, the ascending indices its table row evaluated.
+    """
+
+    __hash__ = None
+
+    def __init__(self, runs: list, head=()):
+        self.runs = runs
+        self.head = head
+
+    def __len__(self):
+        return len(self.head) + sum(n - len(done) for _, n, done in self.runs)
+
+    def __iter__(self):
+        yield from self.head
+        for prefix, n, done in self.runs:
+            for i in filterfalse(set(done).__contains__, range(n)):
+                yield prefix + (i,)
+
+    def __eq__(self, other):
+        if isinstance(other, (list, SkipRuns)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self):
+        return f"SkipRuns({list(self)!r})"
+
+
 MODULE_AXIOMS = ("module", "module-algebra", "bialgebra")
 
 
@@ -198,8 +232,8 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
     are evaluated; this relies on an action raising on a vector only where
     it raises on one of its terms, as both kinds of action do.  Only an
     action on a vector of several terms that may cancel before it raises
-    is tried.  Each table row's skip entries are emitted with one extend,
-    in loop order.
+    is tried.  The skips are a SkipRuns with one run per table row, in
+    loop order: the row's prefix and the indices it evaluated.
     """
     k, h = action.acting, action.target
     nk, nh = k.dim, h.dim
@@ -215,7 +249,14 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
     right = [set().union(*(missing[a2] for _, a2, _ in terms)) for terms in tk.comult]
     everything = range(nh)
     failures = []
-    skipped = []
+    runs = []
+
+    def skip(prefix: tuple, done=()) -> int:
+        """Record every index of a row outside done as skipped; the count
+        of done."""
+        if len(done) < nh:
+            runs.append((prefix, nh, tuple(done)))
+        return len(done)
 
     def acted(a: int, u):
         """act_int(a, u), or None where it raises: read off the value table
@@ -242,15 +283,15 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
             for b in range(nk):
                 prod = tk.mult[a][b]
                 if prod.__class__ is OutOfBudgetError:
-                    skipped.extend(zip(repeat("module"), repeat(a), repeat(b), everything))
+                    skip(("module", a, b))
                     continue
                 blocked = missing[b].union(*(missing[m] for m, _ in prod))
+                done = []
                 for x in filterfalse(blocked.__contains__, everything):
                     rhs = acted(a, values[b][x])
                     if rhs is None:
-                        blocked.add(x)
                         continue
-                    checked += 1
+                    done.append(x)
                     lhs = [0] * nh
                     for m, c in prod:
                         for p, v in values[m][x]:
@@ -258,7 +299,7 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                     if [(p, v * den) for p, v in enumerate(lhs) if v] != \
                             [(p, v * tk.mult_den) for p, v in rhs]:
                         failures.append(("module", a, b, x))
-                skipped.extend(zip(repeat("module"), repeat(a), repeat(b), sorted(blocked)))
+                checked += skip(("module", a, b), done)
         return checked
 
     def module_algebra() -> int:
@@ -275,8 +316,7 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
             terms = tk.comult[a]
             for x in range(nh):
                 if x in left[a]:
-                    skipped.extend(zip(repeat("module-algebra"), repeat(a), repeat(x),
-                                       everything))
+                    skip(("module-algebra", a, x))
                     continue
                 row = th.mult[x]
                 legs = []
@@ -287,14 +327,14 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                             *(beyond[p] for p, _ in values[a1][x]))
                     legs.append((values[a1][x], far, values[a2], c))
                 blocked = right[a] | beyond[x]
+                done = []
                 for y in filterfalse(blocked.__contains__, everything):
                     lhs = None
                     if not any(p in far for _, far, second, _ in legs for p, _ in second[y]):
                         lhs = acted(a, row[y])
                     if lhs is None:
-                        blocked.add(y)
                         continue
-                    checked += 1
+                    done.append(y)
                     # no product leaves the budget here: multiply in place
                     rhs = [0] * nh
                     for first, _, second, c in legs:
@@ -307,8 +347,7 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                     if [(p, v * scale) for p, v in lhs] != \
                             [(p, v) for p, v in enumerate(rhs) if v]:
                         failures.append(("module-algebra", a, x, y))
-                skipped.extend(zip(repeat("module-algebra"), repeat(a), repeat(x),
-                                   sorted(blocked)))
+                checked += skip(("module-algebra", a, x), done)
         return checked
 
     def bialgebra() -> int:
@@ -318,16 +357,15 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
         checked = 0
         for a in range(nk):
             aterms = tk.comult[a]
-            blocked = []
+            done = []
             for x in range(nh):
                 value = values[a][x]
                 xterms = th.comult[x]
                 if value.__class__ is OutOfBudgetError \
                         or any(x1 in left[a] for x1, _, _ in xterms) \
                         or any(x2 in right[a] for _, x2, _ in xterms):
-                    blocked.append(x)
                     continue
-                checked += 1
+                done.append(x)
                 if sum(v * th.counit[p] for p, v in value) * tk.counit_den != \
                         tk.counit[a] * th.counit[x] * den:
                     failures.append(("counit", a, x))
@@ -346,12 +384,12 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                                 rhs[(p, q)] = rhs.get((p, q), 0) + cev * w
                 if {key: v * scale for key, v in lhs.items() if v} != _nonzero(rhs):
                     failures.append(("comult", a, x))
-            skipped.extend(zip(repeat("bialgebra"), repeat(a), blocked))
+            checked += skip(("bialgebra", a), done)
         return checked
 
     loops = {"module": module, "module-algebra": module_algebra, "bialgebra": bialgebra}
     checked = sum(loops[label]() for label in axioms)
-    return CheckReport(not failures, failures, skipped, checked)
+    return CheckReport(not failures, failures, SkipRuns(runs), checked)
 
 
 # the AxiomReport names of validate_action, in order, and the one each

@@ -28,8 +28,8 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .actions import (ActionData, IntAction, TruncatedSmash, _rational, crossed_hom_report,
-                      graph_vector, module_axiom_report, smash_vec)
+from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, _rational,
+                      crossed_hom_report, graph_vector, module_axiom_report, smash_vec)
 from .exactlin import Mat, ONE, ZERO, in_span, int_echelon, invert, rat, row_space_basis
 from .hopf import (
     CheckReport,
@@ -461,7 +461,8 @@ def mm_instance_check(action: DerivationAction, pi_gen_images: list[Vec],
     if not club.ok:
         report.ok = False
         report.failures.extend(club.failures)
-    report.skipped.extend(club.skipped)
+    # the module report's runs follow this report's own skips, unbuilt
+    report.skipped = SkipRuns(club.skipped.runs, report.skipped)
     return report
 
 

@@ -616,15 +616,24 @@ class _Engine:
             self.partial_reason = f"{nvars} parameters remain unconstrained"
             return None
         reducer = self._span_reducer(eqs)
+        memo: dict = {}
+
+        def roots_of(form, den):
+            """_root_set at this node, once per (form, den)."""
+            key = (frozenset(form.items()), den)
+            if key not in memo:
+                memo[key] = self._root_set(form, den, reducer)
+            return memo[key]
+
         # the q(p) = r candidate set is recorded at the first node where its
         # precondition (pinned coradical part) holds; it is not used to solve
         if self.branch.record is None:
-            self.branch.record = self._quadratic_candidates(images, reducer)
+            self.branch.record = self._quadratic_candidates(images, roots_of)
         # single-form branching
         for form, den in self._candidate_forms(images, nvars):
             if _is_const(form):
                 continue
-            roots = self._root_set(form, den, reducer)
+            roots = roots_of(form, den)
             if roots is None:
                 continue
             out = []
@@ -783,12 +792,13 @@ class _Engine:
                 return []
         return None if roots is None else sorted(roots)
 
-    def _quadratic_candidates(self, images, reducer):
+    def _quadratic_candidates(self, images, roots_of):
         """The solutions p of q(p) = r over the coset block of the first
         scheduled generator, through the character transform, or None when
         the shape does not apply: the coradical part of the image is not
         pinned, the coset part is, or a character form has no root set of
-        the shape p = +-r."""
+        the shape p = +-r.  roots_of(form, den) is the node's root set of a
+        form."""
         if not self.signs:
             return None
         plan = self.branch.plan
@@ -805,7 +815,7 @@ class _Engine:
         rhat = []
         for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
             roots = ([Fraction(f.get(0, 0), den)] if _is_const(f)
-                     else self._root_set(f, den, reducer))
+                     else roots_of(f, den))
             if not roots or len(roots) == 2 and roots[0] != -roots[1]:
                 return None
             rhat.append(roots[-1] ** 2)

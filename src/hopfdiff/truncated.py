@@ -8,6 +8,8 @@ so ``free-lie lyndon-dims`` runs without the action layer.  Truncation is
 honest: a product whose total degree exceeds the budget raises
 OutOfBudgetError, and ``mult_terms`` returns that error unraised, so the
 integer structure table stores it without a raise and catch per product.
+There is one such error per budget and pair of degrees, and it is raised
+only as a copy.
 Comultiplication, counit and antipode always stay inside the budget and
 are total.
 """
@@ -19,11 +21,24 @@ from fractions import Fraction
 from math import comb
 
 from .exactlin import ONE, ZERO, Record, rat
-from .hopf import CarrierOps, OutOfBudgetError, Vec, basis_vec, primitives, zero_vec
+from .hopf import CarrierOps, OutOfBudgetError, Vec, _copy, basis_vec, primitives, zero_vec
 
-MAX_BUDGET = 6
+MAX_BUDGET = 7
 MAX_GENERATORS = 3
 DEFAULT_BUDGET = 4
+
+# the one OutOfBudgetError of each (budget, degree, degree) above the budget
+_BEYOND: dict = {}
+
+
+def _beyond(budget: int, di: int, dj: int) -> OutOfBudgetError:
+    """The stored error of a product of degrees di and dj above the
+    budget, returned unraised."""
+    exc = _BEYOND.get((budget, di, dj))
+    if exc is None:
+        exc = _BEYOND[(budget, di, dj)] = OutOfBudgetError(
+            f"degree {di + dj} exceeds budget {budget}", degrees=(di, dj))
+    return exc
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +169,7 @@ class TruncatedTensor(CarrierOps):
     def mult_basis(self, i: int, j: int) -> Vec:
         terms = self.mult_terms(i, j)
         if terms.__class__ is OutOfBudgetError:
-            raise terms
+            raise _copy(terms)
         return basis_vec(self.dim, terms[0][0])
 
     def mult_terms(self, i: int, j: int):
@@ -162,8 +177,7 @@ class TruncatedTensor(CarrierOps):
         OutOfBudgetError for a product above the budget, unraised."""
         u, v = self.words[i], self.words[j]
         if len(u) + len(v) > self.budget:
-            return OutOfBudgetError(f"degree {len(u) + len(v)} exceeds budget {self.budget}",
-                                    degrees=(len(u), len(v)))
+            return _beyond(self.budget, len(u), len(v))
         return ((self.index[u + v], ONE),)
 
     def comult_triples(self, i: int):
@@ -340,7 +354,7 @@ class TruncatedEnveloping(CarrierOps):
             return cached
         terms = self.mult_terms(i, j)
         if terms.__class__ is OutOfBudgetError:
-            raise terms
+            raise _copy(terms)
         out = zero_vec(self.dim)
         for k, c in terms:
             out[k] = c
@@ -353,8 +367,7 @@ class TruncatedEnveloping(CarrierOps):
         budget, unraised."""
         di, dj = self.degree(i), self.degree(j)
         if di + dj > self.budget:
-            return OutOfBudgetError(
-                f"degree {di + dj} exceeds budget {self.budget}", degrees=(di, dj))
+            return _beyond(self.budget, di, dj)
         return sorted((self.index[mono], c) for mono, c in
                       self._normalize(self._mono_seq(i) + self._mono_seq(j)).items() if c)
 

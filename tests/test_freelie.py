@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -109,9 +110,34 @@ def test_out_of_budget_products_are_flagged():
         tv.mult_basis(tv.index[(0, 1)], tv.index[(1,)])
 
 
+@pytest.mark.parametrize("kind", ["tensor", "enveloping"])
+def test_stored_budget_error_is_raised_as_fresh_copies(kind):
+    """One error is stored per budget and pair of degrees; each raise of it
+    is a distinct copy with its message and degrees, so no raise grows the
+    stored error's traceback."""
+    if kind == "tensor":
+        h = TruncatedTensor(2, 2)
+    else:
+        h = TruncatedEnveloping(FinLie.from_pairs(["u", "v"], {}, "h"), 2)
+    a, b = h.generator_vec(0).index(1), h.generator_vec(1).index(1)
+    ab = h.mult_basis(a, b).index(1)
+    stored = h.mult_terms(ab, a)
+    assert stored is h.mult_terms(ab, b) and stored is not h.mult_terms(a, ab)
+    raised = []
+    for _ in range(2):
+        with pytest.raises(OutOfBudgetError) as info:
+            h.mult_basis(ab, a)
+        raised.append(info.value)
+    first, second = raised
+    assert first is not second and stored not in raised
+    assert str(first) == str(second) == str(stored) == "degree 3 exceeds budget 2"
+    assert first.degrees == second.degrees == stored.degrees == (2, 1)
+    assert stored.__traceback__ is None
+
+
 def test_budget_caps_enforced():
     with pytest.raises(ValueError):
-        TruncatedTensor(2, 7)
+        TruncatedTensor(2, 8)
     with pytest.raises(ValueError):
         TruncatedTensor(4, 3)
 
@@ -259,6 +285,23 @@ def test_mm_instance_check_skip_accounting_at_budget_four():
     for entry in club.skipped:
         kinds[entry[0]] = kinds.get(entry[0], 0) + 1
     assert kinds == {"module": 28996, "module-algebra": 29222, "bialgebra": 780}
+
+
+def test_mm_instance_check_memory_at_budget_five():
+    """The skipped module-axiom tuples are kept as one run per table row:
+    one check at budget 5, which skips 503 274 tuples, peaks under 16 MB of
+    traced allocations (44 MB when every skipped tuple was built)."""
+    tv = TruncatedTensor(2, 5)
+    adj = adjoint_derivation_action(tv)
+    neg = [[-c for c in tv.generator_vec(g)] for g in range(2)]
+    tracemalloc.start()
+    try:
+        rep = mm_instance_check(adj, neg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.ok and len(rep.skipped) == 503274
+    assert peak < 16 * 2 ** 20
 
 
 def test_mm_instance_pi_zero():

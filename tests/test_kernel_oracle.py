@@ -2292,6 +2292,30 @@ def test_extension_and_restriction_values_match_reference(budget):
     assert outcomes[0] == (0, 0)
 
 
+@pytest.mark.parametrize("budget", [3, 4])
+def test_mm_instance_check_skips_match_reference_in_order(budget):
+    """Every skip entry of mm_instance_check, in order, for each pair of
+    letter images of mm_systems: the extension's entries, the Lie
+    restriction's, the undecided uniqueness degree, then every tuple that
+    the reference module-axiom loops skip, which the report keeps as runs
+    and builds only here."""
+    tv = carrier(f"T(2,{budget})")
+    action = adjoint_derivation_action(tv)
+    module = reference_module_axiom_report(tv, tv, action.act_rational).skipped
+    for _, _, pi, _ in list(mm_systems(budget))[::3]:
+        report = mm_instance_check(action, pi)
+        cols = reference_pibar_columns(action, pi)
+        want = reference_crossed_hom_report(tv, tv, cols, action.act_basis).skipped
+        want += reference_lie_restriction(action, pi, cols)[1]
+        uniq = report.details["uniqueness"]
+        if uniq["unique"] is None:
+            want.append(("uniqueness", uniq["witness"]))
+        got = list(report.skipped)
+        assert got == want + module
+        assert len(report.skipped) == len(got)
+        assert got[-1] in report.skipped and ("module", 0, 0, 0) not in report.skipped
+
+
 def reference_comult_triples(tv: TruncatedTensor, i: int):
     """The coshuffle coproduct of word i over its 2^|w| position masks."""
     w = tv.words[i]

@@ -8,10 +8,15 @@ from hopfdiff import catalog
 from hopfdiff.cli import run
 from hopfdiff.diffops import DiffOp, all_diffops_on_group_algebra, check_diffop
 from hopfdiff.exactlin import Mat
+from hopfdiff.groups import coradical_group
 from hopfdiff.hopf import basis_vec
 from hopfdiff.solver import (
     GeneratorBlock,
     SearchPlan,
+    _acc_product,
+    _Branch,
+    _Engine,
+    _PlanTables,
     classify_diffops,
     derive_plan,
     f2_characters,
@@ -142,6 +147,37 @@ def test_classify_h8_intermediate_sixteen(h8_classification):
         catalog.build("C2xC2"), [0, 0, 1], [1, 0, 0, 0])
     assert {tuple(p) for p in id_branch.quadratic_candidates} == \
         {tuple(p) for p in sols}
+
+
+def test_quadratic_record_squares_character_roots_of_two():
+    """The q(p) = r record on a system whose character forms have roots
+    +-2: on the identity branch of plan:H8, the coradical part of the
+    generator's image is pinned to 0 and each character form f of its
+    coset part is constrained by (f / den)^2 = 4 alone.  The record takes
+    r^ = 4 for every character, so r = 4 and the record is the sixteen
+    solutions of p^2 = 4, twice those of p^2 = 1."""
+    plan = catalog.build("plan:H8").validate()
+    group, idxs, pos = coradical_group(plan.target)
+    branch = _Branch(_PlanTables(plan, pos), {b: b for b in idxs})
+    engine = _Engine(branch, f2_characters(group)[0], group)
+    block = plan.blocks[0]
+    coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
+    u, den = branch.images.cols[block.generator], branch.images.den
+    # coordinate k of the generator's image is parameter 1 + k: pin its
+    # coradical part to 0
+    eqs = [{(0, 1 + g): 1} for g in idxs]
+    for form in engine._character_forms(u, [coset_by_g[g] for g in idxs]):
+        eq: dict = {}
+        _acc_product(eq, 1, form, form)
+        eq[(0, 0)] = eq.get((0, 0), 0) - 4 * den * den
+        eqs.append(eq)
+    engine._solve(eqs, branch.images, branch.nvars)
+    want = solve_quadratic_in_group_algebra(group, [0, 0, 1], [4, 0, 0, 0])
+    assert len(want) == 16
+    assert sorted(map(tuple, branch.record)) == sorted(map(tuple, want))
+    assert sorted(map(tuple, want)) == sorted(tuple(2 * c for c in p) for p in
+                                              solve_quadratic_in_group_algebra(
+                                                  group, [0, 0, 1], [1, 0, 0, 0]))
 
 
 def test_classify_h8_xy_branches_have_no_bijective_operators(h8_classification):
