@@ -33,6 +33,7 @@ from .hopf import (
     LinMap,
     OutOfBudgetError,
     _add_scaled,
+    _attempt,
     _copy,
     apply_cols,
     basis_vec,
@@ -79,6 +80,11 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
     failures = []
     skipped = []
     checked = 0
+    # right[m][k] is mult_den * e_k S(e_m), or the OutOfBudgetError that
+    # forming it raises, filled on first read: mul(mid, S(e_m)) is the sum
+    # of mid's rows, and reading them in mid's order meets the first error
+    # mul would raise
+    right = [[None] * n for _ in range(n)]
     for i in range(n):
         # D(t1) t2 does not depend on y; a budget error is kept and raised
         # again by mul only when the pair loop reaches that term
@@ -88,7 +94,7 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
                 left = t.mul(cols[t1], ((t2, 1),))
             except OutOfBudgetError as exc:
                 left = exc
-            terms.append((left, t.antipode[t3], w))
+            terms.append((left, t3, w))
         for j in range(n):
             try:
                 lhs = [0] * n
@@ -99,9 +105,21 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
                     for r, x in col:
                         lhs[r] += m * x
                 rhs = [0] * n
-                for left, s, w in terms:
-                    for r, x in t.mul(t.mul(left, cols[j]), s):
-                        rhs[r] += w * x
+                for left, m, w in terms:
+                    mid = t.mul(left, cols[j])
+                    s = t.antipode[m]
+                    if s.__class__ is OutOfBudgetError:
+                        raise _copy(s)
+                    rows = right[m]
+                    for k, x in mid:
+                        row = rows[k]
+                        if row is None:
+                            row = rows[k] = _attempt(t.mul, ((k, 1),), s)
+                        if row.__class__ is OutOfBudgetError:
+                            raise _copy(row)
+                        wx = w * x
+                        for r, y in row:
+                            rhs[r] += wx * y
             except OutOfBudgetError as exc:
                 skipped.append((i, j, str(exc)))
                 continue
@@ -173,52 +191,76 @@ def endo_to_diff(h: FinDimHopf, f: LinMap) -> LinMap:
 
 # -- the monoid on integer operator forms ----------------------------------------
 
-def _reduced(cols, den: int) -> IntColumns:
-    """Dense or sparse integer columns over den as a canonical key: sparse
-    tuples over the smallest denominator, which is int_columns of the
-    rational matrix they stand for."""
-    # tuples are built from lists, not generators: a tuple grown from a
-    # generator bypasses the interpreter's tuple free lists but is freed
-    # into them, so thousands of products would fill them
-    sparse = tuple([tuple([(r, x) for r, x in enumerate(c) if x]) if isinstance(c, list)
-                    else c for c in cols])
-    g = gcd(den, *[x for c in sparse for _, x in c])
-    if g > 1:
-        sparse = tuple([tuple([(r, x // g) for r, x in c]) for c in sparse])
-    return IntColumns(sparse, den // g)
-
-
-def _compose(a: IntColumns, b: IntColumns, n: int) -> IntColumns:
-    """a after b, for n x n maps given as integer operator forms."""
-    cols = []
-    for col in b.cols:
-        acc = [0] * n
-        for r, x in col:
-            for p, y in a.cols[r]:
-                acc[p] += x * y
-        cols.append(acc)
-    return _reduced(cols, a.den * b.den)
-
-
 def _operator_form(h, matrix: Mat) -> tuple[IntColumns, IntColumns]:
     """(D, F) for an operator D with this matrix and F = D * id, both as
-    canonical integer keys."""
-    d = _reduced(*int_columns(matrix))
+    sparse integer columns."""
+    d = int_columns(matrix)
     ident = IntColumns(tuple(((j, 1),) for j in range(h.dim)), 1)
-    return d, _reduced(*convolve_columns(h, h, d, ident))
+    cols, den = convolve_columns(h, h, d, ident)
+    return d, IntColumns([tuple([(r, x) for r, x in enumerate(c) if x]) for c in cols], den)
 
 
-def _star_form(h, a: tuple, b: tuple) -> IntColumns:
-    """The canonical key of D * D' for operator forms a = (D, D*id) and
-    b = (D', D'*id): ((D*id) o D') * D and (D o (D'*id)) * D' are both
-    formed and must agree."""
-    (d, f), (dprime, fprime) = a, b
+def _flat(cols: IntColumns, n: int) -> list:
+    """Sparse integer columns as one flat dense list, column after column."""
+    flat = [0] * (n * n)
+    for o, col in zip(range(0, n * n, n), cols.cols):
+        for r, x in col:
+            flat[o + r] = x
+    return flat
+
+
+def _key(flat: list, den: int) -> tuple:
+    """A flat dense matrix over den as a canonical key: the flat tuple over
+    the smallest denominator."""
+    g = gcd(den, *flat)
+    return tuple(flat if g == 1 else [x // g for x in flat]), den // g
+
+
+def _same(u: list, du: int, v: list, dv: int) -> bool:
+    """u / du == v / dv for flat integer lists, cross-multiplied."""
+    return u == v if du == dv else [x * dv for x in u] == [x * du for x in v]
+
+
+def _star_row(h, a: tuple, bs: list) -> list:
+    """The keys (see _key) of D * D' for the operator form a = (D, F) and
+    each b = (D', F') in bs, F = D * id.
+
+    With D(e_k) = sum c e_i (x) e_j, the two defining formulas are
+    ((F o D') * D)(e_k) = sum c sum_r D'(e_i)_r F(e_r) D(e_j) and
+    ((D o F') * D')(e_k) = sum c sum_r F'(e_i)_r sum_s D'(e_j)_s D(e_r) e_s,
+    so the products F(e_r) D(e_j) and D(e_r) e_s are tabulated once for a
+    and dropped after the row.  Both formulas are formed as flat integer
+    lists and must agree, compared cross-multiplied; only the agreed
+    product gets its key.
+    """
+    t = int_structure(h)
     n = h.dim
-    first = _reduced(*convolve_columns(h, h, _compose(f, dprime, n), d))
-    second = _reduced(*convolve_columns(h, h, _compose(d, fprime, n), dprime))
-    if first != second:
-        raise ValueError("the two defining formulas disagree; is H cocommutative?")
-    return first
+    d, f = a
+    fd = [[t.mul(fr, dj) for dj in d.cols] for fr in f.cols]
+    de = [[t.mul(dr, ((s, 1),)) for s in range(n)] for dr in d.cols]
+    # first is over den * D'.den * F.den, second over den * D'.den * F'.den
+    den = t.comult_den * t.mult_den * d.den
+    keys = []
+    for dprime, fprime in bs:
+        first = [0] * (n * n)
+        second = [0] * (n * n)
+        for k, terms in enumerate(t.comult):
+            o = k * n
+            for i, j, c in terms:
+                for r, x in dprime.cols[i]:
+                    for p, y in fd[r][j]:
+                        first[o + p] += c * x * y
+                dj = dprime.cols[j]
+                for r, x in fprime.cols[i]:
+                    row = de[r]
+                    for s, y in dj:
+                        cxy = c * x * y
+                        for p, z in row[s]:
+                            second[o + p] += cxy * z
+        if not _same(first, f.den, second, fprime.den):
+            raise ValueError("the two defining formulas disagree; is H cocommutative?")
+        keys.append(_key(first, den * dprime.den * f.den))
+    return keys
 
 
 def star(h: FinDimHopf, d: LinMap, dprime: LinMap) -> DiffOp:
@@ -231,12 +273,11 @@ def star(h: FinDimHopf, d: LinMap, dprime: LinMap) -> DiffOp:
     """
     if not is_cocommutative(h):
         raise ValueError("the star product needs a cocommutative Hopf algebra")
-    cols, den = _star_form(h, _operator_form(h, d.matrix), _operator_form(h, dprime.matrix))
-    entries = [ZERO] * (h.dim * h.dim)
-    for j, col in enumerate(cols):
-        for r, x in col:
-            entries[r * h.dim + j] = Fraction(x, den)
-    result = check_diffop(h, Mat(h.dim, h.dim, entries))
+    [(flat, den)] = _star_row(h, _operator_form(h, d.matrix), [_operator_form(h, dprime.matrix)])
+    n = h.dim
+    # flat runs column after column, a Mat row after row
+    result = check_diffop(h, Mat(n, n, [Fraction(x, den) if x else ZERO
+                                        for r in range(n) for x in flat[r::n]]))
     if not isinstance(result, DiffOp):
         raise ValueError(f"star product failed verification: {result.witness}")
     return result
@@ -247,34 +288,45 @@ def monoid_table(h: FinDimHopf, ops: list[DiffOp]) -> tuple[list, bool, bool]:
     on a list of verified difference operators of a cocommutative h.
 
     table[i][j] is the first k with ops[k] = ops[i] * ops[j].  Each
-    operator gets its integer form and F = D * id once; each product is
-    formed as star forms it and looked up by its canonical key among the
-    operators', so a product in the list is a difference operator by that
-    operator's exhaustive check.  A product outside the list raises
-    LookupError.  The transport D -> D * id is checked as
-    F(D * D') = F(D) o F(D') on the integer forms.
+    operator gets its integer form and F = D * id once; each row of
+    products is formed by _star_row and every product is looked up by
+    its key among the operators', so a product in the list is a
+    difference operator by that operator's exhaustive check.  A product
+    outside the list raises LookupError.  The transport D -> D * id is
+    checked as F(D * D') = F(D) o F(D'), with the composite as a flat
+    integer list cross-multiplied against the stored F.
     """
     if not is_cocommutative(h):
         raise ValueError("the star product needs a cocommutative Hopf algebra")
+    n = h.dim
     forms = [_operator_form(h, op.map.matrix) for op in ops]
     index: dict = {}
     for k, (d, _) in enumerate(forms):
-        index.setdefault(d, k)
+        index.setdefault(_key(_flat(d, n), d.den), k)
+    endos = [_flat(f, n) for _, f in forms]
     table = []
+    transport_ok = True
     for a in forms:
         row = []
-        for b in forms:
-            match = index.get(_star_form(h, a, b))
+        f = a[1]
+        for key, (_, fprime) in zip(_star_row(h, a, forms), forms):
+            match = index.get(key)
             if match is None:
                 raise LookupError("star product left the enumerated set")
             row.append(match)
+            if transport_ok:
+                composite = [0] * (n * n)
+                for o, col in zip(range(0, n * n, n), fprime.cols):
+                    for r, x in col:
+                        for p, y in f.cols[r]:
+                            composite[o + p] += x * y
+                transport_ok = _same(composite, f.den * fprime.den,
+                                     endos[match], forms[match][1].den)
         table.append(row)
-    size = range(len(ops))
-    associative = all(table[table[i][j]][k] == table[i][table[j][k]]
-                      for i in size for j in size for k in size)
-    endos = [f for _, f in forms]
-    transport_ok = all(_compose(endos[i], endos[j], h.dim) == endos[table[i][j]]
-                       for i in size for j in size)
+    # (ij)k = i(jk) for every k at once: row ij of the table against row i
+    # read through row j
+    associative = ([table[ij] for row in table for ij in row]
+                   == [list(map(row.__getitem__, other)) for row in table for other in table])
     return table, associative, transport_ok
 
 

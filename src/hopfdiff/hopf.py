@@ -531,7 +531,9 @@ def int_columns(matrix) -> IntColumns:
     ratios = [c.as_integer_ratio() for c in matrix.entries]
     den = lcm(*{d for _, d in ratios})
     width = matrix.cols
-    # tuples from lists, not generators, as in diffops._reduced
+    # tuples are built from lists, not generators: a tuple grown from a
+    # generator bypasses the interpreter's tuple free lists but is freed
+    # into them, so thousands of columns would fill them
     cols = [tuple([(r, p * (den // d)) for r, (p, d) in enumerate(ratios[j::width]) if p])
             for j in range(width)]
     return IntColumns(cols, den)

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, Record, int_echelon, kernel, rat
+from .exactlin import Mat, ONE, Record, int_echelon, rat
 from .hopf import FinDimHopf, int_structure
 from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
@@ -775,12 +775,23 @@ class _Engine:
         d1 *= den
         common = lcm(d2, d1, d0)
         keys = set(r2) | set(r1) | set(r0)
-        rows = [[r.get(k, 0) * (common // d) for r, d in ((r2, d2), (r1, d1), (r0, d0))]
+        rows = [{c: x for c, (r, d) in enumerate(((r2, d2), (r1, d1), (r0, d0)))
+                 if (x := r.get(k, 0) * (common // d))}
                 for k in keys]
-        null = kernel(Mat.from_rows(rows))
+        # the reduced-echelon kernel basis, one vector (a, b, c) per free
+        # column, as exactlin.kernel reads it; no rows means that 1 reduces
+        # to zero, so the equations are inconsistent and give no root set
+        echelon, pivots = int_echelon(rows, 3)
         roots = None
-        for vec in null:
-            a, b, c = vec[0], vec[1], vec[2]
+        for free in range(3 if rows else 0):
+            if free in pivots:
+                continue
+            vec = [0, 0, 0]
+            vec[free] = 1
+            for row, p in zip(echelon, pivots):
+                if free in row:
+                    vec[p] = Fraction(-row[free], row[p])
+            a, b, c = vec
             if not a and not b:
                 continue
             try:

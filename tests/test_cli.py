@@ -642,6 +642,7 @@ REPORT_SHA256 = {
     "check-diffop": (0, "1326c0bb32aaf7e4cd49fdf3bd78ccd021c720c71b032740ed130b63e236484c"),
     "classify-diffops": (0, "b77f12a7dd9aeabe9d414ca5637fd2b875ec9b0f2f6601dd3f8c7c3a79d3b6f8"),
     "monoid-table": (0, "986869622fa560c98236502421c42fe24616426d3a274c9d354a51a20f548036"),
+    "monoid-table-kD4": (0, "cccff85580dfabef750cd2bdf00a1dd3c55d857386015fbf261b28e4737e7774"),
     "rota-baxter": (0, "11cb527e3b51e4318cb75d5d76e1d8f9450b1ce4732221ecaafe9863aeaf24ed"),
     "ckmm-check": (0, "369a2cde0c29fea72fc21a26662ab6adf3e3fce621fa26dbfd826c8a809d2942"),
     "catalog": (0, "3deaacffbc886c43201156a67989f992b2b32dfaa3bc909e3a4d737e63a0a95f"),
@@ -706,6 +707,8 @@ REPORT_SHA256 = {
     ("mm-check-b5", ["free-lie", "mm-check", "--budget", "5"]),
     ("mm-check-b6", ["free-lie", "mm-check", "--budget", "6"]),
     ("mm-check-b7", ["free-lie", "mm-check", "--budget", "7"]),
+    # the monoid on the 36 difference operators of kD4
+    ("monoid-table-kD4", ["monoid-table", "--algebra", "kD4"]),
 ])
 def test_action_reports_are_byte_identical(capsys, tmp_path, name, argv):
     """The exit code and full stdout of one run of every command, the

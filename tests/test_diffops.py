@@ -17,6 +17,7 @@ from hopfdiff.diffops import (
     diff_to_endo,
     endo_to_diff,
     extend_diff_smash,
+    monoid_table,
     restricts_to_group_diffop,
     rota_baxter_inverse,
     star,
@@ -149,6 +150,66 @@ def test_star_transport_is_composition(ks3):
 def test_star_rejects_noncocommutative(h8):
     with pytest.raises(ValueError, match="cocommutative"):
         star(h8, unit_counit_map(h8), unit_counit_map(h8))
+
+
+def _endomorphisms(table) -> list:
+    """Every map f of the group with this product table such that
+    f(ab) = f(a) f(b), by backtracking over the images of 0, 1, ...: a
+    partial map is kept while every product among its elements is."""
+    n = len(table)
+    found = []
+
+    def extend(images):
+        k = len(images)
+        if k == n:
+            found.append(tuple(images))
+            return
+        for image in range(n):
+            images.append(image)
+            if all(table[images[a]][images[b]] == images[table[a][b]]
+                   for a in range(k + 1) for b in range(k + 1) if table[a][b] <= k):
+                extend(images)
+            images.pop()
+
+    extend([])
+    return found
+
+
+@pytest.mark.parametrize("group", ["C4", "C2xC2", "S3", "D4"])
+def test_monoid_table_is_composition_of_endomorphisms(group):
+    """An oracle with no hopfdiff arithmetic: on kG the difference operator
+    D stands for the endomorphism f(g) = D(g) g, and D * D' for f o f'.
+    End(G) is found by backtracking over the catalog's group table, and
+    each operator's f is read off its matrix through the same table."""
+    table = catalog.build(group).table
+    h = catalog.build("k" + group)
+    ops = all_diffops_on_group_algebra(h)
+    fs = []
+    for op in ops:
+        images = []
+        for g in range(len(table)):
+            [(d, c)] = [(r, c) for r in range(len(table)) if (c := op.map.matrix[(r, g)])]
+            assert c == 1
+            images.append(table[d][g])
+        fs.append(tuple(images))
+    # the operators' endomorphisms are End(G), each exactly once
+    assert sorted(fs) == sorted(_endomorphisms(table))
+    assert len(set(fs)) == len(fs)
+    index = {f: k for k, f in enumerate(fs)}
+    assert monoid_table(h, ops)[0] == [[index[tuple(fi[x] for x in fj)] for fj in fs]
+                                       for fi in fs]
+
+
+def test_monoid_table_rejects_a_non_operator_by_its_two_formulas(ks3):
+    """g -> (12) for every g sends group-likes to group-likes but is no
+    difference operator.  First in the list, its whole row of star
+    products is formed before any lookup, and the two defining formulas
+    of a product in it disagree."""
+    bad = Mat.from_cols([basis_vec(ks3.dim, 1)] * ks3.dim)
+    assert not isinstance(check_diffop(ks3, bad), DiffOp)
+    ops = all_diffops_on_group_algebra(ks3)
+    with pytest.raises(ValueError, match="disagree"):
+        monoid_table(ks3, [DiffOp(LinMap(ks3, ks3, bad), False, False)] + ops)
 
 
 def test_conjugate_identity_automorphism(h4):

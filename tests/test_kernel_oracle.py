@@ -398,6 +398,19 @@ def test_reports_match_reference(name, data):
         assert got.inverse == invert(m) and got.bijective == (got.inverse is not None)
 
 
+@pytest.mark.parametrize("name", ["T(2,2)", "T(2,3)"])
+def test_diff_identity_skips_name_the_first_product_out_of_budget(name):
+    """D(1) = 1 + b and D = 0 on every other word: D(1) D(1) = 1 + 2b + bb
+    has terms of three degrees, so its product with S(x) for a word x of
+    degree 2 leaves the budget at two degrees.  Each skip names the one
+    that the rational evaluation meets first."""
+    h = carrier(name)
+    col = basis_vec(h.dim, 0)
+    col[h.index[(1,)]] = ONE
+    m = Mat.from_cols([col] + [zero_vec(h.dim)] * (h.dim - 1))
+    assert diff_identity_report(h, m) == reference_diff_identity_report(MemoProducts(h), m)
+
+
 @pytest.mark.parametrize("name", CARRIERS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
