@@ -105,12 +105,12 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
                     for r, x in col:
                         lhs[r] += m * x
                 rhs = [0] * n
-                for left, m, w in terms:
+                for left, t3, w in terms:
                     mid = t.mul(left, cols[j])
-                    s = t.antipode[m]
+                    s = t.antipode[t3]
                     if s.__class__ is OutOfBudgetError:
                         raise _copy(s)
-                    rows = right[m]
+                    rows = right[t3]
                     for k, x in mid:
                         row = rows[k]
                         if row is None:
