@@ -27,10 +27,9 @@ identical to the one rational arithmetic gives.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import filterfalse
 
-from .exactlin import Mat, ONE, ZERO, Record, in_span, rat, row_space_basis
+from .exactlin import Mat, ONE, Record, _rat_vec, in_span, rat, row_space_basis
 from .hopf import (
     AxiomReport,
     CarrierOps,
@@ -66,14 +65,6 @@ from .hopf import (
 )
 
 
-def _rational(ints, den: int, n: int) -> Vec:
-    """The rational n-vector of sparse integer pairs over den."""
-    out = [ZERO] * n
-    for k, m in ints:
-        out[k] = Fraction(m, den)
-    return out
-
-
 class IntAction:
     """An action of K = acting on H = target in integer arithmetic, the one
     argument of the checkers, the smash builder and the compatibility
@@ -100,7 +91,7 @@ class IntAction:
     def act_rational(self, a: int, u: Vec) -> Vec:
         """Basis a of K acting on the rational H-vector u, through act_int."""
         den, (ints,) = _sparse_ints([u])
-        return _rational(self.act_int(a, ints), den * self.den, len(u))
+        return _rat_vec(self.act_int(a, ints), den * self.den, len(u))
 
     def act(self, a: Vec, u: Vec) -> Vec:
         """The K-vector a acting on the H-vector u; the result has the

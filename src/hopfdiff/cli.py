@@ -95,6 +95,16 @@ def _load_operator(path: str) -> LinMap:
         raise _input_error(exc, f"bad operator file {path}: ")
 
 
+def _require_algebra(got, want, message: str):
+    """An input error with message unless got is the algebra want: the
+    same object, or one with its name and content hash."""
+    if got is not want:
+        from .formats import algebra_hash
+
+        if got.name != want.name or algebra_hash(got) != algebra_hash(want):
+            raise InputError(message)
+
+
 def _load_action(path: str):
     from . import formats
 

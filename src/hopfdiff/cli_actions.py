@@ -3,18 +3,19 @@
 
 from __future__ import annotations
 
-from .cli import InputError, _input_error, _load_action, _load_operator
+from .cli import InputError, _input_error, _load_action, _load_operator, _require_algebra
 from .hopf import LinMap, grouplikes
 
 
 def _crossed_hom_candidate(action, op) -> LinMap:
     """The operator's matrix as a map from the acting algebra to the target."""
-    if op.domain is not action.acting and op.domain.name != action.acting.name:
-        raise InputError("operator domain does not match the acting algebra")
+    _require_algebra(op.domain, action.acting, "operator domain does not match the acting algebra")
     try:
-        return LinMap(action.acting, action.target, op.matrix)
+        pi = LinMap(action.acting, action.target, op.matrix)
     except ValueError as exc:
         raise InputError(str(exc))
+    _require_algebra(op.codomain, action.target, "operator codomain does not match the target")
+    return pi
 
 
 def cmd_check_crossed_hom(args):

@@ -8,7 +8,8 @@ benchmark tracer that replaces a function of those layers reaches it.
 
 from __future__ import annotations
 
-from .cli import InputError, _input_error, _load_action, _load_operator, _resolve_algebra
+from .cli import (InputError, _input_error, _load_action, _load_operator, _require_algebra,
+                  _resolve_algebra)
 from .exactlin import rat_str
 
 
@@ -16,13 +17,10 @@ def _load_diffop(path: str):
     """An operator file read as a difference operator, which maps its
     algebra to itself: an explicit codomain must be that algebra, with the
     same name and content hash."""
-    from .formats import algebra_hash
-
     op = _load_operator(path)
     h, k = op.domain, op.codomain
-    if k is not h and (k.name != h.name or algebra_hash(k) != algebra_hash(h)):
-        raise InputError(f"operator file {path} maps {h.name} to {k.name}; a difference "
-                         f"operator maps an algebra to itself")
+    _require_algebra(k, h, f"operator file {path} maps {h.name} to {k.name}; a difference "
+                           f"operator maps an algebra to itself")
     return op
 
 
@@ -97,6 +95,8 @@ def cmd_extend_smash_diff(args):
     action = _load_action(args.action)
     d_h = _load_diffop(args.operator)
     d_k = _load_diffop(args.operator_k)
+    for name, algebra, d in (("H", action.target, d_h), ("K", action.acting, d_k)):
+        _require_algebra(d.domain, algebra, f"D_{name} is not an operator on {algebra.name}")
     try:
         result = check_diff_module_bialgebra(action, d_h, d_k)
     except ValueError as exc:

@@ -1,11 +1,14 @@
-"""Exact rational linear algebra: dense matrices and affine system solving.
+"""Exact rational linear algebra: dense matrices and one elimination.
 
 Everything is computed over the rationals with no rounding; scalars are
 ``fractions.Fraction`` values (always in lowest terms, positive
-denominator).  Matrices are small and dense.  Elimination scales each row
-to integers and runs fraction-free on sparse integer rows; ``Fraction``
-values are built only for the results.  Its results are reduced echelon
-forms, which are unique, so equal inputs always produce identical outputs.
+denominator).  Matrices are small and dense.  There is one elimination,
+:func:`int_echelon`, fraction-free on sparse integer rows; each row is
+scaled to integers once.  :func:`int_kernel`, :func:`row_space_basis`,
+:func:`in_span` and :func:`invert` read their results off it and build
+``Fraction`` values only for what they return.  Its results are reduced
+echelon forms, which are unique, so equal inputs always produce identical
+outputs.
 """
 
 from __future__ import annotations
@@ -126,9 +129,6 @@ class Mat:
     def col(self, c: int) -> list[Rat]:
         return self.entries[c :: self.cols]
 
-    def to_rows(self) -> list[list[Rat]]:
-        return [self.row(r) for r in range(self.rows)]
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Mat)
@@ -174,32 +174,6 @@ class Mat:
                 if e:
                     out[i] += e * x
         return out
-
-
-class AffineSolutionSpace(Record):
-    """Full solution set of A v = b: particular + span(kernel_basis).
-
-    ``particular`` is None when the system is inconsistent.  The kernel
-    basis is read off the unique reduced echelon form of [A | b], one
-    vector per free column, so equal systems yield identical bases.
-    """
-
-    _fields = ("particular", "kernel_basis")
-
-    def __init__(self, particular: list[Rat] | None, kernel_basis: list[list[Rat]]):
-        self.particular = particular
-        self.kernel_basis = kernel_basis
-
-    @property
-    def inconsistent(self) -> bool:
-        return self.particular is None
-
-    @property
-    def unique(self) -> bool:
-        return self.particular is not None and not self.kernel_basis
-
-    def dim(self) -> int:
-        return len(self.kernel_basis)
 
 
 def _int_row(row: list[Rat], unit: int | None = None) -> dict[int, int]:
@@ -250,17 +224,20 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], a: int, b: int) -> dic
     return out
 
 
-def _rat_row(row: dict[int, int], lead: int, ncols: int) -> list[Rat]:
-    """Dense Fraction row of row / lead; zero entries share ZERO."""
-    out = [ZERO] * ncols
-    for k, x in row.items():
-        out[k] = ONE if x == lead else Fraction(x, lead)
+def _rat_vec(pairs, den: int, n: int) -> list[Rat]:
+    """The rational n-vector of sparse integer pairs (k, m) over den:
+    entry k is m / den, and zero entries share ZERO."""
+    out = [ZERO] * n
+    for k, m in pairs:
+        out[k] = ONE if m == den else Fraction(m, den)
     return out
 
 
-def _echelon(rows, ncols: int) -> tuple[list[dict[int, int]], list[int]]:
-    """Reduced row echelon form of sparse integer rows, zero rows dropped:
-    (rows, pivot columns), each row a multiple of its reduced form.
+def int_echelon(rows, ncols: int) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form of sparse integer rows {column: int}, zero
+    rows dropped: (rows, pivot columns in increasing order).  Each returned
+    row is a nonzero integer multiple of its reduced form; divide it by its
+    pivot entry to read the reduced row.  The input rows are not changed.
 
     Elimination is fraction-free.  Rows wait in buckets keyed by their
     leading column; the sparsest row of a bucket becomes the pivot row, and
@@ -302,61 +279,31 @@ def _echelon(rows, ncols: int) -> tuple[list[dict[int, int]], list[int]]:
     return echelon, pivots
 
 
-def int_echelon(rows, ncols: int) -> tuple[list[dict[int, int]], list[int]]:
-    """Reduced row echelon form of sparse integer rows {column: int}, zero
-    rows dropped: (rows, pivot columns in increasing order).  Each returned
-    row is a nonzero integer multiple of its reduced form; divide it by its
-    pivot entry to read the reduced row.  The input rows are not changed."""
-    return _echelon(rows, ncols)
-
-
-def _row_reduce(rows: list[list[Rat]]) -> tuple[list[list[Rat]], list[int]]:
-    """Reduced row echelon form without its zero rows: (rows, pivot columns)."""
-    ncols = len(rows[0]) if rows else 0
-    echelon, pivots = _echelon(map(_int_row, rows), ncols)
-    return [_rat_row(row, row[c], ncols) for row, c in zip(echelon, pivots)], pivots
-
-
-def solve_affine(a: Mat, b: list[Rat]) -> AffineSolutionSpace:
-    """Solve A v = b exactly, returning the whole affine solution space."""
-    if a.rows != len(b):
-        raise ValueError(f"matrix has {a.rows} rows but b has {len(b)} entries")
-    aug = [a.row(i) + [rat(b[i])] for i in range(a.rows)]
-    aug, pivots = _row_reduce(aug)
-    n = a.cols
-    if n in pivots:
-        return AffineSolutionSpace(None, [])
-    particular = [ZERO] * n
-    for r, c in enumerate(pivots):
-        particular[c] = aug[r][-1]
-    return AffineSolutionSpace(particular, _kernel_from_echelon(aug, pivots, n))
-
-
-def _kernel_from_echelon(rows: list[list[Rat]], pivots: list[int], n: int) -> list[list[Rat]]:
+def int_kernel(echelon: list[dict[int, int]], pivots: list[int], ncols: int) -> list[list[Rat]]:
+    """Reduced-echelon basis of the null space of int_echelon's (echelon,
+    pivots) over the columns 0 .. ncols - 1, one vector per free column in
+    increasing order.  Entries in columns from ncols on, such as the
+    right-hand side of an augmented system, are not read."""
     pivot_set = set(pivots)
     basis = []
-    for fc in range(n):
-        if fc in pivot_set:
+    for free in range(ncols):
+        if free in pivot_set:
             continue
-        v = [ZERO] * n
-        v[fc] = ONE
-        for row, pc in zip(rows, pivots):
-            x = row[fc]
-            if x is not ZERO:
-                v[pc] = -x
+        v = [ZERO] * ncols
+        v[free] = ONE
+        for row, p in zip(echelon, pivots):
+            x = row.get(free)
+            if x:
+                v[p] = Fraction(-x, row[p])
         basis.append(v)
     return basis
 
 
-def kernel(a: Mat) -> list[list[Rat]]:
-    """Reduced-echelon basis of the null space, one vector per free column."""
-    rows, pivots = _row_reduce(a.to_rows())
-    return _kernel_from_echelon(rows, pivots, a.cols)
-
-
 def row_space_basis(vectors: list[list[Rat]]) -> list[list[Rat]]:
     """Reduced-echelon basis of the span of the given vectors."""
-    return _row_reduce(vectors)[0]
+    ncols = len(vectors[0]) if vectors else 0
+    echelon, pivots = int_echelon(map(_int_row, vectors), ncols)
+    return [_rat_vec(row.items(), row[c], ncols) for row, c in zip(echelon, pivots)]
 
 
 def in_span(basis_echelon: list[list[Rat]], v: list[Rat]) -> bool:
@@ -364,7 +311,7 @@ def in_span(basis_echelon: list[list[Rat]], v: list[Rat]) -> bool:
     exactly when adding v leaves the rank of the integer rows unchanged."""
     rows = [_int_row(row) for row in basis_echelon]
     rows.append(_int_row(v))
-    return len(_echelon(rows, len(v))[1]) < len(rows)
+    return len(int_echelon(rows, len(v))[1]) < len(rows)
 
 
 def invert(a: Mat) -> Mat | None:
@@ -374,8 +321,8 @@ def invert(a: Mat) -> Mat | None:
     n = a.rows
     # the reduced echelon form of [A | I] is [I | A^-1] exactly when A is
     # invertible; the identity block goes straight into the integer rows
-    echelon, pivots = _echelon([_int_row(a.row(i), n + i) for i in range(n)], 2 * n)
+    echelon, pivots = int_echelon([_int_row(a.row(i), n + i) for i in range(n)], 2 * n)
     if pivots != list(range(n)):
         return None
     return Mat(n, n, [x for row, c in zip(echelon, pivots)
-                      for x in _rat_row(row, row[c], 2 * n)[n:]])
+                      for x in _rat_vec(row.items(), row[c], 2 * n)[n:]])

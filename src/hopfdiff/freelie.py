@@ -28,9 +28,10 @@ import itertools
 from fractions import Fraction
 from math import comb, gcd, lcm
 
-from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, _rational,
-                      crossed_hom_report, graph_vector, module_axiom_report, smash_vec)
-from .exactlin import Mat, ONE, ZERO, in_span, int_echelon, invert, rat, row_space_basis
+from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, crossed_hom_report,
+                      graph_vector, module_axiom_report, smash_vec)
+from .exactlin import (Mat, ONE, ZERO, _rat_vec, in_span, int_echelon, invert, rat,
+                       row_space_basis)
 from .hopf import (
     CheckReport,
     IntColumns,
@@ -278,7 +279,7 @@ def _lie_ints(k: TruncatedTensor, word) -> list:
 def _rational_columns(cols, den: int, n: int) -> list:
     """The rational n-vectors of sparse integer columns over den, None for
     a stored error."""
-    return [None if c.__class__ is OutOfBudgetError else _rational(c, den, n) for c in cols]
+    return [None if c.__class__ is OutOfBudgetError else _rat_vec(c, den, n) for c in cols]
 
 
 def _free_values_int(action: DerivationAction, gen_images: list[Vec]) -> list:
@@ -344,7 +345,7 @@ def free_crossed_hom_values(action: DerivationAction, gen_images: list[Vec]):
     None.
     """
     n = action.target.dim
-    return [(w, None if v is None else _rational(v[0], v[1], n))
+    return [(w, None if v is None else _rat_vec(v[0], v[1], n))
             for w, v in _free_values_int(action, gen_images)]
 
 

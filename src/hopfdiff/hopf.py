@@ -35,7 +35,7 @@ from operator import is_not
 from types import SimpleNamespace
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, Rat, Record, ZERO, int_echelon, invert, rat, rat_str
+from .exactlin import Mat, ONE, Rat, Record, ZERO, int_echelon, int_kernel, invert, rat, rat_str
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -927,8 +927,9 @@ def skew_primitives(h, g: Vec, k: Vec) -> list[Vec]:
     integer row over the lcm of the coefficients' denominators.  One pass
     over comult_triples(m) for every basis element m fills all rows at
     once, the group-like terms are subtracted after it, and the rows are
-    reduced by exactlin.int_echelon; the kernel is read off the reduced
-    echelon form, which is unique, one vector per free column.
+    reduced by exactlin.int_echelon; exactlin.int_kernel reads the kernel
+    off the reduced echelon form, which is unique, one vector per free
+    column.
     """
     if not is_grouplike(h, g) or not is_grouplike(h, k):
         raise ValueError("skew-primitive reference elements must be group-like")
@@ -956,19 +957,7 @@ def skew_primitives(h, g: Vec, k: Vec) -> list[Vec]:
                 row[b] = row.get(b, 0) - x
     echelon, pivots = int_echelon(
         [{m: x for m, x in row.items() if x} for row in rows.values()], n)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(n):
-        if free in pivot_set:
-            continue
-        v = [ZERO] * n
-        v[free] = ONE
-        for row, p in zip(echelon, pivots):
-            x = row.get(free)
-            if x:
-                v[p] = Fraction(-x, row[p])
-        basis.append(v)
-    return basis
+    return int_kernel(echelon, pivots, n)
 
 
 def primitives(h) -> list[Vec]:

@@ -44,7 +44,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import NamedTuple
 
-from .exactlin import Mat, ONE, Record, int_echelon, rat
+from .exactlin import Mat, ONE, Record, int_echelon, int_kernel, rat
 from .hopf import FinDimHopf, int_structure
 from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
 from .diffops import DiffOp, check_diffop
@@ -779,19 +779,11 @@ class _Engine:
                  if (x := r.get(k, 0) * (common // d))}
                 for k in keys]
         # the reduced-echelon kernel basis, one vector (a, b, c) per free
-        # column, as exactlin.kernel reads it; no rows means that 1 reduces
-        # to zero, so the equations are inconsistent and give no root set
-        echelon, pivots = int_echelon(rows, 3)
+        # column; no rows means that 1 reduces to zero, so the equations
+        # are inconsistent and give no root set
+        kernel = int_kernel(*int_echelon(rows, 3), 3) if rows else []
         roots = None
-        for free in range(3 if rows else 0):
-            if free in pivots:
-                continue
-            vec = [0, 0, 0]
-            vec[free] = 1
-            for row, p in zip(echelon, pivots):
-                if free in row:
-                    vec[p] = Fraction(-row[free], row[p])
-            a, b, c = vec
+        for a, b, c in kernel:
             if not a and not b:
                 continue
             try:

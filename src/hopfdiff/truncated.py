@@ -291,6 +291,8 @@ class TruncatedEnveloping(CarrierOps):
     def __init__(self, lie, budget: int):
         if budget < 1:
             raise BudgetCapError("budget must be at least 1")
+        if budget > MAX_BUDGET:
+            raise BudgetCapError(f"budget capped at {MAX_BUDGET}")
         self.lie = lie
         self.generators = lie.dim
         self.budget = budget

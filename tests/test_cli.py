@@ -185,6 +185,40 @@ def test_graph_with_operator_on_wrong_algebra_exits_two(capsys, tmp_path, operat
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["check-crossed-hom", "graph"])
+def test_crossed_hom_into_another_algebra_exits_two(capsys, tmp_path, command):
+    """The crossed homomorphism kC2 -> kC4 relabelled as a map into H4, with
+    H4's content hash: H4 has kC4's dimension, but it is not the target of
+    the action, so the map is an input error and not a verdict."""
+    from hopfdiff import catalog
+    from hopfdiff.formats import algebra_hash
+
+    code, payload, _ = invoke(capsys, "catalog", "op:crossed:kC2:kC4")
+    data = payload["payload"]
+    data["codomain"] = "H4"
+    data["codomain_sha256"] = algebra_hash(catalog.build("H4"))
+    path = tmp_path / "pi.json"
+    path.write_text(json.dumps(data))
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    code, payload, err = invoke(capsys, command, "--action", action, "--operator", str(path))
+    assert code == 2
+    assert payload["ok"] is False and "codomain does not match" in payload["error"]
+    assert "Traceback" not in err
+
+
+def test_extend_smash_diff_with_operator_on_another_algebra_exits_two(capsys, tmp_path):
+    """D_H = id on H4 has the dimension of the action's target kC4 but is an
+    operator on another algebra."""
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    dh = export_entry(capsys, tmp_path, "op:id:H4", "dh.json")
+    dk = export_entry(capsys, tmp_path, "op:id:kC2", "dk.json")
+    code, payload, err = invoke(capsys, "extend-smash-diff", "--action", action,
+                                "--operator", dh, "--operator-k", dk)
+    assert code == 2
+    assert payload["ok"] is False and "D_H is not an operator on kC4" in payload["error"]
+    assert "Traceback" not in err
+
+
 def test_extend_smash_diff_with_swapped_operators_exits_two(capsys, tmp_path):
     action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
     dh = export_entry(capsys, tmp_path, "op:id:kC2", "dh.json")
@@ -389,11 +423,12 @@ def test_malformed_file_exits_two(capsys, tmp_path, entry, argv, corrupt):
 @pytest.mark.parametrize("task, options", [
     ("lyndon-dims", ["--budget", "8"]),
     ("mm-check", ["--generators", "4"]),
+    ("ckmm-mixed", ["--budget", "8"]),
 ])
 def test_free_lie_beyond_caps_exits_two(capsys, task, options):
     code, payload, _ = invoke(capsys, "free-lie", task, *options)
     assert code == 2
-    assert payload["ok"] is False and "budget capped" in payload["error"]
+    assert payload["ok"] is False and "budget capped at 7" in payload["error"]
 
 
 @pytest.mark.parametrize("task, options", [

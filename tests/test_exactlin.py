@@ -5,18 +5,48 @@ from hypothesis import given, settings, strategies as st
 
 from hopfdiff.exactlin import (
     Mat,
-    _row_reduce,
+    _int_row,
     in_span,
+    int_echelon,
+    int_kernel,
     invert,
-    kernel,
     rat,
     rat_str,
     row_space_basis,
-    solve_affine,
 )
+from reference_linalg import reference_kernel, reference_row_reduce, reference_solve_affine
 
 F = Fraction
-ONE = F(1)
+
+
+def echelon_of(rows):
+    """int_echelon of rational rows, each scaled to integers by _int_row."""
+    return int_echelon([_int_row(list(r)) for r in rows], len(rows[0]))
+
+
+def kernel_of(rows):
+    """The null space of rational rows, read off int_echelon by int_kernel."""
+    return int_kernel(*echelon_of(rows), len(rows[0]))
+
+
+def solve(rows, b):
+    """The solutions of rows . v = b read off int_echelon of [A | b]:
+    (particular, int_kernel basis), with particular None when the system
+    is inconsistent."""
+    n = len(rows[0])
+    echelon, pivots = echelon_of([list(r) + [x] for r, x in zip(rows, b)])
+    if n in pivots:
+        return None, []
+    particular = [F(0)] * n
+    for row, c in zip(echelon, pivots):
+        particular[c] = F(row.get(n, 0), row[c])
+    return particular, int_kernel(echelon, pivots, n)
+
+
+def rational_rows(echelon, pivots, ncols):
+    """int_echelon's rows divided by their pivot entries."""
+    return [[F(row.get(k, 0), row[c]) for k in range(ncols)]
+            for row, c in zip(echelon, pivots)]
 
 
 def test_rat_parsing_and_serialization():
@@ -28,40 +58,36 @@ def test_rat_parsing_and_serialization():
 
 
 def test_solve_scalar_division():
-    sol = solve_affine(Mat(1, 1, [2]), [F(1)])
-    assert sol.particular == [F(1, 2)]
-    assert sol.kernel_basis == []
+    particular, kernel = solve([[F(2)]], [F(1)])
+    assert particular == [F(1, 2)]
+    assert kernel == []
 
 
 def test_solve_symmetry_case():
-    sol = solve_affine(Mat(1, 2, [1, -1]), [F(0)])
-    assert sol.particular == [F(0), F(0)]
-    assert sol.kernel_basis == [[F(1), F(1)]]
+    particular, kernel = solve([[F(1), F(-1)]], [F(0)])
+    assert particular == [F(0), F(0)]
+    assert kernel == [[F(1), F(1)]]
 
 
 def test_solve_contradictory_rows():
-    sol = solve_affine(Mat(2, 1, [1, 1]), [F(0), F(1)])
-    assert sol.inconsistent
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve_affine(Mat(2, 1, [1, 1]), [F(0)])
+    particular, kernel = solve([[F(1)], [F(1)]], [F(0), F(1)])
+    assert particular is None and kernel == []
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel(Mat.identity(3)) == []
+    assert int_kernel(*int_echelon([{0: 1}, {1: 1}, {2: 1}], 3), 3) == []
 
 
 def test_kernel_of_zero_is_standard_basis():
-    basis = kernel(Mat.zero(2, 2))
-    assert basis == [[F(1), F(0)], [F(0), F(1)]]
+    assert int_echelon([{}, {}], 2) == ([], [])
+    assert int_kernel([], [], 2) == [[F(1), F(0)], [F(0), F(1)]]
 
 
 def test_kernel_rank_one():
     # row-reduce [[1,1],[2,2]] by hand: x0 = -x1, free x1 = 1
-    basis = kernel(Mat.from_rows([[1, 1], [2, 2]]))
-    assert basis == [[F(-1), F(1)]]
+    echelon, pivots = int_echelon([{0: 1, 1: 1}, {0: 2, 1: 2}], 2)
+    assert pivots == [0]
+    assert int_kernel(echelon, pivots, 2) == [[F(-1), F(1)]]
 
 
 def test_invert_identity_and_swap():
@@ -102,12 +128,12 @@ def matrices_with_rhs(draw):
 @given(matrices_with_rhs())
 def test_solution_space_solves_exactly(data):
     a, b = data
-    sol = solve_affine(a, b)
-    if sol.inconsistent:
+    particular, kernel = solve([a.row(i) for i in range(a.rows)], b)
+    if particular is None:
         return
-    assert a.apply(sol.particular) == [rat(x) for x in b]
-    for vec in sol.kernel_basis:
-        shifted = [p + v for p, v in zip(sol.particular, vec)]
+    assert a.apply(particular) == [rat(x) for x in b]
+    for vec in kernel:
+        shifted = [p + v for p, v in zip(particular, vec)]
         assert a.apply(shifted) == [rat(x) for x in b]
         assert a.apply(vec) == [F(0)] * a.rows
 
@@ -119,7 +145,7 @@ def test_invert_round_trip(n, data):
     a = Mat(n, n, entries)
     inv = invert(a)
     if inv is None:
-        assert kernel(a) != []
+        assert kernel_of([a.row(i) for i in range(n)]) != []
     else:
         assert a.mul(inv) == Mat.identity(n)
         assert inv.mul(a) == Mat.identity(n)
@@ -129,60 +155,19 @@ def test_invert_round_trip(n, data):
 @given(matrices_with_rhs())
 def test_determinism(data):
     a, b = data
-    first = solve_affine(Mat(a.rows, a.cols, list(a.entries)), list(b))
-    second = solve_affine(Mat(a.rows, a.cols, list(a.entries)), list(b))
-    assert first.particular == second.particular
-    assert first.kernel_basis == second.kernel_basis
+    rat_rows = [a.row(i) for i in range(a.rows)]
+    rows = [_int_row(r) for r in rat_rows]
+    copies = [dict(r) for r in rows]
+    first = int_echelon(rows, a.cols)
+    assert rows == copies, "int_echelon changed its input rows"
+    assert int_echelon(copies, a.cols) == first
+    assert solve(rat_rows, b) == solve([list(r) for r in rat_rows], list(b))
 
 
 # ---------------------------------------------------------------------------
 # differential oracle: the Fraction Gauss-Jordan elimination that the
-# integer elimination replaced, kept verbatim as an independent reference
-
-
-def reference_row_reduce(rows):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows, pivots
-
-
-def reference_kernel(rows, pivots, n):
-    """Null-space basis read off a reduced echelon form, one vector per
-    free column."""
-    basis = []
-    for fc in range(n):
-        if fc in pivots:
-            continue
-        v = [F(0)] * n
-        v[fc] = F(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+# integer elimination replaced (tests/reference_linalg.py) as an independent
+# reference
 
 
 sparse_nonzero = st.fractions(min_value=-6, max_value=6, max_denominator=6).filter(bool)
@@ -215,9 +200,10 @@ def sparse_rows(draw, max_rows=12, max_cols=12, square=False):
 @given(sparse_rows())
 def test_row_reduce_matches_fraction_reference(rows):
     ref_rows, ref_pivots = reference_row_reduce([list(r) for r in rows])
-    got_rows, got_pivots = _row_reduce([list(r) for r in rows])
-    assert got_pivots == ref_pivots
-    assert got_rows == ref_rows[: len(ref_pivots)]
+    echelon, pivots = echelon_of(rows)
+    assert pivots == ref_pivots
+    assert all(x and isinstance(x, int) for row in echelon for x in row.values())
+    assert rational_rows(echelon, pivots, len(rows[0])) == ref_rows[: len(ref_pivots)]
     assert not any(any(r) for r in ref_rows[len(ref_pivots):])
 
 
@@ -225,25 +211,14 @@ def test_row_reduce_matches_fraction_reference(rows):
 @given(sparse_rows(), st.data())
 def test_entry_points_match_fraction_reference(rows, data):
     ncols = len(rows[0])
-    a = Mat.from_rows(rows)
     ref_rows, ref_pivots = reference_row_reduce([list(r) for r in rows])
     ref_rows = ref_rows[: len(ref_pivots)]
     assert row_space_basis(rows) == ref_rows
-    assert kernel(a) == reference_kernel(ref_rows, ref_pivots, ncols)
+    assert kernel_of(rows) == reference_kernel(ref_rows, ref_pivots, ncols)
 
     b = data.draw(st.lists(st.one_of(st.just(F(0)), sparse_nonzero),
                            min_size=len(rows), max_size=len(rows)))
-    aug, aug_pivots = reference_row_reduce([list(r) + [x] for r, x in zip(rows, b)])
-    aug = aug[: len(aug_pivots)]
-    sol = solve_affine(a, b)
-    if ncols in aug_pivots:
-        assert sol.inconsistent
-    else:
-        particular = [F(0)] * ncols
-        for row, c in zip(aug, aug_pivots):
-            particular[c] = row[-1]
-        assert sol.particular == particular
-        assert sol.kernel_basis == reference_kernel([r[:-1] for r in aug], aug_pivots, ncols)
+    assert solve(rows, b) == reference_solve_affine(rows, b, ncols)
 
     v = data.draw(st.lists(st.one_of(st.just(F(0)), sparse_nonzero),
                            min_size=ncols, max_size=ncols))

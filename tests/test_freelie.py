@@ -140,6 +140,9 @@ def test_budget_caps_enforced():
         TruncatedTensor(2, 8)
     with pytest.raises(ValueError):
         TruncatedTensor(4, 3)
+    with pytest.raises(BudgetCapError, match="budget capped at 7"):
+        TruncatedEnveloping(FinLie.from_pairs(["u"], {}, "abelian1"), 8)
+    assert TruncatedEnveloping(FinLie.from_pairs(["u"], {}, "abelian1"), 7).dim == 8
 
 
 @pytest.mark.parametrize("generators, budget", [(-2, 3), (0, 3), (2, 0), (2, -1)])

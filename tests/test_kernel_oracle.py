@@ -61,10 +61,14 @@ mm-check degree systems (two letter-image pairs at budgets 3 and 4,
 perturbed column tables, and stub actions for each witness) the same
 result, except that a degree left short of rank by an equation skipped
 for the budget is now undecided rather than failed.  The one-pass
-solver, which solved a dense ``Mat`` with ``kernel``, is kept verbatim
-too, and the sparse integer reduction must give its basis on every pair
-of group-like basis elements of every catalog algebra and on the
-primitives of T(2, 2..6) and U(sl2) at budget 3.  The integer product
+solver is kept verbatim too, except that it solves its dense rows with
+the Fraction elimination of ``reference_linalg`` where it called
+``exactlin.kernel``; the sparse integer reduction must give its basis on
+every pair of group-like basis elements of every catalog algebra and on
+the primitives of T(2, 2..6) and U(sl2) at budget 3.  The other
+references that solved with ``exactlin.solve_affine`` now solve with
+``reference_linalg`` as well, so no oracle calls the elimination it
+checks.  The integer product
 tables of the truncated carriers, read through ``mult_terms``, must equal
 the tables built by catching ``mult_basis``'s errors, with the old
 ``mult_basis`` bodies kept verbatim, stored errors included.
@@ -131,8 +135,7 @@ from hopfdiff.diffops import (
     monoid_table,
     star,
 )
-from hopfdiff.exactlin import (ONE, ZERO, Mat, in_span, invert, kernel, rat,
-                               row_space_basis, solve_affine)
+from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, rat, row_space_basis
 from hopfdiff.groups import FinGroup, GroupMap, check_group_diffop, coradical_group
 from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 from hopfdiff.freelie import (
@@ -183,6 +186,7 @@ from hopfdiff.hopf import (
     vec_sub,
     zero_vec,
 )
+from reference_linalg import reference_kernel, reference_row_reduce, reference_solve_affine
 from sampling import COEFF_POOL, coalgebra_maps_for
 
 
@@ -514,8 +518,7 @@ def reference_truncated_primitives(carrier):
                         row[b] -= c
             if any(row):
                 rows.append(row)
-    sol = solve_affine(Mat.from_rows(rows), [ZERO] * len(rows))
-    return sol.kernel_basis
+    return reference_solve_affine(rows, [ZERO] * len(rows), n)[1]
 
 
 def reference_extended_action_bialgebra_check(carrier, action) -> CheckReport:
@@ -1885,8 +1888,7 @@ def reference_skew_primitives(h: FinDimHopf, g: Vec, k: Vec) -> list[Vec]:
                 rhs_zero_rows.append(ZERO)
     if not rows:
         return [basis_vec(n, i) for i in range(n)]
-    sol = solve_affine(Mat.from_rows(rows), rhs_zero_rows)
-    return sol.kernel_basis
+    return reference_solve_affine(rows, rhs_zero_rows, n)[1]
 
 
 def reference_uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
@@ -1940,12 +1942,12 @@ def reference_uniqueness_by_degree(tv, action, pi_gen_images, cols) -> dict:
                     add_equation(coeff_map, rhs_vec)
         if not rows:
             return {"unique": False, "matches": False, "witness": f"degree {d} unconstrained"}
-        sol = solve_affine(Mat.from_rows(rows), rhs)
-        if sol.inconsistent or sol.kernel_basis:
+        particular, kernel_basis = reference_solve_affine(rows, rhs, m * n)
+        if particular is None or kernel_basis:
             return {"unique": False, "matches": False,
-                    "witness": f"degree {d} solution space dim {len(sol.kernel_basis)}"}
+                    "witness": f"degree {d} solution space dim {len(kernel_basis)}"}
         for i in idxs:
-            known[i] = sol.particular[pos[i] * n:(pos[i] + 1) * n]
+            known[i] = particular[pos[i] * n:(pos[i] + 1) * n]
     matches = True
     witness = None
     for i in range(n):
@@ -2015,14 +2017,14 @@ def reference_one_pass_skew_primitives(h, g: Vec, k: Vec) -> list[Vec]:
             for b in range(n):
                 row = rows.setdefault((a, b), {})
                 row[b] = row.get(b, ZERO) - c
-    entries = []
+    dense = []
     for key in sorted(rows):
         if any(rows[key].values()):
             row = [ZERO] * n
             for m, c in rows[key].items():
                 row[m] = c
-            entries += row
-    return kernel(Mat(len(entries) // n, n, entries))
+            dense.append(row)
+    return reference_kernel(*reference_row_reduce(dense), n)
 
 
 ALGEBRA_NAMES = [name for name in catalog.names()
@@ -2034,8 +2036,8 @@ PRIMITIVE_CARRIERS = ["T(2,2)", "T(2,3)", "T(2,4)", "T(2,5)", "T(2,6)", "U(sl2,3
 def test_skew_primitives_match_one_pass_reference(name):
     """Every ordered pair of group-like basis elements of every catalog
     algebra, H4 and H8 included, and the primitives of the truncated
-    carriers: the sparse integer reduction gives the basis that kernel()
-    gives on the dense rational rows."""
+    carriers: the sparse integer reduction gives the basis that the Fraction
+    reference elimination gives on the dense rational rows."""
     h = carrier(name)
     if name in PRIMITIVE_CARRIERS:
         pairs = [(h.unit_vec(), h.unit_vec())]

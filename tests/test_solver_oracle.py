@@ -4,8 +4,11 @@ The rational polynomial layer of the classification engine is kept below
 verbatim as the reference: the ``p_*`` functions, the branch that built
 the counit, comultiplication and difference-identity constraints as
 ``Fraction`` polynomials, and the engine with its ``_linear_phase``, which
-substituted the affine solution table with ``p_subst``.  The integer layer
-stores every equation primitive, so equations are compared up to scale.
+substituted the affine solution table with ``p_subst``.  Where it called
+``exactlin.solve_affine`` and ``exactlin.kernel`` it now solves with the
+Fraction elimination of ``reference_linalg``, so the reference does not
+run the integer elimination it checks.  The integer layer stores every
+equation primitive, so equations are compared up to scale.
 
 The reference engine also keeps its character dispatch, which pinned
 every coset coordinate of the first generator at once from the q(p) = r
@@ -28,7 +31,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfdiff import catalog
-from hopfdiff.exactlin import Mat, ONE, ZERO, kernel, rat, row_space_basis, solve_affine
+from hopfdiff.exactlin import ONE, ZERO, rat, row_space_basis
 from hopfdiff.groups import FinGroup, coradical_group, diffop_from_endo, enumerate_endos
 from hopfdiff.hopf import FinDimHopf, basis_vec, sweedler_expand
 from hopfdiff.solver import (
@@ -45,6 +48,7 @@ from hopfdiff.solver import (
     rational_roots,
     solve_quadratic_in_group_algebra,
 )
+from reference_linalg import reference_kernel, reference_row_reduce, reference_solve_affine
 from sampling import COEFF_POOL
 
 
@@ -428,14 +432,14 @@ class ReferenceEngine:
                         row[m[0]] += c
                 rows.append(row)
                 rhs.append(-e.get((), ZERO))
-            sol = solve_affine(Mat.from_rows(rows), rhs)
-            if sol.inconsistent:
+            particular, kernel_basis = reference_solve_affine(rows, rhs, nvars)
+            if particular is None:
                 return eqs, images, nvars, False
-            k = len(sol.kernel_basis)
+            k = len(kernel_basis)
             table = []
             for i in range(nvars):
-                poly = p_const(sol.particular[i])
-                for j, kv in enumerate(sol.kernel_basis):
+                poly = p_const(particular[i])
+                for j, kv in enumerate(kernel_basis):
                     if kv[i]:
                         poly = p_add(poly, {(j,): kv[i]})
                 table.append(poly)
@@ -518,7 +522,7 @@ class ReferenceEngine:
         r0 = self._residue(p_const(ONE), monos, midx, echelon, pivots)
         keys = sorted(set(r2) | set(r1) | set(r0), key=repr)
         rows = [[r.get(k, ZERO) for r in (r2, r1, r0)] for k in keys]
-        null = kernel(Mat.from_rows(rows))
+        null = reference_kernel(*reference_row_reduce(rows), 3 if rows else 0)
         roots = None
         for vec in null:
             a, b, c = vec[0], vec[1], vec[2]
