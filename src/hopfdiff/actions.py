@@ -426,15 +426,17 @@ def check_crossed_hom(pi: LinMap, action: ActionData) -> bool:
     """pi(ab) = pi(a1)(a2 . pi(b)) on all basis pairs.
 
     Raises InvalidAlgebraError when the action fails the module-algebra
-    axioms, and ValueError when pi is not a coalgebra map.
+    axioms, and ValueError when crossed_hom_report finds pi is not a
+    coalgebra map.
     """
     k, h = action.acting, action.target
     if pi.domain is not k or pi.codomain is not h:
         raise ValueError("map endpoints must match the action")
     _require_action(action, False)
-    if not is_coalgebra_hom(pi):
+    report = crossed_hom_report(action, pi.columns())
+    if any(f[0] == "coalgebra" for f in report.failures):
         raise ValueError("map is not a coalgebra homomorphism")
-    return crossed_hom_report(action, pi.columns()).ok
+    return report.ok
 
 
 def crossed_hom_report(action: IntAction, cols) -> CheckReport:
@@ -561,7 +563,9 @@ class TruncatedSmash(CarrierOps):
     carriers with the default infinite budget every pair is kept.
     Multiplication (x # a)(y # b) = x(a1 . y) # a2 b and antipode
     S(x # a) = (S(a1) . S(x)) # S(a2), for a module-algebra action of
-    K = action.acting on H = action.target.
+    K = action.acting on H = action.target.  coradical_group_basis is the
+    whole pair index when both factors declare their whole basis
+    group-like, and None otherwise.
     """
 
     def __init__(self, action: IntAction, budget=math.inf, name: str = "smash"):
@@ -576,6 +580,9 @@ class TruncatedSmash(CarrierOps):
                       if hdeg(x) + kdeg(a) <= budget]
         self.index = {p: i for i, p in enumerate(self.pairs)}
         self.dim = len(self.pairs)
+        grouplike = all(set(getattr(f, "coradical_group_basis", None) or ()) == set(range(f.dim))
+                        for f in (h, k))
+        self.coradical_group_basis = list(range(self.dim)) if grouplike else None
         self._hdeg = hdeg
         self._kdeg = kdeg
         self._mult_cache: dict = {}
@@ -631,9 +638,9 @@ class TruncatedSmash(CarrierOps):
 
 
 def smash_vec(smash, hvec: Vec, kvec: Vec, out: Vec | None = None, scale=ONE) -> Vec:
-    """out += scale * hvec # kvec over the pair index of a smash builder or
-    of its smash_product copy, into a fresh zero vector by default; a
-    pair outside a truncated index raises OutOfBudgetError."""
+    """out += scale * hvec # kvec over the pair index of a smash builder,
+    into a fresh zero vector by default; a pair outside a truncated index
+    raises OutOfBudgetError."""
     out = zero_vec(smash.dim) if out is None else out
     for x, hv in enumerate(hvec):
         if not hv:
@@ -647,56 +654,23 @@ def smash_vec(smash, hvec: Vec, kvec: Vec, out: Vec | None = None, scale=ONE) ->
     return out
 
 
-def smash_builder(action: ActionData, name: str | None = None) -> TruncatedSmash:
-    """The smash builder of an action between finite-dimensional Hopf
-    algebras, with no precondition checks; its multiplication is that of
-    H # K for any module-algebra action."""
-    return TruncatedSmash(action, name=name or f"{action.target.name}#{action.acting.name}")
-
-
-def smash_product(action: ActionData, name: str | None = None) -> FinDimHopf:
-    """H # K for a module-bialgebra action of a cocommutative K.
-
-    The builder's structure constants are copied into a FinDimHopf, which
-    keeps the builder's pair index as ``index`` and is validated as a Hopf
-    algebra.
-    """
-    k, h = action.acting, action.target
-    if not is_cocommutative(k):
-        raise ValueError("the acting Hopf algebra must be cocommutative")
-    _require_action(action, True)
-
-    b = smash_builder(action, name)
-    n = b.dim
-    corad = None
-    if h.coradical_group_basis is not None and k.coradical_group_basis is not None:
-        if set(h.coradical_group_basis) == set(range(h.dim)) and \
-           set(k.coradical_group_basis) == set(range(k.dim)):
-            corad = list(range(n))
-
-    smash = FinDimHopf(b.name, [b.label(i) for i in range(n)],
-                       [[b.mult_basis(i, j) for j in range(n)] for i in range(n)],
-                       b.unit_vec(), [b.comult_triples(i) for i in range(n)],
-                       [b.counit_coeff(i) for i in range(n)],
-                       Mat.from_cols([b.antipode_basis(i) for i in range(n)]),
-                       coradical_group_basis=corad)
-    smash.index = b.index
+def _validated_smash(action: IntAction) -> TruncatedSmash:
+    """The smash builder of an action, validated as a Hopf algebra, with no
+    check of the action itself."""
+    smash = TruncatedSmash(action, name=f"{action.target.name}#{action.acting.name}")
     rep = validate_hopf(smash)
     if not rep.ok:
         raise AssertionError(f"smash product failed Hopf axioms: {rep.failures()}")
     return smash
 
 
-def smash_embed_h(h: FinDimHopf, k: FinDimHopf, smash) -> LinMap:
-    """x -> x # 1."""
-    return LinMap(h, smash, Mat.from_cols([smash_vec(smash, basis_vec(h.dim, x), k.unit_vec())
-                                           for x in range(h.dim)]))
-
-
-def smash_embed_k(h: FinDimHopf, k: FinDimHopf, smash) -> LinMap:
-    """a -> 1 # a."""
-    return LinMap(k, smash, Mat.from_cols([smash_vec(smash, h.unit_vec(), basis_vec(k.dim, a))
-                                           for a in range(k.dim)]))
+def smash_product(action: ActionData) -> TruncatedSmash:
+    """H # K for a module-bialgebra action of a cocommutative K: the smash
+    builder, validated as a Hopf algebra."""
+    if not is_cocommutative(action.acting):
+        raise ValueError("the acting Hopf algebra must be cocommutative")
+    _require_action(action, True)
+    return _validated_smash(action)
 
 
 def graph_vector(k, cols, a: int, smash) -> Vec:
@@ -723,11 +697,11 @@ class GraphResult(Record):
 def graph_of(pi: LinMap, action: ActionData, smash=None) -> GraphResult:
     """Span of (pi (x) id) Delta over the basis of K inside H # K, with a
     subalgebra verdict.  The verdict matches the crossed-homomorphism
-    identity (graph characterization).  smash is the action's builder or
-    its smash_product copy; by default the builder."""
+    identity (graph characterization).  smash is the action's builder,
+    built here by default."""
     if not is_coalgebra_hom(pi):
         raise ValueError("map is not a coalgebra homomorphism")
-    smash = smash or smash_builder(action)
+    smash = smash or TruncatedSmash(action)
     cols = pi.columns()
     basis = row_space_basis([graph_vector(pi.domain, cols, a, smash)
                              for a in range(pi.domain.dim)])
@@ -745,7 +719,7 @@ def graph_of(pi: LinMap, action: ActionData, smash=None) -> GraphResult:
     return GraphResult(basis, closed, witness)
 
 
-def graph_hopf_iso(ch: CrossedHom, smash: FinDimHopf | None = None):
+def graph_hopf_iso(ch: CrossedHom, smash: TruncatedSmash | None = None):
     """Psi : K -> Gr_pi, a -> pi(a1) # a2, with inverse eps (x) id.
 
     Returns (Psi, inverse, report); K must be cocommutative.
@@ -778,8 +752,9 @@ def graph_hopf_iso(ch: CrossedHom, smash: FinDimHopf | None = None):
     back = psi.compose(eps_id)
     report.record("identity-on-graph",
                   all(back.apply(v) == v for v in gr.basis))
+    antipode = Mat.from_cols([smash.antipode_basis(i) for i in range(smash.dim)])
     report.record("commutes-with-antipode",
-                  psi.matrix.mul(k.antipode) == smash.antipode.mul(psi.matrix))
+                  psi.matrix.mul(k.antipode) == antipode.mul(psi.matrix))
     return psi, eps_id, report
 
 

@@ -34,11 +34,10 @@ def _input_error(exc: Exception, context: str = "") -> Exception:
 # ZeroDivisionError from Fraction
 _PARSE_ERRORS = (ValueError, KeyError, TypeError, ZeroDivisionError)
 
-# validate_hopf reports of the algebra files the current command has read,
-# by algebra_sha256, so two parses of one file are checked once; run()
-# empties it before each command.  A catalog algebra is checked when it is
-# built, and axiom_report memoizes that report on the algebra.
-_AXIOM_REPORTS: dict = {}
+# the algebras the current command has resolved, by spec (a catalog name
+# or a file path), so each input is built or parsed and checked once and
+# every loader gets the same object; run() empties it before each command
+_RESOLVED: dict = {}
 
 
 def _resolve_algebra(spec: str) -> FinDimHopf:
@@ -46,6 +45,9 @@ def _resolve_algebra(spec: str) -> FinDimHopf:
     that fails a Hopf axiom raises InvalidAlgebraError."""
     if spec is None:
         raise InputError("--algebra is required for this command")
+    h = _RESOLVED.get(spec)
+    if h is not None:
+        return h
     if os.path.exists(spec):
         from . import formats
 
@@ -54,23 +56,21 @@ def _resolve_algebra(spec: str) -> FinDimHopf:
                 h = formats.algebra_from_dict(json.load(fh))
             except _PARSE_ERRORS as exc:
                 raise InputError(f"bad algebra file {spec}: {exc}")
-        key = formats.algebra_hash(h)
-        if key not in _AXIOM_REPORTS:
-            _AXIOM_REPORTS[key] = axiom_report(h)
-        report = _AXIOM_REPORTS[key]
+        report = axiom_report(h)
         if not report.ok:
             raise InvalidAlgebraError(f"algebra file {spec}", "not a Hopf algebra",
                                       {"algebra": h.name}, report)
-        return h
-    from . import catalog
+    else:
+        from . import catalog
 
-    try:
-        obj = catalog.build(spec)
-    except KeyError as exc:
-        raise InputError(str(exc))
-    if not isinstance(obj, FinDimHopf):
-        raise InputError(f"catalog entry {spec!r} is not a Hopf algebra")
-    return obj
+        try:
+            h = catalog.build(spec)
+        except KeyError as exc:
+            raise InputError(str(exc))
+        if not isinstance(h, FinDimHopf):
+            raise InputError(f"catalog entry {spec!r} is not a Hopf algebra")
+    _RESOLVED[spec] = h
+    return h
 
 
 def _load_json(path: str, kind: str) -> dict:
@@ -237,7 +237,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on unknown flags or bad usage
         return int(exc.code) if exc.code else 0
-    _AXIOM_REPORTS.clear()
+    _RESOLVED.clear()
     module, handler = _HANDLERS[args.command]
     try:
         body, summary = getattr(import_module(f".{module}", __package__), handler)(args)

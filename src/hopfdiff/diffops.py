@@ -465,27 +465,40 @@ def smash_extension_columns(action, d_h, d_k, smash) -> list:
     return cols
 
 
-def extend_diff_smash(m: DiffModuleBialgebra, smash: FinDimHopf | None = None
-                      ) -> tuple[FinDimHopf, DiffOp]:
+def smash_restrictions(smash, cols, d_h, d_k) -> tuple[bool, bool]:
+    """Whether the operator with column table cols on a smash builder has
+    D(x # 1) = D_H(x) # 1 and D(1 # a) = 1 # D_K(a) on every basis x of H
+    and a of K, for column tables d_h and d_k."""
+    from .actions import smash_vec
+
+    h, k = smash.h, smash.k
+    hunit, kunit = h.unit_vec(), k.unit_vec()
+
+    def d(hvec, kvec):
+        return apply_cols(cols, smash_vec(smash, hvec, kvec), smash.dim)
+
+    return (all(d(basis_vec(h.dim, x), kunit) == smash_vec(smash, d_h[x], kunit)
+                for x in range(h.dim)),
+            all(d(hunit, basis_vec(k.dim, a)) == smash_vec(smash, hunit, d_k[a])
+                for a in range(k.dim)))
+
+
+def extend_diff_smash(m: DiffModuleBialgebra) -> tuple["TruncatedSmash", DiffOp]:
     """The unique difference operator on H # K restricting to D_H and D_K:
-    D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2)."""
-    from .actions import smash_embed_h, smash_embed_k, smash_product
+    D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2).  The action was
+    checked with the pair, so only the smash builder is validated here."""
+    from .actions import _validated_smash
 
     if not m.verified:
         raise ValueError("the pair must be verified as a difference module bialgebra")
-    action = m.action
-    h, k = action.target, action.acting
-    smash = smash or smash_product(action)
-    mat = Mat.from_cols(smash_extension_columns(
-        action, m.d_h.columns(), m.d_k.columns(), smash))
-    result = check_diffop(smash, mat)
+    smash = _validated_smash(m.action)
+    d_h, d_k = m.d_h.columns(), m.d_k.columns()
+    cols = smash_extension_columns(m.action, d_h, d_k, smash)
+    result = check_diffop(smash, Mat.from_cols(cols))
     if not isinstance(result, DiffOp):
         raise AssertionError(f"smash extension failed verification: {result.witness}")
-
-    # restrictions to H # 1 and 1 # K must reproduce the inputs
-    for name, embed, d in (("D_H", smash_embed_h(h, k, smash), m.d_h),
-                           ("D_K", smash_embed_k(h, k, smash), m.d_k)):
-        if mat.mul(embed.matrix) != embed.matrix.mul(d.matrix):
+    for name, ok in zip(("D_H", "D_K"), smash_restrictions(smash, cols, d_h, d_k)):
+        if not ok:
             raise AssertionError(f"extension does not restrict to {name}")
     return smash, result
 

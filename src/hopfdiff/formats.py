@@ -35,16 +35,24 @@ def _require(data: dict, keys: set, kind: str):
 
 # -- Hopf algebras -------------------------------------------------------------
 
-def algebra_to_dict(h: FinDimHopf) -> dict:
+def algebra_to_dict(h) -> dict:
+    """A finite-dimensional Hopf algebra read through the carrier interface,
+    so a FinDimHopf and a smash builder export alike: comultiplication
+    triples sorted by (i, j) with zeros dropped, as FinDimHopf keeps
+    them."""
+    n = h.dim
     out = {
         "name": h.name,
-        "basis": list(h.basis),
-        "unit": [rat_str(c) for c in h.unit],
-        "counit": [rat_str(c) for c in h.counit],
-        "mult": [[[rat_str(c) for c in cell] for cell in row] for row in h.mult],
-        "comult": [[[i, j, rat_str(c)] for (i, j, c) in triples] for triples in h.comult],
-        "antipode": [[rat_str(h.antipode[(r, c)]) for c in range(h.dim)]
-                     for r in range(h.dim)],
+        "basis": [h.label(i) for i in range(n)],
+        "unit": [rat_str(c) for c in h.unit_vec()],
+        "counit": [rat_str(h.counit_coeff(i)) for i in range(n)],
+        "mult": [[[rat_str(c) for c in h.mult_basis(i, j)] for j in range(n)]
+                 for i in range(n)],
+        "comult": [[[i, j, rat_str(c)] for (i, j, c) in sorted(
+                        (t for t in h.comult_triples(k) if t[2]), key=lambda t: t[:2])]
+                   for k in range(n)],
+        "antipode": [[rat_str(c) for c in row]
+                     for row in zip(*(h.antipode_basis(j) for j in range(n)))],
     }
     if h.coradical_group_basis is not None:
         out["coradical_group_basis"] = list(h.coradical_group_basis)

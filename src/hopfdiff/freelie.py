@@ -5,8 +5,7 @@ checks that relate them and their smash products.
 
 The carriers themselves, words and Lyndon combinatorics,
 :class:`TruncatedTensor`, :class:`LyndonBasis`, :func:`lyndon_dims` and
-:class:`TruncatedEnveloping`, live in :mod:`hopfdiff.truncated` and are
-imported here under their old names.  Truncation is honest: a product
+:class:`TruncatedEnveloping`, live in :mod:`hopfdiff.truncated`.  Truncation is honest: a product
 whose total degree exceeds the budget raises OutOfBudgetError, and every
 exhaustive check reports exactly which tuples it had to skip.  The
 verdicts themselves are the shared ones of :mod:`hopfdiff.hopf`,
@@ -52,22 +51,8 @@ from .hopf import (
     vec_sub,
     zero_vec,
 )
-# the carriers, under the names they had when they lived here
-from .truncated import (
-    DEFAULT_BUDGET,
-    MAX_BUDGET,
-    MAX_GENERATORS,
-    BudgetCapError,
-    LyndonBasis,
-    TruncatedEnveloping,
-    TruncatedTensor,
-    bracket_expansion,
-    lyndon_dims,
-    lyndon_words,
-    standard_factorization,
-    witt_dimension,
-    words_up_to,
-)
+from .truncated import (TruncatedEnveloping, TruncatedTensor, bracket_expansion, lyndon_words,
+                        standard_factorization)
 
 
 # ---------------------------------------------------------------------------
@@ -714,7 +699,8 @@ def ckmm_truncated_instance(budget: int) -> dict:
     reproduces the operator from those restrictions.
     """
     from .catalog import build_kC2
-    from .diffops import check_diffop, compatibility_failures, smash_extension_columns
+    from .diffops import (check_diffop, compatibility_failures, smash_extension_columns,
+                          smash_restrictions)
     from .lie import FinLie
 
     g1 = FinLie.from_pairs(["e"], {}, "abelian1")
@@ -747,11 +733,8 @@ def ckmm_truncated_instance(budget: int) -> dict:
     report["extension_pairs_checked"] = diff_rep.checked
     report["extension_pairs_skipped"] = len(diff_rep.skipped)
 
-    # restrictions
-    report["restricts_to_dh"] = all(
-        cols[smash.index[(x, 0)]] == smash_vec(smash, d_h[x], kc2.unit_vec()) for x in range(n_u))
-    report["restricts_to_dk"] = all(
-        cols[smash.index[(0, a)]] == smash_vec(smash, u_env.unit_vec(), d_k[a]) for a in range(n_k))
+    report["restricts_to_dh"], report["restricts_to_dk"] = smash_restrictions(
+        smash, cols, d_h, d_k)
 
     # group-likes and primitives of the smash
     prim = primitives(smash)

@@ -7,6 +7,7 @@ from hopfdiff import catalog
 from hopfdiff.actions import (
     ActionData,
     CrossedHom,
+    TruncatedSmash,
     adjoint_action,
     check_crossed_hom,
     crossed_hom_properties,
@@ -16,7 +17,7 @@ from hopfdiff.actions import (
     graph_hopf_iso,
     graph_of,
     smash_product,
-    smash_builder,
+    smash_vec,
     trivial_action,
     validate_action,
 )
@@ -161,7 +162,7 @@ def test_graph_of_ueps_is_acting_factor(h8):
 
 def test_graph_verdict_matches_direct_check(h4):
     adj = adjoint_action(h4)
-    smash = smash_builder(adj)
+    smash = TruncatedSmash(adj)
     rng = random.Random(3)
     pool = [F(0), F(1), F(-1), F(1, 2), F(2)]
     grouplike = [basis_vec(4, 0), basis_vec(4, 1)]
@@ -266,10 +267,25 @@ def test_derived_action_of_bijective_diffop_on_ks3(ks3):
 
 
 def test_smash_factor_embeddings_are_algebra_maps(inversion_action):
-    from hopfdiff.actions import smash_embed_h, smash_embed_k
-    from hopfdiff.hopf import is_algebra_hom
+    """x -> x # 1 and a -> 1 # a, as smash_vec columns, are unital
+    algebra maps into the smash product."""
+    from hopfdiff.hopf import algebra_map_failures, apply_cols
 
     smash = smash_product(inversion_action)
     h, k = inversion_action.target, inversion_action.acting
-    assert is_algebra_hom(smash_embed_h(h, k, smash))
-    assert is_algebra_hom(smash_embed_k(h, k, smash))
+    for factor, cols in (
+            (h, [smash_vec(smash, basis_vec(h.dim, x), k.unit_vec()) for x in range(h.dim)]),
+            (k, [smash_vec(smash, h.unit_vec(), basis_vec(k.dim, a)) for a in range(k.dim)])):
+        assert apply_cols(cols, factor.unit_vec(), smash.dim) == smash.unit_vec()
+        assert list(algebra_map_failures(factor, smash, cols)) == []
+
+
+def test_smash_product_is_the_validated_builder(inversion_action):
+    """smash_product returns the smash builder itself, no FinDimHopf copy,
+    with the whole pair index declared group-like when both factors are
+    group algebras."""
+    smash = smash_product(inversion_action)
+    assert type(smash) is TruncatedSmash
+    assert smash.name == "kC4#kC2"
+    assert smash.coradical_group_basis == list(range(smash.dim))
+    assert len(grouplikes(smash).elements) == smash.dim == 8

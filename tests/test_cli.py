@@ -172,6 +172,68 @@ def test_extend_smash_diff(capsys, tmp_path):
     assert payload["witness"] == ["s", "r"]
 
 
+def _counting(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends its arguments to calls."""
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_extend_smash_diff_resolves_and_checks_each_input_once(capsys, tmp_path, monkeypatch):
+    """On catalog exports, each algebra name is built once per command, so
+    every loader gets the same object and no algebra is hashed to compare
+    two copies: only each operator file's own content-hash check hashes.
+    The action's module axioms are checked once, by the pair check, and
+    not again for the smash product."""
+    from hopfdiff import actions, catalog, formats
+
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    dh = export_entry(capsys, tmp_path, "op:id:kC4", "dh.json")
+    dk = export_entry(capsys, tmp_path, "op:id:kC2", "dk.json")
+    builds, hashes, axioms = [], [], []
+    _counting(monkeypatch, catalog, "build", builds)
+    _counting(monkeypatch, formats, "algebra_hash", hashes)
+    _counting(monkeypatch, actions, "module_axiom_report", axioms)
+    code, payload, _ = invoke(capsys, "extend-smash-diff", "--action", action,
+                              "--operator", dh, "--operator-k", dk)
+    assert code == 0 and payload["smash"] == "kC4#kC2"
+    assert sorted(name for name, in builds) == ["kC2", "kC4"]
+    assert [h.name for h, in hashes] == ["kC4", "kC2"]
+    assert len(axioms) == 1
+
+
+def test_check_crossed_hom_checks_the_coalgebra_map_once(capsys, tmp_path, monkeypatch):
+    from hopfdiff import hopf
+
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    pi = export_entry(capsys, tmp_path, "op:crossed:kC2:kC4", "pi.json")
+    calls = []
+    _counting(monkeypatch, hopf, "coalgebra_map_failures", calls)
+    code, payload, _ = invoke(capsys, "check-crossed-hom", "--action", action, "--operator", pi)
+    assert code == 0 and payload["ok"]
+    assert len(calls) == 1
+
+
+def test_check_crossed_hom_rejects_a_map_that_is_not_a_coalgebra_map(capsys, tmp_path):
+    """Twice the crossed homomorphism kC2 -> kC4 misses the counit: an input
+    error named by the coalgebra entries of the crossed-hom report."""
+    action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
+    code, payload, _ = invoke(capsys, "catalog", "op:crossed:kC2:kC4")
+    data = payload["payload"]
+    data["matrix"] = [[str(2 * int(c)) for c in row] for row in data["matrix"]]
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(data))
+    code, payload, err = invoke(capsys, "check-crossed-hom", "--action", action,
+                                "--operator", str(path))
+    assert code == 2
+    assert payload["error"] == "map is not a coalgebra homomorphism"
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("operator, message", [
     ("op:id:kC4", "acting algebra"),        # domain is the target, not the acting algebra
     ("op:id:kC2", "matrix shape"),          # right domain, but its images lie in kC2

@@ -420,7 +420,7 @@ def test_truncated_carrier_skip_accounting(make_map, failures):
     """On T(V) with two letters at budget 2, every pair whose product
     leaves the budget is skipped with its degree, in pair order, and the
     partial verdict is returned as a report, never as a DiffOp."""
-    from hopfdiff.freelie import TruncatedTensor
+    from hopfdiff.truncated import TruncatedTensor
 
     tv = TruncatedTensor(2, 2)
     res = check_diffop(tv, make_map(tv))

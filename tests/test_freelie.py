@@ -6,21 +6,23 @@ import pytest
 from hopfdiff import truncated
 from hopfdiff.exactlin import Mat, row_space_basis
 from hopfdiff.freelie import (
-    BudgetCapError,
-    TruncatedEnveloping,
-    TruncatedTensor,
     adjoint_derivation_action,
-    bracket_expansion,
     ckmm_truncated_instance,
     diffop_from_hom,
     extend_crossed_hom_trunc,
     free_crossed_hom_values,
     graph_dims_check,
-    lyndon_dims,
-    lyndon_words,
     mm_instance_check,
     smash_vs_semidirect_trunc,
     trivial_derivation_action,
+)
+from hopfdiff.truncated import (
+    BudgetCapError,
+    TruncatedEnveloping,
+    TruncatedTensor,
+    bracket_expansion,
+    lyndon_dims,
+    lyndon_words,
     witt_dimension,
     words_up_to,
 )

@@ -13,7 +13,7 @@ from hopfdiff import catalog
 from hopfdiff.actions import CrossedHom, GraphResult
 from hopfdiff.diffops import DiffModuleBialgebra, DiffOp
 from hopfdiff.exactlin import Mat
-from hopfdiff.freelie import LyndonBasis, TruncatedTensor
+from hopfdiff.truncated import LyndonBasis, TruncatedTensor
 from hopfdiff.groups import GroupAction, GroupMap, adjoint_action
 from hopfdiff.hopf import (AxiomReport, CheckReport, Element, GrouplikeResult,
                            LinMap, identity_map)

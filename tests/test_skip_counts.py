@@ -10,13 +10,13 @@ multiplicativity pairs of `smash_vs_semidirect_trunc`.
 import pytest
 
 from hopfdiff.freelie import (
-    TruncatedTensor,
     adjoint_derivation_action,
     ckmm_truncated_instance,
     diffop_from_hom,
     extend_crossed_hom_trunc,
     smash_vs_semidirect_trunc,
 )
+from hopfdiff.truncated import TruncatedTensor
 from hopfdiff.exactlin import Mat
 from hopfdiff.hopf import vec_sub, zero_vec
 from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
