@@ -29,8 +29,9 @@ at most two and reads "= 0", so it is stored as a primitive integer
 polynomial with its first coefficient positive, which is also its key for
 deduplication.  Substituting the solution space of the linear constraints
 is one change of variables T applied to each equation's coefficient
-matrix Q (T^t Q T), and the linear solves and the span reducer eliminate
-sparse integer rows (:func:`hopfdiff.exactlin.int_echelon`).  The
+matrix Q (T^t Q T).  Each round of the linear phase reduces the equations
+over their monomials, quadratic ones first, and solves the rows left linear,
+both on sparse integer rows (:func:`hopfdiff.exactlin.int_echelon`).  The
 constraints are built from the integer structure table
 (:func:`hopfdiff.hopf.int_structure`), and what does not depend on the
 branch is built once per plan.  ``Fraction`` values appear only in roots,
@@ -107,11 +108,6 @@ def _pin(form: dict, den: int, value: Fraction) -> dict:
 
 def _is_const(form: dict) -> bool:
     return form.keys() <= {0}
-
-
-def _is_linear(eq: dict) -> bool:
-    # the largest key has the largest first index
-    return not eq or max(eq)[0] == 0
 
 
 def _subst_form(form: dict, table: list) -> dict:
@@ -605,8 +601,8 @@ class _Engine:
 
     # each solution is a full list of constant image vectors
     def _solve(self, eqs, images, nvars):
-        eqs, images, nvars, consistent = self._linear_phase(eqs, images, nvars)
-        if not consistent:
+        eqs, images, nvars, reducer = self._linear_phase(eqs, images, nvars)
+        if reducer is None:
             return []
         if nvars == 0:
             # every equation left would be a constant, and the linear phase
@@ -615,7 +611,6 @@ class _Engine:
         if not eqs:
             self.partial_reason = f"{nvars} parameters remain unconstrained"
             return None
-        reducer = self._span_reducer(eqs)
         memo: dict = {}
 
         def roots_of(form, den):
@@ -655,23 +650,38 @@ class _Engine:
         return [[Fraction(form.get(0, 0), den) for form in col] for col in cols]
 
     @staticmethod
+    def _reduce(eqs):
+        """int_echelon of the equations over their monomials m, column midx[m]
+        in descending order so that quadratic ones come first: (midx, rows,
+        pivots)."""
+        midx = {m: i for i, m in enumerate(sorted(set().union(*eqs), reverse=True))}
+        return (midx, *int_echelon([{midx[m]: c for m, c in e.items()} for e in eqs], len(midx)))
+
+    @staticmethod
     def _linear_phase(eqs, images, nvars):
-        """Solve the linear equations exactly and substitute their solution
-        space into the rest, until no linear equation is left."""
+        """Reduce the equations, solve the rows with no quadratic monomial,
+        which span every linear consequence, and substitute their solution
+        space into the rest, until no linear row is left.  The last
+        reduction is the node's reducer, None if the equations are
+        inconsistent."""
         while True:
-            linear = [e for e in eqs if _is_linear(e)]
-            if not linear:
-                return eqs, images, nvars, True
+            reducer = _Engine._reduce(eqs)
+            monos = list(reducer[0])
+            eqs = [{monos[i]: c for i, c in row.items()} for row in reducer[1]]
+            # the rows are in pivot order, so the quadratic ones come first
+            k = sum(monos[p][0] > 0 for p in reducer[2])
+            if k == len(eqs):
+                return eqs, images, nvars, reducer
             # rows of [A | b] for A u = b
             rows = []
-            for e in linear:
+            for e in eqs[k:]:
                 row = {b - 1: c for (_, b), c in e.items() if b}
                 if (0, 0) in e:
                     row[nvars] = -e[(0, 0)]
                 rows.append(row)
             echelon, pivots = int_echelon(rows, nvars + 1)
             if pivots[-1] == nvars:
-                return eqs, images, nvars, False
+                return eqs, images, nvars, None
             # u_p = (b - sum_f row[f] u_f) / row[p] for each pivot p, the free
             # parameters u_f renumbered in order; every entry over tden
             pivot_set = set(pivots)
@@ -688,7 +698,7 @@ class _Engine:
                 if nvars in row:
                     entry[0] = m * row[nvars]
                 table[p + 1] = entry
-            eqs = _dedupe([_subst(e, table) for e in eqs if not _is_linear(e)])
+            eqs = [_subst(e, table) for e in eqs[:k]]
             cols = [[_subst_form(form, table) for form in col] for col in images.cols]
             den = images.den * tden
             g = gcd(den, *(c for col in cols for form in col for c in form.values()))
@@ -724,16 +734,6 @@ class _Engine:
                 yield f, images.den
         for i in range(nvars):
             yield {i + 1: 1}, 1
-
-    @staticmethod
-    def _span_reducer(eqs):
-        """Row-echelon view of the equation span over the monomial basis;
-        shared by every root-set query at one search node."""
-        monos = sorted(set().union(*eqs))
-        midx = {m: i for i, m in enumerate(monos)}
-        rows = [{midx[m]: c for m, c in e.items()} for e in eqs]
-        echelon, pivots = int_echelon(rows, len(monos))
-        return midx, echelon, pivots
 
     @staticmethod
     def _residue(eq, midx, echelon, pivots):

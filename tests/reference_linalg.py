@@ -12,9 +12,12 @@ ONE = Fraction(1)
 
 
 def reference_row_reduce(rows):
-    """In-place reduced row echelon form; returns (rows, pivot columns)."""
+    """In-place reduced row echelon form; returns (rows, pivot columns).
+    Each row is copied once, so the caller's rows are not changed, and
+    clearing a column subtracts only the pivot row's nonzero entries."""
     if not rows:
         return rows, []
+    rows[:] = [list(row) for row in rows]
     ncols = len(rows[0])
     pivots = []
     r = 0
@@ -27,13 +30,16 @@ def reference_row_reduce(rows):
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        inv = ONE / prow[c]
+        support = [(j, x * inv) for j, x in enumerate(prow) if x]
+        for j, x in support:
+            prow[j] = x
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                f = row[c]
+                for j, x in support:
+                    row[j] -= f * x
         pivots.append(c)
         r += 1
         if r == len(rows):
