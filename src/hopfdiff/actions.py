@@ -433,6 +433,12 @@ def check_crossed_hom(pi: LinMap, action: ActionData) -> bool:
     if pi.domain is not k or pi.codomain is not h:
         raise ValueError("map endpoints must match the action")
     _require_action(action, False)
+    return _crossed_hom_verdict(pi, action)
+
+
+def _crossed_hom_verdict(pi: LinMap, action: ActionData) -> bool:
+    """crossed_hom_report's verdict on pi, with no check of the action;
+    raises ValueError when pi is not a coalgebra map."""
     report = crossed_hom_report(action, pi.columns())
     if any(f[0] == "coalgebra" for f in report.failures):
         raise ValueError("map is not a coalgebra homomorphism")
@@ -696,11 +702,10 @@ class GraphResult(Record):
 
 def graph_of(pi: LinMap, action: ActionData, smash=None) -> GraphResult:
     """Span of (pi (x) id) Delta over the basis of K inside H # K, with a
-    subalgebra verdict.  The verdict matches the crossed-homomorphism
+    subalgebra verdict.  For a coalgebra map pi, which the caller checks
+    (check_crossed_hom does), the verdict matches the crossed-homomorphism
     identity (graph characterization).  smash is the action's builder,
     built here by default."""
-    if not is_coalgebra_hom(pi):
-        raise ValueError("map is not a coalgebra homomorphism")
     smash = smash or TruncatedSmash(action)
     cols = pi.columns()
     basis = row_space_basis([graph_vector(pi.domain, cols, a, smash)

@@ -48,13 +48,16 @@ def cmd_smash(args):
 
 
 def cmd_graph(args):
-    from .actions import check_crossed_hom, graph_of
+    from .actions import _crossed_hom_verdict, _require_action, graph_of
 
     action = _load_action(args.action)
     pi = _crossed_hom_candidate(action, _load_operator(args.operator))
     try:
+        # a map that is not a coalgebra map is refused before the action's
+        # axioms are checked; the verdict is the one check of the map
+        direct = _crossed_hom_verdict(pi, action)
         result = graph_of(pi, action)
-        direct = check_crossed_hom(pi, action)
+        _require_action(action, False)
     except ValueError as exc:
         raise _input_error(exc)
     agree = result.closed == direct

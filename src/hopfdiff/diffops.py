@@ -347,10 +347,11 @@ def rota_baxter_identity_report(h, matrix: Mat) -> CheckReport:
     failures = []
     n = h.dim
     for i in range(n):
+        terms = sweedler_expand(h, basis_vec(n, i), 2).items()
         for j in range(n):
             lhs = h.mult_vec(matrix.col(i), matrix.col(j))
             rhs = zero_vec(n)
-            for (t1, t2, t3), c in sweedler_expand(h, basis_vec(n, i), 2).items():
+            for (t1, t2, t3), c in terms:
                 inner = h.mult_vec(basis_vec(n, t1), matrix.col(t2))
                 inner = h.mult_vec(inner, basis_vec(n, j))
                 inner = h.mult_vec(inner, h.antipode_vec(matrix.col(t3)))

@@ -392,13 +392,16 @@ class _Images(NamedTuple):
 
 class _PlanTables:
     """The parts of the search that do not depend on the branch, built once
-    per classification from the plan's integer structure table."""
+    per classification: the coradical group, its characters when it has
+    exponent two, and the tables from the plan's integer structure table."""
 
-    def __init__(self, plan: SearchPlan, pos_of_grouplike: dict):
+    def __init__(self, plan: SearchPlan):
         h = plan.target
         self.h = h
         self.plan = plan
-        self.pos = pos_of_grouplike
+        self.group, self.idxs, self.pos = coradical_group(h)
+        self.signs = ([[int(x) for x in chi] for chi in f2_characters(self.group)[0]]
+                      if self.group.has_exponent_two() else [])
         self.t = t = int_structure(h)
         self.nvars = h.dim * len(plan.blocks)
         self._sandwiches: dict = {}
@@ -458,6 +461,7 @@ class _Branch:
         self.h = tables.h
         self.plan = tables.plan
         self.pos = tables.pos
+        self.signs = tables.signs
         self.nvars = tables.nvars
         self.record: list | None = None
         self._left_cache: dict = {}
@@ -483,8 +487,9 @@ class _Branch:
 
     # -- equation generation ------------------------------------------------
 
-    def equations(self, include_diff_identity: bool) -> list[dict]:
-        """Constraint equations for this branch.
+    def equations(self):
+        """Constraint equations for this branch in two stages: the counit and
+        comultiplication ones, then the same list with the difference identity's.
 
         The counit and comultiplication constraints alone usually pin the
         candidate set; the symbolic difference-identity constraints are
@@ -524,8 +529,7 @@ class _Branch:
                             _acc_product(rhs.setdefault((a, bb), {}), c, fa, fb)
             for key in set(lhs) | set(rhs):
                 eqs.append(_equation(lhs.get(key, {}), den, rhs.get(key, {})))
-        if not include_diff_identity:
-            return _dedupe(eqs)
+        yield _dedupe(eqs)
         # the difference identity on the phase-3 pair set; the right side
         # carries den^2 sweedler_den mult_den^3 antipode_den, the left side
         # den mult_den
@@ -546,7 +550,64 @@ class _Branch:
                             _acc(rhs_vec[m], c, mid)
             for m in range(n):
                 eqs.append(_equation(lhs_vec[m], scale, rhs_vec[m]))
-        return _dedupe(eqs)
+        yield _dedupe(eqs)
+
+    def _character_forms(self, col, indices):
+        """sum_g chi(g) col[b] over the coradical g and the matching
+        entries b of indices, one affine form per character."""
+        corad = self.plan.grouplike_indices
+        pos = self.pos
+        for chi in self.signs:
+            f: dict = {}
+            for g, b in zip(corad, indices):
+                _acc(f, chi[pos[g]], col[b])
+            yield {k: c for k, c in f.items() if c}
+
+    def _candidate_forms(self, images, nvars):
+        """Deterministic form order, each form with its denominator:
+        coradical-part characters of each generator image, then coset-part
+        characters, then raw parameters."""
+        corad = self.plan.grouplike_indices
+        for block in self.plan.blocks:
+            u = images.cols[block.generator]
+            coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
+            for f in self._character_forms(u, corad):
+                yield f, images.den
+            for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
+                yield f, images.den
+        for i in range(nvars):
+            yield {i + 1: 1}, 1
+
+    def _quadratic_candidates(self, images, roots_of):
+        """The solutions p of q(p) = r over the coset block of the first
+        scheduled generator, through the character transform, or None when
+        the shape does not apply: the coradical part of the image is not
+        pinned, the coset part is, or a character form has no root set of
+        the shape p = +-r.  roots_of(form, den) is the node's root set of a
+        form."""
+        if not self.signs:
+            return None
+        plan = self.plan
+        block = plan.blocks[0]
+        cols, den = images
+        u = cols[block.generator]
+        corad = plan.grouplike_indices
+        if not all(_is_const(u[g]) for g in corad):
+            return None
+        coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
+        if all(_is_const(u[coset_by_g[g]]) for g in corad):
+            return None
+        # the square of each character form of p, the transform of r
+        rhat = []
+        for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
+            roots = ([Fraction(f.get(0, 0), den)] if _is_const(f)
+                     else roots_of(f, den))
+            if not roots or len(roots) == 2 and roots[0] != -roots[1]:
+                return None
+            rhat.append(roots[-1] ** 2)
+        n_g = self.tables.group.order
+        r_vec = [sum(chi[g] * r for chi, r in zip(self.signs, rhat)) / n_g for g in range(n_g)]
+        return solve_quadratic_in_group_algebra(self.tables.group, [0, 0, 1], r_vec)
 
     def _left_part(self, t1: int, t2: int) -> list:
         """D(t1) t2 as affine forms over den * mult_den; shared across
@@ -580,23 +641,20 @@ class _Branch:
 
 
 class _Engine:
-    """Exact elimination over the branch parameters with root branching."""
+    """Exact elimination over the branch parameters with root branching;
+    the branch gives the equation stages, the candidate forms and the record."""
 
-    def __init__(self, branch: _Branch, chars, char_group: FinGroup):
+    def __init__(self, branch: _Branch):
         self.branch = branch
-        self.signs = [[int(x) for x in chi] for chi in chars]
-        self.char_group = char_group
         self.partial_reason: str | None = None
 
     def run(self):
-        images = self.branch.images
-        eqs = self.branch.equations(include_diff_identity=False)
-        solutions = self._solve(eqs, images, self.branch.nvars)
-        if solutions is None:
-            self.partial_reason = None
-            self.branch.record = None
-            eqs = self.branch.equations(include_diff_identity=True)
-            solutions = self._solve(eqs, images, self.branch.nvars)
+        """The solutions of the first equation stage the search settles, else None."""
+        for eqs in self.branch.equations():
+            self.partial_reason = self.branch.record = None
+            solutions = self._solve(eqs, self.branch.images, self.branch.nvars)
+            if solutions is not None:
+                break
         return solutions
 
     # each solution is a full list of constant image vectors
@@ -623,9 +681,9 @@ class _Engine:
         # the q(p) = r candidate set is recorded at the first node where its
         # precondition (pinned coradical part) holds; it is not used to solve
         if self.branch.record is None:
-            self.branch.record = self._quadratic_candidates(images, roots_of)
+            self.branch.record = self.branch._quadratic_candidates(images, roots_of)
         # single-form branching
-        for form, den in self._candidate_forms(images, nvars):
+        for form, den in self.branch._candidate_forms(images, nvars):
             if _is_const(form):
                 continue
             roots = roots_of(form, den)
@@ -709,32 +767,6 @@ class _Engine:
             images = _Images(cols, den)
             nvars = len(new)
 
-    def _character_forms(self, col, indices):
-        """sum_g chi(g) col[b] over the coradical g and the matching
-        entries b of indices, one affine form per character."""
-        corad = self.branch.plan.grouplike_indices
-        pos = self.branch.pos
-        for chi in self.signs:
-            f: dict = {}
-            for g, b in zip(corad, indices):
-                _acc(f, chi[pos[g]], col[b])
-            yield {k: c for k, c in f.items() if c}
-
-    def _candidate_forms(self, images, nvars):
-        """Deterministic form order, each form with its denominator:
-        coradical-part characters of each generator image, then coset-part
-        characters, then raw parameters."""
-        corad = self.branch.plan.grouplike_indices
-        for block in self.branch.plan.blocks:
-            u = images.cols[block.generator]
-            coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
-            for f in self._character_forms(u, corad):
-                yield f, images.den
-            for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
-                yield f, images.den
-        for i in range(nvars):
-            yield {i + 1: 1}, 1
-
     @staticmethod
     def _residue(eq, midx, echelon, pivots):
         """Reduce against the span: (coordinates, den) with the residue
@@ -795,37 +827,6 @@ class _Engine:
                 return []
         return None if roots is None else sorted(roots)
 
-    def _quadratic_candidates(self, images, roots_of):
-        """The solutions p of q(p) = r over the coset block of the first
-        scheduled generator, through the character transform, or None when
-        the shape does not apply: the coradical part of the image is not
-        pinned, the coset part is, or a character form has no root set of
-        the shape p = +-r.  roots_of(form, den) is the node's root set of a
-        form."""
-        if not self.signs:
-            return None
-        plan = self.branch.plan
-        block = plan.blocks[0]
-        cols, den = images
-        u = cols[block.generator]
-        corad = plan.grouplike_indices
-        if not all(_is_const(u[g]) for g in corad):
-            return None
-        coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
-        if all(_is_const(u[coset_by_g[g]]) for g in corad):
-            return None
-        # the square of each character form of p, the transform of r
-        rhat = []
-        for f in self._character_forms(u, [coset_by_g[g] for g in corad]):
-            roots = ([Fraction(f.get(0, 0), den)] if _is_const(f)
-                     else roots_of(f, den))
-            if not roots or len(roots) == 2 and roots[0] != -roots[1]:
-                return None
-            rhat.append(roots[-1] ** 2)
-        n_g = self.char_group.order
-        r_vec = [sum(chi[g] * r for chi, r in zip(self.signs, rhat)) / n_g for g in range(n_g)]
-        return solve_quadratic_in_group_algebra(self.char_group, [0, 0, 1], r_vec)
-
 
 def _dedupe(eqs):
     out = []
@@ -846,19 +847,17 @@ def _dedupe(eqs):
 def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> ClassificationResult:
     plan.validate()
     h = plan.target
-    group, idxs, pos = coradical_group(h)
-    chars = f2_characters(group)[0] if group.has_exponent_two() else []
+    tables = _PlanTables(plan)
+    group, idxs = tables.group, tables.idxs
     branches = []
     operators = []
     certificate = "complete"
-    endos = enumerate_endos(group)
-    tables = _PlanTables(plan, pos)
-    for bi, endo in enumerate(endos):
+    for bi, endo in enumerate(enumerate_endos(group)):
         d_group = diffop_from_endo(endo)
         d_on_group = {idxs[g]: idxs[d_group(g)] for g in range(group.order)}
         labels = [h.label(d_on_group[b]) for b in idxs]
         branch = _Branch(tables, d_on_group)
-        engine = _Engine(branch, chars, group)
+        engine = _Engine(branch)
         ops = engine.run()
         if ops is None:
             branches.append(BranchReport(bi, labels, "partial", [],

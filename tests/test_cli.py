@@ -158,6 +158,19 @@ def test_rota_baxter(capsys, tmp_path):
     assert code == 0 and payload["ok"]
 
 
+def test_rota_baxter_expands_each_basis_element_once(capsys, tmp_path, monkeypatch):
+    """The Rota-Baxter identity takes Delta^2(e_i) once per i, not once per
+    pair (i, j): 6 expansions on kS3, where 36 were made."""
+    from hopfdiff import diffops
+
+    op = export_entry(capsys, tmp_path, "op:inv:kS3", "inv.json")
+    calls = []
+    _counting(monkeypatch, diffops, "sweedler_expand", calls)
+    code, payload, _ = invoke(capsys, "rota-baxter", "--operator", op)
+    assert code == 0 and payload["ok"]
+    assert len(calls) == 6
+
+
 def test_extend_smash_diff(capsys, tmp_path):
     action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
     dh = export_entry(capsys, tmp_path, "op:id:kC4", "dh.json")
@@ -206,19 +219,23 @@ def test_extend_smash_diff_resolves_and_checks_each_input_once(capsys, tmp_path,
     assert len(axioms) == 1
 
 
-def test_check_crossed_hom_checks_the_coalgebra_map_once(capsys, tmp_path, monkeypatch):
+@pytest.mark.parametrize("command", ["check-crossed-hom", "graph"])
+def test_check_crossed_hom_checks_the_coalgebra_map_once(command, capsys, tmp_path, monkeypatch):
+    """graph takes the coalgebra-map check of the crossed-hom verdict and
+    does not check the map again for the graph."""
     from hopfdiff import hopf
 
     action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
     pi = export_entry(capsys, tmp_path, "op:crossed:kC2:kC4", "pi.json")
     calls = []
     _counting(monkeypatch, hopf, "coalgebra_map_failures", calls)
-    code, payload, _ = invoke(capsys, "check-crossed-hom", "--action", action, "--operator", pi)
+    code, payload, _ = invoke(capsys, command, "--action", action, "--operator", pi)
     assert code == 0 and payload["ok"]
     assert len(calls) == 1
 
 
-def test_check_crossed_hom_rejects_a_map_that_is_not_a_coalgebra_map(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["check-crossed-hom", "graph"])
+def test_check_crossed_hom_rejects_a_map_that_is_not_a_coalgebra_map(command, capsys, tmp_path):
     """Twice the crossed homomorphism kC2 -> kC4 misses the counit: an input
     error named by the coalgebra entries of the crossed-hom report."""
     action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
@@ -227,7 +244,7 @@ def test_check_crossed_hom_rejects_a_map_that_is_not_a_coalgebra_map(capsys, tmp
     data["matrix"] = [[str(2 * int(c)) for c in row] for row in data["matrix"]]
     path = tmp_path / "twice.json"
     path.write_text(json.dumps(data))
-    code, payload, err = invoke(capsys, "check-crossed-hom", "--action", action,
+    code, payload, err = invoke(capsys, command, "--action", action,
                                 "--operator", str(path))
     assert code == 2
     assert payload["error"] == "map is not a coalgebra homomorphism"
@@ -319,6 +336,29 @@ def test_action_failing_module_axioms_gives_structured_report(capsys, tmp_path, 
     assert payload["error"] == error
     assert payload["axiom"] == "module-associativity" and payload["witness"] == [1, 1, 0]
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, code, error", [
+    ("check-crossed-hom", 1, "not a module algebra"),
+    ("graph", 2, "map is not a coalgebra homomorphism"),
+])
+def test_which_error_wins_on_a_bad_action_and_a_map_that_is_not_a_coalgebra_map(
+        capsys, tmp_path, command, code, error):
+    """The rotation action above with twice the crossed homomorphism:
+    check-crossed-hom refuses the action first and graph the map first."""
+    _, payload, _ = invoke(capsys, "catalog", "action:inv:kC2:kC4")
+    action = payload["payload"]
+    action["tensor"][1] = [["1" if p == (x + 1) % 4 else "0" for p in range(4)]
+                           for x in range(4)]
+    _, payload, _ = invoke(capsys, "catalog", "op:crossed:kC2:kC4")
+    pi = payload["payload"]
+    pi["matrix"] = [[str(2 * int(c)) for c in row] for row in pi["matrix"]]
+    paths = [tmp_path / "rotation.json", tmp_path / "twice.json"]
+    for path, data in zip(paths, (action, pi)):
+        path.write_text(json.dumps(data))
+    got, payload, _ = invoke(capsys, command, "--action", str(paths[0]),
+                             "--operator", str(paths[1]))
+    assert (got, payload["error"]) == (code, error)
 
 
 def test_free_lie_tasks(capsys):
@@ -698,7 +738,8 @@ def test_a_proper_subgroup_declared_as_the_coradical_exits_two(capsys, tmp_path)
     search only the branches of that subgroup (8 operators, where kC2xC2
     has 16) and still read complete."""
     path = export_entry(capsys, tmp_path, "kC2xC2", "kc2xc2.json")
-    algebra = json.loads(open(path).read())
+    with open(path) as f:
+        algebra = json.loads(f.read())
     algebra["coradical_group_basis"] = [0, 1]
     with open(path, "w") as f:
         f.write(json.dumps(algebra))

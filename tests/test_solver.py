@@ -157,16 +157,16 @@ def test_quadratic_record_squares_character_roots_of_two():
     r^ = 4 for every character, so r = 4 and the record is the sixteen
     solutions of p^2 = 4, twice those of p^2 = 1."""
     plan = catalog.build("plan:H8").validate()
-    group, idxs, pos = coradical_group(plan.target)
-    branch = _Branch(_PlanTables(plan, pos), {b: b for b in idxs})
-    engine = _Engine(branch, f2_characters(group)[0], group)
+    group, idxs, _ = coradical_group(plan.target)
+    branch = _Branch(_PlanTables(plan), {b: b for b in idxs})
+    engine = _Engine(branch)
     block = plan.blocks[0]
     coset_by_g = {g: b for b, (g, _) in block.cosets.items()}
     u, den = branch.images.cols[block.generator], branch.images.den
     # coordinate k of the generator's image is parameter 1 + k: pin its
     # coradical part to 0
     eqs = [{(0, 1 + g): 1} for g in idxs]
-    for form in engine._character_forms(u, [coset_by_g[g] for g in idxs]):
+    for form in branch._character_forms(u, [coset_by_g[g] for g in idxs]):
         eq: dict = {}
         _acc_product(eq, 1, form, form)
         eq[(0, 0)] = eq.get((0, 0), 0) - 4 * den * den

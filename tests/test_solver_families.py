@@ -26,7 +26,7 @@ from hopfdiff.exactlin import Mat
 from hopfdiff.formats import algebra_to_dict
 from hopfdiff.groups import coradical_group
 from hopfdiff.hopf import FinDimHopf, axiom_report, basis_vec, zero_vec
-from hopfdiff.solver import GeneratorBlock, SearchPlan, classify_diffops, derive_plan
+from hopfdiff.solver import GeneratorBlock, SearchPlan, _Branch, classify_diffops, derive_plan
 
 CHECKER = Path(__file__).resolve().parents[1] / "perfbench" / "checker.py"
 
@@ -169,3 +169,25 @@ def test_both_derivations_find_the_same_operators(name):
     found = [{tuple(op.map.matrix.entries) for op in classification(name, d).operators}
              for d in ("derived", "second")]
     assert found[0] == found[1]
+
+
+@pytest.mark.parametrize("name, branches, second", [("plan:H4", 2, 1), ("A(4,0)", 4, 3)])
+def test_coalgebra_equations_are_built_once_per_branch(name, branches, second, monkeypatch):
+    """A branch builds its counit and comultiplication equations once: a
+    branch whose first stage stalls gets the difference identity appended
+    to them, not a second build of both.  With the rebuild, plan:H4 took
+    3 builds and A(4, 0) 7."""
+    builds, stages = [], []
+    equations = _Branch.equations
+
+    def counted(self):
+        builds.append(None)
+        for eqs in equations(self):
+            stages.append(len(eqs))
+            yield eqs
+
+    monkeypatch.setattr(_Branch, "equations", counted)
+    plan = catalog.build(name) if name.startswith("plan:") else derive_plan(algebra(name))
+    assert classify_diffops(plan).certificate == "complete"
+    assert len(builds) == branches
+    assert len(stages) == branches + second

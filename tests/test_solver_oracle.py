@@ -765,7 +765,7 @@ def branch_pairs(name):
     plan = catalog.build(name).validate()
     h = plan.target
     group, idxs, pos = coradical_group(h)
-    tables = _PlanTables(plan, pos)
+    tables = _PlanTables(plan)
     for endo in enumerate_endos(group):
         d_group = diffop_from_endo(endo)
         d_on_group = {idxs[g]: idxs[d_group(g)] for g in range(group.order)}
@@ -782,14 +782,18 @@ def test_branch_matches_reference(name, index):
     group, ref, new = list(branch_pairs(name))[index]
     cols, den = new.images
     assert [[to_rational(f, den) for f in col] for col in cols] == ref.images
-    for include in (False, True):
+    # the two stages: without and then with the difference identity
+    stages = list(new.equations())
+    assert len(stages) == 2
+    for include, got in zip((False, True), stages):
         want = ref.equations(include_diff_identity=include)
-        got = new.equations(include_diff_identity=include)
         assert len(got) == len(want)
         assert equation_set(got) == {frozenset(to_equation(e).items()) for e in want}
+    # the second stage is the first with the difference identity appended
+    assert stages[1][:len(stages[0])] == stages[0]
     chars, _ = f2_characters(group)
     want_engine = ReferenceEngine(ref, chars, group)
-    got_engine = _Engine(new, chars, group)
+    got_engine = _Engine(new)
     assert got_engine.run() == want_engine.run()
     assert new.record == ref.record
     assert got_engine.partial_reason == want_engine.partial_reason
@@ -804,7 +808,7 @@ def test_engine_matches_reference_engine(name):
     for group, ref, new in branch_pairs(name):
         chars, _ = f2_characters(group)
         want_engine = ReferenceEngine(ref, chars, group)
-        got_engine = _Engine(new, chars, group)
+        got_engine = _Engine(new)
         assert got_engine.run() == want_engine.run()
         assert new.record == ref.record
         assert got_engine.partial_reason == want_engine.partial_reason
