@@ -148,97 +148,90 @@ def _resolve_plan(args):
     return obj
 
 
-# -- argument parsing ------------------------------------------------------------
+# -- the command table -------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+# option name -> (argparse flag, keyword arguments)
+OPTIONS = {
+    "algebra": ("--algebra", {"help": "catalog name or algebra JSON file"}),
+    "plan": ("--plan", {"help": "catalog plan name or plan JSON file"}),
+    "action": ("--action", {"help": "action JSON file"}),
+    "operator": ("--operator", {"help": "operator JSON file"}),
+    "operator-k": ("--operator-k", {"help": "operator JSON file for the acting algebra"}),
+    "expected": ("--expected", {"help": "expected-tables JSON file"}),
+    "seed": ("--seed", {"type": int, "help": "recorded in the report for reproducibility"}),
+    "out": ("--out", {"help": "also write the JSON report to this path"}),
+    "left-grouplike": ("--left-grouplike", {"type": int}),
+    "right-grouplike": ("--right-grouplike", {"type": int}),
+    "bijective-only": ("--bijective-only", {"action": "store_true"}),
+    "task": ("task", {"choices": ["lyndon-dims", "diffop-from-hom", "mm-check",
+                                  "ckmm-mixed"]}),
+    "generators": ("--generators", {"type": int}),
+    "budget": ("--budget", {"type": int}),
+    "phi": ("--phi", {"help": "letter images as JSON word-coefficient tables"}),
+    "name": ("name", {"nargs": "?", "help": "entry to export; omit to list"}),
+}
+
+# command -> (handler module, handler, options, help).  Every command also
+# takes --seed and --out, and a command's options are added in the order of
+# OPTIONS.  Each handler returns its report and a one-line summary; run()
+# puts the schema version, the command and any --seed in front, emits the
+# report and exits 0 when it is ok and 1 when it is not.  A handler's module
+# is imported when its command runs, so a process compiles only the handlers
+# and layers of its one command.
+COMMANDS = {
+    "validate": ("cli_algebra", "cmd_validate", ("algebra",), "check all Hopf axioms"),
+    "grouplikes": ("cli_algebra", "cmd_grouplikes", ("algebra",), None),
+    "primitives": ("cli_algebra", "cmd_primitives", ("algebra",), None),
+    "skew-primitives": ("cli_algebra", "cmd_skew_primitives",
+                        ("algebra", "left-grouplike", "right-grouplike"), None),
+    "check-diffop": ("cli_diffops", "cmd_check_diffop", ("operator",), None),
+    "check-crossed-hom": ("cli_actions", "cmd_check_crossed_hom", ("action", "operator"),
+                          None),
+    "classify-diffops": ("cli_solver", "cmd_classify_diffops",
+                         ("algebra", "plan", "expected", "bijective-only"), None),
+    "smash": ("cli_actions", "cmd_smash", ("action",), None),
+    "graph": ("cli_actions", "cmd_graph", ("action", "operator"), None),
+    "monoid-table": ("cli_diffops", "cmd_monoid_table", ("algebra",), None),
+    "rota-baxter": ("cli_diffops", "cmd_rota_baxter", ("operator",), None),
+    "extend-smash-diff": ("cli_diffops", "cmd_extend_smash_diff",
+                          ("action", "operator", "operator-k"), None),
+    "free-lie": ("cli_freelie", "cmd_free_lie", ("task", "generators", "budget", "phi"),
+                 None),
+    "ckmm-check": ("cli_diffops", "cmd_ckmm_check", ("operator",), None),
+    "catalog": ("cli_algebra", "cmd_catalog", ("name",), None),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every command name registered; only the subparser of
+    command gets its options, since a process runs one command."""
     parser = argparse.ArgumentParser(
         prog="hopfdiff",
         description="Exact verification and classification of crossed "
                     "homomorphisms and difference operators on Hopf algebras.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, *, algebra=False, plan=False, action=False, operator=False,
-               operator_k=False, expected=False):
-        if algebra:
-            p.add_argument("--algebra", help="catalog name or algebra JSON file")
-        if plan:
-            p.add_argument("--plan", help="catalog plan name or plan JSON file")
-        if action:
-            p.add_argument("--action", help="action JSON file")
-        if operator:
-            p.add_argument("--operator", help="operator JSON file")
-        if operator_k:
-            p.add_argument("--operator-k", dest="operator_k",
-                           help="operator JSON file for the acting algebra")
-        if expected:
-            p.add_argument("--expected", help="expected-tables JSON file")
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded in the report for reproducibility")
-        p.add_argument("--out", help="also write the JSON report to this path")
-        return p
-
-    common(sub.add_parser("validate", help="check all Hopf axioms"), algebra=True)
-    common(sub.add_parser("grouplikes"), algebra=True)
-    common(sub.add_parser("primitives"), algebra=True)
-    p = common(sub.add_parser("skew-primitives"), algebra=True)
-    p.add_argument("--left-grouplike", type=int)
-    p.add_argument("--right-grouplike", type=int)
-    common(sub.add_parser("check-diffop"), operator=True)
-    common(sub.add_parser("check-crossed-hom"), action=True, operator=True)
-    p = common(sub.add_parser("classify-diffops"), algebra=True, plan=True,
-               expected=True)
-    p.add_argument("--bijective-only", action="store_true")
-    common(sub.add_parser("smash"), action=True)
-    common(sub.add_parser("graph"), action=True, operator=True)
-    common(sub.add_parser("monoid-table"), algebra=True)
-    common(sub.add_parser("rota-baxter"), operator=True)
-    common(sub.add_parser("extend-smash-diff"), action=True, operator=True,
-           operator_k=True)
-    p = common(sub.add_parser("free-lie"))
-    p.add_argument("task", choices=["lyndon-dims", "diffop-from-hom", "mm-check",
-                                    "ckmm-mixed"])
-    p.add_argument("--generators", type=int)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--phi", help="letter images as JSON word-coefficient tables")
-    common(sub.add_parser("ckmm-check"), operator=True)
-    p = common(sub.add_parser("catalog"))
-    p.add_argument("name", nargs="?", help="entry to export; omit to list")
+    for name, (_, _, options, help_text) in COMMANDS.items():
+        # a command with no help text stays out of the top-level --help list
+        p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
+        if name == command:
+            wanted = {*options, "seed", "out"}
+            for option, (flag, kwargs) in OPTIONS.items():
+                if option in wanted:
+                    p.add_argument(flag, **kwargs)
     return parser
 
 
-# command -> (module, handler).  Each handler returns its report and a
-# one-line summary; run() puts the schema version, the command and any
-# --seed in front, emits the report and exits 0 when it is ok and 1 when it
-# is not.  A handler's module is imported when its command runs, so a
-# process compiles only the handlers and layers of its one command.
-_HANDLERS = {
-    "validate": ("cli_algebra", "cmd_validate"),
-    "grouplikes": ("cli_algebra", "cmd_grouplikes"),
-    "primitives": ("cli_algebra", "cmd_primitives"),
-    "skew-primitives": ("cli_algebra", "cmd_skew_primitives"),
-    "check-diffop": ("cli_diffops", "cmd_check_diffop"),
-    "check-crossed-hom": ("cli_actions", "cmd_check_crossed_hom"),
-    "classify-diffops": ("cli_solver", "cmd_classify_diffops"),
-    "smash": ("cli_actions", "cmd_smash"),
-    "graph": ("cli_actions", "cmd_graph"),
-    "monoid-table": ("cli_diffops", "cmd_monoid_table"),
-    "rota-baxter": ("cli_diffops", "cmd_rota_baxter"),
-    "extend-smash-diff": ("cli_diffops", "cmd_extend_smash_diff"),
-    "free-lie": ("cli_freelie", "cmd_free_lie"),
-    "ckmm-check": ("cli_diffops", "cmd_ckmm_check"),
-    "catalog": ("cli_algebra", "cmd_catalog"),
-}
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on unknown flags or bad usage
         return int(exc.code) if exc.code else 0
     _RESOLVED.clear()
-    module, handler = _HANDLERS[args.command]
+    module, handler, _, _ = COMMANDS[args.command]
     try:
         body, summary = getattr(import_module(f".{module}", __package__), handler)(args)
     except InputError as exc:

@@ -9,11 +9,9 @@ its report and a one-line summary.
 
 from __future__ import annotations
 
-import sys
-
 from .cli import InputError, _resolve_algebra
-from .hopf import (FinDimHopf, InvalidAlgebraError, LinMap, axiom_report, basis_vec,
-                   grouplikes, is_grouplike, primitives, skew_primitives)
+from .hopf import (InvalidAlgebraError, axiom_report, basis_vec, grouplikes, is_grouplike,
+                   primitives, skew_primitives)
 
 
 def _vec_strs(h, vectors) -> list:
@@ -66,14 +64,6 @@ def cmd_skew_primitives(args):
     return report, f"skew-primitives {h.name}: dimension {len(basis)}"
 
 
-def _loaded_class(module: str, name: str):
-    """The class, or () when its module is not loaded: an object cannot be
-    an instance of a class whose module was never imported, so an export
-    dispatches on it without importing the module."""
-    mod = sys.modules.get(f"{__package__}.{module}")
-    return () if mod is None else getattr(mod, name)
-
-
 def cmd_catalog(args):
     from . import catalog
 
@@ -85,27 +75,11 @@ def cmd_catalog(args):
     except KeyError as exc:
         raise InputError(str(exc))
     from . import formats
-    from .groups import FinGroup
 
-    if isinstance(obj, FinDimHopf):
-        payload = formats.algebra_to_dict(obj)
-        kind = "algebra"
-    elif isinstance(obj, FinGroup):
-        payload = formats.group_to_dict(obj)
-        kind = "group"
-    elif isinstance(obj, _loaded_class("actions", "ActionData")):
-        payload = formats.action_to_dict(obj)
-        kind = "action"
-    elif isinstance(obj, _loaded_class("solver", "SearchPlan")):
-        payload = formats.plan_to_dict(obj)
-        kind = "plan"
-    elif isinstance(obj, LinMap):
-        payload = formats.operator_to_dict(obj)
-        kind = "operator"
-    elif isinstance(obj, list):
-        payload = formats.expected_to_dict(obj)
-        kind = "expected-tables"
-    else:
+    try:
+        kind, to_dict = formats.EXPORTS[type(obj).__name__]
+    except KeyError:
         raise InputError(f"cannot export catalog entry {args.name!r}")
+    payload = getattr(formats, to_dict)(obj)
     report = {"ok": True, "name": args.name, "kind": kind, "payload": payload}
     return report, f"catalog {args.name}: exported ({kind})"

@@ -17,6 +17,20 @@ from .hopf import FinDimHopf, LinMap
 from .groups import FinGroup
 
 
+# the class name of an object that a catalog export writes -> (its kind, the
+# name of its serializer in this module).  The serializer is looked up by
+# name when it runs, so an export imports no module to learn a kind, and a
+# wrapper installed on this module's names (perfbench/tracer.py) sees it.
+EXPORTS = {
+    "FinDimHopf": ("algebra", "algebra_to_dict"),
+    "FinGroup": ("group", "group_to_dict"),
+    "ActionData": ("action", "action_to_dict"),
+    "SearchPlan": ("plan", "plan_to_dict"),
+    "LinMap": ("operator", "operator_to_dict"),
+    "list": ("expected-tables", "expected_to_dict"),
+}
+
+
 def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 

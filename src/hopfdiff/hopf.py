@@ -28,12 +28,12 @@ them.  Every checker returns a :class:`CheckReport`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from itertools import compress, count, repeat
 from math import lcm
 from operator import is_not
 from types import SimpleNamespace
-from typing import NamedTuple
 
 from .exactlin import Mat, ONE, Rat, Record, ZERO, int_echelon, int_kernel, invert, rat, rat_str
 
@@ -506,11 +506,8 @@ def int_structure(h) -> IntStructure:
     return table
 
 
-class IntColumns(NamedTuple):
-    """A matrix as sparse integer columns over one denominator."""
-
-    cols: list
-    den: int
+IntColumns = namedtuple("IntColumns", "cols den")
+IntColumns.__doc__ = "A matrix as sparse integer columns over one denominator."
 
 
 def int_columns(matrix) -> IntColumns:

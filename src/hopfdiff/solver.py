@@ -41,14 +41,13 @@ in the recorded candidate sets and in the frozen operators.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import NamedTuple
 
 from .exactlin import Mat, ONE, Record, int_echelon, int_kernel, rat
 from .hopf import FinDimHopf, int_structure
 from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
-from .diffops import DiffOp, check_diffop
 
 # ---------------------------------------------------------------------------
 # integer polynomials of degree at most two in the branch parameters
@@ -382,12 +381,9 @@ class ClassificationResult(Record):
 # ---------------------------------------------------------------------------
 # the per-branch polynomial search
 
-class _Images(NamedTuple):
-    """The image of every basis element: cols[b][k] is an affine form in
-    the parameters, and the image coordinate is cols[b][k] / den."""
-
-    cols: list
-    den: int
+_Images = namedtuple("_Images", "cols den")
+_Images.__doc__ = """The image of every basis element: cols[b][k] is an affine form in
+the parameters, and the image coordinate is cols[b][k] / den."""
 
 
 class _PlanTables:
@@ -845,6 +841,10 @@ def _dedupe(eqs):
 # the public entry points
 
 def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> ClassificationResult:
+    # imported here, so a process that only builds or exports a plan does
+    # not compile the difference-operator layer
+    from .diffops import DiffOp, check_diffop
+
     plan.validate()
     h = plan.target
     tables = _PlanTables(plan)

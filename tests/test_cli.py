@@ -2,10 +2,11 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hopfdiff.cli import run
+from hopfdiff.cli import COMMANDS, run
 
 
 def invoke(capsys, *args):
@@ -468,6 +469,50 @@ def test_catalog_list_and_export(capsys):
         assert code == 0 and [payload["kind"]] == expected, name
         seen.add(payload["kind"])
     assert seen == {kind for _, kind in kinds}
+
+
+# the kind of every catalog export
+EXPORT_KINDS = {
+    "C2": "group", "C2xC2": "group", "C4": "group", "D4": "group", "S3": "group",
+    "H4": "algebra", "H8": "algebra", "kC2": "algebra", "kC2xC2": "algebra",
+    "kC4": "algebra", "kD4": "algebra", "kS3": "algebra",
+    "action:inv:kC2:kC4": "action",
+    "aut:H8:swap": "operator", "op:D1:H8": "operator", "op:crossed:kC2:kC4": "operator",
+    "op:id:H4": "operator", "op:id:kC2": "operator", "op:id:kC4": "operator",
+    "op:inv:kS3": "operator", "op:ueps:H4": "operator", "op:ueps:kC4": "operator",
+    "expected:H4": "expected-tables", "expected:H8-bijective": "expected-tables",
+    "plan:H4": "plan", "plan:H8": "plan", "plan:kC2": "plan", "plan:kC2xC2": "plan",
+}
+
+
+def test_every_catalog_entry_exports_with_its_kind(capsys):
+    from hopfdiff import catalog
+
+    assert sorted(catalog.names()) == sorted(EXPORT_KINDS)
+    for name in catalog.names():
+        code, payload, err = invoke(capsys, "catalog", name)
+        assert code == 0 and payload["kind"] == EXPORT_KINDS[name], name
+        assert err == f"catalog {name}: exported ({EXPORT_KINDS[name]})\n"
+
+
+# argv -> exit code, stdout and stderr of hopfdiff, recorded with COLUMNS=80:
+# --help of hopfdiff and of every command, an unknown command, and an option
+# that only another command takes
+USAGE = json.loads((Path(__file__).parent / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+def test_usage_cases_cover_every_command():
+    assert {argv.split()[0] for argv in USAGE if argv.endswith(" --help")} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", list(USAGE))
+def test_usage_text_is_unchanged(argv, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = USAGE[argv]
+    assert run(argv.split()) == want["code"]
+    captured = capsys.readouterr()
+    assert captured.out == want["stdout"]
+    assert captured.err == want["stderr"]
 
 
 def test_unknown_flag_exits_two():

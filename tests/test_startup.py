@@ -1,16 +1,18 @@
 """A command imports only the layers it runs.
 
-Each case starts a fresh interpreter, notes ``sys.modules``, imports
-``hopfdiff.cli``, runs one command through ``cli.run`` and reports the
-modules that appeared.  File parsing (``formats``, ``lie``) and the heavy
-layers load only for the commands that use them, and no command imports
-``dataclasses`` or ``inspect``: on the shared path, and on the paths of a
-free-lie task, ``classify-diffops`` and ``monoid-table`` through the heavy
-layers.
+Each case starts a fresh interpreter without ``site``, so that no module
+a ``.pth`` file imports hides one the package imports; it notes
+``sys.modules``, imports ``hopfdiff.cli``, runs one command through
+``cli.run`` and reports the modules that appeared.  File parsing
+(``formats``, ``lie``) and the heavy layers load only for the commands
+that use them, and no command imports ``dataclasses`` or ``inspect``: on
+the shared path, and on the paths of a free-lie task, ``classify-diffops``
+and ``monoid-table`` through the heavy layers.
 
 The benchmark's commands have their whole ``hopfdiff`` module set pinned,
 so a new top-level import on any of their paths fails here, not only the
-import of a layer named as absent.
+import of a layer named as absent; none of them loads ``typing``.  A
+command's process adds options only to its own command's parser.
 """
 
 import json
@@ -22,7 +24,7 @@ from pathlib import Path
 import pytest
 
 import hopfdiff
-from hopfdiff import catalog, formats
+from hopfdiff import catalog, cli, formats
 
 SRC = str(Path(hopfdiff.__file__).resolve().parents[1])
 
@@ -42,10 +44,10 @@ HEAVY = {f"hopfdiff.{m}" for m in ("formats", "lie", "solver", "diffops", "actio
                                    "freelie")} | RECORDS
 
 
-def run_fresh(argv, cwd):
+def run_fresh(argv, cwd, child=CHILD):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    proc = subprocess.run([sys.executable, "-c", CHILD, *argv], cwd=cwd, env=env,
+    proc = subprocess.run([sys.executable, "-S", "-c", child, *argv], cwd=cwd, env=env,
                           capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -55,7 +57,8 @@ def run_fresh(argv, cwd):
     (["grouplikes", "--algebra", "H8"], HEAVY, None),
     (["catalog"], HEAVY, None),
     (["catalog", "op:id:kC2"], HEAVY - {"hopfdiff.formats"}, "operator"),
-    (["catalog", "plan:H4"], {"hopfdiff.actions", "hopfdiff.lie"}, "plan"),
+    (["catalog", "plan:H4"], {"hopfdiff.actions", "hopfdiff.lie", "hopfdiff.diffops"},
+     "plan"),
     (["catalog", "action:inv:kC2:kC4"], {"hopfdiff.solver", "hopfdiff.lie"}, "action"),
     (["free-lie", "mm-check", "--budget", "3"], RECORDS, None),
     (["classify-diffops", "--plan", "plan:H4"], RECORDS, None),
@@ -91,8 +94,11 @@ CATALOG = SHARED | {"catalog", "groups"}
     (["check-diffop", "--operator", "op.json"], CATALOG | {"cli_diffops", "diffops", "formats"}),
     (["classify-diffops", "--plan", "plan:H8"], CATALOG | {"cli_solver", "solver", "diffops"}),
     (["monoid-table", "--algebra", "kD4"], CATALOG | {"cli_diffops", "diffops"}),
+    # a plan is built and exported without the difference-operator layer
+    (["catalog", "plan:H4"], CATALOG | {"cli_algebra", "solver", "formats"}),
 ], ids=["mm-check", "ckmm-mixed", "diffop-from-hom", "lyndon-dims", "validate-kC2",
-        "grouplikes-H8", "check-diffop-kS3", "classify-H8", "monoid-table-kD4"])
+        "grouplikes-H8", "check-diffop-kS3", "classify-H8", "monoid-table-kD4",
+        "export-plan-H4"])
 def test_command_loads_exactly_its_modules(argv, modules, tmp_path):
     with open(tmp_path / "op.json", "w", encoding="utf-8") as fh:
         json.dump(formats.operator_to_dict(catalog.build("op:inv:kS3")), fh)
@@ -100,3 +106,33 @@ def test_command_loads_exactly_its_modules(argv, modules, tmp_path):
     assert res["code"] == 0 and res["report"]["ok"] is True
     loaded = {m for m in res["loaded"] if m.startswith("hopfdiff.")}
     assert sorted(loaded) == sorted(f"hopfdiff.{m}" for m in modules)
+    assert "typing" not in res["loaded"]
+
+
+# records every add_argument call as [parser prog, flags...]
+CHILD_OPTIONS = """\
+import argparse, contextlib, io, json, sys
+added = []
+add_argument = argparse.ArgumentParser.add_argument
+def record(parser, *flags, **kwargs):
+    added.append([parser.prog, *flags])
+    return add_argument(parser, *flags, **kwargs)
+argparse.ArgumentParser.add_argument = record
+from hopfdiff import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run(sys.argv[1:])
+print(json.dumps({"code": code, "added": added}))
+"""
+
+
+def test_command_builds_only_its_own_options(tmp_path):
+    res = run_fresh(["validate", "--algebra", "kC2"], tmp_path, CHILD_OPTIONS)
+    assert res["code"] == 0
+    added = [tuple(call) for call in res["added"]]
+    # every command is registered, each subparser with its own -h
+    helps = sorted(prog for prog, *flags in added if flags == ["-h", "--help"])
+    assert helps == sorted(["hopfdiff"] + [f"hopfdiff {name}" for name in cli.COMMANDS])
+    # and only validate has options: no --budget on free-lie, for one
+    assert sorted(call for call in added if call[1] != "-h") == [
+        ("hopfdiff validate", "--algebra"), ("hopfdiff validate", "--out"),
+        ("hopfdiff validate", "--seed")]
