@@ -19,9 +19,9 @@ The action layer runs on integer tables.  The two checkers read both
 carriers from :func:`hopfdiff.hopf.int_structure` and the action from
 its ``act_int``, compared cross-multiplied by the known denominators, so
 no ``Fraction`` is built inside their loops; the rational entry points
-(``act_rational``, ``act`` and the adapters ``act_on`` and
-``act_basis``) are read off the same engine.  Every report is
-identical to the one rational arithmetic gives.
+(``act_rational``, ``act`` and the adapter ``act_basis``) are read off
+the same engine.  Every report is identical to the one rational
+arithmetic gives.
 """
 
 from __future__ import annotations
@@ -40,7 +40,9 @@ from .hopf import (
     OutOfBudgetError,
     Vec,
     _add_scaled,
+    _apply_int,
     _attempt,
+    _combine,
     _first_witness,
     _nonzero,
     _sparse_ints,
@@ -48,7 +50,6 @@ from .hopf import (
     basis_vec,
     coalgebra_map_report,
     convolve,
-    grouplike_inverse,
     grouplikes,
     int_columns,
     int_structure,
@@ -71,11 +72,10 @@ class IntAction:
     checks.
 
     act_int(a, u) is den * (basis a of K) . u for a sparse integer vector
-    u = ((k, m), ...) of H, as sparse (k, m) pairs in ascending k, which
-    the checkers compare as they are; den is one denominator
-    for every a, and act_int raises OutOfBudgetError wherever the rational
-    action of u raises.  act_rational and act are the rational entry
-    points over it.
+    u of H (see hopfdiff.hopf), which the checkers compare as it is; den
+    is one denominator for every a, and act_int raises OutOfBudgetError
+    wherever the rational action of u raises.  act_rational and act are
+    the rational entry points over it.
     """
 
     def act_int(self, a: int, u) -> list:
@@ -130,16 +130,7 @@ class ActionData(IntAction):
         return self.tensor[a][x]
 
     def act_int(self, a: int, u) -> list:
-        columns = self._columns[a]
-        out = [0] * self.target.dim
-        for x, c in u:
-            for k, m in columns[x]:
-                out[k] += c * m
-        return [(k, m) for k, m in enumerate(out) if m]
-
-    def act_on(self, a: int, u: Vec) -> Vec:
-        """Basis a of K acting on the H-vector u."""
-        return self.act_rational(a, u)
+        return _apply_int(self._columns[a], u)
 
 
 def trivial_action(k: FinDimHopf, h: FinDimHopf) -> ActionData:
@@ -253,13 +244,8 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
         """act_int(a, u), or None where it raises: read off the value table
         where no term of u needs a stored error, and acted out only where
         several terms do, which may cancel."""
-        row = values[a]
         if missing[a].isdisjoint([p for p, _ in u]):
-            out = [0] * nh
-            for p, c in u:
-                for q, v in row[p]:
-                    out[q] += c * v
-            return [(q, v) for q, v in enumerate(out) if v]
+            return _apply_int(values[a], u)
         if len(u) == 1:
             return None
         try:
@@ -283,12 +269,8 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                     if rhs is None:
                         continue
                     done.append(x)
-                    lhs = [0] * nh
-                    for m, c in prod:
-                        for p, v in values[m][x]:
-                            lhs[p] += c * v
-                    if [(p, v * den) for p, v in enumerate(lhs) if v] != \
-                            [(p, v * tk.mult_den) for p, v in rhs]:
+                    lhs = _combine((c, values[m][x]) for m, c in prod)
+                    if [(p, v * den) for p, v in lhs] != [(p, v * tk.mult_den) for p, v in rhs]:
                         failures.append(("module", a, b, x))
                 checked += skip(("module", a, b), done)
         return checked
@@ -326,7 +308,8 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                     if lhs is None:
                         continue
                     done.append(y)
-                    # no product leaves the budget here: multiply in place
+                    # no product leaves the budget here: multiply in place,
+                    # densely (see hopfdiff.hopf)
                     rhs = [0] * nh
                     for first, _, second, c in legs:
                         for p, v in first:
@@ -401,7 +384,7 @@ def validate_action(a: ActionData, require_bialgebra: bool = False) -> AxiomRepo
         "module-unit-of-K": [(x,) for x in range(h.dim)
                              if a.act(k.unit_vec(), basis_vec(h.dim, x)) != basis_vec(h.dim, x)],
         "acts-on-unit": [(i,) for i in range(k.dim)
-                         if a.act_on(i, one) != vec_scale(k.counit_coeff(i), one)]}
+                         if a.act_rational(i, one) != vec_scale(k.counit_coeff(i), one)]}
     axioms = MODULE_AXIOMS if require_bialgebra else MODULE_AXIOMS[:2]
     for label, *witness in module_axiom_report(a, axioms).failures:
         fails.setdefault(_AXIOM_NAMES[label], []).append(tuple(witness))
@@ -462,16 +445,24 @@ def crossed_hom_report(action: IntAction, cols) -> CheckReport:
     evaluation raises.
     """
     k, h = action.acting, action.target
+    icols, cden = cols = int_columns(cols)
     co = coalgebra_map_report(k, h, cols)
     failures = co.failures
     skipped = co.skipped
     act_int = action.act_int
     tk, th = int_structure(k), int_structure(h)
-    icols, cden = int_columns(cols)
     # pi(ab) carries cden * K's mult_den, the sum over the terms
     # cden^2 * den times K's comult_den and H's mult_den
     lhs_scale = cden * tk.comult_den * th.mult_den * action.den
     rhs_scale = tk.mult_den
+
+    def term(a1: int, a2: int, pib):
+        """pi(a1)(a2 . pi(b)) for the integer column pib of pi(b)."""
+        pia = icols[a1]
+        if pia.__class__ is OutOfBudgetError or pib.__class__ is OutOfBudgetError:
+            raise OutOfBudgetError("image unknown")
+        return th.mul(pia, act_int(a2, pib))
+
     checked = 0
     for a in range(k.dim):
         row = tk.mult[a]
@@ -479,22 +470,13 @@ def crossed_hom_report(action: IntAction, cols) -> CheckReport:
         for b in range(k.dim):
             pib = icols[b]
             try:
-                lhs = [0] * h.dim
-                for m, c in _stored(row[b]):
-                    for p, v in _stored(icols[m]):
-                        lhs[p] += c * v
-                rhs = [0] * h.dim
-                for a1, a2, c in terms:
-                    pia = icols[a1]
-                    if pia.__class__ is OutOfBudgetError or pib.__class__ is OutOfBudgetError:
-                        raise OutOfBudgetError("image unknown")
-                    for p, v in th.mul(pia, act_int(a2, pib)):
-                        rhs[p] += c * v
+                lhs = _apply_int(icols, _stored(row[b]))
+                rhs = _combine((c, term(a1, a2, pib)) for a1, a2, c in terms)
             except OutOfBudgetError as exc:
                 skipped.append((a, b, str(exc)))
                 continue
             checked += 1
-            if [v * lhs_scale for v in lhs] != [v * rhs_scale for v in rhs]:
+            if [(p, v * lhs_scale) for p, v in lhs] != [(p, v * rhs_scale) for p, v in rhs]:
                 failures.append((a, b))
     return CheckReport(not failures, failures, skipped, checked)
 
@@ -822,7 +804,7 @@ def derived_action(ch: CrossedHom) -> tuple[ActionData, CrossedHom, AxiomReport]
     fails = []
     for gi, g in enumerate(grouplikes(k).elements):
         pg = pi.apply(g)
-        pg_inv = grouplike_inverse(h, pg)
+        pg_inv = h.antipode_vec(pg)
         for x in range(h.dim):
             xv = basis_vec(h.dim, x)
             lhs = derived.act(g, xv)

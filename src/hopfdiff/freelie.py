@@ -24,19 +24,20 @@ products, so the module-axiom and crossed-homomorphism checks behind
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, crossed_hom_report,
                       graph_vector, module_axiom_report, smash_vec)
-from .exactlin import (Mat, ONE, ZERO, _rat_vec, in_span, int_echelon, invert, rat,
-                       row_space_basis)
+from .exactlin import Mat, ONE, _rat_vec, in_span, int_echelon, invert, rat, row_space_basis
 from .hopf import (
     CheckReport,
     IntColumns,
     OutOfBudgetError,
     Vec,
+    _apply_int,
     _attempt,
+    _combine,
+    _rational_columns,
     _sparse_ints,
     _stored,
     algebra_map_failures,
@@ -51,8 +52,8 @@ from .hopf import (
     vec_sub,
     zero_vec,
 )
-from .truncated import (TruncatedEnveloping, TruncatedTensor, bracket_expansion, lyndon_words,
-                        standard_factorization)
+from .truncated import (TruncatedEnveloping, TruncatedTensor, bracket_expansion, graded_dims,
+                        lyndon_words, standard_factorization)
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +70,8 @@ class DerivationAction(IntAction):
     through the target's integer products, as sparse integer pairs over
     the one denominator leibniz_den, or as the OutOfBudgetError that a
     product raised; den = leibniz_den^m, m the most factors of an acting
-    monomial.  A derivation of a vector sums its coordinates times
-    these columns in ascending basis order and raises a fresh copy of the
-    first stored error it meets, just where a monomial-by-monomial
+    monomial.  A derivation of a vector is the sum of its coordinates
+    times these columns, so it raises where a monomial-by-monomial
     rational expansion raises.  act_basis is the rational adapter over
     act_int.
     """
@@ -96,31 +96,30 @@ class DerivationAction(IntAction):
         self._acting_depth = max(len(acting.monomial_factors(a)) for a in range(acting.dim))
         self.den = self.leibniz_den ** self._acting_depth
 
-    def _leibniz(self, x: int, i: int) -> tuple:
+    def _leibniz(self, x: int, i: int) -> list:
         """leibniz_den times the derivation of x on basis monomial i."""
         mul = int_structure(self.target).mul
         factors = self.target.monomial_factors(i)
-        out = [0] * self.target.dim
-        for pos in range(len(factors)):
-            term = self._unit
+
+        def term(pos: int):
+            out = self._unit
             for q, g in enumerate(factors):
-                term = mul(term, self._images[x][g] if q == pos else self._gens[g])
-            for k, v in term:
-                out[k] += v
+                out = mul(out, self._images[x][g] if q == pos else self._gens[g])
+            return out
+
         scale = self._step ** (self._depth - len(factors))
-        return tuple([(k, v * scale) for k, v in enumerate(out) if v])
+        return _combine((scale, term(pos)) for pos in range(len(factors)))
+
+    def _column(self, x: int, i: int):
+        """The tabulated _leibniz(x, i), or the error it raised."""
+        col = self._columns.get((x, i))
+        if col is None:
+            col = self._columns[(x, i)] = _attempt(self._leibniz, x, i)
+        return col
 
     def _derive(self, x: int, u) -> list:
         """leibniz_den times the derivation of x on the sparse integer u."""
-        columns = self._columns
-        out: dict = {}
-        for i, c in u:
-            col = columns.get((x, i))
-            if col is None:
-                col = columns[(x, i)] = _attempt(self._leibniz, x, i)
-            for k, v in _stored(col):
-                out[k] = out.get(k, 0) + c * v
-        return sorted([(k, v) for k, v in out.items() if v])
+        return _combine((c, self._column(x, i)) for i, c in u)
 
     def act_int(self, a: int, u) -> list:
         """den times basis monomial a acting on the sparse integer u, by
@@ -221,8 +220,7 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
     # D(w) = sum F(w1) S(w2)
     t = int_structure(tv)
     cols, den = convolve_columns(tv, tv, f_cols, IntColumns(t.antipode, t.antipode_den))
-    d_cols = [None if isinstance(c, OutOfBudgetError)
-              else [Fraction(x, den) if x else ZERO for x in c] for c in cols]
+    d_cols = _rational_columns(cols, den, tv.dim)
     report = check_diffop(tv, d_cols)
     report.skipped = [("F", i) for i, c in enumerate(f_cols) if c is None] + report.skipped
     report.details["F"] = f_cols
@@ -237,34 +235,18 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
 # on H = action.target: K's monomials, products and coproducts are read
 # from the first, and the values, units and products from the second.
 # The extension, the free values and the degree systems run on integers:
-# an H-vector is sparse (k, m) pairs in ascending k over a denominator
-# kept beside it, products come from the IntStructure tables and the
-# action from act_int, and Fraction values are built only for what the
-# public functions return.
+# an H-vector is a sparse integer vector (see hopfdiff.hopf) over a
+# denominator kept beside it, products come from the IntStructure tables
+# and the action from act_int, and Fraction values are built only for
+# what the public functions return.
 
 def _rescaled(u, s: int) -> tuple:
     return tuple([(k, m * s) for k, m in u])
 
 
-def _apply_int(cols, u, n: int) -> list:
-    """sum c cols[i] over the sparse integer u, for sparse integer
-    columns; an unknown column that u needs raises its stored error."""
-    out = [0] * n
-    for i, c in u:
-        for p, m in _stored(cols[i]):
-            out[p] += c * m
-    return [(p, m) for p, m in enumerate(out) if m]
-
-
 def _lie_ints(k: TruncatedTensor, word) -> list:
     """The bracketed Lyndon word as sparse integer pairs over K's basis."""
     return sorted((k.index[w], c) for w, c in bracket_expansion(word).items())
-
-
-def _rational_columns(cols, den: int, n: int) -> list:
-    """The rational n-vectors of sparse integer columns over den, None for
-    a stored error."""
-    return [None if c.__class__ is OutOfBudgetError else _rat_vec(c, den, n) for c in cols]
 
 
 def _free_values_int(action: DerivationAction, gen_images: list[Vec]) -> list:
@@ -290,16 +272,13 @@ def _free_values_int(action: DerivationAction, gen_images: list[Vec]) -> list:
                 (uu, udn), (vv, vdn) = du, dv
                 # u . dv carries aden * vdn, v . du aden * udn and the
                 # bracket H's mult_den * udn * vdn; all over their product
-                acc = [0] * h.dim
                 try:
-                    for terms, s in ((_bracket_terms(act_int, k, u, vv), t.mult_den * udn),
-                                     (_bracket_terms(act_int, k, v, uu), -t.mult_den * vdn),
-                                     (t.mul(uu, vv), aden), (t.mul(vv, uu), -aden)):
-                        for p, m in terms:
-                            acc[p] += s * m
+                    acc = _combine(((t.mult_den * udn, _bracket_terms(act_int, k, u, vv)),
+                                    (-t.mult_den * vdn, _bracket_terms(act_int, k, v, uu)),
+                                    (aden, t.mul(uu, vv)), (-aden, t.mul(vv, uu))))
                     den = aden * t.mult_den * udn * vdn
-                    g = gcd(den, *acc)
-                    out = (tuple([(p, m // g) for p, m in enumerate(acc) if m]), den // g)
+                    g = gcd(den, *(m for _, m in acc))
+                    out = ([(p, m // g) for p, m in acc], den // g)
                 except OutOfBudgetError:
                     pass
         values[word] = out
@@ -311,11 +290,7 @@ def _free_values_int(action: DerivationAction, gen_images: list[Vec]) -> list:
 
 def _bracket_terms(act_int, k: TruncatedTensor, word, u) -> list:
     """den times the bracketed word acting on the sparse integer u."""
-    out: dict = {}
-    for a, c in _lie_ints(k, word):
-        for p, m in act_int(a, u):
-            out[p] = out.get(p, 0) + c * m
-    return list(out.items())
+    return _combine((c, act_int(a, u)) for a, c in _lie_ints(k, word))
 
 
 def free_crossed_hom_values(action: DerivationAction, gen_images: list[Vec]):
@@ -349,7 +324,7 @@ def extend_crossed_hom_trunc(action: DerivationAction,
     pden, pis = _sparse_ints(pi_gen_images)
     gden, gens = _sparse_ints([k.generator_vec(g) for g in range(k.generators)])
     for g in range(k.generators):
-        got = _apply_int(cols, gens[g], h.dim)
+        got = _apply_int(cols, gens[g])
         if [(p, m * pden) for p, m in got] != [(p, m * den * gden) for p, m in pis[g]]:
             report.ok = False
             report.failures.append(("degree-one restriction", g))
@@ -376,12 +351,7 @@ def _pibar_int(action: DerivationAction, pi_gen_images: list[Vec]) -> IntColumns
         acc = unit
         try:
             for g in reversed(factors):
-                out = [0] * h.dim
-                for p, m in t.mul(pis[g], acc):
-                    out[p] += left * m
-                for p, m in action._derive(g, acc):
-                    out[p] += right * m
-                acc = [(p, m) for p, m in enumerate(out) if m]
+                acc = _combine(((left, t.mul(pis[g], acc)), (right, action._derive(g, acc))))
         except OutOfBudgetError:
             cols.append(OutOfBudgetError("image column unknown"))
             continue
@@ -408,22 +378,23 @@ def mm_instance_check(action: DerivationAction, pi_gen_images: list[Vec],
     in-budget tuples.  A candidate column table may be supplied to test
     against (the perturbation hook); it defaults to the computed one.
     """
-    k, h = action.acting, action.target
+    k = action.acting
     report = extend_crossed_hom_trunc(action, pi_gen_images)
-    cols = report.details["pibar"] if candidate_cols is None else candidate_cols
+    # the columns under test, as integers once for every stage
+    icols, den = cols = int_columns(
+        report.details["pibar"] if candidate_cols is None else candidate_cols)
     if candidate_cols is not None:
         sub = crossed_hom_report(action, cols)
         report.ok = report.ok and sub.ok
         report.failures.extend(sub.failures)
 
     # (i) restriction to the Lie subspace
-    icols, den = int_columns(cols)
     for w, expected in _free_values_int(action, pi_gen_images):
         label = "".join(map(str, w))
         try:
             if expected is None:
                 raise OutOfBudgetError("value unknown")
-            got = _apply_int(icols, _lie_ints(k, w), h.dim)
+            got = _apply_int(icols, _lie_ints(k, w))
         except OutOfBudgetError:
             report.skipped.append(("lie-restriction", label))
             continue
@@ -491,6 +462,16 @@ def _uniqueness_by_degree(action: DerivationAction, pi_gen_images, cols) -> dict
     for i in range(n_dom):
         by_degree.setdefault(k.degree(i), []).append(i)
     acted: dict = {}  # (a2, j) -> act_int(a2, known[j]), or the error it raised
+
+    def term(a1: int, a2: int, j: int):
+        """value(a1) (a2 . value(j)), for a known value(j)."""
+        if known[a1] is None:
+            raise OutOfBudgetError("lower value unknown")
+        value = acted.get((a2, j))
+        if value is None:
+            value = acted[(a2, j)] = _attempt(act_int, a2, known[j])
+        return th.mul(known[a1], value)
+
     for d in range(2, k.budget + 1):
         idxs = by_degree.get(d, [])
         pos = {i: p for p, i in enumerate(idxs)}
@@ -511,21 +492,13 @@ def _uniqueness_by_degree(action: DerivationAction, pi_gen_images, cols) -> dict
                         continue
                     try:
                         prod = _stored(tk.mult[i][j])
-                        rhs = [0] * n_val
-                        for a1, a2, c in tk.comult[i]:
-                            if known[a1] is None:
-                                raise OutOfBudgetError("lower value unknown")
-                            value = acted.get((a2, j))
-                            if value is None:
-                                value = acted[(a2, j)] = _attempt(act_int, a2, known[j])
-                            for p, v in th.mul(known[a1], value):
-                                rhs[p] += c * v
+                        rhs = _combine((c, term(a1, a2, j)) for a1, a2, c in tk.comult[i])
                     except OutOfBudgetError:
                         skipped = True
                         continue
                     row = {pos[x]: v * lscale for x, v in prod if x in pos}
                     if row:
-                        row.update((m + p, v * tk.mult_den) for p, v in enumerate(rhs) if v)
+                        row.update((m + p, v * tk.mult_den) for p, v in rhs)
                         rows.append(row)
         reduced, pivots = int_echelon(rows, m + n_val)
         # the last reduced row has the largest pivot
@@ -607,8 +580,9 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
             gen_cols.append(smash_vec(smash, uh.unit_vec(), ug.generator_vec(i - uh.generators)))
     cols = _multiplicative_columns(u_sd, smash, gen_cols)
     report: dict = {"skipped": [u_sd.label(i) for i, c in enumerate(cols) if c is None]}
-    report["graded_dims_match"] = u_sd.graded_dims() == _smash_graded_dims(smash)
-    report["dims"] = u_sd.graded_dims()
+    dims = graded_dims(u_sd)
+    report["graded_dims_match"] = dims == graded_dims(smash)
+    report["dims"] = dims
     mat = Mat.from_cols([c for c in cols if c is not None])
     report["bijective"] = (len([c for c in cols if c is not None]) == smash.dim
                            and invert(mat) is not None)
@@ -631,13 +605,6 @@ def _embed_degree_one(u_env: TruncatedEnveloping, lie_vec) -> Vec:
     for g, c in enumerate(lie_vec):
         if c:
             out = vec_add(out, vec_scale(rat(c), u_env.generator_vec(g)))
-    return out
-
-
-def _smash_graded_dims(smash: TruncatedSmash) -> list[int]:
-    out = [0] * (smash.budget + 1)
-    for i in range(smash.dim):
-        out[smash.degree(i)] += 1
     return out
 
 

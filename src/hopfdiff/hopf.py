@@ -12,9 +12,28 @@ over one shared denominator per table (:func:`int_structure`, memoized
 on the carrier), and a map's matrix to integer columns over the lcm of
 its denominators (:func:`int_columns`).  Comparisons are cross-multiplied by the known
 denominators, and ``Fraction`` values are built only for returned
-matrices, so every result is identical to rational arithmetic.  The
-action layer (:mod:`hopfdiff.actions`, :mod:`hopfdiff.freelie`) runs on
-these integer tables too.
+matrices (:func:`_rational_columns`), so every result is identical to
+rational arithmetic.  The action layer (:mod:`hopfdiff.actions`,
+:mod:`hopfdiff.freelie`) and :mod:`hopfdiff.diffops` run on these
+integer tables too.
+
+A sparse integer vector is a sequence of pairs (k, m) in ascending k
+with no m zero.  In a table of such vectors, an entry that could not be
+formed (a product above a truncated carrier's budget, an unknown image)
+is stored as its OutOfBudgetError, and a sum that needs it raises a fresh
+copy of it (:func:`_copy`) at the first term that needs it, reading no
+later term.  Every integer checker forms its sums by two helpers that
+keep this rule: :func:`_combine`, the sum of c v over (c, v) pairs, and
+:func:`_apply_int`, the sum of c cols[i] over a sparse u.  Three sums
+stay dense accumulators, each because it measured faster so on a 2-core
+machine: :meth:`IntStructure.mul`, faster on a dimension-8 algebra
+(ROADMAP item 19 owns that choice); the right side of
+:func:`hopfdiff.diffops.diff_identity_report`, where a dict took the 36
+plan:H8 phase-4 candidates from 0.048 to 0.052 s (best of 11 passes);
+and the product inlined in the module-algebra loop of
+:func:`hopfdiff.actions.module_axiom_report`, which through ``mul`` and
+:func:`_combine` took ``free-lie mm-check --budget 7`` from 1.4 to
+2.3 s in process.
 
 The same basis-indexed interface (``mult_basis``, ``comult_triples``,
 ``counit_coeff``, ``antipode_basis``) is implemented by the
@@ -29,13 +48,13 @@ them.  Every checker returns a :class:`CheckReport`.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from itertools import compress, count, repeat
 from math import lcm
 from operator import is_not
 from types import SimpleNamespace
 
-from .exactlin import Mat, ONE, Rat, Record, ZERO, int_echelon, int_kernel, invert, rat, rat_str
+from .exactlin import (Mat, ONE, Rat, Record, ZERO, _rat_vec, int_echelon, int_kernel, invert, rat,
+                       rat_str)
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -333,9 +352,7 @@ def convolve(f: LinMap, g: LinMap) -> LinMap:
         raise ValueError("convolution needs equal domains and codomains")
     dom, cod = f.domain, f.codomain
     cols, den = convolve_columns(dom, cod, f.matrix, g.matrix)
-    entries = [Fraction(x, den) if x else ZERO
-               for row in zip(*map(_stored, cols)) for x in row]
-    return LinMap(dom, cod, Mat(cod.dim, dom.dim, entries))
+    return LinMap(dom, cod, Mat.from_cols(_rational_columns(map(_stored, cols), den, cod.dim)))
 
 
 def sweedler_expand(h, x_coords: Vec, n: int) -> dict:
@@ -373,8 +390,8 @@ def _num(c: Rat, den: int) -> int:
 
 
 def _sparse_ints(vectors: list) -> tuple[int, list]:
-    """Rational vectors as sparse integer tuples ((k, m), ...) over their
-    common denominator; a stored OutOfBudgetError is kept as it is."""
+    """Rational vectors as sparse integer tuples over their common
+    denominator; a stored OutOfBudgetError is kept as it is."""
     # the identity test against the shared ZERO runs in C and skips the
     # zeros of zero_vec and basis_vec without a Fraction.__bool__ call
     return _int_terms([v if isinstance(v, OutOfBudgetError)
@@ -385,8 +402,7 @@ def _sparse_ints(vectors: list) -> tuple[int, list]:
 
 def _int_terms(terms: list) -> tuple[int, list]:
     """Sparse rational vectors, lists of nonzero terms (k, c) in ascending
-    k, as sparse integer tuples over their common denominator; a stored
-    OutOfBudgetError is kept as it is."""
+    k, as sparse integer tuples over their common denominator."""
     den = lcm(1, *(c.denominator for v in terms if not isinstance(v, OutOfBudgetError)
                    for _, c in v))
     return den, [v if isinstance(v, OutOfBudgetError)
@@ -414,6 +430,37 @@ def _stored(value):
     if value.__class__ is OutOfBudgetError:
         raise _copy(value)
     return value
+
+
+def _combine(terms) -> list:
+    """The sparse integer vector sum c v over the pairs (c, v) of terms."""
+    acc: dict = {}
+    get = acc.get
+    for c, v in terms:
+        if v.__class__ is OutOfBudgetError:
+            raise _copy(v)
+        for k, m in v:
+            acc[k] = get(k, 0) + c * m
+    return [(k, m) for k, m in sorted(acc.items()) if m]
+
+
+def _apply_int(cols, u) -> list:
+    """The sparse integer vector sum c cols[i] over the pairs (i, c) of u."""
+    acc: dict = {}
+    get = acc.get
+    for i, c in u:
+        col = cols[i]
+        if col.__class__ is OutOfBudgetError:
+            raise _copy(col)
+        for k, m in col:
+            acc[k] = get(k, 0) + c * m
+    return [(k, m) for k, m in sorted(acc.items()) if m]
+
+
+def _rational_columns(cols, den: int, n: int) -> list:
+    """The rational n-vectors of sparse integer columns over den, None for
+    a stored error."""
+    return [None if c.__class__ is OutOfBudgetError else _rat_vec(c, den, n) for c in cols]
 
 
 class IntStructure:
@@ -472,13 +519,12 @@ class IntStructure:
         return self._sweedler_table()[1]
 
     def mul(self, u, v) -> list:
-        """mult_den * u v for sparse integer vectors, as a sparse list.
+        """mult_den * u v for sparse integer vectors.
 
         Basis products are taken in the order CarrierOps.mult_vec takes
         them, so a product that leaves the budget raises the same
-        OutOfBudgetError as the rational product would.  A stored
-        OutOfBudgetError passed as u or v (an antipode column, or an
-        earlier product kept by the caller) is raised again first.
+        OutOfBudgetError as the rational product would.  A stored error
+        passed as u or v is raised again first.
         """
         for arg in (u, v):
             if arg.__class__ is OutOfBudgetError:
@@ -515,9 +561,7 @@ def int_columns(matrix) -> IntColumns:
     denominators; an IntColumns is returned as it is.
 
     A column table (a list of coordinate vectors) may hold None for an
-    image that is unknown.  Each such column is stored once as an
-    OutOfBudgetError, which IntStructure.mul raises again for every
-    product that needs it, so the checks skip exactly what needs it.
+    image that is unknown, stored as an OutOfBudgetError.
     """
     if isinstance(matrix, IntColumns):
         return matrix
@@ -536,10 +580,9 @@ def int_columns(matrix) -> IntColumns:
     return IntColumns(cols, den)
 
 
-def convolve_columns(dom, cod, f, g) -> tuple[list, int]:
-    """The columns of x -> f(x1) g(x2), for maps from dom to cod given as
-    matrices, column tables or IntColumns, as dense integer lists over
-    the returned denominator.
+def convolve_columns(dom, cod, f, g) -> IntColumns:
+    """The IntColumns of x -> f(x1) g(x2), for maps from dom to cod given
+    as matrices, column tables or IntColumns.
 
     A column that needs an unknown image of f or g, or a product that
     leaves a truncated cod's budget, is the OutOfBudgetError that
@@ -549,17 +592,9 @@ def convolve_columns(dom, cod, f, g) -> tuple[list, int]:
     prod = int_structure(cod)
     fcols, fden = int_columns(f)
     gcols, gden = int_columns(g)
-    cols = []
-    for k in range(dom.dim):
-        acc = [0] * cod.dim
-        try:
-            for (i, j, c) in co.comult[k]:
-                for p, x in prod.mul(fcols[i], gcols[j]):
-                    acc[p] += c * x
-        except OutOfBudgetError as exc:
-            acc = exc
-        cols.append(acc)
-    return cols, co.comult_den * prod.mult_den * fden * gden
+    cols = [_attempt(_combine, ((c, prod.mul(fcols[i], gcols[j])) for (i, j, c) in terms))
+            for terms in co.comult]
+    return IntColumns(cols, co.comult_den * prod.mult_den * fden * gden)
 
 
 def algebra_map_failures(dom, cod, matrix):
@@ -580,16 +615,12 @@ def algebra_map_failures(dom, cod, matrix):
         row = src.mult[i]
         for j in range(dom.dim):
             try:
-                lhs = [0] * cod.dim
-                for k, x in _stored(row[j]):
-                    for p, y in _stored(cols[k]):
-                        lhs[p] += x * y
+                lhs = _apply_int(cols, _stored(row[j]))
                 rhs = dst.mul(cols[i], cols[j])
             except OutOfBudgetError:
                 yield i, j, "skipped"
                 continue
-            if [(p, x * lhs_scale) for p, x in enumerate(lhs) if x] != \
-                    [(p, x * rhs_scale) for p, x in rhs]:
+            if [(p, x * lhs_scale) for p, x in lhs] != [(p, x * rhs_scale) for p, x in rhs]:
                 yield i, j, "algebra"
 
 
@@ -831,19 +862,13 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
     for k in range(n):
         # S(e_i) e_j and e_i S(e_j) summed carry cd * ad * md, eps(e_k) 1
         # carries ed * uden
-        left = [0] * n
-        right = [0] * n
-        for (i, j, c) in t.comult[k]:
-            for p, x in t.mul(t.antipode[i], basis(j)):
-                left[p] += c * x
-            for p, x in t.mul(basis(i), t.antipode[j]):
-                right[p] += c * x
-        expected = [0] * n
-        for p, x in unit:
-            expected[p] = t.counit[k] * x * cd * ad * md
-        left = [x * ed * uden for x in left]
-        right = [x * ed * uden for x in right]
-        if left != expected or right != expected:
+        terms = t.comult[k]
+        left = _combine((c, t.mul(t.antipode[i], basis(j))) for (i, j, c) in terms)
+        right = _combine((c, t.mul(basis(i), t.antipode[j])) for (i, j, c) in terms)
+        scale = t.counit[k] * cd * ad * md
+        expected = [(p, x * scale) for p, x in unit] if scale else []
+        if [(p, x * ed * uden) for p, x in left] != expected or \
+                [(p, x * ed * uden) for p, x in right] != expected:
             fails.append((k,))
     report.record("antipode", not fails, _first_witness(fails))
 
@@ -987,8 +1012,3 @@ def is_hopf_automorphism(f: LinMap) -> bool:
         return False
     h = f.domain
     return f.matrix.mul(h.antipode) == h.antipode.mul(f.matrix)
-
-
-def grouplike_inverse(h: FinDimHopf, g: Vec) -> Vec:
-    """Inverse of a group-like element, via the antipode."""
-    return h.antipode_vec(g)

@@ -405,14 +405,17 @@ class TruncatedEnveloping(CarrierOps):
         mono[g] = 1
         return basis_vec(self.dim, self.index[tuple(mono)])
 
-    def graded_dims(self) -> list[int]:
-        out = [0] * (self.budget + 1)
-        for m in self.monomials:
-            out[sum(m)] += 1
-        return out
-
     def __repr__(self):
         return f"TruncatedEnveloping({self.lie!r}, budget {self.budget})"
+
+
+def graded_dims(carrier) -> list[int]:
+    """The number of basis elements of each degree 0..budget of a
+    truncated carrier."""
+    out = [0] * (carrier.budget + 1)
+    for i in range(carrier.dim):
+        out[carrier.degree(i)] += 1
+    return out
 
 
 def _exponents(width: int, total: int):

@@ -818,6 +818,7 @@ REPORT_SHA256 = {
     "mm-check-b5": (0, "7f24c92bb0baa0049b8ea14188d226c8b253a3117b8b7e38024363c1be82b67e"),
     "mm-check-b6": (0, "3e9d765d5b2df23454b73fb311606c684d1d0dea36117017eaa8f9ccd16f7090"),
     "mm-check-b7": (0, "e0f11cc45ff7f4ec260048a2b83481522a0b9acedee512b410dd83a4ba28b98a"),
+    "mm-check-g3": (0, "f963efd65f84dbaf92268f4327647eb4769c337dd96a75b5a0ddd101f0529faf"),
     "validate": (0, "0d7ba8346edd8fc89ee77c460a41a461336150a3a61911c78ccc1a4013fcf8c5"),
     "grouplikes": (0, "250bd580a3e4c16f9d8cc2b7adb91d842da3aa54efc2b3752b65eaafaa83e59a"),
     "primitives": (0, "307c69a4a58eccc4c86be88fddab821b6590037486c187f44409661259d810db"),
@@ -831,6 +832,7 @@ REPORT_SHA256 = {
     "catalog": (0, "3deaacffbc886c43201156a67989f992b2b32dfaa3bc909e3a4d737e63a0a95f"),
     "lyndon-dims": (0, "34945d3f79572d469418c66653570213a5b9f93725979ec63630161b91929f00"),
     "diffop-from-hom": (0, "4bf8f50dd5c549a129431f1b130f41f4c302f660b4a0e73f49f688251f160fb4"),
+    "diffop-from-hom-b5": (0, "45bcab40821d7467f4778e14ba4bfec5eb7fb4bc87be1bce2b86a15f6f3fa91b"),
     "exit-1": (1, "dea1983b64f2212c03243efd1056ed7db075777a3e008606325249d8332b9d28"),
     "exit-2": (2, "ae2f703e08d85c2cc8748ef20d979fbb212214186d5a18947b210de2123cc5fb"),
     "seed": (0, "eff0acc36aaddd53ee44ec711724a51d4d7d3c000a7e8664eaae08ebfbccb070"),
@@ -890,6 +892,11 @@ REPORT_SHA256 = {
     ("mm-check-b5", ["free-lie", "mm-check", "--budget", "5"]),
     ("mm-check-b6", ["free-lie", "mm-check", "--budget", "6"]),
     ("mm-check-b7", ["free-lie", "mm-check", "--budget", "7"]),
+    # three letters, and the difference operator of a free Lie algebra
+    # past budget 3, recorded before the integer checkers shared one
+    # sparse accumulation
+    ("mm-check-g3", ["free-lie", "mm-check", "--generators", "3", "--budget", "4"]),
+    ("diffop-from-hom-b5", ["free-lie", "diffop-from-hom", "--budget", "5"]),
     # the monoid on the 36 difference operators of kD4
     ("monoid-table-kD4", ["monoid-table", "--algebra", "kD4"]),
 ])

@@ -21,6 +21,7 @@ from hopfdiff.truncated import (
     TruncatedEnveloping,
     TruncatedTensor,
     bracket_expansion,
+    graded_dims,
     lyndon_dims,
     lyndon_words,
     witt_dimension,
@@ -335,7 +336,7 @@ def test_mm_instance_check_into_another_carrier():
 def test_truncated_enveloping_pbw():
     heis = FinLie.from_pairs(["p", "q", "z"], {(0, 1): [0, 0, 1]}, "heis")
     u = TruncatedEnveloping(heis, 3)
-    assert u.graded_dims() == [1, 3, 6, 10]
+    assert graded_dims(u) == [1, 3, 6, 10]
     # q p = p q - z in the PBW order
     qp = u.mult_basis(u.index[(0, 1, 0)], u.index[(1, 0, 0)])
     expected = zero_vec(u.dim)

@@ -1,11 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hopfdiff import hopf
 from hopfdiff.exactlin import Mat, row_space_basis
 from hopfdiff.hopf import (
     LinMap,
+    OutOfBudgetError,
     antipode_map,
     basis_vec,
     convolve,
@@ -21,6 +23,8 @@ from hopfdiff.hopf import (
     sweedler_expand,
     unit_counit_map,
     validate_hopf,
+    vec_add,
+    vec_scale,
     zero_vec,
 )
 
@@ -224,3 +228,90 @@ def test_sweedler_table_is_built_on_first_read(h8, monkeypatch):
         assert t.sweedler3[i] == tuple((*key, w * den) for key, w in want.items())
     assert len(calls) == h8.dim
     assert int_structure(h8).sweedler3 == t.sweedler3
+
+
+# -- the sparse integer accumulation: hopf._combine and hopf._apply_int --------
+
+DIM = 6
+SPARSE = st.dictionaries(st.integers(0, DIM - 1), st.integers(-4, 4).filter(bool),
+                         max_size=DIM).map(lambda d: sorted(d.items()))
+
+
+def dense(v) -> list:
+    """A sparse integer vector as a dense Fraction vector."""
+    out = zero_vec(DIM)
+    for k, m in v:
+        out[k] = F(m)
+    return out
+
+
+def reference_sum(terms) -> list:
+    """sum c v in dense Fraction arithmetic, read back as sparse pairs."""
+    out = zero_vec(DIM)
+    for c, v in terms:
+        out = vec_add(out, vec_scale(F(c), dense(v)))
+    return [(k, x) for k, x in enumerate(out) if x]
+
+
+def assert_sparse(v):
+    keys = [k for k, _ in v]
+    assert keys == sorted(set(keys)) and all(m for _, m in v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), SPARSE), max_size=6), st.booleans())
+def test_combine_matches_fraction_reference(terms, cancel):
+    """Ascending and zero-free, also where the terms cancel: with cancel
+    every term is followed by its negation, so the sum is zero."""
+    if cancel:
+        terms = [t for c, v in terms for t in ((c, v), (-c, v))]
+    got = hopf._combine(iter(terms))
+    assert_sparse(got)
+    assert got == reference_sum(terms)
+    if cancel:
+        assert got == []
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(SPARSE, min_size=DIM, max_size=DIM), SPARSE)
+def test_apply_int_matches_fraction_reference(cols, u):
+    got = hopf._apply_int(cols, u)
+    assert_sparse(got)
+    assert got == reference_sum([(c, cols[i]) for i, c in u])
+
+
+def counted(items, read: list):
+    """The items, counting in read how many were taken."""
+    for item in items:
+        read.append(item)
+        yield item
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(-3, 3), SPARSE), min_size=1, max_size=6),
+       st.data())
+def test_combine_raises_a_copy_of_the_stored_error_at_its_term(terms, data):
+    stored = OutOfBudgetError("degree 5 exceeds budget 4", degrees=(2, 3))
+    at = data.draw(st.integers(0, len(terms) - 1))
+    terms[at] = (terms[at][0], stored)
+    read = []
+    with pytest.raises(OutOfBudgetError) as info:
+        hopf._combine(counted(terms, read))
+    assert info.value is not stored
+    assert str(info.value) == str(stored) and info.value.degrees == stored.degrees
+    assert len(read) == at + 1
+    assert stored.__traceback__ is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(SPARSE, min_size=DIM, max_size=DIM), SPARSE.filter(bool), st.data())
+def test_apply_int_raises_a_copy_of_the_stored_error_at_its_term(cols, u, data):
+    stored = OutOfBudgetError("image column unknown")
+    at = data.draw(st.integers(0, len(u) - 1))
+    cols[u[at][0]] = stored
+    read = []
+    with pytest.raises(OutOfBudgetError) as info:
+        hopf._apply_int(cols, counted(u, read))
+    assert info.value is not stored and str(info.value) == str(stored)
+    assert len(read) == at + 1
+    assert stored.__traceback__ is None

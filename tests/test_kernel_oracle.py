@@ -1513,7 +1513,7 @@ def reference_associativity_failures(a: ActionData) -> list:
     k, h = a.acting, a.target
     return [(i, j, x) for i in range(k.dim) for j in range(k.dim) for x in range(h.dim)
             if a.act(k.mult_basis(i, j), basis_vec(h.dim, x))
-            != a.act_on(i, a.act_basis(j, x))]
+            != a.act_rational(i, a.act_basis(j, x))]
 
 
 def reference_validate_action(a: ActionData, require_bialgebra: bool = False) -> AxiomReport:
@@ -1529,7 +1529,7 @@ def reference_validate_action(a: ActionData, require_bialgebra: bool = False) ->
     report.record("module-associativity", not fails, fails[0] if fails else None)
 
     fails = [(i,) for i in range(k.dim)
-             if a.act_on(i, h.unit_vec()) != vec_scale(k.counit_coeff(i), h.unit_vec())]
+             if a.act_rational(i, h.unit_vec()) != vec_scale(k.counit_coeff(i), h.unit_vec())]
     report.record("acts-on-unit", not fails, fails[0] if fails else None)
 
     fails = []
