@@ -19,9 +19,8 @@ The action layer runs on integer tables.  The two checkers read both
 carriers from :func:`hopfdiff.hopf.int_structure` and the action from
 its ``act_int``, compared cross-multiplied by the known denominators, so
 no ``Fraction`` is built inside their loops; the rational entry points
-(``act_rational``, ``act`` and the adapter ``act_basis``) are read off
-the same engine.  Every report is identical to the one rational
-arithmetic gives.
+``act_rational`` and ``act`` are read off the same engine.  Every report
+is identical to the one rational arithmetic gives.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from .hopf import (
     CarrierOps,
     CheckReport,
     FinDimHopf,
+    IntColumns,
     InvalidAlgebraError,
     LinMap,
     OutOfBudgetError,
@@ -45,11 +45,13 @@ from .hopf import (
     _combine,
     _first_witness,
     _nonzero,
+    _rational_columns,
     _sparse_ints,
     _stored,
     basis_vec,
     coalgebra_map_report,
     convolve,
+    convolve_columns,
     grouplikes,
     int_columns,
     int_structure,
@@ -126,9 +128,6 @@ class ActionData(IntAction):
         self.den, flat = _sparse_ints([cell for row in self.tensor for cell in row])
         self._columns = [flat[a * n:(a + 1) * n] for a in range(acting.dim)]
 
-    def act_basis(self, a: int, x: int) -> Vec:
-        return self.tensor[a][x]
-
     def act_int(self, a: int, u) -> list:
         return _apply_int(self._columns[a], u)
 
@@ -140,19 +139,20 @@ def trivial_action(k: FinDimHopf, h: FinDimHopf) -> ActionData:
     return ActionData(k, h, tensor)
 
 
+def _convolved_action(k, h, columns) -> ActionData:
+    """The action of K on H whose a . x is column a of columns(x), the
+    IntColumns of a convolution over K, for each basis x of H; a column
+    that could not be formed raises its OutOfBudgetError."""
+    rows = [_rational_columns(map(_stored, cols), den, h.dim)
+            for cols, den in map(columns, range(h.dim))]
+    return ActionData(k, h, list(zip(*rows)))
+
+
 def adjoint_action(h: FinDimHopf) -> ActionData:
-    """a . x = a1 x S(a2)."""
-    tensor = []
-    for a in range(h.dim):
-        row = []
-        for x in range(h.dim):
-            acc = zero_vec(h.dim)
-            for (i, j, c) in h.comult_triples(a):
-                prod = h.mult_vec(h.mult_basis(i, x), h.antipode_basis(j))
-                acc = vec_add(acc, vec_scale(c, prod))
-            row.append(acc)
-        tensor.append(row)
-    return ActionData(h, h, tensor)
+    """a . x = a1 x S(a2), the convolution of a -> a x with S."""
+    t = int_structure(h)
+    return _convolved_action(h, h, lambda x: convolve_columns(
+        h, h, IntColumns([row[x] for row in t.mult], t.mult_den), h.antipode))
 
 
 class SkipRuns:
@@ -586,21 +586,26 @@ class TruncatedSmash(CarrierOps):
     def unit_vec(self) -> Vec:
         return smash_vec(self, self.h.unit_vec(), self.k.unit_vec())
 
-    def mult_basis(self, i: int, j: int) -> Vec:
+    def mult_terms(self, i: int, j: int):
+        """The sparse product of pairs i and j, or the first OutOfBudgetError
+        forming it meets, unraised; computed once."""
+        cached = self._mult_cache.get((i, j))
+        if cached is None:
+            cached = self._mult_cache[(i, j)] = _attempt(self._product, i, j)
+        return cached
+
+    def _product(self, i: int, j: int) -> list:
         if self.degree(i) + self.degree(j) > self.budget:
             raise OutOfBudgetError("smash product exceeds budget",
                                    degrees=(self.degree(i), self.degree(j)))
-        cached = self._mult_cache.get((i, j))
-        if cached is None:
-            x, a = self.pairs[i]
-            y, b = self.pairs[j]
-            cached = zero_vec(self.dim)
-            for (a1, a2, c) in self.k.comult_triples(a):
-                acted = self.action.act_rational(a1, basis_vec(self.h.dim, y))
-                hpart = self.h.mult_vec(basis_vec(self.h.dim, x), acted)
-                smash_vec(self, hpart, self.k.mult_basis(a2, b), cached, c)
-            self._mult_cache[(i, j)] = cached
-        return cached
+        x, a = self.pairs[i]
+        y, b = self.pairs[j]
+        out = zero_vec(self.dim)
+        for (a1, a2, c) in self.k.comult_triples(a):
+            acted = self.action.act_rational(a1, basis_vec(self.h.dim, y))
+            hpart = self.h.mult_vec(basis_vec(self.h.dim, x), acted)
+            smash_vec(self, hpart, self.k.mult_basis(a2, b), out, c)
+        return [(k, c) for k, c in enumerate(out) if c]
 
     def comult_triples(self, i: int):
         x, a = self.pairs[i]
@@ -747,21 +752,21 @@ def graph_hopf_iso(ch: CrossedHom, smash: TruncatedSmash | None = None):
 
 # -- derived structures --------------------------------------------------------
 
+def _derived_module_columns(pi: LinMap, action: IntAction):
+    """x -> the IntColumns of a -> a ._pi x = pi(a1)(a2 . x), the
+    convolution of pi with a -> a . x read from basis_values()."""
+    k, h = action.acting, action.target
+    values = action.basis_values()
+    return lambda x: convolve_columns(
+        k, h, pi.matrix, IntColumns([row[x] for row in values], action.den))
+
+
 def derived_module_structure(pi: LinMap, action: ActionData) -> AxiomReport:
     """Associativity of a ._pi x = pi(a1)(a2 . x); the verdict matches the
     crossed-homomorphism identity (module characterization)."""
-    k, h = action.acting, action.target
-    tensor = []
-    for a in range(k.dim):
-        row = []
-        for x in range(h.dim):
-            acc = zero_vec(h.dim)
-            for (a1, a2, c) in k.comult_triples(a):
-                acc = vec_add(acc, vec_scale(c, h.mult_vec(
-                    pi.image_of_basis(a1), action.act_basis(a2, x))))
-            row.append(acc)
-        tensor.append(row)
-    fails = module_axiom_report(ActionData(k, h, tensor), ("module",)).failures
+    derived = _convolved_action(action.acting, action.target,
+                                _derived_module_columns(pi, action))
+    fails = module_axiom_report(derived, ("module",)).failures
     report = AxiomReport()
     report.record("derived-module-associativity", not fails, fails[0][1:] if fails else None)
     return report
@@ -779,24 +784,13 @@ def derived_action(ch: CrossedHom) -> tuple[ActionData, CrossedHom, AxiomReport]
     if not ch.verified:
         raise ValueError("verify the crossed homomorphism first")
 
-    tensor = []
-    for a in range(k.dim):
-        row = []
-        for x in range(h.dim):
-            acc = zero_vec(h.dim)
-            # a1 (x) a2 (x) a3, then pi(a1) (a3 . x) S(pi(a2))
-            for (a1, a2, c) in k.comult_triples(a):
-                for (a11, a12, d) in k.comult_triples(a1):
-                    inner = h.mult_vec(pi.image_of_basis(a11),
-                                       action.act_basis(a2, x))
-                    acc = vec_add(acc, vec_scale(c * d, h.mult_vec(
-                        inner, h.antipode_vec(pi.image_of_basis(a12)))))
-            row.append(acc)
-        tensor.append(row)
-    derived = ActionData(k, h, tensor)
+    # pi(a1)(a3 . x) S(pi(a2)) = (pi * (a -> a . x) * S pi)(a), K cocommutative
+    s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))
+    module = _derived_module_columns(pi, action)
+    derived = _convolved_action(k, h, lambda x: convolve_columns(
+        k, h, module(x), s_pi.matrix))
 
     report = validate_action(derived, require_bialgebra=True)
-    s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))
     report.record("derived-crossed-hom",
                   crossed_hom_report(derived, s_pi.columns()).ok)
 

@@ -51,11 +51,11 @@ def _resolve_algebra(spec: str) -> FinDimHopf:
     if os.path.exists(spec):
         from . import formats
 
-        with open(spec, "r", encoding="utf-8") as fh:
-            try:
-                h = formats.algebra_from_dict(json.load(fh))
-            except _PARSE_ERRORS as exc:
-                raise InputError(f"bad algebra file {spec}: {exc}")
+        bad = f"bad algebra file {spec}"
+        try:
+            h = formats.algebra_from_dict(_read_json(spec, bad))
+        except _PARSE_ERRORS as exc:
+            raise InputError(f"{bad}: {exc}")
         report = axiom_report(h)
         if not report.ok:
             raise InvalidAlgebraError(f"algebra file {spec}", "not a Hopf algebra",
@@ -73,16 +73,26 @@ def _resolve_algebra(spec: str) -> FinDimHopf:
     return h
 
 
+def _read_json(path: str, bad: str):
+    """The JSON value of the input file at path, the one reader of every
+    input file.  A file that cannot be opened, such as a directory, is an
+    input error naming path; one that is not JSON in UTF-8 is the input
+    error bad followed by the reason."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror}")
+    except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+        raise InputError(f"{bad}: {exc}")
+
+
 def _load_json(path: str, kind: str) -> dict:
     if path is None:
         raise InputError(f"--{kind} is required for this command")
     if not os.path.exists(path):
         raise InputError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad JSON in {path}: {exc}")
+    return _read_json(path, f"bad JSON in {path}")
 
 
 def _load_operator(path: str) -> LinMap:

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 
 from .exactlin import FrozenRecord, Mat, ONE, ZERO
-from .hopf import FinDimHopf, LinMap, basis_vec, is_grouplike
+from .hopf import FinDimHopf, LinMap, _stored, basis_vec, is_grouplike
 
 ENDO_ORDER_BOUND = 24
 
@@ -328,12 +328,11 @@ def coradical_group(h: FinDimHopf):
     for a in idxs:
         row = []
         for b in idxs:
-            prod = h.mult_basis(a, b)
-            hits = [i for i, c in enumerate(prod) if c]
-            if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] not in pos:
+            terms = _stored(h.mult_terms(a, b))
+            if [m for _, m in terms] != [ONE] or terms[0][0] not in pos:
                 raise ValueError(f"declared coradical not closed under multiplication "
                                  f"at ({h.label(a)}, {h.label(b)})")
-            row.append(pos[hits[0]])
+            row.append(pos[terms[0][0]])
         table.append(row)
     for b in range(h.dim):
         if b not in pos and is_grouplike(h, basis_vec(h.dim, b)):

@@ -35,14 +35,15 @@ and the product inlined in the module-algebra loop of
 :func:`_combine` took ``free-lie mm-check --budget 7`` from 1.4 to
 2.3 s in process.
 
-The same basis-indexed interface (``mult_basis``, ``comult_triples``,
+The same basis-indexed interface (``mult_terms``, ``comult_triples``,
 ``counit_coeff``, ``antipode_basis``) is implemented by the
 degree-truncated carriers in :mod:`hopfdiff.truncated` and by the smash
-builder in :mod:`hopfdiff.actions`; truncated multiplication may raise
-:class:`OutOfBudgetError`, which exhaustive checks translate into an
-explicit skip entry rather than a silent pass.  A map given by a column
-table may leave columns unknown (None); checks skip and record what needs
-them.  Every checker returns a :class:`CheckReport`.
+builder in :mod:`hopfdiff.actions`.  ``mult_terms``, the one product a
+carrier implements, returns the :class:`OutOfBudgetError` of a product
+beyond a truncated carrier's budget unraised, and exhaustive checks turn
+it into an explicit skip entry rather than a silent pass.  A map given by
+a column table may leave columns unknown (None); checks skip and record
+what needs them.  Every checker returns a :class:`CheckReport`.
 """
 
 from __future__ import annotations
@@ -120,11 +121,17 @@ def vec_str(v: Vec, labels: list[str]) -> str:
 
 class CarrierOps:
     """Coordinate-vector arithmetic over the shared basis-indexed
-    interface (mult_basis, comult_triples, counit_coeff, antipode_basis,
-    unit_vec, label, dim).  Truncated carriers raise OutOfBudgetError
-    from mult_basis; everything here propagates it, except mult_terms,
-    which returns it, and which a carrier overrides where it has its
-    products sparse or can name the error without raising it."""
+    interface (mult_terms, comult_triples, counit_coeff, antipode_basis,
+    unit_vec, label, dim).  mult_terms(i, j), the one product a carrier
+    implements, gives the nonzero terms (k, c) of e_i e_j in ascending k,
+    or the OutOfBudgetError of a product beyond the budget, unraised;
+    mult_basis and mult_vec raise a fresh copy of it."""
+
+    def mult_basis(self, i: int, j: int) -> Vec:
+        out = zero_vec(self.dim)
+        for k, c in _stored(self.mult_terms(i, j)):
+            out[k] = c
+        return out
 
     def mult_vec(self, u: Vec, v: Vec) -> Vec:
         out = zero_vec(self.dim)
@@ -135,17 +142,9 @@ class CarrierOps:
                 if not b:
                     continue
                 c = a * b
-                for k, m in enumerate(self.mult_basis(i, j)):
-                    if m:
-                        out[k] += c * m
+                for k, m in _stored(self.mult_terms(i, j)):
+                    out[k] += c * m
         return out
-
-    def mult_terms(self, i: int, j: int):
-        """The nonzero terms (k, c) of the product of basis elements i and
-        j in ascending k, or the OutOfBudgetError that mult_basis raises
-        for it, returned unraised."""
-        v = _attempt(self.mult_basis, i, j)
-        return v if v.__class__ is OutOfBudgetError else [(k, c) for k, c in enumerate(v) if c]
 
     def comult_vec(self, u: Vec) -> dict:
         out: dict = {}
@@ -233,9 +232,6 @@ class FinDimHopf(CarrierOps):
         self._axiom_report = None
 
     # -- basis-indexed interface shared with truncated carriers ----------
-
-    def mult_basis(self, i: int, j: int) -> Vec:
-        return self.mult[i][j]
 
     def mult_terms(self, i: int, j: int):
         return self._mult_sparse[i][j]

@@ -46,7 +46,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from .exactlin import Mat, ONE, Record, int_echelon, int_kernel, rat
-from .hopf import FinDimHopf, int_structure
+from .hopf import FinDimHopf, _stored, int_structure
 from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
 
 # ---------------------------------------------------------------------------
@@ -325,13 +325,12 @@ def _coset_blocks(h: FinDimHopf, idxs: list, generators=None) -> list:
             raise ValueError(f"plan generator {c} is not a basis index of {h.name}")
         cosets = {}
         for g in idxs:
-            prod = h.mult_basis(g, c)
-            hits = [i for i, v in enumerate(prod) if v]
-            if len(hits) != 1 or prod[hits[0]] != ONE or hits[0] in covered or hits[0] in cosets:
+            terms = _stored(h.mult_terms(g, c))
+            if [m for _, m in terms] != [ONE] or terms[0][0] in covered.union(cosets):
                 raise ValueError(f"{h.label(c)} fits no block: {h.label(g)} * {h.label(c)} = "
-                                 f"{h.element_str(prod)} is not a basis vector outside the "
-                                 f"coradical and the earlier blocks")
-            cosets[hits[0]] = (g, c)
+                                 f"{h.element_str(h.mult_basis(g, c))} is not a basis vector "
+                                 f"outside the coradical and the earlier blocks")
+            cosets[terms[0][0]] = (g, c)
         covered.update(cosets)
         blocks.append(GeneratorBlock(c, cosets))
     if len(covered) != n:

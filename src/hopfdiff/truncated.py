@@ -5,8 +5,8 @@ and truncated universal enveloping algebras.
 These are the carriers of :mod:`hopfdiff.freelie`, which imports them
 back; they need only :mod:`hopfdiff.hopf` and :mod:`hopfdiff.exactlin`,
 so ``free-lie lyndon-dims`` runs without the action layer.  Truncation is
-honest: a product whose total degree exceeds the budget raises
-OutOfBudgetError, and ``mult_terms`` returns that error unraised, so the
+honest: ``mult_terms``, the one product each carrier implements, returns
+the OutOfBudgetError of a product above the budget unraised, so the
 integer structure table stores it without a raise and catch per product.
 There is one such error per budget and pair of degrees, and it is raised
 only as a copy.
@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .exactlin import ONE, ZERO, Record, rat
-from .hopf import CarrierOps, OutOfBudgetError, Vec, _copy, basis_vec, primitives, zero_vec
+from .hopf import CarrierOps, OutOfBudgetError, Vec, basis_vec, primitives, zero_vec
 
 MAX_BUDGET = 7
 MAX_GENERATORS = 3
@@ -166,12 +166,6 @@ class TruncatedTensor(CarrierOps):
     def unit_vec(self) -> Vec:
         return basis_vec(self.dim, 0)
 
-    def mult_basis(self, i: int, j: int) -> Vec:
-        terms = self.mult_terms(i, j)
-        if terms.__class__ is OutOfBudgetError:
-            raise _copy(terms)
-        return basis_vec(self.dim, terms[0][0])
-
     def mult_terms(self, i: int, j: int):
         """The one term (k, 1) of the product of words i and j, or the
         OutOfBudgetError for a product above the budget, unraised."""
@@ -302,7 +296,6 @@ class TruncatedEnveloping(CarrierOps):
         self.index = {m: i for i, m in enumerate(self.monomials)}
         self.dim = len(self.monomials)
         self._norm_cache: dict = {}
-        self._mult_cache: dict = {}
 
     def degree(self, i: int) -> int:
         return sum(self.monomials[i])
@@ -349,19 +342,6 @@ class TruncatedEnveloping(CarrierOps):
 
     def _mono_seq(self, i: int):
         return tuple(g for g, e in enumerate(self.monomials[i]) for _ in range(e))
-
-    def mult_basis(self, i: int, j: int) -> Vec:
-        cached = self._mult_cache.get((i, j))
-        if cached is not None:
-            return cached
-        terms = self.mult_terms(i, j)
-        if terms.__class__ is OutOfBudgetError:
-            raise _copy(terms)
-        out = zero_vec(self.dim)
-        for k, c in terms:
-            out[k] = c
-        self._mult_cache[(i, j)] = out
-        return out
 
     def mult_terms(self, i: int, j: int):
         """The nonzero terms (k, c) of the straightened product in

@@ -567,6 +567,42 @@ def test_malformed_file_exits_two(capsys, tmp_path, entry, argv, corrupt):
     assert "Traceback" not in err
 
 
+# one command per file option, the unreadable input last; every other
+# catalog name after a flag is exported to a file first
+FILE_OPTIONS = {
+    "algebra": ["validate", "--algebra"],
+    "operator": ["check-diffop", "--operator"],
+    "operator-k": ["extend-smash-diff", "--action", "action:inv:kC2:kC4",
+                   "--operator", "op:id:kC4", "--operator-k"],
+    "action": ["smash", "--action"],
+    "plan": ["classify-diffops", "--plan"],
+    "expected": ["classify-diffops", "--plan", "plan:H4", "--expected"],
+    "phi": ["free-lie", "diffop-from-hom", "--phi"],
+}
+
+
+@pytest.mark.parametrize("option", FILE_OPTIONS)
+@pytest.mark.parametrize("kind, message", [
+    ("directory", "cannot read {path}: Is a directory"),
+    ("non-utf8", "{path}: 'utf-8' codec can't decode byte 0xff in position 0"),
+], ids=["directory", "non-utf8"])
+def test_unreadable_input_file_exits_two(capsys, tmp_path, option, kind, message):
+    """A directory or a file that is not UTF-8, given to any file option,
+    is an input error with the usual report, never a traceback."""
+    path = tmp_path / kind
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'\xff{"name": "H4"}')
+    argv = [export_entry(capsys, tmp_path, arg, arg.replace(":", "_") + ".json")
+            if ":" in arg else arg for arg in FILE_OPTIONS[option]]
+    code, payload, err = invoke(capsys, *argv, str(path))
+    assert code == 2
+    assert payload["ok"] is False and payload["command"] == argv[0]
+    assert message.format(path=path) in payload["error"]
+    assert err == f"error: {payload['error']}\n"
+
+
 @pytest.mark.parametrize("task, options", [
     ("lyndon-dims", ["--budget", "8"]),
     ("mm-check", ["--generators", "4"]),

@@ -71,7 +71,19 @@ references that solved with ``exactlin.solve_affine`` now solve with
 checks.  The integer product
 tables of the truncated carriers, read through ``mult_terms``, must equal
 the tables built by catching ``mult_basis``'s errors, with the old
-``mult_basis`` bodies kept verbatim, stored errors included.
+``mult_basis`` bodies kept verbatim, stored errors included.  With the
+smash builder's old ``mult_basis`` body they are also the dense reference
+of every carrier's one product, ``mult_terms``: on finite, truncated and
+smash carriers, ``mult_basis`` must be its dense form and ``mult_vec``
+the reference's ``Fraction`` sum, an out-of-budget product raising the
+reference's message and degrees at the same first pair.
+
+The loops that built the tensors of ``adjoint_action``,
+``derived_module_structure`` and ``derived_action`` are kept verbatim as
+they were before ``convolve_columns`` built them, reading an action's
+``tensor[a][x]``.  The convolution-built tensors must equal them entry
+for entry on kS3, kD4, kC2xC2 and H8 and on the crossed homomorphisms of
+the derived-action tests.
 
 The slowest references are fed memoized inputs, never changed code: a
 carrier whose vector products are memoized, or the reference's own code
@@ -112,13 +124,18 @@ from hypothesis import given, settings, strategies as st
 from hopfdiff import catalog, formats
 from hopfdiff.actions import (
     ActionData,
+    CrossedHom,
     IntAction,
     TruncatedSmash,
+    _convolved_action,
+    _derived_module_columns,
     adjoint_action,
     crossed_hom_report,
+    derived_action,
     derived_module_structure,
     module_axiom_report,
     smash_product,
+    smash_vec,
     trivial_action,
     validate_action,
 )
@@ -297,25 +314,29 @@ def reference_check_diffop(h, matrix: Mat):
 
 SL2 = FinLie.from_pairs(["e", "f", "h"], {(0, 1): [0, 0, 1], (0, 2): [-2, 0, 0],
                                           (1, 2): [0, 2, 0]}, "sl2")
+AFF1 = FinLie.from_pairs(["a", "b"], {(0, 1): [0, 1]}, "aff1")
 FINITE = ["kC2xC2", "kS3", "H4", "H8"]
 CARRIERS = FINITE + ["smash:inv:kC2:kC4", "T(2,2)", "U(e)#kC2"]
+# the smash products of the sign action of kC2 on U(e), by budget
+SIGN_SMASH_BUDGETS = {"U(e)#kC2": 2, "U(e,3)#kC2": 3}
 
 
 @cache
 def carrier(name):
     if name == "smash:inv:kC2:kC4":
         return smash_product(catalog.build("action:inv:kC2:kC4"))
-    if name == "U(e)#kC2":
-        u_env = TruncatedEnveloping(FinLie.from_pairs(["e"], {}, "abelian1"), 2)
+    if name in SIGN_SMASH_BUDGETS:
+        budget = SIGN_SMASH_BUDGETS[name]
+        u_env = TruncatedEnveloping(FinLie.from_pairs(["e"], {}, "abelian1"), budget)
         kc2 = catalog.build("kC2")
-        return TruncatedSmash(sign_action_on_enveloping(u_env, kc2), 2)
-    if name.startswith(("T(", "U(sl2,")):
-        # T(k,b) or U(sl2,b)
+        return TruncatedSmash(sign_action_on_enveloping(u_env, kc2), budget)
+    if name.startswith(("T(", "U(sl2,", "U(aff1,")):
+        # T(k,b), U(sl2,b) or U(aff1,b)
         kind, args = name[:-1].split("(")
         left, budget = args.split(",")
         if kind == "T":
             return TruncatedTensor(int(left), int(budget))
-        return TruncatedEnveloping(SL2, int(budget))
+        return TruncatedEnveloping({"sl2": SL2, "aff1": AFF1}[left], int(budget))
     return catalog.build(name)
 
 
@@ -992,7 +1013,7 @@ def reference_smash_product(action: ActionData, name: str | None = None) -> FinD
                 for b in range(nk):
                     cell = zero_vec(n)
                     for (a1, a2, c) in k.comult_triples(a):
-                        hpart = h.mult_vec(basis_vec(nh, x), action.act_basis(a1, y))
+                        hpart = h.mult_vec(basis_vec(nh, x), action.tensor[a1][y])
                         kpart = k.mult_basis(a2, b)
                         for p, hv in enumerate(hpart):
                             if not hv:
@@ -1069,7 +1090,7 @@ def reference_smash_product_algebra_only(action: ActionData) -> FinDimHopf:
                 for b in range(nk):
                     cell = zero_vec(n)
                     for (a1, a2, c) in k.comult_triples(a):
-                        hpart = h.mult_vec(basis_vec(nh, x), action.act_basis(a1, y))
+                        hpart = h.mult_vec(basis_vec(nh, x), action.tensor[a1][y])
                         kpart = k.mult_basis(a2, b)
                         for p, hv in enumerate(hpart):
                             if not hv:
@@ -1513,7 +1534,7 @@ def reference_associativity_failures(a: ActionData) -> list:
     k, h = a.acting, a.target
     return [(i, j, x) for i in range(k.dim) for j in range(k.dim) for x in range(h.dim)
             if a.act(k.mult_basis(i, j), basis_vec(h.dim, x))
-            != a.act_rational(i, a.act_basis(j, x))]
+            != a.act_rational(i, a.tensor[j][x])]
 
 
 def reference_validate_action(a: ActionData, require_bialgebra: bool = False) -> AxiomReport:
@@ -1540,7 +1561,7 @@ def reference_validate_action(a: ActionData, require_bialgebra: bool = False) ->
                 rhs = zero_vec(h.dim)
                 for (a1, a2, c) in k.comult_triples(i):
                     rhs = vec_add(rhs, vec_scale(c, h.mult_vec(
-                        a.act_basis(a1, x), a.act_basis(a2, y))))
+                        a.tensor[a1][x], a.tensor[a2][y])))
                 if lhs != rhs:
                     fails.append((i, x, y))
     report.record("module-algebra", not fails, fails[0] if fails else None)
@@ -1549,7 +1570,7 @@ def reference_validate_action(a: ActionData, require_bialgebra: bool = False) ->
         fails = []
         for i in range(k.dim):
             for x in range(h.dim):
-                v = a.act_basis(i, x)
+                v = a.tensor[i][x]
                 if h.counit_vec(v) != k.counit_coeff(i) * h.counit_coeff(x):
                     fails.append((i, x))
                     continue
@@ -1557,8 +1578,8 @@ def reference_validate_action(a: ActionData, require_bialgebra: bool = False) ->
                 rhs: dict = {}
                 for (a1, a2, c) in k.comult_triples(i):
                     for (x1, x2, d) in h.comult_triples(x):
-                        left = a.act_basis(a1, x1)
-                        right = a.act_basis(a2, x2)
+                        left = a.tensor[a1][x1]
+                        right = a.tensor[a2][x2]
                         cd = c * d
                         for p, lv in enumerate(left):
                             if not lv:
@@ -1575,9 +1596,24 @@ def reference_validate_action(a: ActionData, require_bialgebra: bool = False) ->
     return report
 
 
-def reference_derived_module_structure(pi: LinMap, action: ActionData) -> AxiomReport:
-    """Associativity of a ._pi x = pi(a1)(a2 . x); the verdict matches the
-    crossed-homomorphism identity (module characterization)."""
+def reference_adjoint_tensor(h) -> list:
+    """The tensor of adjoint_action as its loop built it: a . x = a1 x S(a2)."""
+    tensor = []
+    for a in range(h.dim):
+        row = []
+        for x in range(h.dim):
+            acc = zero_vec(h.dim)
+            for (i, j, c) in h.comult_triples(a):
+                prod = h.mult_vec(h.mult_basis(i, x), h.antipode_basis(j))
+                acc = vec_add(acc, vec_scale(c, prod))
+            row.append(acc)
+        tensor.append(row)
+    return tensor
+
+
+def reference_derived_module_tensor(pi: LinMap, action: ActionData) -> list:
+    """The tensor of a ._pi x = pi(a1)(a2 . x) as derived_module_structure's
+    loop built it."""
     k, h = action.acting, action.target
     tensor = []
     for a in range(k.dim):
@@ -1586,9 +1622,38 @@ def reference_derived_module_structure(pi: LinMap, action: ActionData) -> AxiomR
             acc = zero_vec(h.dim)
             for (a1, a2, c) in k.comult_triples(a):
                 acc = vec_add(acc, vec_scale(c, h.mult_vec(
-                    pi.image_of_basis(a1), action.act_basis(a2, x))))
+                    pi.image_of_basis(a1), action.tensor[a2][x])))
             row.append(acc)
         tensor.append(row)
+    return tensor
+
+
+def reference_derived_action_tensor(pi: LinMap, action: ActionData) -> list:
+    """The tensor of a ._pi x = ad_{pi(a1)}(a2 . x) as derived_action's loop
+    built it, over the double coproduct of a."""
+    k, h = action.acting, action.target
+    tensor = []
+    for a in range(k.dim):
+        row = []
+        for x in range(h.dim):
+            acc = zero_vec(h.dim)
+            # a1 (x) a2 (x) a3, then pi(a1) (a3 . x) S(pi(a2))
+            for (a1, a2, c) in k.comult_triples(a):
+                for (a11, a12, d) in k.comult_triples(a1):
+                    inner = h.mult_vec(pi.image_of_basis(a11),
+                                       action.tensor[a2][x])
+                    acc = vec_add(acc, vec_scale(c * d, h.mult_vec(
+                        inner, h.antipode_vec(pi.image_of_basis(a12)))))
+            row.append(acc)
+        tensor.append(row)
+    return tensor
+
+
+def reference_derived_module_structure(pi: LinMap, action: ActionData) -> AxiomReport:
+    """Associativity of a ._pi x = pi(a1)(a2 . x); the verdict matches the
+    crossed-homomorphism identity (module characterization)."""
+    k, h = action.acting, action.target
+    tensor = reference_derived_module_tensor(pi, action)
     fails = reference_associativity_failures(ActionData(k, h, tensor))
     report = AxiomReport()
     report.record("derived-module-associativity", not fails, fails[0] if fails else None)
@@ -1740,7 +1805,7 @@ def test_coregular_action_of_h4_is_a_module_algebra_in_one_leg_order_only():
     assert validate_action(action).ok
     swapped = [(a, x, y) for a in range(4) for x in range(4) for y in range(4)
                if action.act(basis_vec(4, a), h.mult_basis(x, y)) != sum(
-                   (vec_scale(c, h.mult_vec(action.act_basis(a2, x), action.act_basis(a1, y)))
+                   (vec_scale(c, h.mult_vec(action.tensor[a2][x], action.tensor[a1][y]))
                     for (a1, a2, c) in k.comult_triples(a)), start=zero_vec(4))]
     assert swapped
 
@@ -1760,6 +1825,57 @@ def test_derived_module_structure_matches_reference(name, data):
     action = adjoint_action(h)
     assert (derived_module_structure(pi, action).checks
             == reference_derived_module_structure(pi, action).checks)
+
+
+TENSOR_ALGEBRAS = ["kS3", "kD4", "kC2xC2", "H8"]
+
+
+@pytest.mark.parametrize("name", TENSOR_ALGEBRAS)
+def test_adjoint_tensor_matches_reference(name):
+    h = carrier(name)
+    assert adjoint_action(h).tensor == reference_adjoint_tensor(h)
+
+
+@pytest.mark.parametrize("name", TENSOR_ALGEBRAS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_derived_module_tensor_matches_reference(name, data):
+    """The convolution-built tensor of a ._pi x, entry for entry, for
+    sampled maps pi and the adjoint action."""
+    h = carrier(name)
+    pi = LinMap(h, h, data.draw(matrices(name)))
+    action = adjoint_action(h)
+    built = _convolved_action(h, h, _derived_module_columns(pi, action))
+    assert built.tensor == reference_derived_module_tensor(pi, action)
+
+
+def derived_action_cases():
+    """(pi, action), with the algebra and the map as its id: u o eps with the adjoint action and the identity
+    with the trivial action on the cocommutative tensor algebras, the
+    inversion of kS3 with its adjoint action, and the catalog crossed
+    homomorphism of kC2 into kC4."""
+    for name in TENSOR_ALGEBRAS:
+        h = carrier(name)
+        if is_cocommutative(h):
+            yield pytest.param(unit_counit_map(h), adjoint_action(h), id=f"{name}-ueps")
+            yield pytest.param(identity_map(h), trivial_action(h, h), id=f"{name}-id")
+    ks3 = carrier("kS3")
+    yield pytest.param(LinMap(ks3, ks3, catalog.build("op:inv:kS3").matrix),
+                       adjoint_action(ks3), id="kS3-inv")
+    action = catalog.build("action:inv:kC2:kC4")
+    pi = LinMap(action.acting, action.target, catalog.build("op:crossed:kC2:kC4").matrix)
+    yield pytest.param(pi, action, id="kC2-kC4-crossed")
+
+
+@pytest.mark.parametrize("pi, action", list(derived_action_cases()))
+def test_derived_tensors_match_reference_on_crossed_homs(pi, action):
+    """Both derived tensors, entry for entry, on crossed homomorphisms."""
+    k, h = action.acting, action.target
+    built = _convolved_action(k, h, _derived_module_columns(pi, action))
+    assert built.tensor == reference_derived_module_tensor(pi, action)
+    derived, _, report = derived_action(CrossedHom.verify(pi, action))
+    assert report.ok
+    assert derived.tensor == reference_derived_action_tensor(pi, action)
 
 
 @pytest.mark.parametrize("name", FINITE + ["smash:inv:kC2:kC4"])
@@ -2123,6 +2239,111 @@ def test_int_structure_products_match_raised_errors(name):
         for j in range(h.dim):
             assert (budget_outcome(h.mult_basis, i, j)
                     == budget_outcome(mult_basis, h, i, j))
+
+
+def reference_smash_mult_basis(smash, i: int, j: int) -> Vec:
+    """TruncatedSmash.mult_basis as it was before the builder tabulated
+    sparse products, without its cache."""
+    if smash.degree(i) + smash.degree(j) > smash.budget:
+        raise OutOfBudgetError("smash product exceeds budget",
+                               degrees=(smash.degree(i), smash.degree(j)))
+    x, a = smash.pairs[i]
+    y, b = smash.pairs[j]
+    cached = zero_vec(smash.dim)
+    for (a1, a2, c) in smash.k.comult_triples(a):
+        acted = smash.action.act_rational(a1, basis_vec(smash.h.dim, y))
+        hpart = smash.h.mult_vec(basis_vec(smash.h.dim, x), acted)
+        smash_vec(smash, hpart, smash.k.mult_basis(a2, b), cached, c)
+    return cached
+
+
+def reference_product(h, i: int, j: int) -> Vec:
+    """The dense product of basis elements i and j by the carrier's own
+    rule: the structure constants of a FinDimHopf, the old mult_basis
+    bodies of the truncated carriers and of the smash builder."""
+    if isinstance(h, FinDimHopf):
+        return h.mult[i][j]
+    if isinstance(h, TruncatedTensor):
+        return reference_tensor_mult_basis(h, i, j)
+    if isinstance(h, TruncatedEnveloping):
+        return reference_enveloping_mult_basis(h, i, j)
+    return reference_smash_mult_basis(h, i, j)
+
+
+def reference_mult_vec(h, u: Vec, v: Vec) -> Vec:
+    """u v in Fraction arithmetic over the dense reference products, taken
+    in row-major order of the basis pairs, so that the first pair that
+    leaves the budget raises."""
+    out = [Fraction(0)] * h.dim
+    for i, a in enumerate(u):
+        for j, b in enumerate(v):
+            if a and b:
+                for k, c in enumerate(reference_product(h, i, j)):
+                    out[k] += a * b * c
+    return out
+
+
+PRODUCT_CARRIERS = ["kC2", "H4", "H8", "T(2,4)", "T(3,3)", "U(aff1,4)", "smash:inv:kC2:kC4",
+                    "U(e,3)#kC2"]
+
+
+@pytest.mark.parametrize("name", PRODUCT_CARRIERS)
+def test_mult_basis_is_the_dense_form_of_mult_terms(name):
+    """Every basis product: mult_terms gives the reference product's
+    nonzero terms in ascending order, or its error, message and degrees
+    included, unraised; mult_basis is the dense form of mult_terms and
+    raises a fresh copy of that error."""
+    h = carrier(name)
+    errors = 0
+    for i in range(h.dim):
+        for j in range(h.dim):
+            want = budget_outcome(reference_product, h, i, j)
+            terms = h.mult_terms(i, j)
+            if isinstance(terms, OutOfBudgetError):
+                errors += 1
+                assert want == ("out of budget", str(terms), terms.degrees)
+                with pytest.raises(OutOfBudgetError) as raised:
+                    h.mult_basis(i, j)
+                assert raised.value is not terms
+            else:
+                assert [k for k, _ in terms] == sorted({k for k, _ in terms})
+                assert all(c for _, c in terms)
+                dense = zero_vec(h.dim)
+                for k, c in terms:
+                    dense[k] = c
+                assert dense == want
+            assert budget_outcome(h.mult_basis, i, j) == want
+    assert errors or isinstance(h, FinDimHopf) or name == "smash:inv:kC2:kC4"
+
+
+@st.composite
+def low_vectors(draw, h):
+    """A vector with pool coefficients on the first basis elements only;
+    the truncated carriers order their bases by degree, so a short support
+    keeps products within the budget."""
+    top = draw(st.integers(1, h.dim))
+    return draw(st.lists(coefficients, min_size=top, max_size=top)) + [ZERO] * (h.dim - top)
+
+
+@pytest.mark.parametrize("name", PRODUCT_CARRIERS)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_mult_vec_matches_dense_reference(name, data):
+    """mult_vec equals the dense Fraction reference, or raises its message
+    and degrees, those of the first basis pair that leaves the budget."""
+    h = carrier(name)
+    u, v = data.draw(low_vectors(h)), data.draw(low_vectors(h))
+    assert budget_outcome(h.mult_vec, u, v) == budget_outcome(reference_mult_vec, h, u, v)
+
+
+@pytest.mark.parametrize("name", PRODUCT_CARRIERS)
+def test_mult_vec_raises_at_the_first_pair_out_of_budget(name):
+    """The sum of all basis elements squared: every pair is nonzero, so the
+    first pair in row-major order that leaves the budget names the error."""
+    h = carrier(name)
+    ones = [ONE] * h.dim
+    assert budget_outcome(h.mult_vec, ones, ones) == budget_outcome(
+        reference_mult_vec, h, ones, ones)
 
 
 def mm_systems(budget):
