@@ -244,6 +244,18 @@ def run(argv=None) -> int:
     module, handler, _, _ = COMMANDS[args.command]
     try:
         body, summary = getattr(import_module(f".{module}", __package__), handler)(args)
+        report = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
+        if args.seed is not None:
+            report["seed"] = args.seed
+        text = json.dumps(report, sort_keys=True, indent=1) + "\n"
+        # written before stdout, so that a path that cannot be written is an
+        # input error whose report is the only one printed
+        if args.out:
+            try:
+                with open(args.out, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                raise InputError(f"cannot write --out {args.out}: {exc.strerror}")
     except InputError as exc:
         sys.stderr.write(f"error: {exc}\n")
         sys.stdout.write(json.dumps(
@@ -258,14 +270,7 @@ def run(argv=None) -> int:
              "witness": list(exc.witness)},
             sort_keys=True, indent=1) + "\n")
         return 1
-    report = {"schema_version": SCHEMA_VERSION, "command": args.command, **body}
-    if args.seed is not None:
-        report["seed"] = args.seed
-    text = json.dumps(report, sort_keys=True, indent=1) + "\n"
     sys.stdout.write(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
     sys.stderr.write(summary + "\n")
     return 0 if report["ok"] else 1
 

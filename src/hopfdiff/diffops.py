@@ -12,6 +12,18 @@ also takes a column table with unknown images; pairs whose evaluation
 would leave the degree budget are reported as skipped, never silently
 passed.
 
+On a finite Hopf algebra whose axioms pass, the difference identity is
+proven from generator rows: it is linear in x, and it holds at x = wg
+once it holds at x = w and x = g (the derivation is in
+:func:`_closure_verdict`), so checking x = 1 and each generator of
+:func:`hopfdiff.hopf.generating_rows` against every basis element y
+proves it on every pair.  :func:`is_diffop` is that verdict, stopping at
+the first failure, and phase 4 of the classification solver uses it.
+:func:`check_diffop` returns its DiffOp when it passes; on any failure it
+runs the full scan, so every report, witness and ``checked`` count is
+the full scan's.  Truncated carriers, column tables and algebras without
+a unit basis vector always take the full scan.
+
 The exhaustive coalgebra-map and difference-identity checks run on
 integer numerators: the carrier's integer structure table
 (:func:`hopfdiff.hopf.int_structure`) and the candidate's integer
@@ -38,10 +50,13 @@ from .hopf import (
     _copy,
     _stored,
     apply_cols,
+    axiom_report,
     basis_vec,
+    coalgebra_map_failures,
     coalgebra_map_report,
     convolve,
     convolve_columns,
+    generating_rows,
     int_columns,
     int_structure,
     is_cocommutative,
@@ -65,8 +80,11 @@ class DiffOp(Record):
         self.inverse = inverse
 
 
-def diff_identity_report(h, matrix: Mat) -> CheckReport:
-    """D(xy) = D(x1) x2 D(y) S(x3) on all basis pairs, skip-aware.
+def _identity_failures(h, scaled: IntColumns, rows):
+    """(i, j, None) for each pair at which D(xy) = D(x1) x2 D(y) S(x3)
+    fails and (i, j, message) for each skipped pair, over x = e_i for i in
+    rows and y = e_j for every j, in that order, for the integer columns
+    of D.
 
     Each pair's products are taken in the order the rational evaluation
     takes them: D(xy), then per term D(x1) x2, times D(y), times S(x3).
@@ -75,19 +93,16 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
     with that OutOfBudgetError message.
     """
     t = int_structure(h)
-    cols, den = int_columns(matrix)
+    cols, den = scaled
     n = h.dim
     # lhs carries den * mult_den, rhs den^2 * mult_den^3 * antipode_den * sweedler_den
     lhs_scale = den * t.mult_den ** 2 * t.antipode_den * t.sweedler_den
-    failures = []
-    skipped = []
-    checked = 0
     # right[m][k] is mult_den * e_k S(e_m), or the OutOfBudgetError that
     # forming it raises, filled on first read: mul(mid, S(e_m)) is the sum
     # of mid's rows, and reading them in mid's order meets the first error
     # mul would raise
     right = [[None] * n for _ in range(n)]
-    for i in range(n):
+    for i in rows:
         # D(t1) t2 does not depend on y; a budget error is kept and raised
         # again by mul only when the pair loop reaches that term
         terms = [(_attempt(t.mul, cols[t1], ((t2, 1),)), t3, w)
@@ -100,36 +115,40 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
                 for left, t3, w in terms:
                     mid = t.mul(left, cols[j])
                     s = _stored(t.antipode[t3])
-                    rows = right[t3]
+                    right_t3 = right[t3]
                     for k, x in mid:
-                        row = rows[k]
+                        row = right_t3[k]
                         if row is None:
-                            row = rows[k] = _attempt(t.mul, ((k, 1),), s)
+                            row = right_t3[k] = _attempt(t.mul, ((k, 1),), s)
                         if row.__class__ is OutOfBudgetError:
                             raise _copy(row)
                         wx = w * x
                         for r, y in row:
                             rhs[r] += wx * y
             except OutOfBudgetError as exc:
-                skipped.append((i, j, str(exc)))
+                yield i, j, str(exc)
                 continue
-            checked += 1
             if [(r, x * lhs_scale) for r, x in lhs] != [(r, x) for r, x in enumerate(rhs) if x]:
-                failures.append((i, j))
-    return CheckReport(not failures, failures, skipped, checked)
+                yield i, j, None
 
 
-def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
-    """The difference-operator verdict on a carrier, finite or truncated.
+def diff_identity_report(h, matrix: Mat) -> CheckReport:
+    """D(xy) = D(x1) x2 D(y) S(x3) on all basis pairs, skip-aware: a pair
+    that needs a product beyond a truncated carrier's budget, or an
+    unknown column, is skipped with that message (_identity_failures)."""
+    failures = []
+    skipped = []
+    for i, j, message in _identity_failures(h, int_columns(matrix), range(h.dim)):
+        if message is None:
+            failures.append((i, j))
+        else:
+            skipped.append((i, j, message))
+    return CheckReport(not failures, failures, skipped, h.dim ** 2 - len(skipped))
 
-    The candidate is a Mat, a LinMap, or a column table with None for an
-    unknown image; it is scaled to integer columns once, for both
-    exhaustive checks.  A matrix checked on every basis pair and passing
-    both comes back as a DiffOp.  Otherwise the report comes back, with
-    the coalgebra_map_report entries and then diff_identity_report's:
-    failures or honest partial coverage are data, not exceptions.  A
-    candidate that is not h.dim x h.dim raises ValueError.
-    """
+
+def _square(h, matrix_or_map):
+    """The matrix or column table of a candidate operator on h; one that is
+    not h.dim x h.dim raises ValueError."""
     matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
     if isinstance(matrix, Mat):
         shape = {matrix.rows, matrix.cols}
@@ -137,13 +156,94 @@ def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
         shape = {len(matrix)} | {len(c) for c in matrix if c is not None}
     if shape != {h.dim}:
         raise ValueError(f"a difference operator on {h.name} is a {h.dim} x {h.dim} matrix")
+    return matrix
+
+
+def _closure_rows(h):
+    """generating_rows(h) for a FinDimHopf whose Hopf axioms pass, else
+    None."""
+    if isinstance(h, FinDimHopf) and axiom_report(h).ok:
+        return generating_rows(h)
+    return None
+
+
+def _closure_verdict(h, matrix: Mat, scaled: IntColumns, rows) -> DiffOp | None:
+    """The DiffOp of matrix when it is a coalgebra map and the difference
+    identity holds on the closure rows, else None; both checks stop at
+    their first failure.
+
+    This proves the identity on every pair.  It is linear in x, and with
+    rows = generating_rows(h) the lemma stated there needs one step: if
+    it holds at x = w and x = g for every y, it holds at x = wg.  Write
+    Delta^2(x) = x1 (x) x2 (x) x3 for the iterated comultiplication.  By
+    associativity and w, then g,
+      D((wg)y) = D(w(gy)) = D(w1) w2 D(gy) S(w3)
+               = D(w1) w2 D(g1) g2 D(y) S(g3) S(w3).
+    Delta is multiplicative, so Delta^2(wg) = w1g1 (x) w2g2 (x) w3g3, and
+    by w at y = g1, coassociativity, the antipode S(w3) w4 = eps(w3) 1,
+    the counit, and S(ab) = S(b)S(a),
+      D(w1g1) w2g2 D(y) S(w3g3)
+          = D(w1) w2 D(g1) S(w3) w4 g2 D(y) S(w5 g3)
+          = D(w1) w2 D(g1) g2 D(y) S(g3) S(w3),
+    the same element.  Only the Hopf axioms of h, which _closure_rows
+    requires, are used; that D is a coalgebra map is not.
+    """
+    if next(coalgebra_map_failures(h, h, scaled), None) is not None:
+        return None
+    if next(_identity_failures(h, scaled, rows), None) is not None:
+        return None
+    return _verified(h, matrix)
+
+
+def is_diffop(h, matrix_or_map) -> DiffOp | None:
+    """The DiffOp of a Mat or LinMap that is a difference operator on h,
+    else None, stopping at the first failure.
+
+    On a FinDimHopf whose axiom_report passes and that has
+    generating_rows, the difference identity is read on those rows only
+    (_closure_verdict proves that this suffices); on any other carrier the
+    verdict is check_diffop's.
+    """
+    matrix = _square(h, matrix_or_map)
+    rows = _closure_rows(h)
+    if rows is None:
+        res = check_diffop(h, matrix)
+        return res if isinstance(res, DiffOp) else None
+    return _closure_verdict(h, matrix, int_columns(matrix), rows)
+
+
+def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
+    """The difference-operator verdict on a carrier, finite or truncated.
+
+    The candidate is a Mat, a LinMap, or a column table with None for an
+    unknown image; it is scaled to integer columns once, for every check.
+    A matrix that passes is_diffop's closure check comes back as a DiffOp
+    at once.  Otherwise both exhaustive checks run on every basis pair,
+    and a matrix passing both comes back as a DiffOp.  Otherwise the
+    report comes back, with the coalgebra_map_report entries and then
+    diff_identity_report's: failures or honest partial coverage are data,
+    not exceptions.  A candidate that is not h.dim x h.dim raises
+    ValueError.
+    """
+    matrix = _square(h, matrix_or_map)
     scaled = int_columns(matrix)
+    if isinstance(matrix, Mat):
+        rows = _closure_rows(h)
+        if rows is not None:
+            op = _closure_verdict(h, matrix, scaled, rows)
+            if op is not None:
+                return op
     co = coalgebra_map_report(h, h, scaled)
     ident = diff_identity_report(h, scaled)
     failures = co.failures + ident.failures
     skipped = co.skipped + ident.skipped
     if failures or skipped or not isinstance(matrix, Mat):
         return CheckReport(not failures, failures, skipped, ident.checked)
+    return _verified(h, matrix)
+
+
+def _verified(h, matrix: Mat) -> DiffOp:
+    """The DiffOp of a matrix proven to be a difference operator on h."""
     inv = invert(matrix)
     return DiffOp(LinMap(h, h, matrix), verified=True,
                   bijective=inv is not None, inverse=inv)

@@ -27,13 +27,24 @@ keep this rule: :func:`_combine`, the sum of c v over (c, v) pairs, and
 :func:`_apply_int`, the sum of c cols[i] over a sparse u.  Three sums
 stay dense accumulators, each because it measured faster so on a 2-core
 machine: :meth:`IntStructure.mul`, faster on a dimension-8 algebra
-(ROADMAP item 19 owns that choice); the right side of
-:func:`hopfdiff.diffops.diff_identity_report`, where a dict took the 36
-plan:H8 phase-4 candidates from 0.048 to 0.052 s (best of 11 passes);
-and the product inlined in the module-algebra loop of
-:func:`hopfdiff.actions.module_axiom_report`, which through ``mul`` and
-:func:`_combine` took ``free-lie mm-check --budget 7`` from 1.4 to
-2.3 s in process.
+(ROADMAP item 19 owns that choice); the right side of the
+difference-identity pair loop (``hopfdiff.diffops._identity_failures``),
+where a dict took the full reports of the 36 plan:H8 phase-4 candidates
+from 0.043 to 0.047 s (best of 11 passes; phase 4 itself reads closure
+rows and took 0.012 s with either); and the product inlined in the
+module-algebra loop of :func:`hopfdiff.actions.module_axiom_report`,
+which through ``mul`` and :func:`_combine` took ``free-lie mm-check
+--budget 7`` from 1.4 to 2.3 s in process.
+
+Identities that are linear in their first argument and hold for a
+product w g once they hold for w and for g are proven from generator
+rows: :func:`generating_rows` gives the unit and a generating set, found
+greedily and proven to span by ``int_echelon``, and a pass on those rows
+against every basis element is a proof for every row.
+:func:`validate_hopf` reads associativity and the bialgebra pairs this
+way, and :func:`hopfdiff.diffops.is_diffop` the difference identity.  A
+failure on the rows reruns the full scan, so every witness is the full
+scan's.
 
 The same basis-indexed interface (``mult_terms``, ``comult_triples``,
 ``counit_coeff``, ``antipode_basis``) is implemented by the
@@ -50,7 +61,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from itertools import compress, count, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import is_not
 from types import SimpleNamespace
 
@@ -479,6 +490,8 @@ class IntStructure:
 
     def __init__(self, h):
         self._sweedler = None
+        # False until generating_rows computes it, since None is a result
+        self._generating_rows = False
         n = self.dim = h.dim
         self.mult_den, flat = _int_terms(
             [h.mult_terms(i, j) for i in range(n) for j in range(n)])
@@ -546,6 +559,74 @@ def int_structure(h) -> IntStructure:
     if table is None:
         table = h._int_structure = IntStructure(h)
     return table
+
+
+def generating_rows(h) -> tuple | None:
+    """The index of the unit, then generators of h in basis order, or None.
+
+    The words are the unit and the left-normed products w g of a word w
+    and a generator g, each formed by IntStructure.mul.  A basis element
+    becomes a generator when it is not in the span of the words built so
+    far; the span is kept in reduced echelon form by int_echelon, one word
+    at a time, and each new word is multiplied by every generator.  The
+    result is None when the unit is not a basis vector with coefficient 1,
+    when a product leaves a truncated carrier's budget, or when the words
+    span less than all of h: the products are h's own, so a table that
+    fails the unit axiom can fall short.  No generating set is declared or
+    guessed.  Memoized on int_structure(h).
+
+    The closure verdicts (validate_hopf, hopfdiff.diffops.is_diffop) rest
+    on one lemma.  Let I(x, y) be an identity linear in x, and S the set
+    of x for which I(x, y) holds for every basis element y.  If every row
+    returned here is in S, and w, g in S implies w g in S, then every
+    word is in S by induction on its length, and the words span h, so S
+    is all of h.  Each verdict proves the step for its identity in its
+    own docstring.
+    """
+    t = int_structure(h)
+    if t._generating_rows is False:
+        t._generating_rows = _generating_rows(h, t)
+    return t._generating_rows
+
+
+def _generating_rows(h, t: IntStructure) -> tuple | None:
+    n = t.dim
+    den, (unit,) = _sparse_ints([h.unit_vec()])
+    if den != 1 or len(unit) != 1 or unit[0][1] != 1:
+        return None
+    if any(cell.__class__ is OutOfBudgetError for row in t.mult for cell in row):
+        return None
+    echelon: list = []
+
+    def grows(v) -> bool:
+        """Whether v is outside the span; a word that is joins it."""
+        nonlocal echelon
+        grown, pivots = int_echelon(echelon + [dict(v)], n)
+        if len(pivots) == len(echelon):
+            return False
+        echelon = grown
+        return True
+
+    grows(unit)
+    words = [unit]
+    rows = [unit[0][0]]
+    for b in range(n):
+        if len(echelon) == n:
+            break
+        if len(int_echelon(echelon + [{b: 1}], n)[1]) == len(echelon):
+            continue
+        rows.append(b)
+        # every word times the new generator, then every new word times
+        # every generator, until the span is closed under all of them
+        pending = [(w, b) for w in words]
+        for w, g in pending:
+            v = t.mul(w, ((g, 1),))
+            if grows(v):
+                div = gcd(*(m for _, m in v))
+                v = [(k, m // div) for k, m in v]
+                words.append(v)
+                pending.extend((v, g) for g in rows[1:])
+    return tuple(rows) if len(echelon) == n else None
 
 
 IntColumns = namedtuple("IntColumns", "cols den")
@@ -768,6 +849,21 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
     The checks run on the integer structure table; each side of an
     identity is compared after cross-multiplying by the denominators the
     other side carries.
+
+    Associativity and the bialgebra pairs are read first on the rows of
+    generating_rows(h) only: associativity once the unit axiom has
+    passed, the pairs once associativity, D(1) = 1 (x) 1 and eps(1) = 1
+    have.  A restricted pass proves the full one by the lemma stated
+    there; a restricted failure reruns the full scan, so the first witness
+    is the full scan's.  The steps, for w and a generator g in the set S
+    of rows x at which the identity holds for every y (and z):
+    - associativity, (xy)z = x(yz):
+      ((wg)y)z = (w(gy))z = w((gy)z) = w(g(yz)) = (wg)(yz),
+      by w, w, g and w in S; nothing else is used.
+    - the bialgebra pairs, D(xy) = D(x)D(y) and eps(xy) = eps(x)eps(y):
+      D((wg)y) = D(w(gy)) = D(w)D(gy) = D(w)(D(g)D(y)) = (D(w)D(g))D(y)
+      = D(wg)D(y), by associativity of H (so of H (x) H), w, g,
+      associativity and w; eps is the same with scalars.
     """
     report = AxiomReport()
     n = h.dim
@@ -785,15 +881,20 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
         if t.mul(unit, basis(j)) != one or t.mul(basis(j), unit) != one:
             fails.append((j,))
     report.record("unit", not fails, _first_witness(fails))
+    closure = None if fails else generating_rows(h)
 
-    fails = []
-    for i in range(n):
-        for j in range(n):
-            ij = t.mult[i][j]
-            for k in range(n):
-                if t.mul(ij, basis(k)) != t.mul(basis(i), t.mult[j][k]):
-                    fails.append((i, j, k))
-    report.record("associativity", not fails, _first_witness(fails))
+    def associativity_failures(rows):
+        for i in rows:
+            for j in range(n):
+                ij = t.mult[i][j]
+                for k in range(n):
+                    if t.mul(ij, basis(k)) != t.mul(basis(i), t.mult[j][k]):
+                        yield i, j, k
+
+    witness = _closure_witness(associativity_failures, closure, n)
+    report.record("associativity", witness is None, witness)
+    if witness is not None:
+        closure = None
 
     fails = []
     for k in range(n):
@@ -832,27 +933,31 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
         fails.append(("unit",))
     if sum(x * t.counit[k] for k, x in unit) != uden * ed:
         fails.append(("counit-of-unit",))
-    for i in range(n):
-        for j in range(n):
-            prod = t.mult[i][j]
-            # D(e_i e_j) carries md * cd, D(e_i) D(e_j) carries cd^2 md^2
-            lhs = {}
-            for k, x in prod:
-                for (a, b, c) in t.comult[k]:
-                    lhs[(a, b)] = lhs.get((a, b), 0) + x * c * cd * md
-            rhs: dict = {}
-            for (a, b, c) in t.comult[i]:
-                for (p, q, d) in t.comult[j]:
-                    for k1, x in t.mult[a][p]:
-                        cdx = c * d * x
-                        for k2, y in t.mult[b][q]:
-                            rhs[(k1, k2)] = rhs.get((k1, k2), 0) + cdx * y
-            if _nonzero(lhs) != _nonzero(rhs):
-                fails.append((i, j))
-                continue
-            if sum(x * t.counit[k] for k, x in prod) * ed != t.counit[i] * t.counit[j] * md:
-                fails.append((i, j))
-    report.record("bialgebra", not fails, _first_witness(fails))
+
+    def bialgebra_failures(rows):
+        for i in rows:
+            for j in range(n):
+                prod = t.mult[i][j]
+                # D(e_i e_j) carries md * cd, D(e_i) D(e_j) carries cd^2 md^2
+                lhs = {}
+                for k, x in prod:
+                    for (a, b, c) in t.comult[k]:
+                        lhs[(a, b)] = lhs.get((a, b), 0) + x * c * cd * md
+                rhs: dict = {}
+                for (a, b, c) in t.comult[i]:
+                    for (p, q, d) in t.comult[j]:
+                        for k1, x in t.mult[a][p]:
+                            cdx = c * d * x
+                            for k2, y in t.mult[b][q]:
+                                rhs[(k1, k2)] = rhs.get((k1, k2), 0) + cdx * y
+                if _nonzero(lhs) != _nonzero(rhs) or \
+                        sum(x * t.counit[k] for k, x in prod) * ed != \
+                        t.counit[i] * t.counit[j] * md:
+                    yield i, j
+
+    # a failure at the unit is the first witness whatever the pairs give
+    witness = fails[0] if fails else _closure_witness(bialgebra_failures, closure, n)
+    report.record("bialgebra", witness is None, witness)
 
     fails = []
     for k in range(n):
@@ -873,6 +978,19 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
 
 def _nonzero(d: dict) -> dict:
     return {k: v for k, v in d.items() if v}
+
+
+def _closure_witness(failures, rows, n: int):
+    """The first of failures(range(n)), or None when there is none.
+
+    failures(rows) yields the failing tuples of the given rows in order.
+    When rows is a closure set (generating_rows) and failures(rows)
+    yields nothing, the caller's lemma proves that failures(range(n))
+    yields nothing either, and it is not run.
+    """
+    if rows is not None and next(failures(rows), None) is None:
+        return None
+    return next(failures(range(n)), None)
 
 
 def axiom_report(h: FinDimHopf) -> AxiomReport:

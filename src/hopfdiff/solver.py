@@ -842,7 +842,7 @@ def _dedupe(eqs):
 def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> ClassificationResult:
     # imported here, so a process that only builds or exports a plan does
     # not compile the difference-operator layer
-    from .diffops import DiffOp, check_diffop
+    from .diffops import is_diffop
 
     plan.validate()
     h = plan.target
@@ -864,12 +864,12 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
             certificate = "partial"
             continue
         # phase 4: the engine only imposes necessary conditions, so the
-        # full exhaustive check is the arbiter for every candidate
+        # difference-operator verdict is the arbiter for every candidate
         verified = []
         for cols in ops:
-            res = check_diffop(h, Mat.from_cols(cols))
-            if isinstance(res, DiffOp):
-                verified.append(res)
+            op = is_diffop(h, Mat.from_cols(cols))
+            if op is not None:
+                verified.append(op)
         status = "complete" if verified else "empty"
         if bijective_only:
             verified = [op for op in verified if op.bijective]

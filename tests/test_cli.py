@@ -650,6 +650,16 @@ def test_out_flag_writes_identical_report(capsys, tmp_path):
     assert out.read_text() == captured.out
 
 
+def test_out_flag_naming_a_directory_exits_two(capsys, tmp_path):
+    """An --out path that cannot be written is an input error: its report
+    is the only JSON on stdout, and no traceback is raised."""
+    code, payload, err = invoke(capsys, "validate", "--algebra", "kC2", "--out", str(tmp_path))
+    assert code == 2
+    assert payload == {"schema_version": 1, "command": "validate", "ok": False,
+                       "error": f"cannot write --out {tmp_path}: Is a directory"}
+    assert err == f"error: {payload['error']}\n"
+
+
 def test_console_entry_point_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "hopfdiff", "validate", "--algebra", "kC2"],

@@ -4,6 +4,7 @@ import pytest
 
 from hopfdiff import catalog, formats
 from hopfdiff.actions import trivial_action
+from hopfdiff import diffops
 from hopfdiff.diffops import (
     CheckReport,
     DiffModuleBialgebra,
@@ -17,17 +18,23 @@ from hopfdiff.diffops import (
     diff_to_endo,
     endo_to_diff,
     extend_diff_smash,
+    is_diffop,
     monoid_table,
     restricts_to_group_diffop,
     rota_baxter_inverse,
     star,
 )
-from hopfdiff.exactlin import Mat, invert
+from hopfdiff.exactlin import Mat, invert, row_space_basis
 from hopfdiff.groups import check_group_diffop
 from hopfdiff.hopf import (
+    FinDimHopf,
     LinMap,
+    axiom_report,
     basis_vec,
+    coalgebra_map_report,
+    generating_rows,
     identity_map,
+    int_columns,
     is_algebra_hom,
     unit_counit_map,
     zero_vec,
@@ -448,3 +455,91 @@ def test_column_table_verdict_is_a_report(h4, make_map, failures):
     assert isinstance(res, CheckReport)
     assert (res.ok, res.failures, res.skipped, res.checked) == (not failures, failures, [], 16)
     assert isinstance(check_diffop(h4, m), DiffOp) is (not failures)
+
+
+# -- generator-closure verdicts: seeded faults ------------------------------------
+
+def word_span_rank(h, generators) -> int:
+    """The dimension of the span of the unit and the left-normed words in
+    the given basis elements, by repeated rational products."""
+    words = [h.unit_vec()]
+    frontier = list(words)
+    while frontier:
+        rank = len(row_space_basis(words))
+        fresh = []
+        for w in frontier:
+            for g in generators:
+                v = h.mult_vec(w, basis_vec(h.dim, g))
+                if len(row_space_basis(words + [v])) > rank:
+                    words.append(v)
+                    fresh.append(v)
+                    rank += 1
+        frontier = fresh
+    return len(row_space_basis(words))
+
+
+def test_generating_rows_of_h8_contain_z(h8):
+    rows = generating_rows(h8)
+    assert [h8.label(i) for i in rows] == ["1", "x", "y", "z"]
+    assert word_span_rank(h8, rows[1:]) == 8
+
+
+@pytest.mark.parametrize("name", ["D5", "D6", "D7", "D8"])
+def test_closure_without_z_would_accept_published_non_operators(h8, name):
+    """D5..D8 are coalgebra maps that fail the difference identity only
+    once x = z is checked.  The words in x and y span the 4-dimensional
+    group algebra, so a closure seeded without z, or one that skipped the
+    rank check, would accept them; the shipped rows contain z and refuse
+    them, and the full report gives the failure at (z, z)."""
+    (images,) = [t["images"] for t in catalog.build("expected:H8-bijective")
+                 if t["name"] == name]
+    m = Mat.from_cols(images)
+    scaled = int_columns(m)
+    assert coalgebra_map_report(h8, h8, m).ok
+    assert next(diffops._identity_failures(h8, scaled, (0, 1, 2)), None) is None
+    assert word_span_rank(h8, (1, 2)) == 4
+    assert next(diffops._identity_failures(h8, scaled, generating_rows(h8)), None) is not None
+    assert is_diffop(h8, m) is None
+    report = check_diffop(h8, m)
+    assert isinstance(report, CheckReport) and (4, 4) in report.failures
+
+
+def rebased(h: FinDimHopf, cols: list) -> FinDimHopf:
+    """h on the basis whose elements have the coordinate vectors cols."""
+    p_inv = invert(Mat.from_cols(cols))
+    n = h.dim
+    comult = []
+    for c in cols:
+        terms: dict = {}
+        for (i, j), x in h.comult_vec(c).items():
+            for a, y in enumerate(p_inv.col(i)):
+                for b, z in enumerate(p_inv.col(j)):
+                    if y and z:
+                        terms[(a, b)] = terms.get((a, b), 0) + x * y * z
+        comult.append([(a, b, x) for (a, b), x in terms.items() if x])
+    return FinDimHopf(f"{h.name}'", [f"b{k}" for k in range(n)],
+                      [[p_inv.apply(h.mult_vec(u, v)) for v in cols] for u in cols],
+                      p_inv.apply(h.unit_vec()), comult, [h.counit_vec(c) for c in cols],
+                      Mat.from_cols([p_inv.apply(h.antipode_vec(c)) for c in cols]))
+
+
+def test_a_unit_off_the_basis_runs_the_full_scan(h4, monkeypatch):
+    """H4 on the basis 1 + g, 1 - g, x, gx has the unit (b0 + b1) / 2, not
+    a basis vector, so there are no closure rows, and is_diffop takes the
+    full scan of check_diffop; on H4 itself it does not."""
+    n = h4.dim
+    e = [basis_vec(n, i) for i in range(n)]
+    h = rebased(h4, [[a + b for a, b in zip(e[0], e[1])], [a - b for a, b in zip(e[0], e[1])],
+                     e[2], e[3]])
+    assert axiom_report(h).ok
+    assert generating_rows(h) is None
+    scans = []
+    report = diffops.diff_identity_report
+    monkeypatch.setattr(diffops, "diff_identity_report",
+                        lambda *args: scans.append(args) or report(*args))
+    assert isinstance(is_diffop(h, unit_counit_map(h)), DiffOp)
+    assert len(scans) == 1
+    assert is_diffop(h, identity_map(h)) is None
+    assert len(scans) == 2
+    assert isinstance(is_diffop(h4, unit_counit_map(h4)), DiffOp)
+    assert len(scans) == 2

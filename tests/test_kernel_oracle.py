@@ -108,6 +108,17 @@ The table, both verdicts and every kS3 product must be equal.
 Three verdicts on sampled maps must agree: ``check_diffop``,
 ``check_diffop_prime`` and, on cocommutative carriers, whether D * id is
 an algebra map for a coalgebra map D.
+
+``validate_hopf`` as it was before it read associativity and the
+bialgebra pairs on generator rows is kept verbatim too, a scan of every
+basis tuple.  Every catalog algebra, and copies with one product or one
+comultiplication term changed away from the unit, so that the unit
+axiom holds and associativity or the bialgebra pairs fail, must give
+equal axiom reports, first witnesses included.  ``is_diffop``, which
+reads the difference identity on generator rows, must agree with
+``check_diffop`` and with the full reports on all 36 phase-4 candidates
+of plan:H8, and with the full reports on sampled maps S3 -> S3 lifted
+linearly.
 """
 
 import itertools
@@ -148,6 +159,7 @@ from hopfdiff.diffops import (
     check_diffop_prime,
     diff_identity_report,
     diff_to_endo,
+    is_diffop,
     monoid_table,
     star,
 )
@@ -181,6 +193,10 @@ from hopfdiff.hopf import (
     LinMap,
     OutOfBudgetError,
     Vec,
+    _combine,
+    _first_witness,
+    _nonzero,
+    _sparse_ints,
     algebra_map_failures,
     apply_cols,
     basis_vec,
@@ -1525,6 +1541,229 @@ def perturbed_algebras(draw):
 @given(h=perturbed_algebras())
 def test_validate_hopf_matches_reference_on_perturbed_algebras(h):
     assert validate_hopf(h).checks == reference_validate_hopf(h).checks
+
+
+# -- generator-closure verdicts against the full scans, kept verbatim -----------------
+
+def reference_scan_validate_hopf(h: FinDimHopf) -> AxiomReport:
+    """Check every Hopf axiom exhaustively on basis tuples.
+
+    The checks run on the integer structure table; each side of an
+    identity is compared after cross-multiplying by the denominators the
+    other side carries.
+    """
+    report = AxiomReport()
+    n = h.dim
+    t = int_structure(h)
+    md, cd, ed, ad = t.mult_den, t.comult_den, t.counit_den, t.antipode_den
+    uden, (unit,) = _sparse_ints([h.unit_vec()])
+
+    def basis(i):
+        return ((i, 1),)
+
+    fails = []
+    for j in range(n):
+        # unit e_j and e_j unit carry md * uden
+        one = [(j, md * uden)]
+        if t.mul(unit, basis(j)) != one or t.mul(basis(j), unit) != one:
+            fails.append((j,))
+    report.record("unit", not fails, _first_witness(fails))
+
+    fails = []
+    for i in range(n):
+        for j in range(n):
+            ij = t.mult[i][j]
+            for k in range(n):
+                if t.mul(ij, basis(k)) != t.mul(basis(i), t.mult[j][k]):
+                    fails.append((i, j, k))
+    report.record("associativity", not fails, _first_witness(fails))
+
+    fails = []
+    for k in range(n):
+        left: dict = {}
+        right: dict = {}
+        for (i, j, c) in t.comult[k]:
+            left[j] = left.get(j, 0) + c * t.counit[i]
+            right[i] = right.get(i, 0) + c * t.counit[j]
+        expected = {k: cd * ed}
+        if _nonzero(left) != expected or _nonzero(right) != expected:
+            fails.append((k,))
+    report.record("counit", not fails, _first_witness(fails))
+
+    fails = []
+    for k in range(n):
+        lhs: dict = {}
+        rhs: dict = {}
+        for (i, j, c) in t.comult[k]:
+            for (a, b, d) in t.comult[i]:
+                key = (a, b, j)
+                lhs[key] = lhs.get(key, 0) + c * d
+            for (a, b, d) in t.comult[j]:
+                key = (i, a, b)
+                rhs[key] = rhs.get(key, 0) + c * d
+        if _nonzero(lhs) != _nonzero(rhs):
+            fails.append((k,))
+    report.record("coassociativity", not fails, _first_witness(fails))
+
+    fails = []
+    # D(1) carries uden * cd, 1 (x) 1 carries uden^2
+    co_unit: dict = {}
+    for k, x in unit:
+        for (i, j, c) in t.comult[k]:
+            co_unit[(i, j)] = co_unit.get((i, j), 0) + x * c * uden
+    if _nonzero(co_unit) != {(a, b): x * y * cd for a, x in unit for b, y in unit}:
+        fails.append(("unit",))
+    if sum(x * t.counit[k] for k, x in unit) != uden * ed:
+        fails.append(("counit-of-unit",))
+    for i in range(n):
+        for j in range(n):
+            prod = t.mult[i][j]
+            # D(e_i e_j) carries md * cd, D(e_i) D(e_j) carries cd^2 md^2
+            lhs = {}
+            for k, x in prod:
+                for (a, b, c) in t.comult[k]:
+                    lhs[(a, b)] = lhs.get((a, b), 0) + x * c * cd * md
+            rhs: dict = {}
+            for (a, b, c) in t.comult[i]:
+                for (p, q, d) in t.comult[j]:
+                    for k1, x in t.mult[a][p]:
+                        cdx = c * d * x
+                        for k2, y in t.mult[b][q]:
+                            rhs[(k1, k2)] = rhs.get((k1, k2), 0) + cdx * y
+            if _nonzero(lhs) != _nonzero(rhs):
+                fails.append((i, j))
+                continue
+            if sum(x * t.counit[k] for k, x in prod) * ed != t.counit[i] * t.counit[j] * md:
+                fails.append((i, j))
+    report.record("bialgebra", not fails, _first_witness(fails))
+
+    fails = []
+    for k in range(n):
+        # S(e_i) e_j and e_i S(e_j) summed carry cd * ad * md, eps(e_k) 1
+        # carries ed * uden
+        terms = t.comult[k]
+        left = _combine((c, t.mul(t.antipode[i], basis(j))) for (i, j, c) in terms)
+        right = _combine((c, t.mul(basis(i), t.antipode[j])) for (i, j, c) in terms)
+        scale = t.counit[k] * cd * ad * md
+        expected = [(p, x * scale) for p, x in unit] if scale else []
+        if [(p, x * ed * uden) for p, x in left] != expected or \
+                [(p, x * ed * uden) for p, x in right] != expected:
+            fails.append((k,))
+    report.record("antipode", not fails, _first_witness(fails))
+
+    return report
+
+
+@st.composite
+def closure_perturbed_algebras(draw):
+    """A catalog algebra with one structure constant replaced, or one term
+    added, away from the unit: a product e_i e_j with neither factor the
+    unit, or the comultiplication of a basis element other than the unit.
+    The unit axiom and D(1) = 1 (x) 1 keep holding, so validate_hopf reads
+    associativity, and the bialgebra pairs when associativity holds, on the
+    closure rows first."""
+    h = catalog.build(draw(st.sampled_from(FINITE + ["kC2", "kC4", "kD4"])))
+    n = h.dim
+    u = h.unit.index(ONE)
+    mult = [[list(cell) for cell in row] for row in h.mult]
+    comult = [list(t) for t in h.comult]
+    other = st.sampled_from([i for i in range(n) if i != u])
+    c = draw(coefficients)
+    if draw(st.booleans()):
+        mult[draw(other)][draw(other)][draw(st.integers(0, n - 1))] = c
+    else:
+        index = st.integers(0, n - 1)
+        comult[draw(other)].append((draw(index), draw(index), c))
+    return FinDimHopf(h.name, h.basis, mult, h.unit, comult, h.counit, h.antipode,
+                      h.coradical_group_basis)
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=closure_perturbed_algebras())
+def test_validate_hopf_matches_full_scan_away_from_the_unit(h):
+    assert validate_hopf(h).checks == reference_scan_validate_hopf(h).checks
+
+
+def test_a_failing_closure_row_reruns_the_full_scan_for_the_first_witness():
+    """x y = xy is replaced by x y = 1 in H8, keeping the unit axiom, so
+    (x x) y = y but x (x y) = x: the closure row x fails, and the report
+    is the full scan's, whatever the draws of the property above."""
+    h = catalog.build("H8")
+    mult = [[list(cell) for cell in row] for row in h.mult]
+    mult[1][2] = basis_vec(8, 0)
+    bad = FinDimHopf("H8", h.basis, mult, h.unit, h.comult, h.counit, h.antipode,
+                     h.coradical_group_basis)
+    want = reference_scan_validate_hopf(bad).checks
+    assert validate_hopf(bad).checks == want
+    assert [(axiom, witness) for axiom, ok, witness in want if not ok][0] == (
+        "associativity", (1, 1, 2))
+
+
+def test_validate_hopf_matches_full_scan_on_catalog():
+    for name in catalog.names():
+        h = catalog.build(name)
+        if isinstance(h, FinDimHopf):
+            assert validate_hopf(h).checks == reference_scan_validate_hopf(h).checks, name
+
+
+def plan_h8_candidates(monkeypatch) -> list:
+    """The matrices that phase 4 of classify_diffops checks on plan:H8."""
+    from hopfdiff import diffops
+    from hopfdiff.solver import classify_diffops
+
+    seen = []
+    verdict = diffops.is_diffop
+
+    def spy(h, matrix):
+        seen.append(matrix)
+        return verdict(h, matrix)
+
+    monkeypatch.setattr(diffops, "is_diffop", spy)
+    classify_diffops(catalog.build("plan:H8"))
+    return seen
+
+
+def test_is_diffop_matches_check_diffop_on_plan_h8_candidates(monkeypatch):
+    h = catalog.build("H8")
+    candidates = plan_h8_candidates(monkeypatch)
+    assert len(candidates) == 36
+    passed = 0
+    for m in candidates:
+        op = is_diffop(h, m)
+        full = check_diffop(h, m)
+        assert (op is not None) == isinstance(full, DiffOp)
+        assert (op is not None) == (coalgebra_map_report(h, h, m).ok
+                                    and diff_identity_report(h, m).ok)
+        if op is not None:
+            assert op == full
+            passed += 1
+        else:
+            assert full == reference_check_diffop(h, m)
+    assert passed == 6
+
+
+@cache
+def endomorphism_images_of_s3() -> list:
+    """The basis images of the 10 difference operators of kS3."""
+    h = carrier("kS3")
+    return [[op.map.matrix.col(j).index(ONE) for j in range(h.dim)]
+            for op in all_diffops_on_group_algebra(h)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_is_diffop_matches_full_report_on_maps_of_s3(data):
+    """Maps S3 -> S3 lifted linearly: half the draws are arbitrary, half
+    are difference operators, so both verdicts are sampled."""
+    h = carrier("kS3")
+    if data.draw(st.booleans()):
+        images = data.draw(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    else:
+        images = data.draw(st.sampled_from(endomorphism_images_of_s3()))
+    m = Mat.from_cols([basis_vec(6, g) for g in images])
+    full = coalgebra_map_report(h, h, m).ok and diff_identity_report(h, m).ok
+    assert (is_diffop(h, m) is not None) == full
+    assert isinstance(check_diffop(h, m), DiffOp) == full
 
 
 # -- module-action axioms, algebra maps and the truncated convolution, kept verbatim --
