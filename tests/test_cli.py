@@ -891,6 +891,10 @@ REPORT_SHA256 = {
     "classify-diffops-kC4": (0, "659990f78a20353b84c17b65d2e5ebd2043ae6a3150a42acdeae5a1c90565069"),
     "classify-diffops-kC2": (0, "6ee36d573c583092cf9d7d808455af24f9dc4947d10d3824b7081b813d2cb334"),
     "classify-diffops-kC2xC2": (0, "ea0804de46490fe1cdc761e8f6f67241f36ed060d3ca4d49adbd6212ef74d518"),
+    "extend-smash-diff-ueps": (1, "c3052bd0a68f17b4af99531c2c5bf3d1ff82bfb663441defc250df34120a5607"),
+    "ckmm-mixed-b1": (0, "c3343f1694655f012c0ea8b856c431ceb7877e23c820f62bd07a5c39e3850983"),
+    "ckmm-mixed-b3": (0, "21c6bab78dc60777c2bb6bc60afb6168d4a2146c902d3d57d03ab07bb71259eb"),
+    "ckmm-mixed-b7": (0, "da4549c84f08c7a18b162cb7ce048e2da8a186887af69cd0cc43508a6f690f53"),
 }
 
 
@@ -945,6 +949,14 @@ REPORT_SHA256 = {
     # sparse accumulation
     ("mm-check-g3", ["free-lie", "mm-check", "--generators", "3", "--budget", "4"]),
     ("diffop-from-hom-b5", ["free-lie", "diffop-from-hom", "--budget", "5"]),
+    # an incompatible pair for the smash extension, and the mixed CKMM
+    # check at the budgets on either side of 4, recorded before the smash
+    # layer ran on integer tables
+    ("extend-smash-diff-ueps", ["extend-smash-diff", "--action", "action:inv:kC2:kC4",
+                                "--operator", "op:ueps:kC4", "--operator-k", "op:id:kC2"]),
+    ("ckmm-mixed-b1", ["free-lie", "ckmm-mixed", "--budget", "1"]),
+    ("ckmm-mixed-b3", ["free-lie", "ckmm-mixed", "--budget", "3"]),
+    ("ckmm-mixed-b7", ["free-lie", "ckmm-mixed", "--budget", "7"]),
 ])
 def test_action_reports_are_byte_identical(capsys, tmp_path, name, argv):
     """The exit code and full stdout of one run of every command, the
