@@ -19,16 +19,20 @@ The action layer runs on integer tables.  The two checkers read both
 carriers from :func:`hopfdiff.hopf.int_structure` and the action from
 its ``act_int``, compared cross-multiplied by the known denominators, so
 no ``Fraction`` is built inside their loops; the rational entry points
-``act_rational`` and ``act`` are read off the same engine.  Every report
-is identical to the one rational arithmetic gives.
+``act_rational`` and ``act`` are read off the same engine.  The smash
+builder forms its products, antipodes and graph vectors the same way,
+from the factors' tables and act_int, as sparse integer vectors over its
+pair index (:meth:`TruncatedSmash.pair`).  Every report is identical to
+the one rational arithmetic gives.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import filterfalse
 
-from .exactlin import Mat, ONE, Record, _rat_vec, in_span, rat, row_space_basis
+from .exactlin import Mat, Record, _rat_vec, in_span, rat, row_space_basis
 from .hopf import (
     AxiomReport,
     CarrierOps,
@@ -43,11 +47,12 @@ from .hopf import (
     _apply_int,
     _attempt,
     _combine,
+    _coproduct,
     _first_witness,
-    _nonzero,
     _rational_columns,
     _sparse_ints,
     _stored,
+    _tensor_sum,
     basis_vec,
     coalgebra_map_report,
     convolve,
@@ -344,19 +349,10 @@ def module_axiom_report(action: IntAction, axioms=MODULE_AXIOMS) -> CheckReport:
                         tk.counit[a] * th.counit[x] * den:
                     failures.append(("counit", a, x))
                     continue
-                lhs: dict = {}
-                for p, v in value:
-                    for (i, j, c) in th.comult[p]:
-                        lhs[(i, j)] = lhs.get((i, j), 0) + v * c
-                rhs: dict = {}
-                for a1, a2, c in aterms:
-                    for x1, x2, e in xterms:
-                        ce = c * e
-                        for p, v in values[a1][x1]:
-                            cev = ce * v
-                            for q, w in values[a2][x2]:
-                                rhs[(p, q)] = rhs.get((p, q), 0) + cev * w
-                if {key: v * scale for key, v in lhs.items() if v} != _nonzero(rhs):
+                lhs = _coproduct(th, value)
+                rhs = _tensor_sum((c * e, values[a1][x1], values[a2][x2])
+                                  for a1, a2, c in aterms for x1, x2, e in xterms)
+                if {key: v * scale for key, v in lhs.items()} != rhs:
                     failures.append(("comult", a, x))
             checked += skip(("bialgebra", a), done)
         return checked
@@ -600,12 +596,14 @@ class TruncatedSmash(CarrierOps):
                                    degrees=(self.degree(i), self.degree(j)))
         x, a = self.pairs[i]
         y, b = self.pairs[j]
-        out = zero_vec(self.dim)
-        for (a1, a2, c) in self.k.comult_triples(a):
-            acted = self.action.act_rational(a1, basis_vec(self.h.dim, y))
-            hpart = self.h.mult_vec(basis_vec(self.h.dim, x), acted)
-            smash_vec(self, hpart, self.k.mult_basis(a2, b), out, c)
-        return [(k, c) for k, c in enumerate(out) if c]
+        th, tk = int_structure(self.h), int_structure(self.k)
+        act_int = self.action.act_int
+        # x (a1 . y) # a2 b, factors in the rational order, so errors match
+        terms = _combine((c, self.pair(th.mul(((x, 1),), act_int(a1, ((y, 1),))),
+                                       _stored(tk.mult[a2][b])))
+                         for a1, a2, c in tk.comult[a])
+        den = tk.comult_den * th.mult_den * self.action.den * tk.mult_den
+        return [(p, Fraction(m, den)) for p, m in terms]
 
     def comult_triples(self, i: int):
         x, a = self.pairs[i]
@@ -619,32 +617,39 @@ class TruncatedSmash(CarrierOps):
 
     def antipode_basis(self, i: int) -> Vec:
         x, a = self.pairs[i]
-        out = zero_vec(self.dim)
-        sx = self.h.antipode_basis(x)
-        for (a1, a2, c) in self.k.comult_triples(a):
-            acted = self.action.act(self.k.antipode_basis(a1), sx)
-            smash_vec(self, acted, self.k.antipode_basis(a2), out, c)
+        th, tk = int_structure(self.h), int_structure(self.k)
+        act_int = self.action.act_int
+        sx = _stored(th.antipode[x])
+        # (S(a1) . S(x)) # S(a2)
+        terms = _combine((c, self.pair(_combine((s, act_int(p, sx))
+                                                for p, s in _stored(tk.antipode[a1])),
+                                       _stored(tk.antipode[a2])))
+                         for a1, a2, c in tk.comult[a])
+        den = th.antipode_den * tk.comult_den * tk.antipode_den ** 2 * self.action.den
+        return _rat_vec(terms, den, self.dim)
+
+    def pair(self, u, v) -> list:
+        """The sparse integer vector u # v over the pair index, for sparse
+        integer vectors u of H and v of K; a pair outside a truncated index
+        raises OutOfBudgetError."""
+        index = self.index
+        out = []
+        for x, p in u:
+            for a, q in v:
+                i = index.get((x, a))
+                if i is None:
+                    raise OutOfBudgetError("smash component out of budget")
+                out.append((i, p * q))
         return out
 
     def __repr__(self):
         return f"TruncatedSmash({self.name}, dim={self.dim})"
 
 
-def smash_vec(smash, hvec: Vec, kvec: Vec, out: Vec | None = None, scale=ONE) -> Vec:
-    """out += scale * hvec # kvec over the pair index of a smash builder,
-    into a fresh zero vector by default; a pair outside a truncated index
-    raises OutOfBudgetError."""
-    out = zero_vec(smash.dim) if out is None else out
-    for x, hv in enumerate(hvec):
-        if not hv:
-            continue
-        for a, kv in enumerate(kvec):
-            if kv:
-                idx = smash.index.get((x, a))
-                if idx is None:
-                    raise OutOfBudgetError("smash component out of budget")
-                out[idx] += scale * hv * kv
-    return out
+def smash_vec(smash, hvec: Vec, kvec: Vec) -> Vec:
+    """hvec # kvec over the pair index of a smash builder (see pair)."""
+    den, (u, v) = _sparse_ints([hvec, kvec])
+    return _rat_vec(smash.pair(u, v), den * den, smash.dim)
 
 
 def _validated_smash(action: IntAction) -> TruncatedSmash:
@@ -667,15 +672,13 @@ def smash_product(action: ActionData) -> TruncatedSmash:
 
 
 def graph_vector(k, cols, a: int, smash) -> Vec:
-    """pi(a1) # a2 for basis a of K and pi given by a column table; an
-    unknown column, or a pair outside a truncated index, raises
-    OutOfBudgetError."""
-    vec = zero_vec(smash.dim)
-    for (a1, a2, c) in k.comult_triples(a):
-        if cols[a1] is None:
-            raise OutOfBudgetError("image column unknown")
-        smash_vec(smash, cols[a1], basis_vec(k.dim, a2), vec, c)
-    return vec
+    """pi(a1) # a2 for basis a of K and pi given by a column table or its
+    IntColumns; an unknown column, or a pair outside a truncated index,
+    raises OutOfBudgetError."""
+    icols, den = int_columns(cols)
+    t = int_structure(k)
+    vec = _combine((c, smash.pair(_stored(icols[a1]), ((a2, 1),))) for a1, a2, c in t.comult[a])
+    return _rat_vec(vec, den * t.comult_den, smash.dim)
 
 
 class GraphResult(Record):
@@ -694,7 +697,7 @@ def graph_of(pi: LinMap, action: ActionData, smash=None) -> GraphResult:
     identity (graph characterization).  smash is the action's builder,
     built here by default."""
     smash = smash or TruncatedSmash(action)
-    cols = pi.columns()
+    cols = int_columns(pi.matrix)
     basis = row_space_basis([graph_vector(pi.domain, cols, a, smash)
                              for a in range(pi.domain.dim)])
     closed = True
@@ -724,7 +727,7 @@ def graph_hopf_iso(ch: CrossedHom, smash: TruncatedSmash | None = None):
         raise ValueError("verify the crossed homomorphism first")
     smash = smash or smash_product(action)
     nk = k.dim
-    cols = pi.columns()
+    cols = int_columns(pi.matrix)
     psi = LinMap(k, smash, Mat.from_cols([graph_vector(k, cols, a, smash) for a in range(nk)]))
 
     inv_cols = []

@@ -29,7 +29,10 @@ integer numerators: the carrier's integer structure table
 (:func:`hopfdiff.hopf.int_structure`) and the candidate's integer
 columns, compared cross-multiplied by their known denominators.  No
 ``Fraction`` is built inside their loops, and every report is identical
-to the one rational arithmetic gives.
+to the one rational arithmetic gives.  The Rota-Baxter check and the
+smash layer read the same tables, and the extension D(x # a) =
+D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2) of a compatible pair is the
+convolution F * S, F = D * id on each factor (:func:`smash_extension_columns`).
 """
 
 from __future__ import annotations
@@ -44,12 +47,13 @@ from .hopf import (
     IntColumns,
     LinMap,
     OutOfBudgetError,
-    _add_scaled,
     _apply_int,
     _attempt,
+    _combine,
     _copy,
+    _rational_columns,
+    _sparse_ints,
     _stored,
-    apply_cols,
     axiom_report,
     basis_vec,
     coalgebra_map_failures,
@@ -61,7 +65,6 @@ from .hopf import (
     int_structure,
     is_cocommutative,
     is_hopf_automorphism,
-    sweedler_expand,
     vec_add,
     vec_scale,
     zero_vec,
@@ -281,9 +284,9 @@ def endo_to_diff(h: FinDimHopf, f: LinMap) -> LinMap:
 
 # -- the monoid on integer operator forms ----------------------------------------
 
-def _operator_form(h, matrix: Mat) -> tuple[IntColumns, IntColumns]:
-    """(D, F) for an operator D with this matrix and F = D * id, both as
-    sparse integer columns."""
+def _operator_form(h, matrix) -> tuple[IntColumns, IntColumns]:
+    """(D, F) for an operator D with this matrix or column table and
+    F = D * id, both as sparse integer columns."""
     d = int_columns(matrix)
     return d, convolve_columns(h, h, d, IntColumns(tuple(((j, 1),) for j in range(h.dim)), 1))
 
@@ -431,20 +434,23 @@ def conjugate(h: FinDimHopf, sigma: LinMap, d: LinMap) -> DiffOp:
 
 
 def rota_baxter_identity_report(h, matrix: Mat) -> CheckReport:
-    """B(x)B(y) = B(x1 B(x2) y S(B(x3))) on all basis pairs."""
-    failures = []
+    """B(x)B(y) = B(x1 B(x2) y S(B(x3))) on all basis pairs, on the integer
+    structure table and B's integer columns, in that product order."""
+    t = int_structure(h)
+    cols, den = int_columns(matrix)
     n = h.dim
+    sb = [_apply_int(t.antipode, col) for col in cols]  # S(B(e_k))
+    # B(x)B(y) carries den^2 mult_den, each term sweedler_den mult_den^3
+    # antipode_den den^3
+    lhs_scale = t.sweedler_den * t.mult_den ** 2 * t.antipode_den * den
+    failures = []
     for i in range(n):
-        terms = sweedler_expand(h, basis_vec(n, i), 2).items()
+        terms = [(t.mul(((t1, 1),), cols[t2]), t3, w) for t1, t2, t3, w in t.sweedler3[i]]
         for j in range(n):
-            lhs = h.mult_vec(matrix.col(i), matrix.col(j))
-            rhs = zero_vec(n)
-            for (t1, t2, t3), c in terms:
-                inner = h.mult_vec(basis_vec(n, t1), matrix.col(t2))
-                inner = h.mult_vec(inner, basis_vec(n, j))
-                inner = h.mult_vec(inner, h.antipode_vec(matrix.col(t3)))
-                rhs = vec_add(rhs, vec_scale(c, matrix.apply(inner)))
-            if lhs != rhs:
+            lhs = t.mul(cols[i], cols[j])
+            rhs = _combine((w, _apply_int(cols, t.mul(t.mul(left, ((j, 1),)), sb[t3])))
+                           for left, t3, w in terms)
+            if [(p, v * lhs_scale) for p, v in lhs] != rhs:
                 failures.append((i, j))
     return CheckReport(not failures, failures, [], n * n)
 
@@ -482,28 +488,26 @@ class DiffModuleBialgebra(Record):
 
 
 def compatibility_failures(action, d_h, d_k) -> list:
-    """Label pairs (a, x) of a basis element of K and one of H at which
-    D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 fails, for the action
-    of K = action.acting on H = action.target.
+    """Label pairs (a, x), a before x, at which D_H(a1 . x1)(a2 . x2) =
+    D_K(a1) a2 . D_H(x1) x2 fails, for column tables d_h and d_k and a
+    module-bialgebra action of K = action.acting on H = action.target.
 
-    d_h and d_k are column tables.
+    With F = D * id (_operator_form) it reads F_H(a . x) = F_K(a) . F_H(x),
+    as D(a . x) = (a1 . x1) (x) (a2 . x2) for a module bialgebra.  Both
+    callers meet that: check_diff_module_bialgebra validates the action
+    first, and the sign action of ckmm-mixed is a module bialgebra.
     """
     h, k = action.target, action.acting
-    act = action.act_rational
+    (fh, fh_den), (fk, fk_den) = _operator_form(h, d_h)[1], _operator_form(k, d_k)[1]
+    values = action.basis_values()
     failures = []
     for a in range(k.dim):
+        fa = _stored(fk[a])
         for x in range(h.dim):
-            lhs = zero_vec(h.dim)
-            rhs = zero_vec(h.dim)
-            for (a1, a2, c) in k.comult_triples(a):
-                acting = k.mult_vec(d_k[a1], basis_vec(k.dim, a2))
-                for (x1, x2, e) in h.comult_triples(x):
-                    term = h.mult_vec(apply_cols(d_h, act(a1, basis_vec(h.dim, x1)), h.dim),
-                                      act(a2, basis_vec(h.dim, x2)))
-                    _add_scaled(lhs, c * e, term)
-                    moved = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
-                    _add_scaled(rhs, c * e, action.act(acting, moved))
-            if lhs != rhs:
+            # F_H(a . x) carries den * fh_den, F_K(a) . F_H(x) fk_den more
+            lhs = _apply_int(fh, _stored(values[a][x]))
+            rhs = _combine((c, action.act_int(b, _stored(fh[x]))) for b, c in fa)
+            if [(p, v * fk_den) for p, v in lhs] != rhs:
                 failures.append((k.label(a), h.label(x)))
     return failures
 
@@ -534,42 +538,49 @@ def check_diff_module_bialgebra(action, d_h: LinMap, d_k: LinMap
 def smash_extension_columns(action, d_h, d_k, smash) -> list:
     """The columns of D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2),
     one per pair (x, a) of the smash builder's index, in its order, for
-    the action of K = action.acting on H = action.target.
+    column tables d_h and d_k of a compatible pair (compatibility_failures)
+    of cocommutative factors; a column that leaves a budget is None.
 
-    d_h and d_k are column tables.
+    D is F * S, for F(x # a) = F_H(x) # F_K(a) and F = D * id on each
+    factor (_operator_form), a Hopf endomorphism.  F is then a unital
+    coalgebra map of H # K, and multiplicative: F_K being a coalgebra
+    map, F(x # a) F(y # b) = F_H(x)(F_K(a1) . F_H(y)) # F_K(a2) F_K(b),
+    which compatibility, F_H(a . y) = F_K(a) . F_H(y), makes
+    F(x(a1 . y) # a2 b).  So F * S is a difference operator on the
+    cocommutative H # K.  As S(x # 1) = S_H(x) # 1 and H # 1 is a
+    subalgebra, it maps x # 1 to (F_H * S_H)(x) # 1 = D_H(x) # 1, and
+    1 # a to 1 # D_K(a) alike.  These restrictions fix a difference
+    operator, since D(x # a) = D((x # 1)(1 # a)) =
+    D((x # 1)1) (x # 1)2 D(1 # a) S((x # 1)3), so F * S is the formula's.
     """
-    from .actions import smash_vec
+    _, (fh, fh_den) = _operator_form(action.target, d_h)
+    _, (fk, fk_den) = _operator_form(action.acting, d_k)
 
-    h, k = action.target, action.acting
-    sweedler = [sweedler_expand(h, basis_vec(h.dim, x), 2) for x in range(h.dim)]
-    cols = []
-    for (x, a) in smash.index:
-        col = zero_vec(smash.dim)
-        for (x1, x2, x3), c in sweedler[x].items():
-            base = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
-            for (a1, a2, e) in k.comult_triples(a):
-                hpart = h.mult_vec(base, action.act(d_k[a1], h.antipode_basis(x3)))
-                smash_vec(smash, hpart, d_k[a2], col, c * e)
-        cols.append(col)
-    return cols
+    def f(x: int, a: int) -> list:
+        return smash.pair(_stored(fh[x]), _stored(fk[a]))
+
+    t = int_structure(smash)
+    cols, den = convolve_columns(
+        smash, smash, IntColumns([_attempt(f, x, a) for x, a in smash.pairs], fh_den * fk_den),
+        IntColumns(t.antipode, t.antipode_den))
+    return _rational_columns(cols, den, smash.dim)
 
 
 def smash_restrictions(smash, cols, d_h, d_k) -> tuple[bool, bool]:
     """Whether the operator with column table cols on a smash builder has
     D(x # 1) = D_H(x) # 1 and D(1 # a) = 1 # D_K(a) on every basis x of H
     and a of K, for column tables d_h and d_k."""
-    from .actions import smash_vec
+    icols, den = int_columns(cols)
+    dh, dk = int_columns(d_h), int_columns(d_k)
+    _, (hunit, kunit) = _sparse_ints([smash.h.unit_vec(), smash.k.unit_vec()])
 
-    h, k = smash.h, smash.k
-    hunit, kunit = h.unit_vec(), k.unit_vec()
+    def same(u, v, w, z, wz_den: int) -> bool:
+        """D(u # v) == w # z, for w # z over wz_den times u # v's den."""
+        lhs = _apply_int(icols, smash.pair(u, v))
+        return [(p, m * wz_den) for p, m in lhs] == [(p, m * den) for p, m in smash.pair(w, z)]
 
-    def d(hvec, kvec):
-        return apply_cols(cols, smash_vec(smash, hvec, kvec), smash.dim)
-
-    return (all(d(basis_vec(h.dim, x), kunit) == smash_vec(smash, d_h[x], kunit)
-                for x in range(h.dim)),
-            all(d(hunit, basis_vec(k.dim, a)) == smash_vec(smash, hunit, d_k[a])
-                for a in range(k.dim)))
+    return (all(same(((x, 1),), kunit, dh.cols[x], kunit, dh.den) for x in range(smash.h.dim)),
+            all(same(hunit, ((a, 1),), hunit, dk.cols[a], dk.den) for a in range(smash.k.dim)))
 
 
 def extend_diff_smash(m: DiffModuleBialgebra) -> tuple["TruncatedSmash", DiffOp]:

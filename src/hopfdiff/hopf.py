@@ -24,7 +24,9 @@ is stored as its OutOfBudgetError, and a sum that needs it raises a fresh
 copy of it (:func:`_copy`) at the first term that needs it, reading no
 later term.  Every integer checker forms its sums by two helpers that
 keep this rule: :func:`_combine`, the sum of c v over (c, v) pairs, and
-:func:`_apply_int`, the sum of c cols[i] over a sparse u.  Three sums
+:func:`_apply_int`, the sum of c cols[i] over a sparse u; and every
+coproduct comparison by two more, :func:`_coproduct`, comult_den D(u)
+as {(i, j): m}, and :func:`_tensor_sum`, the sum of c u (x) v.  Three sums
 stay dense accumulators, each because it measured faster so on a 2-core
 machine: :meth:`IntStructure.mul`, faster on a dimension-8 algebra
 (ROADMAP item 19 owns that choice); the right side of the
@@ -464,6 +466,30 @@ def _apply_int(cols, u) -> list:
     return [(k, m) for k, m in sorted(acc.items()) if m]
 
 
+def _coproduct(t, u) -> dict:
+    """comult_den * D(u) as {(i, j): m}, no m zero, for a sparse integer
+    vector u and the integer structure table t of its carrier."""
+    acc: dict = {}
+    get = acc.get
+    for k, x in u:
+        for i, j, c in t.comult[k]:
+            acc[(i, j)] = get((i, j), 0) + x * c
+    return _nonzero(acc)
+
+
+def _tensor_sum(terms) -> dict:
+    """The sum c u (x) v over the triples (c, u, v) of terms, for sparse
+    integer vectors u and v, as {(p, q): m}, no m zero."""
+    acc: dict = {}
+    get = acc.get
+    for c, u, v in terms:
+        for p, x in u:
+            cx = c * x
+            for q, y in v:
+                acc[(p, q)] = get((p, q), 0) + cx * y
+    return _nonzero(acc)
+
+
 def _rational_columns(cols, den: int, n: int) -> list:
     """The rational n-vectors of sparse integer columns over den, None for
     a stored error."""
@@ -728,19 +754,10 @@ def coalgebra_map_failures(dom, cod, matrix):
         if unknown and any(i in unknown or j in unknown for (i, j, _) in src.comult[k]):
             yield k, "skipped"
             continue
-        lhs: dict = {}
-        for a, x in img:
-            for (p, q, c) in dst.comult[a]:
-                lhs[(p, q)] = lhs.get((p, q), 0) + x * c
-        rhs: dict = {}
-        for (i, j, c) in src.comult[k]:
-            for p, x in cols[i]:
-                cx = c * x
-                for q, y in cols[j]:
-                    rhs[(p, q)] = rhs.get((p, q), 0) + cx * y
-        lhs = {key: v * lhs_scale for key, v in lhs.items() if v}
-        rhs = {key: v * rhs_scale for key, v in rhs.items() if v}
-        if lhs != rhs:
+        lhs = _coproduct(dst, img)
+        rhs = _tensor_sum((c, cols[i], cols[j]) for (i, j, c) in src.comult[k])
+        if {key: v * lhs_scale for key, v in lhs.items()} != \
+                {key: v * rhs_scale for key, v in rhs.items()}:
             yield k, "coalgebra"
 
 
@@ -763,19 +780,6 @@ def coalgebra_map_report(dom, cod, matrix) -> CheckReport:
         elif ("coalgebra", k) not in failures[-1:]:
             failures.append(("coalgebra", k))
     return CheckReport(not failures, failures, skipped, dom.dim - len(skipped))
-
-
-def apply_cols(cols, u: Vec, dim: int) -> Vec:
-    """sum u_i cols[i] for a column table of dim-vectors; a None column
-    that u needs is an unknown image and raises OutOfBudgetError."""
-    out = zero_vec(dim)
-    for i, c in enumerate(u):
-        if not c:
-            continue
-        if cols[i] is None:
-            raise OutOfBudgetError("image column unknown")
-        _add_scaled(out, c, cols[i])
-    return out
 
 
 class CheckReport(Record):
@@ -898,13 +902,10 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
 
     fails = []
     for k in range(n):
-        left: dict = {}
-        right: dict = {}
-        for (i, j, c) in t.comult[k]:
-            left[j] = left.get(j, 0) + c * t.counit[i]
-            right[i] = right.get(i, 0) + c * t.counit[j]
-        expected = {k: cd * ed}
-        if _nonzero(left) != expected or _nonzero(right) != expected:
+        terms = t.comult[k]
+        expected = [(k, cd * ed)]
+        if _combine((c * t.counit[i], basis(j)) for (i, j, c) in terms) != expected or \
+                _combine((c * t.counit[j], basis(i)) for (i, j, c) in terms) != expected:
             fails.append((k,))
     report.record("counit", not fails, _first_witness(fails))
 
@@ -925,11 +926,8 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
 
     fails = []
     # D(1) carries uden * cd, 1 (x) 1 carries uden^2
-    co_unit: dict = {}
-    for k, x in unit:
-        for (i, j, c) in t.comult[k]:
-            co_unit[(i, j)] = co_unit.get((i, j), 0) + x * c * uden
-    if _nonzero(co_unit) != {(a, b): x * y * cd for a, x in unit for b, y in unit}:
+    if {key: v * uden for key, v in _coproduct(t, unit).items()} != \
+            _tensor_sum(((cd, unit, unit),)):
         fails.append(("unit",))
     if sum(x * t.counit[k] for k, x in unit) != uden * ed:
         fails.append(("counit-of-unit",))
@@ -939,18 +937,10 @@ def validate_hopf(h: FinDimHopf) -> AxiomReport:
             for j in range(n):
                 prod = t.mult[i][j]
                 # D(e_i e_j) carries md * cd, D(e_i) D(e_j) carries cd^2 md^2
-                lhs = {}
-                for k, x in prod:
-                    for (a, b, c) in t.comult[k]:
-                        lhs[(a, b)] = lhs.get((a, b), 0) + x * c * cd * md
-                rhs: dict = {}
-                for (a, b, c) in t.comult[i]:
-                    for (p, q, d) in t.comult[j]:
-                        for k1, x in t.mult[a][p]:
-                            cdx = c * d * x
-                            for k2, y in t.mult[b][q]:
-                                rhs[(k1, k2)] = rhs.get((k1, k2), 0) + cdx * y
-                if _nonzero(lhs) != _nonzero(rhs) or \
+                lhs = {key: v * cd * md for key, v in _coproduct(t, prod).items()}
+                rhs = _tensor_sum((c * d, t.mult[a][p], t.mult[b][q])
+                                  for (a, b, c) in t.comult[i] for (p, q, d) in t.comult[j])
+                if lhs != rhs or \
                         sum(x * t.counit[k] for k, x in prod) * ed != \
                         t.counit[i] * t.counit[j] * md:
                     yield i, j
@@ -1000,17 +990,6 @@ def axiom_report(h: FinDimHopf) -> AxiomReport:
     return h._axiom_report
 
 
-def _tensor_of(u: Vec, v: Vec) -> dict:
-    out = {}
-    for i, a in enumerate(u):
-        if not a:
-            continue
-        for j, b in enumerate(v):
-            if b:
-                out[(i, j)] = a * b
-    return out
-
-
 def is_cocommutative(h) -> bool:
     for k in range(h.dim):
         t = {(i, j): c for (i, j, c) in h.comult_triples(k)}
@@ -1022,9 +1001,14 @@ def is_cocommutative(h) -> bool:
 # -- distinguished elements --------------------------------------------------
 
 def is_grouplike(h: FinDimHopf, c: Vec) -> bool:
+    """eps(c) = 1 and D(c) = c (x) c, the second on integer tables: for c
+    over den, D(c) carries comult_den * den and c (x) c den^2."""
     if h.counit_vec(c) != ONE:
         return False
-    return h.comult_vec(c) == _tensor_of(c, c)
+    t = int_structure(h)
+    den, (u,) = _sparse_ints([c])
+    return {key: v * den for key, v in _coproduct(t, u).items()} == \
+        _tensor_sum(((t.comult_den, u, u),))
 
 
 class GrouplikeResult(Record):

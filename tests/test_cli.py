@@ -160,13 +160,15 @@ def test_rota_baxter(capsys, tmp_path):
 
 
 def test_rota_baxter_expands_each_basis_element_once(capsys, tmp_path, monkeypatch):
-    """The Rota-Baxter identity takes Delta^2(e_i) once per i, not once per
-    pair (i, j): 6 expansions on kS3, where 36 were made."""
-    from hopfdiff import diffops
+    """The rota-baxter command takes Delta^2(e_i) once per i, not once per
+    pair (i, j): 6 expansions on kS3, where 36 were made.  The Rota-Baxter
+    identity and the difference-operator check both read the carrier's
+    one Sweedler table."""
+    from hopfdiff import hopf
 
     op = export_entry(capsys, tmp_path, "op:inv:kS3", "inv.json")
     calls = []
-    _counting(monkeypatch, diffops, "sweedler_expand", calls)
+    _counting(monkeypatch, hopf, "sweedler_expand", calls)
     code, payload, _ = invoke(capsys, "rota-baxter", "--operator", op)
     assert code == 0 and payload["ok"]
     assert len(calls) == 6

@@ -197,8 +197,8 @@ from hopfdiff.hopf import (
     _first_witness,
     _nonzero,
     _sparse_ints,
+    _add_scaled,
     algebra_map_failures,
-    apply_cols,
     basis_vec,
     coalgebra_map_failures,
     coalgebra_map_report,
@@ -225,6 +225,20 @@ from sampling import COEFF_POOL, coalgebra_maps_for
 
 
 # -- rational references, kept verbatim -----------------------------------------
+
+def apply_cols(cols, u: Vec, dim: int) -> Vec:
+    """sum u_i cols[i] for a column table of dim-vectors; a None column
+    that u needs is an unknown image and raises OutOfBudgetError (the
+    deleted hopf.apply_cols, kept verbatim)."""
+    out = zero_vec(dim)
+    for i, c in enumerate(u):
+        if not c:
+            continue
+        if cols[i] is None:
+            raise OutOfBudgetError("image column unknown")
+        _add_scaled(out, c, cols[i])
+    return out
+
 
 def reference_coalgebra_hom_report(h, matrix: Mat) -> CheckReport:
     """Coalgebra-homomorphism check through the basis-indexed interface."""
@@ -2492,7 +2506,17 @@ def reference_smash_mult_basis(smash, i: int, j: int) -> Vec:
     for (a1, a2, c) in smash.k.comult_triples(a):
         acted = smash.action.act_rational(a1, basis_vec(smash.h.dim, y))
         hpart = smash.h.mult_vec(basis_vec(smash.h.dim, x), acted)
-        smash_vec(smash, hpart, smash.k.mult_basis(a2, b), cached, c)
+        # the old smash_vec accumulator: cached += c * hpart # (a2 b)
+        kvec = smash.k.mult_basis(a2, b)
+        for z, hv in enumerate(hpart):
+            if not hv:
+                continue
+            for d, kv in enumerate(kvec):
+                if kv:
+                    idx = smash.index.get((z, d))
+                    if idx is None:
+                        raise OutOfBudgetError("smash component out of budget")
+                    cached[idx] += c * hv * kv
     return cached
 
 
