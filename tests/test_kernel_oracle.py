@@ -145,8 +145,8 @@ from hopfdiff.actions import (
     derived_action,
     derived_module_structure,
     module_axiom_report,
+    graph_vector,
     smash_product,
-    smash_vec,
     trivial_action,
     validate_action,
 )
@@ -157,10 +157,14 @@ from hopfdiff.diffops import (
     all_diffops_on_group_algebra,
     check_diffop,
     check_diffop_prime,
+    compatibility_failures,
     diff_identity_report,
     diff_to_endo,
     is_diffop,
     monoid_table,
+    rota_baxter_identity_report,
+    smash_extension_columns,
+    smash_restrictions,
     star,
 )
 from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, rat, row_space_basis
@@ -2506,17 +2510,7 @@ def reference_smash_mult_basis(smash, i: int, j: int) -> Vec:
     for (a1, a2, c) in smash.k.comult_triples(a):
         acted = smash.action.act_rational(a1, basis_vec(smash.h.dim, y))
         hpart = smash.h.mult_vec(basis_vec(smash.h.dim, x), acted)
-        # the old smash_vec accumulator: cached += c * hpart # (a2 b)
-        kvec = smash.k.mult_basis(a2, b)
-        for z, hv in enumerate(hpart):
-            if not hv:
-                continue
-            for d, kv in enumerate(kvec):
-                if kv:
-                    idx = smash.index.get((z, d))
-                    if idx is None:
-                        raise OutOfBudgetError("smash component out of budget")
-                    cached[idx] += c * hv * kv
+        reference_smash_vec(smash, hpart, smash.k.mult_basis(a2, b), cached, c)
     return cached
 
 
@@ -2993,3 +2987,255 @@ def test_three_diffop_verdicts_agree(name, data):
     d = LinMap(h, h, m)
     if name in THREE_VERDICT_CARRIERS and is_coalgebra_hom(d):
         assert is_algebra_hom(diff_to_endo(h, d)) == verdict
+
+
+# -- the smash layer and the Rota-Baxter identity, kept verbatim -----------------
+
+def reference_smash_vec(smash, hvec: Vec, kvec: Vec, out: Vec | None = None, scale=ONE) -> Vec:
+    """out += scale * hvec # kvec over the pair index of a smash builder,
+    into a fresh zero vector by default; a pair outside a truncated index
+    raises OutOfBudgetError."""
+    out = zero_vec(smash.dim) if out is None else out
+    for x, hv in enumerate(hvec):
+        if not hv:
+            continue
+        for a, kv in enumerate(kvec):
+            if kv:
+                idx = smash.index.get((x, a))
+                if idx is None:
+                    raise OutOfBudgetError("smash component out of budget")
+                out[idx] += scale * hv * kv
+    return out
+
+
+def reference_smash_antipode_basis(smash, i: int) -> Vec:
+    """TruncatedSmash.antipode_basis in Fraction arithmetic."""
+    x, a = smash.pairs[i]
+    out = zero_vec(smash.dim)
+    sx = smash.h.antipode_basis(x)
+    for (a1, a2, c) in smash.k.comult_triples(a):
+        acted = smash.action.act(smash.k.antipode_basis(a1), sx)
+        reference_smash_vec(smash, acted, smash.k.antipode_basis(a2), out, c)
+    return out
+
+
+def reference_graph_vector(k, cols, a: int, smash) -> Vec:
+    """pi(a1) # a2 for basis a of K and pi given by a column table; an
+    unknown column, or a pair outside a truncated index, raises
+    OutOfBudgetError."""
+    vec = zero_vec(smash.dim)
+    for (a1, a2, c) in k.comult_triples(a):
+        if cols[a1] is None:
+            raise OutOfBudgetError("image column unknown")
+        reference_smash_vec(smash, cols[a1], basis_vec(k.dim, a2), vec, c)
+    return vec
+
+
+def reference_compatibility_failures(action, d_h, d_k) -> list:
+    """Label pairs (a, x) of a basis element of K and one of H at which
+    D_H(a1 . x1)(a2 . x2) = D_K(a1) a2 . D_H(x1) x2 fails, for the action
+    of K = action.acting on H = action.target.
+
+    d_h and d_k are column tables.
+    """
+    h, k = action.target, action.acting
+    act = action.act_rational
+    failures = []
+    for a in range(k.dim):
+        for x in range(h.dim):
+            lhs = zero_vec(h.dim)
+            rhs = zero_vec(h.dim)
+            for (a1, a2, c) in k.comult_triples(a):
+                acting = k.mult_vec(d_k[a1], basis_vec(k.dim, a2))
+                for (x1, x2, e) in h.comult_triples(x):
+                    term = h.mult_vec(apply_cols(d_h, act(a1, basis_vec(h.dim, x1)), h.dim),
+                                      act(a2, basis_vec(h.dim, x2)))
+                    _add_scaled(lhs, c * e, term)
+                    moved = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
+                    _add_scaled(rhs, c * e, action.act(acting, moved))
+            if lhs != rhs:
+                failures.append((k.label(a), h.label(x)))
+    return failures
+
+
+def reference_smash_extension_columns(action, d_h, d_k, smash) -> list:
+    """The columns of D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2),
+    one per pair (x, a) of the smash builder's index, in its order, for
+    the action of K = action.acting on H = action.target.
+
+    d_h and d_k are column tables.
+    """
+    h, k = action.target, action.acting
+    sweedler = [sweedler_expand(h, basis_vec(h.dim, x), 2) for x in range(h.dim)]
+    cols = []
+    for (x, a) in smash.index:
+        col = zero_vec(smash.dim)
+        for (x1, x2, x3), c in sweedler[x].items():
+            base = h.mult_vec(d_h[x1], basis_vec(h.dim, x2))
+            for (a1, a2, e) in k.comult_triples(a):
+                hpart = h.mult_vec(base, action.act(d_k[a1], h.antipode_basis(x3)))
+                reference_smash_vec(smash, hpart, d_k[a2], col, c * e)
+        cols.append(col)
+    return cols
+
+
+def reference_smash_restrictions(smash, cols, d_h, d_k) -> tuple[bool, bool]:
+    """Whether the operator with column table cols on a smash builder has
+    D(x # 1) = D_H(x) # 1 and D(1 # a) = 1 # D_K(a) on every basis x of H
+    and a of K, for column tables d_h and d_k."""
+    h, k = smash.h, smash.k
+    hunit, kunit = h.unit_vec(), k.unit_vec()
+
+    def d(hvec, kvec):
+        return apply_cols(cols, reference_smash_vec(smash, hvec, kvec), smash.dim)
+
+    return (all(d(basis_vec(h.dim, x), kunit) == reference_smash_vec(smash, d_h[x], kunit)
+                for x in range(h.dim)),
+            all(d(hunit, basis_vec(k.dim, a)) == reference_smash_vec(smash, hunit, d_k[a])
+                for a in range(k.dim)))
+
+
+def reference_rota_baxter_identity_report(h, matrix: Mat) -> CheckReport:
+    """B(x)B(y) = B(x1 B(x2) y S(B(x3))) on all basis pairs."""
+    failures = []
+    n = h.dim
+    for i in range(n):
+        terms = sweedler_expand(h, basis_vec(n, i), 2).items()
+        for j in range(n):
+            lhs = h.mult_vec(matrix.col(i), matrix.col(j))
+            rhs = zero_vec(n)
+            for (t1, t2, t3), c in terms:
+                inner = h.mult_vec(basis_vec(n, t1), matrix.col(t2))
+                inner = h.mult_vec(inner, basis_vec(n, j))
+                inner = h.mult_vec(inner, h.antipode_vec(matrix.col(t3)))
+                rhs = vec_add(rhs, vec_scale(c, matrix.apply(inner)))
+            if lhs != rhs:
+                failures.append((i, j))
+    return CheckReport(not failures, failures, [], n * n)
+
+
+def swap_action() -> ActionData:
+    """kC2 acting on kC2xC2 by the swap x <-> y of the generators."""
+    kc2, kv = catalog.build("kC2"), catalog.build("kC2xC2")
+    swap = [0, 2, 1, 3]
+    return ActionData(kc2, kv, [[basis_vec(4, x) for x in range(4)],
+                                [basis_vec(4, swap[x]) for x in range(4)]])
+
+
+# the module-bialgebra actions of the compatibility and extension oracle,
+# with the number of (D_H, D_K) pairs over every difference operator of
+# each factor and the number of compatible ones: 292 pairs, 266 compatible
+PAIR_ACTIONS = {
+    "inv:kC2:kC4": (lambda: catalog.build("action:inv:kC2:kC4"), 8, 6),
+    "trivial:kC2:kC4": (lambda: trivial_action(catalog.build("kC2"), catalog.build("kC4")),
+                        8, 8),
+    "trivial:kC2:kS3": (lambda: trivial_action(catalog.build("kC2"), catalog.build("kS3")),
+                        20, 20),
+    "trivial:kC2xC2:kC4": (lambda: trivial_action(catalog.build("kC2xC2"),
+                                                  catalog.build("kC4")), 64, 64),
+    "trivial:kC2xC2:kS3": (lambda: trivial_action(catalog.build("kC2xC2"),
+                                                  catalog.build("kS3")), 160, 160),
+    "swap:kC2:kC2xC2": (swap_action, 32, 8),
+}
+
+
+def group_diffop_columns(h) -> list:
+    """The column tables of every difference operator on a group algebra."""
+    return [op.map.columns() for op in all_diffops_on_group_algebra(h)]
+
+
+def assert_smash_builder_matches_reference(smash):
+    """Every product, antipode and the unit of a smash builder against the
+    Fraction references, an out-of-budget product by its message."""
+    n = smash.dim
+    for i in range(n):
+        assert smash.antipode_basis(i) == reference_smash_antipode_basis(smash, i)
+        for j in range(n):
+            assert outcome(smash.mult_basis, i, j) == \
+                outcome(reference_smash_mult_basis, smash, i, j)
+    assert smash.unit_vec() == reference_smash_vec(smash, smash.h.unit_vec(),
+                                                   smash.k.unit_vec())
+
+
+def assert_pair_matches_reference(action, smash, d_h, d_k) -> bool:
+    """The compatibility failures of a pair against the reference, and for a
+    compatible pair its extension columns and restriction verdicts, also on
+    the identity of the smash product; whether the pair is compatible."""
+    fails = compatibility_failures(action, d_h, d_k)
+    assert fails == reference_compatibility_failures(action, d_h, d_k)
+    identity = [basis_vec(smash.dim, i) for i in range(smash.dim)]
+    assert smash_restrictions(smash, identity, d_h, d_k) == \
+        reference_smash_restrictions(smash, identity, d_h, d_k)
+    if fails:
+        return False
+    cols = smash_extension_columns(action, d_h, d_k, smash)
+    assert cols == reference_smash_extension_columns(action, d_h, d_k, smash)
+    assert smash_restrictions(smash, cols, d_h, d_k) == \
+        reference_smash_restrictions(smash, cols, d_h, d_k) == (True, True)
+    return True
+
+
+@pytest.mark.parametrize("name", PAIR_ACTIONS)
+def test_smash_layer_matches_reference_on_every_pair(name):
+    """The smash builder, graph vectors of sampled column tables (one with
+    an unknown column), and every pair of difference operators of the two
+    factors through the compatibility check, the extension and its
+    restrictions, against the Fraction references."""
+    build, pairs, compatible = PAIR_ACTIONS[name]
+    action = build()
+    assert validate_action(action, require_bialgebra=True).ok
+    h, k = action.target, action.acting
+    smash = TruncatedSmash(action)
+    assert_smash_builder_matches_reference(smash)
+    rng = random.Random(name)
+    for unknown in (None, 1):
+        cols = [[rng.choice(COEFF_POOL) for _ in range(h.dim)] for _ in range(k.dim)]
+        if unknown is not None:
+            cols[unknown] = None
+        for a in range(k.dim):
+            assert outcome(graph_vector, k, cols, a, smash) == \
+                outcome(reference_graph_vector, k, cols, a, smash)
+    verdicts = [assert_pair_matches_reference(action, smash, d_h, d_k)
+                for d_h in group_diffop_columns(h) for d_k in group_diffop_columns(k)]
+    assert (len(verdicts), sum(verdicts)) == (pairs, compatible)
+
+
+@pytest.mark.parametrize("budget", range(1, 6))
+def test_smash_layer_matches_reference_on_the_sign_action(budget):
+    """The sign action of kC2 on U(e) at budgets 1-5: the truncated smash
+    builder, the compatible pair of ckmm-mixed (id on U(e), u o eps on
+    kC2) and the incompatible pair (id, id)."""
+    u_env = TruncatedEnveloping(FinLie.from_pairs(["e"], {}, "abelian1"), budget)
+    kc2 = catalog.build("kC2")
+    action = sign_action_on_enveloping(u_env, kc2)
+    smash = TruncatedSmash(action, budget)
+    assert_smash_builder_matches_reference(smash)
+    d_h = [basis_vec(u_env.dim, i) for i in range(u_env.dim)]
+    assert assert_pair_matches_reference(action, smash, d_h,
+                                         [basis_vec(2, 0), basis_vec(2, 0)])
+    assert not assert_pair_matches_reference(action, smash, d_h,
+                                             [basis_vec(2, 0), basis_vec(2, 1)])
+
+
+@pytest.mark.parametrize("name, failing, first", [
+    ("kS3", 18, [(1, 2), (1, 3)]),
+    ("H8", 24, [(1, 4)]),
+])
+def test_rota_baxter_report_matches_reference_where_the_identity_fails(name, failing, first):
+    """The identity map fails the Rota-Baxter identity, which no command
+    reaches: the whole report must be the reference's."""
+    h = catalog.build(name)
+    got = rota_baxter_identity_report(h, Mat.identity(h.dim))
+    assert got == reference_rota_baxter_identity_report(h, Mat.identity(h.dim))
+    assert (len(got.failures), got.checked) == (failing, h.dim ** 2)
+    assert got.failures[:len(first)] == first
+
+
+def test_rota_baxter_report_matches_reference_on_sampled_maps():
+    """The sampled maps of acceptance criterion 4, Rota-Baxter or not."""
+    rng = random.Random(20260809)
+    for name in ("kC2", "kC4", "kS3", "H4", "H8"):
+        h = catalog.build(name)
+        for m in coalgebra_maps_for(h, rng, 40):
+            assert rota_baxter_identity_report(h, m.matrix) == \
+                reference_rota_baxter_identity_report(h, m.matrix)
