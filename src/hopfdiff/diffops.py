@@ -542,16 +542,17 @@ def smash_extension_columns(action, d_h, d_k, smash) -> list:
     of cocommutative factors; a column that leaves a budget is None.
 
     D is F * S, for F(x # a) = F_H(x) # F_K(a) and F = D * id on each
-    factor (_operator_form), a Hopf endomorphism.  F is then a unital
-    coalgebra map of H # K, and multiplicative: F_K being a coalgebra
-    map, F(x # a) F(y # b) = F_H(x)(F_K(a1) . F_H(y)) # F_K(a2) F_K(b),
-    which compatibility, F_H(a . y) = F_K(a) . F_H(y), makes
-    F(x(a1 . y) # a2 b).  So F * S is a difference operator on the
-    cocommutative H # K.  As S(x # 1) = S_H(x) # 1 and H # 1 is a
-    subalgebra, it maps x # 1 to (F_H * S_H)(x) # 1 = D_H(x) # 1, and
-    1 # a to 1 # D_K(a) alike.  These restrictions fix a difference
-    operator, since D(x # a) = D((x # 1)(1 # a)) =
-    D((x # 1)1) (x # 1)2 D(1 # a) S((x # 1)3), so F * S is the formula's.
+    factor (_operator_form), a Hopf endomorphism of it.  So F is unital, a
+    coalgebra map of the tensor coalgebra H # K, and multiplicative: as
+    F_K is a coalgebra map, F(x # a) F(y # b) =
+    F_H(x)(F_K(a1) . F_H(y)) # F_K(a2) F_K(b), which compatibility,
+    F_H(a . y) = F_K(a) . F_H(y), makes F(x(a1 . y) # a2 b).  So F * S
+    is a difference operator on the cocommutative H # K.  As
+    S(x # 1) = S_H(x) # 1 and H # 1 is a subalgebra, it maps x # 1 to
+    (F_H * S_H)(x) # 1 = D_H(x) # 1, and 1 # a to 1 # D_K(a) alike.
+    These restrictions fix a difference operator, since D(x # a) =
+    D((x # 1)(1 # a)) = D((x # 1)1) (x # 1)2 D(1 # a) S((x # 1)3), so
+    F * S is the formula's.
     """
     _, (fh, fh_den) = _operator_form(action.target, d_h)
     _, (fk, fk_den) = _operator_form(action.acting, d_k)
