@@ -469,7 +469,12 @@ def _apply_int(cols, u) -> list:
 def _coproduct(t, u) -> dict:
     """comult_den * D(u) as {(i, j): m}, no m zero, for a sparse integer
     vector u and the integer structure table t of its carrier."""
-    return _tensor_sum((x * c, ((i, 1),), ((j, 1),)) for k, x in u for i, j, c in t.comult[k])
+    acc: dict = {}
+    get = acc.get
+    for k, x in u:
+        for i, j, c in t.comult[k]:
+            acc[(i, j)] = get((i, j), 0) + x * c
+    return _nonzero(acc)
 
 
 def _tensor_sum(terms) -> dict:
