@@ -65,9 +65,6 @@ from .hopf import (
     int_structure,
     is_cocommutative,
     is_hopf_automorphism,
-    vec_add,
-    vec_scale,
-    zero_vec,
 )
 
 
@@ -250,26 +247,6 @@ def _verified(h, matrix: Mat) -> DiffOp:
     inv = invert(matrix)
     return DiffOp(LinMap(h, h, matrix), verified=True,
                   bijective=inv is not None, inverse=inv)
-
-
-def check_diffop_prime(h, matrix_or_map) -> bool:
-    """The equivalent one-sided identity D(x1 y) x2 = D(x1) x2 D(y)."""
-    matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
-    if not coalgebra_map_report(h, h, matrix).ok:
-        return False
-    n = h.dim
-    for i in range(n):
-        for j in range(n):
-            lhs = zero_vec(n)
-            rhs = zero_vec(n)
-            for (x1, x2, c) in h.comult_triples(i):
-                left = matrix.apply(h.mult_basis(x1, j))
-                lhs = vec_add(lhs, vec_scale(c, h.mult_vec(left, basis_vec(n, x2))))
-                right = h.mult_vec(matrix.col(x1), basis_vec(n, x2))
-                rhs = vec_add(rhs, vec_scale(c, h.mult_vec(right, matrix.col(j))))
-            if lhs != rhs:
-                return False
-    return True
 
 
 def diff_to_endo(h: FinDimHopf, d: LinMap) -> LinMap:

@@ -288,21 +288,6 @@ class FinDimHopf(CarrierOps):
         return f"FinDimHopf({self.name!r}, dim={self.dim})"
 
 
-class Element(Record):
-    """An element of a fixed algebra, held as exact coordinates."""
-
-    _fields = ("algebra", "coords")
-
-    def __init__(self, algebra: FinDimHopf, coords: Vec):
-        if len(coords) != algebra.dim:
-            raise ValueError("coordinate length does not match basis size")
-        self.algebra = algebra
-        self.coords = [rat(c) for c in coords]
-
-    def __str__(self):
-        return self.algebra.element_str(self.coords)
-
-
 class LinMap(Record):
     """Linear map between algebras; column j is the image of basis j."""
 
@@ -349,10 +334,6 @@ def unit_counit_map(k: FinDimHopf, h: FinDimHopf | None = None) -> LinMap:
     h = h or k
     cols = [vec_scale(k.counit_coeff(j), h.unit_vec()) for j in range(k.dim)]
     return LinMap(k, h, Mat.from_cols(cols))
-
-
-def antipode_map(h: FinDimHopf) -> LinMap:
-    return LinMap(h, h, h.antipode)
 
 
 def convolve(f: LinMap, g: LinMap) -> LinMap:

@@ -30,7 +30,6 @@ from hopfdiff.diffops import (
     all_diffops_on_group_algebra,
     check_diff_module_bialgebra,
     check_diffop,
-    check_diffop_prime,
     ckmm_instance_check,
     diff_to_endo,
     extend_diff_smash,
@@ -53,6 +52,7 @@ from hopfdiff.solver import (
     verify_against_published,
 )
 
+from reference_diffops import check_diffop_prime
 from sampling import coalgebra_maps_for
 
 F = Fraction

@@ -7,6 +7,8 @@ from pathlib import Path
 import pytest
 
 from hopfdiff.cli import COMMANDS, run
+# the command line of each file option, shared with scripts/cli_matrix.py
+from cli_matrix import FILE_OPTIONS
 
 
 def invoke(capsys, *args):
@@ -569,20 +571,6 @@ def test_malformed_file_exits_two(capsys, tmp_path, entry, argv, corrupt):
     assert "Traceback" not in err
 
 
-# one command per file option, the unreadable input last; every other
-# catalog name after a flag is exported to a file first
-FILE_OPTIONS = {
-    "algebra": ["validate", "--algebra"],
-    "operator": ["check-diffop", "--operator"],
-    "operator-k": ["extend-smash-diff", "--action", "action:inv:kC2:kC4",
-                   "--operator", "op:id:kC4", "--operator-k"],
-    "action": ["smash", "--action"],
-    "plan": ["classify-diffops", "--plan"],
-    "expected": ["classify-diffops", "--plan", "plan:H4", "--expected"],
-    "phi": ["free-lie", "diffop-from-hom", "--phi"],
-}
-
-
 @pytest.mark.parametrize("option", FILE_OPTIONS)
 @pytest.mark.parametrize("kind, message", [
     ("directory", "cannot read {path}: Is a directory"),
@@ -596,8 +584,8 @@ def test_unreadable_input_file_exits_two(capsys, tmp_path, option, kind, message
         path.mkdir()
     else:
         path.write_bytes(b'\xff{"name": "H4"}')
-    argv = [export_entry(capsys, tmp_path, arg, arg.replace(":", "_") + ".json")
-            if ":" in arg else arg for arg in FILE_OPTIONS[option]]
+    argv = [export_entry(capsys, tmp_path, arg[:-len(".json")], arg.replace(":", "_"))
+            if arg.endswith(".json") else arg for arg in FILE_OPTIONS[option]]
     code, payload, err = invoke(capsys, *argv, str(path))
     assert code == 2
     assert payload["ok"] is False and payload["command"] == argv[0]

@@ -12,7 +12,6 @@ from hopfdiff.diffops import (
     all_diffops_on_group_algebra,
     check_diff_module_bialgebra,
     check_diffop,
-    check_diffop_prime,
     ckmm_instance_check,
     conjugate,
     diff_to_endo,
@@ -39,6 +38,8 @@ from hopfdiff.hopf import (
     unit_counit_map,
     zero_vec,
 )
+
+from reference_diffops import check_diffop_prime
 
 F = Fraction
 

@@ -173,7 +173,6 @@ from hopfdiff.diffops import (
     DiffOp,
     all_diffops_on_group_algebra,
     check_diffop,
-    check_diffop_prime,
     compatibility_failures,
     diff_identity_report,
     diff_to_endo,
@@ -241,6 +240,7 @@ from hopfdiff.hopf import (
     vec_sub,
     zero_vec,
 )
+from reference_diffops import check_diffop_prime
 from reference_linalg import reference_kernel, reference_row_reduce, reference_solve_affine
 from sampling import COEFF_POOL, coalgebra_maps_for
 

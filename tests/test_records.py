@@ -5,7 +5,6 @@ and validity checks, unhashable mutable records, and hashable immutable
 group maps and actions."""
 
 import inspect
-from fractions import Fraction
 
 import pytest
 
@@ -15,14 +14,12 @@ from hopfdiff.diffops import DiffModuleBialgebra, DiffOp
 from hopfdiff.exactlin import Mat
 from hopfdiff.truncated import LyndonBasis, TruncatedTensor
 from hopfdiff.groups import GroupAction, GroupMap, adjoint_action
-from hopfdiff.hopf import (AxiomReport, CheckReport, Element, GrouplikeResult,
-                           LinMap, identity_map)
+from hopfdiff.hopf import AxiomReport, CheckReport, GrouplikeResult, LinMap, identity_map
 from hopfdiff.lie import FinLie, LieAction, LieGraphResult
 from hopfdiff.solver import (BranchReport, ClassificationResult, GeneratorBlock,
                              PublishedDiff, SearchPlan)
 
 SIGNATURES = {
-    Element: ["algebra", "coords"],
     LinMap: ["domain", "codomain", "matrix"],
     CheckReport: ["ok", "failures", "skipped", "checked", "details"],
     AxiomReport: ["checks"],
@@ -71,8 +68,6 @@ def test_equal_fields_compare_equal_and_mutable_records_are_unhashable(h4):
          AxiomReport()),
         (GrouplikeResult([[1, 0]], True), GrouplikeResult([[1, 0]], True),
          GrouplikeResult([[1, 0]], False)),
-        (Element(h4, [1, 0, 0, 0]), Element(h4, [Fraction(1), 0, 0, 0]),
-         Element(h4, [0, 1, 0, 0])),
         (identity_map(h4), identity_map(h4), LinMap(h4, h4, Mat.zero(4, 4))),
     ]
     for x, y, z in pairs:
@@ -145,12 +140,4 @@ def test_shape_errors_still_raise(h4):
     with pytest.raises(ValueError):
         LinMap(h4, h4, Mat.identity(3))
     with pytest.raises(ValueError):
-        Element(h4, [1, 2])
-    with pytest.raises(ValueError):
         GroupMap(catalog.build("C2"), catalog.build("C2"), (0,))
-
-
-def test_element_coerces_coordinates(h4):
-    e = Element(h4, [1, "1/2", 0, 0])
-    assert e.coords == [Fraction(1), Fraction(1, 2), Fraction(0), Fraction(0)]
-    assert all(isinstance(c, Fraction) for c in e.coords)
