@@ -8,16 +8,19 @@ The search runs in four phases:
 2. for each restriction, the images of the scheduled generators are
    treated as exact affine unknowns and every counit / comultiplication
    constraint that is affine in them is solved immediately;
-3. the remaining polynomial constraints (the difference identity on all
-   basis pairs plus the quadratic comultiplication blocks) are reduced by
-   repeated exact linear elimination, then branched on the rational roots
-   that the equations force on one affine form at a time.  Over an
-   exponent-two coradical the characters order those forms, and the
-   solutions of q(p) = r over the group algebra that the character
-   transform gives are recorded, not used to solve.  A branch is partial
-   only when this engine stalls: no form is left whose roots are forced;
-4. every surviving candidate is re-verified by the full difference
-   operator check, and the bijective filter is applied last.
+3. the remaining polynomial constraints (the quadratic comultiplication
+   blocks, then the difference identity on every pair of a block generator
+   and a basis element) are reduced by repeated exact linear elimination,
+   then branched on the rational roots that the equations force on one
+   affine form at a time.  Over an exponent-two coradical the characters
+   order those forms, and the solutions of q(p) = r over the group algebra
+   that the character transform gives are recorded, not used to solve.  A
+   branch is partial only when this engine stalls: no form is left whose
+   roots are forced;
+4. every surviving candidate is re-verified by the difference-operator
+   verdict (:func:`hopfdiff.diffops.is_diffop`, which proves the identity
+   on every pair from the closure rows), and the bijective filter is
+   applied last.
 
 No step ever samples or rounds; a complete certificate means the listed
 operators are provably all of them.
@@ -234,12 +237,15 @@ def solve_quadratic_in_group_algebra(group: FinGroup, q_coeffs, r_vec) -> list[l
         if not roots:
             return []
         per_char.append(roots)
+    # every root as an integer over one common denominator, so that each
+    # entry p(g) = (1/n) sum_chi chi(g) root_chi is one Fraction
+    den = lcm(*(r.denominator for roots in per_char for r in roots))
+    per_char = [[r.numerator * (den // r.denominator) for r in roots] for roots in per_char]
+    signs = [[int(x) for x in chi] for chi in chars]
     out = []
-    inv_order = Fraction(1, n)
     for combo in itertools.product(*per_char):
-        p = [inv_order * sum(chars[c][g] * combo[c] for c in range(len(chars)))
-             for g in range(n)]
-        out.append(p)
+        out.append([Fraction(sum(chi[g] * x for chi, x in zip(signs, combo)), n * den)
+                    for g in range(n)])
     return out
 
 
@@ -417,17 +423,13 @@ class _PlanTables:
         return rows
 
     def diff_pairs(self):
-        """Basis pairs used for the phase-3 difference-identity
-        constraints: every pair touching the coradical, plus coset
-        elements against the scheduled generators.  These cover the
-        defining relations; phase 4 re-verifies all pairs regardless, so
-        a sparser necessary set here only costs extra candidates, never
-        completeness."""
+        """Basis pairs of the phase-3 difference-identity constraints: each
+        block generator c against every basis index j.  The other rows are
+        transports of these (_Branch.equations), so they add nothing to
+        the span; phase 4 (diffops.is_diffop, on the closure rows) is the
+        verdict on every candidate either way."""
         n = self.h.dim
-        gset = set(self.plan.grouplike_indices)
-        gens = {block.generator for block in self.plan.blocks}
-        return [(i, j) for i in range(n) for j in range(n)
-                if i in gset or j in gset or i in gens or j in gens]
+        return [(block.generator, j) for block in self.plan.blocks for j in range(n)]
 
     def sweedler_rows(self, i: int) -> list:
         """The third Sweedler power of basis element i grouped by its first
@@ -489,24 +491,48 @@ class _Branch:
         The counit and comultiplication constraints alone usually pin the
         candidate set; the symbolic difference-identity constraints are
         generated only when a first pass stays underdetermined, since
-        every candidate is re-verified exhaustively afterwards either way.
+        every candidate is re-verified by phase 4 afterwards either way.
+
+        Both stages are built on the rows of the block generators c only;
+        the rows of the other basis elements are transports of them.  Let
+        L_g(v) = D(g) g v S(g) for a group-like g.  On a branch D(g) is a
+        fixed group-like, so L_g is a constant linear map, invertible with
+        inverse v -> S(g) S(D(g)) v g.  The branch images give
+        D(g w) = L_g D(w) identically, for every basis w: for a group-like w
+        this is the group difference identity of D on G(H), which the
+        branch's restriction satisfies, and for w = h c' it is the coset
+        rule, since g h is group-like and L_(g h) = L_g L_h (the group
+        identity again, D(g h) g h = D(g) g D(h) h).  Write E_comult(b) for
+        Delta D(b) - (D (x) D) Delta b and E_diff(i, j) for
+        D(i j) - D(i1) i2 D(j) S(i3).  The group-likes are group-like in the
+        coproduct, Delta(g c) = (g (x) g) Delta c and
+        Delta^2(g c) = (g (x) g (x) g) Delta^2 c, so:
+
+        - E_comult(g c) = (L_g (x) L_g) E_comult(c), since
+          Delta L_g v = (L_g (x) L_g) Delta v and D(g c1) = L_g D(c1);
+        - E_diff(h c, j) = L_h E_diff(c, j), since D(h c j) = L_h D(c j) and
+          D(h c1) h c2 D(j) S(h c3) = L_h (D(c1) c2 D(j) S(c3));
+        - E_diff(g, j) = D(g j) - D(g) g D(j) S(g) = 0 identically.
+
+        Each coordinate of a dropped row is therefore a constant linear
+        combination of the coordinates of a kept row, so the kept rows span
+        the same space as all rows.  The search reads its equations only
+        through their reduction, which the span fixes up to the scale of
+        each row, and no step reads that scale; so every node, root and
+        solution is the same as on all rows.
         """
         t = self.tables.t
         n = self.h.dim
         cols, den = self.images
         eqs: list[dict] = []
-        gset = set(self.plan.grouplike_indices)
-        # counit constraints for the scheduled generators
         for block in self.plan.blocks:
+            b = block.generator
+            # the counit constraint
             acc: dict = {}
-            for k, form in enumerate(cols[block.generator]):
+            for k, form in enumerate(cols[b]):
                 _acc(acc, t.counit[k], form)
-            eqs.append(_equation(acc, 1, {(0, 0): den * t.counit[block.generator]}))
-        # comultiplication constraints for every non-coradical basis
-        # element, times comult_den * den^2
-        for b in range(n):
-            if b in gset:
-                continue
+            eqs.append(_equation(acc, 1, {(0, 0): den * t.counit[b]}))
+            # the comultiplication constraints, times comult_den * den^2
             lhs: dict = {}
             for k, form in enumerate(cols[b]):
                 if not form:

@@ -13,7 +13,9 @@ order, and every operator is re-verified by ``perfbench/checker.py``,
 which imports nothing from ``hopfdiff``.
 """
 
+import hashlib
 import importlib.util
+import json
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -22,6 +24,7 @@ import pytest
 
 from hopfdiff import catalog
 from hopfdiff.actions import TruncatedSmash, trivial_action
+from hopfdiff.cli import run
 from hopfdiff.exactlin import Mat
 from hopfdiff.formats import algebra_to_dict
 from hopfdiff.groups import coradical_group
@@ -191,3 +194,19 @@ def test_coalgebra_equations_are_built_once_per_branch(name, branches, second, m
     assert classify_diffops(plan).certificate == "complete"
     assert len(builds) == branches
     assert len(stages) == branches + second
+
+
+def test_h4_kc2xc2_classification_is_pinned(tmp_path, capsys):
+    """classify-diffops on H4 (x) kC2xC2 (dimension 16) with the derived
+    plan: 64 operators, complete.  The sha256 of the whole report was
+    recorded when every branch still built its constraints on every row;
+    building them on the block generators' rows must leave it unchanged."""
+    h = tensor(catalog.build("H4"), catalog.build("kC2xC2"))
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(algebra_to_dict(h)), encoding="utf-8")
+    assert run(["classify-diffops", "--algebra", str(path)]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out)
+    assert (report["operator_count"], report["certificate"]) == (64, "complete")
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "25d75a695b3b6e955e91148a7cab9b9fd8c99200504afeec0d32dc6725f0f040"
