@@ -25,7 +25,8 @@ from pathlib import Path
 
 from hopfdiff import catalog
 from hopfdiff.diffops import DiffOp, check_diffop
-from hopfdiff.hopf import FinDimHopf, unit_counit_map, validate_hopf
+from hopfdiff.hopf import FinDimHopf, validate_hopf
+from hopfdiff.maps import unit_counit_map
 
 FAMILIES = Path(__file__).resolve().parents[1] / "tests" / "test_solver_families.py"
 

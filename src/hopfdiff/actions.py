@@ -38,7 +38,6 @@ from .hopf import (
     CarrierOps,
     CheckReport,
     FinDimHopf,
-    IntColumns,
     InvalidAlgebraError,
     LinMap,
     OutOfBudgetError,
@@ -49,28 +48,23 @@ from .hopf import (
     _combine,
     _coproduct,
     _first_witness,
-    _rational_columns,
     _sparse_ints,
     _stored,
     _tensor_sum,
     basis_vec,
-    coalgebra_map_report,
-    convolve,
-    convolve_columns,
     grouplikes,
-    int_columns,
     int_structure,
-    is_algebra_hom,
-    is_coalgebra_hom,
     is_cocommutative,
     primitives,
-    unit_counit_map,
     validate_hopf,
     vec_add,
     vec_scale,
     vec_sub,
     zero_vec,
 )
+from .maps import (IntColumns, _rational_columns, coalgebra_map_report, convolve,
+                   convolve_columns, int_columns, is_algebra_hom, is_coalgebra_hom,
+                   unit_counit_map)
 
 
 class IntAction:

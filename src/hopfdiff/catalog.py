@@ -11,7 +11,7 @@ from fractions import Fraction
 
 from .exactlin import Mat, ONE, ZERO, rat
 from .hopf import FinDimHopf, LinMap, axiom_report, basis_vec, zero_vec
-from .groups import FinGroup, group_algebra
+from .fingroup import FinGroup, group_algebra
 
 HALF = Fraction(1, 2)
 
@@ -281,13 +281,13 @@ def expected_H8_bijective():
 # -- named operators ------------------------------------------------------------
 
 def build_op_ueps_H4() -> LinMap:
-    from .hopf import unit_counit_map
+    from .maps import unit_counit_map
 
     return unit_counit_map(build_H4())
 
 
 def build_op_id_H4() -> LinMap:
-    from .hopf import identity_map
+    from .maps import identity_map
 
     return identity_map(build_H4())
 
@@ -306,19 +306,19 @@ def build_op_inv_kS3() -> LinMap:
 
 
 def build_op_id_kC4() -> LinMap:
-    from .hopf import identity_map
+    from .maps import identity_map
 
     return identity_map(build_kC4())
 
 
 def build_op_id_kC2() -> LinMap:
-    from .hopf import identity_map
+    from .maps import identity_map
 
     return identity_map(build_kC2())
 
 
 def build_op_ueps_kC4() -> LinMap:
-    from .hopf import unit_counit_map
+    from .maps import unit_counit_map
 
     return unit_counit_map(build_kC4())
 

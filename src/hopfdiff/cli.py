@@ -213,14 +213,29 @@ COMMANDS = {
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser with every command name registered; only the subparser of
-    command gets its options, since a process runs one command."""
+    """The parser of a process that runs one command.
+
+    When command names a command, only its subparser is registered, with
+    its options.  Otherwise (--help, no command, an unknown name) every
+    command is registered, with no options.  Either way the top-level
+    usage lists every command.
+    """
     parser = argparse.ArgumentParser(
         prog="hopfdiff",
         description="Exact verification and classification of crossed "
                     "homomorphisms and difference operators on Hopf algebras.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, options, help_text) in COMMANDS.items():
+    if command in COMMANDS:
+        # argparse's own rendering of the full choice list; it is not set
+        # for the full table, where argparse would then name the argument
+        # by it, not by "command", in the error for an unknown name
+        sub = parser.add_subparsers(dest="command", required=True,
+                                    metavar="{" + ",".join(COMMANDS) + "}")
+        names = (command,)
+    else:
+        sub = parser.add_subparsers(dest="command", required=True)
+        names = COMMANDS
+    for name in names:
+        _, _, options, help_text = COMMANDS[name]
         # a command with no help text stays out of the top-level --help list
         p = sub.add_parser(name, **({} if help_text is None else {"help": help_text}))
         if name == command:

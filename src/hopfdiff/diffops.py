@@ -44,28 +44,22 @@ from .exactlin import Mat, ONE, ZERO, Record, invert
 from .hopf import (
     CheckReport,
     FinDimHopf,
-    IntColumns,
     LinMap,
     OutOfBudgetError,
     _apply_int,
     _attempt,
     _combine,
     _copy,
-    _rational_columns,
     _sparse_ints,
     _stored,
     axiom_report,
     basis_vec,
-    coalgebra_map_failures,
-    coalgebra_map_report,
-    convolve,
-    convolve_columns,
     generating_rows,
-    int_columns,
     int_structure,
     is_cocommutative,
-    is_hopf_automorphism,
 )
+from .maps import (IntColumns, _rational_columns, coalgebra_map_failures, coalgebra_map_report,
+                   convolve, convolve_columns, int_columns, is_hopf_automorphism)
 
 
 class DiffOp(Record):
@@ -586,7 +580,8 @@ def extend_diff_smash(m: DiffModuleBialgebra) -> tuple["TruncatedSmash", DiffOp]
 def restricts_to_group_diffop(h: FinDimHopf, d: LinMap):
     """The restriction of a difference operator to the declared group-like
     basis, as a group difference operator on G(H)."""
-    from .groups import GroupMap, check_group_diffop, coradical_group
+    from .fingroup import coradical_group
+    from .groups import GroupMap, check_group_diffop
 
     group, idxs, pos = coradical_group(h)
     images = []
@@ -609,7 +604,7 @@ def ckmm_instance_check(h: FinDimHopf, d: DiffOp) -> dict:
     from that restriction reproduces D exactly.  Truncated mixed
     instances are handled in :mod:`hopfdiff.freelie`.
     """
-    from .groups import coradical_group
+    from .fingroup import coradical_group
     from .hopf import primitives
 
     group, idxs, pos = coradical_group(h)
@@ -638,7 +633,8 @@ def ckmm_instance_check(h: FinDimHopf, d: DiffOp) -> dict:
 def all_diffops_on_group_algebra(h: FinDimHopf) -> list[DiffOp]:
     """Every difference operator on a group algebra, through the group
     bijection with endomorphisms; each lift is re-verified."""
-    from .groups import coradical_group, diffop_from_endo, enumerate_endos
+    from .fingroup import coradical_group
+    from .groups import diffop_from_endo, enumerate_endos
 
     group, idxs, pos = coradical_group(h)
     if group.order != h.dim:

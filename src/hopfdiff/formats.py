@@ -9,12 +9,11 @@ they were computed against.
 
 from __future__ import annotations
 
-import hashlib
 import json
 
 from .exactlin import Mat, rat, rat_str
 from .hopf import FinDimHopf, LinMap
-from .groups import FinGroup
+from .fingroup import FinGroup
 
 
 # the class name of an object that a catalog export writes -> (its kind, the
@@ -78,6 +77,8 @@ def algebra_from_dict(data: dict) -> FinDimHopf:
                            "antipode", "coradical_group_basis"}, "algebra")
     _require(data, {"name", "basis", "unit", "counit", "mult", "comult", "antipode"},
              "algebra")
+    if not all(isinstance(label, str) for label in data["basis"]):
+        raise ValueError("basis labels must be strings")
     antipode = Mat.from_rows([[rat(c) for c in row] for row in data["antipode"]])
     comult = [[(int(i), int(j), rat(c)) for (i, j, c) in triples]
               for triples in data["comult"]]
@@ -93,6 +94,10 @@ def algebra_from_dict(data: dict) -> FinDimHopf:
 
 
 def algebra_hash(h: FinDimHopf) -> str:
+    # imported here: hashlib loads OpenSSL, and only the paths that write or
+    # check a content hash need it
+    import hashlib
+
     return hashlib.sha256(canonical_json(algebra_to_dict(h)).encode()).hexdigest()
 
 

@@ -31,20 +31,14 @@ from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, crossed_h
 from .exactlin import Mat, ONE, _rat_vec, in_span, int_echelon, invert, rat, row_space_basis
 from .hopf import (
     CheckReport,
-    IntColumns,
     OutOfBudgetError,
     Vec,
     _apply_int,
     _attempt,
     _combine,
-    _rational_columns,
     _sparse_ints,
     _stored,
-    algebra_map_failures,
     basis_vec,
-    coalgebra_map_report,
-    convolve_columns,
-    int_columns,
     int_structure,
     primitives,
     vec_add,
@@ -52,6 +46,8 @@ from .hopf import (
     vec_sub,
     zero_vec,
 )
+from .maps import (IntColumns, _rational_columns, algebra_map_failures, coalgebra_map_report,
+                   convolve_columns, int_columns)
 from .truncated import (TruncatedEnveloping, TruncatedTensor, bracket_expansion, graded_dims,
                         lyndon_words, standard_factorization)
 

@@ -6,16 +6,17 @@ rationals, together with an optional declared group-algebra coradical.
 All axioms can be verified exhaustively on basis tuples; every verdict
 is exact.
 
-Convolution and the algebra-map and coalgebra-map checks run on integer
-numerators: a carrier's structure constants are scaled once to integers
-over one shared denominator per table (:func:`int_structure`, memoized
-on the carrier), and a map's matrix to integer columns over the lcm of
-its denominators (:func:`int_columns`).  Comparisons are cross-multiplied by the known
-denominators, and ``Fraction`` values are built only for returned
-matrices (:func:`_rational_columns`), so every result is identical to
-rational arithmetic.  The action layer (:mod:`hopfdiff.actions`,
-:mod:`hopfdiff.freelie`) and :mod:`hopfdiff.diffops` run on these
-integer tables too.
+The axiom checks run on integer numerators: a carrier's structure
+constants are scaled once to integers over one shared denominator per
+table (:func:`int_structure`, memoized on the carrier, each table built
+on first read), and comparisons are cross-multiplied by the known
+denominators, so every verdict is identical to rational arithmetic.
+Convolution and the algebra-map and coalgebra-map checks, the
+map-level code that only the operator and action layers run, live in
+:mod:`hopfdiff.maps` on the same tables, so a command that only resolves
+and checks an algebra does not compile them.  The action layer
+(:mod:`hopfdiff.actions`, :mod:`hopfdiff.freelie`) and
+:mod:`hopfdiff.diffops` run on these integer tables too.
 
 A sparse integer vector is a sequence of pairs (k, m) in ascending k
 with no m zero.  In a table of such vectors, an entry that could not be
@@ -54,21 +55,18 @@ degree-truncated carriers in :mod:`hopfdiff.truncated` and by the smash
 builder in :mod:`hopfdiff.actions`.  ``mult_terms``, the one product a
 carrier implements, returns the :class:`OutOfBudgetError` of a product
 beyond a truncated carrier's budget unraised, and exhaustive checks turn
-it into an explicit skip entry rather than a silent pass.  A map given by
-a column table may leave columns unknown (None); checks skip and record
-what needs them.  Every checker returns a :class:`CheckReport`.
+it into an explicit skip entry rather than a silent pass.  Every
+skip-aware checker returns a :class:`CheckReport`.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
 from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import is_not
 from types import SimpleNamespace
 
-from .exactlin import (Mat, ONE, Rat, Record, ZERO, _rat_vec, int_echelon, int_kernel, invert, rat,
-                       rat_str)
+from .exactlin import Mat, ONE, Rat, Record, ZERO, int_echelon, int_kernel, rat, rat_str
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -325,26 +323,6 @@ class LinMap(Record):
         )
 
 
-def identity_map(h: FinDimHopf) -> LinMap:
-    return LinMap(h, h, Mat.identity(h.dim))
-
-
-def unit_counit_map(k: FinDimHopf, h: FinDimHopf | None = None) -> LinMap:
-    """u o eps : K -> H, the convolution unit."""
-    h = h or k
-    cols = [vec_scale(k.counit_coeff(j), h.unit_vec()) for j in range(k.dim)]
-    return LinMap(k, h, Mat.from_cols(cols))
-
-
-def convolve(f: LinMap, g: LinMap) -> LinMap:
-    """Convolution product: x -> f(x1) g(x2)."""
-    if f.domain is not g.domain or f.codomain is not g.codomain:
-        raise ValueError("convolution needs equal domains and codomains")
-    dom, cod = f.domain, f.codomain
-    cols, den = convolve_columns(dom, cod, f.matrix, g.matrix)
-    return LinMap(dom, cod, Mat.from_cols(_rational_columns(map(_stored, cols), den, cod.dim)))
-
-
 def sweedler_expand(h, x_coords: Vec, n: int) -> dict:
     """Iterated comultiplication as a sparse rank-(n+1) tensor.
 
@@ -471,10 +449,23 @@ def _tensor_sum(terms) -> dict:
     return _nonzero(acc)
 
 
-def _rational_columns(cols, den: int, n: int) -> list:
-    """The rational n-vectors of sparse integer columns over den, None for
-    a stored error."""
-    return [None if c.__class__ is OutOfBudgetError else _rat_vec(c, den, n) for c in cols]
+class _BuiltOnRead:
+    """A table of an IntStructure, built on first read.  build(t) stores
+    the table and its denominator in t's instance dict; this descriptor
+    has no __set__, so every later read finds them there and never comes
+    here."""
+
+    def __init__(self, build):
+        self.build = build
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, t, owner=None):
+        if t is None:
+            return self
+        self.build(t)
+        return t.__dict__[self.name]
 
 
 class IntStructure:
@@ -490,21 +481,20 @@ class IntStructure:
     comult[k]    -- triples (i, j, c) of comult_den * D(basis k)
     counit[i]    -- counit_den * eps(basis i)
     sweedler3[i] -- terms (t1, t2, t3, w) of sweedler_den * D^2(basis i),
-                    in sweedler_expand order; only the difference-identity
-                    check and the solver read it, so it is built on first
-                    read
+                    in sweedler_expand order
+
+    The comultiplication and counit tables are built at once.  The
+    others, each with its denominator, are built on first read: the
+    skew-primitive and group-like checks read only the comultiplication,
+    and only the difference-identity check and the solver read D^2.
     """
 
     def __init__(self, h):
-        self._sweedler = None
+        # the carrier, until the product and antipode tables are built
+        self._carrier = h
         # False until generating_rows computes it, since None is a result
         self._generating_rows = False
         n = self.dim = h.dim
-        self.mult_den, flat = _int_terms(
-            [h.mult_terms(i, j) for i in range(n) for j in range(n)])
-        self.mult = [flat[i * n:(i + 1) * n] for i in range(n)]
-        self.antipode_den, self.antipode = _sparse_ints(
-            [_attempt(h.antipode_basis, j) for j in range(n)])
         comult = self._comult_triples = [h.comult_triples(k) for k in range(n)]
         self.comult_den = lcm(1, *(c.denominator for t in comult for (_, _, c) in t))
         self.comult = [tuple((i, j, _num(c, self.comult_den)) for (i, j, c) in t)
@@ -513,26 +503,40 @@ class IntStructure:
         self.counit_den = lcm(1, *(c.denominator for c in counit))
         self.counit = [_num(c, self.counit_den) for c in counit]
 
-    def _sweedler_table(self) -> tuple[int, list]:
-        if self._sweedler is None:
-            # sweedler_expand reads only comult_triples; the table keeps the
-            # triples, not the carrier that holds the table, so that no
-            # reference cycle keeps a carrier alive after its last use
-            n = self.dim
-            coalgebra = SimpleNamespace(comult_triples=self._comult_triples.__getitem__)
-            sweedler = [sweedler_expand(coalgebra, basis_vec(n, i), 2) for i in range(n)]
-            den = lcm(1, *(w.denominator for s in sweedler for w in s.values()))
-            self._sweedler = den, [tuple((*t, _num(w, den)) for t, w in s.items())
-                                   for s in sweedler]
-        return self._sweedler
+    def _build_products(self):
+        n, h = self.dim, self._carrier
+        self.mult_den, flat = _int_terms(
+            [h.mult_terms(i, j) for i in range(n) for j in range(n)])
+        self.mult = [flat[i * n:(i + 1) * n] for i in range(n)]
+        self._drop_carrier()
 
-    @property
-    def sweedler_den(self) -> int:
-        return self._sweedler_table()[0]
+    def _build_antipode(self):
+        self.antipode_den, self.antipode = _sparse_ints(
+            [_attempt(self._carrier.antipode_basis, j) for j in range(self.dim)])
+        self._drop_carrier()
 
-    @property
-    def sweedler3(self) -> list:
-        return self._sweedler_table()[1]
+    def _drop_carrier(self):
+        # once both tables that read it are built, the table holds no
+        # reference to the carrier that holds the table, so that no
+        # reference cycle keeps a carrier alive after its last use
+        if "mult" in self.__dict__ and "antipode" in self.__dict__:
+            del self._carrier
+
+    def _build_sweedler(self):
+        # sweedler_expand reads only comult_triples; the table keeps the
+        # triples, not the carrier, for the reason _drop_carrier gives
+        n = self.dim
+        coalgebra = SimpleNamespace(comult_triples=self._comult_triples.__getitem__)
+        sweedler = [sweedler_expand(coalgebra, basis_vec(n, i), 2) for i in range(n)]
+        den = self.sweedler_den = lcm(1, *(w.denominator for s in sweedler for w in s.values()))
+        self.sweedler3 = [tuple((*t, _num(w, den)) for t, w in s.items()) for s in sweedler]
+
+    mult = _BuiltOnRead(_build_products)
+    mult_den = _BuiltOnRead(_build_products)
+    antipode = _BuiltOnRead(_build_antipode)
+    antipode_den = _BuiltOnRead(_build_antipode)
+    sweedler3 = _BuiltOnRead(_build_sweedler)
+    sweedler_den = _BuiltOnRead(_build_sweedler)
 
     def mul(self, u, v) -> list:
         """mult_den * u v for sparse integer vectors.
@@ -634,133 +638,6 @@ def _generating_rows(h, t: IntStructure) -> tuple | None:
                 words.append(v)
                 pending.extend((v, g) for g in rows[1:])
     return tuple(rows) if len(echelon) == n else None
-
-
-IntColumns = namedtuple("IntColumns", "cols den")
-IntColumns.__doc__ = "A matrix as sparse integer columns over one denominator."
-
-
-def int_columns(matrix) -> IntColumns:
-    """The columns of a Mat as sparse integer tuples over the lcm of its
-    denominators; an IntColumns is returned as it is.
-
-    A column table (a list of coordinate vectors) may hold None for an
-    image that is unknown, stored as an OutOfBudgetError.
-    """
-    if isinstance(matrix, IntColumns):
-        return matrix
-    if not isinstance(matrix, Mat):
-        den, cols = _sparse_ints([OutOfBudgetError("image column unknown") if c is None
-                                  else c for c in matrix])
-        return IntColumns(cols, den)
-    ratios = [c.as_integer_ratio() for c in matrix.entries]
-    den = lcm(*{d for _, d in ratios})
-    width = matrix.cols
-    # tuples are built from lists, not generators: a tuple grown from a
-    # generator bypasses the interpreter's tuple free lists but is freed
-    # into them, so thousands of columns would fill them
-    cols = [tuple([(r, p * (den // d)) for r, (p, d) in enumerate(ratios[j::width]) if p])
-            for j in range(width)]
-    return IntColumns(cols, den)
-
-
-def convolve_columns(dom, cod, f, g) -> IntColumns:
-    """The IntColumns of x -> f(x1) g(x2), for maps from dom to cod given
-    as matrices, column tables or IntColumns.
-
-    A column that needs an unknown image of f or g, or a product that
-    leaves a truncated cod's budget, is the OutOfBudgetError that
-    computing it raised.
-    """
-    co = int_structure(dom)
-    prod = int_structure(cod)
-    fcols, fden = int_columns(f)
-    gcols, gden = int_columns(g)
-    cols = [_attempt(_combine, ((c, prod.mul(fcols[i], gcols[j])) for (i, j, c) in terms))
-            for terms in co.comult]
-    return IntColumns(cols, co.comult_den * prod.mult_den * fden * gden)
-
-
-def algebra_map_failures(dom, cod, matrix):
-    """(i, j, kind) for the basis pairs of dom, in order, at which the map
-    f with this matrix or column table is not a checked algebra map.
-
-    kind is "algebra" where f(e_i e_j) != f(e_i) f(e_j), and "skipped"
-    where either side needs an unknown column or a product that leaves a
-    truncated carrier's budget.  The unit is not checked here.
-    """
-    src = int_structure(dom)
-    dst = int_structure(cod)
-    cols, den = int_columns(matrix)
-    # lhs carries den * src.mult_den, rhs den^2 * dst.mult_den
-    lhs_scale = den * dst.mult_den
-    rhs_scale = src.mult_den
-    for i in range(dom.dim):
-        row = src.mult[i]
-        for j in range(dom.dim):
-            try:
-                lhs = _apply_int(cols, _stored(row[j]))
-                rhs = dst.mul(cols[i], cols[j])
-            except OutOfBudgetError:
-                yield i, j, "skipped"
-                continue
-            if [(p, x * lhs_scale) for p, x in lhs] != [(p, x * rhs_scale) for p, x in rhs]:
-                yield i, j, "algebra"
-
-
-def coalgebra_map_failures(dom, cod, matrix):
-    """(k, kind) for the basis indices k of dom, in order, at which the map
-    with this matrix or column table is not a checked coalgebra map.
-
-    kind is "counit" where eps(f(x)) != eps(x) and "coalgebra" where
-    D(f(x)) != f(x1) (x) f(x2).  An unknown column k gives (k, "unknown")
-    alone; where f(x1) (x) f(x2) needs an unknown column, (k, "skipped")
-    stands in for the comultiplication check.
-    """
-    src = int_structure(dom)
-    dst = int_structure(cod)
-    cols, den = int_columns(matrix)
-    unknown = {k for k, col in enumerate(cols) if col.__class__ is OutOfBudgetError}
-    # lhs carries den * dst.comult_den, rhs den^2 * src.comult_den
-    lhs_scale = den * src.comult_den
-    rhs_scale = dst.comult_den
-    for k in range(dom.dim):
-        if k in unknown:
-            yield k, "unknown"
-            continue
-        img = cols[k]
-        counit = sum(x * dst.counit[a] for a, x in img)
-        if counit * src.counit_den != src.counit[k] * den * dst.counit_den:
-            yield k, "counit"
-        if unknown and any(i in unknown or j in unknown for (i, j, _) in src.comult[k]):
-            yield k, "skipped"
-            continue
-        lhs = _coproduct(dst, img)
-        rhs = _tensor_sum((c, cols[i], cols[j]) for (i, j, c) in src.comult[k])
-        if {key: v * lhs_scale for key, v in lhs.items()} != \
-                {key: v * rhs_scale for key, v in rhs.items()}:
-            yield k, "coalgebra"
-
-
-def coalgebra_map_report(dom, cod, matrix) -> CheckReport:
-    """The coalgebra-map check of a matrix or column table from dom to cod
-    as a report over coalgebra_map_failures.
-
-    A basis index k failing the counit or the comultiplication check is
-    one ("coalgebra", k) failure.  An unknown column k is skipped as
-    ("column", k), and a comultiplication check that needs an unknown
-    column as ("coalgebra", k); checked counts the other indices.
-    """
-    failures = []
-    skipped = []
-    for k, kind in coalgebra_map_failures(dom, cod, matrix):
-        if kind == "unknown":
-            skipped.append(("column", k))
-        elif kind == "skipped":
-            skipped.append(("coalgebra", k))
-        elif ("coalgebra", k) not in failures[-1:]:
-            failures.append(("coalgebra", k))
-    return CheckReport(not failures, failures, skipped, dom.dim - len(skipped))
 
 
 class CheckReport(Record):
@@ -1004,14 +881,14 @@ def grouplikes(h: FinDimHopf) -> GrouplikeResult:
     """Group-like elements of H.
 
     With a declared group-algebra coradical the declared basis elements
-    are verified as a group (:func:`hopfdiff.groups.coradical_group`, which
+    are verified as a group (:func:`hopfdiff.fingroup.coradical_group`, which
     raises ValueError naming the first fault) and returned as the complete
     list; otherwise only basis elements are scanned and the result is
     flagged possibly incomplete.
     """
     n = h.dim
     if h.coradical_group_basis is not None:
-        from .groups import coradical_group
+        from .fingroup import coradical_group
 
         _, idxs, _ = coradical_group(h)
         return GrouplikeResult([basis_vec(n, i) for i in idxs], True)
@@ -1065,29 +942,3 @@ def primitives(h) -> list[Vec]:
     """Reduced-echelon basis of {c : D(c) = c (x) 1 + 1 (x) c} on any
     carrier, finite or truncated."""
     return skew_primitives(h, h.unit_vec(), h.unit_vec())
-
-
-# -- homomorphism tests -------------------------------------------------------
-
-def is_coalgebra_hom(f: LinMap) -> bool:
-    return next(coalgebra_map_failures(f.domain, f.codomain, f.matrix), None) is None
-
-
-def is_algebra_hom(f: LinMap) -> bool:
-    """f(1) = 1 and f(xy) = f(x) f(y), stopping at the first failure."""
-    dom, cod = f.domain, f.codomain
-    if f.apply(dom.unit_vec()) != cod.unit_vec():
-        return False
-    return next(algebra_map_failures(dom, cod, f.matrix), None) is None
-
-
-def is_hopf_automorphism(f: LinMap) -> bool:
-    """Algebra + coalgebra homomorphism, invertible, commutes with S."""
-    if f.domain is not f.codomain:
-        return False
-    if not is_algebra_hom(f) or not is_coalgebra_hom(f):
-        return False
-    if invert(f.matrix) is None:
-        return False
-    h = f.domain
-    return f.matrix.mul(h.antipode) == h.antipode.mul(f.matrix)

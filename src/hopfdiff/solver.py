@@ -50,7 +50,8 @@ from math import gcd, isqrt, lcm
 
 from .exactlin import Mat, ONE, Record, int_echelon, int_kernel, rat
 from .hopf import FinDimHopf, _stored, int_structure
-from .groups import FinGroup, coradical_group, enumerate_endos, diffop_from_endo
+from .fingroup import FinGroup, coradical_group
+from .groups import enumerate_endos, diffop_from_endo
 
 # ---------------------------------------------------------------------------
 # integer polynomials of degree at most two in the branch parameters

@@ -6,7 +6,8 @@ in ``Fraction`` vectors, beside the integer checker of
 ``hopfdiff.diffops.check_diffop`` that it is compared with.
 """
 
-from hopfdiff.hopf import LinMap, basis_vec, coalgebra_map_report, vec_add, vec_scale, zero_vec
+from hopfdiff.hopf import LinMap, basis_vec, vec_add, vec_scale, zero_vec
+from hopfdiff.maps import coalgebra_map_report
 
 
 def check_diffop_prime(h, matrix_or_map) -> bool:

@@ -13,7 +13,8 @@ import random
 
 from hopfdiff import catalog
 from hopfdiff.exactlin import Mat
-from hopfdiff.hopf import LinMap, basis_vec, is_coalgebra_hom, skew_primitives, zero_vec
+from hopfdiff.hopf import LinMap, basis_vec, skew_primitives, zero_vec
+from hopfdiff.maps import is_coalgebra_hom
 
 COEFF_POOL = [Fraction(0), Fraction(1), Fraction(-1),
               Fraction(1, 2), Fraction(-1, 2), Fraction(2)]
@@ -47,7 +48,7 @@ def _combination(rng, basis, dim):
 
 
 def _h4_maps(h4, rng, count):
-    from hopfdiff.hopf import unit_counit_map
+    from hopfdiff.maps import unit_counit_map
 
     maps = [unit_counit_map(h4)]
     grouplike = [basis_vec(4, 0), basis_vec(4, 1)]
@@ -67,7 +68,7 @@ def _h8_maps(h8, rng, count):
     """kG(H8) and the simple coefficient subcoalgebra are coalgebra direct
     summands, so any group-like function on one side combined with any
     coalgebra endomorphism of the other is a coalgebra map."""
-    from hopfdiff.hopf import unit_counit_map
+    from hopfdiff.maps import unit_counit_map
 
     expected = catalog.build("expected:H8-bijective")
     known = [LinMap(h8, h8, Mat.from_cols(t["images"])) for t in expected]

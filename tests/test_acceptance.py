@@ -41,10 +41,12 @@ from hopfdiff.groups import endo_diffop_bijection, enumerate_endos
 from hopfdiff.hopf import (
     LinMap,
     basis_vec,
+    zero_vec,
+)
+from hopfdiff.maps import (
     identity_map,
     is_algebra_hom,
     unit_counit_map,
-    zero_vec,
 )
 from hopfdiff.solver import (
     classify_diffops,

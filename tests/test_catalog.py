@@ -50,7 +50,7 @@ def test_h8_commutation_relations(h8):
 
 
 def test_group_algebra_entries_match_group_functor():
-    from hopfdiff.groups import group_algebra
+    from hopfdiff.fingroup import group_algebra
 
     for gname, aname in (("C2", "kC2"), ("S3", "kS3")):
         g = catalog.build(gname)

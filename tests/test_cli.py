@@ -228,12 +228,12 @@ def test_extend_smash_diff_resolves_and_checks_each_input_once(capsys, tmp_path,
 def test_check_crossed_hom_checks_the_coalgebra_map_once(command, capsys, tmp_path, monkeypatch):
     """graph takes the coalgebra-map check of the crossed-hom verdict and
     does not check the map again for the graph."""
-    from hopfdiff import hopf
+    from hopfdiff import maps
 
     action = export_entry(capsys, tmp_path, "action:inv:kC2:kC4", "action.json")
     pi = export_entry(capsys, tmp_path, "op:crossed:kC2:kC4", "pi.json")
     calls = []
-    _counting(monkeypatch, hopf, "coalgebra_map_failures", calls)
+    _counting(monkeypatch, maps, "coalgebra_map_failures", calls)
     code, payload, _ = invoke(capsys, command, "--action", action, "--operator", pi)
     assert code == 0 and payload["ok"]
     assert len(calls) == 1
@@ -456,7 +456,7 @@ def test_ckmm_check(capsys, tmp_path):
 def test_catalog_list_and_export(capsys):
     from hopfdiff import catalog
     from hopfdiff.actions import ActionData
-    from hopfdiff.groups import FinGroup
+    from hopfdiff.fingroup import FinGroup
     from hopfdiff.hopf import FinDimHopf, LinMap
     from hopfdiff.solver import SearchPlan
 

@@ -30,13 +30,15 @@ from hopfdiff.hopf import (
     LinMap,
     axiom_report,
     basis_vec,
-    coalgebra_map_report,
     generating_rows,
+    zero_vec,
+)
+from hopfdiff.maps import (
+    coalgebra_map_report,
     identity_map,
     int_columns,
     is_algebra_hom,
     unit_counit_map,
-    zero_vec,
 )
 
 from reference_diffops import check_diffop_prime
@@ -80,7 +82,7 @@ def test_printed_swap_family_fails_the_defining_identity(h8):
     Oracle, by hand from the printed relations with w = z^2:
     the right side collapses to (-1+x+y+xy)/2, yet D(z^2) = w.
     """
-    from hopfdiff.hopf import is_coalgebra_hom
+    from hopfdiff.maps import is_coalgebra_hom
 
     swap = [0, 2, 1, 3]
     d5_cols = [basis_vec(8, g) for g in swap] + [basis_vec(8, 4 + j) for j in range(4)]
@@ -126,7 +128,7 @@ def test_endo_diff_round_trip_on_cocommutative(ks3):
     for op in all_diffops_on_group_algebra(ks3):
         f = diff_to_endo(ks3, op.map)
         assert endo_to_diff(ks3, f) == op.map
-        from hopfdiff.hopf import is_coalgebra_hom
+        from hopfdiff.maps import is_coalgebra_hom
 
         assert is_coalgebra_hom(f) and is_algebra_hom(f)
 

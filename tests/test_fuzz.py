@@ -1,6 +1,8 @@
 """Fuzz test of the commands that read the smash layer and the
-Rota-Baxter check: catalog exports of an action and of operators are
-mutated and run through ``cli.run``.
+Rota-Baxter check, and of the algebra commands: catalog exports of an
+action, of operators and of algebras are mutated and run through
+``cli.run``.  An algebra file goes through ``validate``, ``grouplikes``
+and ``primitives``, which resolve it through the axiom check alone.
 
 A mutation drops or duplicates a row of some list, sets one entry to
 another rational, a string, a list or ``1/0``, or swaps an algebra name
@@ -29,6 +31,8 @@ COMMANDS = {
                           "--operator-k": "op:id:kC2"},
     "rota-baxter": {"--operator": "op:inv:kS3"},
 }
+# the algebra commands, each reading an algebra export
+ALGEBRA_COMMANDS = ("validate", "grouplikes", "primitives")
 NAME_FIELDS = ("algebra", "codomain", "acting", "target")
 ALGEBRAS = ["kC2", "kC4", "kC2xC2", "kS3", "H4"]
 ENTRIES = st.sampled_from(["2", "-1/2", "0", "x", [1], "1/0"])
@@ -48,7 +52,7 @@ def export(name: str) -> dict:
 
 
 EXPORTS = {name: export(name) for name in {n for opts in COMMANDS.values()
-                                          for n in opts.values()}}
+                                          for n in opts.values()} | set(ALGEBRAS)}
 
 
 def places(node, path=()):
@@ -105,11 +109,16 @@ def runs(draw):
     return command, payloads
 
 
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(case=runs())
-def test_mutated_inputs_never_crash(tmp_path_factory, case):
-    command, payloads = case
-    tmp = tmp_path_factory.mktemp("fuzz")
+@st.composite
+def algebra_runs(draw):
+    """An algebra command and the payload of a mutated algebra export."""
+    command = draw(st.sampled_from(ALGEBRA_COMMANDS))
+    return command, {"--algebra": draw(mutated(EXPORTS[draw(st.sampled_from(ALGEBRAS))]))}
+
+
+def check_run(tmp, command, payloads):
+    """Run command on payloads written to files; it must exit 0, 1 or 2
+    and print one JSON object and no traceback."""
     argv = [command]
     for flag, payload in payloads.items():
         path = tmp / (flag.strip("-") + ".json")
@@ -119,3 +128,15 @@ def test_mutated_inputs_never_crash(tmp_path_factory, case):
     assert code in (0, 1, 2), (argv, payloads)
     assert isinstance(json.loads(out), dict)
     assert "Traceback" not in err
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=runs())
+def test_mutated_inputs_never_crash(tmp_path_factory, case):
+    check_run(tmp_path_factory.mktemp("fuzz"), *case)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(case=algebra_runs())
+def test_mutated_algebras_never_crash(tmp_path_factory, case):
+    check_run(tmp_path_factory.mktemp("fuzz"), *case)

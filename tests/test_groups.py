@@ -3,8 +3,8 @@ import itertools
 import pytest
 
 from hopfdiff import catalog
+from hopfdiff.fingroup import FinGroup
 from hopfdiff.groups import (
-    FinGroup,
     GroupAction,
     GroupMap,
     adjoint_action,

@@ -9,22 +9,24 @@ from hopfdiff.hopf import (
     LinMap,
     OutOfBudgetError,
     basis_vec,
-    convolve,
     grouplikes,
-    identity_map,
     int_structure,
-    is_algebra_hom,
-    is_coalgebra_hom,
     is_cocommutative,
     is_grouplike,
     primitives,
     skew_primitives,
     sweedler_expand,
-    unit_counit_map,
     validate_hopf,
     vec_add,
     vec_scale,
     zero_vec,
+)
+from hopfdiff.maps import (
+    convolve,
+    identity_map,
+    is_algebra_hom,
+    is_coalgebra_hom,
+    unit_counit_map,
 )
 
 F = Fraction
@@ -218,6 +220,33 @@ def test_sweedler_table_is_built_on_first_read(h8, monkeypatch):
         assert t.sweedler3[i] == tuple((*key, w * den) for key, w in want.items())
     assert len(calls) == h8.dim
     assert int_structure(h8).sweedler3 == t.sweedler3
+
+
+def test_product_and_antipode_tables_are_built_on_first_read(h8, monkeypatch):
+    """The group-like and skew-primitive checks read only the
+    comultiplication, so the product and antipode tables are built when
+    first read, each once, and the table keeps the carrier only until
+    both are built."""
+    calls = []
+    for name in ("mult_terms", "antipode_basis"):
+        method = getattr(h8, name)
+        monkeypatch.setattr(h8, name, lambda *args, name=name, method=method:
+                            calls.append(name) or method(*args))
+    t = hopf.IntStructure(h8)
+    assert calls == []
+    for i in range(h8.dim):
+        for j in range(h8.dim):
+            assert t.mult[i][j] == tuple((k, c * t.mult_den) for k, c in h8.mult_terms(i, j))
+    assert calls.count("mult_terms") == 2 * h8.dim ** 2
+    assert t._carrier is h8
+    for j in range(h8.dim):
+        assert t.antipode[j] == tuple((k, c * t.antipode_den)
+                                      for k, c in enumerate(h8.antipode_basis(j)) if c)
+    assert calls.count("antipode_basis") == 2 * h8.dim
+    assert not hasattr(t, "_carrier")
+    del calls[:]
+    t.mult, t.mult_den, t.antipode, t.antipode_den
+    assert calls == []
 
 
 # -- the sparse integer accumulation: hopf._combine and hopf._apply_int --------

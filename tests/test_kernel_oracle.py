@@ -53,7 +53,7 @@ reports, the D table and the skip list in order included.
 
 ``solver.coradical_group``, ``hopf.skew_primitives`` and
 ``freelie._uniqueness_by_degree`` are kept verbatim as they were before
-``groups.coradical_group``, the one-pass primitive-space solver and the
+``fingroup.coradical_group``, the one-pass primitive-space solver and the
 A X = B form of the degree systems replaced them.  Every catalog algebra
 with a declared coradical must give the same group and index maps, every
 ordered pair of group-likes the same skew-primitive basis, and the
@@ -184,7 +184,8 @@ from hopfdiff.diffops import (
     star,
 )
 from hopfdiff.exactlin import ONE, ZERO, Mat, in_span, invert, rat, row_space_basis
-from hopfdiff.groups import FinGroup, GroupMap, check_group_diffop, coradical_group
+from hopfdiff.fingroup import FinGroup, coradical_group
+from hopfdiff.groups import GroupMap, check_group_diffop
 from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 from hopfdiff.freelie import (
     DerivationAction,
@@ -218,27 +219,29 @@ from hopfdiff.hopf import (
     _nonzero,
     _sparse_ints,
     _add_scaled,
-    algebra_map_failures,
     basis_vec,
-    coalgebra_map_failures,
-    coalgebra_map_report,
-    convolve,
-    identity_map,
-    int_columns,
     int_structure,
-    is_algebra_hom,
-    is_coalgebra_hom,
     is_cocommutative,
     is_grouplike,
     primitives,
     skew_primitives,
     sweedler_expand,
-    unit_counit_map,
     validate_hopf,
     vec_add,
     vec_scale,
     vec_sub,
     zero_vec,
+)
+from hopfdiff.maps import (
+    algebra_map_failures,
+    coalgebra_map_failures,
+    coalgebra_map_report,
+    convolve,
+    identity_map,
+    int_columns,
+    is_algebra_hom,
+    is_coalgebra_hom,
+    unit_counit_map,
 )
 from reference_diffops import check_diffop_prime
 from reference_linalg import reference_kernel, reference_row_reduce, reference_solve_affine

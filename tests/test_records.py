@@ -14,7 +14,8 @@ from hopfdiff.diffops import DiffModuleBialgebra, DiffOp
 from hopfdiff.exactlin import Mat
 from hopfdiff.truncated import LyndonBasis, TruncatedTensor
 from hopfdiff.groups import GroupAction, GroupMap, adjoint_action
-from hopfdiff.hopf import AxiomReport, CheckReport, GrouplikeResult, LinMap, identity_map
+from hopfdiff.hopf import AxiomReport, CheckReport, GrouplikeResult, LinMap
+from hopfdiff.maps import identity_map
 from hopfdiff.lie import FinLie, LieAction, LieGraphResult
 from hopfdiff.solver import (BranchReport, ClassificationResult, GeneratorBlock,
                              PublishedDiff, SearchPlan)

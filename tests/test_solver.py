@@ -8,7 +8,7 @@ from hopfdiff import catalog
 from hopfdiff.cli import run
 from hopfdiff.diffops import DiffOp, all_diffops_on_group_algebra, check_diffop
 from hopfdiff.exactlin import Mat
-from hopfdiff.groups import coradical_group
+from hopfdiff.fingroup import coradical_group
 from hopfdiff.hopf import basis_vec
 from hopfdiff.solver import (
     GeneratorBlock,

@@ -27,7 +27,7 @@ from hopfdiff.actions import TruncatedSmash, trivial_action
 from hopfdiff.cli import run
 from hopfdiff.exactlin import Mat
 from hopfdiff.formats import algebra_to_dict
-from hopfdiff.groups import coradical_group
+from hopfdiff.fingroup import coradical_group
 from hopfdiff.hopf import FinDimHopf, axiom_report, basis_vec, zero_vec
 from hopfdiff.solver import GeneratorBlock, SearchPlan, _Branch, classify_diffops, derive_plan
 

@@ -42,7 +42,8 @@ from hypothesis import given, settings, strategies as st
 
 from hopfdiff import catalog
 from hopfdiff.exactlin import ONE, ZERO, rat, row_space_basis
-from hopfdiff.groups import FinGroup, coradical_group, diffop_from_endo, enumerate_endos
+from hopfdiff.fingroup import FinGroup, coradical_group
+from hopfdiff.groups import diffop_from_endo, enumerate_endos
 from hopfdiff.hopf import FinDimHopf, basis_vec, sweedler_expand
 from hopfdiff.solver import (
     NotFiniteError,

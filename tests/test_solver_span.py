@@ -24,7 +24,8 @@ import pytest
 
 from hopfdiff import catalog
 from hopfdiff.exactlin import int_echelon
-from hopfdiff.groups import coradical_group, diffop_from_endo, enumerate_endos
+from hopfdiff.fingroup import coradical_group
+from hopfdiff.groups import diffop_from_endo, enumerate_endos
 from hopfdiff.solver import (
     SearchPlan,
     _acc,
