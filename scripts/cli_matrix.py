@@ -43,6 +43,14 @@ FILE_OPTIONS = {
     "phi": ["free-lie", "diffop-from-hom", "--phi"],
 }
 
+# the expected-tables exports: the options of the classification each is
+# compared with, and its exit code.  The published H8 count is refuted, so
+# that comparison exits 1
+EXPECTED = {
+    "expected:H4": (["--plan", "plan:H4"], OK),
+    "expected:H8-bijective": (["--plan", "plan:H8", "--bijective-only"], (1,)),
+}
+
 
 def cases(tmp: Path) -> list:
     """Every case of the matrix; writes the catalog exports and the two
@@ -82,6 +90,9 @@ def cases(tmp: Path) -> list:
         by_name = ["classify-diffops", "--plan", name]
         out += [(by_name, OK, None),
                 (["classify-diffops", "--plan", path(f"{name}.json")], OK, by_name)]
+    # each expected-tables export against its plan
+    out += [(["classify-diffops", *EXPECTED[name][0], "--expected", path(f"{name}.json")],
+             EXPECTED[name][1], None) for name in of_kind["expected-tables"]]
     # an operator that is not a difference operator on its algebra, or not
     # a map from the action's acting algebra to its target, is a verdict
     # (exit 1) or an input error (exit 2), never a crash

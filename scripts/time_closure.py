@@ -71,13 +71,13 @@ def main():
         if dim > args.max_dim:
             break
         h = build()
-        unit = unit_counit_map(h).matrix
+        unit = unit_counit_map(h)
 
         def validate(copy):
             return validate_hopf(copy).ok
 
-        def diffop(matrix):
-            return isinstance(check_diffop(h, matrix), DiffOp)
+        def diffop(op):
+            return isinstance(check_diffop(h, op), DiffOp)
 
         v_times, (v_ok,) = timed(validate, lambda: fresh_copy(h), args.repeat)
         d_times, (d_ok,) = timed(diffop, lambda: unit, args.repeat)

@@ -30,14 +30,16 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from itertools import filterfalse
 
-from .exactlin import Mat, Record, _rat_vec, in_span, rat, row_space_basis
+from .exactlin import Record, _rat_vec, in_span, rat, row_space_basis
 from .hopf import (
     AxiomReport,
     CarrierOps,
     CheckReport,
     FinDimHopf,
+    IntColumns,
     InvalidAlgebraError,
     LinMap,
     OutOfBudgetError,
@@ -45,6 +47,7 @@ from .hopf import (
     _add_scaled,
     _apply_int,
     _attempt,
+    _canonical,
     _combine,
     _coproduct,
     _first_witness,
@@ -62,9 +65,8 @@ from .hopf import (
     vec_sub,
     zero_vec,
 )
-from .maps import (IntColumns, _rational_columns, coalgebra_map_report, convolve,
-                   convolve_columns, int_columns, is_algebra_hom, is_coalgebra_hom,
-                   unit_counit_map)
+from .maps import (antipode_map, coalgebra_map_report, convolve, convolve_columns,
+                   identity_map, int_columns, is_algebra_hom, is_coalgebra_hom, unit_counit_map)
 
 
 class IntAction:
@@ -108,24 +110,29 @@ class ActionData(IntAction):
     """A left action of K on H, stored as one H-vector per basis pair; H may
     be a truncated carrier that the action keeps in budget.
 
-    tensor[a][x] is the coordinate vector of (basis a of K) . (basis x of H);
-    the integer engine reads the same tensor as sparse integer columns over
-    one denominator.
+    tensor[a][x] is the coordinate vector of (basis a of K) . (basis x of H).
+    It is given as that rational tensor or as the IntColumns of its cells,
+    which the integer engine reads; the tensor is formed on first read.
     """
 
     def __init__(self, acting, target, tensor):
         self.acting = acting
         self.target = target
-        if len(tensor) != acting.dim or any(len(row) != target.dim for row in tensor):
-            raise ValueError("action tensor must be (dim K) x (dim H)")
-        self.tensor = [[[rat(c) for c in cell] for cell in row] for row in tensor]
-        for row in self.tensor:
-            for cell in row:
-                if len(cell) != target.dim:
-                    raise ValueError("action entries must be H-coordinate vectors")
         n = target.dim
-        self.den, flat = _sparse_ints([cell for row in self.tensor for cell in row])
-        self._columns = [flat[a * n:(a + 1) * n] for a in range(acting.dim)]
+        if not isinstance(tensor, IntColumns):
+            if len(tensor) != acting.dim or any(len(row) != n for row in tensor):
+                raise ValueError("action tensor must be (dim K) x (dim H)")
+            cells = [[rat(c) for c in cell] for row in tensor for cell in row]
+            if any(len(cell) != n for cell in cells):
+                raise ValueError("action entries must be H-coordinate vectors")
+            tensor = int_columns(cells)
+        self.den = tensor.den
+        self._columns = [tensor.cols[a * n:(a + 1) * n] for a in range(acting.dim)]
+
+    @cached_property
+    def tensor(self) -> list:
+        n = self.target.dim
+        return [[_rat_vec(col, self.den, n) for col in row] for row in self._columns]
 
     def act_int(self, a: int, u) -> list:
         return _apply_int(self._columns[a], u)
@@ -142,16 +149,17 @@ def _convolved_action(k, h, columns) -> ActionData:
     """The action of K on H whose a . x is column a of columns(x), the
     IntColumns of a convolution over K, for each basis x of H; a column
     that could not be formed raises its OutOfBudgetError."""
-    rows = [_rational_columns(map(_stored, cols), den, h.dim)
-            for cols, den in map(columns, range(h.dim))]
-    return ActionData(k, h, list(zip(*rows)))
+    convs = [([_stored(c) for c in cols], den) for cols, den in map(columns, range(h.dim))]
+    den = math.lcm(*(d for _, d in convs))
+    flat = [[(p, m * (den // d)) for p, m in cols[a]] for a in range(k.dim) for cols, d in convs]
+    return ActionData(k, h, _canonical(flat, den))
 
 
 def adjoint_action(h: FinDimHopf) -> ActionData:
     """a . x = a1 x S(a2), the convolution of a -> a x with S."""
     t = int_structure(h)
     return _convolved_action(h, h, lambda x: convolve_columns(
-        h, h, IntColumns([row[x] for row in t.mult], t.mult_den), h.antipode))
+        h, h, IntColumns([row[x] for row in t.mult], t.mult_den), antipode_map(h).cols))
 
 
 class SkipRuns:
@@ -412,7 +420,7 @@ def check_crossed_hom(pi: LinMap, action: ActionData) -> bool:
 def _crossed_hom_verdict(pi: LinMap, action: ActionData) -> bool:
     """crossed_hom_report's verdict on pi, with no check of the action;
     raises ValueError when pi is not a coalgebra map."""
-    report = crossed_hom_report(action, pi.columns())
+    report = crossed_hom_report(action, pi.cols)
     if any(f[0] == "coalgebra" for f in report.failures):
         raise ValueError("map is not a coalgebra homomorphism")
     return report.ok
@@ -500,28 +508,20 @@ def crossed_hom_properties(ch: CrossedHom) -> AxiomReport:
 
     report.record("preserves-unit", pi.apply(k.unit_vec()) == h.unit_vec())
 
-    s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))
-    fails = []
-    for a in range(k.dim):
-        lhs = s_pi.image_of_basis(a)
-        rhs = zero_vec(h.dim)
-        for (a1, a2, c) in k.comult_triples(a):
-            rhs = vec_add(rhs, vec_scale(c, action.act(
-                basis_vec(k.dim, a1), pi.apply(k.antipode_basis(a2)))))
-        if lhs != rhs:
-            fails.append((a,))
-    report.record("S.pi = a1 . pi(S a2)", not fails, fails[0] if fails else None)
+    s_k, s_pi = antipode_map(k), antipode_map(h).compose(pi)
+    t = int_structure(k)
 
-    fails = []
-    for a in range(k.dim):
-        lhs = pi.apply(k.antipode_basis(a))
-        rhs = zero_vec(h.dim)
-        for (a1, a2, c) in k.comult_triples(a):
-            rhs = vec_add(rhs, vec_scale(c, action.act(
-                k.antipode_basis(a1), s_pi.image_of_basis(a2))))
-        if lhs != rhs:
-            fails.append((a,))
-    report.record("pi.S = S(a1) . S pi(a2)", not fails, fails[0] if fails else None)
+    def acted(u: IntColumns, v: IntColumns, a: int) -> list:
+        """u(a1) . v(a2) over comult_den * u.den * v.den * den, for basis a."""
+        return _combine((c * x, action.act_int(b, v.cols[a2]))
+                        for a1, a2, c in t.comult[a] for b, x in u.cols[a1])
+
+    for axiom, lhs, u, v in (("S.pi = a1 . pi(S a2)", s_pi, identity_map(k), pi.compose(s_k)),
+                             ("pi.S = S(a1) . S pi(a2)", pi.compose(s_k), s_k, s_pi)):
+        (lcols, lden), rden = lhs.cols, t.comult_den * u.cols.den * v.cols.den * action.den
+        fails = [(a,) for a in range(k.dim) if [(p, m * rden) for p, m in lcols[a]]
+                 != [(p, m * lden) for p, m in acted(u.cols, v.cols, a)]]
+        report.record(axiom, not fails, _first_witness(fails))
 
     unit = unit_counit_map(k, h)
     left = convolve(pi, s_pi)
@@ -671,8 +671,13 @@ def graph_vector(k, cols, a: int, smash) -> Vec:
     raises OutOfBudgetError."""
     icols, den = int_columns(cols)
     t = int_structure(k)
-    vec = _combine((c, smash.pair(_stored(icols[a1]), ((a2, 1),))) for a1, a2, c in t.comult[a])
-    return _rat_vec(vec, den * t.comult_den, smash.dim)
+    return _rat_vec(_graph_column(t, icols, a, smash), den * t.comult_den, smash.dim)
+
+
+def _graph_column(t, icols, a: int, smash) -> list:
+    """comult_den * pi(a1) # a2 over icols' denominator, for K's integer
+    structure table t."""
+    return _combine((c, smash.pair(_stored(icols[a1]), ((a2, 1),))) for a1, a2, c in t.comult[a])
 
 
 class GraphResult(Record):
@@ -691,7 +696,7 @@ def graph_of(pi: LinMap, action: ActionData, smash=None) -> GraphResult:
     identity (graph characterization).  smash is the action's builder,
     built here by default."""
     smash = smash or TruncatedSmash(action)
-    cols = int_columns(pi.matrix)
+    cols = pi.cols
     basis = row_space_basis([graph_vector(pi.domain, cols, a, smash)
                              for a in range(pi.domain.dim)])
     closed = True
@@ -721,19 +726,17 @@ def graph_hopf_iso(ch: CrossedHom, smash: TruncatedSmash | None = None):
         raise ValueError("verify the crossed homomorphism first")
     smash = smash or smash_product(action)
     nk = k.dim
-    cols = int_columns(pi.matrix)
-    psi = LinMap(k, smash, Mat.from_cols([graph_vector(k, cols, a, smash) for a in range(nk)]))
-
-    inv_cols = []
-    for x in range(h.dim):
-        for a in range(nk):
-            inv_cols.append(vec_scale(h.counit_coeff(x), basis_vec(nk, a)))
-    eps_id = LinMap(smash, k, Mat.from_cols(inv_cols))
+    cols, den = pi.cols
+    tk, th = int_structure(k), int_structure(h)
+    psi = LinMap(k, smash, IntColumns([_graph_column(tk, cols, a, smash) for a in range(nk)],
+                                      den * tk.comult_den))
+    eps_id = LinMap(smash, k, IntColumns([((a, e),) if e else () for e in th.counit
+                                          for a in range(nk)], th.counit_den))
 
     report = AxiomReport()
     report.record("algebra-hom", is_algebra_hom(psi))
     report.record("coalgebra-hom", is_coalgebra_hom(psi))
-    report.record("eps-id-section", eps_id.compose(psi).matrix == Mat.identity(nk))
+    report.record("eps-id-section", eps_id.compose(psi) == identity_map(k))
     gr = graph_of(pi, action, smash=smash)
     onto = all(in_span(gr.basis, psi.image_of_basis(a)) for a in range(nk))
     report.record("lands-in-graph", onto)
@@ -741,9 +744,8 @@ def graph_hopf_iso(ch: CrossedHom, smash: TruncatedSmash | None = None):
     back = psi.compose(eps_id)
     report.record("identity-on-graph",
                   all(back.apply(v) == v for v in gr.basis))
-    antipode = Mat.from_cols([smash.antipode_basis(i) for i in range(smash.dim)])
     report.record("commutes-with-antipode",
-                  psi.matrix.mul(k.antipode) == antipode.mul(psi.matrix))
+                  psi.compose(antipode_map(k)) == antipode_map(smash).compose(psi))
     return psi, eps_id, report
 
 
@@ -755,7 +757,7 @@ def _derived_module_columns(pi: LinMap, action: IntAction):
     k, h = action.acting, action.target
     values = action.basis_values()
     return lambda x: convolve_columns(
-        k, h, pi.matrix, IntColumns([row[x] for row in values], action.den))
+        k, h, pi.cols, IntColumns([row[x] for row in values], action.den))
 
 
 def derived_module_structure(pi: LinMap, action: ActionData) -> AxiomReport:
@@ -782,14 +784,14 @@ def derived_action(ch: CrossedHom) -> tuple[ActionData, CrossedHom, AxiomReport]
         raise ValueError("verify the crossed homomorphism first")
 
     # pi(a1)(a3 . x) S(pi(a2)) = (pi * (a -> a . x) * S pi)(a), K cocommutative
-    s_pi = LinMap(k, h, h.antipode.mul(pi.matrix))
+    s_pi = antipode_map(h).compose(pi)
     module = _derived_module_columns(pi, action)
     derived = _convolved_action(k, h, lambda x: convolve_columns(
-        k, h, module(x), s_pi.matrix))
+        k, h, module(x), s_pi.cols))
 
     report = validate_action(derived, require_bialgebra=True)
     report.record("derived-crossed-hom",
-                  crossed_hom_report(derived, s_pi.columns()).ok)
+                  crossed_hom_report(derived, s_pi.cols).ok)
 
     # Restriction formulas on group-likes and primitives
     fails = []

@@ -170,7 +170,7 @@ def build_H8_swap_automorphism(h8: FinDimHopf | None = None) -> LinMap:
         for k in range(4):
             col[4 + (sg ^ k)] = q[k]
         cols.append(col)
-    return LinMap(h8, h8, Mat.from_cols(cols))
+    return LinMap(h8, h8, cols)
 
 
 def _require_valid(h: FinDimHopf):
@@ -294,15 +294,14 @@ def build_op_id_H4() -> LinMap:
 
 def build_op_D1_H8() -> LinMap:
     h8 = build_H8()
-    return LinMap(h8, h8, Mat.from_cols(expected_H8_bijective()[0]["images"]))
+    return LinMap(h8, h8, expected_H8_bijective()[0]["images"])
 
 
 def build_op_inv_kS3() -> LinMap:
     """The lift of g -> g^-1, the one bijective difference operator."""
     ks3 = build_kS3()
     s3 = build_S3()
-    cols = [basis_vec(6, s3.inv(g)) for g in range(6)]
-    return LinMap(ks3, ks3, Mat.from_cols(cols))
+    return LinMap(ks3, ks3, [basis_vec(6, s3.inv(g)) for g in range(6)])
 
 
 def build_op_id_kC4() -> LinMap:
@@ -328,7 +327,7 @@ def build_op_crossed_kC2_kC4() -> LinMap:
     inversion action."""
     kc2 = build_kC2()
     kc4 = build_kC4()
-    return LinMap(kc2, kc4, Mat.from_cols([basis_vec(4, 0), basis_vec(4, 1)]))
+    return LinMap(kc2, kc4, [basis_vec(4, 0), basis_vec(4, 1)])
 
 
 # -- registry -----------------------------------------------------------------

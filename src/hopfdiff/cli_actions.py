@@ -10,10 +10,10 @@ from .hopf import LinMap, grouplikes
 def _crossed_hom_candidate(action, op) -> LinMap:
     """The operator's matrix as a map from the acting algebra to the target."""
     _require_algebra(op.domain, action.acting, "operator domain does not match the acting algebra")
-    try:
-        pi = LinMap(action.acting, action.target, op.matrix)
-    except ValueError as exc:
-        raise InputError(str(exc))
+    # the columns are sparse, so the number of rows is the codomain's
+    if op.codomain.dim != action.target.dim:
+        raise InputError("matrix shape does not match domain/codomain bases")
+    pi = LinMap(action.acting, action.target, op.cols)
     _require_algebra(op.codomain, action.target, "operator codomain does not match the target")
     return pi
 

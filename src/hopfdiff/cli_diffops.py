@@ -82,8 +82,7 @@ def cmd_rota_baxter(args):
     except ValueError as exc:
         raise InputError(str(exc))
     report = {"algebra": h.name, "ok": rep.ok,
-              "inverse": [[rat_str(b.matrix[(r, c)]) for c in range(h.dim)]
-                          for r in range(h.dim)],
+              "inverse": [[rat_str(c) for c in row] for row in zip(*b.columns())],
               "identity_checked_pairs": rep.checked}
     return report, f"rota-baxter {h.name}: {'verified' if rep.ok else 'FAILED'}"
 
@@ -108,8 +107,7 @@ def cmd_extend_smash_diff(args):
     smash, ext = extend_diff_smash(result)
     report = {"ok": True, "compatible": True, "smash": smash.name,
               "bijective": ext.bijective,
-              "images": [[rat_str(c) for c in ext.map.matrix.col(j)]
-                         for j in range(smash.dim)]}
+              "images": [[rat_str(c) for c in col] for col in ext.map.columns()]}
     return report, f"extend-smash-diff: extended to {smash.name}, verified"
 
 

@@ -7,7 +7,7 @@ the other tasks import :mod:`hopfdiff.freelie` when they run.
 from __future__ import annotations
 
 from .cli import InputError, _PARSE_ERRORS, _load_json
-from .exactlin import rat
+from .exactlin import _rat_vec, rat
 from .hopf import OutOfBudgetError, zero_vec
 from .truncated import DEFAULT_BUDGET, BudgetCapError, TruncatedTensor, lyndon_dims
 
@@ -81,12 +81,14 @@ def _free_lie_task(args):
             rep = diffop_from_hom(tv, phi)
         except ValueError as exc:
             raise InputError(str(exc))
+        cols, den = rep.details["D"]
         report = {"task": task, "generators": generators, "budget": budget,
                   "ok": rep.ok, "pairs_checked": rep.checked,
                   "skipped": len(rep.skipped),
                   "diffop_images": {
-                      tv.label(i): (None if col is None else tv.element_str(col))
-                      for i, col in enumerate(rep.details["D"])}}
+                      tv.label(i): (None if col.__class__ is OutOfBudgetError
+                                    else tv.element_str(_rat_vec(col, den, tv.dim)))
+                      for i, col in enumerate(cols)}}
         return report, (f"free-lie diffop-from-hom: {'verified' if rep.ok else 'FAILED'} "
                         f"on {rep.checked} in-budget pairs")
     if task == "mm-check":

@@ -36,8 +36,7 @@ def cmd_classify_diffops(args):
         "operator_count": len(result.operators),
         "operators": [
             {"bijective": op.bijective,
-             "images": [[rat_str(c) for c in op.map.matrix.col(j)]
-                        for j in range(op.map.matrix.cols)]}
+             "images": [[rat_str(c) for c in col] for col in op.map.columns()]}
             for op in result.operators
         ],
         "branches": [

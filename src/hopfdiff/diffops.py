@@ -7,10 +7,10 @@ the verified set, conjugates by automorphisms, inverts to Rota-Baxter
 operators, and extends compatible pairs to smash products.
 
 :func:`check_diffop` is the one difference-operator verdict, for finite
-and degree-truncated carriers (:mod:`hopfdiff.truncated`) alike, and it
-also takes a column table with unknown images; pairs whose evaluation
-would leave the degree budget are reported as skipped, never silently
-passed.
+and degree-truncated carriers (:mod:`hopfdiff.truncated`) alike.  It takes
+a :class:`hopfdiff.hopf.LinMap`, its IntColumns, or a column table with
+unknown images; pairs whose evaluation would leave the degree budget are
+reported as skipped, never silently passed.
 
 On a finite Hopf algebra whose axioms pass, the difference identity is
 proven from generator rows: it is linear in x, and it holds at x = wg
@@ -27,51 +27,53 @@ a unit basis vector always take the full scan.
 The exhaustive coalgebra-map and difference-identity checks run on
 integer numerators: the carrier's integer structure table
 (:func:`hopfdiff.hopf.int_structure`) and the candidate's integer
-columns, compared cross-multiplied by their known denominators.  No
-``Fraction`` is built inside their loops, and every report is identical
-to the one rational arithmetic gives.  The Rota-Baxter check and the
-smash layer read the same tables, and the extension D(x # a) =
-D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2) of a compatible pair is the
-convolution F * S, F = D * id on each factor (:func:`smash_extension_columns`).
+columns, compared cross-multiplied by their known denominators.  Every
+operator passes between functions as integer columns and no ``Fraction``
+is built here, so every report is the one rational arithmetic gives.  The
+Rota-Baxter check and inverse and the smash layer read the same tables;
+the extension D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2) of a
+compatible pair is the convolution F * S, F = D * id on each factor
+(:func:`smash_extension_columns`).
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
-from .exactlin import Mat, ONE, ZERO, Record, invert
+from .exactlin import Record
 from .hopf import (
     CheckReport,
     FinDimHopf,
+    IntColumns,
     LinMap,
     OutOfBudgetError,
     _apply_int,
     _attempt,
+    _canonical,
     _combine,
     _copy,
+    _flat,
     _sparse_ints,
     _stored,
     axiom_report,
-    basis_vec,
     generating_rows,
     int_structure,
     is_cocommutative,
 )
-from .maps import (IntColumns, _rational_columns, coalgebra_map_failures, coalgebra_map_report,
-                   convolve, convolve_columns, int_columns, is_hopf_automorphism)
+from .maps import (antipode_map, coalgebra_map_failures, coalgebra_map_report, convolve,
+                   convolve_columns, identity_map, int_columns, inverse_columns,
+                   is_hopf_automorphism, rank)
 
 
 class DiffOp(Record):
-    """A verified difference operator."""
+    """A verified difference operator; bijective is a rank test."""
 
-    _fields = ("map", "verified", "bijective", "inverse")
+    _fields = ("map", "verified", "bijective")
 
-    def __init__(self, map: LinMap, verified: bool, bijective: bool, inverse: Mat | None = None):
+    def __init__(self, map: LinMap, verified: bool, bijective: bool):
         self.map = map
         self.verified = verified
         self.bijective = bijective
-        self.inverse = inverse
 
 
 def _identity_failures(h, scaled: IntColumns, rows):
@@ -126,7 +128,7 @@ def _identity_failures(h, scaled: IntColumns, rows):
                 yield i, j, None
 
 
-def diff_identity_report(h, matrix: Mat) -> CheckReport:
+def diff_identity_report(h, matrix) -> CheckReport:
     """D(xy) = D(x1) x2 D(y) S(x3) on all basis pairs, skip-aware: a pair
     that needs a product beyond a truncated carrier's budget, or an
     unknown column, is skipped with that message (_identity_failures)."""
@@ -140,17 +142,18 @@ def diff_identity_report(h, matrix: Mat) -> CheckReport:
     return CheckReport(not failures, failures, skipped, h.dim ** 2 - len(skipped))
 
 
-def _square(h, matrix_or_map):
-    """The matrix or column table of a candidate operator on h; one that is
-    not h.dim x h.dim raises ValueError."""
-    matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
-    if isinstance(matrix, Mat):
-        shape = {matrix.rows, matrix.cols}
+def _square(h, candidate) -> IntColumns:
+    """The IntColumns of a candidate operator on h (see check_diffop); one
+    that is not h.dim x h.dim raises ValueError."""
+    if isinstance(candidate, LinMap):
+        shape = {candidate.domain.dim, candidate.codomain.dim}
+    elif isinstance(candidate, IntColumns):
+        shape = {len(candidate.cols)}
     else:
-        shape = {len(matrix)} | {len(c) for c in matrix if c is not None}
+        shape = {len(candidate)} | {len(c) for c in candidate if c is not None}
     if shape != {h.dim}:
         raise ValueError(f"a difference operator on {h.name} is a {h.dim} x {h.dim} matrix")
-    return matrix
+    return int_columns(candidate)
 
 
 def _closure_rows(h):
@@ -161,8 +164,8 @@ def _closure_rows(h):
     return None
 
 
-def _closure_verdict(h, matrix: Mat, scaled: IntColumns, rows) -> DiffOp | None:
-    """The DiffOp of matrix when it is a coalgebra map and the difference
+def _closure_verdict(h, scaled: IntColumns, rows) -> DiffOp | None:
+    """The DiffOp of scaled when it is a coalgebra map and the difference
     identity holds on the closure rows, else None; both checks stop at
     their first failure.
 
@@ -186,89 +189,75 @@ def _closure_verdict(h, matrix: Mat, scaled: IntColumns, rows) -> DiffOp | None:
         return None
     if next(_identity_failures(h, scaled, rows), None) is not None:
         return None
-    return _verified(h, matrix)
+    return _verified(h, scaled)
 
 
-def is_diffop(h, matrix_or_map) -> DiffOp | None:
-    """The DiffOp of a Mat or LinMap that is a difference operator on h,
-    else None, stopping at the first failure.
+def is_diffop(h, candidate) -> DiffOp | None:
+    """The DiffOp of a candidate (see check_diffop) that is a difference
+    operator on h, else None, stopping at the first failure.
 
     On a FinDimHopf whose axiom_report passes and that has
     generating_rows, the difference identity is read on those rows only
     (_closure_verdict proves that this suffices); on any other carrier the
     verdict is check_diffop's.
     """
-    matrix = _square(h, matrix_or_map)
+    scaled = _square(h, candidate)
     rows = _closure_rows(h)
     if rows is None:
-        res = check_diffop(h, matrix)
+        res = check_diffop(h, candidate)
         return res if isinstance(res, DiffOp) else None
-    return _closure_verdict(h, matrix, int_columns(matrix), rows)
+    return _closure_verdict(h, scaled, rows)
 
 
-def check_diffop(h, matrix_or_map) -> DiffOp | CheckReport:
+def check_diffop(h, candidate) -> DiffOp | CheckReport:
     """The difference-operator verdict on a carrier, finite or truncated.
 
-    The candidate is a Mat, a LinMap, or a column table with None for an
-    unknown image; it is scaled to integer columns once, for every check.
-    A matrix that passes is_diffop's closure check comes back as a DiffOp
-    at once.  Otherwise both exhaustive checks run on every basis pair,
-    and a matrix passing both comes back as a DiffOp.  Otherwise the
-    report comes back, with the coalgebra_map_report entries and then
-    diff_identity_report's: failures or honest partial coverage are data,
-    not exceptions.  A candidate that is not h.dim x h.dim raises
-    ValueError.
+    The candidate is a LinMap, an IntColumns, or a column table with None
+    for an unknown image, read as integer columns once for every check.
+    A LinMap or IntColumns passing is_diffop's closure check, or else both
+    exhaustive checks on every basis pair, comes back as a DiffOp.
+    Otherwise, and always for a column table, the report comes back, with
+    the coalgebra_map_report entries and then diff_identity_report's:
+    failures or honest partial coverage are data, not exceptions.  A
+    candidate that is not h.dim x h.dim raises ValueError.
     """
-    matrix = _square(h, matrix_or_map)
-    scaled = int_columns(matrix)
-    if isinstance(matrix, Mat):
-        rows = _closure_rows(h)
-        if rows is not None:
-            op = _closure_verdict(h, matrix, scaled, rows)
-            if op is not None:
-                return op
+    scaled = _square(h, candidate)
+    whole = isinstance(candidate, (LinMap, IntColumns))
+    rows = _closure_rows(h) if whole else None
+    if rows is not None and (op := _closure_verdict(h, scaled, rows)) is not None:
+        return op
     co = coalgebra_map_report(h, h, scaled)
     ident = diff_identity_report(h, scaled)
     failures = co.failures + ident.failures
     skipped = co.skipped + ident.skipped
-    if failures or skipped or not isinstance(matrix, Mat):
+    if failures or skipped or not whole:
         return CheckReport(not failures, failures, skipped, ident.checked)
-    return _verified(h, matrix)
+    return _verified(h, scaled)
 
 
-def _verified(h, matrix: Mat) -> DiffOp:
-    """The DiffOp of a matrix proven to be a difference operator on h."""
-    inv = invert(matrix)
-    return DiffOp(LinMap(h, h, matrix), verified=True,
-                  bijective=inv is not None, inverse=inv)
+def _verified(h, cols: IntColumns) -> DiffOp:
+    """The DiffOp of columns proven to be a difference operator on h."""
+    d = LinMap(h, h, cols)
+    return DiffOp(d, verified=True, bijective=rank(d.cols.cols, h.dim) == h.dim)
 
 
 def diff_to_endo(h: FinDimHopf, d: LinMap) -> LinMap:
     """F = D * id (convolution)."""
-    return convolve(d, LinMap(h, h, Mat.identity(h.dim)))
+    return convolve(d, identity_map(h))
 
 
 def endo_to_diff(h: FinDimHopf, f: LinMap) -> LinMap:
     """D = F * S (convolution)."""
-    return convolve(f, LinMap(h, h, h.antipode))
+    return convolve(f, antipode_map(h))
 
 
 # -- the monoid on integer operator forms ----------------------------------------
 
 def _operator_form(h, matrix) -> tuple[IntColumns, IntColumns]:
-    """(D, F) for an operator D with this matrix or column table and
-    F = D * id, both as sparse integer columns."""
+    """(D, F) for an operator D given as a LinMap, an IntColumns or a
+    column table and F = D * id, both as IntColumns."""
     d = int_columns(matrix)
-    return d, convolve_columns(h, h, d, IntColumns(tuple(((j, 1),) for j in range(h.dim)), 1))
-
-
-def _flat(cols: IntColumns, n: int) -> list:
-    """Sparse integer columns as one flat dense list, column after column."""
-    flat = [0] * (n * n)
-    for o, col in zip(range(0, n * n, n), cols.cols):
-        for r, x in col:
-            flat[o + r] = x
-    return flat
+    return d, convolve_columns(h, h, d, identity_map(h).cols)
 
 
 def _key(flat: list, den: int) -> tuple:
@@ -335,11 +324,11 @@ def star(h: FinDimHopf, d: LinMap, dprime: LinMap) -> DiffOp:
     """
     if not is_cocommutative(h):
         raise ValueError("the star product needs a cocommutative Hopf algebra")
-    [(flat, den)] = _star_row(h, _operator_form(h, d.matrix), [_operator_form(h, dprime.matrix)])
+    [(flat, den)] = _star_row(h, _operator_form(h, d), [_operator_form(h, dprime)])
     n = h.dim
-    # flat runs column after column, a Mat row after row
-    result = check_diffop(h, Mat(n, n, [Fraction(x, den) if x else ZERO
-                                        for r in range(n) for x in flat[r::n]]))
+    # flat runs column after column
+    result = check_diffop(h, IntColumns([[(r, x) for r, x in enumerate(flat[o:o + n]) if x]
+                                         for o in range(0, n * n, n)], den))
     if not isinstance(result, DiffOp):
         raise ValueError(f"star product failed verification: {result.witness}")
     return result
@@ -361,7 +350,7 @@ def monoid_table(h: FinDimHopf, ops: list[DiffOp]) -> tuple[list, bool, bool]:
     if not is_cocommutative(h):
         raise ValueError("the star product needs a cocommutative Hopf algebra")
     n = h.dim
-    forms = [_operator_form(h, op.map.matrix) for op in ops]
+    forms = [_operator_form(h, op.map) for op in ops]
     index: dict = {}
     for k, (d, _) in enumerate(forms):
         index.setdefault(_key(_flat(d, n), d.den), k)
@@ -396,15 +385,14 @@ def conjugate(h: FinDimHopf, sigma: LinMap, d: LinMap) -> DiffOp:
     """sigma o D o sigma^-1 for a verified Hopf automorphism sigma."""
     if not is_hopf_automorphism(sigma):
         raise ValueError("sigma is not a Hopf algebra automorphism")
-    sigma_inv = invert(sigma.matrix)
-    mat = sigma.matrix.mul(d.matrix).mul(sigma_inv)
-    result = check_diffop(h, mat)
+    sigma_inv = LinMap(h, h, inverse_columns(sigma.cols))
+    result = check_diffop(h, sigma.compose(d).compose(sigma_inv))
     if not isinstance(result, DiffOp):
         raise ValueError(f"conjugated operator failed verification: {result.witness}")
     return result
 
 
-def rota_baxter_identity_report(h, matrix: Mat) -> CheckReport:
+def rota_baxter_identity_report(h, matrix) -> CheckReport:
     """B(x)B(y) = B(x1 B(x2) y S(B(x3))) on all basis pairs, on the integer
     structure table and B's integer columns, in that product order."""
     t = int_structure(h)
@@ -428,17 +416,17 @@ def rota_baxter_identity_report(h, matrix: Mat) -> CheckReport:
 
 def rota_baxter_inverse(h: FinDimHopf, d: DiffOp) -> tuple[LinMap, CheckReport]:
     """B = D^-1 with the Rota-Baxter identity verified exhaustively, and
-    the round trip (invert(B) is again a difference operator) checked."""
+    the round trip (B^-1 is again a difference operator, and is D) checked."""
     if not is_cocommutative(h):
         raise ValueError("Rota-Baxter inversion needs a cocommutative Hopf algebra")
-    if not d.bijective or d.inverse is None:
+    if not d.bijective:
         raise ValueError("singular: the operator has no inverse")
-    b = d.inverse
+    b = inverse_columns(d.map.cols)
     report = rota_baxter_identity_report(h, b)
     if report.ok:
-        back = invert(b)
+        back = inverse_columns(b)
         round_trip = check_diffop(h, back)
-        if not isinstance(round_trip, DiffOp) or back != d.map.matrix:
+        if not isinstance(round_trip, DiffOp) or back != d.map.cols:
             report = CheckReport(False, [("round-trip",)], [], report.checked)
     return LinMap(h, h, b), report
 
@@ -460,8 +448,9 @@ class DiffModuleBialgebra(Record):
 
 def compatibility_failures(action, d_h, d_k) -> list:
     """Label pairs (a, x), a before x, at which D_H(a1 . x1)(a2 . x2) =
-    D_K(a1) a2 . D_H(x1) x2 fails, for column tables d_h and d_k and a
-    module-bialgebra action of K = action.acting on H = action.target.
+    D_K(a1) a2 . D_H(x1) x2 fails, for operators d_h and d_k (IntColumns
+    or column tables) and a module-bialgebra action of K = action.acting
+    on H = action.target.
 
     With F = D * id (_operator_form) it reads F_H(a . x) = F_K(a) . F_H(x),
     as D(a . x) = (a1 . x1) (x) (a2 . x2) for a module bialgebra.  Both
@@ -494,23 +483,23 @@ def check_diff_module_bialgebra(action, d_h: LinMap, d_k: LinMap
         raise ValueError("both Hopf algebras must be cocommutative")
     _require_action(action, True)
     for name, hh, dd in (("H", h, d_h), ("K", k, d_k)):
-        if dd.matrix.rows != hh.dim or dd.matrix.cols != hh.dim:
+        if dd.domain.dim != hh.dim or dd.codomain.dim != hh.dim:
             raise ValueError(f"D_{name} is not an operator on {hh.name}")
         res = check_diffop(hh, dd)
         if not isinstance(res, DiffOp):
             raise ValueError(f"D_{name} is not a difference operator: {res.witness}")
 
-    failures = compatibility_failures(action, d_h.columns(), d_k.columns())
+    failures = compatibility_failures(action, d_h.cols, d_k.cols)
     if failures:
         return CheckReport(False, failures, [], k.dim * h.dim)
     return DiffModuleBialgebra(d_h, d_k, action, verified=True)
 
 
-def smash_extension_columns(action, d_h, d_k, smash) -> list:
-    """The columns of D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2),
-    one per pair (x, a) of the smash builder's index, in its order, for
-    column tables d_h and d_k of a compatible pair (compatibility_failures)
-    of cocommutative factors; a column that leaves a budget is None.
+def smash_extension_columns(action, d_h, d_k, smash) -> IntColumns:
+    """The IntColumns of D(x # a) = D_H(x1) x2 (D_K(a1) . S_H(x3)) # D_K(a2),
+    one column per pair (x, a) of the smash builder's index, in its order,
+    for operators d_h and d_k of a compatible pair (compatibility_failures)
+    of cocommutative factors; a column that leaves a budget is its error.
 
     D is F * S, for F(x # a) = F_H(x) # F_K(a) and F = D * id on each
     factor (_operator_form), a Hopf endomorphism of it.  So F is unital, a
@@ -532,16 +521,15 @@ def smash_extension_columns(action, d_h, d_k, smash) -> list:
         return smash.pair(_stored(fh[x]), _stored(fk[a]))
 
     t = int_structure(smash)
-    cols, den = convolve_columns(
+    return convolve_columns(
         smash, smash, IntColumns([_attempt(f, x, a) for x, a in smash.pairs], fh_den * fk_den),
         IntColumns(t.antipode, t.antipode_den))
-    return _rational_columns(cols, den, smash.dim)
 
 
 def smash_restrictions(smash, cols, d_h, d_k) -> tuple[bool, bool]:
-    """Whether the operator with column table cols on a smash builder has
-    D(x # 1) = D_H(x) # 1 and D(1 # a) = 1 # D_K(a) on every basis x of H
-    and a of K, for column tables d_h and d_k."""
+    """Whether the operator cols on a smash builder has D(x # 1) = D_H(x) # 1
+    and D(1 # a) = 1 # D_K(a) on every basis x of H and a of K, for
+    IntColumns or column tables."""
     icols, den = int_columns(cols)
     dh, dk = int_columns(d_h), int_columns(d_k)
     _, (hunit, kunit) = _sparse_ints([smash.h.unit_vec(), smash.k.unit_vec()])
@@ -564,9 +552,9 @@ def extend_diff_smash(m: DiffModuleBialgebra) -> tuple["TruncatedSmash", DiffOp]
     if not m.verified:
         raise ValueError("the pair must be verified as a difference module bialgebra")
     smash = _validated_smash(m.action)
-    d_h, d_k = m.d_h.columns(), m.d_k.columns()
+    d_h, d_k = m.d_h.cols, m.d_k.cols
     cols = smash_extension_columns(m.action, d_h, d_k, smash)
-    result = check_diffop(smash, Mat.from_cols(cols))
+    result = check_diffop(smash, cols)
     if not isinstance(result, DiffOp):
         raise AssertionError(f"smash extension failed verification: {result.witness}")
     for name, ok in zip(("D_H", "D_K"), smash_restrictions(smash, cols, d_h, d_k)):
@@ -584,13 +572,14 @@ def restricts_to_group_diffop(h: FinDimHopf, d: LinMap):
     from .groups import GroupMap, check_group_diffop
 
     group, idxs, pos = coradical_group(h)
+    cols, den = d.cols
     images = []
     for a in idxs:
-        img = d.image_of_basis(a)
-        hits = [i for i, c in enumerate(img) if c]
-        if len(hits) != 1 or img[hits[0]] != ONE or hits[0] not in pos:
+        # a basis vector e_b is the one term (b, den)
+        col = cols[a]
+        if len(col) != 1 or col[0][1] != den or col[0][0] not in pos:
             raise ValueError("operator does not permute the group-like basis into itself")
-        images.append(pos[hits[0]])
+        images.append(pos[col[0][0]])
     gmap = GroupMap(group, group, tuple(images))
     return group, gmap, check_group_diffop(gmap)
 
@@ -623,8 +612,8 @@ def ckmm_instance_check(h: FinDimHopf, d: DiffOp) -> dict:
     report["group_restriction_is_diffop"] = is_group_diff
     # smash reconstruction with trivial primitive part: the linear lift
     # of the group restriction must be D itself
-    lift = Mat.from_cols([basis_vec(h.dim, idxs[gmap(pos[b])]) for b in range(h.dim)])
-    report["reconstruction_identity"] = lift == d.map.matrix
+    lift = _canonical([((idxs[gmap(pos[b])], 1),) for b in range(h.dim)], 1)
+    report["reconstruction_identity"] = lift == d.map.cols
     report["ok"] = (report["primitives_trivial"] and is_group_diff
                     and report["reconstruction_identity"])
     return report
@@ -643,8 +632,7 @@ def all_diffops_on_group_algebra(h: FinDimHopf) -> list[DiffOp]:
     ops = []
     for f in enumerate_endos(group):
         d = diffop_from_endo(f)
-        mat = Mat.from_cols([basis_vec(h.dim, idxs[d(pos[b])]) for b in range(h.dim)])
-        res = check_diffop(h, mat)
+        res = check_diffop(h, IntColumns([((idxs[d(pos[b])], 1),) for b in range(h.dim)], 1))
         if not isinstance(res, DiffOp):
             raise AssertionError("group difference operator lift failed the Hopf check")
         ops.append(res)

@@ -65,12 +65,13 @@ class FrozenRecord(Record):
 
 
 def rat(value, den=None) -> Rat:
-    """Coerce ints, strings like "p/q", or Fractions to an exact rational."""
+    """Coerce ints, strings like "p/q", or Fractions to an exact rational;
+    a bool is refused, so that a JSON true or false is not read as 1 or 0."""
     if den is not None:
         return Fraction(value, den)
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)

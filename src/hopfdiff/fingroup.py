@@ -145,7 +145,7 @@ def coradical_group(h: FinDimHopf):
         raise ValueError("no declared group-algebra coradical")
     idxs = h.coradical_group_basis
     # the indices are checked before they are hashed: a file may give a list
-    if not all(isinstance(b, int) and 0 <= b < h.dim for b in idxs) or \
+    if not all(type(b) is int and 0 <= b < h.dim for b in idxs) or \
             len(set(idxs)) != len(idxs):
         raise ValueError("declared coradical must list distinct basis indices")
     pos = {b: i for i, b in enumerate(idxs)}

@@ -46,6 +46,13 @@ def _require(data: dict, keys: set, kind: str):
         raise ValueError(f"missing keys in {kind} file: {sorted(missing)}")
 
 
+def _index(value) -> int:
+    """A basis index: a JSON integer, not a boolean, a float or a string."""
+    if type(value) is not int:
+        raise ValueError(f"an index must be an integer, not {json.dumps(value)}")
+    return value
+
+
 # -- Hopf algebras -------------------------------------------------------------
 
 def algebra_to_dict(h) -> dict:
@@ -80,7 +87,7 @@ def algebra_from_dict(data: dict) -> FinDimHopf:
     if not all(isinstance(label, str) for label in data["basis"]):
         raise ValueError("basis labels must be strings")
     antipode = Mat.from_rows([[rat(c) for c in row] for row in data["antipode"]])
-    comult = [[(int(i), int(j), rat(c)) for (i, j, c) in triples]
+    comult = [[(_index(i), _index(j), rat(c)) for (i, j, c) in triples]
               for triples in data["comult"]]
     return FinDimHopf(
         data["name"], data["basis"],
@@ -163,8 +170,7 @@ def operator_to_dict(m: LinMap) -> dict:
     out = {
         "algebra": m.domain.name,
         "algebra_sha256": algebra_hash(m.domain),
-        "matrix": [[rat_str(m.matrix[(r, c)]) for c in range(m.matrix.cols)]
-                   for r in range(m.matrix.rows)],
+        "matrix": [[rat_str(c) for c in row] for row in zip(*m.columns())],
     }
     if m.codomain is not m.domain:
         out["codomain"] = m.codomain.name
@@ -184,8 +190,10 @@ def operator_from_dict(data: dict, resolve) -> LinMap:
     codomain = resolve(data["codomain"]) if "codomain" in data else domain
     if "codomain_sha256" in data and data["codomain_sha256"] != algebra_hash(codomain):
         raise ValueError("codomain content hash mismatch")
-    matrix = Mat.from_rows([[rat(c) for c in row] for row in data["matrix"]])
-    return LinMap(domain, codomain, matrix)
+    rows = [[rat(c) for c in row] for row in data["matrix"]]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged rows")
+    return LinMap(domain, codomain, list(zip(*rows)))
 
 
 # -- search plans and expected tables -------------------------------------------
@@ -213,12 +221,15 @@ def plan_from_dict(data: dict, resolve) -> "SearchPlan":
     target = resolve(data["algebra"])
     if "algebra_sha256" in data and data["algebra_sha256"] != algebra_hash(target):
         raise ValueError("plan was written for a different algebra: hash mismatch")
-    blocks = [
-        GeneratorBlock(int(b["generator"]),
-                       {int(k): (int(v[0]), int(v[1])) for k, v in b["cosets"].items()})
-        for b in data["generators"]
-    ]
-    return SearchPlan(target, [int(i) for i in data["grouplikes"]], blocks,
+    blocks = []
+    for b in data["generators"]:
+        generator, cosets = _index(b["generator"]), b["cosets"]
+        if not isinstance(cosets, dict) or \
+                any(not isinstance(v, list) or len(v) != 2 for v in cosets.values()):
+            raise ValueError(f"cosets must map keys to pairs of indices, not {json.dumps(cosets)}")
+        blocks.append(GeneratorBlock(generator, {int(k): (_index(i), _index(j))
+                                                 for k, (i, j) in cosets.items()}))
+    return SearchPlan(target, [_index(i) for i in data["grouplikes"]], blocks,
                       commutation=data.get("commutation"))
 
 

@@ -28,13 +28,15 @@ from math import comb, gcd, lcm
 
 from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, crossed_hom_report,
                       graph_vector, module_axiom_report, smash_vec)
-from .exactlin import Mat, ONE, _rat_vec, in_span, int_echelon, invert, rat, row_space_basis
+from .exactlin import ONE, _rat_vec, in_span, int_echelon, rat, row_space_basis
 from .hopf import (
     CheckReport,
+    IntColumns,
     OutOfBudgetError,
     Vec,
     _apply_int,
     _attempt,
+    _canonical,
     _combine,
     _sparse_ints,
     _stored,
@@ -46,8 +48,8 @@ from .hopf import (
     vec_sub,
     zero_vec,
 )
-from .maps import (IntColumns, _rational_columns, algebra_map_failures, coalgebra_map_report,
-                   convolve_columns, int_columns)
+from .maps import (algebra_map_failures, antipode_map, coalgebra_map_report, convolve_columns,
+                   int_columns, rank)
 from .truncated import (TruncatedEnveloping, TruncatedTensor, bracket_expansion, graded_dims,
                         lyndon_words, standard_factorization)
 
@@ -203,7 +205,8 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
     carrier (a primitive vector); budget overruns are reported, never
     skipped silently.  A word whose F image leaves the budget is skipped
     as ("F", i), ahead of check_diffop's entries, where each D column it
-    makes unknown is ("column", k).
+    makes unknown is ("column", k).  details["F"] is F's column table, None
+    for an unknown column, and details["D"] D's IntColumns.
     """
     from .diffops import check_diffop
 
@@ -214,9 +217,7 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
     letter_images = [vec_add(tv.generator_vec(x), phi[x]) for x in range(tv.generators)]
     f_cols = _multiplicative_columns(tv, tv, letter_images)
     # D(w) = sum F(w1) S(w2)
-    t = int_structure(tv)
-    cols, den = convolve_columns(tv, tv, f_cols, IntColumns(t.antipode, t.antipode_den))
-    d_cols = _rational_columns(cols, den, tv.dim)
+    d_cols = convolve_columns(tv, tv, f_cols, antipode_map(tv).cols)
     report = check_diffop(tv, d_cols)
     report.skipped = [("F", i) for i, c in enumerate(f_cols) if c is None] + report.skipped
     report.details["F"] = f_cols
@@ -272,9 +273,8 @@ def _free_values_int(action: DerivationAction, gen_images: list[Vec]) -> list:
                     acc = _combine(((t.mult_den * udn, _bracket_terms(act_int, k, u, vv)),
                                     (-t.mult_den * vdn, _bracket_terms(act_int, k, v, uu)),
                                     (aden, t.mul(uu, vv)), (-aden, t.mul(vv, uu))))
-                    den = aden * t.mult_den * udn * vdn
-                    g = gcd(den, *(m for _, m in acc))
-                    out = ([(p, m // g) for p, m in acc], den // g)
+                    (col,), den = _canonical([acc], aden * t.mult_den * udn * vdn)
+                    out = (col, den)
                 except OutOfBudgetError:
                     pass
         values[word] = out
@@ -311,11 +311,12 @@ def extend_crossed_hom_trunc(action: DerivationAction,
     pi_bar(x1...xn) = (pi(x1) + phi(x1)) ... (pi(xn) + phi(xn))(1) on the
     monomial basis, verified as a coalgebra map satisfying the
     Hopf crossed-homomorphism identity on all in-budget pairs.
+    details["pibar"] is its IntColumns (_pibar_int).
     """
     k, h = action.acting, action.target
     cols, den = icols = _pibar_int(action, pi_gen_images)
     report = crossed_hom_report(action, icols)
-    report.details["pibar"] = _rational_columns(cols, den, h.dim)
+    report.details["pibar"] = icols
     # restriction to primitive degree one must match the generator images
     pden, pis = _sparse_ints(pi_gen_images)
     gden, gens = _sparse_ints([k.generator_vec(g) for g in range(k.generators)])
@@ -353,13 +354,6 @@ def _pibar_int(action: DerivationAction, pi_gen_images: list[Vec]) -> IntColumns
             continue
         cols.append(_rescaled(acc, step ** (depth - len(factors))))
     return IntColumns(cols, unit_den * step ** depth)
-
-
-def pibar_columns(action: DerivationAction, pi_gen_images: list[Vec]):
-    """Images in H of K's basis monomials under the product-formula
-    extension.  Out-of-budget columns are None."""
-    cols, den = _pibar_int(action, pi_gen_images)
-    return _rational_columns(cols, den, action.target.dim)
 
 
 def mm_instance_check(action: DerivationAction, pi_gen_images: list[Vec],
@@ -579,9 +573,9 @@ def smash_vs_semidirect_trunc(lie_action, budget: int) -> dict:
     dims = graded_dims(u_sd)
     report["graded_dims_match"] = dims == graded_dims(smash)
     report["dims"] = dims
-    mat = Mat.from_cols([c for c in cols if c is not None])
-    report["bijective"] = (len([c for c in cols if c is not None]) == smash.dim
-                           and invert(mat) is not None)
+    known = [c for c in cols if c is not None]
+    report["bijective"] = (len(known) == smash.dim
+                           and rank(int_columns(known).cols, smash.dim) == smash.dim)
     # multiplicativity on in-budget pairs
     kinds = [kind for _, _, kind in algebra_map_failures(u_sd, smash, cols)]
     report["multiplicative_pairs_checked"] = u_sd.dim ** 2 - kinds.count("skipped")
@@ -619,7 +613,7 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
         expected[total] = comb(total + g.dim - 1, g.dim - 1)
     cum_expected = list(itertools.accumulate(expected))
     pi_images = [_embed_degree_one(uh, v) for v in pi_gen_images_lie]
-    cols = pibar_columns(action, pi_images)
+    cols = _pibar_int(action, pi_images)
     vectors_by_degree: dict = {}
     for i in range(ug.dim):
         try:
@@ -708,11 +702,11 @@ def ckmm_truncated_instance(budget: int) -> dict:
                                 row_space_basis(prim) == row_space_basis([e_vec]))
     # D on the primitive: identity (a difference operator on the abelian
     # one-dimensional Lie algebra); D on group-likes: the trivial one
-    d_on_e = cols[smash.index[(u_env.index[(1,)], 0)]]
-    report["restriction_on_primitive_is_id"] = d_on_e == e_vec
-    d_on_s = cols[smash.index[(0, 1)]]
-    unit = smash.unit_vec()
-    report["restriction_on_grouplike_is_trivial"] = d_on_s == unit
+    for key, pair, v in (("restriction_on_primitive_is_id", (u_env.index[(1,)], 0), e_vec),
+                         ("restriction_on_grouplike_is_trivial", (0, 1), smash.unit_vec())):
+        col = cols.cols[smash.index[pair]]
+        report[key] = col.__class__ is not OutOfBudgetError and \
+            _canonical([col], cols.den) == _canonical(*int_columns([v]))
     report["ok"] = all(report[k] for k in (
         "compatible", "incompatible_pair_rejected", "extension_is_diffop",
         "restricts_to_dh", "restricts_to_dk", "primitive_is_e",

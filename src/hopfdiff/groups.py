@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import itertools
 
-from .exactlin import FrozenRecord, Mat
+from .exactlin import FrozenRecord
 from .fingroup import FinGroup
-from .hopf import FinDimHopf, LinMap, basis_vec
+from .hopf import FinDimHopf, IntColumns, LinMap
 
 ENDO_ORDER_BOUND = 24
 
@@ -194,5 +194,5 @@ def derived_group_action(d: GroupMap, action: GroupAction):
 
 def lift_map(f: GroupMap, kg_source: FinDimHopf, kg_target: FinDimHopf) -> LinMap:
     """Linear extension of a set map between groups to the group algebras."""
-    cols = [basis_vec(kg_target.dim, f(a)) for a in range(f.source.order)]
-    return LinMap(kg_source, kg_target, Mat.from_cols(cols))
+    return LinMap(kg_source, kg_target,
+                  IntColumns([((f(a), 1),) for a in range(f.source.order)], 1))

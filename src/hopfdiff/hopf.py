@@ -10,13 +10,12 @@ The axiom checks run on integer numerators: a carrier's structure
 constants are scaled once to integers over one shared denominator per
 table (:func:`int_structure`, memoized on the carrier, each table built
 on first read), and comparisons are cross-multiplied by the known
-denominators, so every verdict is identical to rational arithmetic.
-Convolution and the algebra-map and coalgebra-map checks, the
-map-level code that only the operator and action layers run, live in
-:mod:`hopfdiff.maps` on the same tables, so a command that only resolves
-and checks an algebra does not compile them.  The action layer
-(:mod:`hopfdiff.actions`, :mod:`hopfdiff.freelie`) and
-:mod:`hopfdiff.diffops` run on these integer tables too.
+denominators, so every verdict is identical to rational arithmetic.  A
+:class:`LinMap` holds its matrix as :class:`IntColumns`, and the
+map-level code lives in :mod:`hopfdiff.maps`.  ``Fraction`` is built only
+by the rational carrier interface (``mult_vec``, :func:`sweedler_expand`,
+the dense ``FinDimHopf.mult``, the distinguished elements) and a LinMap's
+rational views, which the report builders read.
 
 A sparse integer vector is a sequence of pairs (k, m) in ascending k
 with no m zero.  In a table of such vectors, an entry that could not be
@@ -61,12 +60,14 @@ skip-aware checker returns a :class:`CheckReport`.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import is_not
 from types import SimpleNamespace
 
-from .exactlin import Mat, ONE, Rat, Record, ZERO, int_echelon, int_kernel, rat, rat_str
+from .exactlin import (Mat, ONE, Rat, Record, ZERO, _rat_vec, int_echelon, int_kernel, rat,
+                       rat_str)
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -286,41 +287,84 @@ class FinDimHopf(CarrierOps):
         return f"FinDimHopf({self.name!r}, dim={self.dim})"
 
 
+IntColumns = namedtuple("IntColumns", "cols den")
+IntColumns.__doc__ = """A matrix as sparse integer columns over one denominator; an
+unknown column is stored as an OutOfBudgetError."""
+
+
+def int_columns(matrix) -> IntColumns:
+    """The IntColumns of a LinMap, an IntColumns, or a column table over the
+    lcm of its denominators, None (an unknown image) stored as an error."""
+    if isinstance(matrix, IntColumns):
+        return matrix
+    if isinstance(matrix, LinMap):
+        return matrix.cols
+    den, cols = _sparse_ints([OutOfBudgetError("image column unknown") if c is None
+                              else c for c in matrix])
+    return IntColumns(cols, den)
+
+
+def _flat(m: IntColumns, n: int, scale: int = 1) -> list:
+    """The n-row matrix m, times scale, as one flat dense list of its
+    numerators, column after column."""
+    flat = [0] * (len(m.cols) * n)
+    for o, col in zip(range(0, len(flat), n), m.cols):
+        for r, x in col:
+            flat[o + r] = x * scale
+    return flat
+
+
+def _canonical(cols, den: int) -> IntColumns:
+    """Columns over den in lowest terms, den > 0 and each column a tuple,
+    so that equal matrices have equal IntColumns."""
+    g = gcd(den, *(m for c in cols for _, m in c)) * (1 if den > 0 else -1)
+    return IntColumns(tuple([tuple(c) if g == 1 else tuple([(k, m // g) for k, m in c])
+                             for c in cols]), den // g)
+
+
 class LinMap(Record):
-    """Linear map between algebras; column j is the image of basis j."""
+    """Linear map between carriers: column j of cols, an IntColumns kept in
+    lowest terms, is the image of basis j, so maps between the same
+    carrier objects are equal exactly when their cols are.  cols may be
+    given as a column table; columns(), image_of_basis(), matrix and
+    apply are rational views, formed on each read."""
 
-    _fields = ("domain", "codomain", "matrix")
+    _fields = ("domain", "codomain", "cols")
 
-    def __init__(self, domain: FinDimHopf, codomain: FinDimHopf, matrix: Mat):
-        if matrix.rows != codomain.dim or matrix.cols != domain.dim:
+    def __init__(self, domain, codomain, cols):
+        n = codomain.dim
+        ragged = not isinstance(cols, IntColumns) and any(len(c) != n for c in cols)
+        cols = _canonical(*int_columns(cols))
+        if ragged or len(cols.cols) != domain.dim or any(c and c[-1][0] >= n for c in cols.cols):
             raise ValueError("matrix shape does not match domain/codomain bases")
         self.domain = domain
         self.codomain = codomain
-        self.matrix = matrix
-
-    def apply(self, u: Vec) -> Vec:
-        return self.matrix.apply(u)
+        self.cols = cols
 
     def image_of_basis(self, j: int) -> Vec:
-        return self.matrix.col(j)
+        return _rat_vec(self.cols.cols[j], self.cols.den, self.codomain.dim)
 
     def columns(self) -> list:
         """The column table: the image of every basis element."""
-        return [self.matrix.col(j) for j in range(self.matrix.cols)]
+        return [self.image_of_basis(j) for j in range(self.domain.dim)]
+
+    @property
+    def matrix(self) -> Mat:
+        """The rational matrix, for a report that prints it."""
+        return Mat.from_cols(self.columns())
+
+    def apply(self, u: Vec) -> Vec:
+        den, (ints,) = _sparse_ints([u])
+        return _rat_vec(_apply_int(self.cols.cols, ints), den * self.cols.den, self.codomain.dim)
 
     def compose(self, other: "LinMap") -> "LinMap":
         """self after other."""
         if other.codomain is not self.domain:
             raise ValueError("composition domains do not match")
-        return LinMap(other.domain, self.codomain, self.matrix.mul(other.matrix))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LinMap)
-            and self.domain is other.domain
-            and self.codomain is other.codomain
-            and self.matrix == other.matrix
-        )
+        cols = self.cols.cols
+        return LinMap(other.domain, self.codomain,
+                      IntColumns([_apply_int(cols, c) for c in other.cols.cols],
+                                 self.cols.den * other.cols.den))
 
 
 def sweedler_expand(h, x_coords: Vec, n: int) -> dict:

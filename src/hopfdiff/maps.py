@@ -1,21 +1,16 @@
-"""Linear maps between carriers: convolution and the algebra-map and
-coalgebra-map checks, on integer numerators.
-
-A map's matrix is scaled once to integer columns over the lcm of its
-denominators (:func:`int_columns`), and its carriers' structure constants
-come from their integer structure tables (:func:`hopfdiff.hopf.int_structure`).
-Comparisons are cross-multiplied by the known denominators, and
-``Fraction`` values are built only for returned matrices
-(:func:`_rational_columns`), so every result is identical to rational
-arithmetic.  Sums go through the helpers of :mod:`hopfdiff.hopf` and keep
+"""Linear maps between carriers: convolution, the algebra-map and
+coalgebra-map checks, inverses and the automorphism test, on integer
+numerators: a :class:`hopfdiff.hopf.LinMap`'s :class:`IntColumns` and its
+carriers' integer structure tables (:func:`hopfdiff.hopf.int_structure`),
+compared cross-multiplied by the known denominators.  No ``Fraction`` is
+built here.  Sums go through the helpers of :mod:`hopfdiff.hopf` and keep
 its rule for a stored OutOfBudgetError.
 
 :func:`convolve_columns` is the one convolution loop, and
 :func:`algebra_map_failures` and :func:`coalgebra_map_failures` the one
 algebra-map and coalgebra-map checkers, for finite and truncated carriers
-alike.  Each takes a matrix, an :class:`IntColumns` or a column table
-that may hold None for an unknown image; the checks skip and record what
-needs it.
+alike.  Each takes a LinMap, an IntColumns or a column table; the checks
+skip and record what needs an unknown image.
 
 Only the layers that check maps import this module
 (:mod:`hopfdiff.diffops`, :mod:`hopfdiff.actions`, :mod:`hopfdiff.freelie`
@@ -25,24 +20,28 @@ and check an algebra do not compile it.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from math import lcm
 
-from .exactlin import Mat, _rat_vec, invert
-from .hopf import (CheckReport, FinDimHopf, LinMap, OutOfBudgetError, _apply_int, _attempt,
-                   _combine, _coproduct, _sparse_ints, _stored, _tensor_sum, int_structure,
-                   vec_scale)
+from .exactlin import int_echelon
+from .hopf import (CheckReport, FinDimHopf, IntColumns, LinMap, OutOfBudgetError, _apply_int,
+                   _attempt, _canonical, _combine, _coproduct, _stored, _tensor_sum,
+                   int_columns, int_structure, vec_scale)
 
 
 def identity_map(h: FinDimHopf) -> LinMap:
-    return LinMap(h, h, Mat.identity(h.dim))
+    return LinMap(h, h, IntColumns(tuple(((j, 1),) for j in range(h.dim)), 1))
 
 
 def unit_counit_map(k: FinDimHopf, h: FinDimHopf | None = None) -> LinMap:
     """u o eps : K -> H, the convolution unit."""
     h = h or k
-    cols = [vec_scale(k.counit_coeff(j), h.unit_vec()) for j in range(k.dim)]
-    return LinMap(k, h, Mat.from_cols(cols))
+    return LinMap(k, h, [vec_scale(k.counit_coeff(j), h.unit_vec()) for j in range(k.dim)])
+
+
+def antipode_map(h) -> LinMap:
+    """S : H -> H."""
+    t = int_structure(h)
+    return LinMap(h, h, IntColumns(t.antipode, t.antipode_den))
 
 
 def convolve(f: LinMap, g: LinMap) -> LinMap:
@@ -50,42 +49,27 @@ def convolve(f: LinMap, g: LinMap) -> LinMap:
     if f.domain is not g.domain or f.codomain is not g.codomain:
         raise ValueError("convolution needs equal domains and codomains")
     dom, cod = f.domain, f.codomain
-    cols, den = convolve_columns(dom, cod, f.matrix, g.matrix)
-    return LinMap(dom, cod, Mat.from_cols(_rational_columns(map(_stored, cols), den, cod.dim)))
+    cols, den = convolve_columns(dom, cod, f.cols, g.cols)
+    return LinMap(dom, cod, IntColumns([_stored(c) for c in cols], den))
 
 
-def _rational_columns(cols, den: int, n: int) -> list:
-    """The rational n-vectors of sparse integer columns over den, None for
-    a stored error."""
-    return [None if c.__class__ is OutOfBudgetError else _rat_vec(c, den, n) for c in cols]
+def rank(cols, n: int) -> int:
+    """The rank of the matrix of the sparse integer columns cols over n rows."""
+    return len(int_echelon(map(dict, cols), n)[1])
 
 
-IntColumns = namedtuple("IntColumns", "cols den")
-IntColumns.__doc__ = "A matrix as sparse integer columns over one denominator."
-
-
-def int_columns(matrix) -> IntColumns:
-    """The columns of a Mat as sparse integer tuples over the lcm of its
-    denominators; an IntColumns is returned as it is.
-
-    A column table (a list of coordinate vectors) may hold None for an
-    image that is unknown, stored as an OutOfBudgetError.
-    """
-    if isinstance(matrix, IntColumns):
-        return matrix
-    if not isinstance(matrix, Mat):
-        den, cols = _sparse_ints([OutOfBudgetError("image column unknown") if c is None
-                                  else c for c in matrix])
-        return IntColumns(cols, den)
-    ratios = [c.as_integer_ratio() for c in matrix.entries]
-    den = lcm(*{d for _, d in ratios})
-    width = matrix.cols
-    # tuples are built from lists, not generators: a tuple grown from a
-    # generator bypasses the interpreter's tuple free lists but is freed
-    # into them, so thousands of columns would fill them
-    cols = [tuple([(r, p * (den // d)) for r, (p, d) in enumerate(ratios[j::width]) if p])
-            for j in range(width)]
-    return IntColumns(cols, den)
+def inverse_columns(m: IntColumns) -> IntColumns | None:
+    """The inverse of the square m = C / den, or None when m is singular: den
+    times the rows of (C^t)^-1, read off the reduced echelon form
+    [I | (C^t)^-1] of [C^t | I], whose row i int_echelon scales by row[i]."""
+    n = len(m.cols)
+    echelon, pivots = int_echelon([{**dict(col), n + j: 1} for j, col in enumerate(m.cols)],
+                                  2 * n)
+    if pivots != list(range(n)):
+        return None
+    den = lcm(*(row[i] for i, row in enumerate(echelon)))
+    return _canonical([[(c - n, x * m.den * (den // row[i])) for c, x in sorted(row.items())
+                        if c >= n] for i, row in enumerate(echelon)], den)
 
 
 def convolve_columns(dom, cod, f, g) -> IntColumns:
@@ -190,7 +174,7 @@ def coalgebra_map_report(dom, cod, matrix) -> CheckReport:
 # -- homomorphism tests -------------------------------------------------------
 
 def is_coalgebra_hom(f: LinMap) -> bool:
-    return next(coalgebra_map_failures(f.domain, f.codomain, f.matrix), None) is None
+    return next(coalgebra_map_failures(f.domain, f.codomain, f.cols), None) is None
 
 
 def is_algebra_hom(f: LinMap) -> bool:
@@ -198,16 +182,13 @@ def is_algebra_hom(f: LinMap) -> bool:
     dom, cod = f.domain, f.codomain
     if f.apply(dom.unit_vec()) != cod.unit_vec():
         return False
-    return next(algebra_map_failures(dom, cod, f.matrix), None) is None
+    return next(algebra_map_failures(dom, cod, f.cols), None) is None
 
 
 def is_hopf_automorphism(f: LinMap) -> bool:
     """Algebra + coalgebra homomorphism, invertible, commutes with S."""
-    if f.domain is not f.codomain:
-        return False
-    if not is_algebra_hom(f) or not is_coalgebra_hom(f):
-        return False
-    if invert(f.matrix) is None:
-        return False
     h = f.domain
-    return f.matrix.mul(h.antipode) == h.antipode.mul(f.matrix)
+    if h is not f.codomain or not is_algebra_hom(f) or not is_coalgebra_hom(f):
+        return False
+    s = antipode_map(h)
+    return rank(f.cols.cols, h.dim) == h.dim and f.compose(s) == s.compose(f)

@@ -37,8 +37,10 @@ over their monomials, quadratic ones first, and solves the rows left linear,
 both on sparse integer rows (:func:`hopfdiff.exactlin.int_echelon`).  The
 constraints are built from the integer structure table
 (:func:`hopfdiff.hopf.int_structure`), and what does not depend on the
-branch is built once per plan.  ``Fraction`` values appear only in roots,
-in the recorded candidate sets and in the frozen operators.
+branch is built once per plan.  ``Fraction`` values appear only in roots
+and in the recorded candidate sets: a solved leaf is read off as integer
+columns (:class:`hopfdiff.hopf.IntColumns`), which phase 4 verifies,
+orders and compares with published tables.
 """
 
 from __future__ import annotations
@@ -48,8 +50,9 @@ from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 
-from .exactlin import Mat, ONE, Record, int_echelon, int_kernel, rat
-from .hopf import FinDimHopf, _stored, int_structure
+from .exactlin import ONE, Record, int_echelon, int_kernel, rat
+from .hopf import (FinDimHopf, IntColumns, _canonical, _flat, _stored, int_columns,
+                   int_structure)
 from .fingroup import FinGroup, coradical_group
 from .groups import enumerate_endos, diffop_from_endo
 
@@ -366,7 +369,7 @@ class BranchReport(Record):
         self.index = index
         self.group_images = group_images
         self.status = status  # complete | empty | partial
-        # image matrices (list of columns)
+        # the branch's verified operators (DiffOps)
         self.operators = [] if operators is None else operators
         self.quadratic_candidates = quadratic_candidates
         self.residual = residual
@@ -685,9 +688,11 @@ class _Engine:
         if reducer is None:
             return []
         if nvars == 0:
-            # every equation left would be a constant, and the linear phase
-            # has solved those
-            return [self._freeze(images)]
+            # every equation left would be a constant, which the linear phase
+            # has solved: the images are their forms' constants, in lowest terms
+            cols, den = images
+            return [_canonical([[(k, form[0]) for k, form in enumerate(col) if form.get(0)]
+                                for col in cols], den)]
         if not eqs:
             self.partial_reason = f"{nvars} parameters remain unconstrained"
             return None
@@ -722,12 +727,6 @@ class _Engine:
             f"{nvars} parameters with {len(eqs)} nonlinear constraints outside "
             "the group-algebra quadratic pattern")
         return None
-
-    @staticmethod
-    def _freeze(images):
-        cols, den = images
-        assert all(_is_const(form) for col in cols for form in col)
-        return [[Fraction(form.get(0, 0), den) for form in col] for col in cols]
 
     @staticmethod
     def _reduce(eqs):
@@ -894,22 +893,20 @@ def classify_diffops(plan: SearchPlan, bijective_only: bool = False) -> Classifi
         # difference-operator verdict is the arbiter for every candidate
         verified = []
         for cols in ops:
-            op = is_diffop(h, Mat.from_cols(cols))
+            op = is_diffop(h, cols)
             if op is not None:
                 verified.append(op)
         status = "complete" if verified else "empty"
         if bijective_only:
             verified = [op for op in verified if op.bijective]
-        branches.append(BranchReport(
-            bi, labels, status,
-            [[list(op.map.matrix.col(j)) for j in range(h.dim)] for op in verified],
-            branch.record))
+        branches.append(BranchReport(bi, labels, status, verified, branch.record))
         operators.extend(verified)
     # canonical order: by image matrix, lexicographically.  No operator is
     # listed twice: each leaf of a branch's search tree has its own value of
-    # the form it was pinned on, and the branches differ on G(H)
-    operators.sort(key=lambda op: tuple(tuple(op.map.matrix.col(j))
-                                        for j in range(h.dim)))
+    # the form it was pinned on, and the branches differ on G(H).  The
+    # numerators over one denominator sort as the matrices do
+    den = lcm(1, *(op.map.cols.den for op in operators))
+    operators.sort(key=lambda op: _flat(op.map.cols, h.dim, den // op.map.cols.den))
     return ClassificationResult(h.name, operators, certificate, branches, bijective_only)
 
 
@@ -930,19 +927,15 @@ class PublishedDiff(Record):
 def verify_against_published(result: ClassificationResult, expected) -> PublishedDiff:
     """Set comparison between a classification and published tables.
 
-    expected is a list of {name, images}; images are basis-image vectors.
-    Mismatches are pinpointed entry by entry against the closest computed
-    operator.
+    expected is a list of {name, images}; images are basis-image vectors,
+    read as integer columns in lowest terms like the operators'.
+    Mismatches are pinpointed entry by entry against the first computed
+    operator with the fewest differing entries; extra lists the
+    IntColumns of the operators not expected.
     """
-    computed = []
-    for op in result.operators:
-        computed.append(tuple(tuple(rat(c) for c in op.map.matrix.col(j))
-                              for j in range(op.map.matrix.cols)))
-    expected_tables = []
-    for table in expected:
-        expected_tables.append(
-            (table.get("name", "?"),
-             tuple(tuple(rat(c) for c in col) for col in table["images"])))
+    computed = [op.map.cols for op in result.operators]
+    expected_tables = [(table.get("name", "?"), _canonical(*int_columns(
+        [[rat(c) for c in col] for col in table["images"]]))) for table in expected]
     comp_set = set(computed)
     exp_set = {t for _, t in expected_tables}
     matched = [name for name, t in expected_tables if t in comp_set]
@@ -952,12 +945,14 @@ def verify_against_published(result: ClassificationResult, expected) -> Publishe
     for name, t in expected_tables:
         if t in comp_set or not computed:
             continue
-        best = min(computed, key=lambda c: _diff_count(c, t))
-        positions = [(j, k) for j in range(len(t)) for k in range(len(t[j]))
-                     if best[j][k] != t[j][k]]
+        positions = min((_differing(c, t) for c in computed), key=len)
         entry_mismatches.append((name, positions))
     return PublishedDiff(matched, missing, extra, entry_mismatches)
 
 
-def _diff_count(a, b):
-    return sum(1 for j in range(len(a)) for k in range(len(a[j])) if a[j][k] != b[j][k])
+def _differing(a: IntColumns, b: IntColumns) -> list:
+    """The positions (j, k), in order, at which entry k of column j of a
+    and of b differ, cross-multiplied by their denominators."""
+    ea, eb = ({(j, k): x * den for j, col in enumerate(m.cols) for k, x in col}
+              for m, den in ((a, b.den), (b, a.den)))
+    return sorted(p for p in ea.keys() | eb.keys() if ea.get(p, 0) != eb.get(p, 0))

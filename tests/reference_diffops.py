@@ -13,7 +13,7 @@ from hopfdiff.maps import coalgebra_map_report
 def check_diffop_prime(h, matrix_or_map) -> bool:
     """The equivalent one-sided identity D(x1 y) x2 = D(x1) x2 D(y)."""
     matrix = matrix_or_map.matrix if isinstance(matrix_or_map, LinMap) else matrix_or_map
-    if not coalgebra_map_report(h, h, matrix).ok:
+    if not coalgebra_map_report(h, h, [matrix.col(j) for j in range(matrix.cols)]).ok:
         return False
     n = h.dim
     for i in range(n):

@@ -22,7 +22,7 @@ COEFF_POOL = [Fraction(0), Fraction(1), Fraction(-1),
 
 def _grouplike_function_map(kg, images):
     cols = [basis_vec(kg.dim, g) for g in images]
-    return LinMap(kg, kg, Mat.from_cols(cols))
+    return LinMap(kg, kg, cols)
 
 
 def _group_algebra_maps(kg, rng, count):
@@ -60,7 +60,7 @@ def _h4_maps(h4, rng, count):
         space_gx = skew_primitives(h4, grouplike[fg], grouplike[f1])
         cols = [grouplike[f1], grouplike[fg],
                 _combination(rng, space_x, 4), _combination(rng, space_gx, 4)]
-        maps.append(LinMap(h4, h4, Mat.from_cols(cols)))
+        maps.append(LinMap(h4, h4, cols))
     return maps[:count]
 
 
@@ -71,7 +71,7 @@ def _h8_maps(h8, rng, count):
     from hopfdiff.maps import unit_counit_map
 
     expected = catalog.build("expected:H8-bijective")
-    known = [LinMap(h8, h8, Mat.from_cols(t["images"])) for t in expected]
+    known = [LinMap(h8, h8, t["images"]) for t in expected]
     maps = [unit_counit_map(h8)] + known
     # coalgebra endomorphisms of the simple subcoalgebra: restrictions of
     # known operators, closed up by composition
@@ -95,7 +95,7 @@ def _h8_maps(h8, rng, count):
                 for i in range(4):
                     col[4 + i] = block[(i, j)]
                 cols.append(col)
-        maps.append(LinMap(h8, h8, Mat.from_cols(cols)))
+        maps.append(LinMap(h8, h8, cols))
     return maps[:count]
 
 

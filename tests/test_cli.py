@@ -571,6 +571,52 @@ def test_malformed_file_exits_two(capsys, tmp_path, entry, argv, corrupt):
     assert "Traceback" not in err
 
 
+def _set_comult_index(value):
+    def corrupt(d):
+        d["comult"][0][0][0] = value
+    return corrupt
+
+
+def _set_coset(cosets):
+    def corrupt(d):
+        d["generators"][0]["cosets"] = cosets
+    return corrupt
+
+
+# a boolean is no number, and an index is a JSON integer: each of these
+# files, which once read as the catalog entry, names its fault and exits 2
+@pytest.mark.parametrize("entry, argv, corrupt, message", [
+    ("op:id:kC2", ["check-diffop", "--operator"],
+     lambda d: d.__setitem__("matrix", [[True, False], [False, True]]),
+     "cannot build a rational from True"),
+    ("kC2", ["validate", "--algebra"], lambda d: d.__setitem__("counit", [True, True]),
+     "cannot build a rational from True"),
+    ("kC2", ["validate", "--algebra"], _set_comult_index(0.9),
+     "an index must be an integer, not 0.9"),
+    ("kC2", ["validate", "--algebra"], _set_comult_index("0"),
+     'an index must be an integer, not "0"'),
+    ("plan:H4", ["classify-diffops", "--plan"], lambda d: d.__setitem__("grouplikes", [0, 1.5]),
+     "an index must be an integer, not 1.5"),
+    ("plan:H4", ["classify-diffops", "--plan"], lambda d: d.__setitem__("grouplikes", [0, "01"]),
+     'an index must be an integer, not "01"'),
+    ("plan:H4", ["classify-diffops", "--plan"], _set_coset({"2": [0]}),
+     'cosets must map keys to pairs of indices, not {"2": [0]}'),
+    ("plan:H4", ["classify-diffops", "--plan"], _set_coset([]),
+     "cosets must map keys to pairs of indices, not []"),
+], ids=["operator-booleans", "counit-booleans", "comult-float-index", "comult-string-index",
+        "plan-float-grouplike", "plan-string-grouplike", "plan-short-coset", "plan-coset-list"])
+def test_malformed_number_or_index_exits_two_naming_it(capsys, tmp_path, entry, argv, corrupt,
+                                                       message):
+    path = tmp_path / "bad.json"
+    code, payload, _ = invoke(capsys, "catalog", entry)
+    corrupt(payload["payload"])
+    path.write_text(json.dumps(payload["payload"]))
+    code, payload, err = invoke(capsys, *argv, str(path))
+    assert (code, payload["ok"]) == (2, False)
+    assert payload["error"].endswith(message)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("option", FILE_OPTIONS)
 @pytest.mark.parametrize("kind, message", [
     ("directory", "cannot read {path}: Is a directory"),

@@ -29,3 +29,11 @@ def test_every_catalog_entry_is_exported(argvs):
 
 def test_every_file_option_gets_the_unreadable_inputs():
     assert set(cli.OPTIONS) == set(FILE_OPTIONS) | set(NON_FILE_OPTIONS)
+
+
+def test_every_expected_tables_export_runs_against_a_plan(argvs):
+    for name in catalog.names():
+        if name.startswith("expected:"):
+            assert any(argv[0] == "classify-diffops" and "--plan" in argv
+                       and argv[-2:-1] == ["--expected"] and argv[-1].endswith(f"{name}.json")
+                       for argv in argvs), name

@@ -27,6 +27,7 @@ from hopfdiff.exactlin import Mat, invert, row_space_basis
 from hopfdiff.groups import check_group_diffop
 from hopfdiff.hopf import (
     FinDimHopf,
+    IntColumns,
     LinMap,
     axiom_report,
     basis_vec,
@@ -38,6 +39,8 @@ from hopfdiff.maps import (
     identity_map,
     int_columns,
     is_algebra_hom,
+    is_coalgebra_hom,
+    rank,
     unit_counit_map,
 )
 
@@ -59,8 +62,8 @@ def test_id_on_h4_fails_with_witness(h4):
 
 
 @pytest.mark.parametrize("candidate", [
-    Mat.from_cols([[1, 0, 0, 0], [0, 1, 0, 0]]),  # the crossed homomorphism kC2 -> kC4
-    Mat.identity(3),
+    catalog.build("op:crossed:kC2:kC4"),  # the crossed homomorphism kC2 -> kC4
+    IntColumns((((0, 1),), ((1, 1),), ((2, 1),)), 1),
     [[1, 0], [0, 1], [0, 0]],
     [None, [1, 0, 0]],
 ], ids=["4x2", "3x3", "three-columns", "long-column"])
@@ -71,7 +74,7 @@ def test_check_diffop_rejects_a_candidate_of_another_shape(kc2, candidate):
 
 def test_paper_d1_table_verifies(h8):
     table = catalog.build("expected:H8-bijective")[0]
-    res = check_diffop(h8, LinMap(h8, h8, Mat.from_cols(table["images"])))
+    res = check_diffop(h8, LinMap(h8, h8, table["images"]))
     assert isinstance(res, DiffOp) and res.bijective
 
 
@@ -86,7 +89,7 @@ def test_printed_swap_family_fails_the_defining_identity(h8):
 
     swap = [0, 2, 1, 3]
     d5_cols = [basis_vec(8, g) for g in swap] + [basis_vec(8, 4 + j) for j in range(4)]
-    d5 = LinMap(h8, h8, Mat.from_cols(d5_cols))
+    d5 = LinMap(h8, h8, d5_cols)
     assert is_coalgebra_hom(d5)
     res = check_diffop(h8, d5)
     assert isinstance(res, CheckReport)
@@ -108,7 +111,7 @@ def test_printed_swap_family_fails_the_defining_identity(h8):
 def test_prime_identity_agrees(h4, h8):
     assert check_diffop_prime(h4, unit_counit_map(h4))
     table = catalog.build("expected:H8-bijective")[0]
-    assert check_diffop_prime(h8, LinMap(h8, h8, Mat.from_cols(table["images"])))
+    assert check_diffop_prime(h8, LinMap(h8, h8, table["images"]))
     assert not check_diffop_prime(h4, identity_map(h4))
 
 
@@ -120,7 +123,7 @@ def test_diff_to_endo_examples(kc2, h4, h8):
     assert f.image_of_basis(1) == basis_vec(2, 0)
     # theorem direction on H8: D1 * id is an algebra homomorphism
     table = catalog.build("expected:H8-bijective")[0]
-    d1 = LinMap(h8, h8, Mat.from_cols(table["images"]))
+    d1 = LinMap(h8, h8, table["images"])
     assert is_algebra_hom(diff_to_endo(h8, d1))
 
 
@@ -215,8 +218,8 @@ def test_monoid_table_rejects_a_non_operator_by_its_two_formulas(ks3):
     difference operator.  First in the list, its whole row of star
     products is formed before any lookup, and the two defining formulas
     of a product in it disagree."""
-    bad = Mat.from_cols([basis_vec(ks3.dim, 1)] * ks3.dim)
-    assert not isinstance(check_diffop(ks3, bad), DiffOp)
+    bad = [basis_vec(ks3.dim, 1)] * ks3.dim
+    assert not isinstance(check_diffop(ks3, LinMap(ks3, ks3, bad)), DiffOp)
     ops = all_diffops_on_group_algebra(ks3)
     with pytest.raises(ValueError, match="disagree"):
         monoid_table(ks3, [DiffOp(LinMap(ks3, ks3, bad), False, False)] + ops)
@@ -230,11 +233,11 @@ def test_conjugate_identity_automorphism(h4):
 
 def test_conjugate_by_h8_swap_stays_classified(h8):
     sigma = catalog.build("aut:H8:swap")
-    sigma = LinMap(h8, h8, sigma.matrix)
+    sigma = LinMap(h8, h8, sigma.cols)
     classified = {tuple(tuple(t["images"][j]) for j in range(8))
                   for t in catalog.build("expected:H8-bijective")[:4]}
     table = catalog.build("expected:H8-bijective")[0]
-    d1 = LinMap(h8, h8, Mat.from_cols(table["images"]))
+    d1 = LinMap(h8, h8, table["images"])
     res = conjugate(h8, sigma, d1)
     image = tuple(tuple(res.map.matrix.col(j)) for j in range(8))
     assert image in classified
@@ -245,17 +248,37 @@ def test_conjugation_by_inner_automorphism_permutes_dif_ks3(ks3):
     # conjugation by the transposition (12), lifted to kS3
     h = 1
     cols = [basis_vec(6, s3.conjugate(h, a)) for a in range(6)]
-    sigma = LinMap(ks3, ks3, Mat.from_cols(cols))
+    sigma = LinMap(ks3, ks3, cols)
     ops = all_diffops_on_group_algebra(ks3)
     originals = {tuple(op.map.matrix.entries) for op in ops}
     conjugated = {tuple(conjugate(ks3, sigma, op.map).map.matrix.entries) for op in ops}
     assert conjugated == originals
 
 
-def test_conjugate_rejects_non_automorphism(h4):
-    d = check_diffop(h4, unit_counit_map(h4))
-    with pytest.raises(ValueError, match="automorphism"):
-        conjugate(h4, unit_counit_map(h4), d.map)
+# maps that fail one test of a Hopf automorphism each: (algebra, its
+# columns, or None for u o eps, and the test that fails)
+NON_AUTOMORPHISMS = [
+    ("H4", None, "invertible"),
+    # g -> -g: an algebra automorphism, but D(-g) = -g (x) g
+    ("kC2", [[1, 0], [0, -1]], "coalgebra"),
+    # g <-> g^2: it permutes the group-likes, but g g = g^2 goes to g and
+    # g^2 g^2 = 1
+    ("kC4", [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], "algebra"),
+    # 1 <-> g^2 commutes with S as well, and fails the unit alone
+    ("kC4", [[0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1]], "algebra"),
+]
+
+
+def test_conjugate_rejects_non_automorphism():
+    for name, columns, fails in NON_AUTOMORPHISMS:
+        h = catalog.build(name)
+        sigma = unit_counit_map(h) if columns is None else LinMap(h, h, columns)
+        verdicts = {"algebra": is_algebra_hom(sigma), "coalgebra": is_coalgebra_hom(sigma),
+                    "invertible": rank(sigma.cols.cols, h.dim) == h.dim}
+        assert verdicts == {kind: kind != fails for kind in verdicts}, name
+        d = check_diffop(h, unit_counit_map(h))
+        with pytest.raises(ValueError, match="automorphism"):
+            conjugate(h, sigma, d.map)
 
 
 def test_rota_baxter_on_kc2_identity(kc2):
@@ -365,7 +388,7 @@ def test_restriction_to_grouplikes_is_group_diffop(ks3, h8):
     _, gmap, ok = restricts_to_group_diffop(ks3, inv)
     assert ok and check_group_diffop(gmap)
     table = catalog.build("expected:H8-bijective")[0]
-    d1 = LinMap(h8, h8, Mat.from_cols(table["images"]))
+    d1 = LinMap(h8, h8, table["images"])
     _, gmap, ok = restricts_to_group_diffop(h8, d1)
     assert ok
 
@@ -409,7 +432,7 @@ def test_ckmm_on_smash_product_with_id_ueps(kc2):
     for g in range(2):
         for h in range(2):
             cols.append(basis_vec(4, g * 2 + 0))
-    d = check_diffop(smash, Mat.from_cols(cols))
+    d = check_diffop(smash, LinMap(smash, smash, cols))
     assert isinstance(d, DiffOp)
     rep = ckmm_instance_check(smash, d)
     assert rep["ok"]
@@ -417,7 +440,7 @@ def test_ckmm_on_smash_product_with_id_ueps(kc2):
 
 def test_ckmm_rejects_non_pointed_input(h8):
     table = catalog.build("expected:H8-bijective")[0]
-    d1 = check_diffop(h8, Mat.from_cols(table["images"]))
+    d1 = check_diffop(h8, LinMap(h8, h8, table["images"]))
     with pytest.raises(ValueError, match="cocommutative"):
         ckmm_instance_check(h8, d1)
 
@@ -452,12 +475,14 @@ def test_truncated_carrier_skip_accounting(make_map, failures):
 ])
 def test_column_table_verdict_is_a_report(h4, make_map, failures):
     """A column table is checked like its matrix, on every pair, but the
-    verdict is always the report: only a matrix comes back as a DiffOp."""
-    m = make_map(h4).matrix
-    res = check_diffop(h4, [m.col(j) for j in range(h4.dim)])
+    verdict is always the report: only a map or its integer columns come
+    back as a DiffOp."""
+    m = make_map(h4)
+    res = check_diffop(h4, m.columns())
     assert isinstance(res, CheckReport)
     assert (res.ok, res.failures, res.skipped, res.checked) == (not failures, failures, [], 16)
     assert isinstance(check_diffop(h4, m), DiffOp) is (not failures)
+    assert isinstance(check_diffop(h4, m.cols), DiffOp) is (not failures)
 
 
 # -- generator-closure verdicts: seeded faults ------------------------------------
@@ -496,7 +521,7 @@ def test_closure_without_z_would_accept_published_non_operators(h8, name):
     them, and the full report gives the failure at (z, z)."""
     (images,) = [t["images"] for t in catalog.build("expected:H8-bijective")
                  if t["name"] == name]
-    m = Mat.from_cols(images)
+    m = LinMap(h8, h8, images)
     scaled = int_columns(m)
     assert coalgebra_map_report(h8, h8, m).ok
     assert next(diffops._identity_failures(h8, scaled, (0, 1, 2)), None) is None

@@ -178,7 +178,7 @@ def test_diffop_from_phi_zero_is_ueps():
     tv = TruncatedTensor(2, 4)
     rep = diffop_from_hom(tv, [zero_vec(tv.dim), zero_vec(tv.dim)])
     assert rep.ok
-    for i, col in enumerate(rep.details["D"]):
+    for i, col in enumerate(column_table(rep.details["D"], tv.dim)):
         expected = zero_vec(tv.dim)
         expected[0] = tv.counit_coeff(i)
         assert col == expected
@@ -188,7 +188,7 @@ def test_diffop_from_doubling():
     tv = TruncatedTensor(2, 4)
     rep = diffop_from_hom(tv, [list(tv.generator_vec(0)), list(tv.generator_vec(1))])
     assert rep.ok
-    d = rep.details["D"]
+    d = column_table(rep.details["D"], tv.dim)
     assert d[tv.index[(0,)]] == list(tv.generator_vec(0))  # D(a) = a
     expected = zero_vec(tv.dim)
     expected[tv.index[(0, 1)]] = F(2)
@@ -217,7 +217,7 @@ def test_extend_crossed_hom_pi_zero_trivial_action():
     triv = trivial_derivation_action(tv, tv)
     rep = extend_crossed_hom_trunc(triv, [zero_vec(tv.dim), zero_vec(tv.dim)])
     assert rep.ok
-    cols = rep.details["pibar"]
+    cols = column_table(rep.details["pibar"], tv.dim)
     assert cols[0] == tv.unit_vec()
     for g in range(2):
         assert cols[tv.index[(g,)]] == zero_vec(tv.dim)
@@ -250,7 +250,7 @@ def test_mm_instance_check_passes_and_detects_perturbation():
     rep = mm_instance_check(adj, neg)
     assert rep.ok
     assert rep.details["uniqueness"]["unique"]
-    cols = [None if c is None else list(c) for c in rep.details["pibar"]]
+    cols = column_table(rep.details["pibar"], tv.dim)
     cols[tv.index[(0, 1)]][tv.index[(1, 0)]] += F(1)
     bad = mm_instance_check(adj, neg, candidate_cols=cols)
     assert not bad.ok
@@ -329,7 +329,7 @@ def test_mm_instance_check_into_another_carrier():
     rep = mm_instance_check(action, pi)
     assert rep.ok and not rep.failures
     assert rep.details["uniqueness"] == {"unique": True, "matches": True, "witness": None}
-    cols = rep.details["pibar"]
+    cols = column_table(rep.details["pibar"], uh.dim)
     assert cols[tv.index[(0, 1)]] == cols[tv.index[(1, 0)]] == uh.mult_vec(*pi)
 
 
@@ -439,8 +439,8 @@ def test_derived_action_primitive_formula_on_truncation():
     primitives; every product stays within the budget."""
     tv = TruncatedTensor(2, 4)
     adj = adjoint_derivation_action(tv)
-    pi_cols = diffop_from_hom(
-        tv, [list(tv.generator_vec(0)), list(tv.generator_vec(1))]).details["D"]
+    pi_cols = column_table(diffop_from_hom(
+        tv, [list(tv.generator_vec(0)), list(tv.generator_vec(1))]).details["D"], tv.dim)
 
     def derived(a, x):
         out = zero_vec(tv.dim)
@@ -456,3 +456,11 @@ def test_derived_action_primitive_formula_on_truncation():
         for x in (a, b):
             bracket = vec_sub(tv.mult_vec(pia, x), tv.mult_vec(x, pia))
             assert derived(av, x) == vec_add(bracket, adj.act(av, x))
+
+
+def column_table(m, n: int) -> list:
+    """The rational column table of the IntColumns m over n coordinates,
+    with None for an unknown column."""
+    cols, den = m
+    return [None if isinstance(c, OutOfBudgetError)
+            else [Fraction(dict(c).get(k, 0), den) for k in range(n)] for c in cols]

@@ -18,7 +18,7 @@ from hopfdiff.freelie import (
 )
 from hopfdiff.truncated import TruncatedTensor
 from hopfdiff.exactlin import Mat
-from hopfdiff.hopf import vec_sub, zero_vec
+from hopfdiff.hopf import OutOfBudgetError, vec_sub, zero_vec
 from hopfdiff.lie import FinLie, LieAction, adjoint_lie_action
 
 
@@ -61,7 +61,8 @@ def test_unknown_diffop_columns_are_recorded_once():
     tv = TruncatedTensor(2, 3)
     rep = diffop_from_hom(tv, _bracket_phi(tv))
     assert rep.ok
-    unknown = [i for i, col in enumerate(rep.details["D"]) if col is None]
+    unknown = [i for i, col in enumerate(rep.details["D"].cols)
+               if isinstance(col, OutOfBudgetError)]
     assert len(unknown) == 8
     assert _column_entries(rep.skipped) == unknown
     assert (rep.checked, len(rep.skipped)) == (18, 223)
@@ -71,7 +72,8 @@ def test_unknown_crossed_hom_columns_are_recorded_once():
     tv = TruncatedTensor(2, 3)
     rep = extend_crossed_hom_trunc(adjoint_derivation_action(tv), _bracket_phi(tv))
     assert rep.ok
-    unknown = [i for i, col in enumerate(rep.details["pibar"]) if col is None]
+    unknown = [i for i, col in enumerate(rep.details["pibar"].cols)
+               if isinstance(col, OutOfBudgetError)]
     assert len(unknown) == 5
     assert _column_entries(rep.skipped) == unknown
     assert (rep.checked, len(rep.skipped)) == (28, 203)

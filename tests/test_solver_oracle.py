@@ -853,9 +853,18 @@ def test_branch_matches_reference(name, index):
     chars, _ = f2_characters(group)
     want_engine = ReferenceEngine(ref, chars, group)
     got_engine = _Engine(new)
-    assert got_engine.run() == want_engine.run()
+    assert rational_solutions(got_engine.run(), len(cols)) == want_engine.run()
     assert new.record == ref.record
     assert got_engine.partial_reason == want_engine.partial_reason
+
+
+def rational_solutions(solutions, n: int):
+    """The engine's solutions, each the IntColumns of the image of every
+    basis element, as rational column tables; None stays None."""
+    if solutions is None:
+        return None
+    return [[[Fraction(dict(col).get(k, 0), den) for k in range(n)] for col in cols]
+            for cols, den in solutions]
 
 
 @pytest.mark.parametrize("name", ["plan:H4", "plan:kC2xC2", "plan:H8"])
@@ -868,6 +877,6 @@ def test_engine_matches_reference_engine(name):
         chars, _ = f2_characters(group)
         want_engine = ReferenceEngine(ref, chars, group)
         got_engine = _Engine(new)
-        assert got_engine.run() == want_engine.run()
+        assert rational_solutions(got_engine.run(), new.h.dim) == want_engine.run()
         assert new.record == ref.record
         assert got_engine.partial_reason == want_engine.partial_reason
