@@ -26,8 +26,8 @@ from hopfdiff.hopf import is_cocommutative  # noqa: E402
 OK, ANY, INPUT_ERROR = (0,), (0, 1, 2), (2,)
 
 # the stdout rule of monoid-table: the report must not say "ok": false.
-# Any other rule is None, or the argv of an earlier case whose stdout this
-# case's must equal
+# Any other rule is None, ("says", TEXT) for a stdout that must contain
+# TEXT, or the argv of an earlier case whose stdout this case's must equal
 NOT_FAILED = '"ok": false'
 
 # one command line per file option, the unreadable input to follow; an
@@ -41,6 +41,15 @@ FILE_OPTIONS = {
     "plan": ["classify-diffops", "--plan"],
     "expected": ["classify-diffops", "--plan", "plan:H4", "--expected"],
     "phi": ["free-lie", "diffop-from-hom", "--phi"],
+}
+
+# letter-image files of the two-letter tensor algebra for diffop-from-hom:
+# a primitive one, accepted, and one with the word aa, which is refused
+PHI = {
+    "phi-primitive.json": ({"images": [{"a": "1", "ab": "1/2", "ba": "-1/2"}, {"b": -1}]},
+                           OK, None),
+    "phi-not-primitive.json": ({"images": [{"aa": 1}, {}]},
+                               INPUT_ERROR, ("says", "letter images must be primitive")),
 }
 
 # the expected-tables exports: the options of the classification each is
@@ -66,6 +75,8 @@ def cases(tmp: Path) -> list:
         (tmp / f"{name}.json").write_text(json.dumps(exports[name][1]))
     (tmp / "directory").mkdir()
     (tmp / "non-utf8").write_bytes(b'\xff{"name": "H4"}')
+    for name, (payload, _, _) in PHI.items():
+        (tmp / name).write_text(json.dumps(payload))
     of_kind = {kind: [n for n, (k, _) in exports.items() if k == kind]
                for kind, _ in formats.EXPORTS.values()}
     action = path("action:inv:kC2:kC4.json")
@@ -121,6 +132,10 @@ def cases(tmp: Path) -> list:
     # about 20 s and 1.2 GB at budget 6, and is not done after 100 s at budget 7
     out += [(["free-lie", "mm-check", "--generators", "3", "--budget", str(budget)], ANY, None)
             for budget in range(1, 6)]
+    # each letter-image file from budget 2, the first that has the words
+    # ab and aa, each budget in a fresh process
+    out += [(["free-lie", "diffop-from-hom", "--budget", str(budget), "--phi", path(name)],
+             codes, rule) for name, (_, codes, rule) in PHI.items() for budget in range(2, 8)]
     out += [(["free-lie", task, "--budget", "8"], INPUT_ERROR, None)
             for task in ("mm-check", "ckmm-mixed", "lyndon-dims")]
     return out
@@ -143,6 +158,8 @@ def main() -> int:
                 faults.append("traceback on stderr")
             if rule == NOT_FAILED and NOT_FAILED in proc.stdout:
                 faults.append('the report says "ok": false')
+            elif isinstance(rule, tuple) and rule[1] not in proc.stdout:
+                faults.append(f"stdout does not say {rule[1]!r}")
             elif isinstance(rule, list) and proc.stdout != stdouts[tuple(rule)]:
                 faults.append(f"stdout differs from that of {' '.join(rule)}")
             line = " ".join(argv).replace(tmp, "TMP")

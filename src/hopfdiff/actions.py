@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import filterfalse
 
-from .exactlin import Record, _rat_vec, in_span, rat, row_space_basis
+from .exactlin import Record, _rat_vec, int_echelon, rank, rat
 from .hopf import (
     AxiomReport,
     CarrierOps,
@@ -665,18 +665,10 @@ def smash_product(action: ActionData) -> TruncatedSmash:
     return _validated_smash(action)
 
 
-def graph_vector(k, cols, a: int, smash) -> Vec:
-    """pi(a1) # a2 for basis a of K and pi given by a column table or its
-    IntColumns; an unknown column, or a pair outside a truncated index,
-    raises OutOfBudgetError."""
-    icols, den = int_columns(cols)
-    t = int_structure(k)
-    return _rat_vec(_graph_column(t, icols, a, smash), den * t.comult_den, smash.dim)
-
-
 def _graph_column(t, icols, a: int, smash) -> list:
     """comult_den * pi(a1) # a2 over icols' denominator, for K's integer
-    structure table t."""
+    structure table t; an unknown column, or a pair outside a truncated
+    index, raises OutOfBudgetError."""
     return _combine((c, smash.pair(_stored(icols[a1]), ((a2, 1),))) for a1, a2, c in t.comult[a])
 
 
@@ -684,7 +676,7 @@ class GraphResult(Record):
     _fields = ("basis", "closed", "witness")
 
     def __init__(self, basis: list, closed: bool, witness: tuple | None):
-        self.basis = basis  # reduced-echelon basis of Gr_pi inside H (x) K
+        self.basis = basis  # int_echelon rows of Gr_pi inside H # K, in pivot order
         self.closed = closed  # closure under the smash multiplication
         self.witness = witness
 
@@ -694,23 +686,22 @@ def graph_of(pi: LinMap, action: ActionData, smash=None) -> GraphResult:
     subalgebra verdict.  For a coalgebra map pi, which the caller checks
     (check_crossed_hom does), the verdict matches the crossed-homomorphism
     identity (graph characterization).  smash is the action's builder,
-    built here by default."""
+    built here by default.
+
+    The basis is the int_echelon rows of the integer graph columns, and
+    the witness (i, j) the first pair of basis rows, in pivot order, whose
+    product leaves their span."""
     smash = smash or TruncatedSmash(action)
-    cols = pi.cols
-    basis = row_space_basis([graph_vector(pi.domain, cols, a, smash)
-                             for a in range(pi.domain.dim)])
-    closed = True
-    witness = None
+    t = int_structure(pi.domain)
+    n = smash.dim
+    basis, _ = int_echelon([dict(_graph_column(t, pi.cols.cols, a, smash))
+                            for a in range(pi.domain.dim)], n)
+    mul = int_structure(smash).mul
     for i, u in enumerate(basis):
         for j, v in enumerate(basis):
-            prod = smash.mult_vec(u, v)
-            if not in_span(basis, prod):
-                closed = False
-                witness = (i, j)
-                break
-        if not closed:
-            break
-    return GraphResult(basis, closed, witness)
+            if rank(basis + [mul(u.items(), v.items())], n) > len(basis):
+                return GraphResult(basis, False, (i, j))
+    return GraphResult(basis, True, None)
 
 
 def graph_hopf_iso(ch: CrossedHom, smash: TruncatedSmash | None = None):
@@ -737,13 +728,15 @@ def graph_hopf_iso(ch: CrossedHom, smash: TruncatedSmash | None = None):
     report.record("algebra-hom", is_algebra_hom(psi))
     report.record("coalgebra-hom", is_coalgebra_hom(psi))
     report.record("eps-id-section", eps_id.compose(psi) == identity_map(k))
-    gr = graph_of(pi, action, smash=smash)
-    onto = all(in_span(gr.basis, psi.image_of_basis(a)) for a in range(nk))
-    report.record("lands-in-graph", onto)
-    # Psi on Gr: composite the other way restricted to the graph
-    back = psi.compose(eps_id)
+    basis = graph_of(pi, action, smash=smash).basis
+    report.record("lands-in-graph",
+                  rank(basis + list(psi.cols.cols), smash.dim) == len(basis))
+    # Psi on Gr: composite the other way restricted to the graph, on the
+    # integer rows, so back(v) = v reads den * v on back's columns
+    back, bden = psi.compose(eps_id).cols
     report.record("identity-on-graph",
-                  all(back.apply(v) == v for v in gr.basis))
+                  all(_apply_int(back, v.items()) == [(p, x * bden) for p, x in sorted(v.items())]
+                      for v in basis))
     report.record("commutes-with-antipode",
                   psi.compose(antipode_map(k)) == antipode_map(smash).compose(psi))
     return psi, eps_id, report

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .exactlin import Record
+from .exactlin import Record, rank
 from .hopf import (
     CheckReport,
     FinDimHopf,
@@ -62,7 +62,7 @@ from .hopf import (
 )
 from .maps import (antipode_map, coalgebra_map_failures, coalgebra_map_report, convolve,
                    convolve_columns, identity_map, int_columns, inverse_columns,
-                   is_hopf_automorphism, rank)
+                   is_hopf_automorphism)
 
 
 class DiffOp(Record):

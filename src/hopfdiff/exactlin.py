@@ -1,22 +1,22 @@
-"""Exact rational linear algebra: dense matrices and one elimination.
+"""Exact rational linear algebra: rational scalars, dense matrices, and
+one elimination on sparse integer rows.
 
-Everything is computed over the rationals with no rounding; scalars are
-``fractions.Fraction`` values (always in lowest terms, positive
-denominator).  Matrices are small and dense.  There is one elimination,
-:func:`int_echelon`, fraction-free on sparse integer rows; each row is
-scaled to integers once.  :func:`int_kernel`, :func:`row_space_basis`,
-:func:`in_span` and :func:`invert` read their results off it and build
-``Fraction`` values only for what they return.  Its results are reduced
-echelon forms, which are unique, so equal inputs always produce identical
-outputs.
+Scalars are ``fractions.Fraction`` values (always in lowest terms,
+positive denominator), and :class:`Mat` is a small dense rational matrix.
+There is one elimination, :func:`int_echelon`, fraction-free on sparse
+integer rows, and one span test, :func:`rank`, read off it.
+:func:`int_kernel` reads a null-space basis off the same reduced echelon
+form and builds ``Fraction`` values only for what it returns.  Reduced
+echelon forms are unique, so equal inputs always produce identical
+outputs.  Callers pass integer rows: a rational vector is scaled to
+integers where it is built (:func:`hopfdiff.hopf._sparse_ints`), never
+here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count, repeat
-from math import gcd, lcm
-from operator import is_not
+from math import gcd
 
 Rat = Fraction
 
@@ -177,34 +177,6 @@ class Mat:
         return out
 
 
-def _int_row(row: list[Rat], unit: int | None = None) -> dict[int, int]:
-    """The row's nonzero entries as {column: int}, scaled by the lcm of
-    their denominators and divided by the gcd of the numerators.  With
-    ``unit``, the row is first extended by a 1 in that column."""
-    # the identity test against the shared ZERO runs in C and skips most
-    # zeros; as_integer_ratio reads a Fraction in one call
-    out = {}
-    dens = None
-    for c in compress(count(), map(is_not, row, repeat(ZERO))):
-        p, q = row[c].as_integer_ratio()
-        if p:
-            out[c] = p
-            if q != 1:
-                if dens is None:
-                    dens = {}
-                dens[c] = q
-    den = 1
-    if dens:
-        den = lcm(*dens.values())
-        out = {c: p * (den // dens.get(c, 1)) for c, p in out.items()}
-    if unit is not None:
-        out[unit] = den
-    g = gcd(*out.values())
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
-
-
 def _eliminate(row: dict[int, int], prow: dict[int, int], a: int, b: int) -> dict[int, int]:
     """The primitive multiple of a*row - b*prow, where a = prow[c] and
     b = row[c] for the column c being cleared."""
@@ -300,30 +272,8 @@ def int_kernel(echelon: list[dict[int, int]], pivots: list[int], ncols: int) -> 
     return basis
 
 
-def row_space_basis(vectors: list[list[Rat]]) -> list[list[Rat]]:
-    """Reduced-echelon basis of the span of the given vectors."""
-    ncols = len(vectors[0]) if vectors else 0
-    echelon, pivots = int_echelon(map(_int_row, vectors), ncols)
-    return [_rat_vec(row.items(), row[c], ncols) for row, c in zip(echelon, pivots)]
-
-
-def in_span(basis_echelon: list[list[Rat]], v: list[Rat]) -> bool:
-    """Membership test against a reduced-echelon basis: v lies in its span
-    exactly when adding v leaves the rank of the integer rows unchanged."""
-    rows = [_int_row(row) for row in basis_echelon]
-    rows.append(_int_row(v))
-    return len(int_echelon(rows, len(v))[1]) < len(rows)
-
-
-def invert(a: Mat) -> Mat | None:
-    """Exact inverse, or None when the matrix is singular."""
-    if a.rows != a.cols:
-        raise ValueError("only square matrices can be inverted")
-    n = a.rows
-    # the reduced echelon form of [A | I] is [I | A^-1] exactly when A is
-    # invertible; the identity block goes straight into the integer rows
-    echelon, pivots = int_echelon([_int_row(a.row(i), n + i) for i in range(n)], 2 * n)
-    if pivots != list(range(n)):
-        return None
-    return Mat(n, n, [x for row, c in zip(echelon, pivots)
-                      for x in _rat_vec(row.items(), row[c], 2 * n)[n:]])
+def rank(rows, ncols: int) -> int:
+    """The rank of the sparse integer rows, given as dicts or as (column,
+    int) pairs, over ncols columns.  It is the one span test: v lies in
+    the span of rows exactly when rank(rows + [v]) == rank(rows)."""
+    return len(int_echelon(map(dict, rows), ncols)[1])

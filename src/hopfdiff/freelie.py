@@ -26,9 +26,9 @@ from __future__ import annotations
 import itertools
 from math import comb, gcd, lcm
 
-from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, crossed_hom_report,
-                      graph_vector, module_axiom_report, smash_vec)
-from .exactlin import ONE, _rat_vec, in_span, int_echelon, rat, row_space_basis
+from .actions import (ActionData, IntAction, SkipRuns, TruncatedSmash, _graph_column,
+                      crossed_hom_report, module_axiom_report, smash_vec)
+from .exactlin import ONE, _rat_vec, int_echelon, rank, rat
 from .hopf import (
     CheckReport,
     IntColumns,
@@ -38,8 +38,10 @@ from .hopf import (
     _attempt,
     _canonical,
     _combine,
+    _coproduct,
     _sparse_ints,
     _stored,
+    _tensor_sum,
     basis_vec,
     int_structure,
     primitives,
@@ -49,7 +51,7 @@ from .hopf import (
     zero_vec,
 )
 from .maps import (algebra_map_failures, antipode_map, coalgebra_map_report, convolve_columns,
-                   int_columns, rank)
+                   int_columns)
 from .truncated import (TruncatedEnveloping, TruncatedTensor, bracket_expansion, graded_dims,
                         lyndon_words, standard_factorization)
 
@@ -207,12 +209,19 @@ def diffop_from_hom(tv: TruncatedTensor, phi: list[Vec]) -> CheckReport:
     as ("F", i), ahead of check_diffop's entries, where each D column it
     makes unknown is ("column", k).  details["F"] is F's column table, None
     for an unknown column, and details["D"] D's IntColumns.
+
+    Each letter image v is tested for D(v) = v (x) 1 + 1 (x) v on integer
+    tables, as is_grouplike tests D(c) = c (x) c.  For v = u / den and
+    1 = one / unit_den, _coproduct(t, u) is comult_den * den * D(v), and
+    u (x) one + one (x) u is den * unit_den * (v (x) 1 + 1 (x) v).
     """
     from .diffops import check_diffop
 
-    prim = row_space_basis(primitives(tv))
-    for v in phi:
-        if not in_span(prim, v):
+    t = int_structure(tv)
+    unit_den, (one,) = _sparse_ints([tv.unit_vec()])
+    for u in _sparse_ints(phi)[1]:
+        if {key: m * unit_den for key, m in _coproduct(t, u).items()} != \
+                _tensor_sum(((t.comult_den, u, one), (t.comult_den, one, u))):
             raise ValueError("letter images must be primitive (free Lie elements)")
     letter_images = [vec_add(tv.generator_vec(x), phi[x]) for x in range(tv.generators)]
     f_cols = _multiplicative_columns(tv, tv, letter_images)
@@ -613,11 +622,12 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
         expected[total] = comb(total + g.dim - 1, g.dim - 1)
     cum_expected = list(itertools.accumulate(expected))
     pi_images = [_embed_degree_one(uh, v) for v in pi_gen_images_lie]
-    cols = _pibar_int(action, pi_images)
+    cols = _pibar_int(action, pi_images).cols
+    t = int_structure(ug)
     vectors_by_degree: dict = {}
     for i in range(ug.dim):
         try:
-            vec = graph_vector(ug, cols, i, smash)
+            vec = _graph_column(t, cols, i, smash)
         except OutOfBudgetError:
             continue
         vectors_by_degree.setdefault(ug.degree(i), []).append(vec)
@@ -625,7 +635,7 @@ def graph_dims_check(lie_action, pi_gen_images_lie, budget: int) -> dict:
     pool: list = []
     for d in range(budget + 1):
         pool.extend(vectors_by_degree.get(d, []))
-        dims.append(len(row_space_basis(pool)))
+        dims.append(rank(pool, smash.dim))
     return {
         "graph_filtration_dims": dims,
         "expected_dims": cum_expected,
@@ -695,11 +705,12 @@ def ckmm_truncated_instance(budget: int) -> dict:
 
     # group-likes and primitives of the smash
     prim = primitives(smash)
-    e_vec = zero_vec(smash.dim)
-    e_vec[smash.index[(u_env.index[(1,)], 0)]] = ONE
+    e = smash.index[(u_env.index[(1,)], 0)]
+    e_vec = basis_vec(smash.dim, e)
     report["primitive_dim"] = len(prim)
+    # one primitive spans the same line as e exactly when e is in its span
     report["primitive_is_e"] = (len(prim) == 1 and
-                                row_space_basis(prim) == row_space_basis([e_vec]))
+                                rank(_sparse_ints(prim)[1] + [((e, 1),)], smash.dim) == 1)
     # D on the primitive: identity (a difference operator on the abelian
     # one-dimensional Lie algebra); D on group-likes: the trivial one
     for key, pair, v in (("restriction_on_primitive_is_id", (u_env.index[(1,)], 0), e_vec),

@@ -66,8 +66,8 @@ from math import gcd, lcm
 from operator import is_not
 from types import SimpleNamespace
 
-from .exactlin import (Mat, ONE, Rat, Record, ZERO, _rat_vec, int_echelon, int_kernel, rat,
-                       rat_str)
+from .exactlin import (Mat, ONE, Rat, Record, ZERO, _rat_vec, int_echelon, int_kernel, rank,
+                       rat, rat_str)
 
 Vec = list  # rational coordinate vector over a fixed basis
 Triples = list  # sparse tensor [(i, j, coeff)]
@@ -668,7 +668,7 @@ def _generating_rows(h, t: IntStructure) -> tuple | None:
     for b in range(n):
         if len(echelon) == n:
             break
-        if len(int_echelon(echelon + [{b: 1}], n)[1]) == len(echelon):
+        if rank(echelon + [{b: 1}], n) == len(echelon):
             continue
         rows.append(b)
         # every word times the new generator, then every new word times

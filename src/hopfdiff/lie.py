@@ -4,8 +4,8 @@ and the graph characterization, all checked exactly on basis tuples."""
 
 from __future__ import annotations
 
-from .exactlin import Mat, ONE, ZERO, Record, in_span, rat, row_space_basis
-from .hopf import Vec, basis_vec, vec_add, vec_scale, vec_sub, zero_vec
+from .exactlin import Mat, ONE, ZERO, Record, rank, rat
+from .hopf import Vec, _sparse_ints, basis_vec, vec_add, vec_scale, vec_sub, zero_vec
 
 
 class FinLie:
@@ -282,22 +282,15 @@ class LieGraphResult(Record):
 
 def lie_graph_check(d: Mat, action: LieAction) -> LieGraphResult:
     """Close the graph {(d x, x)} under the semidirect bracket and compare
-    with the direct crossed-homomorphism identity."""
+    with the direct crossed-homomorphism identity.  The graph vectors are
+    independent, so they are the basis, and a bracket lies in their span
+    exactly when it leaves the rank of their integer rows unchanged."""
     g, h = action.acting, action.target
     semi = semidirect(action)
-    nh = h.dim
-    vectors = []
-    for x in range(g.dim):
-        vec = list(d.col(x)) + list(basis_vec(g.dim, x))
-        vectors.append(vec)
-    basis = row_space_basis(vectors)
-    closed = True
-    for u in basis:
-        for v in basis:
-            if not in_span(basis, semi.bracket_vec(u, v)):
-                closed = False
-                break
-        if not closed:
-            break
+    n = h.dim + g.dim
+    basis = [list(d.col(x)) + list(basis_vec(g.dim, x)) for x in range(g.dim)]
+    rows = _sparse_ints(basis)[1]
+    closed = all(rank(rows + _sparse_ints([semi.bracket_vec(u, v)])[1], n) == len(rows)
+                 for u in basis for v in basis)
     direct = check_lie_crossed_hom(d, action)
     return LieGraphResult(basis, closed, closed == direct)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .exactlin import int_echelon
+from .exactlin import int_echelon, rank
 from .hopf import (CheckReport, FinDimHopf, IntColumns, LinMap, OutOfBudgetError, _apply_int,
                    _attempt, _canonical, _combine, _coproduct, _stored, _tensor_sum,
                    int_columns, int_structure, vec_scale)
@@ -51,11 +51,6 @@ def convolve(f: LinMap, g: LinMap) -> LinMap:
     dom, cod = f.domain, f.codomain
     cols, den = convolve_columns(dom, cod, f.cols, g.cols)
     return LinMap(dom, cod, IntColumns([_stored(c) for c in cols], den))
-
-
-def rank(cols, n: int) -> int:
-    """The rank of the matrix of the sparse integer columns cols over n rows."""
-    return len(int_echelon(map(dict, cols), n)[1])
 
 
 def inverse_columns(m: IntColumns) -> IntColumns | None:

@@ -72,3 +72,22 @@ def reference_solve_affine(rows, rhs, n):
     for row, c in zip(aug, pivots):
         particular[c] = row[-1]
     return particular, reference_kernel(aug, pivots, n)
+
+
+def reference_row_space(vectors):
+    """The reduced echelon basis of the span of the vectors, zero rows
+    dropped."""
+    rows, pivots = reference_row_reduce([list(v) for v in vectors])
+    return rows[:len(pivots)]
+
+
+def reference_inverse(rows):
+    """The inverse of the square matrix with these rows, as its rows, or
+    None when the matrix is singular: [A | I] reduces to [I | A^-1]
+    exactly when A is invertible."""
+    n = len(rows)
+    aug, pivots = reference_row_reduce([list(r) + [Fraction(int(i == j)) for j in range(n)]
+                                        for i, r in enumerate(rows)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in aug]

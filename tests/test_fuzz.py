@@ -3,8 +3,11 @@ Rota-Baxter check, of the algebra commands, and of the plan,
 expected-tables and phi formats: catalog exports of an action, of
 operators, of algebras, of plans and of expected tables, and a phi file,
 are mutated and run through ``cli.run``.  An algebra file goes through
-``validate``, ``grouplikes`` and ``primitives``, which resolve it through
-the axiom check alone; a plan through ``classify-diffops --plan``, expected
+``validate``, ``grouplikes``, ``primitives`` and ``skew-primitives
+--left-grouplike 0 --right-grouplike 0``, which resolve it through the
+axiom check alone, and through ``classify-diffops --algebra`` and
+``monoid-table``, which go on to the solver and the operator monoid; a
+plan through ``classify-diffops --plan``, expected
 tables through ``classify-diffops --expected`` against a plan of their
 algebra or of one of another dimension, and a phi file through
 ``free-lie diffop-from-hom`` and ``mm-check``.
@@ -39,8 +42,10 @@ COMMANDS = {
                           "--operator-k": "op:id:kC2"},
     "rota-baxter": {"--operator": "op:inv:kS3"},
 }
-# the algebra commands, each reading an algebra export
-ALGEBRA_COMMANDS = ("validate", "grouplikes", "primitives")
+# the algebra command lines, each reading an algebra export
+ALGEBRA_COMMANDS = (["validate"], ["grouplikes"], ["primitives"],
+                    ["skew-primitives", "--left-grouplike", "0", "--right-grouplike", "0"],
+                    ["classify-diffops"], ["monoid-table"])
 NAME_FIELDS = ("algebra", "codomain", "acting", "target")
 ALGEBRAS = ["kC2", "kC4", "kC2xC2", "kS3", "H4"]
 # the entries a mutation writes; MALFORMED are read as no number or index
@@ -149,9 +154,9 @@ def runs(draw):
 
 @st.composite
 def algebra_runs(draw):
-    """An algebra command and the payload of a mutated algebra export."""
-    command = draw(st.sampled_from(ALGEBRA_COMMANDS))
-    return [command], {"--algebra": draw(mutated(EXPORTS[draw(st.sampled_from(ALGEBRAS))]))}
+    """An algebra command line and the payload of a mutated algebra export."""
+    argv = draw(st.sampled_from(ALGEBRA_COMMANDS))
+    return argv, {"--algebra": draw(mutated(EXPORTS[draw(st.sampled_from(ALGEBRAS))]))}
 
 
 @st.composite

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfdiff import hopf
-from hopfdiff.exactlin import Mat, row_space_basis
+from hopfdiff.exactlin import Mat
 from hopfdiff.hopf import (
     LinMap,
     OutOfBudgetError,
@@ -29,6 +29,7 @@ from hopfdiff.maps import (
     is_coalgebra_hom,
     unit_counit_map,
 )
+from reference_linalg import reference_row_space
 
 F = Fraction
 
@@ -139,7 +140,7 @@ def test_grouplikes_complete_lists(h4, h8, ks3):
 
 def test_grouplikes_are_linearly_independent(h8):
     res = grouplikes(h8)
-    assert len(row_space_basis(res.elements)) == len(res.elements)
+    assert len(reference_row_space(res.elements)) == len(res.elements)
 
 
 def test_primitives_vanish_on_catalog(h4, h8, kc2):
@@ -151,7 +152,7 @@ def test_primitives_vanish_on_catalog(h4, h8, kc2):
 def test_skew_primitives_h4(h4):
     basis = skew_primitives(h4, basis_vec(4, 0), basis_vec(4, 1))
     # the span of 1-g and x, written in reduced echelon form
-    assert row_space_basis(basis) == row_space_basis(
+    assert reference_row_space(basis) == reference_row_space(
         [[F(1), F(-1), F(0), F(0)], [F(0), F(0), F(1), F(0)]])
     assert len(basis) == 2
 
@@ -165,7 +166,7 @@ def test_skew_primitives_coincide_with_primitives(h4, h8):
 def test_skew_primitives_h8(h8):
     basis = skew_primitives(h8, basis_vec(8, 0), basis_vec(8, 2))
     assert len(basis) == 1
-    assert row_space_basis(basis) == row_space_basis(
+    assert reference_row_space(basis) == reference_row_space(
         [[F(1), F(0), F(-1), F(0), F(0), F(0), F(0), F(0)]])
 
 

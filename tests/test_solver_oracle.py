@@ -5,8 +5,9 @@ verbatim as the reference: the ``p_*`` functions, the branch that built
 the counit, comultiplication and difference-identity constraints as
 ``Fraction`` polynomials, and the engine with its ``_linear_phase``, which
 substituted the affine solution table with ``p_subst``.  Where it called
-``exactlin.solve_affine`` and ``exactlin.kernel`` it now solves with the
-Fraction elimination of ``reference_linalg``, so the reference does not
+``exactlin.solve_affine``, ``exactlin.kernel`` and
+``exactlin.row_space_basis`` it now solves with the Fraction elimination
+of ``reference_linalg``, so the reference does not
 run the integer elimination it checks.  The integer layer stores every
 equation primitive, so equations are compared up to scale.
 
@@ -41,7 +42,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hopfdiff import catalog
-from hopfdiff.exactlin import ONE, ZERO, rat, row_space_basis
+from hopfdiff.exactlin import ONE, ZERO, rat
 from hopfdiff.fingroup import FinGroup, coradical_group
 from hopfdiff.groups import diffop_from_endo, enumerate_endos
 from hopfdiff.hopf import FinDimHopf, basis_vec, sweedler_expand
@@ -59,7 +60,8 @@ from hopfdiff.solver import (
     rational_roots,
     solve_quadratic_in_group_algebra,
 )
-from reference_linalg import reference_kernel, reference_row_reduce, reference_solve_affine
+from reference_linalg import (reference_kernel, reference_row_reduce, reference_row_space,
+                              reference_solve_affine)
 from sampling import COEFF_POOL
 
 
@@ -498,7 +500,7 @@ class ReferenceEngine:
             for m, c in e.items():
                 row[midx[m]] = c
             rows.append(row)
-        echelon = row_space_basis(rows)
+        echelon = reference_row_space(rows)
         pivots = [next(i for i, x in enumerate(row) if x) for row in echelon]
         return monos, midx, echelon, pivots
 
