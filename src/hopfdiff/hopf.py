@@ -1,21 +1,21 @@
 """Finite-dimensional Hopf algebras given by exact structure constants.
 
-A :class:`FinDimHopf` stores the multiplication table, unit, sparse
-comultiplication, counit and antipode of a Hopf algebra over the
-rationals, together with an optional declared group-algebra coradical.
-All axioms can be verified exhaustively on basis tuples; every verdict
-is exact.
+A :class:`FinDimHopf` stores the multiplication, comultiplication,
+counit and antipode of a Hopf algebra over the rationals as its integer
+structure table, with the unit and an optional declared group-algebra
+coradical.  All axioms can be verified exhaustively on basis tuples;
+every verdict is exact.
 
 The axiom checks run on integer numerators: a carrier's structure
 constants are scaled once to integers over one shared denominator per
 table (:func:`int_structure`, memoized on the carrier, each table built
-on first read), and comparisons are cross-multiplied by the known
-denominators, so every verdict is identical to rational arithmetic.  A
-:class:`LinMap` holds its matrix as :class:`IntColumns`, and the
-map-level code lives in :mod:`hopfdiff.maps`.  ``Fraction`` is built only
-by the rational carrier interface (``mult_vec``, :func:`sweedler_expand`,
-the dense ``FinDimHopf.mult``, the distinguished elements) and a LinMap's
-rational views, which the report builders read.
+on first read or, for a FinDimHopf, by its constructor), and comparisons
+are cross-multiplied by the known denominators, so every verdict is
+identical to rational arithmetic.  A :class:`LinMap` holds its matrix as
+:class:`IntColumns`, and the map-level code lives in :mod:`hopfdiff.maps`.
+``Fraction`` is built only by the rational carrier interface
+(``mult_vec``, :func:`sweedler_expand`, the distinguished elements) and a
+LinMap's rational views, which the report builders read.
 
 A sparse integer vector is a sequence of pairs (k, m) in ascending k
 with no m zero.  In a table of such vectors, an entry that could not be
@@ -198,64 +198,66 @@ class FinDimHopf(CarrierOps):
     antipode    -- Mat whose column j is S(basis j)
     coradical_group_basis -- optional indices declared to span a group
                    algebra coradical (enables complete group-like lists)
+
+    These arguments are kept only as the integer table int_structure(self),
+    built here; mult_terms, comult_triples, counit_coeff and antipode_basis
+    are rational views of it, formed on each read.
     """
 
     def __init__(self, name, basis, mult, unit, comult, counit, antipode,
                  coradical_group_basis=None):
         self.name = name
         self.basis = list(basis)
-        n = len(self.basis)
-        self.dim = n
+        n = self.dim = len(self.basis)
         if len(mult) != n or any(len(row) != n for row in mult):
             raise ValueError("mult tensor must be dim x dim")
-        self.mult = [[[rat(c) for c in cell] for cell in row] for row in mult]
-        for row in self.mult:
-            for cell in row:
-                if len(cell) != n:
-                    raise ValueError("mult entries must be coordinate vectors")
+        products = [[[(k, c) for k, c in enumerate(map(rat, cell)) if c] for cell in row]
+                    for row in mult]
+        if any(len(cell) != n for row in mult for cell in row):
+            raise ValueError("mult entries must be coordinate vectors")
         if len(unit) != n:
             raise ValueError("unit vector has wrong length")
         self.unit = [rat(c) for c in unit]
         if len(comult) != n:
             raise ValueError("comult must list triples per basis element")
-        self.comult = [sorted(((int(i), int(j), rat(c)) for (i, j, c) in triples if rat(c)),
-                              key=lambda t: (t[0], t[1])) for triples in comult]
-        for triples in self.comult:
-            for (i, j, _) in triples:
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError("comult index out of range")
+        comult = [sorted(((int(i), int(j), rat(c)) for (i, j, c) in triples if rat(c)),
+                         key=lambda t: (t[0], t[1])) for triples in comult]
+        if any(not (0 <= i < n and 0 <= j < n) for t in comult for (i, j, _) in t):
+            raise ValueError("comult index out of range")
         if len(counit) != n:
             raise ValueError("counit vector has wrong length")
-        self.counit = [rat(c) for c in counit]
+        counit = [rat(c) for c in counit]
         if antipode.rows != n or antipode.cols != n:
             raise ValueError("antipode matrix has wrong shape")
-        self.antipode = antipode
-        self.coradical_group_basis = (
-            None if coradical_group_basis is None else list(coradical_group_basis)
-        )
-        # sparse cache for hot loops
-        self._mult_sparse = [
-            [[(k, c) for k, c in enumerate(cell) if c] for cell in row]
-            for row in self.mult
-        ]
-        # integer tables for the exhaustive checks, built by int_structure
-        self._int_structure = None
+        self.coradical_group_basis = (None if coradical_group_basis is None
+                                      else list(coradical_group_basis))
+        # scaled once, by IntStructure's own build code; building both tables
+        # that read the carrier lets the inputs go (IntStructure._drop_carrier)
+        table = self._int_structure = IntStructure(SimpleNamespace(
+            dim=n, mult_terms=lambda i, j: products[i][j], comult_triples=comult.__getitem__,
+            counit_coeff=counit.__getitem__, antipode_basis=antipode.col))
+        table._build_products()
+        table._build_antipode()
         # the validate_hopf report, computed by axiom_report
         self._axiom_report = None
 
     # -- basis-indexed interface shared with truncated carriers ----------
 
     def mult_terms(self, i: int, j: int):
-        return self._mult_sparse[i][j]
+        t = self._int_structure
+        return _rat_terms(t.mult[i][j], t.mult_den)
 
     def comult_triples(self, k: int) -> Triples:
-        return self.comult[k]
+        t = self._int_structure
+        return _rat_triples(t.comult[k], t.comult_den)
 
     def counit_coeff(self, i: int) -> Rat:
-        return self.counit[i]
+        t = self._int_structure
+        return rat(t.counit[i], t.counit_den)
 
     def antipode_basis(self, j: int) -> Vec:
-        return self.antipode.col(j)
+        t = self._int_structure
+        return _rat_vec(t.antipode[j], t.antipode_den, self.dim)
 
     def unit_vec(self) -> Vec:
         return self.unit
@@ -263,25 +265,10 @@ class FinDimHopf(CarrierOps):
     def label(self, i: int) -> str:
         return self.basis[i]
 
-    # -- arithmetic on coordinate vectors --------------------------------
-
-    def mult_vec(self, u: Vec, v: Vec) -> Vec:
-        out = zero_vec(self.dim)
-        sparse = self._mult_sparse
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = sparse[i]
-            for j, b in enumerate(v):
-                if not b:
-                    continue
-                c = a * b
-                for k, m in row[j]:
-                    out[k] += c * m
-        return out
-
-    def element_str(self, u: Vec) -> str:
-        return vec_str(u, self.basis)
+    # CarrierOps's body, named in this class too: perfbench/tracer.py hooks
+    # each method of its METHODS list through the class's own __dict__, and
+    # tests/test_tracer_hooks.py guards that hook
+    mult_vec = CarrierOps.mult_vec
 
     def __repr__(self):
         return f"FinDimHopf({self.name!r}, dim={self.dim})"
@@ -399,6 +386,16 @@ def sweedler_expand(h, x_coords: Vec, n: int) -> dict:
 def _num(c: Rat, den: int) -> int:
     """The numerator of c over den, a multiple of its denominator."""
     return c.numerator * (den // c.denominator)
+
+
+def _rat_terms(terms, den: int) -> list:
+    """The rational terms (k, m / den) of sparse integer terms (k, m)."""
+    return [(k, ONE if m == den else rat(m, den)) for k, m in terms]
+
+
+def _rat_triples(triples, den: int) -> list:
+    """The rational triples (i, j, c / den) of integer triples (i, j, c)."""
+    return [(i, j, ONE if c == den else rat(c, den)) for i, j, c in triples]
 
 
 def _sparse_ints(vectors: list) -> tuple[int, list]:
@@ -529,8 +526,9 @@ class IntStructure:
 
     The comultiplication and counit tables are built at once.  The
     others, each with its denominator, are built on first read: the
-    skew-primitive and group-like checks read only the comultiplication,
-    and only the difference-identity check and the solver read D^2.
+    skew-primitive and group-like checks read only the comultiplication
+    and counit, and only the difference-identity check and the solver
+    read D^2.
     """
 
     def __init__(self, h):
@@ -539,7 +537,7 @@ class IntStructure:
         # False until generating_rows computes it, since None is a result
         self._generating_rows = False
         n = self.dim = h.dim
-        comult = self._comult_triples = [h.comult_triples(k) for k in range(n)]
+        comult = [h.comult_triples(k) for k in range(n)]
         self.comult_den = lcm(1, *(c.denominator for t in comult for (_, _, c) in t))
         self.comult = [tuple((i, j, _num(c, self.comult_den)) for (i, j, c) in t)
                        for t in comult]
@@ -567,10 +565,11 @@ class IntStructure:
             del self._carrier
 
     def _build_sweedler(self):
-        # sweedler_expand reads only comult_triples; the table keeps the
-        # triples, not the carrier, for the reason _drop_carrier gives
-        n = self.dim
-        coalgebra = SimpleNamespace(comult_triples=self._comult_triples.__getitem__)
+        # sweedler_expand reads only comult_triples, here a rational view of
+        # the integer table, since the table keeps no carrier (_drop_carrier)
+        n, cd = self.dim, self.comult_den
+        triples = [_rat_triples(t, cd) for t in self.comult]
+        coalgebra = SimpleNamespace(comult_triples=triples.__getitem__)
         sweedler = [sweedler_expand(coalgebra, basis_vec(n, i), 2) for i in range(n)]
         den = self.sweedler_den = lcm(1, *(w.denominator for s in sweedler for w in s.values()))
         self.sweedler3 = [tuple((*t, _num(w, den)) for t, w in s.items()) for s in sweedler]
@@ -608,8 +607,9 @@ class IntStructure:
 
 
 def int_structure(h) -> IntStructure:
-    """The integer structure table of a carrier, built on first use and
-    memoized on the carrier."""
+    """The integer structure table of a carrier, memoized on the carrier:
+    a FinDimHopf's is the one its constructor built, any other carrier's
+    is built on first use."""
     table = getattr(h, "_int_structure", None)
     if table is None:
         table = h._int_structure = IntStructure(h)
@@ -893,8 +893,8 @@ def axiom_report(h: FinDimHopf) -> AxiomReport:
 
 
 def is_cocommutative(h) -> bool:
-    for k in range(h.dim):
-        t = {(i, j): c for (i, j, c) in h.comult_triples(k)}
+    for terms in int_structure(h).comult:
+        t = {(i, j): c for (i, j, c) in terms}
         if t != {(j, i): c for (i, j), c in t.items()}:
             return False
     return True
@@ -903,12 +903,13 @@ def is_cocommutative(h) -> bool:
 # -- distinguished elements --------------------------------------------------
 
 def is_grouplike(h: FinDimHopf, c: Vec) -> bool:
-    """eps(c) = 1 and D(c) = c (x) c, the second on integer tables: for c
-    over den, D(c) carries comult_den * den and c (x) c den^2."""
-    if h.counit_vec(c) != ONE:
-        return False
+    """eps(c) = 1 and D(c) = c (x) c on integer tables: for c over den,
+    eps(c) carries counit_den * den, D(c) comult_den * den and c (x) c
+    den^2."""
     t = int_structure(h)
     den, (u,) = _sparse_ints([c])
+    if sum(x * t.counit[i] for i, x in u) != t.counit_den * den:
+        return False
     return {key: v * den for key, v in _coproduct(t, u).items()} == \
         _tensor_sum(((t.comult_den, u, u),))
 
@@ -946,8 +947,8 @@ def skew_primitives(h, g: Vec, k: Vec) -> list[Vec]:
 
     Row (a, b) of the system is the coefficient of e_a (x) e_b in
     D(c) - c (x) g - k (x) c, one column per coordinate of c, as a sparse
-    integer row over the lcm of the coefficients' denominators.  One pass
-    over comult_triples(m) for every basis element m fills all rows at
+    integer row times comult_den and the common denominator of g and k.
+    One pass over the integer comultiplication table fills all rows at
     once, the group-like terms are subtracted after it, and the rows are
     reduced by exactlin.int_echelon; exactlin.int_kernel reads the kernel
     off the reduced echelon form, which is unique, one vector per free
@@ -956,27 +957,22 @@ def skew_primitives(h, g: Vec, k: Vec) -> list[Vec]:
     if not is_grouplike(h, g) or not is_grouplike(h, k):
         raise ValueError("skew-primitive reference elements must be group-like")
     n = h.dim
-    triples = [h.comult_triples(m) for m in range(n)]
-    den = lcm(1, *(c.denominator for t in triples for (_, _, c) in t),
-              *(c.denominator for c in g), *(c.denominator for c in k))
+    t = int_structure(h)
+    den, (gs, ks) = _sparse_ints([g, k])
     rows: dict = {}
-    for m, t in enumerate(triples):
-        for (a, b, c) in t:
+    for m, terms in enumerate(t.comult):
+        for (a, b, c) in terms:
             row = rows.setdefault((a, b), {})
-            row[m] = row.get(m, 0) + _num(c, den)
+            row[m] = row.get(m, 0) + c * den
     # c (x) g puts c_a g_b at (a, b), and k (x) c puts k_a c_b there
-    for b, c in enumerate(g):
-        if c:
-            x = _num(c, den)
-            for a in range(n):
-                row = rows.setdefault((a, b), {})
-                row[a] = row.get(a, 0) - x
-    for a, c in enumerate(k):
-        if c:
-            x = _num(c, den)
-            for b in range(n):
-                row = rows.setdefault((a, b), {})
-                row[b] = row.get(b, 0) - x
+    for b, x in gs:
+        for a in range(n):
+            row = rows.setdefault((a, b), {})
+            row[a] = row.get(a, 0) - x * t.comult_den
+    for a, x in ks:
+        for b in range(n):
+            row = rows.setdefault((a, b), {})
+            row[b] = row.get(b, 0) - x * t.comult_den
     echelon, pivots = int_echelon(
         [{m: x for m, x in row.items() if x} for row in rows.values()], n)
     return int_kernel(echelon, pivots, n)

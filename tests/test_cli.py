@@ -617,6 +617,42 @@ def test_malformed_number_or_index_exits_two_naming_it(capsys, tmp_path, entry, 
     assert "Traceback" not in err
 
 
+# the seven shape faults of an algebra, in the order the FinDimHopf
+# constructor checks them, on the kC2 export
+SHAPE_FAULTS = [
+    (lambda d: d["mult"].pop(), "mult tensor must be dim x dim"),
+    (lambda d: d["mult"][0][0].pop(), "mult entries must be coordinate vectors"),
+    (lambda d: d["unit"].pop(), "unit vector has wrong length"),
+    (lambda d: d["comult"].pop(), "comult must list triples per basis element"),
+    (lambda d: d["comult"][0].append([0, 2, "1"]), "comult index out of range"),
+    (lambda d: d["counit"].pop(), "counit vector has wrong length"),
+    (lambda d: d["antipode"].pop(), "antipode matrix has wrong shape"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(SHAPE_FAULTS)),
+                         ids=["mult-rows", "mult-entry", "unit", "comult-rows", "comult-index",
+                              "counit", "antipode"])
+def test_algebra_shape_faults_are_named_in_check_order(capsys, tmp_path, first):
+    """A file with one shape fault and every later one is refused with the
+    message of its first, by the parser and by validate (exit 2)."""
+    from hopfdiff.formats import algebra_from_dict
+
+    _, payload, _ = invoke(capsys, "catalog", "kC2")
+    data = payload["payload"]
+    for corrupt, _ in SHAPE_FAULTS[first:]:
+        corrupt(data)
+    message = SHAPE_FAULTS[first][1]
+    with pytest.raises(ValueError) as info:
+        algebra_from_dict(data)
+    assert str(info.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, payload, err = invoke(capsys, "validate", "--algebra", str(path))
+    assert (code, payload["ok"]) == (2, False)
+    assert err == f"error: bad algebra file {path}: {message}\n"
+
+
 @pytest.mark.parametrize("option", FILE_OPTIONS)
 @pytest.mark.parametrize("kind, message", [
     ("directory", "cannot read {path}: Is a directory"),

@@ -1,9 +1,10 @@
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hopfdiff import hopf
+from hopfdiff import catalog, hopf
 from hopfdiff.exactlin import Mat
 from hopfdiff.hopf import (
     LinMap,
@@ -34,6 +35,59 @@ from reference_linalg import reference_row_space
 F = Fraction
 
 
+def built_with_inputs(build) -> tuple:
+    """The FinDimHopf that build() returns, and the arguments its
+    constructor was called with, by parameter name."""
+    init = hopf.FinDimHopf.__init__
+    calls = []
+
+    def recording(self, *args, **kwargs):
+        calls.append(inspect.signature(init).bind(self, *args, **kwargs).arguments)
+        init(self, *args, **kwargs)
+
+    hopf.FinDimHopf.__init__ = recording
+    try:
+        h = build()
+    finally:
+        hopf.FinDimHopf.__init__ = init
+    (args,) = [args for args in calls if args["self"] is h]
+    return h, args
+
+
+def _catalog_and_tensor():
+    from test_solver_families import tensor
+
+    names = [name for name in catalog.names()
+             if isinstance(catalog.build(name), hopf.FinDimHopf)]
+    builds = [(name, lambda name=name: catalog.build(name)) for name in names]
+    return builds + [("H8(x)kC2", lambda: tensor(catalog.build("H8"), catalog.build("kC2")))]
+
+
+VIEW_BUILDS = _catalog_and_tensor()
+
+
+@pytest.mark.parametrize("name, build", VIEW_BUILDS, ids=[name for name, _ in VIEW_BUILDS])
+def test_rational_views_are_the_constructor_inputs(name, build):
+    """The rational views of the integer table give back the constructor's
+    inputs entry for entry, comultiplication triples sorted by (i, j) with
+    zeros dropped; the table is built once, by the constructor, and the
+    algebra keeps no rational product or antipode."""
+    h, args = built_with_inputs(build)
+    n = h.dim
+    assert all(h.mult_basis(i, j) == list(args["mult"][i][j])
+               for i in range(n) for j in range(n))
+    assert all(h.comult_triples(k) == sorted((tuple(t) for t in args["comult"][k] if t[2]),
+                                             key=lambda t: t[:2])
+               for k in range(n))
+    assert [h.counit_coeff(i) for i in range(n)] == list(args["counit"])
+    assert all(h.antipode_basis(j) == args["antipode"].col(j) for j in range(n))
+    assert h.unit_vec() == list(args["unit"])
+    table = int_structure(h)
+    assert {"mult", "antipode"} <= set(vars(table)) and "_carrier" not in vars(table)
+    assert set(vars(h)) == {"name", "basis", "dim", "unit", "coradical_group_basis",
+                            "_int_structure", "_axiom_report"}
+
+
 def test_catalog_algebras_pass_all_axioms(h4, h8, kc2, ks3):
     for h in (h4, h8, kc2, ks3):
         report = validate_hopf(h)
@@ -42,11 +96,14 @@ def test_catalog_algebras_pass_all_axioms(h4, h8, kc2, ks3):
 
 def test_corrupted_antipode_fails_with_witness(h4):
     # S(x) = gx instead of -gx: only -gx satisfies the antipode axiom at x
-    bad_cols = [h4.antipode.col(j) for j in range(4)]
+    bad_cols = [h4.antipode_basis(j) for j in range(4)]
     bad_cols[2] = basis_vec(4, 3)
     from hopfdiff.hopf import FinDimHopf
 
-    bad = FinDimHopf("H4-bad", h4.basis, h4.mult, h4.unit, h4.comult, h4.counit,
+    bad = FinDimHopf("H4-bad", h4.basis,
+                     [[h4.mult_basis(i, j) for j in range(4)] for i in range(4)], h4.unit,
+                     [h4.comult_triples(k) for k in range(4)],
+                     [h4.counit_coeff(i) for i in range(4)],
                      Mat.from_cols(bad_cols), coradical_group_basis=[0, 1])
     report = validate_hopf(bad)
     assert not report.ok

@@ -1415,10 +1415,11 @@ def test_smash_builder_matches_algebra_only_reference_on_h8():
     ref = reference_smash_product_algebra_only(adj)
     n = ref.dim
     assert b.dim == n and [b.label(i) for i in range(n)] == ref.basis
-    assert all(b.mult_basis(i, j) == ref.mult[i][j] for i in range(n) for j in range(n))
+    assert all(b.mult_basis(i, j) == ref.mult_basis(i, j) for i in range(n) for j in range(n))
     assert b.unit_vec() == ref.unit
-    assert [b.counit_coeff(i) for i in range(n)] == ref.counit
-    assert [sorted(t for t in b.comult_triples(i) if t[2]) for i in range(n)] == ref.comult
+    assert [b.counit_coeff(i) for i in range(n)] == [ref.counit_coeff(i) for i in range(n)]
+    assert ([sorted(t for t in b.comult_triples(i) if t[2]) for i in range(n)]
+            == [ref.comult_triples(i) for i in range(n)])
 
 
 # -- Hopf axioms, kept verbatim -----------------------------------------------------
@@ -1557,11 +1558,11 @@ def perturbed_algebras(draw):
     multiplication, comultiplication, counit, antipode or unit."""
     h = catalog.build(draw(st.sampled_from(FINITE + ["kC2", "kC4", "kD4"])))
     n = h.dim
-    mult = [[list(cell) for cell in row] for row in h.mult]
+    mult = [[h.mult_basis(i, j) for j in range(n)] for i in range(n)]
     unit = list(h.unit)
-    comult = [list(t) for t in h.comult]
-    counit = list(h.counit)
-    antipode = list(h.antipode.entries)
+    comult = [h.comult_triples(k) for k in range(n)]
+    counit = [h.counit_coeff(i) for i in range(n)]
+    antipode = list(Mat.from_cols([h.antipode_basis(j) for j in range(n)]).entries)
     index = st.integers(0, n - 1)
 
     def position(vec):
@@ -1729,8 +1730,8 @@ def closure_perturbed_algebras(draw):
     h = catalog.build(draw(st.sampled_from(FINITE + ["kC2", "kC4", "kD4"])))
     n = h.dim
     u = h.unit.index(ONE)
-    mult = [[list(cell) for cell in row] for row in h.mult]
-    comult = [list(t) for t in h.comult]
+    mult = [[h.mult_basis(i, j) for j in range(n)] for i in range(n)]
+    comult = [h.comult_triples(k) for k in range(n)]
     other = st.sampled_from([i for i in range(n) if i != u])
     c = draw(coefficients)
     if draw(st.booleans()):
@@ -1738,7 +1739,9 @@ def closure_perturbed_algebras(draw):
     else:
         index = st.integers(0, n - 1)
         comult[draw(other)].append((draw(index), draw(index), c))
-    return FinDimHopf(h.name, h.basis, mult, h.unit, comult, h.counit, h.antipode,
+    return FinDimHopf(h.name, h.basis, mult, h.unit, comult,
+                      [h.counit_coeff(i) for i in range(n)],
+                      Mat.from_cols([h.antipode_basis(j) for j in range(n)]),
                       h.coradical_group_basis)
 
 
@@ -1753,9 +1756,11 @@ def test_a_failing_closure_row_reruns_the_full_scan_for_the_first_witness():
     (x x) y = y but x (x y) = x: the closure row x fails, and the report
     is the full scan's, whatever the draws of the property above."""
     h = catalog.build("H8")
-    mult = [[list(cell) for cell in row] for row in h.mult]
+    mult = [[h.mult_basis(i, j) for j in range(8)] for i in range(8)]
     mult[1][2] = basis_vec(8, 0)
-    bad = FinDimHopf("H8", h.basis, mult, h.unit, h.comult, h.counit, h.antipode,
+    bad = FinDimHopf("H8", h.basis, mult, h.unit, [h.comult_triples(k) for k in range(8)],
+                     [h.counit_coeff(i) for i in range(8)],
+                     Mat.from_cols([h.antipode_basis(j) for j in range(8)]),
                      h.coradical_group_basis)
     want = reference_scan_validate_hopf(bad).checks
     assert validate_hopf(bad).checks == want
@@ -2035,20 +2040,21 @@ def dual_hopf(h: FinDimHopf) -> FinDimHopf:
     constants: f_i f_j = sum c f_k over the triples (i, j, c) of D(e_k),
     D(f_k) = sum (e_i e_j)_k f_i (x) f_j, 1 = eps, eps(f_k) = 1_k, S = S^T."""
     n = h.dim
-    mult = [[[sum((c for (a, b, c) in h.comult[k] if (a, b) == (i, j)), ZERO)
+    products = [[h.mult_basis(i, j) for j in range(n)] for i in range(n)]
+    mult = [[[sum((c for (a, b, c) in h.comult_triples(k) if (a, b) == (i, j)), ZERO)
               for k in range(n)] for j in range(n)] for i in range(n)]
-    comult = [[(i, j, h.mult[i][j][k]) for i in range(n) for j in range(n)]
+    comult = [[(i, j, products[i][j][k]) for i in range(n) for j in range(n)]
               for k in range(n)]
-    antipode = Mat.from_rows([h.antipode.col(i) for i in range(n)])
-    return FinDimHopf(f"{h.name}*", [f"f{i}" for i in range(n)], mult, list(h.counit),
-                      comult, list(h.unit), antipode)
+    antipode = Mat.from_rows([h.antipode_basis(i) for i in range(n)])
+    return FinDimHopf(f"{h.name}*", [f"f{i}" for i in range(n)], mult,
+                      [h.counit_coeff(i) for i in range(n)], comult, list(h.unit), antipode)
 
 
 def coregular_action(h: FinDimHopf) -> ActionData:
     """The left coregular action of H on H*, (a . f)(b) = f(ba): e_a . f_x
     = sum_b (e_b e_a)_x f_b."""
     n = h.dim
-    return ActionData(h, dual_hopf(h), [[[h.mult[b][a][x] for b in range(n)]
+    return ActionData(h, dual_hopf(h), [[[h.mult_basis(b, a)[x] for b in range(n)]
                                          for x in range(n)] for a in range(n)])
 
 
@@ -2576,10 +2582,15 @@ def reference_smash_mult_basis(smash, i: int, j: int) -> Vec:
 
 def reference_product(h, i: int, j: int) -> Vec:
     """The dense product of basis elements i and j by the carrier's own
-    rule: the structure constants of a FinDimHopf, the old mult_basis
-    bodies of the truncated carriers and of the smash builder."""
+    rule: the stored integer table of a FinDimHopf over its denominator,
+    the old mult_basis bodies of the truncated carriers and of the smash
+    builder."""
     if isinstance(h, FinDimHopf):
-        return h.mult[i][j]
+        t = int_structure(h)
+        dense = [Fraction(0)] * h.dim
+        for k, m in t.mult[i][j]:
+            dense[k] = Fraction(m, t.mult_den)
+        return dense
     if isinstance(h, TruncatedTensor):
         return reference_tensor_mult_basis(h, i, j)
     if isinstance(h, TruncatedEnveloping):
@@ -2959,7 +2970,7 @@ def rescaled(h: FinDimHopf, scale: list) -> FinDimHopf:
              for j in range(n)] for i in range(n)]
     comult = [[(i, j, c * scale[k] / (scale[i] * scale[j])) for (i, j, c) in h.comult_triples(k)]
               for k in range(n)]
-    antipode = Mat(n, n, [h.antipode[(k, j)] * scale[j] / scale[k]
+    antipode = Mat(n, n, [h.antipode_basis(j)[k] * scale[j] / scale[k]
                           for k in range(n) for j in range(n)])
     return FinDimHopf(f"{h.name}-rescaled", h.basis, mult,
                       [c / scale[k] for k, c in enumerate(h.unit_vec())], comult,
